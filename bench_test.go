@@ -262,6 +262,117 @@ func BenchmarkCMTMissEvictInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkCMTCleanRange is the batched write-back of one translation page:
+// dirty eight of its 512 mappings, then clean the page's range. The cost
+// must follow the eight, not the 512.
+func BenchmarkCMTCleanRange(b *testing.B) {
+	const capn, tp = 4096, mapping.EntriesPerTransPage
+	c := mapping.NewCMT(capn)
+	for i := int64(0); i < capn; i++ {
+		c.Insert(i, nand.PPN(i), false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := int64(i) % (capn / tp) * tp
+		for k := int64(0); k < 8; k++ {
+			c.Insert(lo+k*61, nand.PPN(i), true)
+		}
+		if c.CleanRange(lo, lo+tp) != 8 {
+			b.Fatal("CleanRange missed a dirty entry")
+		}
+	}
+}
+
+// The address codec on a geometry with no power-of-two field, so nothing
+// about the speed rests on shifts: a full Decode, the single-field Chip the
+// flash array asks for on every operation, and the VPPN→PPN conversion of
+// LearnedFTL's write path.
+
+func benchCodec() (nand.AddrCodec, int64) {
+	g := nand.Geometry{Channels: 3, Ways: 5, Planes: 2, BlocksPerUnit: 7, PagesPerBlock: 11, PageSize: 4096}
+	return nand.NewAddrCodec(g), int64(g.TotalPages())
+}
+
+var codecSink int
+
+func BenchmarkAddrCodecDecode(b *testing.B) {
+	codec, total := benchCodec()
+	p := int64(0)
+	for i := 0; i < b.N; i++ {
+		a := codec.Decode(nand.PPN(p))
+		codecSink += a.Channel + a.Way + a.Plane + a.Block + a.Page
+		if p += 97; p >= total {
+			p -= total
+		}
+	}
+}
+
+func BenchmarkAddrCodecChip(b *testing.B) {
+	codec, total := benchCodec()
+	p := int64(0)
+	for i := 0; i < b.N; i++ {
+		codecSink += codec.Chip(nand.PPN(p))
+		if p += 97; p >= total {
+			p -= total
+		}
+	}
+}
+
+func BenchmarkAddrCodecToPhysical(b *testing.B) {
+	codec, total := benchCodec()
+	v := int64(0)
+	for i := 0; i < b.N; i++ {
+		codecSink += int(codec.ToPhysical(nand.VPPN(v)))
+		if v += 97; v >= total {
+			v -= total
+		}
+	}
+}
+
+// BenchmarkSequentialInit1 is the model update of one 4 KiB write
+// (§III-E1 with a run of one) on a model whose piece array is full — the
+// case every random write hits once the device is warm.
+func BenchmarkSequentialInit1(b *testing.B) {
+	m := learned.NewInPlaceModel(512, learned.DefaultMaxPieces)
+	for i := 0; i < learned.DefaultMaxPieces; i++ {
+		m.SequentialInit(i*64, 32, int64(1000*i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (i * 37) & 511
+		m.Invalidate(off)
+		m.SequentialInit(off, 1, int64(i))
+	}
+}
+
+// BenchmarkLSMTInsert is LeaFTL's steady state after a collection: a
+// retrained segment replaces the one it overlaps in level 0, which moves
+// down a level and is dropped there as shadowed. The levels below hold
+// wider, older segments that stay.
+func BenchmarkLSMTInsert(b *testing.B) {
+	const nseg = 64
+	t := learned.NewLSMT()
+	for s := 0; s < nseg; s++ {
+		t.Insert([]learned.Segment{{S: int64(s * 16), L: 16, K: 1}})
+	}
+	seg := make([]learned.Segment, 1)
+	insert := func(i int) {
+		seg[0] = learned.Segment{S: int64(i % nseg * 16), L: 8, K: 1, I: float64(i)}
+		t.Insert(seg)
+		t.CompactShadowed()
+	}
+	for i := 0; i < 2*nseg; i++ {
+		insert(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insert(i)
+	}
+}
+
 // BenchmarkSimRunSchedule measures the engine's per-request scheduling cost
 // (min-heap pop/push over 256 closed-loop threads) against the ideal FTL,
 // whose translation is a single slice load — so scheduling dominates.

@@ -99,6 +99,13 @@ type LearnedFTL struct {
 
 	inGC bool
 
+	// Scratch of one group collection — collections never nest (inGC), so one
+	// set per device serves them all: the group's valid LPNs, one GTD entry's
+	// training VPPNs, and the rows still waiting to be erased.
+	gcLPNs  []int64
+	gcVPPNs []int64
+	gcRows  []int
+
 	// lastScan holds the counters of the most recent RecoverFromCrash
 	// mount scan (see MountScanStats).
 	lastScan persist.ScanStats
@@ -161,6 +168,12 @@ func SpareRows(cfg ftl.Config) int {
 	return p.dataRows - p.ngroups - p.reserve
 }
 
+// newCMT builds LearnedFTL's mapping cache: half the configured budget,
+// the in-place models take the other half (§IV-A).
+func newCMT(cfg ftl.Config) *mapping.CMT {
+	return mapping.NewCMTFor(cfg.CMTEntriesFor(cfg.CMTRatio/2), cfg.EntriesPerTP)
+}
+
 // New builds a LearnedFTL device. The configuration's logical space must be
 // group-aligned and the geometry must leave enough superblock rows for the
 // groups plus GC reserve; DefaultConfig at paper or paper-scaled geometry
@@ -209,7 +222,7 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 		col:        stats.NewCollector(),
 		l2p:        l2p,
 		gtd:        mapping.NewGTD(numTPNs),
-		cmt:        mapping.NewCMT(cfg.CMTEntriesFor(cfg.CMTRatio / 2)),
+		cmt:        newCMT(cfg),
 		models:     make([]*learned.InPlaceModel, numTPNs),
 		span:       span,
 		sbPages:    sbPages,
@@ -221,6 +234,7 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 		reserve:    reserve,
 		tp:         newTransPool(fl, transRows),
 		emaLen:     1,
+		gcVPPNs:    make([]int64, cfg.EntriesPerTP),
 	}
 	for i := range f.models {
 		f.models[i] = learned.NewInPlaceModel(cfg.EntriesPerTP, cfg.MaxPieces)
@@ -522,7 +536,7 @@ func (f *LearnedFTL) invalidateData(p nand.PPN) {
 	if err := f.fl.Invalidate(p); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	f.rowInvalid[f.codec.Decode(p).Block]++
+	f.rowInvalid[f.codec.Block(p)]++
 }
 
 // drainEvictions applies TPFTL-style batched write-back to the CMT.
@@ -537,10 +551,7 @@ func (f *LearnedFTL) drainEvictions(now nand.Time) nand.Time {
 		}
 		tpn := f.cfg.TPNOf(e.LPN)
 		now = f.updateTrans(tpn, true, now)
-		lo, hi := f.cfg.TPRange(tpn)
-		for _, de := range f.cmt.DirtyInRange(lo, hi) {
-			f.cmt.MarkClean(de.LPN)
-		}
+		f.cmt.CleanRange(f.cfg.TPRange(tpn))
 	}
 	return now
 }

@@ -294,8 +294,9 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 	// (sbPages − live) free slots, which the foreign-page evacuation below
 	// can borrow — the collection never needs more than the one row it
 	// claimed.
-	var oldRows []int
+	oldRows := f.gcRows[:0]
 	t = f.relocateGroup(gid, newRow, t, &moved, &oldRows)
+	f.gcRows = oldRows
 	// Rows already free of foreign pages erase immediately, replenishing
 	// the pool before evacuation might need a row of its own.
 	t = f.eraseFreeable(&oldRows, t)
@@ -311,7 +312,7 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 	// Evacuate row by row, erasing each row as it empties.
 	for len(oldRows) > 0 {
 		row := oldRows[0]
-		t = f.evacuateForeign([]int{row}, gid, t, &moved)
+		t = f.evacuateForeign(oldRows[:1], gid, t, &moved)
 		before := len(oldRows)
 		t = f.eraseFreeable(&oldRows, t)
 		if len(oldRows) == before {
@@ -390,17 +391,18 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 			}
 		}
 	}
-	var lpns []int64
+	lpns := f.gcLPNs[:0]
 	for l := loLPN; l < hiLPN; l++ {
 		if f.l2p[l] != nand.InvalidPPN {
 			lpns = append(lpns, l)
 		}
 	}
+	f.gcLPNs = lpns
 
 	// Step ②: write valid pages back to the fresh superblock → contiguous
 	// VPPNs for sorted LPNs.
 	*oldRows = append(*oldRows, g.rows...)
-	g.rows = []int{newRow}
+	g.rows = append(g.rows[:0], newRow)
 	g.wp = 0
 	g.encroach = 0
 	g.pendingGC = false
@@ -429,7 +431,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 
 	// Steps ③/④: train each GTD entry's model and evaluate its bitmap,
 	// then persist the group's translation pages.
-	vppns := make([]int64, f.cfg.EntriesPerTP)
+	vppns := f.gcVPPNs
 	for e := 0; e < f.cfg.GroupEntries; e++ {
 		tpn := loTPN + e
 		lo, hi := f.cfg.TPRange(tpn)
@@ -456,9 +458,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 			}
 		}
 		t = f.updateTrans(tpn, false, t)
-		for _, de := range f.cmt.DirtyInRange(lo, hi) {
-			f.cmt.MarkClean(de.LPN)
-		}
+		f.cmt.CleanRange(lo, hi)
 	}
 	return t
 }

@@ -85,7 +85,7 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	if err := persist.LoadGTD(d, f.gtd); err != nil {
 		return err
 	}
-	f.cmt = mapping.NewCMT(f.cfg.CMTEntriesFor(f.cfg.CMTRatio / 2))
+	f.cmt = newCMT(f.cfg)
 	if err := persist.LoadCMT(d, f.cmt); err != nil {
 		return err
 	}
@@ -160,7 +160,7 @@ func (f *LearnedFTL) RecoverFromCrash(now nand.Time) nand.Time {
 		f.l2p[i] = nand.InvalidPPN
 	}
 	f.gtd = mapping.NewGTD(len(f.models))
-	f.cmt = mapping.NewCMT(f.cfg.CMTEntriesFor(f.cfg.CMTRatio / 2))
+	f.cmt = newCMT(f.cfg)
 	for i := range f.models {
 		f.models[i] = learned.NewInPlaceModel(f.cfg.EntriesPerTP, f.cfg.MaxPieces)
 	}

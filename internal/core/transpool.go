@@ -67,7 +67,7 @@ func (p *transPool) alloc() (nand.PPN, bool) {
 		p.free[best] = p.free[best][:n-1]
 		p.active[best] = blk
 	}
-	base := p.codec.Encode(p.codec.BlockAddr(blk))
+	base := p.codec.BlockBase(blk)
 	return base + nand.PPN(p.fl.BlockWritePtr(blk)), true
 }
 
@@ -124,7 +124,7 @@ func (p *transPool) gcTrans(now nand.Time, gtdFix func(tpn int, np nand.PPN)) (n
 		return now, false
 	}
 	g := p.fl.Geometry()
-	base := p.codec.Encode(p.codec.BlockAddr(victim))
+	base := p.codec.BlockBase(victim)
 	t := now
 	for i := 0; i < g.PagesPerBlock; i++ {
 		ppn := base + nand.PPN(i)

@@ -6,8 +6,6 @@
 package dftl
 
 import (
-	"sort"
-
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/mapping"
 	"learnedftl/internal/nand"
@@ -29,7 +27,7 @@ func New(cfg ftl.Config) (*DFTL, error) {
 	}
 	d := &DFTL{
 		Base: b,
-		cmt:  mapping.NewCMT(cfg.CMTEntries()),
+		cmt:  mapping.NewCMTFor(cfg.CMTEntries(), cfg.EntriesPerTP),
 	}
 	b.Hooks = d
 	return d, nil
@@ -125,15 +123,9 @@ func (d *DFTL) DataTrimmed(lpn int64, _ nand.PPN) {
 // page — the extra write amplification the paper's §IV-B(2) attributes to
 // DFTL-style allocation.
 func (d *DFTL) GCFinalize(moved []int64, t nand.Time) nand.Time {
-	tpns := affectedTPNs(d.Cfg, moved)
-	for _, tpn := range tpns {
+	for _, tpn := range d.AffectedTPNs(moved) {
 		t = d.UpdateTrans(tpn, true, t)
-		lo, hi := d.Cfg.TPRange(tpn)
-		for _, e := range d.cmt.DirtyInRange(lo, hi) {
-			// The rewrite persisted the current truth for this range, so
-			// cached entries are clean now.
-			d.cmt.MarkClean(e.LPN)
-		}
+		d.cmt.CleanRange(d.Cfg.TPRange(tpn))
 	}
 	return t
 }
@@ -151,7 +143,7 @@ func (d *DFTL) LoadState(dec *persist.Decoder) error {
 	if err := d.LoadBaseState(dec); err != nil {
 		return err
 	}
-	d.cmt = mapping.NewCMT(d.Cfg.CMTEntries())
+	d.cmt = mapping.NewCMTFor(d.Cfg.CMTEntries(), d.Cfg.EntriesPerTP)
 	return persist.LoadCMT(dec, d.cmt)
 }
 
@@ -159,22 +151,8 @@ func (d *DFTL) LoadState(dec *persist.Decoder) error {
 // rebuilds L2P + GTD, and the CMT — DRAM, lost with power — restarts cold.
 func (d *DFTL) RecoverFromCrash(now nand.Time) nand.Time {
 	t := d.Base.RecoverFromCrash(now)
-	d.cmt = mapping.NewCMT(d.Cfg.CMTEntries())
+	d.cmt = mapping.NewCMTFor(d.Cfg.CMTEntries(), d.Cfg.EntriesPerTP)
 	return t
-}
-
-// affectedTPNs returns the sorted unique translation pages of the LPNs.
-func affectedTPNs(cfg ftl.Config, lpns []int64) []int {
-	seen := make(map[int]struct{})
-	for _, l := range lpns {
-		seen[cfg.TPNOf(l)] = struct{}{}
-	}
-	out := make([]int, 0, len(seen))
-	for tpn := range seen {
-		out = append(out, tpn)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // TryReadPages implements ftl.ShardReader. A DFTL read resolves in DRAM

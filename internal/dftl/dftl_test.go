@@ -150,15 +150,19 @@ func TestGCKeepsMappingAndCacheCoherent(t *testing.T) {
 }
 
 func TestAffectedTPNsDedup(t *testing.T) {
-	cfg := testConfig()
-	got := affectedTPNs(cfg, []int64{0, 1, 2, 33, 64, 65})
+	f, _ := New(testConfig())
+	// GC hands over the moved LPNs in victim-page order, not sorted.
+	got := f.AffectedTPNs([]int64{65, 0, 33, 1, 64, 2})
 	want := []int{0, 1, 2}
 	if len(got) != len(want) {
-		t.Fatalf("affectedTPNs = %v", got)
+		t.Fatalf("AffectedTPNs = %v", got)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("affectedTPNs = %v, want %v", got, want)
+			t.Fatalf("AffectedTPNs = %v, want %v", got, want)
 		}
+	}
+	if got := f.AffectedTPNs(nil); len(got) != 0 {
+		t.Fatalf("AffectedTPNs(nil) = %v", got)
 	}
 }

@@ -3,6 +3,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"learnedftl/internal/fault"
 	"learnedftl/internal/gc"
@@ -86,6 +87,8 @@ type Base struct {
 	// lastScan holds the counters of the most recent RecoverFromCrash
 	// mount scan (see MountScanStats).
 	lastScan persist.ScanStats
+
+	tpnBuf []int // AffectedTPNs' result, reused across collections
 }
 
 // NewBase builds the shared device state for cfg.
@@ -157,6 +160,26 @@ func (b *Base) Finalize(moved []int64, t nand.Time) nand.Time {
 
 // SortByLPN implements gc.Host.
 func (b *Base) SortByLPN() bool { return b.SortRelocate }
+
+// AffectedTPNs returns the translation pages covering lpns, ascending and
+// without repeats — the pages a GCFinalize must rewrite. The result lives
+// in a buffer the next call overwrites.
+func (b *Base) AffectedTPNs(lpns []int64) []int {
+	out := b.tpnBuf[:0]
+	for _, l := range lpns {
+		out = append(out, b.Cfg.TPNOf(l))
+	}
+	sort.Ints(out)
+	n := 0
+	for _, tpn := range out {
+		if n == 0 || tpn != out[n-1] {
+			out[n] = tpn
+			n++
+		}
+	}
+	b.tpnBuf = out
+	return out[:n]
+}
 
 // mustProgram wraps Flash.Program; allocation and programming are paired in
 // this package, so a failure is an internal invariant violation.

@@ -175,7 +175,7 @@ func (b *BlockMan) allocOn(chip int, trans bool) (nand.PPN, bool) {
 		b.notifyActive(blk)
 	}
 	pg := b.f.BlockWritePtr(blk)
-	base := b.codec.Encode(b.codec.BlockAddr(blk))
+	base := b.codec.BlockBase(blk)
 	return base + nand.PPN(pg), true
 }
 
@@ -186,7 +186,7 @@ func (b *BlockMan) allocOn(chip int, trans bool) (nand.PPN, bool) {
 // the block; free stacks never contain bad blocks because retired blocks
 // are never Released.
 func (b *BlockMan) Retire(blockID int) {
-	chip := b.codec.Chip(b.codec.Encode(b.codec.BlockAddr(blockID)))
+	chip := b.codec.Chip(b.codec.BlockBase(blockID))
 	if b.activeData[chip] == blockID {
 		b.activeData[chip] = -1
 		b.notifyActive(blockID)
@@ -199,7 +199,7 @@ func (b *BlockMan) Retire(blockID int) {
 
 // Release returns an erased block to the free pool.
 func (b *BlockMan) Release(blockID int) {
-	chip := b.codec.Chip(b.codec.Encode(b.codec.BlockAddr(blockID)))
+	chip := b.codec.Chip(b.codec.BlockBase(blockID))
 	b.free[chip] = append(b.free[chip], blockID)
 	b.freeCount++
 }
@@ -207,6 +207,6 @@ func (b *BlockMan) Release(blockID int) {
 // IsActive reports whether blockID is currently an active write block of
 // either stream (active blocks are not GC victims).
 func (b *BlockMan) IsActive(blockID int) bool {
-	chip := b.codec.Chip(b.codec.Encode(b.codec.BlockAddr(blockID)))
+	chip := b.codec.Chip(b.codec.BlockBase(blockID))
 	return b.activeData[chip] == blockID || b.activeTrans[chip] == blockID
 }

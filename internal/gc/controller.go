@@ -354,7 +354,7 @@ func (c *Controller) collect(victim int, now nand.Time, mode collectMode) (nand.
 		tr.EnterGC(mode == modeScrub, now)
 	}
 
-	base := c.codec.Encode(c.codec.BlockAddr(victim))
+	base := c.codec.BlockBase(victim)
 	t := now
 
 	// The block's valid bitmap walks straight to the pages that must move —

@@ -36,6 +36,12 @@ type LeaFTL struct {
 	models map[int]*learned.LSMT
 
 	cache *modelCache
+
+	// Training points of one flush and of one collection, reused. Two
+	// buffers, not one: a flush's programs and translation updates can
+	// trigger a collection, whose GCFinalize trains while the flush still
+	// holds its points.
+	flushPts, gcPts []learned.Point
 }
 
 // New builds a LeaFTL device.
@@ -120,7 +126,7 @@ func (l *LeaFTL) flush(now nand.Time) nand.Time {
 	// acked writes a write-back crash loses, which the crash verifier
 	// exempts from the durability check.
 	end := now
-	pts := make(map[int][]learned.Point)
+	pts := l.flushPts[:0]
 	for _, lpn := range lpns {
 		ppn, done := l.HostProgram(lpn, now)
 		delete(l.buffer, lpn)
@@ -132,26 +138,35 @@ func (l *LeaFTL) flush(now nand.Time) nand.Time {
 			// point — there is no physical page to learn.
 			continue
 		}
-		tpn := l.Cfg.TPNOf(lpn)
-		pts[tpn] = append(pts[tpn], learned.Point{
-			X: lpn,
-			Y: int64(l.Codec.ToVirtual(ppn)),
-		})
+		pts = append(pts, learned.Point{X: lpn, Y: int64(l.Codec.ToVirtual(ppn))})
 	}
-	// Train per affected translation page and persist the segments.
-	tpns := make([]int, 0, len(pts))
-	for tpn := range pts {
-		tpns = append(tpns, tpn)
-	}
-	sort.Ints(tpns)
-	t := end
-	for _, tpn := range tpns {
-		segs := learned.FitSegments(pts[tpn], l.Cfg.LeaGamma, maxSegmentLen)
+	l.flushPts = pts
+	return l.train(pts, false, end)
+}
+
+// train fits segments over pts — ascending by LPN, so each translation
+// page's points are one run and the pages come up in ascending order — and
+// persists them, one read-modify-write per affected translation page. After
+// a collection the retrained table is also compacted.
+func (l *LeaFTL) train(pts []learned.Point, afterGC bool, t nand.Time) nand.Time {
+	for len(pts) > 0 {
+		tpn := l.Cfg.TPNOf(pts[0].X)
+		n := 1
+		for n < len(pts) && l.Cfg.TPNOf(pts[n].X) == tpn {
+			n++
+		}
+		segs := learned.FitSegments(pts[:n], l.Cfg.LeaGamma, maxSegmentLen)
+		pts = pts[n:]
 		lt := l.lsmt(tpn)
 		lt.Insert(segs)
 		l.Col.ModelTrainings++
-		l.cache.Insert(tpn, lt.SizeBytes()) // fresh models are hot
-		t = l.UpdateTrans(tpn, true, t)     // append segments: RMW
+		if afterGC {
+			lt.CompactShadowed()
+			l.cache.Resize(tpn, lt.SizeBytes())
+		} else {
+			l.cache.Insert(tpn, lt.SizeBytes()) // fresh models are hot
+		}
+		t = l.UpdateTrans(tpn, true, t)
 	}
 	return t
 }
@@ -358,32 +373,12 @@ func (l *LeaFTL) DataTrimmed(lpn int64, _ nand.PPN) {
 // GCFinalize implements ftl.RelocHooks: GC moved pages in sorted LPN order,
 // so retrain segments over their new locations and persist them.
 func (l *LeaFTL) GCFinalize(moved []int64, t nand.Time) nand.Time {
-	if len(moved) == 0 {
-		return t
-	}
-	pts := make(map[int][]learned.Point)
+	pts := l.gcPts[:0]
 	for _, lpn := range moved { // already sorted by Base.SortRelocate
-		tpn := l.Cfg.TPNOf(lpn)
-		pts[tpn] = append(pts[tpn], learned.Point{
-			X: lpn,
-			Y: int64(l.Codec.ToVirtual(l.L2P[lpn])),
-		})
+		pts = append(pts, learned.Point{X: lpn, Y: int64(l.Codec.ToVirtual(l.L2P[lpn]))})
 	}
-	tpns := make([]int, 0, len(pts))
-	for tpn := range pts {
-		tpns = append(tpns, tpn)
-	}
-	sort.Ints(tpns)
-	for _, tpn := range tpns {
-		segs := learned.FitSegments(pts[tpn], l.Cfg.LeaGamma, maxSegmentLen)
-		lt := l.lsmt(tpn)
-		lt.Insert(segs)
-		lt.CompactShadowed()
-		l.Col.ModelTrainings++
-		l.cache.Resize(tpn, lt.SizeBytes())
-		t = l.UpdateTrans(tpn, true, t)
-	}
-	return t
+	l.gcPts = pts
+	return l.train(pts, true, t)
 }
 
 // TryReadPages implements ftl.ShardReader. A LeaFTL read resolves in DRAM

@@ -41,28 +41,39 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
-// CountRange returns the number of set bits in [lo, hi).
+// wordMask returns the bits of word w that fall inside [lo, hi); zero when
+// none do, so the range operations need no case for empty ranges.
+func wordMask(w, lo, hi int) uint64 {
+	m := ^uint64(0)
+	if base := w << 6; base < lo {
+		m <<= uint(lo - base)
+	}
+	if end := w<<6 + 64; end > hi {
+		m &= ^uint64(0) >> uint(end-hi)
+	}
+	return m
+}
+
+// CountRange returns the number of set bits in [lo, hi), a word at a time.
 func (b *Bitmap) CountRange(lo, hi int) int {
 	c := 0
-	for i := lo; i < hi; i++ {
-		if b.Get(i) {
-			c++
-		}
+	for w := lo >> 6; w<<6 < hi; w++ {
+		c += bits.OnesCount64(b.words[w] & wordMask(w, lo, hi))
 	}
 	return c
 }
 
 // ClearRange zeroes bits [lo, hi).
 func (b *Bitmap) ClearRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.Clear(i)
+	for w := lo >> 6; w<<6 < hi; w++ {
+		b.words[w] &^= wordMask(w, lo, hi)
 	}
 }
 
 // SetRange sets bits [lo, hi).
 func (b *Bitmap) SetRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		b.Set(i)
+	for w := lo >> 6; w<<6 < hi; w++ {
+		b.words[w] |= wordMask(w, lo, hi)
 	}
 }
 

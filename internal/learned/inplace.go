@@ -39,6 +39,7 @@ func NewInPlaceModel(span, maxPieces int) *InPlaceModel {
 		span:      span,
 		maxPieces: maxPieces,
 		base:      unsetBase,
+		pieces:    make([]Piece, 0, maxPieces),
 		bm:        NewBitmap(span),
 	}
 }
@@ -105,7 +106,10 @@ func (m *InPlaceModel) TrainFull(base int64, vppns []int64) int {
 	if len(vppns) != m.span {
 		panic("learned: TrainFull length mismatch")
 	}
-	pts := make([]Point, 0, m.span)
+	// One paper-sized translation page of points fits the stack frame; a
+	// wider model's append moves them to the heap.
+	var frame [512]Point
+	pts := frame[:0]
 	for off, v := range vppns {
 		if v >= 0 {
 			pts = append(pts, Point{X: int64(off), Y: v - base})
@@ -119,7 +123,7 @@ func (m *InPlaceModel) TrainFull(base int64, vppns []int64) int {
 	}
 	m.base = base
 	kept, _ := FitExactCapped(pts, m.maxPieces)
-	m.pieces = kept
+	m.pieces = append(m.pieces, kept...)
 	// Evaluate: only offsets the kept pieces predict exactly get a 1 bit
 	// (§III-E2 step ④).
 	exact := 0
@@ -165,9 +169,14 @@ func (m *InPlaceModel) SequentialInit(startOff, n int, firstVPPN int64) bool {
 // insertPiece splices a new piece covering [s, e) into the sorted piece
 // array, trimming overlapped pieces (the Fig. 10 "modify off2 of model2"
 // adjustment) and preserving the tail of a piece that extends past e.
-// Returns false if the result would exceed the fixed capacity.
+// Returns false, leaving the model untouched, if the result would exceed the
+// fixed capacity. The candidate array — at most two pieces longer than the
+// live one — is staged in the stack frame and copied over the model's own
+// array once it is known to fit, so a write allocates nothing (a model of
+// more than DefaultMaxPieces pieces stages on the heap).
 func (m *InPlaceModel) insertPiece(np Piece, s, e int64) bool {
-	out := make([]Piece, 0, len(m.pieces)+2)
+	var frame [DefaultMaxPieces + 2]Piece
+	out := frame[:0]
 	inserted := false
 	for i, p := range m.pieces {
 		pEnd := int64(m.span)
@@ -204,7 +213,7 @@ func (m *InPlaceModel) insertPiece(np Piece, s, e int64) bool {
 	if len(out) > m.maxPieces {
 		return false
 	}
-	m.pieces = out
+	m.pieces = append(m.pieces[:0], out...)
 	return true
 }
 

@@ -307,3 +307,91 @@ func TestBitmapBasics(t *testing.T) {
 		t.Fatalf("SizeBytes = %d", b.SizeBytes())
 	}
 }
+
+// TestBitmapRangeOpsMatchBitLoops checks the word-masked range operations
+// against their bit-by-bit definitions on every [lo, hi) of a bitmap that
+// ends mid-word: ranges inside one word, across word edges, whole words and
+// empty ones.
+func TestBitmapRangeOpsMatchBitLoops(t *testing.T) {
+	const n = 200
+	rng := rand.New(rand.NewSource(7))
+	fill := func() (*Bitmap, []bool) {
+		b, ref := NewBitmap(n), make([]bool, n)
+		for i := range ref {
+			if rng.Intn(2) == 0 {
+				b.Set(i)
+				ref[i] = true
+			}
+		}
+		return b, ref
+	}
+	same := func(b *Bitmap, ref []bool) bool {
+		for i, want := range ref {
+			if b.Get(i) != want {
+				return false
+			}
+		}
+		return true
+	}
+	for lo := 0; lo <= n; lo++ {
+		for hi := lo - 1; hi <= n; hi++ { // hi = lo-1 and hi = lo: empty ranges
+			if hi < 0 {
+				continue
+			}
+			b, ref := fill()
+			count := 0
+			for i := lo; i < hi; i++ {
+				if ref[i] {
+					count++
+				}
+			}
+			if got := b.CountRange(lo, hi); got != count {
+				t.Fatalf("CountRange(%d, %d) = %d, want %d", lo, hi, got, count)
+			}
+			b.SetRange(lo, hi)
+			for i := lo; i < hi; i++ {
+				ref[i] = true
+			}
+			if !same(b, ref) {
+				t.Fatalf("SetRange(%d, %d) differs from the bit loop", lo, hi)
+			}
+			b, ref = fill()
+			b.ClearRange(lo, hi)
+			for i := lo; i < hi; i++ {
+				ref[i] = false
+			}
+			if !same(b, ref) {
+				t.Fatalf("ClearRange(%d, %d) differs from the bit loop", lo, hi)
+			}
+		}
+	}
+}
+
+// TestSequentialInitZeroAlloc pins the per-write model update at zero
+// allocations on a model whose piece array is full: the splice may only
+// succeed by trimming or pruning, and must not allocate either way.
+func TestSequentialInitZeroAlloc(t *testing.T) {
+	m := NewInPlaceModel(512, DefaultMaxPieces)
+	for i := 0; i < DefaultMaxPieces; i++ {
+		if !m.SequentialInit(i*64, 32, int64(1000*i)) {
+			t.Fatal("setup: SequentialInit refused")
+		}
+	}
+	if m.NumPieces() != DefaultMaxPieces {
+		t.Fatalf("setup left %d pieces, want %d", m.NumPieces(), DefaultMaxPieces)
+	}
+	i, installed := 0, 0
+	if a := testing.AllocsPerRun(2000, func() {
+		off := (i * 37) & 511
+		m.Invalidate(off)
+		if m.SequentialInit(off, 1, int64(i)) {
+			installed++
+		}
+		i++
+	}); a != 0 {
+		t.Fatalf("SequentialInit(off, 1, v) allocates %.0f times per write", a)
+	}
+	if installed == 0 || installed == i {
+		t.Fatalf("%d of %d updates installed: want both outcomes exercised", installed, i)
+	}
+}

@@ -30,7 +30,16 @@ func (t *LSMT) Insert(segs []Segment) {
 	for _, s := range segs {
 		t.insertAt(0, s)
 	}
+	t.nseg += len(segs) // an insert only ever moves older segments down
 }
+
+// levelGrowth is how many spare slots a level of n segments may carry: what
+// a splice that finds the level full leaves behind, and what a compaction
+// trims it back to. Enough that a level is not reallocated per inserted
+// segment, small enough that the thousands of short levels a device holds
+// stay close to their length (append's doubling would cost them half again
+// in slack).
+func levelGrowth(n int) int { return 2 + n/8 }
 
 func (t *LSMT) insertAt(level int, seg Segment) {
 	if level == len(t.levels) {
@@ -45,19 +54,25 @@ func (t *LSMT) insertAt(level int, seg Segment) {
 	for j < len(lv) && lv[j].S < hi {
 		j++
 	}
-	evicted := make([]Segment, j-i)
-	copy(evicted, lv[i:j])
-	// Splice seg in place of the evicted run.
-	nlv := make([]Segment, 0, len(lv)-(j-i)+1)
-	nlv = append(nlv, lv[:i]...)
-	nlv = append(nlv, seg)
-	nlv = append(nlv, lv[j:]...)
-	t.levels[level] = nlv
-	t.nseg++
-	for _, ev := range evicted {
-		t.nseg--
-		t.insertAt(level+1, ev)
+	// The overlapped run moves down first, while it still sits intact in
+	// lv: an insert into a deeper level never touches this one, so it
+	// commutes with the splice below and needs no copy of the run.
+	for k := i; k < j; k++ {
+		t.insertAt(level+1, lv[k])
 	}
+	// Splice seg over the run in place: the tail shifts by 1-(j-i) slots.
+	n := len(lv) + 1 - (j - i)
+	tail := lv[j:]
+	if n > cap(lv) {
+		grown := make([]Segment, n, n+levelGrowth(n))
+		copy(grown, lv[:i])
+		lv = grown
+	} else {
+		lv = lv[:n]
+	}
+	copy(lv[i+1:], tail)
+	lv[i] = seg
+	t.levels[level] = lv
 }
 
 // Lookup returns the newest segment covering lpn, scanning levels top-down.
@@ -100,7 +115,7 @@ func (t *LSMT) ImportLevels(levels [][]Segment) {
 func (t *LSMT) CompactShadowed() int {
 	dropped := 0
 	for li := 1; li < len(t.levels); li++ {
-		var keep []Segment
+		keep := t.levels[li][:0] // filtered in place: shadowed reads only the levels above
 		for _, s := range t.levels[li] {
 			if t.shadowed(s, li) {
 				dropped++
@@ -108,6 +123,9 @@ func (t *LSMT) CompactShadowed() int {
 			} else {
 				keep = append(keep, s)
 			}
+		}
+		if spare := levelGrowth(len(keep)); cap(keep)-len(keep) > spare {
+			keep = append(make([]Segment, 0, len(keep)+spare), keep...)
 		}
 		t.levels[li] = keep
 	}

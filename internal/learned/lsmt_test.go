@@ -132,3 +132,146 @@ func TestLSMTRecencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refLSMT is the table by its original definition — every insert rebuilds
+// the level around the new segment and copies the run it overlaps before
+// pushing it down; compaction rebuilds each level from the survivors — kept
+// as the reference the in-place table is checked against.
+type refLSMT struct{ levels [][]Segment }
+
+func (t *refLSMT) insertAt(level int, seg Segment) {
+	if level == len(t.levels) {
+		t.levels = append(t.levels, nil)
+	}
+	lv := t.levels[level]
+	lo, hi := seg.S, seg.S+int64(seg.L)
+	i := 0
+	for i < len(lv) && lv[i].S+int64(lv[i].L) <= lo {
+		i++
+	}
+	j := i
+	for j < len(lv) && lv[j].S < hi {
+		j++
+	}
+	evicted := append([]Segment(nil), lv[i:j]...)
+	nlv := append([]Segment(nil), lv[:i]...)
+	nlv = append(nlv, seg)
+	t.levels[level] = append(nlv, lv[j:]...)
+	for _, ev := range evicted {
+		t.insertAt(level+1, ev)
+	}
+}
+
+func (t *refLSMT) covered(lpn int64, below int) bool {
+	for _, lv := range t.levels[:below] {
+		for _, s := range lv {
+			if s.Contains(lpn) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (t *refLSMT) compactShadowed() int {
+	dropped := 0
+	for li := 1; li < len(t.levels); li++ {
+		var keep []Segment
+		for _, s := range t.levels[li] {
+			shadowed := true
+			for lpn := s.S; lpn < s.S+int64(s.L); lpn++ {
+				shadowed = shadowed && t.covered(lpn, li)
+			}
+			if shadowed {
+				dropped++
+			} else {
+				keep = append(keep, s)
+			}
+		}
+		t.levels[li] = keep
+	}
+	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {
+		t.levels = t.levels[:len(t.levels)-1]
+	}
+	return dropped
+}
+
+// TestLSMTInPlaceMatchesCopySplice drives random overlapping inserts and
+// compactions through the in-place table and the reference, comparing the
+// exported level structure — what a snapshot carries — after every step.
+func TestLSMTInPlaceMatchesCopySplice(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		lt, ref := NewLSMT(), &refLSMT{}
+		const keys = 300
+		nseg := 0
+		for step := 0; step < 150; step++ {
+			if rng.Intn(6) == 0 {
+				dropped := ref.compactShadowed()
+				if lt.CompactShadowed() != dropped {
+					return false
+				}
+				nseg -= dropped
+			} else {
+				batch := make([]Segment, 1+rng.Intn(3))
+				for i := range batch {
+					s := int64(rng.Intn(keys - 1))
+					l := 1 + rng.Intn(min(40, keys-int(s)))
+					batch[i] = Segment{S: s, L: int32(l), K: 1, I: float64(step*10 + i)}
+					ref.insertAt(0, batch[i])
+				}
+				lt.Insert(batch)
+				nseg += len(batch)
+			}
+			got := lt.ExportLevels()
+			if len(got) != len(ref.levels) || lt.NumSegments() != nseg {
+				return false
+			}
+			for li := range got {
+				if len(got[li]) != len(ref.levels[li]) {
+					return false
+				}
+				for si := range got[li] {
+					if got[li][si] != ref.levels[li][si] {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLSMTSteadyStateInsertZeroAlloc pins LeaFTL's post-collection cycle at
+// zero allocations once the levels have found their size: a retrained
+// segment replaces the one it overlaps in level 0, the replaced one moves
+// down into a slot a compaction freed, and is compacted away in turn. The
+// wider, only partly covered segments settle a level further down, so the
+// level in between is never the tail and keeps its slots.
+func TestLSMTSteadyStateInsertZeroAlloc(t *testing.T) {
+	const nseg = 32
+	lt := NewLSMT()
+	for s := int64(0); s < nseg; s++ {
+		lt.Insert([]Segment{seg(s*16, 16)})
+	}
+	batch := make([]Segment, 1)
+	i := 0
+	cycle := func() {
+		batch[0] = Segment{S: int64(i % nseg * 16), L: 8, K: 1, I: float64(i)}
+		lt.Insert(batch)
+		lt.CompactShadowed()
+		i++
+	}
+	for i < 2*nseg {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(500, cycle); a != 0 {
+		t.Fatalf("steady-state Insert + CompactShadowed allocates %.0f times per cycle", a)
+	}
+	if lt.NumLevels() != 3 || lt.NumSegments() != 2*nseg {
+		t.Fatalf("steady state holds %d segments in %d levels, want %d in 3", lt.NumSegments(), lt.NumLevels(), 2*nseg)
+	}
+}

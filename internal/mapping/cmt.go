@@ -15,24 +15,40 @@ type Entry struct {
 	Dirty bool
 }
 
-// nilNode marks an absent link in the intrusive LRU list.
-const nilNode = int32(-1)
+// nilNode marks an absent link in an intrusive list; cleanNode in a node's
+// dprev says the entry is clean (on no dirty chain).
+const (
+	nilNode   = int32(-1)
+	cleanNode = int32(-2)
+)
 
-// cmtNode is one pooled LRU slot: an Entry plus intrusive prev/next links
-// into the recency list (indices into CMT.nodes, nilNode-terminated).
+// cmtNode is one pooled slot: a mapping plus two pairs of intrusive links
+// (indices into CMT.nodes, nilNode-terminated). prev/next thread the recency
+// list; dprev/dnext thread the dirty chain of the entry's translation page.
+// The dirty flag is dprev != cleanNode rather than a field of its own, which
+// keeps the node at 32 bytes — two to a cache line, as before the chains.
 type cmtNode struct {
-	entry      Entry
-	prev, next int32
+	lpn          int64
+	ppn          nand.PPN
+	prev, next   int32
+	dprev, dnext int32
 }
+
+func (nd *cmtNode) dirty() bool { return nd.dprev != cleanNode }
+
+func (nd *cmtNode) entry() Entry { return Entry{LPN: nd.lpn, PPN: nd.ppn, Dirty: nd.dirty()} }
 
 // CMT is the cached mapping table of DFTL (Gupta et al., ASPLOS'09): an LRU
 // cache over individual page mappings. TPFTL and LearnedFTL reuse it with
 // different capacities and write-back batching policies.
 //
 // The cache is a slice-backed intrusive LRU: nodes live in a preallocated
-// pool and the recency list is threaded through pool indices, so the hot
-// paths (Lookup hit, Insert update, EvictLRU + re-Insert) perform zero heap
-// allocations. Only a cold miss that grows the index map can allocate.
+// pool and the recency list is threaded through pool indices. The dirty
+// entries of each translation page are chained through the same pool, so
+// the write-back of one translation page (CleanRange) visits exactly the
+// entries it cleans instead of probing the page's whole LPN range. No
+// operation allocates in steady state: the index map and the per-page chain
+// heads only grow the first time an LPN beyond their reach is inserted.
 type CMT struct {
 	cap   int
 	nodes []cmtNode
@@ -42,16 +58,25 @@ type CMT struct {
 	free  int32 // free-list head threaded through next
 	size  int
 	dirty int
+
+	tpEntries int64   // LPNs per translation page: the dirty chains' bucket width
+	dirtyHead []int32 // per translation page, first node of its dirty chain
 }
 
-// NewCMT returns a CMT holding at most capacity entries. A non-positive
-// capacity yields a cache that stores nothing (every lookup misses).
-func NewCMT(capacity int) *CMT {
+// NewCMT returns a CMT holding at most capacity entries, over the paper's
+// 512-mapping translation pages. A non-positive capacity yields a cache
+// that stores nothing (every lookup misses).
+func NewCMT(capacity int) *CMT { return NewCMTFor(capacity, EntriesPerTransPage) }
+
+// NewCMTFor is NewCMT for translation pages of entriesPerTP mappings (the
+// schemes pass their Config.EntriesPerTP).
+func NewCMTFor(capacity, entriesPerTP int) *CMT {
 	c := &CMT{
-		cap:  capacity,
-		head: nilNode,
-		tail: nilNode,
-		free: nilNode,
+		cap:       capacity,
+		head:      nilNode,
+		tail:      nilNode,
+		free:      nilNode,
+		tpEntries: int64(entriesPerTP),
 	}
 	if capacity > 0 {
 		// Callers may overshoot capacity by one entry before draining
@@ -113,6 +138,39 @@ func (c *CMT) pushFront(n int32) {
 	}
 }
 
+// setDirty brings node n's dirty state to want, linking it into or out of
+// its translation page's dirty chain.
+func (c *CMT) setDirty(n int32, want bool) {
+	nd := &c.nodes[n]
+	if nd.dirty() == want {
+		return
+	}
+	if want {
+		tp := int(nd.lpn / c.tpEntries)
+		for tp >= len(c.dirtyHead) {
+			c.dirtyHead = append(c.dirtyHead, nilNode)
+		}
+		nd.dprev = nilNode
+		nd.dnext = c.dirtyHead[tp]
+		if nd.dnext != nilNode {
+			c.nodes[nd.dnext].dprev = n
+		}
+		c.dirtyHead[tp] = n
+		c.dirty++
+		return
+	}
+	if nd.dprev != nilNode {
+		c.nodes[nd.dprev].dnext = nd.dnext
+	} else {
+		c.dirtyHead[nd.lpn/c.tpEntries] = nd.dnext
+	}
+	if nd.dnext != nilNode {
+		c.nodes[nd.dnext].dprev = nd.dprev
+	}
+	nd.dprev = cleanNode
+	c.dirty--
+}
+
 // Lookup returns the cached mapping for lpn and promotes it to MRU.
 func (c *CMT) Lookup(lpn int64) (nand.PPN, bool) {
 	n, ok := c.index[lpn]
@@ -123,7 +181,7 @@ func (c *CMT) Lookup(lpn int64) (nand.PPN, bool) {
 		c.unlink(n)
 		c.pushFront(n)
 	}
-	return c.nodes[n].entry.PPN, true
+	return c.nodes[n].ppn, true
 }
 
 // Peek returns the cached mapping without touching recency.
@@ -132,7 +190,7 @@ func (c *CMT) Peek(lpn int64) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return c.nodes[n].entry, true
+	return c.nodes[n].entry(), true
 }
 
 // Contains reports whether lpn is cached, without touching recency.
@@ -148,31 +206,21 @@ func (c *CMT) Insert(lpn int64, ppn nand.PPN, dirty bool) {
 	if c.cap <= 0 {
 		return
 	}
-	if n, ok := c.index[lpn]; ok {
-		e := &c.nodes[n].entry
-		if e.Dirty != dirty {
-			if dirty {
-				c.dirty++
-			} else {
-				c.dirty--
-			}
-		}
-		e.PPN = ppn
-		e.Dirty = dirty
+	n, ok := c.index[lpn]
+	if ok {
+		c.nodes[n].ppn = ppn
 		if c.head != n {
 			c.unlink(n)
 			c.pushFront(n)
 		}
-		return
+	} else {
+		n = c.alloc()
+		c.nodes[n] = cmtNode{lpn: lpn, ppn: ppn, dprev: cleanNode}
+		c.pushFront(n)
+		c.index[lpn] = n
+		c.size++
 	}
-	n := c.alloc()
-	c.nodes[n].entry = Entry{LPN: lpn, PPN: ppn, Dirty: dirty}
-	c.pushFront(n)
-	c.index[lpn] = n
-	c.size++
-	if dirty {
-		c.dirty++
-	}
+	c.setDirty(n, dirty)
 }
 
 // NeedsEviction reports whether the cache is over capacity.
@@ -198,10 +246,8 @@ func (c *CMT) Remove(lpn int64) (Entry, bool) {
 // removeNode unlinks n, returns its entry to the caller and the node to the
 // free list.
 func (c *CMT) removeNode(n int32) Entry {
-	e := c.nodes[n].entry
-	if e.Dirty {
-		c.dirty--
-	}
+	e := c.nodes[n].entry()
+	c.setDirty(n, false)
 	c.unlink(n)
 	delete(c.index, e.LPN)
 	c.nodes[n].next = c.free
@@ -213,27 +259,30 @@ func (c *CMT) removeNode(n int32) Entry {
 // MarkClean clears the dirty flag of lpn if cached.
 func (c *CMT) MarkClean(lpn int64) {
 	if n, ok := c.index[lpn]; ok {
-		e := &c.nodes[n].entry
-		if e.Dirty {
-			e.Dirty = false
-			c.dirty--
-		}
+		c.setDirty(n, false)
 	}
 }
 
-// DirtyInRange returns the dirty entries with LPN in [lo, hi), in no
-// particular order. TPFTL's batched write-back uses this to flush every
-// dirty mapping of a translation page in one read-modify-write.
-func (c *CMT) DirtyInRange(lo, hi int64) []Entry {
-	var out []Entry
-	for lpn := lo; lpn < hi; lpn++ {
-		if n, ok := c.index[lpn]; ok {
-			if e := c.nodes[n].entry; e.Dirty {
-				out = append(out, e)
+// CleanRange clears the dirty flag of every cached entry with LPN in
+// [lo, hi) and returns how many it cleared. The schemes call it with one
+// translation page's range after persisting that page: the rewrite carried
+// the current truth for the whole range, so its cached entries are clean.
+// It walks the dirty chains of the pages the range touches, so it costs the
+// entries cleaned, not the width of the range.
+func (c *CMT) CleanRange(lo, hi int64) int {
+	cleaned := 0
+	for tp := lo / c.tpEntries; tp*c.tpEntries < hi && tp < int64(len(c.dirtyHead)); tp++ {
+		for n := c.dirtyHead[tp]; n != nilNode; {
+			nd := &c.nodes[n]
+			next := nd.dnext
+			if nd.lpn >= lo && nd.lpn < hi {
+				c.setDirty(n, false)
+				cleaned++
 			}
+			n = next
 		}
 	}
-	return out
+	return cleaned
 }
 
 // Export returns the cached entries in LRU→MRU order. Re-Inserting them in
@@ -242,7 +291,7 @@ func (c *CMT) DirtyInRange(lo, hi int64) []Entry {
 func (c *CMT) Export() []Entry {
 	out := make([]Entry, 0, c.size)
 	for n := c.tail; n != nilNode; n = c.nodes[n].prev {
-		out = append(out, c.nodes[n].entry)
+		out = append(out, c.nodes[n].entry())
 	}
 	return out
 }
@@ -254,6 +303,6 @@ func (c *CMT) UpdatePPN(lpn int64, ppn nand.PPN) bool {
 	if !ok {
 		return false
 	}
-	c.nodes[n].entry.PPN = ppn
+	c.nodes[n].ppn = ppn
 	return true
 }

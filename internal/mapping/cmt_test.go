@@ -108,15 +108,172 @@ func TestCMTRemove(t *testing.T) {
 	}
 }
 
-func TestCMTDirtyInRange(t *testing.T) {
+func TestCMTCleanRange(t *testing.T) {
 	c := NewCMT(10)
 	c.Insert(100, 1, true)
 	c.Insert(101, 2, false)
 	c.Insert(102, 3, true)
 	c.Insert(600, 4, true) // outside range
-	got := c.DirtyInRange(100, 512)
-	if len(got) != 2 {
-		t.Fatalf("DirtyInRange returned %d entries", len(got))
+	if got := c.CleanRange(100, 512); got != 2 {
+		t.Fatalf("CleanRange cleaned %d entries, want 2", got)
+	}
+	for _, lpn := range []int64{100, 101, 102} {
+		if e, _ := c.Peek(lpn); e.Dirty {
+			t.Fatalf("lpn %d still dirty after CleanRange", lpn)
+		}
+	}
+	if e, _ := c.Peek(600); !e.Dirty || c.DirtyLen() != 1 {
+		t.Fatalf("CleanRange touched an entry outside its range: %+v, DirtyLen %d", e, c.DirtyLen())
+	}
+	if got := c.CleanRange(100, 512); got != 0 {
+		t.Fatalf("second CleanRange cleaned %d entries", got)
+	}
+}
+
+// naiveCMT is the CMT's dirty tracking by definition: a flag per cached
+// entry, and a range clean that scans every cached entry.
+type naiveCMT map[int64]Entry
+
+func (n naiveCMT) cleanRange(lo, hi int64) int {
+	cleaned := 0
+	for lpn, e := range n {
+		if e.Dirty && lpn >= lo && lpn < hi {
+			e.Dirty = false
+			n[lpn] = e
+			cleaned++
+		}
+	}
+	return cleaned
+}
+
+func (n naiveCMT) dirtyLen() int {
+	d := 0
+	for _, e := range n {
+		if e.Dirty {
+			d++
+		}
+	}
+	return d
+}
+
+// sameAsNaive checks every cached entry, flag and counter of c against n.
+func sameAsNaive(c *CMT, n naiveCMT) bool {
+	if c.Len() != len(n) || c.DirtyLen() != n.dirtyLen() {
+		return false
+	}
+	for lpn, want := range n {
+		if got, ok := c.Peek(lpn); !ok || got != want {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCMTDirtyChainsMatchNaive drives random operation sequences through the
+// chained CMT and the brute-force definition, over translation pages of
+// several widths (the schemes' tests shrink EntriesPerTP), with an Export →
+// re-Insert round trip in the middle of every sequence.
+func TestCMTDirtyChainsMatchNaive(t *testing.T) {
+	for _, tp := range []int{1, 7, 32, EntriesPerTransPage} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			capn := 1 + rng.Intn(40)
+			space := int64(4*tp + 3) // a few pages and a ragged last one
+			c := NewCMTFor(capn, tp)
+			n := naiveCMT{}
+			for op := 0; op < 600; op++ {
+				lpn := rng.Int63n(space)
+				switch rng.Intn(8) {
+				case 0, 1:
+					e := Entry{LPN: lpn, PPN: nand.PPN(rng.Intn(1000)), Dirty: rng.Intn(3) > 0}
+					c.Insert(lpn, e.PPN, e.Dirty)
+					n[lpn] = e
+					for c.NeedsEviction() {
+						ev, _ := c.EvictLRU()
+						if ev != n[ev.LPN] {
+							return false
+						}
+						delete(n, ev.LPN)
+					}
+				case 2:
+					c.MarkClean(lpn)
+					if e, ok := n[lpn]; ok {
+						e.Dirty = false
+						n[lpn] = e
+					}
+				case 3:
+					ev, ok := c.Remove(lpn)
+					if want, had := n[lpn]; ok != had || ev != want {
+						return false
+					}
+					delete(n, lpn)
+				case 4:
+					ppn := nand.PPN(rng.Intn(1000))
+					if c.UpdatePPN(lpn, ppn) {
+						e := n[lpn]
+						e.PPN = ppn
+						n[lpn] = e
+					}
+				case 5: // one translation page, as the schemes call it
+					lo := lpn / int64(tp) * int64(tp)
+					if c.CleanRange(lo, lo+int64(tp)) != n.cleanRange(lo, lo+int64(tp)) {
+						return false
+					}
+				case 6: // any range, empty and page-straddling ones included
+					lo, hi := lpn, rng.Int63n(space+1)
+					if c.CleanRange(lo, hi) != n.cleanRange(lo, hi) {
+						return false
+					}
+				case 7:
+					if ev, ok := c.EvictLRU(); ok {
+						if ev != n[ev.LPN] {
+							return false
+						}
+						delete(n, ev.LPN)
+					}
+				}
+				if op == 300 {
+					restored := NewCMTFor(capn, tp)
+					for _, e := range c.Export() {
+						restored.Insert(e.LPN, e.PPN, e.Dirty)
+					}
+					c = restored
+				}
+				if !sameAsNaive(c, n) {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatalf("EntriesPerTP %d: %v", tp, err)
+		}
+	}
+}
+
+// TestCMTWritebackZeroAlloc pins the write-back path at zero allocations: a
+// dirty insert, the eviction it forces, and the CleanRange of the victim's
+// translation page.
+func TestCMTWritebackZeroAlloc(t *testing.T) {
+	const capn, tp = 64, 16
+	c := NewCMTFor(capn, tp)
+	space := int64(8 * capn)
+	next := int64(0)
+	step := func() {
+		c.Insert(next, nand.PPN(next), true)
+		next = (next + 5) % space
+		for c.NeedsEviction() {
+			if e, _ := c.EvictLRU(); e.Dirty {
+				lo := e.LPN / tp * tp
+				c.CleanRange(lo, lo+tp)
+			}
+		}
+	}
+	for i := int64(0); i < 2*space; i++ { // reach every chain head and index bucket once
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("dirty evict + CleanRange allocates %.0f times per run", n)
 	}
 }
 

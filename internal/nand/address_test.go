@@ -222,3 +222,118 @@ func TestBlockIDAndBlockAddr(t *testing.T) {
 		}
 	}
 }
+
+// refDecode and refDecodeVirtual are the codec by definition — one division
+// and one remainder per field — kept as the reference the multiplicative
+// codec is checked against.
+func refDecode(g Geometry, p PPN) Addr {
+	v := int64(p)
+	var a Addr
+	a.Page = int(v % int64(g.PagesPerBlock))
+	v /= int64(g.PagesPerBlock)
+	a.Block = int(v % int64(g.BlocksPerUnit))
+	v /= int64(g.BlocksPerUnit)
+	a.Plane = int(v % int64(g.Planes))
+	v /= int64(g.Planes)
+	a.Way = int(v % int64(g.Ways))
+	a.Channel = int(v / int64(g.Ways))
+	return a
+}
+
+func refDecodeVirtual(g Geometry, v VPPN) Addr {
+	x := int64(v)
+	var a Addr
+	a.Channel = int(x % int64(g.Channels))
+	x /= int64(g.Channels)
+	a.Way = int(x % int64(g.Ways))
+	x /= int64(g.Ways)
+	a.Plane = int(x % int64(g.Planes))
+	x /= int64(g.Planes)
+	a.Page = int(x % int64(g.PagesPerBlock))
+	a.Block = int(x / int64(g.PagesPerBlock))
+	return a
+}
+
+// TestCodecMatchesDivisionFormulas checks every page of several geometries —
+// none of the first's fields a power of two, some of the others' fields 1 —
+// against the division formulas: the full decodes, both conversions and each
+// single-field accessor.
+func TestCodecMatchesDivisionFormulas(t *testing.T) {
+	for _, g := range []Geometry{
+		{Channels: 3, Ways: 5, Planes: 2, BlocksPerUnit: 7, PagesPerBlock: 11, PageSize: 4096},
+		{Channels: 1, Ways: 1, Planes: 1, BlocksPerUnit: 1, PagesPerBlock: 1, PageSize: 512},
+		{Channels: 2, Ways: 1, Planes: 3, BlocksPerUnit: 5, PagesPerBlock: 64, PageSize: 4096},
+		testGeom(),
+	} {
+		c := NewAddrCodec(g)
+		for i := 0; i < g.TotalPages(); i++ {
+			p, v := PPN(i), VPPN(i)
+			a := refDecode(g, p)
+			if got := c.Decode(p); got != a {
+				t.Fatalf("%v: Decode(%d) = %+v, want %+v", g, p, got, a)
+			}
+			if got := c.Encode(a); got != p {
+				t.Fatalf("%v: Encode(Decode(%d)) = %d", g, p, got)
+			}
+			if got := c.Chip(p); got != a.Channel*g.Ways+a.Way {
+				t.Fatalf("%v: Chip(%d) = %d, want %d", g, p, got, a.Channel*g.Ways+a.Way)
+			}
+			if got := c.BlockID(p); got != i/g.PagesPerBlock {
+				t.Fatalf("%v: BlockID(%d) = %d, want %d", g, p, got, i/g.PagesPerBlock)
+			}
+			if bid, pg := c.BlockPage(p); bid != i/g.PagesPerBlock || pg != a.Page {
+				t.Fatalf("%v: BlockPage(%d) = %d,%d, want %d,%d", g, p, bid, pg, i/g.PagesPerBlock, a.Page)
+			}
+			if got := c.Block(p); got != a.Block {
+				t.Fatalf("%v: Block(%d) = %d, want %d", g, p, got, a.Block)
+			}
+			if got, want := c.ToVirtual(p), c.EncodeVirtual(a); got != want {
+				t.Fatalf("%v: ToVirtual(%d) = %d, want %d", g, p, got, want)
+			}
+			va := refDecodeVirtual(g, v)
+			if got := c.DecodeVirtual(v); got != va {
+				t.Fatalf("%v: DecodeVirtual(%d) = %+v, want %+v", g, v, got, va)
+			}
+			if got, want := c.ToPhysical(v), c.Encode(va); got != want {
+				t.Fatalf("%v: ToPhysical(%d) = %d, want %d", g, v, got, want)
+			}
+			if got := c.ToPhysical(c.ToVirtual(p)); got != p {
+				t.Fatalf("%v: ToPhysical(ToVirtual(%d)) = %d", g, p, got)
+			}
+		}
+		if got, want := c.BlockBase(g.TotalBlocks()-1), PPN(g.TotalPages()-g.PagesPerBlock); got != want {
+			t.Fatalf("%v: BlockBase(last) = %d, want %d", g, got, want)
+		}
+	}
+}
+
+// TestDivisorExact checks the reciprocal division against the hardware's on
+// divisors around every power of two and dividends around every multiple
+// boundary, up to the full 64-bit range.
+func TestDivisorExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var ds []int
+	for sh := 0; sh < 62; sh++ {
+		for _, d := range []int{1<<sh - 1, 1 << sh, 1<<sh + 1} {
+			if d >= 1 {
+				ds = append(ds, d)
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		ds = append(ds, 1+rng.Intn(1<<20), 1+int(rng.Int63()))
+	}
+	for _, d := range ds {
+		v := newDivisor(d)
+		ns := []uint64{0, 1, uint64(d) - 1, uint64(d), uint64(d) + 1, 1<<63 - 1, 1 << 63, ^uint64(0)}
+		for i := 0; i < 50; i++ {
+			k := rng.Uint64()
+			ns = append(ns, k, k/uint64(d)*uint64(d), k/uint64(d)*uint64(d)-1)
+		}
+		for _, n := range ns {
+			if q, r := v.divmod(n); q != n/uint64(d) || r != n%uint64(d) {
+				t.Fatalf("divmod(%d) by %d = %d r %d, want %d r %d", n, d, q, r, n/uint64(d), n%uint64(d))
+			}
+		}
+	}
+}

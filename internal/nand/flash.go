@@ -307,16 +307,15 @@ func (f *Flash) faultReadOut(p PPN, after Time, kind OpKind) (Time, ReadOutcome)
 // error. OOB keys must be non-negative (LPNs and TPNs are), so the packed
 // representation's tag bit never collides with the key.
 func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
-	a := f.codec.Decode(p)
-	bid := f.codec.BlockID(p)
+	bid, page := f.codec.BlockPage(p)
 	b := &f.blocks[bid]
 	w, m := p>>6, uint64(1)<<(uint64(p)&63)
 	if f.programmed[w]&m != 0 {
 		return 0, fmt.Errorf("nand: program of non-free page %d (state %v)", p, f.State(p))
 	}
-	if a.Page != b.writePtr {
+	if page != b.writePtr {
 		return 0, fmt.Errorf("nand: out-of-order program: block %d page %d, write pointer %d",
-			bid, a.Page, b.writePtr)
+			bid, page, b.writePtr)
 	}
 	if oob.Key < 0 {
 		return 0, fmt.Errorf("nand: program of page %d with negative OOB key %d", p, oob.Key)

@@ -8,8 +8,6 @@
 package tpftl
 
 import (
-	"sort"
-
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/mapping"
 	"learnedftl/internal/nand"
@@ -37,7 +35,7 @@ func New(cfg ftl.Config) (*TPFTL, error) {
 	}
 	t := &TPFTL{
 		Base:   b,
-		cmt:    mapping.NewCMT(cfg.CMTEntries()),
+		cmt:    mapping.NewCMTFor(cfg.CMTEntries(), cfg.EntriesPerTP),
 		emaLen: 1,
 	}
 	b.Hooks = t
@@ -147,10 +145,7 @@ func (t *TPFTL) drainEvictions(now nand.Time) nand.Time {
 		}
 		tpn := t.Cfg.TPNOf(e.LPN)
 		now = t.UpdateTrans(tpn, true, now)
-		lo, hi := t.Cfg.TPRange(tpn)
-		for _, de := range t.cmt.DirtyInRange(lo, hi) {
-			t.cmt.MarkClean(de.LPN)
-		}
+		t.cmt.CleanRange(t.Cfg.TPRange(tpn))
 	}
 	return now
 }
@@ -171,7 +166,7 @@ func (t *TPFTL) LoadState(d *persist.Decoder) error {
 	if err := t.LoadBaseState(d); err != nil {
 		return err
 	}
-	t.cmt = mapping.NewCMT(t.Cfg.CMTEntries())
+	t.cmt = mapping.NewCMTFor(t.Cfg.CMTEntries(), t.Cfg.EntriesPerTP)
 	if err := persist.LoadCMT(d, t.cmt); err != nil {
 		return err
 	}
@@ -183,7 +178,7 @@ func (t *TPFTL) LoadState(d *persist.Decoder) error {
 // rebuilds L2P + GTD; the CMT and the length EMA — DRAM — restart cold.
 func (t *TPFTL) RecoverFromCrash(now nand.Time) nand.Time {
 	tt := t.Base.RecoverFromCrash(now)
-	t.cmt = mapping.NewCMT(t.Cfg.CMTEntries())
+	t.cmt = mapping.NewCMTFor(t.Cfg.CMTEntries(), t.Cfg.EntriesPerTP)
 	t.emaLen = 1
 	return tt
 }
@@ -201,21 +196,9 @@ func (t *TPFTL) DataTrimmed(lpn int64, _ nand.PPN) {
 // GCFinalize implements ftl.RelocHooks: same per-translation-page batch
 // update as DFTL.
 func (t *TPFTL) GCFinalize(moved []int64, tt nand.Time) nand.Time {
-	seen := make(map[int]struct{})
-	for _, l := range moved {
-		seen[t.Cfg.TPNOf(l)] = struct{}{}
-	}
-	tpns := make([]int, 0, len(seen))
-	for tpn := range seen {
-		tpns = append(tpns, tpn)
-	}
-	sort.Ints(tpns)
-	for _, tpn := range tpns {
+	for _, tpn := range t.AffectedTPNs(moved) {
 		tt = t.UpdateTrans(tpn, true, tt)
-		lo, hi := t.Cfg.TPRange(tpn)
-		for _, e := range t.cmt.DirtyInRange(lo, hi) {
-			t.cmt.MarkClean(e.LPN)
-		}
+		t.cmt.CleanRange(t.Cfg.TPRange(tpn))
 	}
 	return tt
 }

@@ -129,7 +129,7 @@ func TestBatchedWritebackFlushesWholeTP(t *testing.T) {
 	}
 	// Once an entry of TP0 was evicted, every TP0 dirty sibling became
 	// clean in the same RMW — so the dirty count for TP0 must be zero.
-	if got := len(f.CMT().DirtyInRange(0, int64(cfg.EntriesPerTP))); got != 0 {
+	if got := f.CMT().CleanRange(0, int64(cfg.EntriesPerTP)); got != 0 {
 		t.Fatalf("TP0 still has %d dirty entries after batched writeback", got)
 	}
 }
