@@ -262,6 +262,35 @@ func BenchmarkCMTMissEvictInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkCMTLookupMissEvict is the demand-paging read miss as the schemes
+// run it, over a full cache and uniformly random LPNs 33 times its size (the
+// randread_cold shape): the lookup that misses, the insert of the fetched
+// mapping, the eviction of the LRU entry.
+func BenchmarkCMTLookupMissEvict(b *testing.B) {
+	const capn, space = 4976, 33 * 4976
+	c := mapping.NewCMT(capn)
+	rng := rand.New(rand.NewSource(1))
+	lpns := make([]int64, 1<<16)
+	for i := range lpns {
+		lpns[i] = rng.Int63n(space)
+	}
+	for i := 0; c.Len() < capn; i++ {
+		c.Insert(lpns[i], nand.PPN(i), false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lpn := lpns[i&(len(lpns)-1)]
+		if _, ok := c.Lookup(lpn); ok {
+			continue // 3 % of the draws: a hit
+		}
+		c.Insert(lpn, nand.PPN(i), false)
+		for c.NeedsEviction() {
+			c.EvictLRU()
+		}
+	}
+}
+
 // BenchmarkCMTCleanRange is the batched write-back of one translation page:
 // dirty eight of its 512 mappings, then clean the page's range. The cost
 // must follow the eight, not the 512.
@@ -374,7 +403,8 @@ func BenchmarkLSMTInsert(b *testing.B) {
 }
 
 // BenchmarkSimRunSchedule measures the engine's per-request scheduling cost
-// (min-heap pop/push over 256 closed-loop threads) against the ideal FTL,
+// (one tournament-tree advance over 256 closed-loop threads; the tree alone
+// is BenchmarkSchedAdvance in internal/sim) against the ideal FTL,
 // whose translation is a single slice load — so scheduling dominates.
 func BenchmarkSimRunSchedule(b *testing.B) {
 	cfg := TinyConfig()

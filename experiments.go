@@ -42,7 +42,7 @@ type Budget struct {
 	// saturate the machine.
 	Workers int `json:"workers"`
 	// ShardWorkers parallelizes the intra-run engine itself: warm-up (and
-	// any caller of sim.RunSharded) shards the event heap per chip across
+	// any caller of sim.RunSharded) shards the flash reads per chip across
 	// this many workers, with translation decisions barriered so results
 	// stay byte-identical at any value. <= 1 keeps the engine sequential.
 	// Unlike Workers — which fans independent cells out — this speeds up

@@ -10,7 +10,7 @@
 package leaftl
 
 import (
-	"sort"
+	"fmt"
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/learned"
@@ -28,12 +28,12 @@ type LeaFTL struct {
 	*ftl.Base
 
 	// buffer is the DRAM data buffer: LPNs with unflushed host data.
-	buffer map[int64]struct{}
+	buffer lpnSet
 
-	// models holds every trained segment per translation page; this is
-	// the flash-resident truth. The model cache tracks which of these are
-	// in DRAM.
-	models map[int]*learned.LSMT
+	// models holds every trained segment per translation page (nil until
+	// the page is first trained or fetched); this is the flash-resident
+	// truth. The model cache tracks which of these are in DRAM.
+	models []*learned.LSMT
 
 	cache *modelCache
 
@@ -52,9 +52,9 @@ func New(cfg ftl.Config) (*LeaFTL, error) {
 	}
 	l := &LeaFTL{
 		Base:   b,
-		buffer: make(map[int64]struct{}),
-		models: make(map[int]*learned.LSMT),
-		cache:  newModelCache(cfg.CMTEntries() * 8), // same bytes as a CMT
+		buffer: newLPNSet(cfg.LogicalPages()),
+		models: make([]*learned.LSMT, cfg.NumTPNs()),
+		cache:  newModelCache(cfg.CMTEntries()*8, cfg.NumTPNs()), // same bytes as a CMT
 	}
 	b.Hooks = l
 	b.SortRelocate = true // GC relocates in LPN order for trainability
@@ -65,7 +65,7 @@ func New(cfg ftl.Config) (*LeaFTL, error) {
 func (l *LeaFTL) Name() string { return "LeaFTL" }
 
 // BufferedPages returns the current data-buffer occupancy (tests).
-func (l *LeaFTL) BufferedPages() int { return len(l.buffer) }
+func (l *LeaFTL) BufferedPages() int { return l.buffer.len() }
 
 // BufferedLPNs returns the LPNs sitting in the volatile DRAM data buffer,
 // in ascending order. LeaFTL acknowledges buffered writes before they
@@ -73,11 +73,10 @@ func (l *LeaFTL) BufferedPages() int { return len(l.buffer) }
 // the crash verifier exempts them from the acked-write durability
 // invariant, matching the documented buffer semantics.
 func (l *LeaFTL) BufferedLPNs() []int64 {
-	out := make([]int64, 0, len(l.buffer))
-	for lpn := range l.buffer {
+	out := make([]int64, 0, l.buffer.len())
+	for lpn := l.buffer.next(0); lpn >= 0; lpn = l.buffer.next(lpn + 1) {
 		out = append(out, lpn)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -86,7 +85,9 @@ func (l *LeaFTL) BufferedLPNs() []int64 {
 func (l *LeaFTL) SegmentsTotal() int {
 	n := 0
 	for _, t := range l.models {
-		n += t.NumSegments()
+		if t != nil {
+			n += t.NumSegments()
+		}
 	}
 	return n
 }
@@ -97,9 +98,9 @@ func (l *LeaFTL) SegmentsTotal() int {
 func (l *LeaFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 	end := now
 	for k := 0; k < n; k++ {
-		l.buffer[lpn+int64(k)] = struct{}{}
+		l.buffer.add(lpn + int64(k))
 	}
-	if len(l.buffer) >= l.Cfg.LeaBufferPages {
+	if l.buffer.len() >= l.Cfg.LeaBufferPages {
 		if done := l.flush(now); done > end {
 			end = done
 		}
@@ -110,26 +111,19 @@ func (l *LeaFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 // flush writes the buffered pages to flash in LPN order, trains segments per
 // translation page, and persists them into translation pages.
 func (l *LeaFTL) flush(now nand.Time) nand.Time {
-	if len(l.buffer) == 0 {
-		return now
-	}
-	lpns := make([]int64, 0, len(l.buffer))
-	for lpn := range l.buffer {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-
-	// Program sorted pages across chips; collect the training points. The
-	// buffer drains page by page as each program lands — not wholesale up
-	// front — so a power cut mid-flush leaves the not-yet-programmed
-	// remainder still visible through BufferedLPNs: exactly the volatile
-	// acked writes a write-back crash loses, which the crash verifier
-	// exempts from the durability check.
+	// Program the buffered pages across chips in LPN order — the order the
+	// set walks in — and collect the training points. The buffer drains
+	// page by page as each program lands — not wholesale up front — so a
+	// power cut mid-flush leaves the not-yet-programmed remainder still
+	// visible through BufferedLPNs: exactly the volatile acked writes a
+	// write-back crash loses, which the crash verifier exempts from the
+	// durability check. Nothing a program triggers (GC, translation
+	// updates) adds to the buffer, so the walk sees each page once.
 	end := now
 	pts := l.flushPts[:0]
-	for _, lpn := range lpns {
+	for lpn := l.buffer.next(0); lpn >= 0; lpn = l.buffer.next(lpn + 1) {
 		ppn, done := l.HostProgram(lpn, now)
-		delete(l.buffer, lpn)
+		l.buffer.remove(lpn)
 		if done > end {
 			end = done
 		}
@@ -172,8 +166,8 @@ func (l *LeaFTL) train(pts []learned.Point, afterGC bool, t nand.Time) nand.Time
 }
 
 func (l *LeaFTL) lsmt(tpn int) *learned.LSMT {
-	lt, ok := l.models[tpn]
-	if !ok {
+	lt := l.models[tpn]
+	if lt == nil {
 		lt = learned.NewLSMT()
 		l.models[tpn] = lt
 	}
@@ -193,7 +187,7 @@ func (l *LeaFTL) ReadPages(lpn int64, n int, now nand.Time) nand.Time {
 
 func (l *LeaFTL) readOne(lpn int64, now nand.Time) nand.Time {
 	l.Col.CMTLookups++
-	if _, ok := l.buffer[lpn]; ok {
+	if l.buffer.has(lpn) {
 		// Served straight from the DRAM data buffer.
 		l.Col.CMTHits++
 		l.Col.RecordClass(stats.ReadSingle)
@@ -241,8 +235,8 @@ func (l *LeaFTL) readOne(lpn int64, now nand.Time) nand.Time {
 // probe. Failed lookups or out-of-range predictions probe a clamped page and
 // take the misprediction path naturally.
 func (l *LeaFTL) predict(tpn int, lpn int64) nand.PPN {
-	lt, ok := l.models[tpn]
-	if !ok {
+	lt := l.models[tpn]
+	if lt == nil {
 		return 0
 	}
 	seg, ok := lt.Lookup(lpn)
@@ -261,30 +255,28 @@ func (l *LeaFTL) predict(tpn int, lpn int64) nand.PPN {
 }
 
 // SaveState implements the persist.Device contract: the shared base state,
-// the data buffer (sorted — the buffer is an unordered set whose only
-// consumer sorts before use), every translation page's learned segments
-// with their exact LSMT level structure, and the model cache in exact
-// recency order.
+// the data buffer in ascending LPN order, every translation page's learned
+// segments (ascending page number) with their exact LSMT level structure,
+// and the model cache in exact recency order.
 func (l *LeaFTL) SaveState(e *persist.Encoder) {
 	l.SaveBaseState(e)
-	lpns := make([]int64, 0, len(l.buffer))
-	for lpn := range l.buffer {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	e.U64(uint64(len(lpns)))
-	for _, lpn := range lpns {
+	e.U64(uint64(l.buffer.len()))
+	for lpn := l.buffer.next(0); lpn >= 0; lpn = l.buffer.next(lpn + 1) {
 		e.I64(lpn)
 	}
-	tpns := make([]int, 0, len(l.models))
-	for tpn := range l.models {
-		tpns = append(tpns, tpn)
+	trained := 0
+	for _, lt := range l.models {
+		if lt != nil {
+			trained++
+		}
 	}
-	sort.Ints(tpns)
-	e.U64(uint64(len(tpns)))
-	for _, tpn := range tpns {
+	e.U64(uint64(trained))
+	for tpn, lt := range l.models {
+		if lt == nil {
+			continue
+		}
 		e.Int(tpn)
-		levels := l.models[tpn].ExportLevels()
+		levels := lt.ExportLevels()
 		e.U64(uint64(len(levels)))
 		for _, lv := range levels {
 			e.U64(uint64(len(lv)))
@@ -311,13 +303,20 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 	if err := l.LoadBaseState(d); err != nil {
 		return err
 	}
-	l.buffer = make(map[int64]struct{})
+	l.buffer = newLPNSet(l.Cfg.LogicalPages())
 	for i, n := uint64(0), d.U64(); i < n && d.Err() == nil; i++ {
-		l.buffer[d.I64()] = struct{}{}
+		lpn := d.I64()
+		if lpn < 0 || lpn >= l.Cfg.LogicalPages() {
+			return fmt.Errorf("leaftl: snapshot buffers LPN %d of %d", lpn, l.Cfg.LogicalPages())
+		}
+		l.buffer.add(lpn)
 	}
-	l.models = make(map[int]*learned.LSMT)
+	l.models = make([]*learned.LSMT, l.Cfg.NumTPNs())
 	for i, n := uint64(0), d.U64(); i < n && d.Err() == nil; i++ {
 		tpn := d.Int()
+		if tpn < 0 || tpn >= len(l.models) {
+			return fmt.Errorf("leaftl: snapshot trains translation page %d of %d", tpn, len(l.models))
+		}
 		levels := make([][]learned.Segment, d.U64())
 		for li := range levels {
 			lv := make([]learned.Segment, d.U64())
@@ -336,10 +335,13 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 		lt.ImportLevels(levels)
 		l.models[tpn] = lt
 	}
-	l.cache = newModelCache(l.Cfg.CMTEntries() * 8)
+	l.cache = newModelCache(l.Cfg.CMTEntries()*8, l.Cfg.NumTPNs())
 	for i, n := uint64(0), d.U64(); i < n && d.Err() == nil; i++ {
 		tpn := d.Int()
 		size := d.Int()
+		if tpn < 0 || tpn >= len(l.models) {
+			return fmt.Errorf("leaftl: snapshot caches translation page %d of %d", tpn, len(l.models))
+		}
 		l.cache.Insert(tpn, size)
 	}
 	return d.Err()
@@ -355,8 +357,8 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 // shadow map before trusting a prediction).
 func (l *LeaFTL) RecoverFromCrash(now nand.Time) nand.Time {
 	t := l.Base.RecoverFromCrash(now)
-	l.buffer = make(map[int64]struct{})
-	l.cache = newModelCache(l.Cfg.CMTEntries() * 8)
+	l.buffer = newLPNSet(l.Cfg.LogicalPages())
+	l.cache = newModelCache(l.Cfg.CMTEntries()*8, l.Cfg.NumTPNs())
 	return t
 }
 
@@ -367,7 +369,7 @@ func (l *LeaFTL) DataRelocated(int64, nand.PPN, nand.PPN) {}
 // is trimmed must never reach flash. Stale learned segments are harmless —
 // reads check the shadow map's Mapped state before predicting.
 func (l *LeaFTL) DataTrimmed(lpn int64, _ nand.PPN) {
-	delete(l.buffer, lpn)
+	l.buffer.remove(lpn)
 }
 
 // GCFinalize implements ftl.RelocHooks: GC moved pages in sorted LPN order,
@@ -390,7 +392,7 @@ func (l *LeaFTL) GCFinalize(moved []int64, t nand.Time) nand.Time {
 func (l *LeaFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
 	for k := 0; k < n; k++ {
 		ll := lpn + int64(k)
-		if _, ok := l.buffer[ll]; ok {
+		if l.buffer.has(ll) {
 			continue
 		}
 		if !l.Mapped(ll) {
@@ -404,7 +406,7 @@ func (l *LeaFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
 	for k := 0; k < n; k++ {
 		ll := lpn + int64(k)
 		l.Col.CMTLookups++
-		if _, ok := l.buffer[ll]; ok {
+		if l.buffer.has(ll) {
 			l.Col.CMTHits++
 			l.Col.RecordClass(stats.ReadSingle)
 			continue

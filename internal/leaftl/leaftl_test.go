@@ -214,7 +214,7 @@ func TestGCRetrainsSegments(t *testing.T) {
 }
 
 func TestModelCacheBudgetEnforced(t *testing.T) {
-	c := newModelCache(100)
+	c := newModelCache(100, 1000)
 	for tpn := 0; tpn < 50; tpn++ {
 		c.Insert(tpn, 16)
 	}
@@ -234,7 +234,7 @@ func TestModelCacheBudgetEnforced(t *testing.T) {
 }
 
 func TestModelCacheResize(t *testing.T) {
-	c := newModelCache(100)
+	c := newModelCache(100, 1000)
 	c.Insert(1, 10)
 	c.Resize(1, 60)
 	if c.Used() != 60 {
@@ -250,7 +250,7 @@ func TestModelCacheResize(t *testing.T) {
 // each insert evicts the previous one through the node pool, but the cache
 // never evicts its last (MRU) model even when oversized.
 func TestModelCacheCapacityOneBudget(t *testing.T) {
-	c := newModelCache(16)
+	c := newModelCache(16, 1000)
 	for tpn := 0; tpn < 20; tpn++ {
 		c.Insert(tpn, 16)
 		if c.Len() != 1 {
@@ -273,7 +273,7 @@ func TestModelCacheCapacityOneBudget(t *testing.T) {
 // TestModelCachePoolRecycling cycles insert/evict far past the working set
 // and checks the node pool does not grow without bound.
 func TestModelCachePoolRecycling(t *testing.T) {
-	c := newModelCache(64) // fits 4 models of 16 bytes
+	c := newModelCache(64, 1000) // fits 4 models of 16 bytes
 	for tpn := 0; tpn < 1000; tpn++ {
 		c.Insert(tpn, 16)
 	}

@@ -25,21 +25,27 @@ type modelCache struct {
 	budget int
 	used   int
 	nodes  []mcNode
-	idx    map[int]int32
-	head   int32 // most recently used, nilNode when empty
-	tail   int32 // least recently used, nilNode when empty
-	free   int32 // free-list head threaded through next
+	idx    []int32 // per translation page: its node, nilNode when not cached
+	head   int32   // most recently used, nilNode when empty
+	tail   int32   // least recently used, nilNode when empty
+	free   int32   // free-list head threaded through next
 	size   int
 }
 
-func newModelCache(budgetBytes int) *modelCache {
-	return &modelCache{
+// newModelCache returns an empty cache of the given byte budget over
+// translation pages 0..numTPNs-1.
+func newModelCache(budgetBytes, numTPNs int) *modelCache {
+	c := &modelCache{
 		budget: budgetBytes,
-		idx:    make(map[int]int32),
+		idx:    make([]int32, numTPNs),
 		head:   nilNode,
 		tail:   nilNode,
 		free:   nilNode,
 	}
+	for i := range c.idx {
+		c.idx[i] = nilNode
+	}
+	return c
 }
 
 func (c *modelCache) alloc() int32 {
@@ -81,8 +87,8 @@ func (c *modelCache) pushFront(n int32) {
 
 // Contains promotes and reports presence.
 func (c *modelCache) Contains(tpn int) bool {
-	n, ok := c.idx[tpn]
-	if !ok {
+	n := c.idx[tpn]
+	if n == nilNode {
 		return false
 	}
 	if c.head != n {
@@ -95,7 +101,7 @@ func (c *modelCache) Contains(tpn int) bool {
 // Insert adds or resizes the model for tpn and evicts LRU models until the
 // budget holds.
 func (c *modelCache) Insert(tpn, size int) {
-	if n, ok := c.idx[tpn]; ok {
+	if n := c.idx[tpn]; n != nilNode {
 		nd := &c.nodes[n]
 		c.used += size - nd.size
 		nd.size = size
@@ -116,7 +122,7 @@ func (c *modelCache) Insert(tpn, size int) {
 		n := c.tail
 		nd := &c.nodes[n]
 		c.used -= nd.size
-		delete(c.idx, nd.tpn)
+		c.idx[nd.tpn] = nilNode
 		c.unlink(n)
 		nd.next = c.free
 		c.free = n
@@ -126,7 +132,7 @@ func (c *modelCache) Insert(tpn, size int) {
 
 // Resize updates the stored size of tpn if cached (model grew at flush).
 func (c *modelCache) Resize(tpn, size int) {
-	if n, ok := c.idx[tpn]; ok {
+	if n := c.idx[tpn]; n != nilNode {
 		nd := &c.nodes[n]
 		c.used += size - nd.size
 		nd.size = size
@@ -155,7 +161,4 @@ func (c *modelCache) Used() int { return c.used }
 
 // peek reports presence without touching recency — the pure probe the
 // shard-read resolvability pass needs (Contains promotes).
-func (c *modelCache) peek(tpn int) bool {
-	_, ok := c.idx[tpn]
-	return ok
-}
+func (c *modelCache) peek(tpn int) bool { return c.idx[tpn] != nilNode }

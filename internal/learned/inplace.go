@@ -3,7 +3,6 @@ package learned
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // unsetBase marks an untrained model.
@@ -78,13 +77,15 @@ func (m *InPlaceModel) Predict(off int) (vppn int64, ok bool) {
 }
 
 // pieceFor returns the piece owning offset x: the piece with the largest
-// Off <= x.
+// Off <= x. A model holds a handful of pieces (DefaultMaxPieces), sorted by
+// Off, so it scans them from the last.
 func (m *InPlaceModel) pieceFor(x int64) (Piece, bool) {
-	i := sort.Search(len(m.pieces), func(i int) bool { return m.pieces[i].Off > x })
-	if i == 0 {
-		return Piece{}, false
+	for i := len(m.pieces) - 1; i >= 0; i-- {
+		if m.pieces[i].Off <= x {
+			return m.pieces[i], true
+		}
 	}
-	return m.pieces[i-1], true
+	return Piece{}, false
 }
 
 // Invalidate clears the accuracy bit of offset off. The write path calls

@@ -2,6 +2,7 @@ package learned
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -265,6 +266,15 @@ func TestInPlaceModelNeverWrongProperty(t *testing.T) {
 			// Check the invariant on all offsets.
 			for off := 0; off < span; off++ {
 				if v, ok := m.Predict(off); ok && v != shadow[off] {
+					return false
+				}
+			}
+			// The piece scan picks what the binary search it replaced did,
+			// before the first piece and past the last offset included.
+			for x := int64(-1); x <= int64(span); x++ {
+				i := sort.Search(len(m.pieces), func(i int) bool { return m.pieces[i].Off > x })
+				p, ok := m.pieceFor(x)
+				if ok != (i > 0) || (ok && p != m.pieces[i-1]) {
 					return false
 				}
 			}

@@ -1,7 +1,5 @@
 package learned
 
-import "sort"
-
 // LSMT is LeaFTL's log-structured mapping table (§II-C): learned segments
 // organized in levels. New segments enter level 0; existing segments they
 // overlap are pushed down one level so a top-down lookup always sees the
@@ -48,8 +46,12 @@ func (t *LSMT) insertAt(level int, seg Segment) {
 	lv := t.levels[level]
 	lo := seg.S
 	hi := seg.S + int64(seg.L)
-	// Find overlapping run [i, j).
-	i := sort.Search(len(lv), func(k int) bool { return lv[k].S+int64(lv[k].L) > lo })
+	// Find overlapping run [i, j): it starts at the last segment that
+	// begins at or before lo if that one reaches past lo, else right after.
+	i := lastStartingBy(lv, lo)
+	if i < 0 || lv[i].S+int64(lv[i].L) <= lo {
+		i++
+	}
 	j := i
 	for j < len(lv) && lv[j].S < hi {
 		j++
@@ -75,11 +77,26 @@ func (t *LSMT) insertAt(level int, seg Segment) {
 	t.levels[level] = lv
 }
 
+// lastStartingBy returns the index of the last segment of lv — sorted by S —
+// with S <= x, or -1 when every segment starts after x. Within a level
+// segments do not overlap, so it is the only one that can cover x.
+func lastStartingBy(lv []Segment, x int64) int {
+	lo, hi := 0, len(lv) // lv[:lo] start at or before x, lv[hi:] after it
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lv[mid].S <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
 // Lookup returns the newest segment covering lpn, scanning levels top-down.
 func (t *LSMT) Lookup(lpn int64) (Segment, bool) {
 	for _, lv := range t.levels {
-		i := sort.Search(len(lv), func(k int) bool { return lv[k].S+int64(lv[k].L) > lpn })
-		if i < len(lv) && lv[i].Contains(lpn) {
+		if i := lastStartingBy(lv, lpn); i >= 0 && lv[i].Contains(lpn) {
 			return lv[i], true
 		}
 	}
@@ -149,10 +166,7 @@ func (t *LSMT) shadowed(s Segment, below int) bool {
 		next := pos
 		for li := 0; li < below; li++ {
 			lv := t.levels[li]
-			// Last segment with S <= pos is the only one that can cover pos
-			// (segments within a level are sorted and non-overlapping).
-			i := sort.Search(len(lv), func(k int) bool { return lv[k].S > pos }) - 1
-			if i >= 0 {
+			if i := lastStartingBy(lv, pos); i >= 0 {
 				if end := lv[i].S + int64(lv[i].L); end > next {
 					next = end
 				}

@@ -2,6 +2,7 @@ package learned
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +163,18 @@ func (t *refLSMT) insertAt(level int, seg Segment) {
 	}
 }
 
+// lookup is Lookup as it was first written: per level, sort.Search for the
+// first segment ending past lpn.
+func (t *refLSMT) lookup(lpn int64) (Segment, bool) {
+	for _, lv := range t.levels {
+		i := sort.Search(len(lv), func(k int) bool { return lv[k].S+int64(lv[k].L) > lpn })
+		if i < len(lv) && lv[i].Contains(lpn) {
+			return lv[i], true
+		}
+	}
+	return Segment{}, false
+}
+
 func (t *refLSMT) covered(lpn int64, below int) bool {
 	for _, lv := range t.levels[:below] {
 		for _, s := range lv {
@@ -198,7 +211,8 @@ func (t *refLSMT) compactShadowed() int {
 
 // TestLSMTInPlaceMatchesCopySplice drives random overlapping inserts and
 // compactions through the in-place table and the reference, comparing the
-// exported level structure — what a snapshot carries — after every step.
+// exported level structure — what a snapshot carries — and the lookup of
+// every key, covered or not, after every step.
 func TestLSMTInPlaceMatchesCopySplice(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -235,6 +249,13 @@ func TestLSMTInPlaceMatchesCopySplice(t *testing.T) {
 					if got[li][si] != ref.levels[li][si] {
 						return false
 					}
+				}
+			}
+			for lpn := int64(-1); lpn <= keys; lpn++ {
+				gs, gok := lt.Lookup(lpn)
+				ws, wok := ref.lookup(lpn)
+				if gs != ws || gok != wok {
+					return false
 				}
 			}
 		}

@@ -46,16 +46,24 @@ func (nd *cmtNode) entry() Entry { return Entry{LPN: nd.lpn, PPN: nd.ppn, Dirty:
 // pool and the recency list is threaded through pool indices. The dirty
 // entries of each translation page are chained through the same pool, so
 // the write-back of one translation page (CleanRange) visits exactly the
-// entries it cleans instead of probing the page's whole LPN range. No
-// operation allocates in steady state: the index map and the per-page chain
-// heads only grow the first time an LPN beyond their reach is inserted.
+// entries it cleans instead of probing the page's whole LPN range.
+//
+// LPNs are found through an open-addressed table of pool indices, sized
+// once from the capacity to stay at most half full: a multiplicative hash
+// picks the home slot, collisions probe linearly, and a removal shifts the
+// rest of its cluster back so no tombstone is ever left. A slot holds only
+// the node index — the key is the node's own lpn — so the table costs four
+// bytes a slot. No operation allocates in steady state: the table and the
+// pool only grow if a caller holds more than capacity+1 entries, the
+// per-page chain heads the first time an LPN beyond their reach turns dirty.
 type CMT struct {
 	cap   int
 	nodes []cmtNode
-	index map[int64]int32
-	head  int32 // most recently used, nilNode when empty
-	tail  int32 // least recently used, nilNode when empty
-	free  int32 // free-list head threaded through next
+	table []int32 // open-addressed LPN index: pool indices, nilNode when empty
+	shift uint    // 64 - log2(len(table)): the hash keeps its top bits
+	head  int32   // most recently used, nilNode when empty
+	tail  int32   // least recently used, nilNode when empty
+	free  int32   // free-list head threaded through next
 	size  int
 	dirty int
 
@@ -71,6 +79,9 @@ func NewCMT(capacity int) *CMT { return NewCMTFor(capacity, EntriesPerTransPage)
 // NewCMTFor is NewCMT for translation pages of entriesPerTP mappings (the
 // schemes pass their Config.EntriesPerTP).
 func NewCMTFor(capacity, entriesPerTP int) *CMT {
+	if capacity < 0 {
+		capacity = 0
+	}
 	c := &CMT{
 		cap:       capacity,
 		head:      nilNode,
@@ -78,15 +89,73 @@ func NewCMTFor(capacity, entriesPerTP int) *CMT {
 		free:      nilNode,
 		tpEntries: int64(entriesPerTP),
 	}
-	if capacity > 0 {
-		// Callers may overshoot capacity by one entry before draining
-		// NeedsEviction, hence the +1 slack in the pool and index.
-		c.nodes = make([]cmtNode, 0, capacity+1)
-		c.index = make(map[int64]int32, capacity+1)
-	} else {
-		c.index = make(map[int64]int32)
-	}
+	// Callers may overshoot capacity by one entry before draining
+	// NeedsEviction, hence the +1 slack in the pool and the table.
+	c.nodes = make([]cmtNode, 0, capacity+1)
+	c.resize(2 * (capacity + 1))
 	return c
+}
+
+// resize replaces the table with an empty one of at least slots slots (a
+// power of two) and re-enters every cached node.
+func (c *CMT) resize(slots int) {
+	bits := uint(1)
+	for 1<<bits < slots {
+		bits++
+	}
+	c.table = make([]int32, 1<<bits)
+	c.shift = 64 - bits
+	for i := range c.table {
+		c.table[i] = nilNode
+	}
+	for n := c.tail; n != nilNode; n = c.nodes[n].prev {
+		i, _ := c.probe(c.nodes[n].lpn)
+		c.table[i] = n
+	}
+}
+
+// home returns the slot lpn hashes to (Fibonacci hashing: the top bits of
+// the product with 2^64/φ).
+func (c *CMT) home(lpn int64) int {
+	return int(uint64(lpn) * 0x9E3779B97F4A7C15 >> c.shift)
+}
+
+// probe walks lpn's probe sequence to its end: the slot holding the node
+// that caches lpn, or — n == nilNode — the empty slot an insert of lpn
+// takes. The table is never more than half full, so the walk ends.
+func (c *CMT) probe(lpn int64) (slot int, n int32) {
+	mask := len(c.table) - 1
+	for i := c.home(lpn); ; i = (i + 1) & mask {
+		n := c.table[i]
+		if n == nilNode || c.nodes[n].lpn == lpn {
+			return i, n
+		}
+	}
+}
+
+// find returns the node caching lpn, or nilNode.
+func (c *CMT) find(lpn int64) int32 {
+	_, n := c.probe(lpn)
+	return n
+}
+
+// unindex takes node n out of the table and closes the gap: each later
+// member of the cluster moves back into the hole if the hole lies on its
+// own probe sequence, so every key stays reachable from its home slot.
+func (c *CMT) unindex(n int32) {
+	mask := len(c.table) - 1
+	i := c.home(c.nodes[n].lpn)
+	for c.table[i] != n {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; c.table[j] != nilNode; j = (j + 1) & mask {
+		m := c.table[j]
+		if (j-c.home(c.nodes[m].lpn))&mask >= (j-i)&mask {
+			c.table[i] = m
+			i = j
+		}
+	}
+	c.table[i] = nilNode
 }
 
 // Cap returns the configured capacity in entries.
@@ -173,8 +242,8 @@ func (c *CMT) setDirty(n int32, want bool) {
 
 // Lookup returns the cached mapping for lpn and promotes it to MRU.
 func (c *CMT) Lookup(lpn int64) (nand.PPN, bool) {
-	n, ok := c.index[lpn]
-	if !ok {
+	n := c.find(lpn)
+	if n == nilNode {
 		return nand.InvalidPPN, false
 	}
 	if c.head != n {
@@ -186,18 +255,15 @@ func (c *CMT) Lookup(lpn int64) (nand.PPN, bool) {
 
 // Peek returns the cached mapping without touching recency.
 func (c *CMT) Peek(lpn int64) (Entry, bool) {
-	n, ok := c.index[lpn]
-	if !ok {
+	n := c.find(lpn)
+	if n == nilNode {
 		return Entry{}, false
 	}
 	return c.nodes[n].entry(), true
 }
 
 // Contains reports whether lpn is cached, without touching recency.
-func (c *CMT) Contains(lpn int64) bool {
-	_, ok := c.index[lpn]
-	return ok
-}
+func (c *CMT) Contains(lpn int64) bool { return c.find(lpn) != nilNode }
 
 // Insert adds or updates a mapping as MRU. It does not evict; callers must
 // drain NeedsEviction/EvictLRU so they can perform the flash write-back that
@@ -206,18 +272,22 @@ func (c *CMT) Insert(lpn int64, ppn nand.PPN, dirty bool) {
 	if c.cap <= 0 {
 		return
 	}
-	n, ok := c.index[lpn]
-	if ok {
+	slot, n := c.probe(lpn)
+	if n != nilNode {
 		c.nodes[n].ppn = ppn
 		if c.head != n {
 			c.unlink(n)
 			c.pushFront(n)
 		}
 	} else {
+		if 2*(c.size+1) > len(c.table) {
+			c.resize(2 * len(c.table))
+			slot, _ = c.probe(lpn)
+		}
 		n = c.alloc()
 		c.nodes[n] = cmtNode{lpn: lpn, ppn: ppn, dprev: cleanNode}
 		c.pushFront(n)
-		c.index[lpn] = n
+		c.table[slot] = n
 		c.size++
 	}
 	c.setDirty(n, dirty)
@@ -236,8 +306,8 @@ func (c *CMT) EvictLRU() (Entry, bool) {
 
 // Remove drops lpn from the cache if present, returning the removed entry.
 func (c *CMT) Remove(lpn int64) (Entry, bool) {
-	n, ok := c.index[lpn]
-	if !ok {
+	n := c.find(lpn)
+	if n == nilNode {
 		return Entry{}, false
 	}
 	return c.removeNode(n), true
@@ -249,7 +319,7 @@ func (c *CMT) removeNode(n int32) Entry {
 	e := c.nodes[n].entry()
 	c.setDirty(n, false)
 	c.unlink(n)
-	delete(c.index, e.LPN)
+	c.unindex(n)
 	c.nodes[n].next = c.free
 	c.free = n
 	c.size--
@@ -258,7 +328,7 @@ func (c *CMT) removeNode(n int32) Entry {
 
 // MarkClean clears the dirty flag of lpn if cached.
 func (c *CMT) MarkClean(lpn int64) {
-	if n, ok := c.index[lpn]; ok {
+	if n := c.find(lpn); n != nilNode {
 		c.setDirty(n, false)
 	}
 }
@@ -299,8 +369,8 @@ func (c *CMT) Export() []Entry {
 // UpdatePPN rewrites the PPN of a cached entry without recency or dirty
 // changes (GC relocation fix-up). Returns false if lpn is not cached.
 func (c *CMT) UpdatePPN(lpn int64, ppn nand.PPN) bool {
-	n, ok := c.index[lpn]
-	if !ok {
+	n := c.find(lpn)
+	if n == nilNode {
 		return false
 	}
 	c.nodes[n].ppn = ppn

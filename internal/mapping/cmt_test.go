@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -451,5 +452,210 @@ func TestCMTEvictReinsertSameLPN(t *testing.T) {
 	// Recency after re-insert: 2 is now LRU.
 	if e, _ := c.EvictLRU(); e.LPN != 2 {
 		t.Fatalf("evicted LPN %d, want 2", e.LPN)
+	}
+}
+
+// indexKeys returns a key set built to stress the open-addressed table of a
+// CMT of the given capacity: LPN 0 and the largest LPN, per chosen home
+// slot several LPNs that collide there — the last slots and the first, so
+// clusters wrap the end of the table and interleave — and a few arbitrary
+// ones.
+func indexKeys(c *CMT, rng *rand.Rand) []int64 {
+	slots := len(c.table)
+	keys := []int64{0, math.MaxInt64}
+	want := map[int]int{slots - 2: 3, slots - 1: 5, 0: 3, 1: 2}
+	for lpn := int64(1); len(want) > 0; lpn++ {
+		if h := c.home(lpn); want[h] > 0 {
+			keys = append(keys, lpn)
+			if want[h]--; want[h] == 0 {
+				delete(want, h)
+			}
+		}
+	}
+	for i := 0; i < 6; i++ {
+		keys = append(keys, rng.Int63())
+	}
+	return keys
+}
+
+// smallLPN says whether the test may mark lpn dirty: the dirty chains keep
+// one head per translation page up to the highest dirty LPN, which the
+// arbitrary 63-bit keys here would blow up.
+func smallLPN(lpn int64) bool { return lpn < 1<<20 }
+
+// checkIndex compares every key's Peek with the model and counts the
+// table's occupied slots: a key the backward shift stranded behind an empty
+// slot shows as a miss, a slot left behind as a surplus.
+func checkIndex(t *testing.T, c *CMT, model map[int64]int32, keys []int64) {
+	t.Helper()
+	for _, k := range keys {
+		e, ok := c.Peek(k)
+		want, had := model[k]
+		if ok != had || (ok && (e.LPN != k || int32(e.PPN) != want)) {
+			t.Fatalf("key %d: cached (%v,%v), model (%v,%v)", k, e.PPN, ok, want, had)
+		}
+		if c.Contains(k) != had {
+			t.Fatalf("key %d: Contains = %v, model %v", k, !had, had)
+		}
+	}
+	used := 0
+	for _, n := range c.table {
+		if n != nilNode {
+			used++
+		}
+	}
+	if used != len(model) || c.Len() != len(model) {
+		t.Fatalf("%d slots used, Len %d, model holds %d", used, c.Len(), len(model))
+	}
+}
+
+// TestCMTIndexMatchesMap drives the LPN index through random put / get /
+// delete against a Go map, never holding more than capacity+1 entries — so
+// the table must not grow — over keys chosen to collide.
+func TestCMTIndexMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const capn = 15
+		c := NewCMT(capn)
+		slots := len(c.table)
+		if slots < 2*(capn+1) {
+			t.Fatalf("table of %d slots for capacity %d: over half full at capacity+1", slots, capn)
+		}
+		keys := indexKeys(c, rng)
+		model := map[int64]int32{}
+		for op := 0; op < 2000; op++ {
+			k := keys[rng.Intn(len(keys))]
+			switch rng.Intn(5) {
+			case 0, 1:
+				if _, had := model[k]; !had && len(model) == capn+1 {
+					continue // the schemes never overshoot by more than one
+				}
+				v := rng.Int31()
+				c.Insert(k, nand.PPN(v), smallLPN(k) && rng.Intn(2) == 0)
+				model[k] = v
+			case 2:
+				p, ok := c.Lookup(k)
+				if want, had := model[k]; ok != had || (ok && int32(p) != want) {
+					t.Fatalf("seed %d op %d: Lookup(%d) = (%d,%v), model (%d,%v)", seed, op, k, p, ok, want, had)
+				}
+			case 3:
+				_, ok := c.Remove(k)
+				if _, had := model[k]; ok != had {
+					t.Fatalf("seed %d op %d: Remove(%d) = %v, model %v", seed, op, k, ok, had)
+				}
+				delete(model, k)
+			case 4:
+				if e, ok := c.EvictLRU(); ok {
+					if want, had := model[e.LPN]; !had || int32(e.PPN) != want {
+						t.Fatalf("seed %d op %d: evicted %+v, model (%d,%v)", seed, op, e, want, had)
+					}
+					delete(model, e.LPN)
+				}
+			}
+			checkIndex(t, c, model, keys)
+		}
+		if len(c.table) != slots {
+			t.Fatalf("seed %d: table grew from %d to %d slots within capacity+1", seed, slots, len(c.table))
+		}
+	}
+}
+
+// TestCMTIndexBackwardShift removes from the middle of a cluster that
+// wraps the end of the table, with a key of a later home slot caught in it.
+func TestCMTIndexBackwardShift(t *testing.T) {
+	c := NewCMT(7) // 16 slots
+	last := len(c.table) - 1
+	var atLast, atZero []int64
+	for lpn := int64(1); len(atLast) < 4 || len(atZero) < 1; lpn++ {
+		switch h := c.home(lpn); {
+		case h == last && len(atLast) < 4:
+			atLast = append(atLast, lpn)
+		case h == 0 && len(atZero) < 1:
+			atZero = append(atZero, lpn)
+		}
+	}
+	// Slots last,0,1,2 take the four colliding keys; the home-0 key lands
+	// behind them in slot 3.
+	keys := append(append([]int64{}, atLast...), atZero...)
+	model := map[int64]int32{}
+	for i, k := range keys {
+		c.Insert(k, nand.PPN(i), false)
+		model[k] = int32(i)
+	}
+	if c.table[last] == nilNode || c.table[3] == nilNode || c.table[4] != nilNode {
+		t.Fatalf("cluster not laid out as expected: %v", c.table)
+	}
+	// Removing the key in slot 0 pulls slots 1..3 back by one; the home-0
+	// key may move to slot 2 but no further.
+	c.Remove(atLast[1])
+	delete(model, atLast[1])
+	checkIndex(t, c, model, keys)
+	if c.table[3] != nilNode {
+		t.Fatalf("hole not closed at the cluster's end: %v", c.table)
+	}
+	// Removing the key in the last slot must not pull the home-0 key across
+	// the wrap into it.
+	c.Remove(atLast[0])
+	delete(model, atLast[0])
+	checkIndex(t, c, model, keys)
+	if n := c.table[last]; n == nilNode || c.nodes[n].lpn == atZero[0] {
+		t.Fatalf("home-0 key moved before its home slot: %v", c.table)
+	}
+}
+
+// TestCMTIndexOvershoot: a caller that never evicts pushes the cache far
+// past capacity+1. The table grows with the pool, keeps every key
+// reachable, and empties completely.
+func TestCMTIndexOvershoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := NewCMT(4)
+	slots := len(c.table)
+	keys := []int64{0, math.MaxInt64}
+	for i := 0; i < 200; i++ {
+		keys = append(keys, rng.Int63())
+	}
+	model := map[int64]int32{}
+	for i, k := range keys {
+		c.Insert(k, nand.PPN(i), smallLPN(k))
+		model[k] = int32(i)
+		checkIndex(t, c, model, keys)
+		if 2*c.Len() > len(c.table) {
+			t.Fatalf("table over half full: %d entries in %d slots", c.Len(), len(c.table))
+		}
+	}
+	if len(c.table) == slots {
+		t.Fatal("table did not grow")
+	}
+	if got := c.Export(); len(got) != len(keys) || got[0].LPN != keys[0] || got[len(got)-1].LPN != keys[len(keys)-1] {
+		t.Fatal("growth disturbed the recency order")
+	}
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, k := range keys {
+		if _, ok := c.Remove(k); !ok {
+			t.Fatalf("key %d lost", k)
+		}
+		delete(model, k)
+		checkIndex(t, c, model, keys)
+	}
+}
+
+// TestCMTIndexZeroCapacity: the cache that stores nothing still answers
+// every query, at both ends of the LPN range.
+func TestCMTIndexZeroCapacity(t *testing.T) {
+	for _, capn := range []int{0, -3} {
+		c := NewCMT(capn)
+		for _, k := range []int64{0, 1, math.MaxInt64} {
+			c.Insert(k, 7, smallLPN(k))
+			if _, ok := c.Lookup(k); ok || c.Contains(k) || c.UpdatePPN(k, 9) {
+				t.Fatalf("cap %d: key %d found in a cache that stores nothing", capn, k)
+			}
+			if _, ok := c.Remove(k); ok {
+				t.Fatalf("cap %d: removed key %d", capn, k)
+			}
+			c.MarkClean(k)
+		}
+		if _, ok := c.EvictLRU(); ok || c.Len() != 0 || c.DirtyLen() != 0 || c.NeedsEviction() {
+			t.Fatalf("cap %d: cache not empty", capn)
+		}
 	}
 }

@@ -58,9 +58,10 @@ func (r Result) Makespan() nand.Time { return r.End - r.Start }
 //
 // The engine is deterministic: among ready threads the lowest-indexed one
 // issues first, and virtual time advances only through flash-op completion.
-// Thread selection uses the shared event heap keyed by (ready time, thread
-// index), so a T-thread closed loop schedules each request in O(log T)
-// instead of the O(T) linear scan a naive implementation would need.
+// Thread selection uses the shared scheduler keyed by (ready time, thread
+// index), so a T-thread closed loop schedules each request in ⌈log₂ T⌉
+// comparisons instead of the O(T) linear scan a naive implementation would
+// need.
 func Run(f ftl.FTL, gens []Generator, maxRequests int64) Result {
 	return runLoop(f, gens, maxRequests, true, nil)
 }
@@ -84,16 +85,14 @@ func RunAcked(f ftl.FTL, gens []Generator, maxRequests int64, ack AckFunc) Resul
 // collector is reset right after, but it keeps the warm-up hot path off
 // the collector entirely.
 //
-// Batched event processing: after a request completes, if the same
-// source's next event still precedes everything in the heap — always true
-// for a single-generator warm-up, and common whenever one thread runs
-// ahead — the loop continues on that source directly, skipping the
-// push+pop pair. The (time, index) order of processed events is exactly
-// the heap order, so results are byte-identical (pinned against the frozen
-// linear reference in sched_test.go).
+// Every request is one min/advance pair on the scheduler: the source that
+// just ran is re-keyed to its completion time in place, so a source that
+// stays the earliest — always, for a single-generator warm-up — simply
+// comes up again. The (time, index) order of processed events is pinned
+// against the frozen linear reference in sched_test.go.
 func runLoop(f ftl.FTL, gens []Generator, maxRequests int64, record bool, ack AckFunc) Result {
 	start := f.Flash().MaxChipBusy()
-	h := newEventHeap(len(gens), start)
+	sc := newSchedAt(len(gens), start)
 	col := f.Collector()
 	tr := col.Tracer()
 	if !record {
@@ -103,54 +102,42 @@ func runLoop(f ftl.FTL, gens []Generator, maxRequests int64, record bool, ack Ac
 	}
 	var issued int64
 	end := start
-	for h.len() > 0 {
+	for sc.len() > 0 {
 		if maxRequests > 0 && issued >= maxRequests {
 			break
 		}
-		th, now := h.pop()
-		for {
-			req, ok := gens[th].Next()
-			if !ok {
-				// Thread exhausted: retire it by not re-inserting.
-				break
-			}
-			if tr != nil && !req.Trim {
-				tr.BeginReq(req.Write, now, 0)
-			}
-			done, pages := issue(f, req, now)
-			if record {
-				switch {
-				case req.Trim:
-					// The FTL's TrimPages already counted the trim; a
-					// metadata op joins no latency population.
-				case req.Write:
-					col.RecordWrite(done-now, pages)
-				default:
-					col.RecordRead(done-now, pages)
-				}
-			}
-			if tr != nil && !req.Trim {
-				tr.EndReq(done)
-			}
-			if ack != nil {
-				ack(req, done)
-			}
-			if done > end {
-				end = done
-			}
-			issued++
-			if maxRequests > 0 && issued >= maxRequests {
-				break
-			}
-			if h.len() > 0 {
-				at, idx := h.peek()
-				if done > at || (done == at && int32(th) > idx) {
-					h.push(th, done)
-					break
-				}
-			}
-			now = done
+		th, now := sc.min()
+		req, ok := gens[th].Next()
+		if !ok {
+			sc.retire() // thread exhausted
+			continue
 		}
+		if tr != nil && !req.Trim {
+			tr.BeginReq(req.Write, now, 0)
+		}
+		done, pages := issue(f, req, now)
+		if record {
+			switch {
+			case req.Trim:
+				// The FTL's TrimPages already counted the trim; a
+				// metadata op joins no latency population.
+			case req.Write:
+				col.RecordWrite(done-now, pages)
+			default:
+				col.RecordRead(done-now, pages)
+			}
+		}
+		if tr != nil && !req.Trim {
+			tr.EndReq(done)
+		}
+		if ack != nil {
+			ack(req, done)
+		}
+		if done > end {
+			end = done
+		}
+		issued++
+		sc.advance(done)
 	}
 	return Result{Start: start, End: end, Requests: issued}
 }

@@ -141,7 +141,7 @@ type OpenOptions struct {
 // start) into the FTL's collector, tagged with the stream for per-tenant
 // percentiles.
 //
-// Scheduling is deterministic: the shared event heap issues the stream
+// Scheduling is deterministic: the shared scheduler issues the stream
 // with the earliest service-start time first, lowest stream index winning
 // ties, and all arrival processes are seeded. With every stream unbounded
 // RunOpen degenerates to the closed-loop Run over the same generators:
@@ -226,7 +226,7 @@ func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(star
 	col.DefineStreams(names)
 
 	states := make([]*olStream, len(streams))
-	h := newEventHeap(0, start)
+	first := make([]nand.Time, len(streams)) // service start of each stream's first request
 	for i, s := range streams {
 		st := &olStream{gen: s.Gen, kind: s.Kind, start: start, ready: start}
 		if s.Rate <= 0 {
@@ -240,19 +240,21 @@ func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(star
 			st.rng = rand.New(rand.NewSource(s.Seed))
 		}
 		states[i] = st
+		first[i] = never
 		if st.fetch() {
-			h.push(i, max(st.arrival, st.ready))
+			first[i] = max(st.arrival, st.ready)
 		}
 	}
+	sc := newSched(first)
 
 	tr := col.Tracer()
 	var issued int64
 	end := start
-	for h.len() > 0 {
+	for sc.len() > 0 {
 		if maxRequests > 0 && issued >= maxRequests {
 			break
 		}
-		i, now := h.pop()
+		i, now := sc.min()
 		st := states[i]
 		if bg != nil {
 			// The target drains before the next service start: offer the
@@ -297,7 +299,9 @@ func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(star
 		}
 		issued++
 		if st.fetch() {
-			h.push(i, max(st.arrival, st.ready))
+			sc.advance(max(st.arrival, st.ready))
+		} else {
+			sc.retire()
 		}
 	}
 	return Result{Start: start, End: end, Requests: issued}

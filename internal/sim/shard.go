@@ -24,12 +24,12 @@ import (
 //   - Resolved reads (ftl.ShardReader.TryReadPages returns true): the
 //     per-page flash reads are routed to the shard owning each chip
 //     (chip mod workers) and executed there concurrently. The issuing
-//     thread is re-inserted into the event heap at a conservative lower
-//     bound — issue time + translation lag + the flash read lookahead —
-//     and its exact completion is resolved lazily when it resurfaces at
-//     the heap top (waiting for its shard ops if needed). Keys only ever
-//     grow from lower bound to exact, so the standard lazy-heap argument
-//     gives the exact sequential pop order.
+//     thread is re-keyed in the scheduler to a conservative lower bound —
+//     issue time + translation lag + the flash read lookahead — and its
+//     exact completion is resolved lazily when it resurfaces as the
+//     minimum (waiting for its shard ops if needed). Keys only ever grow
+//     from lower bound to exact, so the standard lazy-deletion argument
+//     gives the exact sequential event order.
 //   - Everything else (writes, trims, CMT misses, and therefore every GC
 //     trigger and translation-page access) is a translation barrier: all
 //     shards quiesce, their counter views are absorbed, and the request
@@ -44,8 +44,8 @@ import (
 // attached (its read path mutates order-dependent per-block state).
 //
 // Single-worker runs keep the same classification machinery but execute
-// ops inline — no goroutines, no locks — which still buys the batched
-// event processing and is the mode the equivalence suite anchors on.
+// ops inline — no goroutines, no locks — which is the mode the equivalence
+// suite anchors on.
 
 // ShardStats reports how the parallel engine behaved during one run: how
 // often it could stay on the sharded fast path versus barriering. For a
@@ -64,7 +64,8 @@ type ShardStats struct {
 	ResolvedReads int64
 	// ShardOps is the number of flash reads executed through shard views.
 	ShardOps int64
-	// Batched counts events processed via the same-source heap bypass.
+	// Batched counts events whose source also ran the previous event and
+	// stayed the scheduler's minimum on completing it.
 	Batched int64
 	// Fallback is non-empty when the run degraded to the sequential
 	// engine, naming the reason.
@@ -280,7 +281,7 @@ func runSharded(f ftl.FTL, gens []Generator, maxRequests int64, workers int, rec
 	}
 
 	start := fl.MaxChipBusy()
-	h := newEventHeap(len(gens), start)
+	sc := newSchedAt(len(gens), start)
 	src := make([]srcState, len(gens))
 	end := start
 	var issued int64
@@ -335,120 +336,100 @@ func runSharded(f ftl.FTL, gens []Generator, maxRequests int64, workers int, rec
 		}
 	}
 
-	for h.len() > 0 {
+	// prev is the source of the previous event if that event completed in
+	// line (not lazily): coming up again right away, it stayed the minimum.
+	prev := -1
+	for sc.len() > 0 {
 		if maxRequests > 0 && issued >= maxRequests {
 			break
 		}
-		th, now := h.pop()
+		th, now := sc.min()
 		if src[th].pending {
-			// The source surfaced at its lower bound: resolve the exact
-			// completion. If it no longer precedes the heap minimum,
-			// re-insert with the exact key and keep popping — keys only
-			// grow, so this converges on the sequential order.
-			exact := resolve(th)
-			if h.len() > 0 {
-				at, idx := h.peek()
-				if exact > at || (exact == at && int32(th) > idx) {
-					h.push(th, exact)
+			// The source surfaced at its lower bound: re-key it to the
+			// exact completion. If it no longer is the minimum, whatever
+			// now is goes first — keys only grow, so this converges on the
+			// sequential order.
+			now = resolve(th)
+			sc.advance(now)
+			if w, _ := sc.min(); w != th {
+				continue
+			}
+		}
+		req, ok := gens[th].Next()
+		if !ok {
+			sc.retire() // thread exhausted
+			prev = -1
+			continue
+		}
+		st.Events++
+		if th == prev {
+			st.Batched++
+		}
+		var done nand.Time
+		if !req.Trim && !req.Write {
+			pages := req.Pages
+			if pages <= 0 {
+				pages = 1
+			}
+			s := &src[th]
+			s.base, s.inline, s.lb = now, now, now
+			s.look = 0
+			if sr.TryReadPages(req.LPN, pages, emits[th]) {
+				st.ResolvedReads++
+				s.slot = -1
+				if record {
+					s.slot = col.ReserveRead(pages)
+				}
+				if parallel && len(s.pend) > 0 {
+					s.pending = true
+					sc.advance(s.lb)
+					issued++
+					prev = -1
 					continue
 				}
-			}
-			now = exact
-		}
-		batched := false
-		for {
-			req, ok := gens[th].Next()
-			if !ok {
-				break // thread exhausted: retire it
-			}
-			st.Events++
-			if batched {
-				st.Batched++
-			}
-			var done nand.Time
-			lazy := false
-			if !req.Trim && !req.Write {
-				pages := req.Pages
-				if pages <= 0 {
-					pages = 1
+				done = s.inline
+				if record && s.slot >= 0 {
+					col.FillRead(s.slot, done-now)
 				}
-				s := &src[th]
-				s.base, s.inline, s.lb = now, now, now
-				s.look = 0
-				if sr.TryReadPages(req.LPN, pages, emits[th]) {
-					st.ResolvedReads++
-					s.slot = -1
-					if record {
-						s.slot = col.ReserveRead(pages)
-					}
-					if parallel && len(s.pend) > 0 {
-						s.pending = true
-						h.push(th, s.lb)
-						issued++
-						lazy = true
-					} else {
-						done = s.inline
-						if record && s.slot >= 0 {
-							col.FillRead(s.slot, done-now)
-						}
-						if tr != nil {
-							tr.RecordResolved(done-now, s.look)
-						}
-					}
-				} else {
-					quiesce(now)
-					st.Barriers++
-					if tr != nil {
-						tr.BeginReq(false, now, 0)
-					}
-					var pages2 int
-					done, pages2 = issue(f, req, now)
-					if record {
-						col.RecordRead(done-now, pages2)
-					}
-					if tr != nil {
-						tr.EndReq(done)
-					}
+				if tr != nil {
+					tr.RecordResolved(done-now, s.look)
 				}
 			} else {
 				quiesce(now)
 				st.Barriers++
-				if tr != nil && !req.Trim {
-					tr.BeginReq(req.Write, now, 0)
+				if tr != nil {
+					tr.BeginReq(false, now, 0)
 				}
-				var pages int
-				done, pages = issue(f, req, now)
+				var pages2 int
+				done, pages2 = issue(f, req, now)
 				if record {
-					switch {
-					case req.Trim:
-					case req.Write:
-						col.RecordWrite(done-now, pages)
-					}
+					col.RecordRead(done-now, pages2)
 				}
-				if tr != nil && !req.Trim {
+				if tr != nil {
 					tr.EndReq(done)
 				}
 			}
-			if lazy {
-				break
+		} else {
+			quiesce(now)
+			st.Barriers++
+			if tr != nil && !req.Trim {
+				tr.BeginReq(req.Write, now, 0)
 			}
-			if done > end {
-				end = done
+			var pages int
+			done, pages = issue(f, req, now)
+			if record && req.Write && !req.Trim {
+				col.RecordWrite(done-now, pages)
 			}
-			issued++
-			if maxRequests > 0 && issued >= maxRequests {
-				break
+			if tr != nil && !req.Trim {
+				tr.EndReq(done)
 			}
-			if h.len() > 0 {
-				at, idx := h.peek()
-				if done > at || (done == at && int32(th) > idx) {
-					h.push(th, done)
-					break
-				}
-			}
-			now = done
-			batched = true
 		}
+		if done > end {
+			end = done
+		}
+		issued++
+		sc.advance(done)
+		prev = th
 	}
 
 	// Final drain: requests issued but not yet resolved still owe their

@@ -165,8 +165,8 @@ func TestWarmedReturnsResult(t *testing.T) {
 	}
 }
 
-// TestShardedBatching: a single-thread run never touches the heap after the
-// first pop — every subsequent event takes the same-source bypass.
+// TestShardedBatching: a single-thread run's source stays the scheduler's
+// minimum throughout — every event after the first counts as batched.
 func TestShardedBatching(t *testing.T) {
 	f, _ := ftl.NewIdeal(testConfig())
 	_, st := RunSharded(f, []Generator{seqGen(0, 500, true)}, 0, 1)

@@ -7,7 +7,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"learnedftl/internal/nand"
 	"learnedftl/internal/obs"
@@ -146,7 +146,9 @@ func (c *Collector) Tracer() *obs.Tracer { return c.tr }
 
 // RecordRead records a completed host read request of the given latency.
 func (c *Collector) RecordRead(lat nand.Time, pages int) {
-	c.FillRead(c.ReserveRead(pages), lat)
+	c.readLat.append(int64(lat))
+	c.HostReads++
+	c.HostReadPages += int64(pages)
 }
 
 // ReserveRead appends a placeholder read-latency record and returns its
@@ -396,7 +398,7 @@ func percentileOwned(s []int64, p float64) nand.Time {
 	if len(s) == 0 {
 		return 0
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	idx := int(p/100*float64(len(s))) - 1
 	if idx < 0 {
 		idx = 0
