@@ -22,7 +22,7 @@ import (
 
 	"learnedftl/internal/core"
 	"learnedftl/internal/crash"
-	"learnedftl/internal/dftl"
+	"learnedftl/internal/demand"
 	"learnedftl/internal/fault"
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/gc"
@@ -31,7 +31,6 @@ import (
 	"learnedftl/internal/persist"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/sweep"
-	"learnedftl/internal/tpftl"
 )
 
 // Re-exported configuration types so users do not import internal packages.
@@ -174,9 +173,9 @@ func Schemes() []Scheme {
 func New(s Scheme, cfg Config) (FTL, error) {
 	switch s {
 	case SchemeDFTL:
-		return dftl.New(cfg)
+		return demand.NewDFTL(cfg)
 	case SchemeTPFTL:
-		return tpftl.New(cfg)
+		return demand.NewTPFTL(cfg)
 	case SchemeLeaFTL:
 		return leaftl.New(cfg)
 	case SchemeLearnedFTL:

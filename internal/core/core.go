@@ -13,14 +13,11 @@ package core
 import (
 	"fmt"
 
-	"learnedftl/internal/fault"
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/gc"
 	"learnedftl/internal/learned"
-	"learnedftl/internal/mapping"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/obs"
-	"learnedftl/internal/persist"
 	"learnedftl/internal/stats"
 )
 
@@ -65,17 +62,12 @@ type group struct {
 	pendingGC bool  // borrow threshold crossed; GC when convenient
 }
 
-// LearnedFTL is the paper's FTL.
+// LearnedFTL is the paper's FTL: the shared translation state and TPFTL's
+// demand-paging cache, plus the in-place models and the group allocator.
 type LearnedFTL struct {
-	cfg   ftl.Config
-	opt   Options
-	fl    *nand.Flash
-	codec nand.AddrCodec
-	col   *stats.Collector
-
-	l2p    []nand.PPN
-	gtd    *mapping.GTD
-	cmt    *mapping.CMT
+	ftl.State
+	ftl.Demand
+	opt    Options
 	models []*learned.InPlaceModel // one per GTD entry (= per TPN)
 
 	// Group-based allocation.
@@ -90,7 +82,6 @@ type LearnedFTL struct {
 	reserve    int // rows kept free for GC relocation targets
 
 	tp      *transPool
-	emaLen  float64
 	pending []int // groups whose encroachment crossed the GC threshold
 
 	// gcPol scores group victims for the non-default GC policies; nil for
@@ -105,10 +96,6 @@ type LearnedFTL struct {
 	gcLPNs  []int64
 	gcVPPNs []int64
 	gcRows  []int
-
-	// lastScan holds the counters of the most recent RecoverFromCrash
-	// mount scan (see MountScanStats).
-	lastScan persist.ScanStats
 }
 
 // rowPlan is the superblock-row budget of a configuration: how the
@@ -168,12 +155,6 @@ func SpareRows(cfg ftl.Config) int {
 	return p.dataRows - p.ngroups - p.reserve
 }
 
-// newCMT builds LearnedFTL's mapping cache: half the configured budget,
-// the in-place models take the other half (§IV-A).
-func newCMT(cfg ftl.Config) *mapping.CMT {
-	return mapping.NewCMTFor(cfg.CMTEntriesFor(cfg.CMTRatio/2), cfg.EntriesPerTP)
-}
-
 // New builds a LearnedFTL device. The configuration's logical space must be
 // group-aligned and the geometry must leave enough superblock rows for the
 // groups plus GC reserve; DefaultConfig at paper or paper-scaled geometry
@@ -183,69 +164,55 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 		return nil, err
 	}
 	g := cfg.Geometry
-	codec := nand.NewAddrCodec(g)
 	p, err := planRows(cfg)
 	if err != nil {
 		return nil, err
 	}
-	span, sbPages, lp := p.span, p.sbPages, p.lp
-	ngroups, numTPNs, transRows, reserve := p.ngroups, p.numTPNs, p.transRows, p.reserve
-	if ngroups+reserve > p.dataRows {
+	if p.ngroups+p.reserve > p.dataRows {
 		return nil, fmt.Errorf("core: need %d data rows (%d groups + %d reserve) but geometry has %d; raise OPRatio",
-			ngroups+reserve, ngroups, reserve, p.dataRows)
+			p.ngroups+p.reserve, p.ngroups, p.reserve, p.dataRows)
 	}
-
-	fl, err := nand.NewFlash(g, cfg.Timing)
+	// The group-granular FTL relocates whole superblock rows and has no
+	// per-block retirement path, so grown program/erase defects cannot be
+	// remapped here; only the read-path model (BER, ECC retry, UBER
+	// accounting) is supported. Scrub flags still accumulate in the flash
+	// array's queue but no background scrubber drains them.
+	if cfg.Fault.Enabled && (cfg.Fault.ProgramFailProb > 0 || cfg.Fault.EraseFailProb > 0) {
+		return nil, fmt.Errorf("core: program/erase fault injection is not supported by the group-granular FTL (read-path faults only)")
+	}
+	st, err := ftl.NewState(cfg, p.lp, p.numTPNs)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Fault.Enabled {
-		// The group-granular FTL relocates whole superblock rows and has no
-		// per-block retirement path, so grown program/erase defects cannot be
-		// remapped here; only the read-path model (BER, ECC retry, UBER
-		// accounting) is supported. Scrub flags still accumulate in the flash
-		// array's queue but no background scrubber drains them.
-		if cfg.Fault.ProgramFailProb > 0 || cfg.Fault.EraseFailProb > 0 {
-			return nil, fmt.Errorf("core: program/erase fault injection is not supported by the group-granular FTL (read-path faults only)")
-		}
-		fl.SetFaultModel(fault.New(cfg.Fault, int64(g.PageSize)*8))
-	}
-	l2p := make([]nand.PPN, lp)
-	for i := range l2p {
-		l2p[i] = nand.InvalidPPN
-	}
 	f := &LearnedFTL{
-		cfg:        cfg,
+		State:      st,
 		opt:        opt,
-		fl:         fl,
-		codec:      codec,
-		col:        stats.NewCollector(),
-		l2p:        l2p,
-		gtd:        mapping.NewGTD(numTPNs),
-		cmt:        newCMT(cfg),
-		models:     make([]*learned.InPlaceModel, numTPNs),
-		span:       span,
-		sbPages:    sbPages,
-		ngroups:    ngroups,
-		groups:     make([]group, ngroups),
+		models:     make([]*learned.InPlaceModel, p.numTPNs),
+		span:       p.span,
+		sbPages:    p.sbPages,
+		ngroups:    p.ngroups,
+		groups:     make([]group, p.ngroups),
 		rowOwner:   make([]int, g.BlocksPerUnit),
 		rowInvalid: make([]int, g.BlocksPerUnit),
-		transRows:  transRows,
-		reserve:    reserve,
-		tp:         newTransPool(fl, transRows),
-		emaLen:     1,
+		transRows:  p.transRows,
+		reserve:    p.reserve,
+		tp:         newTransPool(st.Fl, p.transRows),
 		gcVPPNs:    make([]int64, cfg.EntriesPerTP),
 	}
+	// The mapping cache gets half the configured budget; the in-place
+	// models take the other half (§IV-A).
+	f.Demand = ftl.NewDemand(cfg.CMTEntriesFor(cfg.CMTRatio/2), cfg.EntriesPerTP, true,
+		func(tpn int, now nand.Time) nand.Time { return f.updateTrans(tpn, true, now) })
 	for i := range f.models {
 		f.models[i] = learned.NewInPlaceModel(cfg.EntriesPerTP, cfg.MaxPieces)
 	}
 	for r := range f.rowOwner {
 		f.rowOwner[r] = -1
 	}
-	for r := 0; r < transRows; r++ {
+	for r := 0; r < p.transRows; r++ {
 		f.rowOwner[r] = -2
 	}
-	for r := g.BlocksPerUnit - 1; r >= transRows; r-- {
+	for r := g.BlocksPerUnit - 1; r >= p.transRows; r-- {
 		f.freeRows = append(f.freeRows, r)
 	}
 	// Group victim selection follows cfg.GCPolicy. Greedy stays on the
@@ -267,20 +234,8 @@ func (f *LearnedFTL) Name() string { return "LearnedFTL" }
 // restore into a differently optioned device.
 func (f *LearnedFTL) Options() Options { return f.opt }
 
-// Collector implements ftl.FTL.
-func (f *LearnedFTL) Collector() *stats.Collector { return f.col }
-
-// Flash implements ftl.FTL.
-func (f *LearnedFTL) Flash() *nand.Flash { return f.fl }
-
-// Config implements ftl.FTL.
-func (f *LearnedFTL) Config() ftl.Config { return f.cfg }
-
 // LogicalPages returns the group-aligned logical capacity of this device.
-func (f *LearnedFTL) LogicalPages() int64 { return int64(len(f.l2p)) }
-
-// Mapped reports whether lpn holds data.
-func (f *LearnedFTL) Mapped(lpn int64) bool { return f.l2p[lpn] != nand.InvalidPPN }
+func (f *LearnedFTL) LogicalPages() int64 { return int64(len(f.L2P)) }
 
 // TrimPages implements ftl.FTL: drop the mappings of n consecutive LPNs,
 // invalidating their flash pages (free reclaim for group GC), clearing the
@@ -290,16 +245,16 @@ func (f *LearnedFTL) TrimPages(lpn int64, n int, now nand.Time) nand.Time {
 	live := 0
 	for k := 0; k < n; k++ {
 		l := lpn + int64(k)
-		tpn := f.cfg.TPNOf(l)
-		f.models[tpn].Invalidate(int(l - int64(tpn)*int64(f.cfg.EntriesPerTP)))
-		f.cmt.Remove(l)
-		if old := f.l2p[l]; old != nand.InvalidPPN {
+		tpn := f.Cfg.TPNOf(l)
+		f.models[tpn].Invalidate(int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP)))
+		f.CMT.Remove(l)
+		if old := f.L2P[l]; old != nand.InvalidPPN {
 			f.invalidateData(old)
-			f.l2p[l] = nand.InvalidPPN
+			f.L2P[l] = nand.InvalidPPN
 			live++
 		}
 	}
-	f.col.RecordTrim(n, live)
+	f.Col.RecordTrim(n, live)
 	return now
 }
 
@@ -315,21 +270,18 @@ func (f *LearnedFTL) BackgroundGC(start, deadline nand.Time) nand.Time {
 		if invalid < f.sbPages {
 			break
 		}
-		f.col.RecordBGGC()
+		f.Col.RecordBGGC()
 		now = f.gcGroup(victim, now)
 	}
 	return now
 }
-
-// CMT exposes the mapping cache (tests, experiments).
-func (f *LearnedFTL) CMT() *mapping.CMT { return f.cmt }
 
 // ModelAccuracy returns the fraction of mapped LPNs whose bitmap bit
 // guarantees an exact prediction — the paper's "55.5% accuracy" metric.
 func (f *LearnedFTL) ModelAccuracy() (setBits, mappedLPNs int64) {
 	for tpn, m := range f.models {
 		setBits += int64(m.AccurateBits())
-		lo, hi := f.cfg.TPRange(tpn)
+		lo, hi := f.Cfg.TPRange(tpn)
 		for l := lo; l < hi; l++ {
 			if f.Mapped(l) {
 				mappedLPNs++
@@ -352,7 +304,7 @@ func (f *LearnedFTL) toVirtual(p nand.PPN) int64 {
 	if f.opt.DisableVPPN {
 		return int64(p)
 	}
-	return int64(f.codec.ToVirtual(p))
+	return int64(f.Codec.ToVirtual(p))
 }
 
 // fromVirtual maps a model prediction back to a physical page.
@@ -360,18 +312,12 @@ func (f *LearnedFTL) fromVirtual(v int64) nand.PPN {
 	if f.opt.DisableVPPN {
 		return nand.PPN(v)
 	}
-	return f.codec.ToPhysical(nand.VPPN(v))
-}
-
-// observe updates the TPFTL-style request length EMA.
-func (f *LearnedFTL) observe(n int) {
-	const alpha = 0.2
-	f.emaLen = (1-alpha)*f.emaLen + alpha*float64(n)
+	return f.Codec.ToPhysical(nand.VPPN(v))
 }
 
 // ReadPages implements ftl.FTL.
 func (f *LearnedFTL) ReadPages(lpn int64, n int, now nand.Time) nand.Time {
-	f.observe(n)
+	f.Observe(n)
 	end := now
 	for k := 0; k < n; k++ {
 		if done := f.readOne(lpn+int64(k), n-k, now); done > end {
@@ -382,72 +328,47 @@ func (f *LearnedFTL) ReadPages(lpn int64, n int, now nand.Time) nand.Time {
 }
 
 func (f *LearnedFTL) readOne(lpn int64, remaining int, now nand.Time) nand.Time {
-	f.col.CMTLookups++
-	if ppn, ok := f.cmt.Lookup(lpn); ok {
-		f.col.CMTHits++
-		f.col.RecordClass(stats.ReadSingle)
-		return f.fl.Read(ppn, now, nand.OpHostData)
+	f.Col.CMTLookups++
+	if ppn, ok := f.CMT.Lookup(lpn); ok {
+		f.Col.CMTHits++
+		f.Col.RecordClass(stats.ReadSingle)
+		return f.Fl.Read(ppn, now, nand.OpHostData)
 	}
 	if !f.Mapped(lpn) {
-		f.col.RecordClass(stats.ReadSingle)
+		f.Col.RecordClass(stats.ReadSingle)
 		return now
 	}
-	tpn := f.cfg.TPNOf(lpn)
-	off := int(lpn - int64(tpn)*int64(f.cfg.EntriesPerTP))
+	tpn := f.Cfg.TPNOf(lpn)
+	off := int(lpn - int64(tpn)*int64(f.Cfg.EntriesPerTP))
 	// Bitmap check, then model prediction (§III-B): the bitmap guarantees
 	// the prediction is exact, so this is a single flash read with zero
 	// miss penalty.
 	if v, ok := f.models[tpn].Predict(off); ok {
 		ppn := f.fromVirtual(v)
-		if ppn != f.l2p[lpn] {
+		if ppn != f.L2P[lpn] {
 			panic(fmt.Sprintf("core: model predicted %d for lpn %d but truth is %d (bitmap invariant broken)",
-				ppn, lpn, f.l2p[lpn]))
+				ppn, lpn, f.L2P[lpn]))
 		}
-		f.col.ModelHits++
-		f.col.RecordClass(stats.ReadSingle)
-		if tr := f.col.Tracer(); tr != nil {
+		f.Col.ModelHits++
+		f.Col.RecordClass(stats.ReadSingle)
+		if tr := f.Col.Tracer(); tr != nil {
 			tr.AddPhase(obs.PhaseLookup, f.opt.PredictCost)
 		}
 		// The prediction itself costs CPU time (bitmap check + y=kx+b +
 		// VPPN→PPN translation) before the flash read can issue.
-		return f.fl.Read(ppn, now+f.opt.PredictCost, nand.OpHostData)
+		return f.Fl.Read(ppn, now+f.opt.PredictCost, nand.OpHostData)
 	}
 	// Fallback: TPFTL demand path with prefetch — the double read.
-	t := now
-	if f.gtd.Written(tpn) {
-		t = f.fl.Read(f.gtd.Lookup(tpn), t, nand.OpTranslation)
-	}
-	span := f.prefetchSpan(lpn, remaining)
-	for o := int64(0); o < span; o++ {
-		l := lpn + o
-		if f.Mapped(l) && !f.cmt.Contains(l) {
-			f.cmt.Insert(l, f.l2p[l], false)
-		}
-	}
-	f.cmt.Insert(lpn, f.l2p[lpn], false)
-	t = f.drainEvictions(t)
-	f.col.RecordClass(stats.ReadDouble)
-	return f.fl.Read(f.l2p[lpn], t, nand.OpHostData)
-}
-
-func (f *LearnedFTL) prefetchSpan(lpn int64, remaining int) int64 {
-	want := int64(remaining)
-	if ema := int64(f.emaLen + 0.5); ema > want {
-		want = ema
-	}
-	if want < 1 {
-		want = 1
-	}
-	_, hi := f.cfg.TPRange(f.cfg.TPNOf(lpn))
-	if lpn+want > hi {
-		want = hi - lpn
-	}
-	return want
+	t := f.ReadTrans(tpn, now)
+	f.Fill(lpn, remaining, f.L2P)
+	t = f.Drain(t)
+	f.Col.RecordClass(stats.ReadDouble)
+	return f.Fl.Read(f.L2P[lpn], t, nand.OpHostData)
 }
 
 // WritePages implements ftl.FTL.
 func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
-	f.observe(n)
+	f.Observe(n)
 	end := now
 	type run struct {
 		tpn      int
@@ -466,8 +387,8 @@ func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 			// re-derive the anchor from the live mapping and only install
 			// when the run is still contiguous (GC already retrained the
 			// moved part).
-			firstV := f.toVirtual(f.l2p[cur.startLPN])
-			lastV := f.toVirtual(f.l2p[cur.startLPN+int64(cur.length-1)])
+			firstV := f.toVirtual(f.L2P[cur.startLPN])
+			lastV := f.toVirtual(f.L2P[cur.startLPN+int64(cur.length-1)])
 			if lastV-firstV == int64(cur.length-1) {
 				f.models[cur.tpn].SequentialInit(cur.startOff, cur.length, firstV)
 			}
@@ -480,8 +401,8 @@ func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 		if done > end {
 			end = done
 		}
-		tpn := f.cfg.TPNOf(l)
-		off := int(l - int64(tpn)*int64(f.cfg.EntriesPerTP))
+		tpn := f.Cfg.TPNOf(l)
+		off := int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP))
 		switch {
 		case cur.length == 0:
 			cur = run{tpn: tpn, startLPN: l, startOff: off, length: 1, firstV: vppn, lastV: vppn}
@@ -501,67 +422,50 @@ func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 // the CMT and model bitmap coherent. It returns the completion time and the
 // page's virtual PPN (for sequential initialization).
 func (f *LearnedFTL) writeOne(lpn int64, now nand.Time) (nand.Time, int64) {
-	tpn := f.cfg.TPNOf(lpn)
-	off := int(lpn - int64(tpn)*int64(f.cfg.EntriesPerTP))
+	tpn := f.Cfg.TPNOf(lpn)
+	off := int(lpn - int64(tpn)*int64(f.Cfg.EntriesPerTP))
 	// Consistency first (§III-B): an overwritten LPN must not predict its
 	// stale location.
 	f.models[tpn].Invalidate(off)
 
 	vppn, t := f.allocSlot(int(lpn/int64(f.span)), now)
-	ppn := f.codec.ToPhysical(nand.VPPN(vppn))
-	done, err := f.fl.Program(ppn, nand.OOB{Key: lpn}, t, nand.OpHostData)
+	ppn := f.Codec.ToPhysical(nand.VPPN(vppn))
+	done, err := f.Fl.Program(ppn, nand.OOB{Key: lpn}, t, nand.OpHostData)
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	if old := f.l2p[lpn]; old != nand.InvalidPPN {
+	if old := f.L2P[lpn]; old != nand.InvalidPPN {
 		f.invalidateData(old)
 	}
-	f.l2p[lpn] = ppn
+	f.L2P[lpn] = ppn
 	// allocSlot may have run a group GC that retrained this entry's model
 	// against the pre-write mapping; the bit for this LPN is stale again.
 	f.models[tpn].Invalidate(off)
-	f.cmt.Insert(lpn, ppn, true)
-	done = f.drainEvictions(done)
+	f.CMT.Insert(lpn, ppn, true)
+	done = f.Drain(done)
 	done = f.runPendingGC(done)
 	done = f.replenishReserve(done)
 	// runPendingGC may have relocated the page just written; report the
 	// page's current location so the sequential-init run tracker stays
 	// truthful.
-	return done, f.toVirtual(f.l2p[lpn])
+	return done, f.toVirtual(f.L2P[lpn])
 }
 
 // invalidateData invalidates a data page and maintains per-row invalid
 // counters used for GC victim selection.
 func (f *LearnedFTL) invalidateData(p nand.PPN) {
-	if err := f.fl.Invalidate(p); err != nil {
+	if err := f.Fl.Invalidate(p); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	f.rowInvalid[f.codec.Block(p)]++
-}
-
-// drainEvictions applies TPFTL-style batched write-back to the CMT.
-func (f *LearnedFTL) drainEvictions(now nand.Time) nand.Time {
-	for f.cmt.NeedsEviction() {
-		e, ok := f.cmt.EvictLRU()
-		if !ok {
-			break
-		}
-		if !e.Dirty {
-			continue
-		}
-		tpn := f.cfg.TPNOf(e.LPN)
-		now = f.updateTrans(tpn, true, now)
-		f.cmt.CleanRange(f.cfg.TPRange(tpn))
-	}
-	return now
+	f.rowInvalid[f.Codec.Block(p)]++
 }
 
 // gcTransTraced runs one translation-pool collection inside a GC
 // attribution window, so a host request stalled behind pool GC sees the
 // stall as GC time rather than translation time.
 func (f *LearnedFTL) gcTransTraced(now nand.Time) (nand.Time, bool) {
-	upd := func(movedTPN int, moved nand.PPN) { f.gtd.Update(movedTPN, moved) }
-	tr := f.col.Tracer()
+	upd := func(movedTPN int, moved nand.PPN) { f.GTD.Update(movedTPN, moved) }
+	tr := f.Col.Tracer()
 	if tr == nil {
 		return f.tp.gcTrans(now, upd)
 	}
@@ -574,10 +478,10 @@ func (f *LearnedFTL) gcTransTraced(now nand.Time) (nand.Time, bool) {
 // updateTrans persists translation page tpn through the translation pool.
 func (f *LearnedFTL) updateTrans(tpn int, doRead bool, now nand.Time) nand.Time {
 	old := nand.InvalidPPN
-	if f.gtd.Written(tpn) {
-		old = f.gtd.Lookup(tpn)
+	if f.GTD.Written(tpn) {
+		old = f.GTD.Lookup(tpn)
 		if doRead {
-			now = f.fl.Read(old, now, nand.OpTranslation)
+			now = f.Fl.Read(old, now, nand.OpTranslation)
 		}
 	}
 	// Keep one block's worth of slack in the pool: pool GC relocates a
@@ -587,7 +491,7 @@ func (f *LearnedFTL) updateTrans(tpn int, doRead bool, now nand.Time) nand.Time 
 	// larger scale-experiment rungs exposed). Collecting while the slack
 	// is at or below one block keeps relocation targets available —
 	// inductively, a collection can then always complete.
-	ppb := f.cfg.Geometry.PagesPerBlock
+	ppb := f.Cfg.Geometry.PagesPerBlock
 	for f.tp.freeSlots() <= ppb {
 		var collected bool
 		now, collected = f.gcTransTraced(now)
@@ -609,18 +513,18 @@ func (f *LearnedFTL) updateTrans(tpn int, doRead bool, now nand.Time) nand.Time 
 	// captured before the collections would be stale — invalidate the
 	// current one.
 	if old != nand.InvalidPPN {
-		old = f.gtd.Lookup(tpn)
+		old = f.GTD.Lookup(tpn)
 	}
-	done, err := f.fl.Program(np, nand.OOB{Key: int64(tpn), Trans: true}, now, nand.OpTranslation)
+	done, err := f.Fl.Program(np, nand.OOB{Key: int64(tpn), Trans: true}, now, nand.OpTranslation)
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
 	if old != nand.InvalidPPN {
-		if err := f.fl.Invalidate(old); err != nil {
+		if err := f.Fl.Invalidate(old); err != nil {
 			panic(fmt.Sprintf("core: %v", err))
 		}
 	}
-	f.gtd.Update(tpn, np)
+	f.GTD.Update(tpn, np)
 	return done
 }
 
@@ -634,37 +538,37 @@ func (f *LearnedFTL) updateTrans(tpn int, doRead bool, now nand.Time) nand.Time 
 func (f *LearnedFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
 	for k := 0; k < n; k++ {
 		l := lpn + int64(k)
-		if f.cmt.Contains(l) || !f.Mapped(l) {
+		if f.CMT.Contains(l) || !f.Mapped(l) {
 			continue
 		}
-		tpn := f.cfg.TPNOf(l)
-		if _, ok := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.cfg.EntriesPerTP))); !ok {
+		tpn := f.Cfg.TPNOf(l)
+		if _, ok := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP))); !ok {
 			return false
 		}
 	}
-	f.observe(n)
+	f.Observe(n)
 	for k := 0; k < n; k++ {
 		l := lpn + int64(k)
-		f.col.CMTLookups++
-		if ppn, ok := f.cmt.Lookup(l); ok {
-			f.col.CMTHits++
-			f.col.RecordClass(stats.ReadSingle)
+		f.Col.CMTLookups++
+		if ppn, ok := f.CMT.Lookup(l); ok {
+			f.Col.CMTHits++
+			f.Col.RecordClass(stats.ReadSingle)
 			emit(ppn, 0)
 			continue
 		}
 		if !f.Mapped(l) {
-			f.col.RecordClass(stats.ReadSingle)
+			f.Col.RecordClass(stats.ReadSingle)
 			continue
 		}
-		tpn := f.cfg.TPNOf(l)
-		v, _ := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.cfg.EntriesPerTP)))
+		tpn := f.Cfg.TPNOf(l)
+		v, _ := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP)))
 		ppn := f.fromVirtual(v)
-		if ppn != f.l2p[l] {
+		if ppn != f.L2P[l] {
 			panic(fmt.Sprintf("core: model predicted %d for lpn %d but truth is %d (bitmap invariant broken)",
-				ppn, l, f.l2p[l]))
+				ppn, l, f.L2P[l]))
 		}
-		f.col.ModelHits++
-		f.col.RecordClass(stats.ReadSingle)
+		f.Col.ModelHits++
+		f.Col.RecordClass(stats.ReadSingle)
 		emit(ppn, f.opt.PredictCost)
 	}
 	return true

@@ -70,8 +70,8 @@ func TestModelHitEliminatesDoubleRead(t *testing.T) {
 	for lpn := int64(0); lpn < lp; lpn += 16 {
 		now = f.WritePages(lpn, 16, now)
 	}
-	f.col.Reset()
-	f.fl.ResetCounters()
+	f.Col.Reset()
+	f.Fl.ResetCounters()
 	// Random reads across the whole space: the CMT (1.5%) can't help, but
 	// the models can — expect overwhelmingly single reads and nearly zero
 	// translation reads.
@@ -79,13 +79,13 @@ func TestModelHitEliminatesDoubleRead(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		now = f.ReadPages(rng.Int63n(lp), 1, now)
 	}
-	if frac := f.col.ReadClassFraction(stats.ReadSingle); frac < 0.9 {
-		t.Fatalf("single-read fraction = %.2f, want >= 0.9 (classes %+v)", frac, f.col.ReadClasses)
+	if frac := f.Col.ReadClassFraction(stats.ReadSingle); frac < 0.9 {
+		t.Fatalf("single-read fraction = %.2f, want >= 0.9 (classes %+v)", frac, f.Col.ReadClasses)
 	}
-	if f.col.ModelHits == 0 {
+	if f.Col.ModelHits == 0 {
 		t.Fatal("no model hits")
 	}
-	cv := f.fl.Counters()
+	cv := f.Fl.Counters()
 	if cv.Reads[nand.OpTranslation] > 50 {
 		t.Fatalf("translation reads = %d, want few", cv.Reads[nand.OpTranslation])
 	}
@@ -103,8 +103,8 @@ func TestWriteInvalidatesModelBit(t *testing.T) {
 	// budget) — either way the prediction must stay exact.
 	now = f.WritePages(5, 1, now)
 	if v, ok := f.models[tpn].Predict(5); ok {
-		if got := f.fromVirtual(v); got != f.l2p[5] {
-			t.Fatalf("stale prediction after overwrite: %d vs %d", got, f.l2p[5])
+		if got := f.fromVirtual(v); got != f.L2P[5] {
+			t.Fatalf("stale prediction after overwrite: %d vs %d", got, f.L2P[5])
 		}
 	}
 	_ = now
@@ -121,28 +121,28 @@ func TestRandomOverwritesThenGCRetrains(t *testing.T) {
 	for i := int64(0); i < 4*lp; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)
 	}
-	if f.col.GCCount == 0 {
+	if f.Col.GCCount == 0 {
 		t.Fatal("no group GC despite 4x random overwrite")
 	}
-	if f.col.ModelTrainings == 0 {
+	if f.Col.ModelTrainings == 0 {
 		t.Fatal("GC trained no models")
 	}
 	// Coherence: every mapped LPN's flash page agrees, and every model
 	// prediction is exact (readOne panics otherwise — exercise it).
 	for lpn := int64(0); lpn < lp; lpn++ {
-		if ppn := f.l2p[lpn]; ppn != nand.InvalidPPN {
-			if f.fl.PageOOB(ppn).Key != lpn || f.fl.State(ppn) != nand.PageValid {
+		if ppn := f.L2P[lpn]; ppn != nand.InvalidPPN {
+			if f.Fl.PageOOB(ppn).Key != lpn || f.Fl.State(ppn) != nand.PageValid {
 				t.Fatalf("lpn %d: flash metadata mismatch after GC", lpn)
 			}
 		}
 	}
-	f.col.Reset()
+	f.Col.Reset()
 	for i := 0; i < 1000; i++ {
 		now = f.ReadPages(rng.Int63n(lp), 1, now)
 	}
 	// GC-time training should give a solid model hit ratio on random reads
 	// even after random overwrites (the paper's 55.5%).
-	if got := f.col.ModelHitRatio(); got < 0.3 {
+	if got := f.Col.ModelHitRatio(); got < 0.3 {
 		t.Fatalf("model hit ratio after GC training = %.2f", got)
 	}
 }
@@ -160,13 +160,13 @@ func TestGroupGCKeepsGroupsCompact(t *testing.T) {
 	owned := 0
 	for gid := range f.groups {
 		owned += len(f.groups[gid].rows)
-		if len(f.groups[gid].rows) > f.cfg.GroupSuperblocks {
+		if len(f.groups[gid].rows) > f.Cfg.GroupSuperblocks {
 			t.Fatalf("group %d holds %d rows > limit", gid, len(f.groups[gid].rows))
 		}
 	}
-	if owned+len(f.freeRows)+f.transRows != f.cfg.Geometry.BlocksPerUnit {
+	if owned+len(f.freeRows)+f.transRows != f.Cfg.Geometry.BlocksPerUnit {
 		t.Fatalf("row accounting broken: owned %d + free %d + trans %d != %d",
-			owned, len(f.freeRows), f.transRows, f.cfg.Geometry.BlocksPerUnit)
+			owned, len(f.freeRows), f.transRows, f.Cfg.Geometry.BlocksPerUnit)
 	}
 }
 
@@ -187,12 +187,12 @@ func TestCrossGroupBorrowingDelaysGC(t *testing.T) {
 	for i := int64(0); i < 8*int64(f.span); i++ {
 		now = f.WritePages(i%int64(f.span), 1, now)
 	}
-	if f.col.GCCount == 0 {
+	if f.Col.GCCount == 0 {
 		t.Fatal("hot group never collected")
 	}
 	// All other groups' data must be intact.
 	for lpn := int64(f.span); lpn < lp; lpn += int64(f.span) {
-		if !f.Mapped(lpn) || f.fl.PageOOB(f.l2p[lpn]).Key != lpn {
+		if !f.Mapped(lpn) || f.Fl.PageOOB(f.L2P[lpn]).Key != lpn {
 			t.Fatalf("cold lpn %d corrupted", lpn)
 		}
 	}
@@ -211,7 +211,7 @@ func TestDisableCrossGroupStillWorks(t *testing.T) {
 	for i := int64(0); i < 3*lp; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)
 	}
-	if f.col.GCCount == 0 {
+	if f.Col.GCCount == 0 {
 		t.Fatal("no GC")
 	}
 }
@@ -275,14 +275,14 @@ func TestTrainingChargeAccountedInGCTime(t *testing.T) {
 	for i := int64(0); i < 4*lp; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)
 	}
-	if f.col.SortTrainOps == 0 {
+	if f.Col.SortTrainOps == 0 {
 		t.Fatal("no training charge recorded")
 	}
-	want := f.col.SortTrainOps * int64(DefaultOptions().SortTrainCost)
-	if f.col.SortTrainNS != want {
-		t.Fatalf("SortTrainNS = %d, want %d", f.col.SortTrainNS, want)
+	want := f.Col.SortTrainOps * int64(DefaultOptions().SortTrainCost)
+	if f.Col.SortTrainNS != want {
+		t.Fatalf("SortTrainNS = %d, want %d", f.Col.SortTrainNS, want)
 	}
-	if nand.Time(f.col.SortTrainNS) >= f.col.GCBusyTime {
+	if nand.Time(f.Col.SortTrainNS) >= f.Col.GCBusyTime {
 		t.Fatal("training time exceeds total GC time")
 	}
 }
@@ -302,15 +302,15 @@ func TestTranslationPoolGC(t *testing.T) {
 	}
 	// The pool must have wrapped at least once; every GTD pointer must be
 	// live.
-	for tpn := 0; tpn < f.gtd.NumTPNs(); tpn++ {
-		if !f.gtd.Written(tpn) {
+	for tpn := 0; tpn < f.GTD.NumTPNs(); tpn++ {
+		if !f.GTD.Written(tpn) {
 			continue
 		}
-		p := f.gtd.Lookup(tpn)
-		if f.fl.State(p) != nand.PageValid {
-			t.Fatalf("tpn %d points at %v page", tpn, f.fl.State(p))
+		p := f.GTD.Lookup(tpn)
+		if f.Fl.State(p) != nand.PageValid {
+			t.Fatalf("tpn %d points at %v page", tpn, f.Fl.State(p))
 		}
-		oob := f.fl.PageOOB(p)
+		oob := f.Fl.PageOOB(p)
 		if !oob.Trans || oob.Key != int64(tpn) {
 			t.Fatalf("tpn %d OOB mismatch", tpn)
 		}

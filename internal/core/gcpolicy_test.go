@@ -111,21 +111,21 @@ func TestCoreBackgroundGC(t *testing.T) {
 		t.Skipf("overwrite left only %d invalid pages (< row of %d)", inv, f.sbPages)
 	}
 	rowsBefore := len(f.freeRows)
-	gcBefore := f.col.GCCount
+	gcBefore := f.Col.GCCount
 	done := f.BackgroundGC(now, now+1<<40)
 	if done <= now {
 		t.Fatal("background GC consumed no virtual time")
 	}
-	if f.col.BGGCCount == 0 || f.col.GCCount == gcBefore {
+	if f.Col.BGGCCount == 0 || f.Col.GCCount == gcBefore {
 		t.Fatal("no background group collection recorded")
 	}
 	if len(f.freeRows) < rowsBefore {
 		t.Fatalf("free rows shrank: %d -> %d", rowsBefore, len(f.freeRows))
 	}
 	// At the deadline boundary nothing may launch.
-	gcAfter := f.col.GCCount
+	gcAfter := f.Col.GCCount
 	f.BackgroundGC(done, done)
-	if f.col.GCCount != gcAfter {
+	if f.Col.GCCount != gcAfter {
 		t.Fatal("background GC launched in an empty gap")
 	}
 }
@@ -145,8 +145,8 @@ func TestCoreTrimFreesGroupSpace(t *testing.T) {
 	if inv := f.groupInvalid(0); inv < f.span {
 		t.Fatalf("group 0 shows %d invalid pages, want >= %d", inv, f.span)
 	}
-	if f.col.HostTrims != 1 || f.col.HostTrimmedLive != span {
-		t.Fatalf("trim accounting: %d trims, %d live", f.col.HostTrims, f.col.HostTrimmedLive)
+	if f.Col.HostTrims != 1 || f.Col.HostTrimmedLive != span {
+		t.Fatalf("trim accounting: %d trims, %d live", f.Col.HostTrims, f.Col.HostTrimmedLive)
 	}
 	// The trimmed space is rewritable and reads as unwritten meanwhile.
 	if done := f.ReadPages(0, 64, now); done != now {
@@ -168,7 +168,7 @@ func TestCoreTrimFreesGroupSpace(t *testing.T) {
 // and age-weighted policies (costbenefit, costage) mis-scored it.
 func TestGroupCandidateAgeIgnoresPreviousBlockLife(t *testing.T) {
 	f := newFTL(t)
-	geo := f.fl.Geometry()
+	geo := f.Fl.Geometry()
 
 	// Give block (unit 0, row r) a previous life ending late: program every
 	// page at a large virtual time, invalidate, erase.
@@ -178,18 +178,18 @@ func TestGroupCandidateAgeIgnoresPreviousBlockLife(t *testing.T) {
 	now := staleTime
 	base := nand.PPN(int64(blk) * int64(geo.PagesPerBlock))
 	for i := 0; i < geo.PagesPerBlock; i++ {
-		done, err := f.fl.Program(base+nand.PPN(i), nand.OOB{Key: int64(i)}, now, nand.OpHostData)
+		done, err := f.Fl.Program(base+nand.PPN(i), nand.OOB{Key: int64(i)}, now, nand.OpHostData)
 		if err != nil {
 			t.Fatal(err)
 		}
 		now = done
 	}
 	for i := 0; i < geo.PagesPerBlock; i++ {
-		if err := f.fl.Invalidate(base + nand.PPN(i)); err != nil {
+		if err := f.Fl.Invalidate(base + nand.PPN(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.fl.Erase(blk, now); err != nil {
+	if _, err := f.Fl.Erase(blk, now); err != nil {
 		t.Fatal(err)
 	}
 

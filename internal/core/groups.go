@@ -82,7 +82,7 @@ func (f *LearnedFTL) allocSlot(gid int, now nand.Time) (int64, nand.Time) {
 			g.wp++
 			return v, now
 		}
-		if len(g.rows) < f.cfg.GroupSuperblocks && len(f.freeRows) > f.reserve {
+		if len(g.rows) < f.Cfg.GroupSuperblocks && len(f.freeRows) > f.reserve {
 			f.takeRow(gid)
 			continue
 		}
@@ -183,7 +183,7 @@ func (f *LearnedFTL) victimGroup(now nand.Time) (int, int) {
 // since the most recent program into any of them.
 func (f *LearnedFTL) groupCandidate(gid int, now nand.Time) gc.Candidate {
 	g := &f.groups[gid]
-	geo := f.fl.Geometry()
+	geo := f.Fl.Geometry()
 	written, invalid := 0, 0
 	var erases int64
 	var lastMod nand.Time
@@ -196,10 +196,10 @@ func (f *LearnedFTL) groupCandidate(gid int, now nand.Time) gc.Candidate {
 		invalid += f.rowInvalid[row]
 		for u := 0; u < geo.Units(); u++ {
 			blk := u*geo.BlocksPerUnit + row
-			if e := f.fl.BlockErases(blk); e > erases {
+			if e := f.Fl.BlockErases(blk); e > erases {
 				erases = e
 			}
-			if m := f.fl.BlockLastMod(blk); m > lastMod {
+			if m := f.Fl.BlockLastMod(blk); m > lastMod {
 				lastMod = m
 			}
 		}
@@ -275,7 +275,7 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 
 	// One attribution window covers the whole group collection, including
 	// model training charged inside relocation.
-	tr := f.col.Tracer()
+	tr := f.Col.Tracer()
 	if tr != nil {
 		tr.EnterGC(false, now)
 	}
@@ -306,7 +306,7 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 	// so one bootstrap row always suffices.
 	g := &f.groups[gid]
 	if len(oldRows) > 0 && g.wp >= f.sbPages && len(f.freeRows) > 0 &&
-		len(g.rows) < f.cfg.GroupSuperblocks {
+		len(g.rows) < f.Cfg.GroupSuperblocks {
 		f.takeRow(gid)
 	}
 	// Evacuate row by row, erasing each row as it empties.
@@ -319,9 +319,9 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 			panic(fmt.Sprintf("core: GC left row %d unerasable", row))
 		}
 	}
-	f.col.RecordGC(now, moved, t-now)
-	cnt := f.fl.Counters()
-	f.col.RecordWASample(t, cnt.TotalPrograms())
+	f.Col.RecordGC(now, moved, t-now)
+	cnt := f.Fl.Counters()
+	f.Col.RecordWASample(t, cnt.TotalPrograms())
 	if tr != nil {
 		tr.ExitGC(t)
 	}
@@ -337,11 +337,11 @@ func (f *LearnedFTL) evacuateForeign(rows []int, gid int, t nand.Time, moved *in
 	for _, row := range rows {
 		base := f.rowVPPNBase(row)
 		for s := 0; s < f.sbPages; s++ {
-			ppn := f.codec.ToPhysical(nand.VPPN(base + int64(s)))
-			if f.fl.State(ppn) != nand.PageValid {
+			ppn := f.Codec.ToPhysical(nand.VPPN(base + int64(s)))
+			if f.Fl.State(ppn) != nand.PageValid {
 				continue
 			}
-			oob := f.fl.PageOOB(ppn)
+			oob := f.Fl.PageOOB(ppn)
 			if oob.Trans {
 				continue
 			}
@@ -350,10 +350,10 @@ func (f *LearnedFTL) evacuateForeign(rows []int, gid int, t nand.Time, moved *in
 			if owner == gid {
 				continue
 			}
-			readDone := f.fl.Read(ppn, start, nand.OpGC)
+			readDone := f.Fl.Read(ppn, start, nand.OpGC)
 			v, t2 := f.allocSlot(owner, readDone)
-			np := f.codec.ToPhysical(nand.VPPN(v))
-			done, err := f.fl.Program(np, nand.OOB{Key: lpn}, t2, nand.OpGC)
+			np := f.Codec.ToPhysical(nand.VPPN(v))
+			done, err := f.Fl.Program(np, nand.OOB{Key: lpn}, t2, nand.OpGC)
 			if err != nil {
 				panic(fmt.Sprintf("core: %v", err))
 			}
@@ -361,10 +361,10 @@ func (f *LearnedFTL) evacuateForeign(rows []int, gid int, t nand.Time, moved *in
 				t = done
 			}
 			f.invalidateData(ppn)
-			f.l2p[lpn] = np
-			f.cmt.UpdatePPN(lpn, np)
-			tpn := f.cfg.TPNOf(lpn)
-			f.models[tpn].Invalidate(int(lpn - int64(tpn)*int64(f.cfg.EntriesPerTP)))
+			f.L2P[lpn] = np
+			f.CMT.UpdatePPN(lpn, np)
+			tpn := f.Cfg.TPNOf(lpn)
+			f.models[tpn].Invalidate(int(lpn - int64(tpn)*int64(f.Cfg.EntriesPerTP)))
 			*moved++
 		}
 	}
@@ -383,17 +383,17 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 	// Step ①: regulate valid mappings — read the group's translation pages.
 	// Reads on distinct chips overlap (FEMU-style GC parallelism).
 	start := t
-	loTPN := id * f.cfg.GroupEntries
-	for e := 0; e < f.cfg.GroupEntries; e++ {
-		if tpn := loTPN + e; f.gtd.Written(tpn) {
-			if done := f.fl.Read(f.gtd.Lookup(tpn), start, nand.OpGC); done > t {
+	loTPN := id * f.Cfg.GroupEntries
+	for e := 0; e < f.Cfg.GroupEntries; e++ {
+		if tpn := loTPN + e; f.GTD.Written(tpn) {
+			if done := f.Fl.Read(f.GTD.Lookup(tpn), start, nand.OpGC); done > t {
 				t = done
 			}
 		}
 	}
 	lpns := f.gcLPNs[:0]
 	for l := loLPN; l < hiLPN; l++ {
-		if f.l2p[l] != nand.InvalidPPN {
+		if f.L2P[l] != nand.InvalidPPN {
 			lpns = append(lpns, l)
 		}
 	}
@@ -412,10 +412,10 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 	base := f.rowVPPNBase(row)
 	relocStart := t
 	for i, lpn := range lpns {
-		old := f.l2p[lpn]
-		readDone := f.fl.Read(old, relocStart, nand.OpGC)
-		np := f.codec.ToPhysical(nand.VPPN(base + int64(i)))
-		done, err := f.fl.Program(np, nand.OOB{Key: lpn}, readDone, nand.OpGC)
+		old := f.L2P[lpn]
+		readDone := f.Fl.Read(old, relocStart, nand.OpGC)
+		np := f.Codec.ToPhysical(nand.VPPN(base + int64(i)))
+		done, err := f.Fl.Program(np, nand.OOB{Key: lpn}, readDone, nand.OpGC)
 		if err != nil {
 			panic(fmt.Sprintf("core: %v", err))
 		}
@@ -423,8 +423,8 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 			t = done
 		}
 		f.invalidateData(old)
-		f.l2p[lpn] = np
-		f.cmt.UpdatePPN(lpn, np)
+		f.L2P[lpn] = np
+		f.CMT.UpdatePPN(lpn, np)
 	}
 	g.wp = len(lpns)
 	*moved += len(lpns)
@@ -432,15 +432,15 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 	// Steps ③/④: train each GTD entry's model and evaluate its bitmap,
 	// then persist the group's translation pages.
 	vppns := f.gcVPPNs
-	for e := 0; e < f.cfg.GroupEntries; e++ {
+	for e := 0; e < f.Cfg.GroupEntries; e++ {
 		tpn := loTPN + e
-		lo, hi := f.cfg.TPRange(tpn)
+		lo, hi := f.Cfg.TPRange(tpn)
 		baseV := int64(-1)
 		for i := range vppns {
 			vppns[i] = -1
 		}
 		for l := lo; l < hi; l++ {
-			if p := f.l2p[l]; p != nand.InvalidPPN {
+			if p := f.L2P[l]; p != nand.InvalidPPN {
 				v := f.toVirtual(p)
 				vppns[l-lo] = v
 				if baseV < 0 || v < baseV {
@@ -450,15 +450,15 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 		}
 		if baseV >= 0 {
 			f.models[tpn].TrainFull(baseV, vppns)
-			f.col.ModelTrainings++
+			f.Col.ModelTrainings++
 			if f.opt.ChargeTraining {
 				t += f.opt.SortTrainCost
-				f.col.SortTrainOps++
-				f.col.SortTrainNS += int64(f.opt.SortTrainCost)
+				f.Col.SortTrainOps++
+				f.Col.SortTrainNS += int64(f.opt.SortTrainCost)
 			}
 		}
 		t = f.updateTrans(tpn, false, t)
-		f.cmt.CleanRange(lo, hi)
+		f.CMT.CleanRange(lo, hi)
 	}
 	return t
 }
@@ -466,14 +466,14 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 // eraseFreeable erases and releases every collected row whose blocks hold no
 // valid pages. Erases on distinct chips proceed in parallel.
 func (f *LearnedFTL) eraseFreeable(oldRows *[]int, t nand.Time) nand.Time {
-	g := f.fl.Geometry()
+	g := f.Fl.Geometry()
 	blocksPerUnit := g.BlocksPerUnit
 	remaining := (*oldRows)[:0]
 	end := t
 	for _, row := range *oldRows {
 		freeable := true
 		for u := 0; u < g.Units(); u++ {
-			if f.fl.BlockValid(u*blocksPerUnit+row) != 0 {
+			if f.Fl.BlockValid(u*blocksPerUnit+row) != 0 {
 				freeable = false
 				break
 			}
@@ -484,10 +484,10 @@ func (f *LearnedFTL) eraseFreeable(oldRows *[]int, t nand.Time) nand.Time {
 		}
 		for u := 0; u < g.Units(); u++ {
 			blk := u*blocksPerUnit + row
-			if f.fl.BlockWritePtr(blk) == 0 {
+			if f.Fl.BlockWritePtr(blk) == 0 {
 				continue
 			}
-			done, err := f.fl.Erase(blk, t)
+			done, err := f.Fl.Erase(blk, t)
 			if err != nil {
 				panic(fmt.Sprintf("core: %v", err))
 			}

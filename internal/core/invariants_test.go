@@ -11,7 +11,7 @@ import (
 // and the model layer after any operation sequence.
 func checkInvariants(t *testing.T, f *LearnedFTL) {
 	t.Helper()
-	g := f.cfg.Geometry
+	g := f.Cfg.Geometry
 
 	// (1) Row accounting: every row is translation, free, or owned by
 	// exactly one group, and the partitions are disjoint and complete.
@@ -50,7 +50,7 @@ func checkInvariants(t *testing.T, f *LearnedFTL) {
 		base := f.rowVPPNBase(r)
 		inv := 0
 		for s := 0; s < f.sbPages; s++ {
-			if f.fl.State(f.codec.ToPhysical(nand.VPPN(base+int64(s)))) == nand.PageInvalid {
+			if f.Fl.State(f.Codec.ToPhysical(nand.VPPN(base+int64(s)))) == nand.PageInvalid {
 				inv++
 			}
 		}
@@ -61,36 +61,36 @@ func checkInvariants(t *testing.T, f *LearnedFTL) {
 
 	// (3) L2P ↔ flash coherence.
 	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
-		ppn := f.l2p[lpn]
+		ppn := f.L2P[lpn]
 		if ppn == nand.InvalidPPN {
 			continue
 		}
-		if f.fl.State(ppn) != nand.PageValid {
-			t.Fatalf("lpn %d maps to %v page", lpn, f.fl.State(ppn))
+		if f.Fl.State(ppn) != nand.PageValid {
+			t.Fatalf("lpn %d maps to %v page", lpn, f.Fl.State(ppn))
 		}
-		if oob := f.fl.PageOOB(ppn); oob.Trans || oob.Key != lpn {
+		if oob := f.Fl.PageOOB(ppn); oob.Trans || oob.Key != lpn {
 			t.Fatalf("lpn %d OOB mismatch: %+v", lpn, oob)
 		}
 	}
 
 	// (4) Model bitmap contract: every predictable offset predicts truth.
 	for tpn, m := range f.models {
-		lo, _ := f.cfg.TPRange(tpn)
-		for off := 0; off < f.cfg.EntriesPerTP; off++ {
+		lo, _ := f.Cfg.TPRange(tpn)
+		for off := 0; off < f.Cfg.EntriesPerTP; off++ {
 			v, ok := m.Predict(off)
 			if !ok {
 				continue
 			}
-			if got := f.fromVirtual(v); got != f.l2p[lo+int64(off)] {
-				t.Fatalf("tpn %d off %d: model %d vs truth %d", tpn, off, got, f.l2p[lo+int64(off)])
+			if got := f.fromVirtual(v); got != f.L2P[lo+int64(off)] {
+				t.Fatalf("tpn %d off %d: model %d vs truth %d", tpn, off, got, f.L2P[lo+int64(off)])
 			}
 		}
 	}
 
 	// (5) CMT entries agree with L2P.
 	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
-		if e, ok := f.cmt.Peek(lpn); ok && e.PPN != f.l2p[lpn] {
-			t.Fatalf("lpn %d: CMT %d vs L2P %d", lpn, e.PPN, f.l2p[lpn])
+		if e, ok := f.CMT.Peek(lpn); ok && e.PPN != f.L2P[lpn] {
+			t.Fatalf("lpn %d: CMT %d vs L2P %d", lpn, e.PPN, f.L2P[lpn])
 		}
 	}
 }
@@ -140,7 +140,7 @@ func TestInvariantsAfterHeavyAging(t *testing.T) {
 	for i := int64(0); i < 8*lp; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)
 	}
-	if f.col.GCCount == 0 {
+	if f.Col.GCCount == 0 {
 		t.Fatal("no GC in 8x overwrite")
 	}
 	checkInvariants(t, f)

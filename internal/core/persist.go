@@ -5,39 +5,20 @@ import (
 	"sort"
 
 	"learnedftl/internal/learned"
-	"learnedftl/internal/mapping"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/persist"
 )
 
 // This file is LearnedFTL's side of the persistence subsystem: the full
 // device snapshot (flash, L2P, GTD, CMT, in-place models, group-allocation
-// state and the translation pool, all in deterministic order) and the OOB
-// crash-recovery scan that rebuilds the translation and allocation state
-// from the flash array alone.
-
-// ShadowL2P returns a copy of the authoritative logical-to-physical map
-// (recovery invariants, tests).
-func (f *LearnedFTL) ShadowL2P() []nand.PPN {
-	return append([]nand.PPN(nil), f.l2p...)
-}
-
-// GTDLocations returns a copy of the GTD's translation-page locations
-// (recovery invariants, tests).
-func (f *LearnedFTL) GTDLocations() []nand.PPN {
-	out := make([]nand.PPN, f.gtd.NumTPNs())
-	for t := range out {
-		out[t] = f.gtd.Lookup(t)
-	}
-	return out
-}
+// state and the translation pool, all in deterministic order) and the
+// crash-recovery path that, after the shared mount scan, re-derives the
+// allocation state from the flash array alone.
 
 // SaveState implements the persist.Device contract.
 func (f *LearnedFTL) SaveState(e *persist.Encoder) {
-	persist.SaveFlash(e, f.fl)
-	persist.SavePPNs(e, f.l2p)
-	persist.SaveGTD(e, f.gtd)
-	persist.SaveCMT(e, f.cmt)
+	f.SaveMapState(e)
+	f.Save(e)
 	e.U64(uint64(len(f.models)))
 	for _, m := range f.models {
 		st := m.ExportState()
@@ -65,7 +46,7 @@ func (f *LearnedFTL) SaveState(e *persist.Encoder) {
 	e.Ints(f.rowInvalid)
 	e.Ints(f.freeRows)
 	e.Ints(f.pending)
-	e.F64(f.emaLen)
+	f.SaveEMA(e)
 	e.Ints(f.tp.active)
 	e.U64(uint64(len(f.tp.free)))
 	for u := range f.tp.free {
@@ -76,17 +57,10 @@ func (f *LearnedFTL) SaveState(e *persist.Encoder) {
 // LoadState restores a snapshot into a freshly constructed LearnedFTL of
 // the same configuration.
 func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
-	if err := persist.LoadFlash(d, f.fl); err != nil {
+	if err := f.LoadMapState(d); err != nil {
 		return err
 	}
-	if err := persist.LoadPPNsInto(d, f.l2p); err != nil {
-		return err
-	}
-	if err := persist.LoadGTD(d, f.gtd); err != nil {
-		return err
-	}
-	f.cmt = newCMT(f.cfg)
-	if err := persist.LoadCMT(d, f.cmt); err != nil {
+	if err := f.Load(d, f.LogicalPages()); err != nil {
 		return err
 	}
 	if n := d.U64(); d.Err() == nil && n != uint64(len(f.models)) {
@@ -95,11 +69,11 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	for i := range f.models {
 		var st learned.ModelState
 		st.Base = d.I64()
-		st.Pieces = make([]learned.Piece, d.U64())
+		st.Pieces = make([]learned.Piece, d.Count())
 		for pi := range st.Pieces {
 			st.Pieces[pi] = learned.Piece{Off: d.I64(), K: d.F64(), B: d.F64()}
 		}
-		st.Bits = make([]uint64, d.U64())
+		st.Bits = make([]uint64, d.Count())
 		for wi := range st.Bits {
 			st.Bits[wi] = d.U64()
 		}
@@ -125,7 +99,7 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	rowInvalid := d.Ints()
 	f.freeRows = d.Ints()
 	f.pending = d.Ints()
-	f.emaLen = d.F64()
+	f.LoadEMA(d)
 	active := d.Ints()
 	nf := d.U64()
 	if d.Err() == nil &&
@@ -149,66 +123,26 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 // RecoverFromCrash implements ftl.CrashRecoverer: every DRAM structure —
 // L2P, GTD, CMT, the in-place models with their bitmap filters, the group
 // allocation table and the translation pool's view — is discarded, then
-// the timed OOB scan rebuilds the L2P (data pages) and GTD (translation
+// the shared mount scan rebuilds the L2P (data pages) and GTD (translation
 // pages), the superblock-row ownership is re-derived from the surviving
 // pages' LPNs, and the allocator views are reconstructed from the write
 // pointers. Models restart untrained: their bitmap filters are all-zero,
 // so every read falls back to the demand path until GC retrains (§III-E2)
 // — slower, never wrong.
 func (f *LearnedFTL) RecoverFromCrash(now nand.Time) nand.Time {
-	for i := range f.l2p {
-		f.l2p[i] = nand.InvalidPPN
-	}
-	f.gtd = mapping.NewGTD(len(f.models))
-	f.cmt = newCMT(f.cfg)
+	f.Reset()
 	for i := range f.models {
-		f.models[i] = learned.NewInPlaceModel(f.cfg.EntriesPerTP, f.cfg.MaxPieces)
+		f.models[i] = learned.NewInPlaceModel(f.Cfg.EntriesPerTP, f.Cfg.MaxPieces)
 	}
 	f.pending = nil
-	f.emaLen = 1
 	f.inGC = false
-	res := persist.ScanOOB(f.fl, now)
-	lp := int64(len(f.l2p))
-	for _, m := range res.Data {
-		if m.Key < 0 || m.Key >= lp {
-			continue
-		}
-		if old := f.l2p[m.Key]; old != nand.InvalidPPN {
-			// Two valid pages for one LPN: power died between the new copy's
-			// program and the old copy's invalidate. The operation was never
-			// acknowledged, so either copy satisfies durability, but exactly
-			// one may stay valid; scan order is deterministic, so
-			// last-seen-wins picks the same survivor on every mount.
-			if err := f.fl.Invalidate(old); err != nil {
-				panic(fmt.Sprintf("core: recovery dedup of LPN %d: %v", m.Key, err))
-			}
-		}
-		f.l2p[m.Key] = m.PPN
-	}
-	for _, m := range res.Trans {
-		if m.Key < 0 || m.Key >= int64(f.gtd.NumTPNs()) {
-			continue
-		}
-		tpn := int(m.Key)
-		if f.gtd.Written(tpn) {
-			if err := f.fl.Invalidate(f.gtd.Lookup(tpn)); err != nil {
-				panic(fmt.Sprintf("core: recovery dedup of TPN %d: %v", tpn, err))
-			}
-		}
-		f.gtd.Update(tpn, m.PPN)
-	}
-	f.lastScan = res.ScanStats
-	// Dedup settled the valid bitmaps; the row recounts below see final
-	// per-page states.
+	done := f.RecoverMappings(now)
+	// The scan's dedup settled the valid bitmaps; the row recounts below see
+	// final per-page states.
 	f.rebuildRows()
 	f.tp.rebuild()
-	return res.Done
+	return done
 }
-
-// MountScanStats returns the bookkeeping counters of the most recent
-// RecoverFromCrash scan: lost mappings, torn pages discarded, bad blocks
-// skipped.
-func (f *LearnedFTL) MountScanStats() persist.ScanStats { return f.lastScan }
 
 // AllocInvariants cross-checks the group-allocation table and translation
 // pool against the flash array and returns human-readable violations
@@ -216,7 +150,7 @@ func (f *LearnedFTL) MountScanStats() persist.ScanStats { return f.lastScan }
 // RecoverFromCrash.
 func (f *LearnedFTL) AllocInvariants() []string {
 	var v []string
-	g := f.fl.Geometry()
+	g := f.Fl.Geometry()
 	for r := 0; r < f.transRows; r++ {
 		if f.rowOwner[r] != -2 {
 			v = append(v, fmt.Sprintf("translation row %d has owner %d, want -2", r, f.rowOwner[r]))
@@ -268,12 +202,12 @@ func (f *LearnedFTL) AllocInvariants() []string {
 	}
 	for u := range f.tp.active {
 		if a := f.tp.active[u]; a >= 0 {
-			if wp := f.fl.BlockWritePtr(a); wp == 0 || wp >= g.PagesPerBlock {
+			if wp := f.Fl.BlockWritePtr(a); wp == 0 || wp >= g.PagesPerBlock {
 				v = append(v, fmt.Sprintf("translation-pool active block %d has write pointer %d", a, wp))
 			}
 		}
 		for _, blk := range f.tp.free[u] {
-			if wp := f.fl.BlockWritePtr(blk); wp != 0 {
+			if wp := f.Fl.BlockWritePtr(blk); wp != 0 {
 				v = append(v, fmt.Sprintf("translation-pool free block %d has write pointer %d", blk, wp))
 			}
 		}
@@ -285,10 +219,10 @@ func (f *LearnedFTL) AllocInvariants() []string {
 // (the row's write position: slots fill in VPPN order, so the programmed
 // slots are a prefix).
 func (f *LearnedFTL) rowProgrammed(r int) int {
-	g := f.fl.Geometry()
+	g := f.Fl.Geometry()
 	n := 0
 	for u := 0; u < g.Units(); u++ {
-		n += f.fl.BlockWritePtr(u*g.BlocksPerUnit + r)
+		n += f.Fl.BlockWritePtr(u*g.BlocksPerUnit + r)
 	}
 	return n
 }
@@ -301,7 +235,7 @@ func (f *LearnedFTL) rowProgrammed(r int) int {
 // group's write position from its most recently opened — least filled —
 // row.
 func (f *LearnedFTL) rebuildRows() {
-	g := f.fl.Geometry()
+	g := f.Fl.Geometry()
 	for r := range f.rowOwner {
 		if r < f.transRows {
 			f.rowOwner[r] = -2
@@ -322,12 +256,12 @@ func (f *LearnedFTL) rebuildRows() {
 		programmed, invalid, firstOwner := 0, 0, -1
 		for u := 0; u < g.Units(); u++ {
 			blk := u*g.BlocksPerUnit + r
-			wp := f.fl.BlockWritePtr(blk)
+			wp := f.Fl.BlockWritePtr(blk)
 			programmed += wp
 			base := nand.PPN(int64(blk) * int64(g.PagesPerBlock))
 			for i := 0; i < wp; i++ {
 				p := base + nand.PPN(i)
-				oob := f.fl.PageOOB(p)
+				oob := f.Fl.PageOOB(p)
 				owner := int(oob.Key / int64(f.span))
 				if owner < 0 || owner >= f.ngroups {
 					continue
@@ -335,7 +269,7 @@ func (f *LearnedFTL) rebuildRows() {
 				if firstOwner == -1 {
 					firstOwner = owner
 				}
-				if f.fl.State(p) == nand.PageValid {
+				if f.Fl.State(p) == nand.PageValid {
 					votes[owner]++
 				} else {
 					invalid++

@@ -38,11 +38,11 @@ func (f *LearnedFTL) RewriteColdest(now nand.Time) (int, nand.Time) {
 			continue
 		}
 		live, bits := 0, 0
-		loTPN := gid * f.cfg.GroupEntries
-		for e := 0; e < f.cfg.GroupEntries; e++ {
+		loTPN := gid * f.Cfg.GroupEntries
+		for e := 0; e < f.Cfg.GroupEntries; e++ {
 			tpn := loTPN + e
 			bits += f.models[tpn].AccurateBits()
-			lo, hi := f.cfg.TPRange(tpn)
+			lo, hi := f.Cfg.TPRange(tpn)
 			for l := lo; l < hi; l++ {
 				if f.Mapped(l) {
 					live++

@@ -35,7 +35,7 @@ func TestRewriteGroupRetrains(t *testing.T) {
 	if mapped == 0 {
 		t.Fatal("nothing mapped")
 	}
-	gcBefore := f.col.GCCount
+	gcBefore := f.Col.GCCount
 	done := f.RewriteGroup(0, now)
 	if done <= now {
 		t.Fatal("rewrite took no time")
@@ -44,14 +44,14 @@ func TestRewriteGroupRetrains(t *testing.T) {
 	if after <= before {
 		t.Fatalf("rewrite did not improve accuracy: %d -> %d", before, after)
 	}
-	if f.col.GCCount <= gcBefore {
+	if f.Col.GCCount <= gcBefore {
 		t.Fatal("rewrite not accounted as a collection")
 	}
 	// Data must survive the rewrite intact.
 	lo := int64(0)
 	hi := int64(f.span)
 	for l := lo; l < hi; l++ {
-		if f.Mapped(l) && f.fl.PageOOB(f.l2p[l]).Key != l {
+		if f.Mapped(l) && f.Fl.PageOOB(f.L2P[l]).Key != l {
 			t.Fatalf("lpn %d corrupted by rewrite", l)
 		}
 	}
@@ -81,10 +81,10 @@ func TestRewriteColdestPicksWorstGroup(t *testing.T) {
 	// Group 1 models should now be highly accurate.
 	bits := 0
 	live := 0
-	for e := 0; e < f.cfg.GroupEntries; e++ {
-		tpn := f.cfg.GroupEntries + e
+	for e := 0; e < f.Cfg.GroupEntries; e++ {
+		tpn := f.Cfg.GroupEntries + e
 		bits += f.models[tpn].AccurateBits()
-		loE, hiE := f.cfg.TPRange(tpn)
+		loE, hiE := f.Cfg.TPRange(tpn)
 		for l := loE; l < hiE; l++ {
 			if f.Mapped(l) {
 				live++
@@ -118,7 +118,7 @@ func TestRewriteNoOpCases(t *testing.T) {
 // nor let the slack collapse, and the GTD must stay coherent throughout.
 func TestTransPoolChurnKeepsSlack(t *testing.T) {
 	f := newFTL(t)
-	ppb := f.cfg.Geometry.PagesPerBlock
+	ppb := f.Cfg.Geometry.PagesPerBlock
 	slots := f.tp.freeSlots()
 	tpns := len(f.models)
 	var now nand.Time
@@ -129,11 +129,11 @@ func TestTransPoolChurnKeepsSlack(t *testing.T) {
 		}
 	}
 	for tpn := 0; tpn < tpns; tpn++ {
-		p := f.gtd.Lookup(tpn)
-		if f.fl.State(p) != nand.PageValid {
-			t.Fatalf("GTD entry %d points at a %v page after pool churn", tpn, f.fl.State(p))
+		p := f.GTD.Lookup(tpn)
+		if f.Fl.State(p) != nand.PageValid {
+			t.Fatalf("GTD entry %d points at a %v page after pool churn", tpn, f.Fl.State(p))
 		}
-		if oob := f.fl.PageOOB(p); !oob.Trans || oob.Key != int64(tpn) {
+		if oob := f.Fl.PageOOB(p); !oob.Trans || oob.Key != int64(tpn) {
 			t.Fatalf("GTD entry %d OOB diverged: %+v", tpn, oob)
 		}
 	}

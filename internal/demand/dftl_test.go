@@ -1,36 +1,15 @@
-package dftl
+package demand
 
 import (
 	"math/rand"
 	"testing"
 
-	"learnedftl/internal/ftl"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/stats"
 )
 
-func testConfig() ftl.Config {
-	g := nand.Geometry{Channels: 4, Ways: 2, Planes: 1, BlocksPerUnit: 8, PagesPerBlock: 16, PageSize: 4096}
-	cfg := ftl.DefaultConfig(g)
-	cfg.EntriesPerTP = 32
-	cfg.GroupEntries = 2
-	cfg.OPRatio = 0.25
-	cfg.GCLowWater = 3
-	cfg.CMTRatio = 0.05
-	return cfg
-}
-
-func fill(t *testing.T, d *DFTL) nand.Time {
-	t.Helper()
-	now := nand.Time(0)
-	for lpn := int64(0); lpn < d.Cfg.LogicalPages(); lpn++ {
-		now = d.WritePages(lpn, 1, now)
-	}
-	return now
-}
-
 func TestReadHitVsMiss(t *testing.T) {
-	d, err := New(testConfig())
+	d, err := NewDFTL(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +46,7 @@ func TestReadHitVsMiss(t *testing.T) {
 }
 
 func TestUnmappedReadIsFree(t *testing.T) {
-	d, _ := New(testConfig())
+	d, _ := NewDFTL(testConfig())
 	done := d.ReadPages(5, 1, 100)
 	if done != 100 {
 		t.Fatalf("unmapped read took time: %d", done)
@@ -80,8 +59,8 @@ func TestUnmappedReadIsFree(t *testing.T) {
 
 func TestDirtyEvictionWritesTranslationPage(t *testing.T) {
 	cfg := testConfig()
-	d, _ := New(cfg)
-	capn := d.CMT().Cap()
+	d, _ := NewDFTL(cfg)
+	capn := d.CMT.Cap()
 	now := nand.Time(0)
 	// Write capn+5 distinct LPNs: 5 dirty evictions must each RMW a
 	// translation page.
@@ -92,14 +71,14 @@ func TestDirtyEvictionWritesTranslationPage(t *testing.T) {
 	if cv.Programs[nand.OpTranslation] < 5 {
 		t.Fatalf("translation programs = %d, want >= 5", cv.Programs[nand.OpTranslation])
 	}
-	if d.CMT().Len() > capn {
-		t.Fatalf("CMT over capacity: %d > %d", d.CMT().Len(), capn)
+	if d.CMT.Len() > capn {
+		t.Fatalf("CMT over capacity: %d > %d", d.CMT.Len(), capn)
 	}
 }
 
 func TestRandomReadsAreMostlyDoubleReads(t *testing.T) {
 	cfg := testConfig()
-	d, _ := New(cfg)
+	d, _ := NewDFTL(cfg)
 	now := fill(t, d)
 	d.Col.Reset()
 	rng := rand.New(rand.NewSource(42))
@@ -116,7 +95,7 @@ func TestRandomReadsAreMostlyDoubleReads(t *testing.T) {
 
 func TestGCKeepsMappingAndCacheCoherent(t *testing.T) {
 	cfg := testConfig()
-	d, _ := New(cfg)
+	d, _ := NewDFTL(cfg)
 	lp := cfg.LogicalPages()
 	rng := rand.New(rand.NewSource(7))
 	now := nand.Time(0)
@@ -128,7 +107,7 @@ func TestGCKeepsMappingAndCacheCoherent(t *testing.T) {
 	}
 	// Every cached mapping must agree with the shadow map.
 	for lpn := int64(0); lpn < lp; lpn++ {
-		if e, ok := d.CMT().Peek(lpn); ok {
+		if e, ok := d.CMT.Peek(lpn); ok {
 			if e.PPN != d.L2P[lpn] {
 				t.Fatalf("lpn %d: CMT %d vs L2P %d", lpn, e.PPN, d.L2P[lpn])
 			}
@@ -150,7 +129,7 @@ func TestGCKeepsMappingAndCacheCoherent(t *testing.T) {
 }
 
 func TestAffectedTPNsDedup(t *testing.T) {
-	f, _ := New(testConfig())
+	f, _ := NewDFTL(testConfig())
 	// GC hands over the moved LPNs in victim-page order, not sorted.
 	got := f.AffectedTPNs([]int64{65, 0, 33, 1, 64, 2})
 	want := []int{0, 1, 2}

@@ -1,4 +1,4 @@
-package tpftl
+package demand
 
 import (
 	"math/rand"
@@ -20,7 +20,7 @@ func testConfig() ftl.Config {
 	return cfg
 }
 
-func fill(tb testing.TB, f *TPFTL) nand.Time {
+func fill(tb testing.TB, f *FTL) nand.Time {
 	tb.Helper()
 	now := nand.Time(0)
 	for lpn := int64(0); lpn < f.Cfg.LogicalPages(); lpn++ {
@@ -30,7 +30,7 @@ func fill(tb testing.TB, f *TPFTL) nand.Time {
 }
 
 func TestPrefetchServesSequentialRequest(t *testing.T) {
-	f, err := New(testConfig())
+	f, err := NewTPFTL(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPrefetchServesSequentialRequest(t *testing.T) {
 
 func TestPrefetchClipsAtTranslationPageBoundary(t *testing.T) {
 	cfg := testConfig()
-	f, _ := New(cfg)
+	f, _ := NewTPFTL(cfg)
 	now := fill(t, f)
 	f.Col.Reset()
 	f.Fl.ResetCounters()
@@ -72,7 +72,7 @@ func TestPrefetchClipsAtTranslationPageBoundary(t *testing.T) {
 
 func TestAdaptiveEMAPrefetchesForShortRequests(t *testing.T) {
 	cfg := testConfig()
-	f, _ := New(cfg)
+	f, _ := NewTPFTL(cfg)
 	now := fill(t, f)
 	// Train the EMA with long requests.
 	for i := 0; i < 20; i++ {
@@ -95,7 +95,7 @@ func TestAdaptiveEMAPrefetchesForShortRequests(t *testing.T) {
 
 func TestRandomReadsStillMostlyDouble(t *testing.T) {
 	cfg := testConfig()
-	f, _ := New(cfg)
+	f, _ := NewTPFTL(cfg)
 	now := fill(t, f)
 	f.Col.Reset()
 	rng := rand.New(rand.NewSource(1))
@@ -110,15 +110,15 @@ func TestRandomReadsStillMostlyDouble(t *testing.T) {
 
 func TestBatchedWritebackFlushesWholeTP(t *testing.T) {
 	cfg := testConfig()
-	f, _ := New(cfg)
-	capn := f.CMT().Cap()
+	f, _ := NewTPFTL(cfg)
+	capn := f.CMT.Cap()
 	now := nand.Time(0)
 	// Dirty many entries of translation page 0, then force evictions by
 	// touching other translation pages.
 	for i := 0; i < cfg.EntriesPerTP && i < capn/2; i++ {
 		now = f.WritePages(int64(i), 1, now)
 	}
-	dirtyBefore := f.CMT().DirtyLen()
+	dirtyBefore := f.CMT.DirtyLen()
 	if dirtyBefore == 0 {
 		t.Fatal("setup produced no dirty entries")
 	}
@@ -129,14 +129,14 @@ func TestBatchedWritebackFlushesWholeTP(t *testing.T) {
 	}
 	// Once an entry of TP0 was evicted, every TP0 dirty sibling became
 	// clean in the same RMW — so the dirty count for TP0 must be zero.
-	if got := f.CMT().CleanRange(0, int64(cfg.EntriesPerTP)); got != 0 {
+	if got := f.CMT.CleanRange(0, int64(cfg.EntriesPerTP)); got != 0 {
 		t.Fatalf("TP0 still has %d dirty entries after batched writeback", got)
 	}
 }
 
 func TestGCCoherence(t *testing.T) {
 	cfg := testConfig()
-	f, _ := New(cfg)
+	f, _ := NewTPFTL(cfg)
 	lp := cfg.LogicalPages()
 	rng := rand.New(rand.NewSource(3))
 	now := nand.Time(0)
@@ -147,7 +147,7 @@ func TestGCCoherence(t *testing.T) {
 		t.Fatal("no GC")
 	}
 	for lpn := int64(0); lpn < lp; lpn++ {
-		if e, ok := f.CMT().Peek(lpn); ok && e.PPN != f.L2P[lpn] {
+		if e, ok := f.CMT.Peek(lpn); ok && e.PPN != f.L2P[lpn] {
 			t.Fatalf("lpn %d: CMT stale after GC", lpn)
 		}
 	}
@@ -157,8 +157,8 @@ func TestSeqVsRandReadThroughputShape(t *testing.T) {
 	// The motivating observation (Fig. 2): sequential reads beat random
 	// reads under TPFTL because prefetch only helps with locality.
 	cfg := testConfig()
-	mk := func() (*TPFTL, nand.Time) {
-		f, _ := New(cfg)
+	mk := func() (*FTL, nand.Time) {
+		f, _ := NewTPFTL(cfg)
 		now := fill(t, f)
 		f.Col.Reset()
 		f.Fl.ResetCounters()

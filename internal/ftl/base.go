@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"learnedftl/internal/fault"
 	"learnedftl/internal/gc"
-	"learnedftl/internal/mapping"
 	"learnedftl/internal/nand"
-	"learnedftl/internal/persist"
-	"learnedftl/internal/stats"
 )
 
 // RelocHooks lets a concrete FTL keep its translation structures coherent
@@ -54,26 +50,16 @@ type BackgroundCollector interface {
 	BackgroundGC(start, deadline nand.Time) nand.Time
 }
 
-// Base bundles the state every dynamic-allocation FTL shares: the flash
-// array, the logical-to-physical shadow map (ground truth), the block
-// manager, the GTD, the garbage-collection controller and the metrics sink.
-// Concrete FTLs embed it.
+// Base is the block-granular device every dynamic-allocation FTL embeds:
+// the shared translation State plus the block manager and the
+// garbage-collection controller that allocate and reclaim single blocks.
 type Base struct {
-	Cfg   Config
-	Fl    *nand.Flash
-	Codec nand.AddrCodec
-	Col   *stats.Collector
-	BM    *BlockMan
-	GTD   *mapping.GTD
+	State
+	BM *BlockMan
 
 	// GC owns victim selection (per Cfg.GCPolicy), the trigger watermarks
 	// and the relocation mechanics.
 	GC *gc.Controller
-
-	// L2P is the authoritative logical-to-physical map. Translation pages
-	// and caches control when flash operations happen; correctness of the
-	// mapping itself is tracked here, as in trace-driven FTL simulators.
-	L2P []nand.PPN
 
 	// Hooks is set by the embedding FTL before the first write.
 	Hooks RelocHooks
@@ -84,63 +70,27 @@ type Base struct {
 	// locality).
 	SortRelocate bool
 
-	// lastScan holds the counters of the most recent RecoverFromCrash
-	// mount scan (see MountScanStats).
-	lastScan persist.ScanStats
-
 	tpnBuf []int // AffectedTPNs' result, reused across collections
 }
 
 // NewBase builds the shared device state for cfg.
 func NewBase(cfg Config) (*Base, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	fl, err := nand.NewFlash(cfg.Geometry, cfg.Timing)
+	st, err := NewState(cfg, cfg.LogicalPages(), cfg.NumTPNs())
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Fault.Enabled {
-		fl.SetFaultModel(fault.New(cfg.Fault, int64(cfg.Geometry.PageSize)*8))
 	}
 	pol, err := gc.NewPolicy(cfg.GCPolicy)
 	if err != nil {
 		return nil, err
 	}
-	lp := cfg.LogicalPages()
-	l2p := make([]nand.PPN, lp)
-	for i := range l2p {
-		l2p[i] = nand.InvalidPPN
-	}
-	b := &Base{
-		Cfg:   cfg,
-		Fl:    fl,
-		Codec: fl.Codec(),
-		Col:   stats.NewCollector(),
-		BM:    NewBlockMan(fl),
-		GTD:   mapping.NewGTD(cfg.NumTPNs()),
-		L2P:   l2p,
-		Hooks: NopHooks{},
-	}
-	b.GC = gc.NewController(fl, b.BM, b, b.Col, pol, cfg.GCLowWater, cfg.GCBGWater)
+	b := &Base{State: st, BM: NewBlockMan(st.Fl), Hooks: NopHooks{}}
+	b.GC = gc.NewController(b.Fl, b.BM, b, b.Col, pol, cfg.GCLowWater, cfg.GCBGWater)
 	// Active-block transitions feed the controller's incremental victim
 	// index: active blocks are never victims, so the index must learn about
 	// every open/retire without rescanning the device.
 	b.BM.SetActiveHook(b.GC.ActiveChanged)
 	return b, nil
 }
-
-// Collector implements FTL.
-func (b *Base) Collector() *stats.Collector { return b.Col }
-
-// Flash implements FTL.
-func (b *Base) Flash() *nand.Flash { return b.Fl }
-
-// Config implements FTL.
-func (b *Base) Config() Config { return b.Cfg }
-
-// Mapped reports whether lpn currently has flash-resident data.
-func (b *Base) Mapped(lpn int64) bool { return b.L2P[lpn] != nand.InvalidPPN }
 
 // PageRelocated implements gc.Host: repoint the GTD for moved translation
 // pages, the shadow map (plus the scheme's caches) for moved data pages.
@@ -266,16 +216,6 @@ func (b *Base) TrimPages(lpn int64, n int, now nand.Time) nand.Time {
 	}
 	b.Col.RecordTrim(n, live)
 	return now
-}
-
-// ReadTrans reads the translation page tpn from flash (a translation read —
-// the first half of a double read). When the page has never been written the
-// mapping is definitionally absent and no flash read occurs.
-func (b *Base) ReadTrans(tpn int, after nand.Time) nand.Time {
-	if !b.GTD.Written(tpn) {
-		return after
-	}
-	return b.Fl.Read(b.GTD.Lookup(tpn), after, nand.OpTranslation)
 }
 
 // UpdateTrans persists the current mappings of translation page tpn: a

@@ -1,7 +1,11 @@
 // Package ftl defines the FTL interface all five reproduced schemes
-// implement, the shared device plumbing (logical-to-physical shadow state,
-// block management with dynamic allocation, translation-page maintenance,
-// greedy garbage collection), and the ideal page-level FTL used as the
+// implement and the translation spine they share. State owns the flash
+// array, the authoritative L2P, the GTD and the mount scan that rebuilds
+// both maps from OOB — once, under every scheme. Base embeds State and adds
+// what is block-granular: the block manager with dynamic allocation,
+// translation-page maintenance, garbage collection, TRIM and scrub. Demand
+// is the demand-paging mapping cache under DFTL, TPFTL (internal/demand) and
+// LearnedFTL (internal/core). Ideal is the full page-level FTL used as the
 // paper's upper bound.
 package ftl
 

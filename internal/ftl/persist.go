@@ -4,17 +4,13 @@ import (
 	"fmt"
 
 	"learnedftl/internal/gc"
-	"learnedftl/internal/mapping"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/persist"
 )
 
-// This file is the persistence side of the shared device state: the
+// This file is the persistence side of the block-granular device: the
 // snapshot hooks Base contributes to every scheme's SaveState/LoadState,
-// and the OOB crash-recovery path that rebuilds the DRAM translation state
-// from the flash array alone (paper Fig. 11: the reverse mapping lives in
-// each page's spare area precisely so a mount can rebuild the L2P after
-// power loss).
+// and the allocator rebuild that follows State's mount scan (state.go).
 
 // CrashRecoverer is implemented by devices that can drop their DRAM state
 // and rebuild it from the flash array's out-of-band metadata, modeling the
@@ -29,28 +25,20 @@ type CrashRecoverer interface {
 // order) and the GC controller's counters. Schemes append their own cache
 // and model state after it.
 func (b *Base) SaveBaseState(e *persist.Encoder) {
-	persist.SaveFlash(e, b.Fl)
-	persist.SavePPNs(e, b.L2P)
-	persist.SaveGTD(e, b.GTD)
+	b.SaveMapState(e)
 	b.BM.save(e)
 	st := b.GC.Stats()
 	e.I64(st.Foreground)
 	e.I64(st.Background)
 	e.I64(st.PagesMoved)
 	e.I64(st.Aborted)
-	e.I64(st.Scrubbed) // version 3
+	e.I64(st.Scrubbed)
 }
 
 // LoadBaseState restores a SaveBaseState section into a freshly
 // constructed Base of the same configuration.
 func (b *Base) LoadBaseState(d *persist.Decoder) error {
-	if err := persist.LoadFlash(d, b.Fl); err != nil {
-		return err
-	}
-	if err := persist.LoadPPNsInto(d, b.L2P); err != nil {
-		return err
-	}
-	if err := persist.LoadGTD(d, b.GTD); err != nil {
+	if err := b.LoadMapState(d); err != nil {
 		return err
 	}
 	if err := b.BM.load(d); err != nil {
@@ -65,9 +53,7 @@ func (b *Base) LoadBaseState(d *persist.Decoder) error {
 		Background: d.I64(),
 		PagesMoved: d.I64(),
 		Aborted:    d.I64(),
-	}
-	if d.Version() >= 3 {
-		st.Scrubbed = d.I64()
+		Scrubbed:   d.I64(),
 	}
 	b.GC.ImportStats(st)
 	return d.Err()
@@ -80,79 +66,18 @@ func (b *Base) SaveState(e *persist.Encoder) { b.SaveBaseState(e) }
 // LoadState is SaveState's counterpart.
 func (b *Base) LoadState(d *persist.Decoder) error { return b.LoadBaseState(d) }
 
-// ShadowL2P returns a copy of the authoritative logical-to-physical map
-// (recovery invariants, tests).
-func (b *Base) ShadowL2P() []nand.PPN {
-	return append([]nand.PPN(nil), b.L2P...)
-}
-
-// GTDLocations returns a copy of the GTD's translation-page locations
-// (recovery invariants, tests).
-func (b *Base) GTDLocations() []nand.PPN {
-	out := make([]nand.PPN, b.GTD.NumTPNs())
-	for t := range out {
-		out[t] = b.GTD.Lookup(t)
-	}
-	return out
-}
-
 // RecoverFromCrash implements CrashRecoverer for every Base-embedding
-// scheme: the DRAM translation state (L2P, GTD, allocator view) is
-// discarded and rebuilt from the flash array's OOB metadata via a timed
-// mount scan. Schemes with DRAM caches shadow this to also drop them — a
-// stale cache would serve pre-crash PPNs.
+// scheme: the mount scan rebuilds L2P and GTD, then the allocator view and
+// the victim index are re-derived from the flash array (a crash rebuild
+// reopens active blocks without per-transition notifications). Schemes with
+// DRAM caches shadow this to also drop them — a stale cache would serve
+// pre-crash PPNs.
 func (b *Base) RecoverFromCrash(now nand.Time) nand.Time {
-	for i := range b.L2P {
-		b.L2P[i] = nand.InvalidPPN
-	}
-	b.GTD = mapping.NewGTD(b.Cfg.NumTPNs())
-	res := persist.ScanOOB(b.Fl, now)
-	lp := int64(len(b.L2P))
-	for _, m := range res.Data {
-		if m.Key < 0 || m.Key >= lp {
-			continue
-		}
-		if old := b.L2P[m.Key]; old != nand.InvalidPPN {
-			// Two valid pages for one LPN: power died between the new copy's
-			// program completing and the old copy's invalidate (host
-			// overwrite, or GC relocation — either way the operation was
-			// never acknowledged, so either copy satisfies durability, but
-			// exactly one may stay valid). Scan order is deterministic, so
-			// last-seen-wins picks the same survivor on every mount.
-			if err := b.Fl.Invalidate(old); err != nil {
-				panic(fmt.Sprintf("ftl: recovery dedup of LPN %d: %v", m.Key, err))
-			}
-		}
-		b.L2P[m.Key] = m.PPN
-	}
-	for _, m := range res.Trans {
-		if m.Key < 0 || m.Key >= int64(b.GTD.NumTPNs()) {
-			continue
-		}
-		tpn := int(m.Key)
-		if b.GTD.Written(tpn) {
-			// Same both-copies-visible race for translation pages: a crash
-			// between UpdateTrans's program and its invalidate.
-			if err := b.Fl.Invalidate(b.GTD.Lookup(tpn)); err != nil {
-				panic(fmt.Sprintf("ftl: recovery dedup of TPN %d: %v", tpn, err))
-			}
-		}
-		b.GTD.Update(tpn, m.PPN)
-	}
-	b.lastScan = res.ScanStats
-	// Dedup ran before the allocator rebuild so per-block valid counts are
-	// settled when RebuildFromFlash snapshots them.
+	done := b.RecoverMappings(now)
 	b.BM.RebuildFromFlash()
-	// Crash rebuild reopens active blocks without per-transition
-	// notifications; resync the victim index's view of them.
 	b.GC.Resync()
-	return res.Done
+	return done
 }
-
-// MountScanStats returns the bookkeeping counters of the most recent
-// RecoverFromCrash scan: lost mappings, torn pages discarded, bad blocks
-// skipped.
-func (b *Base) MountScanStats() persist.ScanStats { return b.lastScan }
 
 // AllocInvariants cross-checks the allocator's view against the flash
 // array and returns human-readable violations (empty means consistent).

@@ -87,7 +87,8 @@ func TestFlatStateMatchesMapBuiltSnapshot(t *testing.T) {
 
 // TestLoadStateRejectsOutOfRangeIndexes: the buffer, the model table and
 // the model-cache index are sized from the configuration, so a snapshot
-// naming an LPN or a translation page outside it is an error, not a panic.
+// naming an LPN or a translation page outside it — or a level or segment
+// count the stream cannot back — is an error, not a panic.
 func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 	cfg := testConfig()
 	src, err := New(cfg)
@@ -108,6 +109,19 @@ func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 			e.U64(1)
 			e.Int(cfg.NumTPNs())
 			e.U64(0)
+		},
+		"level count past the stream": func(e *persist.Encoder) {
+			e.U64(0)
+			e.U64(1)
+			e.Int(0)
+			e.U64(1 << 62)
+		},
+		"segment count past the stream": func(e *persist.Encoder) {
+			e.U64(0)
+			e.U64(1)
+			e.Int(0)
+			e.U64(1)
+			e.U64(1 << 62)
 		},
 		"cached page past the table": func(e *persist.Encoder) {
 			e.U64(0)

@@ -304,7 +304,7 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 		return err
 	}
 	l.buffer = newLPNSet(l.Cfg.LogicalPages())
-	for i, n := uint64(0), d.U64(); i < n && d.Err() == nil; i++ {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		lpn := d.I64()
 		if lpn < 0 || lpn >= l.Cfg.LogicalPages() {
 			return fmt.Errorf("leaftl: snapshot buffers LPN %d of %d", lpn, l.Cfg.LogicalPages())
@@ -312,14 +312,14 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 		l.buffer.add(lpn)
 	}
 	l.models = make([]*learned.LSMT, l.Cfg.NumTPNs())
-	for i, n := uint64(0), d.U64(); i < n && d.Err() == nil; i++ {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		tpn := d.Int()
 		if tpn < 0 || tpn >= len(l.models) {
 			return fmt.Errorf("leaftl: snapshot trains translation page %d of %d", tpn, len(l.models))
 		}
-		levels := make([][]learned.Segment, d.U64())
+		levels := make([][]learned.Segment, d.Count())
 		for li := range levels {
-			lv := make([]learned.Segment, d.U64())
+			lv := make([]learned.Segment, d.Count())
 			for si := range lv {
 				lv[si] = learned.Segment{
 					S:   d.I64(),
@@ -336,7 +336,7 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 		l.models[tpn] = lt
 	}
 	l.cache = newModelCache(l.Cfg.CMTEntries()*8, l.Cfg.NumTPNs())
-	for i, n := uint64(0), d.U64(); i < n && d.Err() == nil; i++ {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		tpn := d.Int()
 		size := d.Int()
 		if tpn < 0 || tpn >= len(l.models) {

@@ -629,12 +629,6 @@ func (f *Flash) BlockFreePages(blockID int) int {
 // ChipBusyUntil returns the next idle time of the given parallel unit.
 func (f *Flash) ChipBusyUntil(chip int) Time { return f.chipBusy[chip] }
 
-// LegacyPageMetaBytesPerPage is what the pre-packed struct layout spent per
-// physical page: a one-byte PageState plus a 16-byte OOB struct (int64 key,
-// bool, padding). The footprint tests pin the packed layout's win against
-// it.
-const LegacyPageMetaBytesPerPage = 17
-
 // Footprint summarizes the resident bytes of the device model's metadata
 // arrays — the memory the simulator spends per simulated flash page, which
 // is what bounds how large a geometry a sweep can hold in RAM.
@@ -687,9 +681,7 @@ type FlashState struct {
 	Counters   OpCounters
 	// Lifetime is the cumulative operation count including Counters.
 	Lifetime OpCounters
-	// Reliability state (snapshot format v3). Nil Reads/Bad — a snapshot
-	// taken before the fault model existed — import as all-zero, which is
-	// exactly the state of a device that never saw a fault model.
+	// Reliability state, per block.
 	Reads []int64
 	Bad   []bool
 	Rel   RelCounters
@@ -733,9 +725,9 @@ func (f *Flash) ImportState(s FlashState) error {
 		return fmt.Errorf("nand: import of %d blocks into %d-block device", len(s.Erases), len(f.blocks))
 	case len(s.ChipBusy) != len(f.chipBusy):
 		return fmt.Errorf("nand: import of %d chips into %d-chip device", len(s.ChipBusy), len(f.chipBusy))
-	case s.Reads != nil && len(s.Reads) != len(f.blocks):
+	case len(s.Reads) != len(f.blocks):
 		return fmt.Errorf("nand: import of %d block read counters into %d-block device", len(s.Reads), len(f.blocks))
-	case s.Bad != nil && len(s.Bad) != len(f.blocks):
+	case len(s.Bad) != len(f.blocks):
 		return fmt.Errorf("nand: import of %d bad-block flags into %d-block device", len(s.Bad), len(f.blocks))
 	}
 	ppb := f.geo.PagesPerBlock
@@ -758,19 +750,14 @@ func (f *Flash) ImportState(s FlashState) error {
 				valid++
 			}
 		}
-		meta := blockMeta{
+		f.blocks[b] = blockMeta{
 			valid:    valid,
 			writePtr: wp,
 			erases:   s.Erases[b],
 			lastMod:  s.LastMod[b],
+			reads:    s.Reads[b],
+			bad:      s.Bad[b],
 		}
-		if s.Reads != nil {
-			meta.reads = s.Reads[b]
-		}
-		if s.Bad != nil {
-			meta.bad = s.Bad[b]
-		}
-		f.blocks[b] = meta
 	}
 	f.badCount = 0
 	for b := range f.blocks {

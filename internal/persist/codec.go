@@ -81,20 +81,10 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
-	// ver is the snapshot format version the stream was written under.
-	// NewDecoder assumes the current Version; Restore overrides it from the
-	// snapshot header so version-aware sections (LoadFlash) can decode
-	// legacy streams.
-	ver uint64
 }
 
-// NewDecoder returns a decoder over data, assuming the current format
-// version.
-func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data, ver: Version} }
-
-// Version returns the format version the decoder's stream was written
-// under.
-func (d *Decoder) Version() uint64 { return d.ver }
+// NewDecoder returns a decoder over data.
+func NewDecoder(data []byte) *Decoder { return &Decoder{buf: data} }
 
 // err1 latches the sticky error with the failing read's context.
 func (d *Decoder) err1(context string) {
@@ -121,6 +111,18 @@ func (d *Decoder) U64() uint64 {
 	}
 	d.off += n
 	return v
+}
+
+// Count reads an element count: a U64 that fails when it exceeds the bytes
+// left. Every element encodes to at least one byte, so a corrupt count can
+// neither size an allocation nor drive a loop past the stream.
+func (d *Decoder) Count() int {
+	n := d.U64()
+	if d.err == nil && n > uint64(d.Remaining()) {
+		d.err1("count")
+		return 0
+	}
+	return int(n)
 }
 
 // I64 reads a zig-zag signed varint.
@@ -206,11 +208,8 @@ func (d *Decoder) Words() []uint64 {
 
 // Ints reads a length-prefixed signed-varint slice.
 func (d *Decoder) Ints() []int {
-	n := d.U64()
-	if d.err != nil || uint64(d.Remaining()) < n {
-		if d.err == nil {
-			d.err1("ints")
-		}
+	n := d.Count()
+	if d.err != nil {
 		return nil
 	}
 	out := make([]int, n)

@@ -27,24 +27,10 @@ import (
 )
 
 // Version is the snapshot format version; bump on any encoding change.
-// Snapshot always writes the current version; Restore additionally keeps a
-// decoder for the immediately preceding one, so checkpoint caches written
-// before a bump either load exactly (when the old format is still
-// decodable, as v1's struct-layout flash section is) or fail cleanly and
-// fall back to a cold warm-up.
-//
-// Version 2 packed the flash section: page states as two bitmaps
-// (programmed, valid) and the OOB as tagged keys, matching the in-memory
-// packed layout.
-//
-// Version 3 appended the reliability state to the flash section: per-block
-// read-disturb counters, grown bad-block flags and the reliability event
-// tallies. Version-1/2 streams load with that state zeroed — exactly a
-// device that never ran with a fault model.
+// Restore accepts exactly this version: the checkpoint cache is a cache, so
+// a snapshot written before a bump fails cleanly and its owner falls back to
+// a cold warm-up.
 const Version = 3
-
-// oldestDecodableVersion is the lowest snapshot version Restore accepts.
-const oldestDecodableVersion = 1
 
 // magic leads every snapshot.
 const magic = "LFTLSNAP"
@@ -101,11 +87,9 @@ func Restore(dev Device, fingerprint string, data []byte) error {
 	if m := d.Str(); m != magic {
 		return fmt.Errorf("persist: bad snapshot magic %q", m)
 	}
-	v := d.U64()
-	if v < oldestDecodableVersion || v > Version {
-		return fmt.Errorf("persist: snapshot version %d, want %d..%d", v, oldestDecodableVersion, Version)
+	if v := d.U64(); v != Version {
+		return fmt.Errorf("persist: snapshot version %d, want %d", v, Version)
 	}
-	d.ver = v
 	if n := d.Str(); n != dev.Name() {
 		return fmt.Errorf("persist: snapshot of scheme %q restored into %q", n, dev.Name())
 	}
@@ -127,9 +111,9 @@ func Restore(dev Device, fingerprint string, data []byte) error {
 	return nil
 }
 
-// SaveFlash appends the flash array's exported state in the packed version-2
-// form: programmed/valid bitmaps as fixed-width words and the OOB as one
-// tagged varint key per page.
+// SaveFlash appends the flash array's exported state in its packed form:
+// programmed/valid bitmaps as fixed-width words and the OOB as one tagged
+// varint key per page.
 func SaveFlash(e *Encoder, fl *nand.Flash) {
 	s := fl.ExportState()
 	e.Words(s.Programmed)
@@ -149,8 +133,7 @@ func SaveFlash(e *Encoder, fl *nand.Flash) {
 	}
 	saveCounters(e, s.Counters)
 	saveCounters(e, s.Lifetime)
-	// Version 3: reliability state. Reads and Bad share one length (both
-	// per-block).
+	// Reliability state. Reads and Bad share one length (both per-block).
 	e.U64(uint64(len(s.Reads)))
 	for _, r := range s.Reads {
 		e.I64(r)
@@ -181,85 +164,41 @@ func loadRelCounters(d *Decoder) nand.RelCounters {
 	}
 }
 
-// LoadFlash restores a SaveFlash section into fl (same geometry),
-// dispatching on the decoder's format version: version 2 streams carry the
-// packed bitmaps directly; version-1 streams carry the historical
-// byte-per-state + struct-OOB layout, which decodes into the same packed
-// state bit for bit.
+// LoadFlash restores a SaveFlash section into fl (same geometry).
 func LoadFlash(d *Decoder, fl *nand.Flash) error {
 	var s nand.FlashState
-	if d.Version() >= 2 {
-		s.Programmed = d.Words()
-		s.Valid = d.Words()
-		s.Keys = make([]int64, d.U64())
-		for i := range s.Keys {
-			s.Keys[i] = d.I64()
-		}
-	} else {
-		loadFlashV1Pages(d, &s)
+	s.Programmed = d.Words()
+	s.Valid = d.Words()
+	s.Keys = make([]int64, d.Count())
+	for i := range s.Keys {
+		s.Keys[i] = d.I64()
 	}
-	nb := d.U64()
+	nb := d.Count()
 	s.Erases = make([]int64, nb)
 	s.LastMod = make([]nand.Time, nb)
 	for i := range s.Erases {
 		s.Erases[i] = d.I64()
 		s.LastMod[i] = nand.Time(d.I64())
 	}
-	s.ChipBusy = make([]nand.Time, d.U64())
+	s.ChipBusy = make([]nand.Time, d.Count())
 	for i := range s.ChipBusy {
 		s.ChipBusy[i] = nand.Time(d.I64())
 	}
 	s.Counters = loadCounters(d)
 	s.Lifetime = loadCounters(d)
-	if d.Version() >= 3 {
-		s.Reads = make([]int64, d.U64())
-		for i := range s.Reads {
-			s.Reads[i] = d.I64()
-		}
-		s.Bad = make([]bool, len(s.Reads))
-		for i := range s.Bad {
-			s.Bad[i] = d.Bool()
-		}
-		s.Rel = loadRelCounters(d)
+	s.Reads = make([]int64, d.Count())
+	for i := range s.Reads {
+		s.Reads[i] = d.I64()
 	}
+	s.Bad = make([]bool, len(s.Reads))
+	for i := range s.Bad {
+		s.Bad[i] = d.Bool()
+	}
+	s.Rel = loadRelCounters(d)
 	if err := d.Err(); err != nil {
 		return err
 	}
 	return fl.ImportState(s)
-}
-
-// loadFlashV1Pages decodes the version-1 page section — one state byte per
-// page followed by (key, trans) OOB pairs — into the packed representation.
-func loadFlashV1Pages(d *Decoder, s *nand.FlashState) {
-	raw := d.Blob()
-	words := (len(raw) + 63) / 64
-	s.Programmed = make([]uint64, words)
-	s.Valid = make([]uint64, words)
-	for i, b := range raw {
-		w, m := i>>6, uint64(1)<<(uint(i)&63)
-		switch nand.PageState(b) {
-		case nand.PageValid:
-			s.Programmed[w] |= m
-			s.Valid[w] |= m
-		case nand.PageInvalid:
-			s.Programmed[w] |= m
-		}
-	}
-	n := d.U64()
-	if d.Err() == nil && n != uint64(len(raw)) {
-		d.err1("v1 OOB count")
-		return
-	}
-	s.Keys = make([]int64, n)
-	for i := range s.Keys {
-		key := d.I64()
-		trans := d.Bool()
-		k := key << 1
-		if trans {
-			k |= 1
-		}
-		s.Keys[i] = k
-	}
 }
 
 func saveCounters(e *Encoder, c nand.OpCounters) {
@@ -340,16 +279,21 @@ func SaveCMT(e *Encoder, c *mapping.CMT) {
 
 // LoadCMT restores a SaveCMT section into a freshly constructed CMT of the
 // capacity the snapshot was taken under: inserting the saved entries in
-// LRU→MRU order reproduces contents, dirty flags and recency exactly.
-func LoadCMT(d *Decoder, c *mapping.CMT) error {
-	n := d.U64()
-	if d.Err() == nil && c.Cap() > 0 && n > uint64(c.Cap()) {
+// LRU→MRU order reproduces contents, dirty flags and recency exactly. A
+// cached LPN outside [0, logicalPages) is rejected — it would index the GTD
+// out of range on its eviction.
+func LoadCMT(d *Decoder, c *mapping.CMT, logicalPages int64) error {
+	n := d.Count()
+	if d.Err() == nil && n > c.Cap() {
 		return fmt.Errorf("persist: CMT of %d entries into capacity %d", n, c.Cap())
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		lpn := d.I64()
 		ppn := nand.PPN(d.I64())
 		dirty := d.Bool()
+		if d.Err() == nil && (lpn < 0 || lpn >= logicalPages) {
+			return fmt.Errorf("persist: CMT caches LPN %d of %d", lpn, logicalPages)
+		}
 		c.Insert(lpn, ppn, dirty)
 	}
 	return d.Err()

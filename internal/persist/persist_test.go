@@ -129,7 +129,7 @@ func TestCMTSectionPreservesRecencyAndDirty(t *testing.T) {
 	e := NewEncoder()
 	SaveCMT(e, src)
 	dst := mapping.NewCMT(4)
-	if err := LoadCMT(NewDecoder(e.Data()), dst); err != nil {
+	if err := LoadCMT(NewDecoder(e.Data()), dst, 100); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != 3 || dst.DirtyLen() != 1 {
@@ -143,7 +143,7 @@ func TestCMTSectionPreservesRecencyAndDirty(t *testing.T) {
 		}
 	}
 	// Capacity mismatch is rejected.
-	if err := LoadCMT(NewDecoder(e.Data()), mapping.NewCMT(2)); err == nil {
+	if err := LoadCMT(NewDecoder(e.Data()), mapping.NewCMT(2), 100); err == nil {
 		t.Fatal("over-capacity CMT section accepted")
 	}
 }
@@ -187,155 +187,9 @@ func TestScanOOBRebuildsMappingsAndChargesReads(t *testing.T) {
 	}
 }
 
-// saveFlashV1 writes the retired version-1 flash page section (one state
-// byte per page, then (key, trans) OOB struct pairs) so the compat decoder
-// can be pinned against the real legacy format.
-func saveFlashV1(e *Encoder, fl *nand.Flash) {
-	pages := fl.Geometry().TotalPages()
-	states := make([]byte, pages)
-	for p := 0; p < pages; p++ {
-		states[p] = byte(fl.State(nand.PPN(p)))
-	}
-	e.Blob(states)
-	e.U64(uint64(pages))
-	for p := 0; p < pages; p++ {
-		oob := fl.PageOOB(nand.PPN(p))
-		e.I64(oob.Key)
-		e.Bool(oob.Trans)
-	}
-	s := fl.ExportState()
-	e.U64(uint64(len(s.Erases)))
-	for i := range s.Erases {
-		e.I64(s.Erases[i])
-		e.I64(int64(s.LastMod[i]))
-	}
-	e.U64(uint64(len(s.ChipBusy)))
-	for _, t := range s.ChipBusy {
-		e.I64(int64(t))
-	}
-	saveCounters(e, s.Counters)
-	saveCounters(e, s.Lifetime)
-}
-
-// TestLoadFlashDecodesVersion1 pins the legacy decoder: a version-1 flash
-// section (struct layout) must restore into exactly the same packed state a
-// version-2 section produces, so checkpoint caches written before the
-// format bump keep loading bit-for-bit.
-func TestLoadFlashDecodesVersion1(t *testing.T) {
-	g := nand.Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}
-	fl := mustFlash(g)
-	var now nand.Time
-	for i, oob := range []nand.OOB{{Key: 11}, {Key: 22, Trans: true}, {Key: 33}} {
-		done, err := fl.Program(nand.PPN(i), oob, now, nand.OpHostData)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-	}
-	if err := fl.Invalidate(0); err != nil {
-		t.Fatal(err)
-	}
-
-	e := NewEncoder()
-	saveFlashV1(e, fl)
-	d := NewDecoder(e.Data())
-	d.ver = 1
-	got := mustFlash(g)
-	if err := LoadFlash(d, got); err != nil {
-		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left after v1 decode", d.Remaining())
-	}
-
-	// Re-encoding both devices under the current version must agree byte
-	// for byte: the v1 decode landed on the identical packed state.
-	want := NewEncoder()
-	SaveFlash(want, fl)
-	check := NewEncoder()
-	SaveFlash(check, got)
-	if !bytes.Equal(want.Data(), check.Data()) {
-		t.Fatal("v1-decoded flash state diverged from the source device")
-	}
-}
-
-// saveFlashV2 encodes the packed version-2 flash section — bitmaps, keys,
-// per-block erase/lastMod, chip clocks and counters, with no reliability
-// tail — the layout checkpoints written before the version-3 bump carry.
-func saveFlashV2(e *Encoder, fl *nand.Flash) {
-	s := fl.ExportState()
-	e.Words(s.Programmed)
-	e.Words(s.Valid)
-	e.U64(uint64(len(s.Keys)))
-	for _, k := range s.Keys {
-		e.I64(k)
-	}
-	e.U64(uint64(len(s.Erases)))
-	for i := range s.Erases {
-		e.I64(s.Erases[i])
-		e.I64(int64(s.LastMod[i]))
-	}
-	e.U64(uint64(len(s.ChipBusy)))
-	for _, t := range s.ChipBusy {
-		e.I64(int64(t))
-	}
-	saveCounters(e, s.Counters)
-	saveCounters(e, s.Lifetime)
-}
-
-// TestLoadFlashDecodesVersion2 pins the reliability-state upgrade path: a
-// version-2 flash section (no reliability tail) must restore with the
-// read-disturb counters, the bad-block list and the event tallies all
-// zeroed — exactly the state of a device that has never run with the fault
-// model attached. Since the simulator is deterministic, byte-identical
-// state means a fault-disabled continuation from a v2 checkpoint behaves
-// bit for bit like one from a v3 checkpoint of the same device.
-func TestLoadFlashDecodesVersion2(t *testing.T) {
-	g := nand.Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}
-	fl := mustFlash(g)
-	var now nand.Time
-	for i, oob := range []nand.OOB{{Key: 11}, {Key: 22, Trans: true}, {Key: 33}} {
-		done, err := fl.Program(nand.PPN(i), oob, now, nand.OpHostData)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = done
-	}
-	if err := fl.Invalidate(0); err != nil {
-		t.Fatal(err)
-	}
-
-	e := NewEncoder()
-	saveFlashV2(e, fl)
-	d := NewDecoder(e.Data())
-	d.ver = 2
-	got := mustFlash(g)
-	if err := LoadFlash(d, got); err != nil {
-		t.Fatal(err)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d bytes left after v2 decode", d.Remaining())
-	}
-	if got.BadBlocks() != 0 {
-		t.Fatalf("v2 decode grew %d bad blocks", got.BadBlocks())
-	}
-	if rel := got.RelCounters(); rel != (nand.RelCounters{}) {
-		t.Fatalf("v2 decode carried reliability tallies %+v", rel)
-	}
-
-	// The source never had a fault model attached, so its reliability state
-	// is zero too: a version-3 re-encode of both must agree byte for byte.
-	want := NewEncoder()
-	SaveFlash(want, fl)
-	check := NewEncoder()
-	SaveFlash(check, got)
-	if !bytes.Equal(want.Data(), check.Data()) {
-		t.Fatal("v2-decoded flash state diverged from the source device")
-	}
-}
-
-// TestRestoreVersionWindow: Restore accepts the current and the previous
-// format version and rejects anything outside the window.
+// TestRestoreVersionWindow: Restore accepts exactly the current format
+// version. Snapshots of the retired version-1 and version-2 layouts are
+// rejected with an error, which Cache turns into a cold warm-up.
 func TestRestoreVersionWindow(t *testing.T) {
 	body := func(version uint64) []byte {
 		e := NewEncoder()
@@ -351,7 +205,7 @@ func TestRestoreVersionWindow(t *testing.T) {
 	for _, tc := range []struct {
 		version uint64
 		ok      bool
-	}{{0, false}, {1, true}, {Version, true}, {Version + 1, false}} {
+	}{{0, false}, {1, false}, {2, false}, {Version, true}, {Version + 1, false}} {
 		dst := &fakeDevice{name: "dev"}
 		err := Restore(dst, "fp", body(tc.version))
 		if (err == nil) != tc.ok {
@@ -360,6 +214,87 @@ func TestRestoreVersionWindow(t *testing.T) {
 		if tc.ok && dst.value != 77 {
 			t.Fatalf("version %d restored value %d", tc.version, dst.value)
 		}
+	}
+}
+
+// hugeCount is a count no stream can back: a decoder that sized an
+// allocation from it would panic with "makeslice: len out of range".
+const hugeCount = uint64(1) << 62
+
+// TestDecodersRejectOversizedCounts hand-builds streams whose element counts
+// exceed the bytes behind them — one per count-prefixed section of LoadFlash
+// and LoadCMT — plus a cached LPN outside the logical space. Each must come
+// back as an error; none may panic or spin.
+func TestDecodersRejectOversizedCounts(t *testing.T) {
+	g := nand.Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}
+	words := make([]uint64, (g.TotalPages()+63)/64)
+	// flashUpTo encodes a well-formed flash section up to (excluding) the
+	// named count, then the oversized count in its place.
+	flashUpTo := func(section string) []byte {
+		e := NewEncoder()
+		e.Words(words)
+		e.Words(words)
+		if section == "keys" {
+			e.U64(hugeCount)
+			return e.Data()
+		}
+		e.U64(uint64(g.TotalPages()))
+		for p := 0; p < g.TotalPages(); p++ {
+			e.I64(0)
+		}
+		if section == "blocks" {
+			e.U64(hugeCount)
+			return e.Data()
+		}
+		e.U64(uint64(g.TotalBlocks()))
+		for b := 0; b < g.TotalBlocks(); b++ {
+			e.I64(0)
+			e.I64(0)
+		}
+		if section == "chips" {
+			e.U64(hugeCount)
+			return e.Data()
+		}
+		e.U64(uint64(g.Chips()))
+		for c := 0; c < g.Chips(); c++ {
+			e.I64(0)
+		}
+		saveCounters(e, nand.OpCounters{})
+		saveCounters(e, nand.OpCounters{})
+		e.U64(hugeCount) // "reads"
+		return e.Data()
+	}
+	cmt := func(n uint64, lpns ...int64) []byte {
+		e := NewEncoder()
+		e.U64(n)
+		for _, l := range lpns {
+			e.I64(l)
+			e.I64(7)
+			e.Bool(false)
+		}
+		return e.Data()
+	}
+	for _, tc := range []struct {
+		name string
+		load func() error
+	}{
+		{"flash keys", func() error { return LoadFlash(NewDecoder(flashUpTo("keys")), mustFlash(g)) }},
+		{"flash blocks", func() error { return LoadFlash(NewDecoder(flashUpTo("blocks")), mustFlash(g)) }},
+		{"flash chips", func() error { return LoadFlash(NewDecoder(flashUpTo("chips")), mustFlash(g)) }},
+		{"flash reads", func() error { return LoadFlash(NewDecoder(flashUpTo("reads")), mustFlash(g)) }},
+		{"cmt count", func() error { return LoadCMT(NewDecoder(cmt(hugeCount)), mapping.NewCMT(4), 100) }},
+		{"cmt count, capacity 0", func() error { return LoadCMT(NewDecoder(cmt(hugeCount)), mapping.NewCMT(0), 100) }},
+		{"cmt lpn past the logical space", func() error { return LoadCMT(NewDecoder(cmt(1, 100)), mapping.NewCMT(4), 100) }},
+		{"cmt negative lpn", func() error { return LoadCMT(NewDecoder(cmt(1, -1)), mapping.NewCMT(4), 100) }},
+	} {
+		if err := tc.load(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// The same builder with a sane tail decodes: the cases above fail on the
+	// count, not on the prefix.
+	if err := LoadCMT(NewDecoder(cmt(1, 99)), mapping.NewCMT(4), 100); err != nil {
+		t.Fatalf("well-formed CMT section rejected: %v", err)
 	}
 }
 

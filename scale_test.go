@@ -30,8 +30,8 @@ func TestScaleExperimentTinyRung(t *testing.T) {
 		if err != nil {
 			t.Fatalf("meta B/page column %q: %v", row[3], err)
 		}
-		if ratio := nand.LegacyPageMetaBytesPerPage / bpp; ratio < 1.8 {
-			t.Fatalf("scale reports %.2f B/page — only %.2fx under the struct layout", bpp, ratio)
+		if bpp > 9.4 { // 1.8x under the retired struct layout's 17 B/page
+			t.Fatalf("scale reports %.2f B/page, want <= 9.4", bpp)
 		}
 		if !strings.HasSuffix(row[1], "GiB") {
 			t.Fatalf("device column %q", row[1])
@@ -92,8 +92,8 @@ func TestReportCarriesFootprint(t *testing.T) {
 		t.Fatalf("report footprint = (%d, %v), want (%d, %v)",
 			r.ModelBytes, r.ModelBytesPerPage, want.TotalBytes, want.BytesPerPage)
 	}
-	if ratio := nand.LegacyPageMetaBytesPerPage / r.ModelBytesPerPage; ratio < 1.8 {
-		t.Fatalf("packed layout only %.2fx under the struct layout", ratio)
+	if r.ModelBytesPerPage > 9.4 { // 1.8x under the retired struct layout's 17 B/page
+		t.Fatalf("packed layout spends %.2f B/page, want <= 9.4", r.ModelBytesPerPage)
 	}
 	if FootprintOf(TinyConfig()) != want {
 		t.Fatal("FootprintOf diverges from the device's own footprint")

@@ -84,6 +84,41 @@ WebSearch2  0.20ms     0.20ms      0.12ms          0.12ms     0.40ms      0.36ms
 WebSearch3  0.24ms     0.20ms      0.16ms          0.08ms     0.40ms      0.24ms       0.32ms           0.16ms
 Systor17    42.76ms    0.16ms      0.68ms          24.28ms    74.56ms     512.80ms     79.48ms          57.88ms
 `,
+	// fig14 and mountlat were captured at commit 790da67, before the
+	// translation state and the demand-paging cache were folded into one owner
+	// each: they pin every scheme's four FIO paths (DFTL's read path included)
+	// and the mount scan's recovered/scanned/latency numbers.
+	"fig14": `== Fig 14: FIO at 64 threads (throughput MB/s; CMT+model hit; WA) ==
+FTL         randread  seqread  randwrite  seqwrite  rr CMT  rr model  sr CMT  sr model  WA rand  WA seq
+DFTL        602.8     571.1    10.7       12.4      2.4%    0.0%      0.1%    0.0%      2.80     2.99
+TPFTL       583.0     2472.3   8.0        12.5      2.2%    0.0%      87.5%   0.0%      3.25     2.47
+LeaFTL      586.5     2726.9   13.8       18.4      5.3%    2.2%      94.2%   88.5%     2.84     2.47
+LearnedFTL  1107.8    4141.0   134.8      62.4      1.2%    88.6%     7.0%    92.0%     1.40     4.53
+ideal       1268.3    4069.0   41.0       188.0     100.0%  0.0%      100.0%  0.0%      1.94     1.47
+`,
+	"mountlat": `== Mount latency: OOB crash-recovery scan vs device fill (scanned = programmed pages whose OOB the mount read) ==
+FTL         fill    recovered LPNs  scanned pages  mount
+DFTL        25.0%   8960            16845          27.56ms
+DFTL        50.0%   17920           34765          40.96ms
+DFTL        75.0%   26880           52685          40.96ms
+DFTL        100.0%  35840           54285          40.96ms
+TPFTL       25.0%   8960            9084           8.08ms
+TPFTL       50.0%   17920           18184          16.48ms
+TPFTL       75.0%   26880           27284          24.88ms
+TPFTL       100.0%  35840           36384          33.28ms
+LeaFTL      25.0%   8192            8320           5.28ms
+LeaFTL      50.0%   16384           16640          10.56ms
+LeaFTL      75.0%   26624           27040          17.16ms
+LeaFTL      100.0%  34816           35360          22.44ms
+LearnedFTL  25.0%   8960            9092           8.24ms
+LearnedFTL  50.0%   17920           18192          16.32ms
+LearnedFTL  75.0%   26880           27292          21.92ms
+LearnedFTL  100.0%  35840           36392          27.52ms
+ideal       25.0%   8960            8960           5.60ms
+ideal       50.0%   17920           17920          11.20ms
+ideal       75.0%   26880           26880          16.80ms
+ideal       100.0%  35840           35840          22.40ms
+`,
 }
 
 // trimTrailing strips the column padding Table.String appends to every
