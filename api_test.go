@@ -28,6 +28,21 @@ func TestSchemesConstruct(t *testing.T) {
 	if _, err := New(Scheme(99), cfg); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
+	// A geometry past the 2³¹−1-page table width — here one whose page count
+	// also overflows int — and a group span past it are errors from every
+	// constructor, before anything is sized by them.
+	huge := cfg
+	huge.Geometry.BlocksPerUnit = 1 << 50
+	wide := cfg
+	wide.GroupEntries = 1 << 40
+	for _, s := range Schemes() {
+		if _, err := New(s, huge); err == nil || !strings.Contains(err.Error(), "device limit") {
+			t.Errorf("%v: oversized geometry: err = %v", s, err)
+		}
+		if _, err := New(s, wide); err == nil || !strings.Contains(err.Error(), "device limit") {
+			t.Errorf("%v: oversized group span: err = %v", s, err)
+		}
+	}
 }
 
 func TestConfigsAreValid(t *testing.T) {

@@ -1,6 +1,7 @@
 package learnedftl
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -289,6 +290,29 @@ func BenchmarkCMTLookupMissEvict(b *testing.B) {
 			c.EvictLRU()
 		}
 	}
+}
+
+// BenchmarkL2PColdGet is the table miss under every random read: one Get at
+// a uniformly random LPN of the benchmark device's 165 888-entry map. The
+// LPNs come from an inline xorshift so no index array competes for the cache
+// the table is measured against.
+func BenchmarkL2PColdGet(b *testing.B) {
+	const lpns = 165888
+	m := mapping.NewL2P(lpns)
+	for l := int64(0); l < lpns; l++ {
+		m.Set(l, nand.PPN(l))
+	}
+	x, sum := uint64(88172645463325252), 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		hi, _ := bits.Mul64(x, lpns)
+		sum += int(m.Get(int64(hi)))
+	}
+	codecSink = sum
 }
 
 // BenchmarkCMTCleanRange is the batched write-back of one translation page:

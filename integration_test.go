@@ -220,8 +220,8 @@ func TestChannelFastScanOrder(t *testing.T) {
 	f.WritePages(0, chips, 0)
 	codec := nand.NewAddrCodec(cfg.Geometry)
 	for i := 1; i < chips; i++ {
-		prev := codec.ToVirtual(f.L2P[int64(i-1)])
-		cur := codec.ToVirtual(f.L2P[int64(i)])
+		prev := codec.ToVirtual(f.L2P.Get(int64(i - 1)))
+		cur := codec.ToVirtual(f.L2P.Get(int64(i)))
 		if cur != prev+1 {
 			t.Fatalf("page %d: VPPN %d not contiguous with %d", i, cur, prev)
 		}

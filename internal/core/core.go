@@ -235,7 +235,7 @@ func (f *LearnedFTL) Name() string { return "LearnedFTL" }
 func (f *LearnedFTL) Options() Options { return f.opt }
 
 // LogicalPages returns the group-aligned logical capacity of this device.
-func (f *LearnedFTL) LogicalPages() int64 { return int64(len(f.L2P)) }
+func (f *LearnedFTL) LogicalPages() int64 { return f.L2P.Len() }
 
 // TrimPages implements ftl.FTL: drop the mappings of n consecutive LPNs,
 // invalidating their flash pages (free reclaim for group GC), clearing the
@@ -248,9 +248,9 @@ func (f *LearnedFTL) TrimPages(lpn int64, n int, now nand.Time) nand.Time {
 		tpn := f.Cfg.TPNOf(l)
 		f.models[tpn].Invalidate(int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP)))
 		f.CMT.Remove(l)
-		if old := f.L2P[l]; old != nand.InvalidPPN {
+		if old := f.L2P.Get(l); old != nand.InvalidPPN {
 			f.invalidateData(old)
-			f.L2P[l] = nand.InvalidPPN
+			f.L2P.Set(l, nand.InvalidPPN)
 			live++
 		}
 	}
@@ -345,9 +345,9 @@ func (f *LearnedFTL) readOne(lpn int64, remaining int, now nand.Time) nand.Time 
 	// miss penalty.
 	if v, ok := f.models[tpn].Predict(off); ok {
 		ppn := f.fromVirtual(v)
-		if ppn != f.L2P[lpn] {
+		if ppn != f.L2P.Get(lpn) {
 			panic(fmt.Sprintf("core: model predicted %d for lpn %d but truth is %d (bitmap invariant broken)",
-				ppn, lpn, f.L2P[lpn]))
+				ppn, lpn, f.L2P.Get(lpn)))
 		}
 		f.Col.ModelHits++
 		f.Col.RecordClass(stats.ReadSingle)
@@ -363,7 +363,7 @@ func (f *LearnedFTL) readOne(lpn int64, remaining int, now nand.Time) nand.Time 
 	f.Fill(lpn, remaining, f.L2P)
 	t = f.Drain(t)
 	f.Col.RecordClass(stats.ReadDouble)
-	return f.Fl.Read(f.L2P[lpn], t, nand.OpHostData)
+	return f.Fl.Read(f.L2P.Get(lpn), t, nand.OpHostData)
 }
 
 // WritePages implements ftl.FTL.
@@ -387,8 +387,8 @@ func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 			// re-derive the anchor from the live mapping and only install
 			// when the run is still contiguous (GC already retrained the
 			// moved part).
-			firstV := f.toVirtual(f.L2P[cur.startLPN])
-			lastV := f.toVirtual(f.L2P[cur.startLPN+int64(cur.length-1)])
+			firstV := f.toVirtual(f.L2P.Get(cur.startLPN))
+			lastV := f.toVirtual(f.L2P.Get(cur.startLPN + int64(cur.length-1)))
 			if lastV-firstV == int64(cur.length-1) {
 				f.models[cur.tpn].SequentialInit(cur.startOff, cur.length, firstV)
 			}
@@ -434,10 +434,10 @@ func (f *LearnedFTL) writeOne(lpn int64, now nand.Time) (nand.Time, int64) {
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	if old := f.L2P[lpn]; old != nand.InvalidPPN {
+	if old := f.L2P.Get(lpn); old != nand.InvalidPPN {
 		f.invalidateData(old)
 	}
-	f.L2P[lpn] = ppn
+	f.L2P.Set(lpn, ppn)
 	// allocSlot may have run a group GC that retrained this entry's model
 	// against the pre-write mapping; the bit for this LPN is stale again.
 	f.models[tpn].Invalidate(off)
@@ -448,7 +448,7 @@ func (f *LearnedFTL) writeOne(lpn int64, now nand.Time) (nand.Time, int64) {
 	// runPendingGC may have relocated the page just written; report the
 	// page's current location so the sequential-init run tracker stays
 	// truthful.
-	return done, f.toVirtual(f.L2P[lpn])
+	return done, f.toVirtual(f.L2P.Get(lpn))
 }
 
 // invalidateData invalidates a data page and maintains per-row invalid
@@ -563,9 +563,9 @@ func (f *LearnedFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
 		tpn := f.Cfg.TPNOf(l)
 		v, _ := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP)))
 		ppn := f.fromVirtual(v)
-		if ppn != f.L2P[l] {
+		if ppn != f.L2P.Get(l) {
 			panic(fmt.Sprintf("core: model predicted %d for lpn %d but truth is %d (bitmap invariant broken)",
-				ppn, l, f.L2P[l]))
+				ppn, l, f.L2P.Get(l)))
 		}
 		f.Col.ModelHits++
 		f.Col.RecordClass(stats.ReadSingle)

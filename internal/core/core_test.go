@@ -103,8 +103,8 @@ func TestWriteInvalidatesModelBit(t *testing.T) {
 	// budget) — either way the prediction must stay exact.
 	now = f.WritePages(5, 1, now)
 	if v, ok := f.models[tpn].Predict(5); ok {
-		if got := f.fromVirtual(v); got != f.L2P[5] {
-			t.Fatalf("stale prediction after overwrite: %d vs %d", got, f.L2P[5])
+		if got := f.fromVirtual(v); got != f.L2P.Get(5) {
+			t.Fatalf("stale prediction after overwrite: %d vs %d", got, f.L2P.Get(5))
 		}
 	}
 	_ = now
@@ -130,7 +130,7 @@ func TestRandomOverwritesThenGCRetrains(t *testing.T) {
 	// Coherence: every mapped LPN's flash page agrees, and every model
 	// prediction is exact (readOne panics otherwise — exercise it).
 	for lpn := int64(0); lpn < lp; lpn++ {
-		if ppn := f.L2P[lpn]; ppn != nand.InvalidPPN {
+		if ppn := f.L2P.Get(lpn); ppn != nand.InvalidPPN {
 			if f.Fl.PageOOB(ppn).Key != lpn || f.Fl.State(ppn) != nand.PageValid {
 				t.Fatalf("lpn %d: flash metadata mismatch after GC", lpn)
 			}
@@ -192,7 +192,7 @@ func TestCrossGroupBorrowingDelaysGC(t *testing.T) {
 	}
 	// All other groups' data must be intact.
 	for lpn := int64(f.span); lpn < lp; lpn += int64(f.span) {
-		if !f.Mapped(lpn) || f.Fl.PageOOB(f.L2P[lpn]).Key != lpn {
+		if !f.Mapped(lpn) || f.Fl.PageOOB(f.L2P.Get(lpn)).Key != lpn {
 			t.Fatalf("cold lpn %d corrupted", lpn)
 		}
 	}

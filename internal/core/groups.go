@@ -361,7 +361,7 @@ func (f *LearnedFTL) evacuateForeign(rows []int, gid int, t nand.Time, moved *in
 				t = done
 			}
 			f.invalidateData(ppn)
-			f.L2P[lpn] = np
+			f.L2P.Set(lpn, np)
 			f.CMT.UpdatePPN(lpn, np)
 			tpn := f.Cfg.TPNOf(lpn)
 			f.models[tpn].Invalidate(int(lpn - int64(tpn)*int64(f.Cfg.EntriesPerTP)))
@@ -393,7 +393,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 	}
 	lpns := f.gcLPNs[:0]
 	for l := loLPN; l < hiLPN; l++ {
-		if f.L2P[l] != nand.InvalidPPN {
+		if f.L2P.Mapped(l) {
 			lpns = append(lpns, l)
 		}
 	}
@@ -412,7 +412,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 	base := f.rowVPPNBase(row)
 	relocStart := t
 	for i, lpn := range lpns {
-		old := f.L2P[lpn]
+		old := f.L2P.Get(lpn)
 		readDone := f.Fl.Read(old, relocStart, nand.OpGC)
 		np := f.Codec.ToPhysical(nand.VPPN(base + int64(i)))
 		done, err := f.Fl.Program(np, nand.OOB{Key: lpn}, readDone, nand.OpGC)
@@ -423,7 +423,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 			t = done
 		}
 		f.invalidateData(old)
-		f.L2P[lpn] = np
+		f.L2P.Set(lpn, np)
 		f.CMT.UpdatePPN(lpn, np)
 	}
 	g.wp = len(lpns)
@@ -440,7 +440,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 			vppns[i] = -1
 		}
 		for l := lo; l < hi; l++ {
-			if p := f.L2P[l]; p != nand.InvalidPPN {
+			if p := f.L2P.Get(l); p != nand.InvalidPPN {
 				v := f.toVirtual(p)
 				vppns[l-lo] = v
 				if baseV < 0 || v < baseV {

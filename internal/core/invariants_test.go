@@ -61,7 +61,7 @@ func checkInvariants(t *testing.T, f *LearnedFTL) {
 
 	// (3) L2P ↔ flash coherence.
 	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
-		ppn := f.L2P[lpn]
+		ppn := f.L2P.Get(lpn)
 		if ppn == nand.InvalidPPN {
 			continue
 		}
@@ -81,16 +81,16 @@ func checkInvariants(t *testing.T, f *LearnedFTL) {
 			if !ok {
 				continue
 			}
-			if got := f.fromVirtual(v); got != f.L2P[lo+int64(off)] {
-				t.Fatalf("tpn %d off %d: model %d vs truth %d", tpn, off, got, f.L2P[lo+int64(off)])
+			if got := f.fromVirtual(v); got != f.L2P.Get(lo+int64(off)) {
+				t.Fatalf("tpn %d off %d: model %d vs truth %d", tpn, off, got, f.L2P.Get(lo+int64(off)))
 			}
 		}
 	}
 
 	// (5) CMT entries agree with L2P.
 	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
-		if e, ok := f.CMT.Peek(lpn); ok && e.PPN != f.L2P[lpn] {
-			t.Fatalf("lpn %d: CMT %d vs L2P %d", lpn, e.PPN, f.L2P[lpn])
+		if e, ok := f.CMT.Peek(lpn); ok && e.PPN != f.L2P.Get(lpn) {
+			t.Fatalf("lpn %d: CMT %d vs L2P %d", lpn, e.PPN, f.L2P.Get(lpn))
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestRewriteGroupRetrains(t *testing.T) {
 	lo := int64(0)
 	hi := int64(f.span)
 	for l := lo; l < hi; l++ {
-		if f.Mapped(l) && f.Fl.PageOOB(f.L2P[l]).Key != l {
+		if f.Mapped(l) && f.Fl.PageOOB(f.L2P.Get(l)).Key != l {
 			t.Fatalf("lpn %d corrupted by rewrite", l)
 		}
 	}

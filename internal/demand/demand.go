@@ -80,7 +80,7 @@ func (d *FTL) readOne(lpn int64, remaining int, now nand.Time) nand.Time {
 	d.Fill(lpn, remaining, d.L2P)
 	t = d.Drain(t)
 	d.Col.RecordClass(stats.ReadDouble)
-	return d.Fl.Read(d.L2P[lpn], t, nand.OpHostData)
+	return d.Fl.Read(d.L2P.Get(lpn), t, nand.OpHostData)
 }
 
 // WritePages implements ftl.FTL.
@@ -130,7 +130,7 @@ func (d *FTL) LoadState(dec *persist.Decoder) error {
 	if err := d.LoadBaseState(dec); err != nil {
 		return err
 	}
-	if err := d.Load(dec, int64(len(d.L2P))); err != nil {
+	if err := d.Load(dec, d.L2P.Len()); err != nil {
 		return err
 	}
 	d.LoadEMA(dec)

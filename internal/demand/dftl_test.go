@@ -108,11 +108,11 @@ func TestGCKeepsMappingAndCacheCoherent(t *testing.T) {
 	// Every cached mapping must agree with the shadow map.
 	for lpn := int64(0); lpn < lp; lpn++ {
 		if e, ok := d.CMT.Peek(lpn); ok {
-			if e.PPN != d.L2P[lpn] {
-				t.Fatalf("lpn %d: CMT %d vs L2P %d", lpn, e.PPN, d.L2P[lpn])
+			if e.PPN != d.L2P.Get(lpn) {
+				t.Fatalf("lpn %d: CMT %d vs L2P %d", lpn, e.PPN, d.L2P.Get(lpn))
 			}
 		}
-		if ppn := d.L2P[lpn]; ppn != nand.InvalidPPN {
+		if ppn := d.L2P.Get(lpn); ppn != nand.InvalidPPN {
 			if d.Fl.PageOOB(ppn).Key != lpn {
 				t.Fatalf("lpn %d: OOB mismatch after GC", lpn)
 			}

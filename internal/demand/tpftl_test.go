@@ -147,7 +147,7 @@ func TestGCCoherence(t *testing.T) {
 		t.Fatal("no GC")
 	}
 	for lpn := int64(0); lpn < lp; lpn++ {
-		if e, ok := f.CMT.Peek(lpn); ok && e.PPN != f.L2P[lpn] {
+		if e, ok := f.CMT.Peek(lpn); ok && e.PPN != f.L2P.Get(lpn) {
 			t.Fatalf("lpn %d: CMT stale after GC", lpn)
 		}
 	}

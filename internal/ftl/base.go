@@ -75,6 +75,10 @@ type Base struct {
 
 // NewBase builds the shared device state for cfg.
 func NewBase(cfg Config) (*Base, error) {
+	// Before LogicalPages and NumTPNs divide by its fields.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	st, err := NewState(cfg, cfg.LogicalPages(), cfg.NumTPNs())
 	if err != nil {
 		return nil, err
@@ -99,7 +103,7 @@ func (b *Base) PageRelocated(oob nand.OOB, old, new nand.PPN) {
 		b.GTD.Update(int(oob.Key), new)
 		return
 	}
-	b.L2P[oob.Key] = new
+	b.L2P.Set(oob.Key, new)
 	b.Hooks.DataRelocated(oob.Key, old, new)
 }
 
@@ -167,12 +171,12 @@ func (b *Base) HostProgram(lpn int64, after nand.Time) (nand.PPN, nand.Time) {
 			now = b.retireFailed(ppn, done, err)
 			continue
 		}
-		if old := b.L2P[lpn]; old != nand.InvalidPPN {
+		if old := b.L2P.Get(lpn); old != nand.InvalidPPN {
 			if e := b.Fl.Invalidate(old); e != nil {
 				panic(fmt.Sprintf("ftl: %v", e))
 			}
 		}
-		b.L2P[lpn] = ppn
+		b.L2P.Set(lpn, ppn)
 		return ppn, done
 	}
 }
@@ -204,12 +208,12 @@ func (b *Base) TrimPages(lpn int64, n int, now nand.Time) nand.Time {
 	live := 0
 	for k := 0; k < n; k++ {
 		l := lpn + int64(k)
-		old := b.L2P[l]
+		old := b.L2P.Get(l)
 		if old != nand.InvalidPPN {
 			if err := b.Fl.Invalidate(old); err != nil {
 				panic(fmt.Sprintf("ftl: %v", err))
 			}
-			b.L2P[l] = nand.InvalidPPN
+			b.L2P.Set(l, nand.InvalidPPN)
 			live++
 		}
 		b.Hooks.DataTrimmed(l, old)

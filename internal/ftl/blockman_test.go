@@ -102,12 +102,12 @@ func TestSortRelocateOrdersByLPN(t *testing.T) {
 	// Fill block 0 with descending LPNs, invalidate one page to allow GC.
 	for i := 0; i < g.PagesPerBlock; i++ {
 		b.mustProgram(nand.PPN(i), nand.OOB{Key: int64(g.PagesPerBlock - i)}, 0, nand.OpHostData)
-		b.L2P[int64(g.PagesPerBlock-i)] = nand.PPN(i)
+		b.L2P.Set(int64(g.PagesPerBlock-i), nand.PPN(i))
 	}
 	if err := b.Fl.Invalidate(nand.PPN(0)); err != nil {
 		t.Fatal(err)
 	}
-	b.L2P[int64(g.PagesPerBlock)] = nand.InvalidPPN
+	b.L2P.Set(int64(g.PagesPerBlock), nand.InvalidPPN)
 	done, ok := b.GC.CollectOnce(0)
 	if !ok || done <= 0 {
 		t.Fatal("GC did not run")
@@ -115,7 +115,7 @@ func TestSortRelocateOrdersByLPN(t *testing.T) {
 	// Relocated pages must now sit at ascending VPPNs in LPN order.
 	var prevV nand.VPPN = -1
 	for lpn := int64(1); lpn < int64(g.PagesPerBlock); lpn++ {
-		p := b.L2P[lpn]
+		p := b.L2P.Get(lpn)
 		if p == nand.InvalidPPN {
 			t.Fatalf("lpn %d lost", lpn)
 		}

@@ -1,12 +1,12 @@
 // Package ftl defines the FTL interface all five reproduced schemes
 // implement and the translation spine they share. State owns the flash
-// array, the authoritative L2P, the GTD and the mount scan that rebuilds
-// both maps from OOB — once, under every scheme. Base embeds State and adds
-// what is block-granular: the block manager with dynamic allocation,
-// translation-page maintenance, garbage collection, TRIM and scrub. Demand
-// is the demand-paging mapping cache under DFTL, TPFTL (internal/demand) and
-// LearnedFTL (internal/core). Ideal is the full page-level FTL used as the
-// paper's upper bound.
+// array, the authoritative L2P (a mapping.L2P: 4 bytes per LPN), the GTD and
+// the mount scan that rebuilds both maps from OOB — once, under every scheme.
+// Base embeds State and adds what is block-granular: the block manager with
+// dynamic allocation, translation-page maintenance, garbage collection, TRIM
+// and scrub. Demand is the demand-paging mapping cache under DFTL, TPFTL
+// (internal/demand) and LearnedFTL (internal/core). Ideal is the full
+// page-level FTL used as the paper's upper bound.
 package ftl
 
 import (
@@ -157,6 +157,13 @@ func (c Config) Validate() error {
 	}
 	if c.EntriesPerTP <= 0 || c.GroupEntries <= 0 {
 		return fmt.Errorf("ftl: EntriesPerTP/GroupEntries must be positive")
+	}
+	// LogicalPages is at most max(TotalPages, one group span) and NumTPNs at
+	// most LogicalPages, so bounding the span bounds every LPN and TPN to the
+	// device limit Geometry.Validate set for PPNs.
+	if c.GroupEntries > nand.MaxPages/c.EntriesPerTP {
+		return fmt.Errorf("ftl: group span GroupEntries×EntriesPerTP = %d×%d exceeds the %d-page device limit",
+			c.GroupEntries, c.EntriesPerTP, int64(nand.MaxPages))
 	}
 	if c.GCLowWater < 2 {
 		return fmt.Errorf("ftl: GCLowWater must be >= 2")

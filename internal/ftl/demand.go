@@ -67,15 +67,15 @@ func (d *Demand) prefetchSpan(lpn int64, remaining int) int64 {
 // the loading policy on, the prefetch span rides along: those mappings share
 // the fetched flash page, so they are free in flash ops but consume cache
 // space. The caller drains evictions next.
-func (d *Demand) Fill(lpn int64, remaining int, l2p []nand.PPN) {
+func (d *Demand) Fill(lpn int64, remaining int, l2p mapping.L2P) {
 	if d.tp {
 		for l, hi := lpn, lpn+d.prefetchSpan(lpn, remaining); l < hi; l++ {
-			if l2p[l] != nand.InvalidPPN && !d.CMT.Contains(l) {
-				d.CMT.Insert(l, l2p[l], false)
+			if p := l2p.Get(l); p != nand.InvalidPPN && !d.CMT.Contains(l) {
+				d.CMT.Insert(l, p, false)
 			}
 		}
 	}
-	d.CMT.Insert(lpn, l2p[lpn], false) // the requested lpn ends up MRU
+	d.CMT.Insert(lpn, l2p.Get(lpn), false) // the requested lpn ends up MRU
 }
 
 // Drain brings the CMT back to capacity. Evicting a dirty entry costs a

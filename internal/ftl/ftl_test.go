@@ -132,7 +132,7 @@ func TestIdealWriteReadRoundTrip(t *testing.T) {
 	}
 	// Every mapped page's OOB agrees with the shadow map.
 	for lpn := int64(0); lpn < lp; lpn++ {
-		ppn := f.L2P[lpn]
+		ppn := f.L2P.Get(lpn)
 		if ppn == nand.InvalidPPN {
 			t.Fatalf("lpn %d unmapped after write", lpn)
 		}
@@ -168,7 +168,7 @@ func TestIdealGCReclaimsSpace(t *testing.T) {
 	}
 	// Shadow map still coherent after relocations.
 	for lpn := int64(0); lpn < lp; lpn++ {
-		if ppn := f.L2P[lpn]; ppn != nand.InvalidPPN {
+		if ppn := f.L2P.Get(lpn); ppn != nand.InvalidPPN {
 			if f.Fl.PageOOB(ppn).Key != lpn || f.Fl.State(ppn) != nand.PageValid {
 				t.Fatalf("lpn %d: mapping corrupted by GC", lpn)
 			}

@@ -143,7 +143,7 @@ func TestTrimInvalidatesAndUnmaps(t *testing.T) {
 	now := f.WritePages(0, 16, 0)
 	old := make([]nand.PPN, 16)
 	for i := range old {
-		old[i] = f.L2P[int64(i)]
+		old[i] = f.L2P.Get(int64(i))
 	}
 	now = f.TrimPages(4, 8, now)
 	for i := int64(0); i < 16; i++ {

@@ -35,7 +35,7 @@ func (i *Ideal) ReadPages(lpn int64, n int, now nand.Time) nand.Time {
 		i.Col.CMTLookups++
 		i.Col.CMTHits++
 		i.Col.RecordClass(stats.ReadSingle)
-		if ppn := i.L2P[l]; ppn != nand.InvalidPPN {
+		if ppn := i.L2P.Get(l); ppn != nand.InvalidPPN {
 			if done := i.Fl.Read(ppn, now, nand.OpHostData); done > end {
 				end = done
 			}

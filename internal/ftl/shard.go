@@ -46,7 +46,7 @@ func (i *Ideal) TryReadPages(lpn int64, n int, emit EmitRead) bool {
 		i.Col.CMTLookups++
 		i.Col.CMTHits++
 		i.Col.RecordClass(stats.ReadSingle)
-		if ppn := i.L2P[l]; ppn != nand.InvalidPPN {
+		if ppn := i.L2P.Get(l); ppn != nand.InvalidPPN {
 			emit(ppn, 0)
 		}
 	}

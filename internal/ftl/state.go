@@ -25,7 +25,7 @@ type State struct {
 	// L2P is the authoritative logical-to-physical map. Translation pages
 	// and caches control when flash operations happen; correctness of the
 	// mapping itself is tracked here, as in trace-driven FTL simulators.
-	L2P []nand.PPN
+	L2P mapping.L2P
 
 	// lastScan holds the counters of the most recent RecoverMappings mount
 	// scan (see MountScanStats).
@@ -46,17 +46,13 @@ func NewState(cfg Config, logicalPages int64, numTPNs int) (State, error) {
 	if cfg.Fault.Enabled {
 		fl.SetFaultModel(fault.New(cfg.Fault, int64(cfg.Geometry.PageSize)*8))
 	}
-	l2p := make([]nand.PPN, logicalPages)
-	for i := range l2p {
-		l2p[i] = nand.InvalidPPN
-	}
 	return State{
 		Cfg:   cfg,
 		Fl:    fl,
 		Codec: fl.Codec(),
 		Col:   stats.NewCollector(),
 		GTD:   mapping.NewGTD(numTPNs),
-		L2P:   l2p,
+		L2P:   mapping.NewL2P(logicalPages),
 	}, nil
 }
 
@@ -70,7 +66,7 @@ func (s *State) Flash() *nand.Flash { return s.Fl }
 func (s *State) Config() Config { return s.Cfg }
 
 // Mapped reports whether lpn currently has flash-resident data.
-func (s *State) Mapped(lpn int64) bool { return s.L2P[lpn] != nand.InvalidPPN }
+func (s *State) Mapped(lpn int64) bool { return s.L2P.Mapped(lpn) }
 
 // ReadTrans reads the translation page tpn from flash (a translation read —
 // the first half of a double read). When the page has never been written the
@@ -84,9 +80,7 @@ func (s *State) ReadTrans(tpn int, after nand.Time) nand.Time {
 
 // ShadowL2P returns a copy of the authoritative logical-to-physical map
 // (recovery invariants, tests).
-func (s *State) ShadowL2P() []nand.PPN {
-	return append([]nand.PPN(nil), s.L2P...)
-}
+func (s *State) ShadowL2P() []nand.PPN { return s.L2P.PPNs() }
 
 // GTDLocations returns a copy of the GTD's translation-page locations
 // (recovery invariants, tests).
@@ -109,17 +103,15 @@ func (s *State) MountScanStats() persist.ScanStats { return s.lastScan }
 // caller rebuilds its allocator view afterwards: the dedup below settles the
 // per-block valid counts that rebuild reads.
 func (s *State) RecoverMappings(now nand.Time) nand.Time {
-	for i := range s.L2P {
-		s.L2P[i] = nand.InvalidPPN
-	}
+	s.L2P.Reset()
 	s.GTD = mapping.NewGTD(s.GTD.NumTPNs())
 	res := persist.ScanOOB(s.Fl, now)
-	lp := int64(len(s.L2P))
+	lp := s.L2P.Len()
 	for _, m := range res.Data {
 		if m.Key < 0 || m.Key >= lp {
 			continue
 		}
-		if old := s.L2P[m.Key]; old != nand.InvalidPPN {
+		if old := s.L2P.Get(m.Key); old != nand.InvalidPPN {
 			// Two valid pages for one LPN: power died between the new copy's
 			// program completing and the old copy's invalidate (host
 			// overwrite, or GC relocation — either way the operation was
@@ -130,7 +122,7 @@ func (s *State) RecoverMappings(now nand.Time) nand.Time {
 				panic(fmt.Sprintf("ftl: recovery dedup of LPN %d: %v", m.Key, err))
 			}
 		}
-		s.L2P[m.Key] = m.PPN
+		s.L2P.Set(m.Key, m.PPN)
 	}
 	for _, m := range res.Trans {
 		if m.Key < 0 || m.Key >= int64(s.GTD.NumTPNs()) {
@@ -154,7 +146,7 @@ func (s *State) RecoverMappings(now nand.Time) nand.Time {
 // flash array, the L2P and the GTD.
 func (s *State) SaveMapState(e *persist.Encoder) {
 	persist.SaveFlash(e, s.Fl)
-	persist.SavePPNs(e, s.L2P)
+	persist.SaveL2P(e, s.L2P)
 	persist.SaveGTD(e, s.GTD)
 }
 
@@ -164,8 +156,9 @@ func (s *State) LoadMapState(d *persist.Decoder) error {
 	if err := persist.LoadFlash(d, s.Fl); err != nil {
 		return err
 	}
-	if err := persist.LoadPPNsInto(d, s.L2P); err != nil {
+	totalPages := int64(s.Cfg.Geometry.TotalPages())
+	if err := persist.LoadL2P(d, s.L2P, totalPages); err != nil {
 		return err
 	}
-	return persist.LoadGTD(d, s.GTD)
+	return persist.LoadGTD(d, s.GTD, totalPages)
 }

@@ -208,7 +208,7 @@ func (l *LeaFTL) readOne(lpn int64, now nand.Time) nand.Time {
 	} else {
 		l.Col.CMTHits++
 	}
-	truth := l.L2P[lpn]
+	truth := l.L2P.Get(lpn)
 	pred := l.predict(tpn, lpn)
 	if pred == truth {
 		if inCache {
@@ -377,7 +377,7 @@ func (l *LeaFTL) DataTrimmed(lpn int64, _ nand.PPN) {
 func (l *LeaFTL) GCFinalize(moved []int64, t nand.Time) nand.Time {
 	pts := l.gcPts[:0]
 	for _, lpn := range moved { // already sorted by Base.SortRelocate
-		pts = append(pts, learned.Point{X: lpn, Y: int64(l.Codec.ToVirtual(l.L2P[lpn]))})
+		pts = append(pts, learned.Point{X: lpn, Y: int64(l.Codec.ToVirtual(l.L2P.Get(lpn)))})
 	}
 	l.gcPts = pts
 	return l.train(pts, true, t)
@@ -399,7 +399,7 @@ func (l *LeaFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
 			continue
 		}
 		tpn := l.Cfg.TPNOf(ll)
-		if !l.cache.peek(tpn) || l.predict(tpn, ll) != l.L2P[ll] {
+		if !l.cache.peek(tpn) || l.predict(tpn, ll) != l.L2P.Get(ll) {
 			return false
 		}
 	}
@@ -419,7 +419,7 @@ func (l *LeaFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
 		l.Col.CMTHits++
 		l.Col.ModelHits++
 		l.Col.RecordClass(stats.ReadSingle)
-		emit(l.L2P[ll], 0)
+		emit(l.L2P.Get(ll), 0)
 	}
 	return true
 }

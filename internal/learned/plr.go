@@ -126,11 +126,14 @@ func FitExactCapped(pts []Point, maxPieces int) (kept []Piece, covered int) {
 // (paper §II-C): it indexes LPNs in [S, S+L-1] with the model
 // VPPN = K·(LPN-S) + I, guaranteeing |prediction − actual| ≤ Err for the
 // points it was trained on. Err == 0 marks an accurate segment.
+//
+// The two 4-byte fields sit together at the end so the struct is 32 bytes,
+// two per cache line under the LSMT's binary search.
 type Segment struct {
 	S   int64   // starting LPN
-	L   int32   // covered span: LPNs S .. S+L-1
 	K   float64 // slope
 	I   float64 // intercept at S
+	L   int32   // covered span: LPNs S .. S+L-1
 	Err int32   // max training error after rounding
 }
 

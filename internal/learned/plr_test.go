@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestFitExactSingleLine(t *testing.T) {
@@ -217,5 +218,14 @@ func TestSegmentContains(t *testing.T) {
 		if got := s.Contains(lpn); got != want {
 			t.Errorf("Contains(%d) = %v, want %v", lpn, got, want)
 		}
+	}
+}
+
+// TestSegmentIs32Bytes pins the field order: LeaFTL holds a segment per
+// learned run and binary-searches them, so 8 bytes of padding per segment are
+// a fifth of its table and a second cache line on every other probe.
+func TestSegmentIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Segment{}); got != 32 {
+		t.Fatalf("Segment is %d bytes, want 32", got)
 	}
 }

@@ -49,6 +49,35 @@ func TestGeometryValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsOversizedGeometry: the page count is computed without
+// overflowing and capped at MaxPages — the width of the flash array's keys
+// and the FTLs' mapping entries — so a hostile geometry is an error from
+// Validate (and from NewFlash) before anything sizes an allocation by it.
+func TestValidateRejectsOversizedGeometry(t *testing.T) {
+	huge := 1 << 40
+	cases := []struct {
+		name string
+		g    Geometry
+		ok   bool
+	}{
+		{"product overflows int64", Geometry{huge, huge, 1, huge, 512, 4096}, false},
+		{"exactly 2^31 pages", Geometry{8, 8, 1, 1 << 16, 512, 4096}, false},
+		{"2^31-1 pages", Geometry{1, 1, 1, 1, MaxPages, 4096}, true},
+		{"(2^31-1)·2 pages", Geometry{2, 1, 1, 1, MaxPages, 4096}, false},
+	}
+	for _, c := range cases {
+		err := c.g.Validate()
+		if (err == nil) != c.ok {
+			t.Fatalf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if !c.ok {
+			if _, err := NewFlash(c.g, DefaultTiming()); err == nil {
+				t.Fatalf("%s: NewFlash accepted it", c.name)
+			}
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := NewAddrCodec(testGeom())
 	g := c.Geometry()

@@ -39,9 +39,9 @@ func (s PageState) String() string {
 // the reproduced FTLs consult.
 //
 // OOB is the API value type; the array itself stores each page's OOB packed
-// into a single tagged int64 (Key<<1 | Trans), halving the resident bytes of
-// the old 16-byte struct layout. Keys are LPNs or TPNs, both non-negative,
-// so the tag bit is always available.
+// into a single tagged uint32 (Key<<1 | Trans), a quarter of the resident
+// bytes of the old 16-byte struct layout. Keys are LPNs or TPNs, both in
+// [0, MaxPages], so key and tag bit always fit.
 type OOB struct {
 	// Key is the LPN for data pages or the translation-page number (TPN)
 	// for translation pages.
@@ -51,8 +51,8 @@ type OOB struct {
 }
 
 // packOOB folds an OOB into its tagged-key storage form.
-func packOOB(o OOB) int64 {
-	k := o.Key << 1
+func packOOB(o OOB) uint32 {
+	k := uint32(o.Key) << 1
 	if o.Trans {
 		k |= 1
 	}
@@ -60,8 +60,8 @@ func packOOB(o OOB) int64 {
 }
 
 // unpackOOB is packOOB's inverse.
-func unpackOOB(k int64) OOB {
-	return OOB{Key: k >> 1, Trans: k&1 != 0}
+func unpackOOB(k uint32) OOB {
+	return OOB{Key: int64(k >> 1), Trans: k&1 != 0}
 }
 
 type blockMeta struct {
@@ -93,8 +93,8 @@ type BlockObserver interface {
 // concurrent use; the simulation engine is single-threaded by design.
 //
 // Page metadata is stored packed: two parallel bitmaps (programmed, valid)
-// give each page's 2-bit state, and one tagged int64 per page carries the
-// OOB reverse mapping — 8.25 bytes per page against the 17 bytes of the
+// give each page's 2-bit state, and one tagged uint32 per page carries the
+// OOB reverse mapping — 4.25 bytes per page against the 17 bytes of the
 // historical one-byte-state + 16-byte-OOB-struct layout. The valid bitmap
 // doubles as the per-block valid-page index GC relocation and the mount
 // scan iterate instead of probing every page.
@@ -105,7 +105,7 @@ type Flash struct {
 
 	programmed []uint64 // bit p set ⇔ page p programmed since its last erase
 	valid      []uint64 // bit p set ⇔ page p holds live data
-	keys       []int64  // packed OOB (packOOB); 0 for free pages
+	keys       []uint32 // packed OOB (packOOB); 0 for free pages
 	blocks     []blockMeta
 
 	chipBusy []Time // per parallel unit, next idle time
@@ -152,7 +152,7 @@ func NewFlash(g Geometry, t Timing) (*Flash, error) {
 		timing:     t,
 		programmed: make([]uint64, words),
 		valid:      make([]uint64, words),
-		keys:       make([]int64, g.TotalPages()),
+		keys:       make([]uint32, g.TotalPages()),
 		blocks:     make([]blockMeta, g.TotalBlocks()),
 		chipBusy:   make([]Time, g.Chips()),
 	}
@@ -304,8 +304,8 @@ func (f *Flash) faultReadOut(p PPN, after Time, kind OpKind) (Time, ReadOutcome)
 // Program writes a page, setting it valid and recording its OOB. NAND
 // requires in-order programming within a block; violating that, or
 // programming a non-free page, is a simulator-usage bug and returns an
-// error. OOB keys must be non-negative (LPNs and TPNs are), so the packed
-// representation's tag bit never collides with the key.
+// error. OOB keys must lie in [0, 2³¹) (LPNs and TPNs do: Geometry.Validate
+// caps the device at MaxPages), so key and tag bit fit the packed 32 bits.
 func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
 	bid, page := f.codec.BlockPage(p)
 	b := &f.blocks[bid]
@@ -317,8 +317,8 @@ func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
 		return 0, fmt.Errorf("nand: out-of-order program: block %d page %d, write pointer %d",
 			bid, page, b.writePtr)
 	}
-	if oob.Key < 0 {
-		return 0, fmt.Errorf("nand: program of page %d with negative OOB key %d", p, oob.Key)
+	if oob.Key < 0 || oob.Key > MaxPages {
+		return 0, fmt.Errorf("nand: program of page %d with OOB key %d outside [0, 2^31)", p, oob.Key)
 	}
 	cutAfter := false
 	if f.cut != nil && f.cut.due(after) {
@@ -634,7 +634,7 @@ func (f *Flash) ChipBusyUntil(chip int) Time { return f.chipBusy[chip] }
 // is what bounds how large a geometry a sweep can hold in RAM.
 type Footprint struct {
 	// PageMetaBytes covers the page-granular arrays: the programmed and
-	// valid bitmaps (1 bit per page each) and the tagged OOB keys (8 bytes
+	// valid bitmaps (1 bit per page each) and the tagged OOB keys (4 bytes
 	// per page).
 	PageMetaBytes int64 `json:"page_meta_bytes"`
 	// BlockMetaBytes covers the per-block metadata structs.
@@ -653,7 +653,7 @@ func FootprintFor(g Geometry) Footprint {
 	pages := int64(g.TotalPages())
 	words := (pages + 63) / 64
 	fp := Footprint{
-		PageMetaBytes:  2*8*words + 8*pages,
+		PageMetaBytes:  2*8*words + 4*pages,
 		BlockMetaBytes: int64(g.TotalBlocks()) * int64(unsafe.Sizeof(blockMeta{})),
 		ChipBytes:      int64(g.Chips()) * 8,
 	}
@@ -674,7 +674,7 @@ func (f *Flash) Footprint() Footprint { return FootprintFor(f.geo) }
 type FlashState struct {
 	Programmed []uint64
 	Valid      []uint64
-	Keys       []int64
+	Keys       []uint32
 	Erases     []int64
 	LastMod    []Time
 	ChipBusy   []Time
@@ -692,7 +692,7 @@ func (f *Flash) ExportState() FlashState {
 	s := FlashState{
 		Programmed: append([]uint64(nil), f.programmed...),
 		Valid:      append([]uint64(nil), f.valid...),
-		Keys:       append([]int64(nil), f.keys...),
+		Keys:       append([]uint32(nil), f.keys...),
 		Erases:     make([]int64, len(f.blocks)),
 		LastMod:    make([]Time, len(f.blocks)),
 		ChipBusy:   append([]Time(nil), f.chipBusy...),

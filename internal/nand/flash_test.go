@@ -1,6 +1,9 @@
 package nand
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func newTestFlash(t *testing.T) *Flash {
 	t.Helper()
@@ -309,11 +312,12 @@ func TestPackedBitmapBlockBoundaries(t *testing.T) {
 }
 
 // TestOOBTagRoundTrip pins the tagged-key packing: Trans rides in the tag
-// bit, keys (LPNs/TPNs) round-trip exactly, and negative keys — which would
-// collide with the tag — are rejected.
+// bit, keys (LPNs/TPNs) up to the 31-bit device limit round-trip exactly, and
+// negative keys — which would collide with the tag — are rejected.
 func TestOOBTagRoundTrip(t *testing.T) {
 	f := newTestFlash(t)
-	cases := []OOB{{Key: 0}, {Key: 0, Trans: true}, {Key: 1 << 40}, {Key: (1 << 40) + 1, Trans: true}}
+	cases := []OOB{{Key: 0}, {Key: 0, Trans: true}, {Key: 1 << 30}, {Key: (1 << 30) + 1, Trans: true},
+		{Key: MaxPages}, {Key: MaxPages, Trans: true}}
 	for i, oob := range cases {
 		if _, err := f.Program(PPN(i), oob, 0, OpHostData); err != nil {
 			t.Fatal(err)
@@ -327,18 +331,37 @@ func TestOOBTagRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProgramRejectsKeyPast31Bits: a key the packed 32 bits cannot hold is an
+// error, not a truncation, and the refused program consumes nothing — the
+// page stays free and the block's write pointer does not move.
+func TestProgramRejectsKeyPast31Bits(t *testing.T) {
+	f := newTestFlash(t)
+	for _, key := range []int64{1 << 31, 1 << 40, -1} {
+		if _, err := f.Program(0, OOB{Key: key}, 0, OpHostData); err == nil {
+			t.Fatalf("OOB key %d accepted", key)
+		}
+		if f.State(0) != PageFree || f.BlockWritePtr(0) != 0 || f.BlockValid(0) != 0 {
+			t.Fatalf("refused program of key %d left state %v, write pointer %d, valid %d",
+				key, f.State(0), f.BlockWritePtr(0), f.BlockValid(0))
+		}
+	}
+	if _, err := f.Program(0, OOB{Key: 7}, 0, OpHostData); err != nil {
+		t.Fatalf("page unusable after refused programs: %v", err)
+	}
+}
+
 // TestFootprintPackedVsStructLayout is the footprint acceptance bar: the
-// packed metadata must spend at most 9.4 resident bytes per physical page —
-// 1.8x under the 17 of the retired struct layout (1-byte state + 16-byte
-// OOB).
+// packed metadata must spend at most 4.5 resident bytes per physical page —
+// 3.7x under the 17 of the retired struct layout (1-byte state + 16-byte
+// OOB) — and FootprintFor must describe the arrays NewFlash really builds.
 func TestFootprintPackedVsStructLayout(t *testing.T) {
 	for _, g := range []Geometry{testGeom(), PaperGeometry()} {
 		fp := FootprintFor(g)
 		if fp.BytesPerPage <= 0 {
 			t.Fatalf("degenerate footprint %+v", fp)
 		}
-		if fp.BytesPerPage > 9.4 {
-			t.Fatalf("packed layout spends %.2f B/page, want <= 9.4", fp.BytesPerPage)
+		if fp.BytesPerPage > 4.5 {
+			t.Fatalf("packed layout spends %.2f B/page, want <= 4.5", fp.BytesPerPage)
 		}
 		if fp.TotalBytes != fp.PageMetaBytes+fp.BlockMetaBytes+fp.ChipBytes {
 			t.Fatalf("footprint totals inconsistent: %+v", fp)
@@ -347,6 +370,10 @@ func TestFootprintPackedVsStructLayout(t *testing.T) {
 	f := newTestFlash(t)
 	if f.Footprint() != FootprintFor(f.Geometry()) {
 		t.Fatal("Flash.Footprint diverges from FootprintFor")
+	}
+	built := int64(8*(len(f.programmed)+len(f.valid))) + int64(len(f.keys))*int64(unsafe.Sizeof(f.keys[0]))
+	if got := f.Footprint().PageMetaBytes; got != built {
+		t.Fatalf("FootprintFor reports %d page-metadata bytes, the arrays hold %d", got, built)
 	}
 }
 

@@ -10,7 +10,10 @@
 // decomposes into parallel units.
 package nand
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Geometry describes the physical shape of the simulated SSD. The hierarchy
 // is channel → way (chip/LUN) → plane → block → page, matching the paper's
@@ -70,12 +73,26 @@ func (g Geometry) TotalBytes() int64 {
 	return int64(g.TotalPages()) * int64(g.PageSize)
 }
 
-// Validate reports whether the geometry is usable.
+// MaxPages is the largest device the model addresses, in pages: the flash
+// array keeps one 32-bit tagged key per page and the FTLs one 32-bit entry
+// per LPN, so page numbers, LPNs and TPNs must all fit 31 bits (8 TiB of
+// 4 KiB pages). Validate enforces it.
+const MaxPages = math.MaxInt32
+
+// Validate reports whether the geometry is usable: every field positive and
+// the page count — computed without overflowing — at most MaxPages.
 func (g Geometry) Validate() error {
 	switch {
 	case g.Channels <= 0, g.Ways <= 0, g.Planes <= 0,
 		g.BlocksPerUnit <= 0, g.PagesPerBlock <= 0, g.PageSize <= 0:
 		return fmt.Errorf("nand: geometry fields must be positive: %+v", g)
+	}
+	pages := int64(1)
+	for _, n := range [...]int{g.Channels, g.Ways, g.Planes, g.BlocksPerUnit, g.PagesPerBlock} {
+		if int64(n) > MaxPages/pages {
+			return fmt.Errorf("nand: geometry exceeds the %d-page device limit: %+v", int64(MaxPages), g)
+		}
+		pages *= int64(n)
 	}
 	return nil
 }

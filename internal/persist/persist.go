@@ -21,6 +21,7 @@ package persist
 import (
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"learnedftl/internal/mapping"
 	"learnedftl/internal/nand"
@@ -120,7 +121,7 @@ func SaveFlash(e *Encoder, fl *nand.Flash) {
 	e.Words(s.Valid)
 	e.U64(uint64(len(s.Keys)))
 	for _, k := range s.Keys {
-		e.I64(k)
+		e.I64(int64(k))
 	}
 	e.U64(uint64(len(s.Erases)))
 	for i := range s.Erases {
@@ -169,9 +170,13 @@ func LoadFlash(d *Decoder, fl *nand.Flash) error {
 	var s nand.FlashState
 	s.Programmed = d.Words()
 	s.Valid = d.Words()
-	s.Keys = make([]int64, d.Count())
+	s.Keys = make([]uint32, d.Count())
 	for i := range s.Keys {
-		s.Keys[i] = d.I64()
+		k := d.I64()
+		if k < 0 || k > math.MaxUint32 {
+			return fmt.Errorf("persist: packed OOB key %d of page %d does not fit 32 bits", k, i)
+		}
+		s.Keys[i] = uint32(k)
 	}
 	nb := d.Count()
 	s.Erases = make([]int64, nb)
@@ -225,23 +230,34 @@ func loadCounters(d *Decoder) nand.OpCounters {
 	return c
 }
 
-// SavePPNs appends a PPN slice (an L2P map).
-func SavePPNs(e *Encoder, ppns []nand.PPN) {
-	e.U64(uint64(len(ppns)))
-	for _, p := range ppns {
-		e.I64(int64(p))
+// onDevice reports whether a decoded map entry is InvalidPPN or a page of a
+// totalPages-page device. Anything else, once restored, would index the
+// flash array out of range on the first read.
+func onDevice(p, totalPages int64) bool {
+	return p >= int64(nand.InvalidPPN) && p < totalPages
+}
+
+// SaveL2P appends the logical-to-physical map, one signed varint per LPN.
+func SaveL2P(e *Encoder, m mapping.L2P) {
+	e.U64(uint64(m.Len()))
+	for lpn := int64(0); lpn < m.Len(); lpn++ {
+		e.I64(int64(m.Get(lpn)))
 	}
 }
 
-// LoadPPNsInto restores a SavePPNs section into dst, whose length must
-// match the saved one.
-func LoadPPNsInto(d *Decoder, dst []nand.PPN) error {
+// LoadL2P restores a SaveL2P section into m, whose length must match the
+// saved one, rejecting an entry that is not onDevice.
+func LoadL2P(d *Decoder, m mapping.L2P, totalPages int64) error {
 	n := d.U64()
-	if d.Err() == nil && n != uint64(len(dst)) {
-		return fmt.Errorf("persist: L2P length %d, want %d", n, len(dst))
+	if d.Err() == nil && n != uint64(m.Len()) {
+		return fmt.Errorf("persist: L2P length %d, want %d", n, m.Len())
 	}
-	for i := range dst {
-		dst[i] = nand.PPN(d.I64())
+	for lpn := int64(0); lpn < m.Len(); lpn++ {
+		p := d.I64()
+		if !onDevice(p, totalPages) {
+			return fmt.Errorf("persist: L2P maps LPN %d to page %d of %d", lpn, p, totalPages)
+		}
+		m.Set(lpn, nand.PPN(p))
 	}
 	return d.Err()
 }
@@ -254,14 +270,19 @@ func SaveGTD(e *Encoder, g *mapping.GTD) {
 	}
 }
 
-// LoadGTD restores a SaveGTD section into g (same TPN count).
-func LoadGTD(d *Decoder, g *mapping.GTD) error {
+// LoadGTD restores a SaveGTD section into g (same TPN count), rejecting a
+// location that is not onDevice.
+func LoadGTD(d *Decoder, g *mapping.GTD, totalPages int64) error {
 	n := d.U64()
 	if d.Err() == nil && n != uint64(g.NumTPNs()) {
 		return fmt.Errorf("persist: GTD of %d TPNs, want %d", n, g.NumTPNs())
 	}
 	for t := 0; t < g.NumTPNs(); t++ {
-		g.Update(t, nand.PPN(d.I64()))
+		p := d.I64()
+		if !onDevice(p, totalPages) {
+			return fmt.Errorf("persist: GTD places TPN %d at page %d of %d", t, p, totalPages)
+		}
+		g.Update(t, nand.PPN(p))
 	}
 	return d.Err()
 }

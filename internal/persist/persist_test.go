@@ -298,6 +298,70 @@ func TestDecodersRejectOversizedCounts(t *testing.T) {
 	}
 }
 
+// TestLoadersRejectOutOfDeviceMappings: the L2P and GTD loaders accept
+// exactly [InvalidPPN, totalPages) and LoadFlash exactly the packed keys that
+// fit 32 bits. Anything else is an error at load, not an index out of range on
+// the first read or a silent truncation into the narrow tables.
+func TestLoadersRejectOutOfDeviceMappings(t *testing.T) {
+	const totalPages = 16
+	l2p := func(v int64) error {
+		e := NewEncoder()
+		e.U64(2)
+		e.I64(3)
+		e.I64(v)
+		m := mapping.NewL2P(2)
+		if err := LoadL2P(NewDecoder(e.Data()), m, totalPages); err != nil {
+			return err
+		}
+		if m.Get(0) != 3 || m.Get(1) != nand.PPN(v) {
+			t.Fatalf("L2P loaded (%d, %d), want (3, %d)", m.Get(0), m.Get(1), v)
+		}
+		return nil
+	}
+	gtd := func(v int64) error {
+		e := NewEncoder()
+		e.U64(1)
+		e.I64(v)
+		return LoadGTD(NewDecoder(e.Data()), mapping.NewGTD(1), totalPages)
+	}
+	g := nand.Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}
+	key := func(v int64) error {
+		e := NewEncoder()
+		SaveFlash(e, mustFlash(g))
+		// Page 0's key is the first varint after the two one-word bitmaps
+		// (1+8 bytes each) and the key count; an erased page encodes as 0x00.
+		buf := e.Data()
+		off := 2*9 + 1
+		e2 := NewEncoder()
+		e2.I64(v)
+		buf = append(append(append([]byte(nil), buf[:off]...), e2.Data()...), buf[off+1:]...)
+		return LoadFlash(NewDecoder(buf), mustFlash(g))
+	}
+	for _, tc := range []struct {
+		name string
+		err  error
+		ok   bool
+	}{
+		{"L2P unmapped", l2p(-1), true},
+		{"L2P last page", l2p(totalPages - 1), true},
+		{"L2P = totalPages", l2p(totalPages), false},
+		{"L2P below InvalidPPN", l2p(-2), false},
+		{"L2P past 32 bits", l2p(1<<32 + 3), false},
+		{"GTD unwritten", gtd(-1), true},
+		{"GTD last page", gtd(totalPages - 1), true},
+		{"GTD = 1<<40", gtd(1 << 40), false},
+		{"GTD below InvalidPPN", gtd(-2), false},
+		{"OOB key 0", key(0), true},
+		{"OOB key 2^32-1", key(math.MaxUint32), true},
+		{"OOB key 1<<33", key(1 << 33), false},
+		{"OOB key negative", key(-2), false},
+	} {
+		if (tc.err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want ok=%v", tc.name, tc.err, tc.ok)
+		}
+	}
+}
+
 func TestCacheLoadStoreStats(t *testing.T) {
 	c, err := NewCache(filepath.Join(t.TempDir(), "ckpt"))
 	if err != nil {

@@ -2,9 +2,14 @@ package learnedftl
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
 	"testing"
 
 	"learnedftl/internal/nand"
+	"learnedftl/internal/persist"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/workload"
 )
@@ -154,6 +159,137 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	}
 	if _, err := RestoreLearnedDevice(cfg, opt, ldSnap); err != nil {
 		t.Fatalf("matching-options restore failed: %v", err)
+	}
+}
+
+// TestSnapshotStreamMatchesWideTables pins the snapshot stream of one warmed
+// device per scheme to the SHA-256 the same seed produced when the flash keys
+// and the L2P were 8 bytes an entry (recorded by running this body at commit
+// a9c33e3). The narrow tables encode to the same varints, so Version-3
+// checkpoints and -checkpoint-dir caches written before the change still load,
+// and ones written after it load there.
+func TestSnapshotStreamMatchesWideTables(t *testing.T) {
+	want := map[Scheme]string{
+		SchemeDFTL:       "7b6931cd7fa0320f6d473d95d7a6eccaef1bcb8845c2391878d852ee6e021bd8",
+		SchemeTPFTL:      "62d659ede9e9b94bac362d970ee77ba60ee5207728e3a5c4d325241c7055c7d0",
+		SchemeLeaFTL:     "4678a5365cb1ad3160e3687829e98cd2c9cae08e6cfcf4e03abaf49914833ffe",
+		SchemeLearnedFTL: "735f6ef78d0c1aa5af6022239b2f20f184238d41c3d87bc19221fbc48a374113",
+		SchemeIdeal:      "a1fd9c7b64ea656bbf9e0e491f118638669a8577aa2e839d03b842b18a9f166e",
+	}
+	cfg := persistTestConfig()
+	for _, s := range Schemes() {
+		f, err := New(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmDevice(f, Budget{WarmExtra: 1})
+		runMixed(f, 2000, 17)
+		if f.Collector().GCCount == 0 {
+			t.Fatalf("%v: the pinned device never collected garbage", s)
+		}
+		snap, err := SnapshotDevice(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(snap)
+		if got := hex.EncodeToString(sum[:]); got != want[s] {
+			t.Errorf("%v: snapshot SHA-256 %s, want %s", s, got, want[s])
+		}
+		g, err := RestoreDevice(s, cfg, snap)
+		if err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		if again, _ := SnapshotDevice(g); !bytes.Equal(again, snap) {
+			t.Errorf("%v: snapshot does not survive a restore/snapshot round trip", s)
+		}
+	}
+}
+
+// resealVarint returns snap with the signed varint occupying body bytes
+// [off, end) replaced by v and the CRC trailer recomputed, so the corruption
+// reaches the section loaders instead of dying at the checksum.
+func resealVarint(snap []byte, off, end int, v int64) []byte {
+	body := snap[:len(snap)-4]
+	out := append([]byte(nil), body[:off]...)
+	out = binary.AppendVarint(out, v)
+	out = append(out, body[end:]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// TestRestoreRejectsOutOfDeviceMappings: a checksummed snapshot whose L2P,
+// GTD or OOB section names a page the device does not have is an error from
+// RestoreDevice under every scheme — it used to restore "fine" and panic with
+// an index out of range on the first read. Re-sealing the original value at
+// the same offsets restores, so each case fails on the value alone.
+func TestRestoreRejectsOutOfDeviceMappings(t *testing.T) {
+	cfg := persistTestConfig()
+	totalPages := int64(cfg.Geometry.TotalPages())
+	for _, s := range Schemes() {
+		f, err := New(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runMixed(f, 400, 3)
+		snap, err := SnapshotDevice(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Walk the map-state prefix (header, flash, L2P, GTD) recording where
+		// page 0's OOB key, LPN 0's mapping and TPN 0's location sit.
+		body := snap[:len(snap)-4]
+		d := persist.NewDecoder(body)
+		at := func() int { return len(body) - d.Remaining() }
+		d.Str()
+		d.U64()
+		d.Str()
+		d.Str()
+		flashOff := at()
+		d.Words()
+		d.Words()
+		d.Count()
+		keyOff := at()
+		key0 := d.I64()
+		keyEnd := at()
+		// A scratch array consumes the rest of the flash section.
+		scratch, err := nand.NewFlash(cfg.Geometry, cfg.Timing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d = persist.NewDecoder(body[flashOff:])
+		at = func() int { return len(body) - d.Remaining() }
+		if err := persist.LoadFlash(d, scratch); err != nil {
+			t.Fatalf("%v: %v", s, err)
+		}
+		nL2P := d.Count()
+		l2pOff := at()
+		l2p0 := d.I64()
+		l2pEnd := at()
+		for i := 1; i < nL2P; i++ {
+			d.I64()
+		}
+		d.Count()
+		gtdOff := at()
+		gtd0 := d.I64()
+		gtdEnd := at()
+		if err := d.Err(); err != nil || nL2P == 0 {
+			t.Fatalf("%v: walking the snapshot prefix: %d L2P entries, %v", s, nL2P, err)
+		}
+		for _, tc := range []struct {
+			name     string
+			off, end int
+			orig, v  int64
+		}{
+			{"L2P entry = TotalPages", l2pOff, l2pEnd, l2p0, totalPages},
+			{"GTD entry = 1<<40", gtdOff, gtdEnd, gtd0, 1 << 40},
+			{"packed OOB key = 1<<33", keyOff, keyEnd, key0, 1 << 33},
+		} {
+			if _, err := RestoreDevice(s, cfg, resealVarint(snap, tc.off, tc.end, tc.orig)); err != nil {
+				t.Fatalf("%v: %s: re-sealing the original value broke the snapshot: %v", s, tc.name, err)
+			}
+			if _, err := RestoreDevice(s, cfg, resealVarint(snap, tc.off, tc.end, tc.v)); err == nil {
+				t.Errorf("%v: %s: restored", s, tc.name)
+			}
+		}
 	}
 }
 

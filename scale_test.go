@@ -1,6 +1,7 @@
 package learnedftl
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,8 +31,8 @@ func TestScaleExperimentTinyRung(t *testing.T) {
 		if err != nil {
 			t.Fatalf("meta B/page column %q: %v", row[3], err)
 		}
-		if bpp > 9.4 { // 1.8x under the retired struct layout's 17 B/page
-			t.Fatalf("scale reports %.2f B/page, want <= 9.4", bpp)
+		if bpp > 4.5 { // 3.7x under the retired struct layout's 17 B/page
+			t.Fatalf("scale reports %.2f B/page, want <= 4.5", bpp)
 		}
 		if !strings.HasSuffix(row[1], "GiB") {
 			t.Fatalf("device column %q", row[1])
@@ -92,11 +93,46 @@ func TestReportCarriesFootprint(t *testing.T) {
 		t.Fatalf("report footprint = (%d, %v), want (%d, %v)",
 			r.ModelBytes, r.ModelBytesPerPage, want.TotalBytes, want.BytesPerPage)
 	}
-	if r.ModelBytesPerPage > 9.4 { // 1.8x under the retired struct layout's 17 B/page
-		t.Fatalf("packed layout spends %.2f B/page, want <= 9.4", r.ModelBytesPerPage)
+	if r.ModelBytesPerPage > 4.5 { // 3.7x under the retired struct layout's 17 B/page
+		t.Fatalf("packed layout spends %.2f B/page, want <= 4.5", r.ModelBytesPerPage)
 	}
 	if FootprintOf(TinyConfig()) != want {
 		t.Fatal("FootprintOf diverges from the device's own footprint")
+	}
+}
+
+// TestWarmedHeapBudget is the resident-size guard: the five schemes, built on
+// the quick geometry and warmed the way every experiment warms them, may hold
+// at most 55 heap bytes per physical page between them. The flash array's
+// 4-byte keys and the 4-byte L2P are ≈ 34 of the ≈ 49 measured; at 8 bytes
+// each the sum was 84.5, so a table growing back fails here and not only in
+// bench/'s live_heap_mib.
+func TestWarmedHeapBudget(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	cfg := QuickConfig()
+	var live uint64
+	for _, s := range Schemes() {
+		before := heap()
+		f, err := New(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmDevice(f, QuickBudget())
+		if after := heap(); after > before {
+			live += after - before
+			t.Logf("%-10v %.2f MiB", s, float64(after-before)/(1<<20))
+		}
+		runtime.KeepAlive(f)
+	}
+	perPage := float64(live) / float64(cfg.Geometry.TotalPages())
+	t.Logf("five warmed devices: %.2f MiB, %.1f B per physical page", float64(live)/(1<<20), perPage)
+	if perPage > 55 {
+		t.Fatalf("five warmed devices hold %.1f heap bytes per physical page, want <= 55", perPage)
 	}
 }
 
