@@ -81,6 +81,18 @@ type LearnedFTL struct {
 	transRows  int
 	reserve    int // rows kept free for GC relocation targets
 
+	// Flat per-group views of groups/rowInvalid, kept in step with them so
+	// that picking a GC victim or a donor reads one array, not every group's
+	// rows: a group's invalid pages across its rows (written by setInvalid),
+	// the free slots of its active row (0 without one), and how many groups
+	// hold a whole row's worth of invalid pages — the idle-gap probe's
+	// answer. rowListed marks the rows in their owner's list: a victim's old
+	// rows stay owned, unlisted, until their erase, and credit no group.
+	grpInvalid  []int32
+	grpFree     []int32
+	reclaimable int
+	rowListed   []bool
+
 	tp      *transPool
 	pending []int // groups whose encroachment crossed the GC threshold
 
@@ -194,6 +206,9 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 		groups:     make([]group, p.ngroups),
 		rowOwner:   make([]int, g.BlocksPerUnit),
 		rowInvalid: make([]int, g.BlocksPerUnit),
+		grpInvalid: make([]int32, p.ngroups),
+		grpFree:    make([]int32, p.ngroups),
+		rowListed:  make([]bool, g.BlocksPerUnit),
 		transRows:  p.transRows,
 		reserve:    p.reserve,
 		tp:         newTransPool(st.Fl, p.transRows),
@@ -266,6 +281,9 @@ func (f *LearnedFTL) TrimPages(lpn int64, n int, now nand.Time) nand.Time {
 func (f *LearnedFTL) BackgroundGC(start, deadline nand.Time) nand.Time {
 	now := start
 	for now < deadline && !f.inGC {
+		if f.gcPol == nil && f.reclaimable == 0 {
+			break // the paper rule's victim is the most-invalid group
+		}
 		victim, invalid := f.victimGroup(now)
 		if invalid < f.sbPages {
 			break
@@ -457,7 +475,22 @@ func (f *LearnedFTL) invalidateData(p nand.PPN) {
 	if err := f.Fl.Invalidate(p); err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	f.rowInvalid[f.Codec.Block(p)]++
+	row := f.Codec.Block(p)
+	f.rowInvalid[row]++
+	if f.rowListed[row] {
+		gid := f.rowOwner[row]
+		f.setInvalid(gid, f.grpInvalid[gid]+1)
+	}
+}
+
+// setInvalid sets group gid's invalid-page count, reclaimable with it.
+func (f *LearnedFTL) setInvalid(gid int, n int32) {
+	if was, is := int(f.grpInvalid[gid]) >= f.sbPages, int(n) >= f.sbPages; is && !was {
+		f.reclaimable++
+	} else if was && !is {
+		f.reclaimable--
+	}
+	f.grpInvalid[gid] = n
 }
 
 // gcTransTraced runs one translation-pool collection inside a GC

@@ -17,9 +17,11 @@ func (f *LearnedFTL) takeRow(gid int) {
 	f.freeRows = f.freeRows[:n-1]
 	f.rowOwner[row] = gid
 	f.rowInvalid[row] = 0
+	f.rowListed[row] = true
 	g := &f.groups[gid]
 	g.rows = append(g.rows, row)
 	g.wp = 0
+	f.grpFree[gid] = int32(f.sbPages)
 }
 
 // encroachThreshold is how many borrowed pages a donor group tolerates
@@ -32,23 +34,24 @@ func (f *LearnedFTL) encroachThreshold() int {
 	return t
 }
 
+// donorFor picks the group gid borrows a slot from: the one with the most
+// free slots in its active superblock — the coldest — lowest id first among
+// equals, or -1 when no other group has a free slot.
+func (f *LearnedFTL) donorFor(gid int) int {
+	donor, bestFree := -1, int32(0)
+	for id, free := range f.grpFree {
+		if free > bestFree && id != gid {
+			donor, bestFree = id, free
+		}
+	}
+	return donor
+}
+
 // borrowSlot implements opportunistic cross-group allocation: the hot group
 // gid takes one free page slot from the coldest group's active superblock,
 // avoiding or delaying GC. Returns the VPPN of the borrowed slot.
 func (f *LearnedFTL) borrowSlot(gid int) (int64, bool) {
-	donor, bestFree := -1, 0
-	for id := range f.groups {
-		if id == gid {
-			continue
-		}
-		g := &f.groups[id]
-		if len(g.rows) == 0 || g.wp >= f.sbPages {
-			continue
-		}
-		if free := f.sbPages - g.wp; free > bestFree {
-			donor, bestFree = id, free
-		}
-	}
+	donor := f.donorFor(gid)
 	if donor < 0 {
 		return 0, false
 	}
@@ -56,6 +59,7 @@ func (f *LearnedFTL) borrowSlot(gid int) (int64, bool) {
 	row := g.rows[len(g.rows)-1]
 	v := f.rowVPPNBase(row) + int64(g.wp)
 	g.wp++
+	f.grpFree[donor]--
 	g.encroach++
 	if g.encroach >= f.encroachThreshold() && !g.pendingGC {
 		g.pendingGC = true
@@ -80,6 +84,7 @@ func (f *LearnedFTL) allocSlot(gid int, now nand.Time) (int64, nand.Time) {
 			row := g.rows[len(g.rows)-1]
 			v := f.rowVPPNBase(row) + int64(g.wp)
 			g.wp++
+			f.grpFree[gid]--
 			return v, now
 		}
 		if len(g.rows) < f.Cfg.GroupSuperblocks && len(f.freeRows) > f.reserve {
@@ -129,22 +134,13 @@ func (f *LearnedFTL) allocSlot(gid int, now nand.Time) (int64, nand.Time) {
 // rows and that count (§III-D: "GC is performed on the GTD entry group with
 // the most invalid data pages").
 func (f *LearnedFTL) mostInvalidGroup() (int, int) {
-	victim, best := 0, -1
-	for id := range f.groups {
-		if inv := f.groupInvalid(id); inv > best {
+	victim, best := 0, int32(-1)
+	for id, inv := range f.grpInvalid {
+		if inv > best {
 			victim, best = id, inv
 		}
 	}
-	return victim, best
-}
-
-// groupInvalid returns the invalid data-page count across a group's rows.
-func (f *LearnedFTL) groupInvalid(gid int) int {
-	inv := 0
-	for _, r := range f.groups[gid].rows {
-		inv += f.rowInvalid[r]
-	}
-	return inv
+	return victim, int(best)
 }
 
 // victimGroup picks the group-GC victim and returns it with its invalid
@@ -232,7 +228,7 @@ func (f *LearnedFTL) runPendingGC(now nand.Time) nand.Time {
 		if !g.pendingGC {
 			continue
 		}
-		if f.groupInvalid(gid) >= f.sbPages/2 {
+		if int(f.grpInvalid[gid]) >= f.sbPages/2 {
 			now = f.gcGroup(gid, now)
 		} else {
 			// Not worth collecting yet; keep the encroach count so the
@@ -402,12 +398,17 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 	// Step ②: write valid pages back to the fresh superblock → contiguous
 	// VPPNs for sorted LPNs.
 	*oldRows = append(*oldRows, g.rows...)
+	for _, r := range g.rows {
+		f.rowListed[r] = false
+	}
 	g.rows = append(g.rows[:0], newRow)
 	g.wp = 0
 	g.encroach = 0
 	g.pendingGC = false
 	f.rowOwner[newRow] = id
 	f.rowInvalid[newRow] = 0
+	f.rowListed[newRow] = true
+	f.setInvalid(id, 0)
 	row := newRow
 	base := f.rowVPPNBase(row)
 	relocStart := t
@@ -427,6 +428,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 		f.CMT.UpdatePPN(lpn, np)
 	}
 	g.wp = len(lpns)
+	f.grpFree[id] = int32(f.sbPages - g.wp)
 	*moved += len(lpns)
 
 	// Steps ③/④: train each GTD entry's model and evaluate its bitmap,

@@ -94,6 +94,11 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 			encroach:  d.Int(),
 			pendingGC: d.Bool(),
 		}
+		for _, r := range f.groups[i].rows {
+			if r < 0 || r >= len(f.rowOwner) {
+				return fmt.Errorf("core: snapshot gives group %d row %d of %d", i, r, len(f.rowOwner))
+			}
+		}
 	}
 	rowOwner := d.Ints()
 	rowInvalid := d.Ints()
@@ -117,6 +122,7 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 		f.tp.free[u] = d.Ints()
 	}
 	f.inGC = false
+	f.rebuildViews()
 	return d.Err()
 }
 
@@ -176,9 +182,12 @@ func (f *LearnedFTL) AllocInvariants() []string {
 		}
 	}
 	owned := make(map[int]int)
+	reclaimable := 0
 	for gid := range f.groups {
 		grp := &f.groups[gid]
+		invalid, free := 0, 0
 		for _, r := range grp.rows {
+			invalid += f.rowInvalid[r]
 			if prev, dup := owned[r]; dup {
 				v = append(v, fmt.Sprintf("row %d claimed by groups %d and %d", r, prev, gid))
 			}
@@ -191,6 +200,13 @@ func (f *LearnedFTL) AllocInvariants() []string {
 			if got := f.rowProgrammed(grp.rows[n-1]); grp.wp != got {
 				v = append(v, fmt.Sprintf("group %d write position %d, active row %d holds %d", gid, grp.wp, grp.rows[n-1], got))
 			}
+			free = f.sbPages - grp.wp
+		}
+		if int(f.grpInvalid[gid]) != invalid || int(f.grpFree[gid]) != free {
+			v = append(v, fmt.Sprintf("group %d views say %d invalid, %d free; its rows hold %d and %d", gid, f.grpInvalid[gid], f.grpFree[gid], invalid, free))
+		}
+		if invalid >= f.sbPages {
+			reclaimable++
 		}
 	}
 	for r := f.transRows; r < g.BlocksPerUnit; r++ {
@@ -199,6 +215,14 @@ func (f *LearnedFTL) AllocInvariants() []string {
 				v = append(v, fmt.Sprintf("row %d owned by group %d but absent from its row list", r, gid))
 			}
 		}
+	}
+	for r, listed := range f.rowListed {
+		if _, ok := owned[r]; ok != listed {
+			v = append(v, fmt.Sprintf("row %d listed = %v but in a group's row list = %v", r, listed, ok))
+		}
+	}
+	if reclaimable != f.reclaimable {
+		v = append(v, fmt.Sprintf("%d groups counted reclaimable, %d are", f.reclaimable, reclaimable))
 	}
 	for u := range f.tp.active {
 		if a := f.tp.active[u]; a >= 0 {
@@ -316,6 +340,25 @@ func (f *LearnedFTL) rebuildRows() {
 		f.groups[gid].rows = rows
 		if len(rows) > 0 {
 			f.groups[gid].wp = f.rowProgrammed(rows[len(rows)-1])
+		}
+	}
+	f.rebuildViews()
+}
+
+// rebuildViews recounts the flat per-group views from groups and rowInvalid.
+func (f *LearnedFTL) rebuildViews() {
+	clear(f.rowListed)
+	for gid := range f.groups {
+		g := &f.groups[gid]
+		invalid := 0
+		for _, r := range g.rows {
+			f.rowListed[r] = true
+			invalid += f.rowInvalid[r]
+		}
+		f.setInvalid(gid, int32(invalid))
+		f.grpFree[gid] = 0
+		if len(g.rows) > 0 {
+			f.grpFree[gid] = int32(f.sbPages - g.wp)
 		}
 	}
 }

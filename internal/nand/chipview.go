@@ -19,6 +19,7 @@ package nand
 type ChipView struct {
 	f        *Flash
 	counters OpCounters
+	maxBusy  Time // latest completion this view scheduled; Absorb folds it into the array's
 	// ops buffers observed operations while an OpObserver is attached;
 	// Absorb forwards them on the coordinator goroutine so the (single-
 	// threaded) observer never runs on a shard worker. The engine's
@@ -48,6 +49,7 @@ func (v *ChipView) Read(p PPN, after Time) Time {
 	}
 	done := start + f.timing.ReadLatency
 	f.chipBusy[chip] = done
+	v.maxBusy = max(v.maxBusy, done)
 	if f.opObs != nil {
 		v.ops = append(v.ops, FlashOp{Op: OpRead, Kind: OpHostData, PPN: p,
 			Chip: int32(chip), After: after, Start: start, Done: done})
@@ -61,6 +63,7 @@ func (v *ChipView) Read(p PPN, after Time) Time {
 func (v *ChipView) Absorb() {
 	v.f.counters.accumulate(v.counters)
 	v.counters = OpCounters{}
+	v.f.maxBusy = max(v.f.maxBusy, v.maxBusy)
 	if len(v.ops) > 0 {
 		if o := v.f.opObs; o != nil {
 			for i := range v.ops {

@@ -120,9 +120,7 @@ func (f *Flash) clearTornBlock(blockID int) {
 // recovered PowerCut's Time so the subsequent mount scan starts on the
 // crashed clock.
 func (f *Flash) PowerCycle(t Time) {
-	for i := range f.chipBusy {
-		f.chipBusy[i] = t
-	}
+	f.setClocks(t)
 	f.cut = nil
 }
 

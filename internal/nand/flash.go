@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -109,6 +110,10 @@ type Flash struct {
 	blocks     []blockMeta
 
 	chipBusy []Time // per parallel unit, next idle time
+	// maxBusy is the running maximum of chipBusy: schedule only moves a
+	// clock forward, so it only raises it; the writers that set clocks
+	// wholesale (ImportState, AdvanceIdle, PowerCycle) set it with them.
+	maxBusy Time
 
 	counters OpCounters
 	// lifetime accumulates counters folded in by ResetCounters, so the
@@ -229,6 +234,7 @@ func (f *Flash) schedule(chip int, after Time, d Time) Time {
 	}
 	done := start + d
 	f.chipBusy[chip] = done
+	f.maxBusy = max(f.maxBusy, done)
 	return done
 }
 
@@ -769,6 +775,7 @@ func (f *Flash) ImportState(s FlashState) error {
 	copy(f.valid, s.Valid)
 	copy(f.keys, s.Keys)
 	copy(f.chipBusy, s.ChipBusy)
+	f.maxBusy = max(0, slices.Max(f.chipBusy))
 	f.counters = s.Counters
 	f.lifetime = s.Lifetime
 	f.lifetime.subtract(s.Counters)
@@ -792,13 +799,7 @@ func (f *Flash) ImportState(s FlashState) error {
 
 // MaxChipBusy returns the latest busy-until across all chips; useful as a
 // makespan estimate after a run.
-func (f *Flash) MaxChipBusy() Time {
-	var m Time
-	for _, t := range f.chipBusy {
-		m = max(m, t)
-	}
-	return m
-}
+func (f *Flash) MaxChipBusy() Time { return f.maxBusy }
 
 // AdvanceIdle moves every chip's clock to MaxChipBusy()+d without
 // performing any operation: the device sits idle (or powered off) for d,
@@ -807,8 +808,13 @@ func (f *Flash) MaxChipBusy() Time {
 // data written before the bake is old, data rewritten after stays fresh
 // on the timescale of the measured window.
 func (f *Flash) AdvanceIdle(d Time) {
-	t := f.MaxChipBusy() + d
+	f.setClocks(f.maxBusy + d)
+}
+
+// setClocks puts every chip's clock, and so their maximum, at t.
+func (f *Flash) setClocks(t Time) {
 	for i := range f.chipBusy {
 		f.chipBusy[i] = t
 	}
+	f.maxBusy = max(0, t)
 }

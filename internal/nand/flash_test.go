@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -195,6 +196,87 @@ func TestMaxChipBusy(t *testing.T) {
 	f.Read(PPN(0), 0, OpHostData)
 	if f.MaxChipBusy() != f.Timing().ReadLatency {
 		t.Fatalf("MaxChipBusy = %d", f.MaxChipBusy())
+	}
+}
+
+// checkMaxBusy compares the running maximum MaxChipBusy returns with the
+// scan over every chip's clock that it replaced.
+func checkMaxBusy(t *testing.T, f *Flash, after string) {
+	t.Helper()
+	var scan Time
+	for c := 0; c < f.Geometry().Chips(); c++ {
+		scan = max(scan, f.ChipBusyUntil(c))
+	}
+	if got := f.MaxChipBusy(); got != scan {
+		t.Fatalf("after %s: MaxChipBusy = %d, the chips' clocks say %d", after, got, scan)
+	}
+}
+
+// TestMaxChipBusyMatchesScan: the running maximum equals the scan after a
+// read and a program of every op kind (plain, under a fault model that
+// retries, and through a shard's ChipView), after erases, and after each
+// writer that sets the clocks wholesale — the crash cut's PowerCycle, which
+// moves them backwards, AdvanceIdle and ImportState.
+func TestMaxChipBusyMatchesScan(t *testing.T) {
+	f := newTestFlash(t)
+	g := f.Geometry()
+	ppb := PPN(g.PagesPerBlock)
+	now := Time(0)
+	for kind := OpKind(0); kind < opKinds; kind++ {
+		blk := PPN(int(kind) * 3) // blocks on different chips
+		for i := PPN(0); i < 4; i++ {
+			done, err := f.Program(blk*ppb+i, OOB{Key: int64(i)}, now, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMaxBusy(t, f, "program "+kind.String())
+			now = done / 2 // later ops start before earlier ones end
+		}
+		f.Read(blk*ppb, now, kind)
+		checkMaxBusy(t, f, "read "+kind.String())
+		f.ReadChecked(blk*ppb+1, now, kind)
+		checkMaxBusy(t, f, "checked read "+kind.String())
+	}
+	f.SetFaultModel(ladderStub{out: ReadOutcome{Retries: 3}})
+	f.Read(PPN(0), f.MaxChipBusy()+5, OpHostData)
+	checkMaxBusy(t, f, "read with retries")
+	f.SetFaultModel(nil)
+
+	v := f.View()
+	v.Read(PPN(1), f.MaxChipBusy()+7)
+	v.Absorb()
+	checkMaxBusy(t, f, "ChipView read + Absorb")
+
+	for i := PPN(0); i < 4; i++ {
+		if err := f.Invalidate(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Erase(0, f.MaxChipBusy()); err != nil {
+		t.Fatal(err)
+	}
+	checkMaxBusy(t, f, "erase")
+
+	snap := f.ExportState()
+	f.AdvanceIdle(Second)
+	checkMaxBusy(t, f, "AdvanceIdle")
+	if f.MaxChipBusy() != slices.Max(snap.ChipBusy)+Second {
+		t.Fatal("AdvanceIdle did not move the clocks by d past the maximum")
+	}
+
+	f.ArmCut(1, 0, false)
+	cut := catchCut(t, func() { f.Read(PPN(ppb), f.MaxChipBusy(), OpHostData) })
+	f.PowerCycle(cut.Time / 2) // clocks move backwards
+	checkMaxBusy(t, f, "crash cut + PowerCycle")
+	f.Read(PPN(ppb), 0, OpGC)
+	checkMaxBusy(t, f, "read after PowerCycle")
+
+	if err := f.ImportState(snap); err != nil {
+		t.Fatal(err)
+	}
+	checkMaxBusy(t, f, "ImportState")
+	if f.MaxChipBusy() != slices.Max(snap.ChipBusy) || f.MaxChipBusy() == 0 {
+		t.Fatalf("ImportState left MaxChipBusy = %d", f.MaxChipBusy())
 	}
 }
 

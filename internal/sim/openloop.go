@@ -153,13 +153,7 @@ func RunOpen(f ftl.FTL, streams []Stream, maxRequests int64) Result {
 
 // RunOpenWith is RunOpen with explicit options (background GC).
 func RunOpenWith(f ftl.FTL, streams []Stream, opt OpenOptions) Result {
-	var bg func(start, deadline nand.Time)
-	if opt.BackgroundGC {
-		if b, ok := f.(ftl.BackgroundCollector); ok {
-			bg = func(start, deadline nand.Time) { b.BackgroundGC(start, deadline) }
-		}
-	}
-	return runOpenLoop(ftlTarget{f}, streams, opt.MaxRequests, bg, opt.AckSink)
+	return RunOpenTarget(newFTLTarget(f), streams, opt)
 }
 
 // OpenTarget is what the open-loop host model drives: a single FTL device
@@ -185,8 +179,17 @@ type OpenTarget interface {
 
 // ftlTarget adapts a single ftl.FTL to the OpenTarget shape. Its Issue is
 // exactly the shared issue() path, so RunOpenWith over the adapter is
-// byte-identical to the pre-refactor single-device loop.
-type ftlTarget struct{ f ftl.FTL }
+// byte-identical to the pre-refactor single-device loop. bg is f's
+// background collector, nil when it has none, asserted once per run.
+type ftlTarget struct {
+	f  ftl.FTL
+	bg ftl.BackgroundCollector
+}
+
+func newFTLTarget(f ftl.FTL) ftlTarget {
+	bg, _ := f.(ftl.BackgroundCollector)
+	return ftlTarget{f, bg}
+}
 
 func (t ftlTarget) Issue(req Request, now nand.Time) (nand.Time, int) {
 	return issue(t.f, req, now)
@@ -194,8 +197,8 @@ func (t ftlTarget) Issue(req Request, now nand.Time) (nand.Time, int) {
 func (t ftlTarget) Busy() nand.Time             { return t.f.Flash().MaxChipBusy() }
 func (t ftlTarget) Collector() *stats.Collector { return t.f.Collector() }
 func (t ftlTarget) BackgroundWork(s, d nand.Time) {
-	if bg, ok := t.f.(ftl.BackgroundCollector); ok {
-		bg.BackgroundGC(s, d)
+	if t.bg != nil {
+		t.bg.BackgroundGC(s, d)
 	}
 }
 
@@ -206,17 +209,13 @@ func (t ftlTarget) BackgroundWork(s, d nand.Time) {
 // OpenOptions.BackgroundGC set, the target's BackgroundWork is offered
 // every device-idle gap.
 func RunOpenTarget(t OpenTarget, streams []Stream, opt OpenOptions) Result {
-	var bg func(start, deadline nand.Time)
-	if opt.BackgroundGC {
-		bg = t.BackgroundWork
-	}
-	return runOpenLoop(t, streams, opt.MaxRequests, bg, opt.AckSink)
+	return runOpenLoop(t, streams, opt.MaxRequests, opt.BackgroundGC, opt.AckSink)
 }
 
 // runOpenLoop is the shared open-loop engine body (see RunOpen for the
-// semantics). bg, when non-nil, is offered the idle gap before each
-// service start whose target drain time precedes it.
-func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(start, deadline nand.Time), ack AckFunc) Result {
+// semantics). With bg set, the target's BackgroundWork is offered the idle
+// gap before each service start that its drain time precedes.
+func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg bool, ack AckFunc) Result {
 	start := t.Busy()
 	col := t.Collector()
 	names := make([]string, len(streams))
@@ -256,14 +255,14 @@ func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg func(star
 		}
 		i, now := sc.min()
 		st := states[i]
-		if bg != nil {
+		if bg {
 			// The target drains before the next service start: offer the
 			// idle gap to its background work source (GC, rebuild). Work it
 			// launches finishes inside the gap or spills into the request's
 			// service time through per-chip queueing — never onto its queue
 			// wait.
 			if busy := t.Busy(); busy < now {
-				bg(busy, now)
+				t.BackgroundWork(busy, now)
 			}
 		}
 		wait := now - st.arrival

@@ -67,6 +67,14 @@ func (s *series) appendTo(dst []int64) []int64 {
 	return dst
 }
 
+// extend appends o's values: how DefineStreams retires an earlier run's
+// tenant samples, off the record path.
+func (s *series) extend(o *series) {
+	for i := 0; i < o.n; i++ {
+		s.append(o.at(i))
+	}
+}
+
 // reset empties the series but keeps its chunks — the arena reuse that
 // makes steady-state recording allocation-free.
 func (s *series) reset() { s.n = 0 }

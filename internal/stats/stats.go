@@ -49,25 +49,23 @@ func (c ReadClass) String() string {
 // instance; the simulation engine records request latencies into it and the
 // FTL records hit/class events.
 type Collector struct {
-	// Latencies of completed host requests, in virtual ns. For closed-loop
-	// runs these are device service times; for open-loop runs they are
-	// total host-observed latencies (queue wait + device service). Backed
-	// by chunked arenas (series) that Reset retains, so the per-request
-	// hot path records allocation-free in steady state.
-	readLat  series
-	writeLat series
+	// host is the bucket of the latency samples credited to no tenant:
+	// every closed-loop request (device service time), and of an open-loop
+	// run (total latency plus its queue wait) the requests of no defined
+	// stream and, once DefineStreams starts another run, the earlier run's.
+	// A sample is stored once: the device-wide populations are host and
+	// every tenant bucket read together. An engine must not mix
+	// RecordRead/RecordWrite with RecordQueued in one run, or host's index
+	// pairing of latency and wait breaks.
+	host StreamLat
 
-	// Queue waits of completed open-loop requests, index-parallel to
-	// readLat/writeLat. Closed-loop runs leave them empty; an engine must
-	// not mix RecordRead/RecordWrite with RecordQueued in one run, or the
-	// pairing breaks.
-	readWait  series
-	writeWait series
-
-	// Per-stream (tenant) latency buckets of an open-loop run, registered
-	// by DefineStreams.
-	streams   []*StreamLat
-	streamIdx []int // engine stream index -> streams bucket
+	// Per-tenant buckets of an open-loop run, registered by DefineStreams:
+	// streams the run's buckets in first-appearance order, streamOf the
+	// bucket of each engine stream. buckets is every bucket ever made;
+	// like host it survives Reset, so a later run records into warm arenas.
+	streams  []*StreamLat
+	streamOf []*StreamLat
+	buckets  []*StreamLat
 
 	// Host-level op/byte counts.
 	HostReads      int64
@@ -146,7 +144,7 @@ func (c *Collector) Tracer() *obs.Tracer { return c.tr }
 
 // RecordRead records a completed host read request of the given latency.
 func (c *Collector) RecordRead(lat nand.Time, pages int) {
-	c.readLat.append(int64(lat))
+	c.host.dir[0].lat.append(int64(lat))
 	c.HostReads++
 	c.HostReadPages += int64(pages)
 }
@@ -157,78 +155,148 @@ func (c *Collector) RecordRead(lat nand.Time, pages int) {
 // latency when the sharded flash ops resolve, so the record stream is
 // byte-identical to a sequential run regardless of resolution order.
 func (c *Collector) ReserveRead(pages int) int {
-	c.readLat.append(0)
-	c.HostReads++
-	c.HostReadPages += int64(pages)
-	return c.readLat.len() - 1
+	c.RecordRead(0, pages)
+	return c.host.dir[0].lat.len() - 1
 }
 
 // FillRead sets the latency of a slot returned by ReserveRead.
-func (c *Collector) FillRead(slot int, lat nand.Time) { c.readLat.set(slot, int64(lat)) }
+func (c *Collector) FillRead(slot int, lat nand.Time) { c.host.dir[0].lat.set(slot, int64(lat)) }
 
 // RecordWrite records a completed host write request of the given latency.
 func (c *Collector) RecordWrite(lat nand.Time, pages int) {
-	c.writeLat.append(int64(lat))
+	c.host.dir[1].lat.append(int64(lat))
 	c.HostWrites++
 	c.HostWritePages += int64(pages)
 }
 
-// StreamLat accumulates one tenant stream's request latencies and queue
-// waits, for the per-stream percentile tracking of multi-tenant open-loop
-// runs.
+// latPop is one population of request latencies in chunked arenas (series)
+// that a reset keeps, so recording allocates nothing in steady state. wait
+// is empty for closed-loop samples and index-paired with lat for open-loop
+// ones.
+type latPop struct{ lat, wait series }
+
+// population is a set of latPops read as one. Everything computed from it —
+// integer sums, percentiles of the sorted samples, lat − wait of a pair —
+// is independent of the order the samples are visited in.
+type population []*latPop
+
+// total returns the count and the sum of the latencies, or of the recorded
+// queue waits.
+func (ps population) total(waits bool) (n, sum int64) {
+	for _, p := range ps {
+		s := &p.lat
+		if waits {
+			s = &p.wait
+		}
+		n, sum = n+int64(s.len()), sum+s.sum()
+	}
+	return n, sum
+}
+
+// mean returns the average latency, or the average recorded queue wait.
+func (ps population) mean(waits bool) nand.Time {
+	n, sum := ps.total(waits)
+	if n == 0 {
+		return 0
+	}
+	return nand.Time(sum / n)
+}
+
+// waitShare returns the fraction of the summed latency spent queued.
+func (ps population) waitShare() float64 {
+	_, lat := ps.total(false)
+	if lat == 0 {
+		return 0
+	}
+	_, wait := ps.total(true)
+	return float64(wait) / float64(lat)
+}
+
+// sorted returns a fresh ascending copy of the latencies — of the device
+// service times (latency minus the paired wait; a sample without a recorded
+// wait already is one) when service is set. percentileOf reads any number
+// of percentiles off one copy.
+func (ps population) sorted(service bool) []int64 {
+	n := 0
+	for _, p := range ps {
+		n += p.lat.len()
+	}
+	v := make([]int64, 0, n)
+	for _, p := range ps {
+		from := len(v)
+		v = p.lat.appendTo(v)
+		for i := 0; service && i < p.wait.len(); i++ {
+			v[from+i] -= p.wait.at(i)
+		}
+	}
+	slices.Sort(v)
+	return v
+}
+
+// StreamLat accumulates one tenant's request latencies and queue waits,
+// reads in dir[0] and writes in dir[1], for the per-stream percentile
+// tracking of multi-tenant open-loop runs.
 type StreamLat struct {
 	Name string
-	lat  []int64 // total latency (wait + service) per request
-	wait []int64 // queue wait per request
+	dir  [2]latPop
+}
+
+func (s *StreamLat) all() population { return population{&s.dir[0], &s.dir[1]} }
+
+// reset empties the bucket and keeps its arenas.
+func (s *StreamLat) reset() {
+	for _, p := range s.all() {
+		p.lat.reset()
+		p.wait.reset()
+	}
 }
 
 // Requests returns the number of completed requests recorded.
-func (s *StreamLat) Requests() int64 { return int64(len(s.lat)) }
+func (s *StreamLat) Requests() int64 { return int64(s.dir[0].lat.len() + s.dir[1].lat.len()) }
 
 // Mean returns the stream's mean total latency.
-func (s *StreamLat) Mean() nand.Time { return mean(s.lat) }
+func (s *StreamLat) Mean() nand.Time { return s.all().mean(false) }
 
 // Percentile returns the p-th percentile of the stream's total latencies.
-func (s *StreamLat) Percentile(p float64) nand.Time { return percentile(s.lat, p) }
+func (s *StreamLat) Percentile(p float64) nand.Time {
+	return percentileOf(s.all().sorted(false), p)
+}
 
 // MeanWait returns the stream's mean queue wait.
-func (s *StreamLat) MeanWait() nand.Time { return mean(s.wait) }
+func (s *StreamLat) MeanWait() nand.Time { return s.all().mean(true) }
 
 // WaitShare returns the fraction of the stream's total latency spent
 // waiting in queue rather than being serviced.
-func (s *StreamLat) WaitShare() float64 { return waitShare(s.lat, s.wait) }
-
-func sum(v []int64) int64 {
-	var s int64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-func waitShare(lat, wait []int64) float64 {
-	sumL := sum(lat)
-	if sumL == 0 {
-		return 0
-	}
-	return float64(sum(wait)) / float64(sumL)
-}
+func (s *StreamLat) WaitShare() float64 { return s.all().waitShare() }
 
 // DefineStreams registers the named streams of an open-loop run, in engine
 // stream order. Streams sharing a name share one bucket — that is how a
-// tenant spread across several parallel streams is accounted as one.
+// tenant spread across several parallel streams is accounted as one. The
+// buckets start empty: samples an earlier run left in them move to host,
+// so the device-wide populations keep accumulating until Reset.
 func (c *Collector) DefineStreams(names []string) {
-	c.streams = nil
-	c.streamIdx = make([]int, len(names))
-	byName := make(map[string]int, len(names))
-	for i, n := range names {
-		b, ok := byName[n]
-		if !ok {
-			b = len(c.streams)
-			byName[n] = b
-			c.streams = append(c.streams, &StreamLat{Name: n})
+	for _, b := range c.streams {
+		for d := range b.dir {
+			c.host.dir[d].lat.extend(&b.dir[d].lat)
+			c.host.dir[d].wait.extend(&b.dir[d].wait)
 		}
-		c.streamIdx[i] = b
+		b.reset()
+	}
+	c.streams = c.buckets[:0]
+	c.streamOf = make([]*StreamLat, len(names))
+	byName := make(map[string]*StreamLat, len(names))
+	for i, n := range names {
+		b := byName[n]
+		if b == nil {
+			if len(c.streams) == len(c.buckets) {
+				c.buckets = append(c.buckets, &StreamLat{})
+			}
+			b = c.buckets[len(c.streams)]
+			b.Name = n
+			c.streams = c.buckets[:len(c.streams)+1]
+			byName[n] = b
+		}
+		c.streamOf[i] = b
 	}
 }
 
@@ -236,23 +304,26 @@ func (c *Collector) DefineStreams(names []string) {
 // order, or nil for a closed-loop run.
 func (c *Collector) Streams() []*StreamLat { return c.streams }
 
-// RecordQueued records one completed open-loop request: the total latency
-// (wait + service) joins the host latency population, the wait joins the
-// queue-wait decomposition, and both are credited to the stream's bucket.
+// RecordQueued records one completed open-loop request, once: the total
+// latency (wait + service) and the wait go to the stream's bucket — to host
+// for a stream DefineStreams did not name — and join the device-wide
+// populations from there.
 func (c *Collector) RecordQueued(stream int, write bool, wait, service nand.Time, pages int) {
-	total := wait + service
+	b := &c.host
+	if uint(stream) < uint(len(c.streamOf)) {
+		b = c.streamOf[stream]
+	}
+	p := &b.dir[0]
 	if write {
-		c.RecordWrite(total, pages)
-		c.writeWait.append(int64(wait))
+		p = &b.dir[1]
+		c.HostWrites++
+		c.HostWritePages += int64(pages)
 	} else {
-		c.RecordRead(total, pages)
-		c.readWait.append(int64(wait))
+		c.HostReads++
+		c.HostReadPages += int64(pages)
 	}
-	if stream >= 0 && stream < len(c.streamIdx) {
-		s := c.streams[c.streamIdx[stream]]
-		s.lat = append(s.lat, int64(total))
-		s.wait = append(s.wait, int64(wait))
-	}
+	p.lat.append(int64(wait + service))
+	p.wait.append(int64(wait))
 }
 
 // RecordClass records the read class of one host page read.
@@ -354,51 +425,54 @@ func (c *Collector) RecordWASample(t nand.Time, flashPrograms int64) {
 func (c *Collector) WAOverTime() []WASample { return c.waSamples }
 
 // Reset clears all accumulated metrics (between warm-up and measurement).
-// The latency/wait arenas are kept and emptied rather than dropped, so the
-// next phase records into already-allocated chunks.
+// The latency arenas — host's and every tenant bucket's — are kept and
+// emptied rather than dropped, so the next phase records into
+// already-allocated chunks.
 func (c *Collector) Reset() {
-	rl, wl, rw, ww, tr := c.readLat, c.writeLat, c.readWait, c.writeWait, c.tr
+	host, buckets, tr := c.host, c.buckets, c.tr
 	*c = Collector{}
-	rl.reset()
-	wl.reset()
-	rw.reset()
-	ww.reset()
-	c.readLat, c.writeLat, c.readWait, c.writeWait = rl, wl, rw, ww
-	c.tr = tr
+	c.host, c.buckets, c.tr = host, buckets, tr
+	for _, b := range append([]*StreamLat{&c.host}, buckets...) {
+		b.reset()
+	}
+}
+
+// pop returns the device-wide population of reads, writes or both: host
+// and every tenant bucket of the current run.
+func (c *Collector) pop(reads, writes bool) population {
+	var ps population
+	for _, b := range append([]*StreamLat{&c.host}, c.streams...) {
+		if reads {
+			ps = append(ps, &b.dir[0])
+		}
+		if writes {
+			ps = append(ps, &b.dir[1])
+		}
+	}
+	return ps
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) of the merged
 // read+write latency population, or 0 if empty.
 func (c *Collector) Percentile(p float64) nand.Time {
-	all := make([]int64, 0, c.readLat.len()+c.writeLat.len())
-	all = c.readLat.appendTo(all)
-	all = c.writeLat.appendTo(all)
-	return percentileOwned(all, p)
+	return percentileOf(c.pop(true, true).sorted(false), p)
 }
 
 // ReadPercentile returns the p-th percentile of read latencies.
 func (c *Collector) ReadPercentile(p float64) nand.Time {
-	return percentileOwned(c.readLat.appendTo(nil), p)
+	return percentileOf(c.pop(true, false).sorted(false), p)
 }
 
 // WritePercentile returns the p-th percentile of write latencies.
 func (c *Collector) WritePercentile(p float64) nand.Time {
-	return percentileOwned(c.writeLat.appendTo(nil), p)
+	return percentileOf(c.pop(false, true).sorted(false), p)
 }
 
-func percentile(v []int64, p float64) nand.Time {
-	s := make([]int64, len(v))
-	copy(s, v)
-	return percentileOwned(s, p)
-}
-
-// percentileOwned is percentile over a slice the caller lets us sort in
-// place (a fresh copy off a series arena).
-func percentileOwned(s []int64, p float64) nand.Time {
+// percentileOf returns the p-th percentile of an ascending slice.
+func percentileOf(s []int64, p float64) nand.Time {
 	if len(s) == 0 {
 		return 0
 	}
-	slices.Sort(s)
 	idx := int(p/100*float64(len(s))) - 1
 	if idx < 0 {
 		idx = 0
@@ -413,76 +487,31 @@ func percentileOwned(s []int64, p float64) nand.Time {
 // (total latency minus queue wait) of host reads. For closed-loop runs —
 // no recorded waits — it equals ReadPercentile.
 func (c *Collector) ReadServicePercentile(p float64) nand.Time {
-	return percentileOwned(serviceLats(&c.readLat, &c.readWait), p)
+	return percentileOf(c.pop(true, false).sorted(true), p)
 }
 
 // WriteServicePercentile is ReadServicePercentile for writes.
 func (c *Collector) WriteServicePercentile(p float64) nand.Time {
-	return percentileOwned(serviceLats(&c.writeLat, &c.writeWait), p)
-}
-
-// serviceLats subtracts index-paired queue waits from total latencies;
-// with no waits recorded the totals already are service times. Always a
-// fresh copy, so callers may sort it.
-func serviceLats(lat, wait *series) []int64 {
-	svc := lat.appendTo(make([]int64, 0, lat.len()))
-	for i := range svc {
-		if i < wait.len() {
-			svc[i] -= wait.at(i)
-		}
-	}
-	return svc
+	return percentileOf(c.pop(false, true).sorted(true), p)
 }
 
 // MeanLatency returns the average over the merged read+write latency
 // population.
-func (c *Collector) MeanLatency() nand.Time {
-	n := c.readLat.len() + c.writeLat.len()
-	if n == 0 {
-		return 0
-	}
-	return nand.Time((c.readLat.sum() + c.writeLat.sum()) / int64(n))
-}
+func (c *Collector) MeanLatency() nand.Time { return c.pop(true, true).mean(false) }
 
 // MeanQueueWait returns the average queue wait over all open-loop
 // requests (0 for closed-loop runs).
-func (c *Collector) MeanQueueWait() nand.Time {
-	n := c.readWait.len() + c.writeWait.len()
-	if n == 0 {
-		return 0
-	}
-	return nand.Time((c.readWait.sum() + c.writeWait.sum()) / int64(n))
-}
+func (c *Collector) MeanQueueWait() nand.Time { return c.pop(true, true).mean(true) }
 
 // QueueWaitShare returns the fraction of total host latency spent queued
 // rather than serviced, over the merged read+write population.
-func (c *Collector) QueueWaitShare() float64 {
-	sumL := c.readLat.sum() + c.writeLat.sum()
-	if sumL == 0 {
-		return 0
-	}
-	return float64(c.readWait.sum()+c.writeWait.sum()) / float64(sumL)
-}
+func (c *Collector) QueueWaitShare() float64 { return c.pop(true, true).waitShare() }
 
 // MeanReadLatency returns the average read latency.
-func (c *Collector) MeanReadLatency() nand.Time { return meanSeries(&c.readLat) }
+func (c *Collector) MeanReadLatency() nand.Time { return c.pop(true, false).mean(false) }
 
 // MeanWriteLatency returns the average write latency.
-func (c *Collector) MeanWriteLatency() nand.Time { return meanSeries(&c.writeLat) }
-
-func meanSeries(s *series) nand.Time {
-	if s.len() == 0 {
-		return 0
-	}
-	return nand.Time(s.sum() / int64(s.len()))
-}
-
-func mean(v []int64) nand.Time {
-	if len(v) == 0 {
-		return 0
-	}
-	return nand.Time(sum(v) / int64(len(v)))
-}
+func (c *Collector) MeanWriteLatency() nand.Time { return c.pop(false, true).mean(false) }
 
 // CMTHitRatio returns the fraction of page-read translations served by the
 // mapping cache.
@@ -635,12 +664,13 @@ type StreamReport struct {
 func BuildReport(name string, c *Collector, flash nand.OpCounters,
 	makespan nand.Time, pageSize int, energy nand.Energy) Report {
 
+	lats := c.pop(true, true).sorted(false) // one sort serves both percentiles
 	r := Report{
 		FTL:           name,
 		Makespan:      makespan,
 		MeanReadLat:   c.MeanReadLatency(),
-		P99:           c.Percentile(99),
-		P999:          c.Percentile(99.9),
+		P99:           percentileOf(lats, 99),
+		P999:          percentileOf(lats, 99.9),
 		Requests:      c.HostReads + c.HostWrites,
 		MeanLat:       c.MeanLatency(),
 		MeanWait:      c.MeanQueueWait(),
@@ -667,12 +697,13 @@ func BuildReport(name string, c *Collector, flash nand.OpCounters,
 		r.IOPS = float64(r.Requests) / secs
 	}
 	for _, s := range c.Streams() {
+		lats := s.all().sorted(false)
 		r.Streams = append(r.Streams, StreamReport{
 			Name:      s.Name,
 			Requests:  s.Requests(),
 			MeanLat:   s.Mean(),
-			P99:       s.Percentile(99),
-			P999:      s.Percentile(99.9),
+			P99:       percentileOf(lats, 99),
+			P999:      percentileOf(lats, 99.9),
 			MeanWait:  s.MeanWait(),
 			WaitShare: s.WaitShare(),
 		})

@@ -166,3 +166,36 @@ func TestVictimIndexSublinearOnRealWorkload(t *testing.T) {
 	t.Logf("victim index: %d selections, %.1f candidates examined each (device: %d blocks)",
 		st.Selections, perSelection, cfg.Geometry.TotalBlocks())
 }
+
+// TestOpenLoopAllocBudget pins what an open-loop request may allocate: a
+// fresh 100 000-request RunOpenWith — Poisson readers beside writers with
+// idle-gap GC, bench/'s mixed_open in small — takes at most 40 heap bytes
+// per request. The collector's share is 16: a latency and a queue wait,
+// each stored once in a chunked arena. With the samples recorded a second
+// time in per-tenant slices that regrew by copying it was ≈ 100.
+func TestOpenLoopAllocBudget(t *testing.T) {
+	cfg := TinyConfig()
+	f, err := ftl.NewIdeal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := cfg.LogicalPages()
+	sim.Warmed(f, workload.Warmup(lp, 2, 128, 1), 0)
+	f.Collector().Reset()
+	const readers, writers, perReader, perWriter = 8, 2, 11_900, 2_400
+	streams := workload.OpenFIO("reader", workload.RandRead, lp, 1, readers, perReader, sim.ArrivalPoisson, 20_000, 11)
+	streams = append(streams, workload.OpenFIO("writer", workload.RandWrite, lp, 1, writers, perWriter, sim.ArrivalPoisson, 1_000, 13)...)
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	res := sim.RunOpenWith(f, streams, sim.OpenOptions{BackgroundGC: true})
+	runtime.ReadMemStats(&m1)
+	if res.Requests != readers*perReader+writers*perWriter {
+		t.Fatalf("engine issued %d requests", res.Requests)
+	}
+	perReq := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Requests)
+	t.Logf("%d requests, %.1f B allocated per request", res.Requests, perReq)
+	if perReq > 40 {
+		t.Fatalf("open-loop run allocated %.1f B per request, want <= 40", perReq)
+	}
+}
