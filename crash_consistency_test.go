@@ -16,6 +16,9 @@ import (
 // lost acked writes and zero invariant violations for all five schemes,
 // with every armed cut firing and recovering.
 func TestCrashCampaignAllSchemes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("200-crash campaign skipped in -short mode")
+	}
 	cfg := TinyConfig()
 	b := Budget{Requests: 16000, WarmExtra: 1, Threads: 8,
 		CrashFuzz: 40, Workers: AutoWorkers()}

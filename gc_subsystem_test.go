@@ -201,6 +201,9 @@ func TestGCPolicySelectionViaConfig(t *testing.T) {
 // TestGCExperimentsDeterministic: the two new experiments must be
 // byte-identical across worker counts, like every other experiment.
 func TestGCExperimentsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("GC experiments across worker counts skipped in -short mode")
+	}
 	cfg := TinyConfig()
 	mk := func(workers int) Budget {
 		b := sweepTestBudget(workers)

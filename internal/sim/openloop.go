@@ -81,13 +81,35 @@ type olStream struct {
 	gen    Generator
 	kind   ArrivalKind
 	meanNS float64 // mean interarrival gap in virtual ns
-	rng    *rand.Rand
 
 	start   nand.Time
 	clockNS float64   // arrival offset of the fetched request, ns since start
 	arrival nand.Time // arrival time of the fetched request
 	req     Request   // fetched but not yet issued request
 	ready   nand.Time // completion time of the stream's previous request
+
+	// Poisson: the stream's own RNG and the unit-mean gaps drawn from it a
+	// batch at a time; the last gapLeft of gaps are still unused.
+	rng     *rand.Rand
+	gapLeft int
+	gaps    [64]float64
+}
+
+// newOLStream builds the engine-side state of s for a run starting at
+// start. A Rate <= 0 degrades any kind to unbounded arrivals.
+func newOLStream(s Stream, start nand.Time) *olStream {
+	st := &olStream{gen: s.Gen, kind: s.Kind, start: start, ready: start}
+	if s.Rate <= 0 {
+		st.kind = ArrivalUnbounded
+	}
+	switch st.kind {
+	case ArrivalFixed:
+		st.meanNS = float64(nand.Second) / s.Rate
+	case ArrivalPoisson:
+		st.meanNS = float64(nand.Second) / s.Rate
+		st.rng = rand.New(rand.NewSource(s.Seed))
+	}
+	return st
 }
 
 // fetch pulls the stream's next request and stamps its arrival time.
@@ -103,7 +125,14 @@ func (s *olStream) fetch() bool {
 	case ArrivalFixed:
 		s.clockNS += s.meanNS
 	case ArrivalPoisson:
-		s.clockNS += s.rng.ExpFloat64() * s.meanNS
+		if s.gapLeft == 0 {
+			for i := range s.gaps {
+				s.gaps[i] = s.rng.ExpFloat64()
+			}
+			s.gapLeft = len(s.gaps)
+		}
+		s.clockNS += s.gaps[len(s.gaps)-s.gapLeft] * s.meanNS
+		s.gapLeft--
 	}
 	return true
 }
@@ -227,17 +256,7 @@ func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg bool, ack
 	states := make([]*olStream, len(streams))
 	first := make([]nand.Time, len(streams)) // service start of each stream's first request
 	for i, s := range streams {
-		st := &olStream{gen: s.Gen, kind: s.Kind, start: start, ready: start}
-		if s.Rate <= 0 {
-			st.kind = ArrivalUnbounded
-		}
-		switch st.kind {
-		case ArrivalFixed:
-			st.meanNS = float64(nand.Second) / s.Rate
-		case ArrivalPoisson:
-			st.meanNS = float64(nand.Second) / s.Rate
-			st.rng = rand.New(rand.NewSource(s.Seed))
-		}
+		st := newOLStream(s, start)
 		states[i] = st
 		first[i] = never
 		if st.fetch() {

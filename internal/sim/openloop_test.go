@@ -1,12 +1,71 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/stats"
 )
+
+// TestArrivalsMatchPerFetchDraws pins each arrival process's instants: a
+// Poisson stream's, drawn a batch ahead, equal one ExpFloat64 per fetch
+// from rand.NewSource(Seed) accumulated in float64; a fixed stream's are
+// start + round(k/Rate); an unbounded stream's, and a rated stream's of
+// Rate 0, are all the start.
+func TestArrivalsMatchPerFetchDraws(t *testing.T) {
+	const n, start = 300, nand.Time(12_345)
+	for _, s := range []Stream{
+		{Kind: ArrivalPoisson, Rate: 20_000, Seed: 11},
+		{Kind: ArrivalPoisson, Rate: 1_250, Seed: 13 + 6151},
+		{Kind: ArrivalPoisson, Rate: 3e6, Seed: -4},
+		{Kind: ArrivalFixed, Rate: 30_000},
+		{Kind: ArrivalUnbounded},
+		{Kind: ArrivalPoisson},
+	} {
+		s.Gen = seqGen(0, n, false)
+		st := newOLStream(s, start)
+		rng := rand.New(rand.NewSource(s.Seed))
+		var clock float64
+		for i := 0; i < n; i++ {
+			if !st.fetch() {
+				t.Fatalf("%v stream ended after %d of %d requests", s.Kind, i, n)
+			}
+			want := start
+			if s.Rate > 0 {
+				want += nand.Time(math.Round(clock))
+				switch s.Kind {
+				case ArrivalFixed:
+					clock += float64(nand.Second) / s.Rate
+				case ArrivalPoisson:
+					clock += rng.ExpFloat64() * (float64(nand.Second) / s.Rate)
+				}
+			}
+			if st.arrival != want || st.req.LPN != int64(i) {
+				t.Fatalf("%v rate %g: arrival %d at %d (LPN %d), want %d", s.Kind, s.Rate, i, st.arrival, st.req.LPN, want)
+			}
+		}
+		if st.fetch() {
+			t.Fatalf("%v stream outlived its generator", s.Kind)
+		}
+	}
+}
+
+// TestPoissonFetchZeroAlloc: stamping Poisson arrivals, gap refills
+// included, allocates nothing.
+func TestPoissonFetchZeroAlloc(t *testing.T) {
+	st := newOLStream(Stream{Gen: seqGen(0, 1<<30, false), Kind: ArrivalPoisson, Rate: 1e4, Seed: 1}, 0)
+	allocs := testing.AllocsPerRun(5, func() {
+		for range 4 * len(st.gaps) { // four refills
+			st.fetch()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per %d fetches, want 0", allocs, 4*len(st.gaps))
+	}
+}
 
 // unboundedStreams wraps closed-loop generators as open-loop streams with
 // back-pressure-only arrivals, the configuration that must reproduce the

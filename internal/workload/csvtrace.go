@@ -20,6 +20,9 @@ import (
 // wrapped, and page counts are clipped, so traces recorded against larger
 // devices replay on smaller ones, as the paper scales the WebSearch traces.
 func ReadCSVTrace(r io.Reader, lp int64) ([]sim.Request, error) {
+	if lp <= 0 {
+		return nil, fmt.Errorf("workload: csv trace onto a device of %d logical pages", lp)
+	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 3
 	var out []sim.Request
@@ -49,7 +52,7 @@ func ReadCSVTrace(r io.Reader, lp int64) ([]sim.Request, error) {
 			return nil, fmt.Errorf("workload: csv trace line %d: bad pages %q", line, rec[2])
 		}
 		lpn %= lp
-		if lpn+int64(pages) > lp {
+		if int64(pages) > lp-lpn {
 			pages = int(lp - lpn)
 		}
 		out = append(out, sim.Request{Write: write, LPN: lpn, Pages: pages})

@@ -44,6 +44,20 @@ func TestReadCSVTraceValidation(t *testing.T) {
 			t.Errorf("accepted %q", c)
 		}
 	}
+	for _, lp := range []int64{0, -1} {
+		if _, err := ReadCSVTrace(strings.NewReader("R,0,1\n"), lp); err == nil {
+			t.Errorf("accepted a device of %d logical pages", lp)
+		}
+	}
+	// A page count whose end overflows int64 is clipped to the device, not
+	// wrapped negative past the clip.
+	reqs, err := ReadCSVTrace(strings.NewReader("R,5,9223372036854775807\n"), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (sim.Request{LPN: 5, Pages: 95}); len(reqs) != 1 || reqs[0] != want {
+		t.Fatalf("huge page count read as %+v, want [%+v]", reqs, want)
+	}
 }
 
 func TestReadCSVTraceWrapsAndClips(t *testing.T) {

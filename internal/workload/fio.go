@@ -44,37 +44,93 @@ func (p Pattern) IsWrite() bool { return p == SeqWrite || p == RandWrite }
 // FIO returns one generator per thread for the given pattern over a device
 // of lp logical pages. Each request covers ioPages pages; each thread issues
 // perThread requests. Sequential threads scan disjoint regions (FIO's
-// per-job offset); random threads draw uniformly over the whole space.
+// per-job offset); random threads draw uniformly over the whole space, each
+// from its own seeded source, value for value what rand.Rand.Int63n draws.
 func FIO(p Pattern, lp int64, ioPages, threads, perThread int, seed int64) []sim.Generator {
 	gens := make([]sim.Generator, threads)
 	region := lp / int64(threads)
-	for th := 0; th < threads; th++ {
-		th := th
-		rng := rand.New(rand.NewSource(seed + int64(th)*7919))
-		issued := 0
-		cursor := int64(th) * region
-		gens[th] = sim.GenFunc(func() (sim.Request, bool) {
-			if issued >= perThread {
-				return sim.Request{}, false
+	n := lp - int64(ioPages) + 1 // random LPNs are drawn from [0, n)
+	for th := range threads {
+		g := &fioGen{req: sim.Request{Write: p.IsWrite(), Pages: ioPages}, left: perThread}
+		switch p {
+		case SeqRead, SeqWrite:
+			g.base, g.region = int64(th)*region, region
+			g.cursor = g.base
+		case RandRead, RandWrite:
+			g.src, g.n = rand.NewSource(seed+int64(th)*7919), n
+			if n > 0 {
+				g.max = int64((1 << 63) - 1 - (1<<63)%uint64(n))
 			}
-			issued++
-			n := ioPages
-			var lpn int64
-			switch p {
-			case SeqRead, SeqWrite:
-				base := int64(th) * region
-				if cursor+int64(n) > base+region {
-					cursor = base
-				}
-				lpn = cursor
-				cursor += int64(n)
-			case RandRead, RandWrite:
-				lpn = rng.Int63n(lp - int64(n) + 1)
-			}
-			return sim.Request{Write: p.IsWrite(), LPN: lpn, Pages: n}, true
-		})
+		}
+		gens[th] = g
 	}
 	return gens
+}
+
+// fioGen is one FIO thread. A random thread owns its source and draws
+// finished LPNs a batch at a time, never more than one batch ahead: one
+// tight loop over the source keeps its state in cache, where a draw per
+// request walks every thread's source state in turn. A batching generator
+// must not share its source — the values it has drawn ahead are gone from
+// the source's stream.
+type fioGen struct {
+	req   sim.Request // Write and Pages fixed; LPN of the latest request
+	left  int         // requests still to issue
+	avail int         // random: drawn LPNs left, at the tail of buf
+
+	base, region, cursor int64 // sequential: the thread's region and position
+
+	src    rand.Source // random: nil for a sequential thread
+	n, max int64       // random: LPN range and rand.Rand.Int63n's rejection threshold
+	buf    [64]int64
+}
+
+// Next implements sim.Generator.
+func (g *fioGen) Next() (sim.Request, bool) {
+	if g.left <= 0 {
+		return sim.Request{}, false
+	}
+	if g.src == nil {
+		pages := int64(g.req.Pages)
+		if g.cursor+pages > g.base+g.region {
+			g.cursor = g.base
+		}
+		g.req.LPN = g.cursor
+		g.cursor += pages
+	} else {
+		if g.avail == 0 {
+			g.refill()
+		}
+		g.req.LPN = g.buf[len(g.buf)-g.avail]
+		g.avail--
+	}
+	g.left--
+	return g.req, true
+}
+
+// refill draws the thread's next LPNs, as many as it has requests left up
+// to a batch, into the tail of buf. It is rand.Rand.Int63n unrolled over
+// the batch: the power-of-two mask, else rejection above max and v % n.
+func (g *fioGen) refill() {
+	src, n, max := g.src, g.n, g.max
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	g.avail = min(len(g.buf), g.left)
+	dst := g.buf[len(g.buf)-g.avail:]
+	if n&(n-1) == 0 {
+		for i := range dst {
+			dst[i] = src.Int63() & (n - 1)
+		}
+		return
+	}
+	for i := range dst {
+		v := src.Int63()
+		for v > max {
+			v = src.Int63()
+		}
+		dst[i] = v % n
+	}
 }
 
 // Warmup returns the paper's warm-up stream (§IV-B): one sequential fill of

@@ -20,6 +20,9 @@ func sweepTestBudget(workers int) Budget {
 // open-loop cells with seeded Poisson arrivals) and tenantmix (per-scheme
 // cells emitting two per-tenant rows each) cover the open-loop host model.
 func TestExperimentsParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serial-vs-parallel tables skipped in -short mode")
+	}
 	cfg := TinyConfig()
 	for _, id := range []string{"fig2", "fig6", "table2", "loadsweep", "tenantmix"} {
 		run := Experiments()[id]
@@ -133,6 +136,9 @@ func trimTrailing(s string) string {
 }
 
 func TestClosedLoopTablesMatchPreRefactorEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("closed-loop golden tables skipped in -short mode")
+	}
 	cfg := TinyConfig()
 	for id, want := range closedLoopGolden {
 		tab, err := Experiments()[id](cfg, sweepTestBudget(1))
@@ -150,6 +156,9 @@ func TestClosedLoopTablesMatchPreRefactorEngine(t *testing.T) {
 // show the hockey stick — queue-wait share rising monotonically enough to
 // reach domination on the last rung.
 func TestLoadSweepRepeatable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repeated load ladder skipped in -short mode")
+	}
 	cfg := TinyConfig()
 	a, err := LoadSweep(cfg, sweepTestBudget(2))
 	if err != nil {
