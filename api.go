@@ -49,11 +49,6 @@ type (
 	RunResult = sim.Result
 	// Generator produces one closed-loop thread's request stream.
 	Generator = sim.Generator
-	// ShardStats reports what the parallel intra-run engine did: events
-	// processed, translation barriers, reads resolved without a barrier,
-	// flash ops executed on shard workers, and why it fell back to the
-	// sequential engine (if it did).
-	ShardStats = sim.ShardStats
 	// OpenOptions tune an open-loop run (request cap, background GC).
 	OpenOptions = sim.OpenOptions
 	// GCPolicy names a garbage-collection victim-selection policy
@@ -104,16 +99,6 @@ const (
 // reporting whether the name was recognized ("" parses as Poisson, the
 // open-loop default).
 func ParseArrival(s string) (ArrivalKind, bool) { return sim.ParseArrival(s) }
-
-// RunSharded is sim.RunSharded: the closed-loop engine with per-chip event
-// sharding and conservative lookahead, byte-identical to sim.Run at any
-// worker count. workers <= 1 uses the inline (single-goroutine) resolver;
-// the engine falls back to the sequential loop — reported in ShardStats.
-// Fallback — when the device's translation layer cannot pre-resolve reads
-// or a fault model makes flash reads order-dependent.
-func RunSharded(f FTL, gens []Generator, maxRequests int64, workers int) (RunResult, ShardStats) {
-	return sim.RunSharded(f, gens, maxRequests, workers)
-}
 
 // RunOpenLoop replays rate-controlled open-loop streams against a device
 // until the streams are exhausted or maxRequests have been issued (0 =
@@ -366,13 +351,12 @@ type BenchResult struct {
 	Seconds    float64 `json:"seconds"`
 	// Warm-up throughput: simulated flash programs issued by this
 	// experiment's warm-up phases (cold warm-ups only — checkpoint
-	// restores skip the simulation), the wall-clock seconds they took,
-	// the resulting Mpg/s, and the shard worker count they ran under.
-	// Omitted when every cell restored from a warm checkpoint.
+	// restores skip the simulation), the wall-clock seconds they took and
+	// the resulting Mpg/s. Omitted when every cell restored from a warm
+	// checkpoint.
 	WarmMpg       float64 `json:"warm_mpg,omitempty"`
 	WarmSeconds   float64 `json:"warm_seconds,omitempty"`
 	WarmMpgPerSec float64 `json:"warm_mpg_per_sec,omitempty"`
-	ShardWorkers  int     `json:"shard_workers,omitempty"`
 	Table         Table   `json:"table"`
 	// Obs carries latbreak's per-cell phase breakdowns (empty for every
 	// other experiment), so the BENCH trajectory records where latency
@@ -412,13 +396,12 @@ func RunExperiments(ids []string, cfg Config, b Budget) ([]BenchResult, error) {
 			Obs:        b.obs.snapshot(),
 			Fleet:      b.fleet.snapshot(),
 		}
-		if progs, secs, workers := b.warm.snapshot(); progs > 0 {
+		if progs, secs := b.warm.snapshot(); progs > 0 {
 			r.WarmMpg = float64(progs) / 1e6
 			r.WarmSeconds = secs
 			if secs > 0 {
 				r.WarmMpgPerSec = r.WarmMpg / secs
 			}
-			r.ShardWorkers = workers
 		}
 		out = append(out, r)
 	}

@@ -32,15 +32,9 @@
 // deterministically-seeded device, so the tables are byte-identical to a
 // serial run — only the wall-clock changes.
 //
-// -shard-workers N additionally parallelizes *inside* each cell's warm-up
-// run: the parallel intra-run engine shards resolved flash reads across
-// per-chip workers under a conservative lookahead, with a translation
-// barrier at every mapping decision (see internal/sim). Results stay
-// byte-identical at any worker count; with -json, each experiment's
-// warm-up throughput (Mpg/s) lands in the BENCH file. The two flags
-// compose: -parallel spreads cells across cores, -shard-workers speeds
-// up the serial warm-up inside each cell — the latter helps most when
-// there are fewer runnable cells than cores (e.g. the scale ladder).
+// Each cell itself is one sequential simulation: the paper drives one FEMU
+// device per run, and cells are where parallelism pays. With -json, each
+// experiment's warm-up throughput (Mpg/s) lands in the BENCH file.
 //
 // The open-loop experiments (loadsweep, tenantmix) drive the device with
 // rate-controlled arrivals instead of the closed-loop psync model.
@@ -66,6 +60,7 @@ import (
 	"time"
 
 	"learnedftl"
+	"learnedftl/internal/sweep"
 )
 
 // benchFile is the JSON document -json emits.
@@ -92,7 +87,6 @@ func run() int {
 		scale    = flag.String("scale", "quick", "quick | paper | tiny")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		parallel = flag.Bool("parallel", false, "fan experiment cells across GOMAXPROCS workers (same tables, less wall-clock)")
-		shardW   = flag.Int("shard-workers", 0, "per-chip shard workers inside each warm-up run (0/1 = inline; results stay byte-identical)")
 		jsonOut  = flag.Bool("json", false, "write results to BENCH_<timestamp>.json")
 
 		rate        = flag.Float64("rate", 0, "open-loop offered IOPS (0 = derive ladder/operating point from the device)")
@@ -163,18 +157,10 @@ func run() int {
 
 	// Every listed policy must parse, and typos must fail loudly before any
 	// multi-hour run starts.
-	var policies []learnedftl.GCPolicy
-	if *gcPolicy != "" {
-		for _, s := range strings.Split(*gcPolicy, ",") {
-			name := strings.TrimSpace(s)
-			k, ok := learnedftl.ParseGCPolicy(name)
-			if !ok || name == "" { // empty elements are typos, not defaults
-				fmt.Fprintf(os.Stderr, "unknown GC policy %q (want one of %v)\n",
-					name, learnedftl.GCPolicies())
-				return 2
-			}
-			policies = append(policies, k)
-		}
+	policies, err := parseGCPolicies(*gcPolicy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 
 	if *list {
@@ -201,7 +187,6 @@ func run() int {
 	if *parallel {
 		budget.Workers = learnedftl.AutoWorkers()
 	}
-	budget.ShardWorkers = *shardW
 	budget.OfferedIOPS = *rate
 	budget.Arrival = *arrival
 	budget.ReadTenantShare = *tenantShare
@@ -309,8 +294,8 @@ func run() int {
 		r := res[0]
 		fmt.Println(r.Table)
 		if r.WarmMpg > 0 {
-			fmt.Printf("(warm-up: %.2f Mpg in %.3fs = %.2f Mpg/s, %d shard workers)\n",
-				r.WarmMpg, r.WarmSeconds, r.WarmMpgPerSec, r.ShardWorkers)
+			fmt.Printf("(warm-up: %.2f Mpg in %.3fs = %.2f Mpg/s)\n",
+				r.WarmMpg, r.WarmSeconds, r.WarmMpgPerSec)
 		}
 		fmt.Printf("(%s finished in %.3fs)\n\n", r.Experiment, r.Seconds)
 		results = append(results, r)
@@ -346,6 +331,11 @@ func run() int {
 		fmt.Printf("wrote %s\n", name)
 	}
 	return 0
+}
+
+// parseGCPolicies resolves the -gc-policy list ("" = every policy).
+func parseGCPolicies(list string) ([]learnedftl.GCPolicy, error) {
+	return sweep.ParseList(list, "GC policy", learnedftl.GCPolicies(), learnedftl.ParseGCPolicy)
 }
 
 // parseScheme resolves a -trace-scheme name case-insensitively.

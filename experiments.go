@@ -41,14 +41,6 @@ type Budget struct {
 	// byte-identical tables; <= 1 runs serially. Use AutoWorkers() to
 	// saturate the machine.
 	Workers int `json:"workers"`
-	// ShardWorkers parallelizes the intra-run engine itself: warm-up (and
-	// any caller of sim.RunSharded) shards the flash reads per chip across
-	// this many workers, with translation decisions barriered so results
-	// stay byte-identical at any value. <= 1 keeps the engine sequential.
-	// Unlike Workers — which fans independent cells out — this speeds up
-	// a SINGLE long run, e.g. a paper-scale warm-up that misses the
-	// checkpoint cache.
-	ShardWorkers int `json:"shard_workers,omitempty"`
 
 	// Open-loop knobs (loadsweep / tenantmix). OfferedIOPS fixes the
 	// total offered arrival rate in requests per virtual second; 0 derives
@@ -121,24 +113,21 @@ type Budget struct {
 
 	// warm, when set by RunExperiments, accumulates the cold warm-up cost
 	// of every cell (simulated programs over wall clock) so the BENCH
-	// trajectory tracks warm-up throughput — the number ShardWorkers
-	// optimizes. obs likewise accumulates latbreak's per-cell phase
-	// breakdowns, and fleet the fleet experiment's per-cell array-level
-	// aggregates, for the BENCH JSON.
+	// trajectory tracks warm-up throughput. obs likewise accumulates
+	// latbreak's per-cell phase breakdowns, and fleet the fleet
+	// experiment's per-cell array-level aggregates, for the BENCH JSON.
 	warm  *warmAccum
 	obs   *obsAccum
 	fleet *fleetAccum
 }
 
 // WarmStats summarizes one device warm-up: deterministic simulated cost
-// (flash programs, virtual span, host requests) over host wall clock, and
-// the intra-run shard workers used.
+// (flash programs, virtual span, host requests) over host wall clock.
 type WarmStats struct {
 	Programs int64     // flash programs simulated during warm-up
 	Requests int64     // host requests the warm-up issued
 	Span     nand.Time // virtual time the warm-up covered
 	Seconds  float64   // host wall clock
-	Workers  int       // shard workers used by the intra-run engine
 }
 
 // warmAccum sums WarmStats across an experiment's cells (cells run on the
@@ -147,7 +136,6 @@ type warmAccum struct {
 	mu       sync.Mutex
 	programs int64
 	seconds  float64
-	workers  int
 }
 
 func (a *warmAccum) add(w WarmStats) {
@@ -157,64 +145,39 @@ func (a *warmAccum) add(w WarmStats) {
 	a.mu.Lock()
 	a.programs += w.Programs
 	a.seconds += w.Seconds
-	a.workers = w.Workers
 	a.mu.Unlock()
 }
 
-func (a *warmAccum) snapshot() (programs int64, seconds float64, workers int) {
+func (a *warmAccum) snapshot() (programs int64, seconds float64) {
 	if a == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.programs, a.seconds, a.workers
+	return a.programs, a.seconds
 }
 
 // gcPolicyList resolves the budget's policy subset, erroring on typos so a
 // misspelled policy never silently collapses the sweep.
 func (b Budget) gcPolicyList() ([]gc.Kind, error) {
-	if b.GCPolicies == "" {
-		return gc.Kinds(), nil
-	}
-	var out []gc.Kind
-	for _, s := range strings.Split(b.GCPolicies, ",") {
-		name := strings.TrimSpace(s)
-		// An empty element (trailing or doubled comma) is a typo, not a
-		// request for the default policy.
-		k, ok := gc.ParseKind(name)
-		if !ok || name == "" {
-			return nil, fmt.Errorf("learnedftl: unknown GC policy %q (want one of %v)",
-				name, gc.Kinds())
-		}
-		out = append(out, k)
-	}
-	return out, nil
+	return sweep.ParseList(b.GCPolicies, "GC policy", gc.Kinds(), gc.ParseKind)
 }
 
 // faultSchemeList resolves the budget's scheme subset for the fault
-// experiments, erroring on typos so a misspelled scheme never silently
-// collapses the sweep.
+// experiments (case-insensitively), erroring on typos so a misspelled
+// scheme never silently collapses the sweep.
 func (b Budget) faultSchemeList() ([]Scheme, error) {
-	if b.FaultSchemes == "" {
-		return Schemes(), nil
-	}
-	var out []Scheme
-	for _, s := range strings.Split(b.FaultSchemes, ",") {
-		name := strings.TrimSpace(s)
-		found := false
-		for _, sch := range Schemes() {
-			if strings.EqualFold(sch.String(), name) {
-				out = append(out, sch)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("learnedftl: unknown scheme %q (want a subset of %v)",
-				name, Schemes())
+	return sweep.ParseList(b.FaultSchemes, "scheme", Schemes(), parseScheme)
+}
+
+// parseScheme resolves a scheme name case-insensitively.
+func parseScheme(name string) (Scheme, bool) {
+	for _, s := range Schemes() {
+		if strings.EqualFold(s.String(), name) {
+			return s, true
 		}
 	}
-	return out, nil
+	return 0, false
 }
 
 // openLoopKind resolves and validates the budget's arrival process for the
@@ -234,8 +197,13 @@ func (b Budget) openLoopKind() (sim.ArrivalKind, error) {
 // worker pool. Each cell must write its result only into slots it owns
 // (indexed by i), which makes table assembly order-preserving regardless of
 // completion order. With Budget.Progress set, each completed cell reports
-// (done, total).
+// (done, total). Every experiment and TraceCapture runs through here, so
+// this is where a budget no cell can run under is rejected: every
+// closed-loop measurement divides its requests across b.Threads.
 func runCells(b Budget, n int, cell func(i int) error) error {
+	if b.Threads < 1 {
+		return fmt.Errorf("learnedftl: budget threads %d < 1", b.Threads)
+	}
 	if b.Progress == nil {
 		return sweep.Run(b.Workers, sweep.Tasks(n, cell))
 	}
@@ -378,24 +346,19 @@ func warmDevice(f FTL, b Budget) WarmStats {
 	start := time.Now()
 	lifeBefore := f.Flash().LifetimeCounters()
 	before := lifeBefore.TotalPrograms()
-	w := b.ShardWorkers
-	if w < 1 {
-		w = 1
-	}
 	lp := f.Config().LogicalPages()
-	r1, _ := sim.WarmedSharded(f, workload.Warmup(lp, b.WarmExtra, 128, 1), 0, w)
+	r1 := sim.Warmed(f, workload.Warmup(lp, b.WarmExtra, 128, 1), 0)
 	// Settle the mapping caches: the write warm-up leaves them full of
 	// dirty entries whose one-time write-back would otherwise dominate a
 	// short measured window (the paper's multi-minute runs amortize this).
 	settle := 2 * f.Config().CMTEntries()
-	r2, _ := sim.WarmedSharded(f, workload.FIO(workload.RandRead, lp, 1, 16, settle/16+1, 977), 0, w)
+	r2 := sim.Warmed(f, workload.FIO(workload.RandRead, lp, 1, 16, settle/16+1, 977), 0)
 	lifeAfter := f.Flash().LifetimeCounters()
 	ws := WarmStats{
 		Programs: lifeAfter.TotalPrograms() - before,
 		Requests: r1.Requests + r2.Requests,
 		Span:     r1.Makespan() + r2.Makespan(),
 		Seconds:  time.Since(start).Seconds(),
-		Workers:  w,
 	}
 	b.warm.add(ws)
 	return ws
@@ -475,15 +438,11 @@ var loadSweepFractions = []float64{0.10, 0.20, 0.35, 0.50, 0.65, 0.80, 1.00, 1.2
 // cell. Budget.OfferedIOPS > 0 narrows the ladder to that single rate;
 // Budget.Arrival picks the arrival process (Poisson by default).
 func LoadSweep(cfg Config, b Budget) (Table, error) {
-	threads := b.Threads
-	if threads < 1 {
-		threads = 1
-	}
 	rates := make([]float64, 0, len(loadSweepFractions))
 	if b.OfferedIOPS > 0 {
 		rates = append(rates, b.OfferedIOPS)
 	} else {
-		base := idealRandReadIOPS(cfg, threads)
+		base := idealRandReadIOPS(cfg, b.Threads)
 		for _, fr := range loadSweepFractions {
 			rates = append(rates, fr*base)
 		}
@@ -500,12 +459,12 @@ func LoadSweep(cfg Config, b Budget) (Table, error) {
 		if err != nil {
 			return err
 		}
-		per := b.Requests / threads
+		per := b.Requests / b.Threads
 		if per < 1 {
 			per = 1
 		}
 		streams := workload.OpenFIO("randread", workload.RandRead,
-			f.Config().LogicalPages(), 1, threads, per, kind, rates[ri], 1117)
+			f.Config().LogicalPages(), 1, b.Threads, per, kind, rates[ri], 1117)
 		r := measureOpen(f, streams)
 		rows[i] = []string{
 			schemes[si].String(), f0(rates[ri]), f0(r.IOPS),
@@ -1220,10 +1179,6 @@ func GCLat(cfg Config, b Budget) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	threads := b.Threads
-	if threads < 1 {
-		threads = 1
-	}
 	schemes := Schemes()
 	rows := make([][]string, len(schemes)*len(gcLatModes))
 	err = runCells(b, len(rows), func(i int) error {
@@ -1237,15 +1192,15 @@ func GCLat(cfg Config, b Budget) (Table, error) {
 			// Saturation probe: closed-loop randwrite on this very device.
 			// Deterministic, so the foreground and background cells of one
 			// scheme derive the same operating point.
-			probe := measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2)
+			probe := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests/2)
 			rate = 0.5 * probe.IOPS
 		}
-		per := b.Requests / threads
+		per := b.Requests / b.Threads
 		if per < 1 {
 			per = 1
 		}
 		streams := workload.OpenFIO("randwrite", workload.RandWrite,
-			f.Config().LogicalPages(), 1, threads, per, kind, rate, 2221)
+			f.Config().LogicalPages(), 1, b.Threads, per, kind, rate, 2221)
 		r := measureOpenWith(f, streams, mi == 1)
 		rows[i] = []string{
 			schemes[si].String(), gcLatModes[mi], f0(rate), f0(r.IOPS),
@@ -1729,10 +1684,6 @@ func ScrubLat(cfg Config, b Budget) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	threads := b.Threads
-	if threads < 1 {
-		threads = 1
-	}
 	rows := make([][]string, len(schemes)*len(scrubModes))
 	err = runCells(b, len(rows), func(i int) error {
 		si, mi := i/len(scrubModes), i%len(scrubModes)
@@ -1752,7 +1703,7 @@ func ScrubLat(cfg Config, b Budget) (Table, error) {
 		if hot > lp {
 			hot = lp
 		}
-		per := b.Requests / threads
+		per := b.Requests / b.Threads
 		if per < 1 {
 			per = 1
 		}
@@ -1766,7 +1717,7 @@ func ScrubLat(cfg Config, b Budget) (Table, error) {
 			// must refresh a whole stripe of blocks — around a second of
 			// chip time — out of idle gaps before the retention ramp
 			// turns them lethal mid-window.
-			probe := measure(f, workload.FIO(workload.RandRead, hot, 1, threads, per/2+1, 7))
+			probe := measure(f, workload.FIO(workload.RandRead, hot, 1, b.Threads, per/2+1, 7))
 			rate = 0.008 * probe.IOPS
 		}
 		// Shelf-bake the device for one window length — every warm write
@@ -1774,12 +1725,12 @@ func ScrubLat(cfg Config, b Budget) (Table, error) {
 		// then swap in the retention ramp anchored to that bake. Physical
 		// state (ages, read counts) is untouched; only the clock and the
 		// BER mapping change.
-		bake := nand.Time(float64(int64(threads)*int64(per)) / rate * float64(nand.Second))
+		bake := nand.Time(float64(int64(b.Threads)*int64(per)) / rate * float64(nand.Second))
 		f.Flash().AdvanceIdle(bake)
 		fc := scrubLatAge(fcfg.Fault, cfg, bake)
 		f.Flash().SetFaultModel(fault.New(fc, int64(cfg.Geometry.PageSize)*8))
 		streams := workload.OpenFIO("hotread", workload.RandRead,
-			hot, 1, threads, per, kind, rate, 4447)
+			hot, 1, b.Threads, per, kind, rate, 4447)
 		r := measureOpenWith(f, streams, true)
 		rows[i] = []string{
 			schemes[si].String(), scrubModes[mi], f0(rate), f0(r.IOPS),
@@ -1817,7 +1768,10 @@ func ExperimentList() []ExperimentInfo {
 		{"fig7", "TPFTL vs LeaFTL on Filebench personalities", Fig7},
 		{"fig14", "headline FIO comparison: all five FTLs x four patterns", Fig14},
 		{"fig15", "host-CPU cost of sorting / training / prediction (wall clock)",
-			func(Config, Budget) (Table, error) { return Fig15() }},
+			func(_ Config, b Budget) (t Table, err error) {
+				err = runCells(b, 1, func(int) (err error) { t, err = Fig15(); return err })
+				return t, err
+			}},
 		{"fig16", "GC count and frequency under FIO writes", Fig16},
 		{"fig17", "sorting+training share of LearnedFTL GC time", Fig17},
 		{"fig18", "LearnedFTL overhead ablations (training charge, prediction cost)", Fig18},

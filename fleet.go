@@ -86,10 +86,10 @@ func RunOpenLoopFleet(a *FleetArray, streams []Stream, opt OpenOptions) RunResul
 }
 
 // newWarmedFleet builds n identical warmed devices sharing one warm-up:
-// device 0 comes from newWarmed — checkpoint-cache aware, warm-up sharded
-// across Budget.ShardWorkers — and the remaining n-1 are restored from its
-// bit-exact in-memory snapshot instead of re-simulating n warm-ups. For a
-// scheme without snapshot support each clone warms independently.
+// device 0 comes from newWarmed — checkpoint-cache aware — and the
+// remaining n-1 are restored from its bit-exact in-memory snapshot instead
+// of re-simulating n warm-ups. For a scheme without snapshot support each
+// clone warms independently.
 func newWarmedFleet(s Scheme, cfg Config, b Budget, n int) ([]FTL, error) {
 	f0, err := newWarmed(s, cfg, b)
 	if err != nil {
@@ -189,20 +189,7 @@ func (a *fleetAccum) snapshot() []FleetCell {
 // fleetPolicyList resolves the budget's placement subset, erroring on
 // typos so a misspelled policy never silently collapses the sweep.
 func (b Budget) fleetPolicyList() ([]FleetPolicy, error) {
-	if b.FleetPlacement == "" {
-		return FleetPolicies(), nil
-	}
-	var out []FleetPolicy
-	for _, s := range strings.Split(b.FleetPlacement, ",") {
-		name := strings.TrimSpace(s)
-		p, ok := ParseFleetPolicy(name)
-		if !ok || name == "" {
-			return nil, fmt.Errorf("learnedftl: unknown placement policy %q (want one of %v)",
-				name, FleetPolicies())
-		}
-		out = append(out, p)
-	}
-	return out, nil
+	return sweep.ParseList(b.FleetPlacement, "placement policy", FleetPolicies(), ParseFleetPolicy)
 }
 
 // fleetScenarios are the two columns of the fleet experiment: the healthy

@@ -560,49 +560,3 @@ func (f *LearnedFTL) updateTrans(tpn int, doRead bool, now nand.Time) nand.Time 
 	f.GTD.Update(tpn, np)
 	return done
 }
-
-// TryReadPages implements ftl.ShardReader. A LearnedFTL read resolves in
-// DRAM iff every page is a CMT hit, unwritten, or bitmap-guaranteed
-// model-predictable (§III-B: the bitmap makes the prediction exact, so no
-// fallback flash access is possible). Model-predicted pages emit with the
-// PredictCost lag — the same DRAM-side charge readOne applies before the
-// flash read issues. The probe mutates nothing (CMT Contains and Predict
-// are pure); the commit pass replays readOne's bookkeeping exactly.
-func (f *LearnedFTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		if f.CMT.Contains(l) || !f.Mapped(l) {
-			continue
-		}
-		tpn := f.Cfg.TPNOf(l)
-		if _, ok := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP))); !ok {
-			return false
-		}
-	}
-	f.Observe(n)
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		f.Col.CMTLookups++
-		if ppn, ok := f.CMT.Lookup(l); ok {
-			f.Col.CMTHits++
-			f.Col.RecordClass(stats.ReadSingle)
-			emit(ppn, 0)
-			continue
-		}
-		if !f.Mapped(l) {
-			f.Col.RecordClass(stats.ReadSingle)
-			continue
-		}
-		tpn := f.Cfg.TPNOf(l)
-		v, _ := f.models[tpn].Predict(int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP)))
-		ppn := f.fromVirtual(v)
-		if ppn != f.L2P.Get(l) {
-			panic(fmt.Sprintf("core: model predicted %d for lpn %d but truth is %d (bitmap invariant broken)",
-				ppn, l, f.L2P.Get(l)))
-		}
-		f.Col.ModelHits++
-		f.Col.RecordClass(stats.ReadSingle)
-		emit(ppn, f.opt.PredictCost)
-	}
-	return true
-}

@@ -143,31 +143,3 @@ func (d *FTL) RecoverFromCrash(now nand.Time) nand.Time {
 	d.Reset()
 	return d.Base.RecoverFromCrash(now)
 }
-
-// TryReadPages implements ftl.ShardReader. A read resolves in DRAM iff every
-// page is a CMT hit or unwritten; the first page needing a translation-page
-// fetch aborts the probe before any state changes, so the engine's barriered
-// replay through ReadPages starts from the exact state a sequential run
-// would see. The request length feeds the loading policy exactly where
-// ReadPages would — after the pure probe, before the per-page bookkeeping.
-func (d *FTL) TryReadPages(lpn int64, n int, emit ftl.EmitRead) bool {
-	for k := 0; k < n; k++ {
-		l := lpn + int64(k)
-		if !d.CMT.Contains(l) && d.Mapped(l) {
-			return false
-		}
-	}
-	d.Observe(n)
-	for k := 0; k < n; k++ {
-		d.Col.CMTLookups++
-		if ppn, ok := d.CMT.Lookup(lpn + int64(k)); ok {
-			d.Col.CMTHits++
-			d.Col.RecordClass(stats.ReadSingle)
-			emit(ppn, 0)
-			continue
-		}
-		// Unwritten LPN: served from the zero page, no flash op.
-		d.Col.RecordClass(stats.ReadSingle)
-	}
-	return true
-}

@@ -176,9 +176,6 @@ func (f *Flash) SetFaultModel(m FaultModel) {
 	}
 }
 
-// FaultModel returns the attached reliability model (nil when disabled).
-func (f *Flash) FaultModel() FaultModel { return f.fm }
-
 // SetBlockObserver registers the single block-dirty observer (nil to
 // detach). The flash array supports one observer: the last registration
 // wins, so exactly one GC controller should own victim selection for a

@@ -213,8 +213,8 @@ func checkMaxBusy(t *testing.T, f *Flash, after string) {
 }
 
 // TestMaxChipBusyMatchesScan: the running maximum equals the scan after a
-// read and a program of every op kind (plain, under a fault model that
-// retries, and through a shard's ChipView), after erases, and after each
+// read and a program of every op kind (plain, and under a fault model that
+// retries), after erases, and after each
 // writer that sets the clocks wholesale — the crash cut's PowerCycle, which
 // moves them backwards, AdvanceIdle and ImportState.
 func TestMaxChipBusyMatchesScan(t *testing.T) {
@@ -241,11 +241,6 @@ func TestMaxChipBusyMatchesScan(t *testing.T) {
 	f.Read(PPN(0), f.MaxChipBusy()+5, OpHostData)
 	checkMaxBusy(t, f, "read with retries")
 	f.SetFaultModel(nil)
-
-	v := f.View()
-	v.Read(PPN(1), f.MaxChipBusy()+7)
-	v.Absorb()
-	checkMaxBusy(t, f, "ChipView read + Absorb")
 
 	for i := PPN(0); i < 4; i++ {
 		if err := f.Invalidate(i); err != nil {

@@ -109,6 +109,22 @@ func TestWarmedResetsMetrics(t *testing.T) {
 	}
 }
 
+// TestWarmedReturnsResult: Warmed reports the warm-up phase's own span and
+// request count while still resetting all metrics.
+func TestWarmedReturnsResult(t *testing.T) {
+	f, _ := ftl.NewIdeal(testConfig())
+	r := Warmed(f, []Generator{seqGen(0, 300, true)}, 0)
+	if r.Requests != 300 || r.Makespan() <= 0 {
+		t.Fatalf("Warmed result %+v", r)
+	}
+	if f.Collector().HostWrites != 0 {
+		t.Fatal("Warmed did not reset the collector")
+	}
+	if c := f.Flash().Counters(); c.TotalPrograms() != 0 {
+		t.Fatal("Warmed did not reset flash counters")
+	}
+}
+
 func TestRunDeterminism(t *testing.T) {
 	mk := func() Result {
 		f, _ := ftl.NewIdeal(testConfig())

@@ -9,15 +9,13 @@ import (
 )
 
 // This file is the shared event core of the host models. The closed-loop
-// engine (engine.go), its sharded variant (shard.go) and the open-loop
-// engine (openloop.go) drive the device the same way: a tournament tree
-// (sched) orders request sources by their next event time, and issue()
-// executes one request against the FTL at a virtual timestamp. Only the
-// definition of "next event time" differs — completion of the previous
-// request for a closed-loop thread, the later of arrival and completion for
-// an open-loop stream, a conservative lower bound on completion for a
-// sharded read in flight — so the host models stay thin policies over this
-// core.
+// engine (engine.go) and the open-loop engine (openloop.go) drive the
+// device the same way: a tournament tree (sched) orders request sources by
+// their next event time, and issue() executes one request against the FTL
+// at a virtual timestamp. Only the definition of "next event time" differs
+// — completion of the previous request for a closed-loop thread, the later
+// of arrival and completion for an open-loop stream — so the host models
+// stay thin policies over this core.
 
 // issue executes one host request against f at virtual time now and returns
 // the completion time plus the normalized page count. The completion is

@@ -6,9 +6,6 @@ package stats
 // warm-up touches no allocator; reset keeps the chunks, so the
 // warm-up/measure cycle (Collector.Reset between phases) and repeated
 // open-loop runs record at zero allocations per request in steady state.
-// Indexed writes (set) let the parallel engine reserve a slot at issue
-// time and fill the latency at resolution, preserving the sequential
-// record order exactly.
 type series struct {
 	chunks [][]int64
 	n      int
@@ -28,9 +25,6 @@ func (s *series) append(v int64) {
 	s.chunks[s.n>>seriesChunkShift][s.n&seriesChunkMask] = v
 	s.n++
 }
-
-// set overwrites slot i (i < len).
-func (s *series) set(i int, v int64) { s.chunks[i>>seriesChunkShift][i&seriesChunkMask] = v }
 
 // at returns slot i.
 func (s *series) at(i int) int64 { return s.chunks[i>>seriesChunkShift][i&seriesChunkMask] }

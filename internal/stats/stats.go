@@ -149,19 +149,6 @@ func (c *Collector) RecordRead(lat nand.Time, pages int) {
 	c.HostReadPages += int64(pages)
 }
 
-// ReserveRead appends a placeholder read-latency record and returns its
-// slot, bumping the host read counts now. The parallel intra-run engine
-// reserves at issue time — in exact sequential order — and fills the
-// latency when the sharded flash ops resolve, so the record stream is
-// byte-identical to a sequential run regardless of resolution order.
-func (c *Collector) ReserveRead(pages int) int {
-	c.RecordRead(0, pages)
-	return c.host.dir[0].lat.len() - 1
-}
-
-// FillRead sets the latency of a slot returned by ReserveRead.
-func (c *Collector) FillRead(slot int, lat nand.Time) { c.host.dir[0].lat.set(slot, int64(lat)) }
-
 // RecordWrite records a completed host write request of the given latency.
 func (c *Collector) RecordWrite(lat nand.Time, pages int) {
 	c.host.dir[1].lat.append(int64(lat))

@@ -195,39 +195,43 @@ func LatBreak(cfg Config, b Budget) (Table, error) {
 // trace ring and the standard registry, runs the measured closed-loop mixed
 // workload (random reads then random writes, half the budget each), and
 // returns the trace for export plus a one-row summary table. This is the
-// engine behind ftlbench -trace.
-func TraceCapture(s Scheme, cfg Config, b Budget, capEvents int) (*Trace, Table, error) {
-	f, err := newWarmed(s, cfg, b)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	tr := NewTracer()
-	tr.EnableTrace(capEvents)
-	tr.SetRegistry(StandardRegistry(f))
-	AttachTracer(f, tr)
-	half := b.Requests / 2
-	if half < 1 {
-		half = 1
-	}
-	measureFIO(f, workload.RandRead, b.Threads, 1, half)
-	rep := measureFIO(f, workload.RandWrite, b.Threads, 1, half)
-	AttachTracer(f, nil)
-	trace := tr.Trace()
-	bd := tr.Breakdown()
-	tab := Table{
-		Title:  fmt.Sprintf("Trace capture: %s, %d requests (writes half)", f.Name(), bd.Requests),
-		Header: []string{"FTL", "requests", "events", "dropped", "mean", "p99.9", "GC"},
-		Rows: [][]string{{
-			f.Name(),
-			fmt.Sprintf("%d", bd.Requests),
-			fmt.Sprintf("%d", trace.Len()),
-			fmt.Sprintf("%d", trace.Dropped()),
-			lat(bd.Mean()),
-			lat(bd.P999),
-			fmt.Sprintf("%d", rep.GCCount),
-		}},
-	}
-	return trace, tab, nil
+// engine behind ftlbench -trace; it runs as a one-cell sweep, so it rejects
+// the budgets the experiments reject.
+func TraceCapture(s Scheme, cfg Config, b Budget, capEvents int) (trace *Trace, tab Table, err error) {
+	err = runCells(b, 1, func(int) error {
+		f, err := newWarmed(s, cfg, b)
+		if err != nil {
+			return err
+		}
+		tr := NewTracer()
+		tr.EnableTrace(capEvents)
+		tr.SetRegistry(StandardRegistry(f))
+		AttachTracer(f, tr)
+		half := b.Requests / 2
+		if half < 1 {
+			half = 1
+		}
+		measureFIO(f, workload.RandRead, b.Threads, 1, half)
+		rep := measureFIO(f, workload.RandWrite, b.Threads, 1, half)
+		AttachTracer(f, nil)
+		trace = tr.Trace()
+		bd := tr.Breakdown()
+		tab = Table{
+			Title:  fmt.Sprintf("Trace capture: %s, %d requests (writes half)", f.Name(), bd.Requests),
+			Header: []string{"FTL", "requests", "events", "dropped", "mean", "p99.9", "GC"},
+			Rows: [][]string{{
+				f.Name(),
+				fmt.Sprintf("%d", bd.Requests),
+				fmt.Sprintf("%d", trace.Len()),
+				fmt.Sprintf("%d", trace.Dropped()),
+				lat(bd.Mean()),
+				lat(bd.P999),
+				fmt.Sprintf("%d", rep.GCCount),
+			}},
+		}
+		return nil
+	})
+	return trace, tab, err
 }
 
 // WriteTrace exports a captured trace as Chrome trace-event JSON, loadable

@@ -7,15 +7,13 @@ import (
 	"learnedftl/internal/workload"
 )
 
-// benchWarmup measures the warm-up hot path — the dominant wall-clock cost
-// of a cold experiment cell — through the parallel intra-run engine at the
-// given shard worker count. It reports simulated flash programs per
+// BenchmarkWarmup measures the warm-up hot path — the dominant wall-clock
+// cost of a cold experiment cell. It reports simulated flash programs per
 // wall-clock second (Mpg/s, the scale experiment's warm-throughput column)
 // and allocations, guarding the arena-backed path: allocs/op must stay
-// flat as warm-up size grows, since steady-state recording and shard op
-// queues reuse their chunks.
-func benchWarmup(b *testing.B, workers int) {
-	b.Helper()
+// flat as warm-up size grows, since steady-state recording reuses its
+// chunks.
+func BenchmarkWarmup(b *testing.B) {
 	cfg := TinyConfig()
 	b.ReportAllocs()
 	var progs int64
@@ -25,9 +23,7 @@ func benchWarmup(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 		lp := f.Config().LogicalPages()
-		if _, st := sim.WarmedSharded(f, workload.Warmup(lp, 1, 128, 1), 0, workers); st.Fallback != "" {
-			b.Fatalf("warm-up fell back: %s", st.Fallback)
-		}
+		sim.Warmed(f, workload.Warmup(lp, 1, 128, 1), 0)
 		life := f.Flash().LifetimeCounters()
 		progs += life.TotalPrograms()
 	}
@@ -35,6 +31,3 @@ func benchWarmup(b *testing.B, workers int) {
 		b.ReportMetric(float64(progs)/1e6/secs, "Mpg/s")
 	}
 }
-
-func BenchmarkWarmup(b *testing.B)        { benchWarmup(b, 1) }
-func BenchmarkWarmupSharded(b *testing.B) { benchWarmup(b, 2) }
