@@ -18,7 +18,8 @@ package learnedftl
 
 import (
 	"fmt"
-	"time"
+	"slices"
+	"strings"
 
 	"learnedftl/internal/core"
 	"learnedftl/internal/crash"
@@ -151,6 +152,17 @@ func (s Scheme) String() string {
 // Schemes returns all five schemes in the paper's presentation order.
 func Schemes() []Scheme {
 	return []Scheme{SchemeDFTL, SchemeTPFTL, SchemeLeaFTL, SchemeLearnedFTL, SchemeIdeal}
+}
+
+// ParseScheme maps a scheme name to its Scheme case-insensitively ("dftl",
+// "LearnedFTL", ...), reporting whether the name was recognized.
+func ParseScheme(name string) (Scheme, bool) {
+	for _, s := range Schemes() {
+		if strings.EqualFold(s.String(), name) {
+			return s, true
+		}
+	}
+	return 0, false
 }
 
 // New builds a device running the given scheme. LearnedFTL uses the paper's
@@ -375,33 +387,14 @@ type BenchResult struct {
 // splits stay meaningful.
 func RunExperiments(ids []string, cfg Config, b Budget) ([]BenchResult, error) {
 	out := make([]BenchResult, 0, len(ids))
-	exps := Experiments()
 	for _, id := range ids {
-		run, ok := exps[id]
-		if !ok {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.id == id })
+		if i < 0 {
 			return nil, fmt.Errorf("learnedftl: unknown experiment %q", id)
 		}
-		b.warm = &warmAccum{}
-		b.obs = &obsAccum{}
-		b.fleet = &fleetAccum{}
-		start := time.Now()
-		tab, err := run(cfg, b)
+		r, err := experiments[i].run(cfg, b)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", id, err)
-		}
-		r := BenchResult{
-			Experiment: id,
-			Seconds:    time.Since(start).Seconds(),
-			Table:      tab,
-			Obs:        b.obs.snapshot(),
-			Fleet:      b.fleet.snapshot(),
-		}
-		if progs, secs := b.warm.snapshot(); progs > 0 {
-			r.WarmMpg = float64(progs) / 1e6
-			r.WarmSeconds = secs
-			if secs > 0 {
-				r.WarmMpgPerSec = r.WarmMpg / secs
-			}
 		}
 		out = append(out, r)
 	}

@@ -149,24 +149,38 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	// Every registry entry carries a -list description.
 	for _, e := range ExperimentList() {
-		if e.Desc == "" || e.Run == nil {
-			t.Fatalf("experiment %q missing description or runner", e.ID)
+		if e.Desc == "" {
+			t.Fatalf("experiment %q missing description", e.ID)
+		}
+	}
+}
+
+func TestParseScheme(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Scheme
+		ok   bool
+	}{
+		{"dftl", SchemeDFTL, true},
+		{"TPFTL", SchemeTPFTL, true},
+		{"leaFTL", SchemeLeaFTL, true},
+		{"LEARNEDFTL", SchemeLearnedFTL, true},
+		{"Ideal", SchemeIdeal, true},
+		{"learned", 0, false},
+		{"", 0, false},
+	} {
+		if got, ok := ParseScheme(c.in); got != c.want || ok != c.ok {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
 		}
 	}
 }
 
 func TestFig15AndTable2Run(t *testing.T) {
-	tab, err := Fig15()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "fig15", TinyConfig(), tinyBudget())
 	if len(tab.Rows) != 3 || !strings.Contains(tab.String(), "prediction") {
 		t.Fatalf("Fig15 table wrong: %v", tab)
 	}
-	t2, err := Table2(TinyConfig(), tinyBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2 := runTable(t, "table2", TinyConfig(), tinyBudget())
 	if len(t2.Rows) != 4 {
 		t.Fatalf("Table2 rows = %d", len(t2.Rows))
 	}
@@ -182,6 +196,21 @@ func TestTableString(t *testing.T) {
 	if !strings.Contains(s, "== demo ==") || !strings.Contains(s, "longcolumn") {
 		t.Fatalf("table render: %q", s)
 	}
+	// A row wider than its header, and a table with no header at all, get
+	// columns of their own.
+	for _, c := range []struct {
+		tab  Table
+		want string
+	}{
+		{Table{Title: "wide", Header: []string{"a"}, Rows: [][]string{{"1", "22"}}},
+			"== wide ==\na  \n1  22  \n"},
+		{Table{Title: "bare", Rows: [][]string{{"x", "y"}, {"long", "z"}}},
+			"== bare ==\n\nx     y  \nlong  z  \n"},
+	} {
+		if got := c.tab.String(); got != c.want {
+			t.Errorf("%s: got %q, want %q", c.tab.Title, got, c.want)
+		}
+	}
 }
 
 func TestQuickExperimentsSmoke(t *testing.T) {
@@ -191,12 +220,7 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 	cfg := TinyConfig()
 	b := tinyBudget()
 	for _, id := range []string{"fig2", "fig6", "fig17", "fig18"} {
-		run := Experiments()[id]
-		tab, err := run(cfg, b)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(tab.Rows) == 0 {
+		if tab := runTable(t, id, cfg, b); len(tab.Rows) == 0 {
 			t.Fatalf("%s: empty table", id)
 		}
 	}

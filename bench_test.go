@@ -27,14 +27,13 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	cfg := TinyConfig()
 	bud := benchBudget()
-	run := Experiments()[id]
 	for i := 0; i < b.N; i++ {
-		tab, err := run(cfg, bud)
+		res, err := RunExperiments([]string{id}, cfg, bud)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			b.Log("\n" + tab.String())
+			b.Log("\n" + res[0].Table.String())
 		}
 	}
 }

@@ -16,7 +16,7 @@ func TestZeroThreadsIsAnError(t *testing.T) {
 		b := sweepTestBudget(2)
 		b.Threads = threads
 		for _, id := range ExperimentIDs() {
-			if _, err := Experiments()[id](cfg, b); err == nil {
+			if _, err := RunExperiments([]string{id}, cfg, b); err == nil {
 				t.Errorf("%s accepted Threads: %d", id, threads)
 			}
 		}
@@ -61,6 +61,12 @@ func TestGCPoliciesKnob(t *testing.T) {
 		{" ", nil},                 // a lone blank is an empty element, not the default
 		{"Greedy", nil},            // policy names are case-sensitive
 	})
+	// gcsweep rejects a typo'd list rather than sweeping the default set.
+	b := sweepTestBudget(1)
+	b.GCPolicies = "gready"
+	if _, err := RunExperiments([]string{"gcsweep"}, TinyConfig(), b); err == nil {
+		t.Fatal("gcsweep accepted a typo'd policy list")
+	}
 }
 
 func TestFaultSchemesKnob(t *testing.T) {

@@ -56,7 +56,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
+	"slices"
 	"time"
 
 	"learnedftl"
@@ -227,7 +227,7 @@ func run() int {
 		cfg.Geometry, cfg.LogicalPages(), budget.Requests, max(1, budget.Workers))
 
 	if *traceOut != "" {
-		scheme, ok := parseScheme(*traceScheme)
+		scheme, ok := learnedftl.ParseScheme(*traceScheme)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown scheme %q (want one of %v)\n",
 				*traceScheme, learnedftl.Schemes())
@@ -256,12 +256,9 @@ func run() int {
 		return 0
 	}
 
-	exps := learnedftl.Experiments()
-	var ids []string
-	if *exp == "all" {
-		ids = learnedftl.ExperimentIDs()
-	} else {
-		if _, ok := exps[*exp]; !ok {
+	ids := learnedftl.ExperimentIDs()
+	if *exp != "all" {
+		if !slices.Contains(ids, *exp) {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *exp)
 			return 2
 		}
@@ -336,14 +333,4 @@ func run() int {
 // parseGCPolicies resolves the -gc-policy list ("" = every policy).
 func parseGCPolicies(list string) ([]learnedftl.GCPolicy, error) {
 	return sweep.ParseList(list, "GC policy", learnedftl.GCPolicies(), learnedftl.ParseGCPolicy)
-}
-
-// parseScheme resolves a -trace-scheme name case-insensitively.
-func parseScheme(name string) (learnedftl.Scheme, bool) {
-	for _, s := range learnedftl.Schemes() {
-		if strings.EqualFold(s.String(), name) {
-			return s, true
-		}
-	}
-	return 0, false
 }

@@ -22,10 +22,7 @@ func TestCrashCampaignAllSchemes(t *testing.T) {
 	cfg := TinyConfig()
 	b := Budget{Requests: 16000, WarmExtra: 1, Threads: 8,
 		CrashFuzz: 40, Workers: AutoWorkers()}
-	tab, err := CrashSweep(cfg, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "crashsweep", cfg, b)
 	if len(tab.Rows) != len(Schemes()) {
 		t.Fatalf("crashsweep rows = %d, want %d", len(tab.Rows), len(Schemes()))
 	}

@@ -3,9 +3,9 @@ package learnedftl
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -110,15 +110,6 @@ type Budget struct {
 	// goroutine finished the cell and must be safe for concurrent use;
 	// cmd/ftlbench -progress wires a stderr ticker here. Never serialized.
 	Progress func(done, total int) `json:"-"`
-
-	// warm, when set by RunExperiments, accumulates the cold warm-up cost
-	// of every cell (simulated programs over wall clock) so the BENCH
-	// trajectory tracks warm-up throughput. obs likewise accumulates
-	// latbreak's per-cell phase breakdowns, and fleet the fleet
-	// experiment's per-cell array-level aggregates, for the BENCH JSON.
-	warm  *warmAccum
-	obs   *obsAccum
-	fleet *fleetAccum
 }
 
 // WarmStats summarizes one device warm-up: deterministic simulated cost
@@ -128,33 +119,6 @@ type WarmStats struct {
 	Requests int64     // host requests the warm-up issued
 	Span     nand.Time // virtual time the warm-up covered
 	Seconds  float64   // host wall clock
-}
-
-// warmAccum sums WarmStats across an experiment's cells (cells run on the
-// budget's worker pool, so the add is locked).
-type warmAccum struct {
-	mu       sync.Mutex
-	programs int64
-	seconds  float64
-}
-
-func (a *warmAccum) add(w WarmStats) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.programs += w.Programs
-	a.seconds += w.Seconds
-	a.mu.Unlock()
-}
-
-func (a *warmAccum) snapshot() (programs int64, seconds float64) {
-	if a == nil {
-		return 0, 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.programs, a.seconds
 }
 
 // gcPolicyList resolves the budget's policy subset, erroring on typos so a
@@ -167,17 +131,7 @@ func (b Budget) gcPolicyList() ([]gc.Kind, error) {
 // experiments (case-insensitively), erroring on typos so a misspelled
 // scheme never silently collapses the sweep.
 func (b Budget) faultSchemeList() ([]Scheme, error) {
-	return sweep.ParseList(b.FaultSchemes, "scheme", Schemes(), parseScheme)
-}
-
-// parseScheme resolves a scheme name case-insensitively.
-func parseScheme(name string) (Scheme, bool) {
-	for _, s := range Schemes() {
-		if strings.EqualFold(s.String(), name) {
-			return s, true
-		}
-	}
-	return 0, false
+	return sweep.ParseList(b.FaultSchemes, "scheme", Schemes(), ParseScheme)
 }
 
 // openLoopKind resolves and validates the budget's arrival process for the
@@ -204,13 +158,12 @@ func runCells(b Budget, n int, cell func(i int) error) error {
 	if b.Threads < 1 {
 		return fmt.Errorf("learnedftl: budget threads %d < 1", b.Threads)
 	}
-	if b.Progress == nil {
-		return sweep.Run(b.Workers, sweep.Tasks(n, cell))
-	}
 	var done atomic.Int64
 	return sweep.Run(b.Workers, sweep.Tasks(n, func(i int) error {
 		err := cell(i)
-		b.Progress(int(done.Add(1)), n)
+		if b.Progress != nil {
+			b.Progress(int(done.Add(1)), n)
+		}
 		return err
 	}))
 }
@@ -232,17 +185,16 @@ type Table struct {
 	Rows   [][]string `json:"rows"`
 }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns; a row wider than the
+// header gets columns of its own.
 func (t Table) String() string {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
+	var widths []int
+	for _, r := range append([][]string{t.Header}, t.Rows...) {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i == len(widths) {
+				widths = append(widths, 0)
 			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
 	var b strings.Builder
@@ -267,6 +219,9 @@ func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 func ms(t nand.Time) string {
 	return fmt.Sprintf("%.2fms", float64(t)/float64(nand.Millisecond))
 }
+
+// sci formats reliability rates (UBER, BER) in scientific notation.
+func sci(v float64) string { return fmt.Sprintf("%.2e", v) }
 
 // lat renders a latency with a unit scaled to its magnitude, so µs-scale
 // service times and second-scale saturation queues stay readable in one
@@ -297,47 +252,72 @@ func warmKey(s Scheme, cfg Config, extra int) string {
 	return fmt.Sprintf("warm1|extra=%d|%s", extra, persistKey(s.String(), cfg))
 }
 
-// newWarmed builds a scheme's device and brings it to the paper's steady
+// cell is one point of an experiment's grid: its index on each axis, the
+// budget it runs under, and the slots the runner assembles once every cell
+// is done — table rows, the reports a post step combines, BENCH payloads
+// and the cold warm-up cost the cell paid. A cell writes only its own
+// slots, so assembly is in grid order at any worker count.
+type cell struct {
+	at      []int
+	b       Budget
+	rows    [][]string
+	reports []stats.Report
+	obs     []ObsCell
+	fleet   []FleetCell
+	warm    WarmStats
+}
+
+// cellFunc measures one cell.
+type cellFunc func(c *cell) error
+
+// row appends one table row.
+func (c *cell) row(cols ...string) { c.rows = append(c.rows, cols) }
+
+// warmUp brings f to steady state (warmDevice) and charges the cost to the
+// cell.
+func (c *cell) warmUp(f FTL) WarmStats {
+	ws := warmDevice(f, c.b)
+	c.warm.Programs += ws.Programs
+	c.warm.Seconds += ws.Seconds
+	return ws
+}
+
+// warmed builds a scheme's device and brings it to the paper's steady
 // state: a sequential fill plus Budget.WarmExtra capacities of 512KB
 // random overwrites (§IV-B), with metrics reset afterwards. With
 // Budget.Checkpoints set, a cached warm snapshot restores the device
 // instead — bit-exact, so downstream measurement is unchanged — and a cold
 // warm-up stores its snapshot for the next cell or run.
-func newWarmed(s Scheme, cfg Config, b Budget) (FTL, error) {
-	if b.Checkpoints == nil {
-		f, err := New(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		warmDevice(f, b)
-		return f, nil
-	}
-	key := warmKey(s, cfg, b.WarmExtra)
-	if data, ok := b.Checkpoints.Load(key); ok {
-		f, err := New(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if dev, devOK := f.(persist.Device); devOK {
-			if err := persist.Restore(dev, key, data); err == nil {
-				// The restored lifetime program count is exactly the
-				// warm-up work this hit avoided re-simulating.
-				life := f.Flash().LifetimeCounters()
-				b.Checkpoints.NoteRestored(life.TotalPrograms())
-				return f, nil
-			}
-		}
-		// Corrupt or stale (format bump): counts as a miss; fall through
-		// to a cold warm-up, which overwrites the entry.
-		b.Checkpoints.NoteUnusable()
-	}
+func (c *cell) warmed(s Scheme, cfg Config) (FTL, error) {
 	f, err := New(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	warmDevice(f, b)
+	cache := c.b.Checkpoints
+	if cache == nil {
+		c.warmUp(f)
+		return f, nil
+	}
+	key := warmKey(s, cfg, c.b.WarmExtra)
+	if data, ok := cache.Load(key); ok {
+		if dev, devOK := f.(persist.Device); devOK && persist.Restore(dev, key, data) == nil {
+			// The restored lifetime program count is exactly the warm-up
+			// work this hit avoided re-simulating.
+			life := f.Flash().LifetimeCounters()
+			cache.NoteRestored(life.TotalPrograms())
+			return f, nil
+		}
+		// Corrupt or stale (format bump): counts as a miss, and the cold
+		// warm-up below overwrites the entry — on a fresh device, since the
+		// failed restore may have loaded part of the snapshot.
+		cache.NoteUnusable()
+		if f, err = New(s, cfg); err != nil {
+			return nil, err
+		}
+	}
+	c.warmUp(f)
 	if dev, devOK := f.(persist.Device); devOK {
-		b.Checkpoints.Store(key, persist.Snapshot(dev, key))
+		cache.Store(key, persist.Snapshot(dev, key))
 	}
 	return f, nil
 }
@@ -354,15 +334,17 @@ func warmDevice(f FTL, b Budget) WarmStats {
 	settle := 2 * f.Config().CMTEntries()
 	r2 := sim.Warmed(f, workload.FIO(workload.RandRead, lp, 1, 16, settle/16+1, 977), 0)
 	lifeAfter := f.Flash().LifetimeCounters()
-	ws := WarmStats{
+	return WarmStats{
 		Programs: lifeAfter.TotalPrograms() - before,
 		Requests: r1.Requests + r2.Requests,
 		Span:     r1.Makespan() + r2.Makespan(),
 		Seconds:  time.Since(start).Seconds(),
 	}
-	b.warm.add(ws)
-	return ws
 }
+
+// perThread splits a request budget evenly across threads, at least one
+// request each.
+func perThread(total, threads int) int { return max(1, total/threads) }
 
 // measure runs generators on a (typically warmed) device and summarizes.
 func measure(f FTL, gens []sim.Generator) stats.Report {
@@ -386,23 +368,14 @@ func report(f FTL, res sim.Result) stats.Report {
 
 // measureFIO measures one FIO pattern.
 func measureFIO(f FTL, p workload.Pattern, threads, ioPages, total int) stats.Report {
-	per := total / threads
-	if per < 1 {
-		per = 1
-	}
-	gens := workload.FIO(p, f.Config().LogicalPages(), ioPages, threads, per, 7)
+	gens := workload.FIO(p, f.Config().LogicalPages(), ioPages, threads, perThread(total, threads), 7)
 	return measure(f, gens)
 }
 
-// measureOpen runs open-loop streams on a (typically warmed) device and
-// summarizes, including the queue-wait decomposition and per-tenant
-// breakdown RunOpen records.
-func measureOpen(f FTL, streams []sim.Stream) stats.Report {
-	return measureOpenWith(f, streams, false)
-}
-
-// measureOpenWith is measureOpen with idle-gap background GC toggleable.
-func measureOpenWith(f FTL, streams []sim.Stream, backgroundGC bool) stats.Report {
+// measureOpen runs open-loop streams on a (typically warmed) device, with
+// idle-gap background GC when asked, and summarizes, including the
+// queue-wait decomposition and per-tenant breakdown RunOpen records.
+func measureOpen(f FTL, streams []sim.Stream, backgroundGC bool) stats.Report {
 	f.Collector().Reset()
 	f.Flash().ResetCounters()
 	res := sim.RunOpenWith(f, streams, sim.OpenOptions{BackgroundGC: backgroundGC})
@@ -415,405 +388,1001 @@ func measureOpenWith(f FTL, streams []sim.Stream, backgroundGC bool) stats.Repor
 // chip count). Real schemes saturate below it — translation reads and GC
 // eat into the budget — which is exactly the knee the load sweep exposes.
 func idealRandReadIOPS(cfg Config, streams int) float64 {
-	conc := streams
-	if ch := cfg.Geometry.Chips(); conc > ch {
-		conc = ch
-	}
-	if conc < 1 {
-		conc = 1
-	}
+	conc := max(1, min(streams, cfg.Geometry.Chips()))
 	return float64(conc) * float64(nand.Second) / float64(cfg.Timing.ReadLatency)
 }
 
-// loadSweepFractions is the offered-load ladder of the loadsweep
-// experiment, as fractions of idealRandReadIOPS. It brackets every
-// scheme's saturation knee: the last rungs exceed what even the ideal FTL
-// sustains, so the hockey stick is always visible.
-var loadSweepFractions = []float64{0.10, 0.20, 0.35, 0.50, 0.65, 0.80, 1.00, 1.20}
-
-// LoadSweep measures the latency-vs-offered-load curve of every scheme:
-// open-loop random reads at a ladder of offered IOPS, reporting achieved
-// throughput, mean/P99/P99.9 total latency and the share of latency spent
-// in the arrival queue. Each (scheme × rate) pair is one hermetic sweep
-// cell. Budget.OfferedIOPS > 0 narrows the ladder to that single rate;
-// Budget.Arrival picks the arrival process (Poisson by default).
-func LoadSweep(cfg Config, b Budget) (Table, error) {
-	rates := make([]float64, 0, len(loadSweepFractions))
-	if b.OfferedIOPS > 0 {
-		rates = append(rates, b.OfferedIOPS)
-	} else {
-		base := idealRandReadIOPS(cfg, b.Threads)
-		for _, fr := range loadSweepFractions {
-			rates = append(rates, fr*base)
-		}
-	}
-	kind, err := b.openLoopKind()
-	if err != nil {
-		return Table{}, err
-	}
-	schemes := Schemes()
-	rows := make([][]string, len(schemes)*len(rates))
-	err = runCells(b, len(rows), func(i int) error {
-		si, ri := i/len(rates), i%len(rates)
-		f, err := newWarmed(schemes[si], cfg, b)
-		if err != nil {
-			return err
-		}
-		per := b.Requests / b.Threads
-		if per < 1 {
-			per = 1
-		}
-		streams := workload.OpenFIO("randread", workload.RandRead,
-			f.Config().LogicalPages(), 1, b.Threads, per, kind, rates[ri], 1117)
-		r := measureOpen(f, streams)
-		rows[i] = []string{
-			schemes[si].String(), f0(rates[ri]), f0(r.IOPS),
-			lat(r.MeanLat), lat(r.P99), lat(r.P999), pct(r.WaitShare),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title:  "Load sweep: open-loop randread latency vs offered IOPS (wait = share of latency spent queued)",
-		Header: []string{"FTL", "offered IOPS", "achieved IOPS", "mean", "p99", "p99.9", "wait"},
-		Rows:   rows,
-	}, nil
+// experiment is one registry entry: what an experiment measures and how it
+// prints. The runner (run) supplies the rest — the cell grid, the worker
+// pool, row and payload slots, warm-up accounting and Table assembly.
+type experiment struct {
+	id, desc string
+	title    string
+	header   []string
+	// grid validates the budget and derives the swept axes from the config
+	// and budget: one size per axis, cells numbered row-major (last axis
+	// fastest), and the function that measures one cell.
+	grid func(cfg Config, b Budget) ([]int, cellFunc, error)
+	// post, when set, finishes the table once every cell is done: the
+	// experiments that compare cells with each other build their rows
+	// from the cells' reports, and fleet and mountlat fit the title and
+	// header to the budget and config.
+	post func(t *Table, cfg Config, b Budget, cells []*cell)
 }
 
-// TenantMixExp measures two rate-controlled tenants sharing one device —
-// WebSearch-like reads and Systor-like write-heavy traffic — reporting
-// per-tenant mean/P99/P99.9 latency and queue-wait share for every
-// scheme. Budget.OfferedIOPS overrides the combined operating point
-// (default: a quarter of the device's ideal page rate, converted to a
-// request rate through the mix's mean request size) and
-// Budget.ReadTenantShare splits it (default 70% to the read tenant).
-func TenantMixExp(cfg Config, b Budget) (Table, error) {
-	kind, err := b.openLoopKind()
+// run executes one experiment and assembles its BENCH result.
+func (e experiment) run(cfg Config, b Budget) (BenchResult, error) {
+	start := time.Now()
+	axes, measure, err := e.grid(cfg, b)
 	if err != nil {
-		return Table{}, err
+		return BenchResult{}, err
 	}
-	share := b.ReadTenantShare
-	if share == 0 {
-		share = 0.7
-	} else if share < 0 || share >= 1 {
-		return Table{}, fmt.Errorf("learnedftl: tenantmix read-tenant share %v out of (0, 1)", share)
-	}
-	total := b.OfferedIOPS
-	if total <= 0 {
-		// Default operating point: a quarter of the device's ideal page
-		// rate, converted to a request rate via the mix's mean request
-		// size. That lands below the slowest scheme's knee, so the table
-		// differentiates tenants by moderate queueing rather than placing
-		// every scheme in deep overload.
-		wsPages := workload.WebSearch1.AvgKB * 1024 / float64(cfg.Geometry.PageSize)
-		sysPages := workload.Systor17.AvgKB * 1024 / float64(cfg.Geometry.PageSize)
-		mixPages := share*wsPages + (1-share)*sysPages
-		total = 0.25 * idealRandReadIOPS(cfg, b.Threads) / mixPages
-	}
-	spt := b.Threads / 2
-	if spt < 1 {
-		spt = 1
-	}
-	perTenant := b.Requests / 2
-	if perTenant < spt {
-		perTenant = spt
-	}
-	schemes := Schemes()
-	const tenants = 2
-	rows := make([][]string, len(schemes)*tenants)
-	err = runCells(b, len(schemes), func(i int) error {
-		f, err := newWarmed(schemes[i], cfg, b)
-		if err != nil {
-			return err
+	g := sweep.NewGrid(axes...)
+	cells := make([]*cell, g.Cells())
+	err = runCells(b, len(cells), func(i int) error {
+		c := &cell{at: make([]int, len(axes)), b: b}
+		for a := range axes {
+			c.at[a] = g.Coord(i, a)
 		}
-		streams := workload.TenantMix(f.Config().LogicalPages(), spt, perTenant,
-			kind, total*share, total*(1-share))
-		r := measureOpen(f, streams)
-		offered := []float64{total * share, total * (1 - share)}
-		for j, sr := range r.Streams {
-			if j >= tenants {
-				break
+		cells[i] = c
+		return measure(c)
+	})
+	if err != nil {
+		return BenchResult{}, err
+	}
+	r := BenchResult{Experiment: e.id}
+	t := Table{Title: e.title, Header: slices.Clone(e.header)}
+	var warm WarmStats
+	for _, c := range cells {
+		t.Rows = append(t.Rows, c.rows...)
+		r.Obs = append(r.Obs, c.obs...)
+		r.Fleet = append(r.Fleet, c.fleet...)
+		warm.Programs += c.warm.Programs
+		warm.Seconds += c.warm.Seconds
+	}
+	if e.post != nil {
+		e.post(&t, cfg, b, cells)
+	}
+	r.Table = t
+	r.Seconds = time.Since(start).Seconds()
+	if warm.Programs > 0 {
+		r.WarmMpg = float64(warm.Programs) / 1e6
+		r.WarmSeconds = warm.Seconds
+		if warm.Seconds > 0 {
+			r.WarmMpgPerSec = r.WarmMpg / warm.Seconds
+		}
+	}
+	return r, nil
+}
+
+// ExperimentInfo describes one runnable experiment for the ftlbench -list
+// table.
+type ExperimentInfo struct {
+	ID   string
+	Desc string
+}
+
+// ExperimentList returns every experiment in presentation order (paper
+// figures first, then the simulator's own experiments).
+func ExperimentList() []ExperimentInfo {
+	out := make([]ExperimentInfo, len(experiments))
+	for i, e := range experiments {
+		out[i] = ExperimentInfo{e.id, e.desc}
+	}
+	return out
+}
+
+// ExperimentIDs returns the sorted experiment ids; cmd/ftlbench and the
+// README use these ids.
+func ExperimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// experiments is the registry, in presentation order: paper figures first,
+// then the simulator's own experiments.
+var experiments = []experiment{
+	// The motivation experiment: each thread count is one cell measuring a
+	// freshly warmed TPFTL device.
+	{
+		id: "fig2", desc: "TPFTL seq/rand read throughput + CMT hit vs thread count",
+		title:  "Fig 2: TPFTL read performance vs threads (seq uses 8-page I/O, rand 1-page)",
+		header: []string{"threads", "seqread MB/s", "randread MB/s", "seq CMT hit", "rand CMT hit"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			threads := []int{1, 16, 32, 64}
+			return []int{len(threads)}, func(c *cell) error {
+				th := threads[c.at[0]]
+				f, err := c.warmed(SchemeTPFTL, cfg)
+				if err != nil {
+					return err
+				}
+				seq := measureFIO(f, workload.SeqRead, th, 8, b.Requests)
+				rnd := measureFIO(f, workload.RandRead, th, 1, b.Requests)
+				c.row(fmt.Sprint(th), f1(seq.ReadMBps), f1(rnd.ReadMBps),
+					pct(seq.CMTHitRatio), pct(rnd.CMTHitRatio))
+				return nil
+			}, nil
+		},
+	},
+	// The CMT-scaling experiment: TPFTL's random-read hit ratio barely
+	// improves even with a CMT holding 50% of all mappings.
+	{
+		id: "fig3", desc: "TPFTL CMT hit ratio vs CMT size (0.1%-50%)",
+		title:  "Fig 3: TPFTL CMT hit ratio vs CMT space (randread, 64 threads)",
+		header: []string{"CMT space", "hit ratio"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			ratios := []float64{0.001, 0.03, 0.10, 0.30, 0.50}
+			return []int{len(ratios)}, func(c *cell) error {
+				dcfg := cfg
+				dcfg.CMTRatio = ratios[c.at[0]]
+				f, err := c.warmed(SchemeTPFTL, dcfg)
+				if err != nil {
+					return err
+				}
+				r := measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
+				c.row(pct(dcfg.CMTRatio), pct(r.CMTHitRatio))
+				return nil
+			}, nil
+		},
+	},
+	// The LeaFTL motivation: random-read throughput normalized to TPFTL,
+	// and LeaFTL's single/double/triple read breakdown.
+	{
+		id: "fig6", desc: "LeaFTL vs TPFTL random reads; single/double/triple breakdown",
+		title:  "Fig 6: LeaFTL vs TPFTL under FIO random reads",
+		header: []string{"FTL", "MB/s", "norm vs TPFTL", "single", "double", "triple"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			schemes := []Scheme{SchemeTPFTL, SchemeLeaFTL}
+			return []int{len(schemes)}, func(c *cell) error {
+				f, err := c.warmed(schemes[c.at[0]], cfg)
+				if err != nil {
+					return err
+				}
+				c.reports = append(c.reports, measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests))
+				return nil
+			}, nil
+		},
+		post: func(t *Table, _ Config, _ Budget, cells []*cell) {
+			tp, le := cells[0].reports[0], cells[1].reports[0]
+			for _, r := range []stats.Report{le, tp} {
+				t.Rows = append(t.Rows, []string{
+					r.FTL, f1(r.ReadMBps), f2(r.ReadMBps / tp.ReadMBps),
+					pct(r.SingleFrac), pct(r.DoubleFrac), pct(r.TripleFrac),
+				})
 			}
-			rows[i*tenants+j] = []string{
-				schemes[i].String(), sr.Name, f0(offered[j]),
-				fmt.Sprint(sr.Requests), lat(sr.MeanLat), lat(sr.P99), lat(sr.P999),
-				pct(sr.WaitShare),
+		},
+	},
+	// The locality motivation: TPFTL vs LeaFTL on Filebench. One cell per
+	// scheme; the three personalities run back-to-back on that cell's
+	// device, as the paper's successive Filebench runs do.
+	{
+		id: "fig7", desc: "TPFTL vs LeaFTL on Filebench personalities",
+		title:  "Fig 7: TPFTL vs LeaFTL on Filebench (throughput norm. to TPFTL; hit = single-read fraction)",
+		header: []string{"workload", "LeaFTL norm", "TPFTL norm", "LeaFTL single", "TPFTL single"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			schemes := []Scheme{SchemeTPFTL, SchemeLeaFTL}
+			return []int{len(schemes)}, func(c *cell) error {
+				f, err := c.warmed(schemes[c.at[0]], cfg)
+				if err != nil {
+					return err
+				}
+				for _, k := range filebenchKinds {
+					c.reports = append(c.reports, filebenchRun(f, k, b))
+				}
+				return nil
+			}, nil
+		},
+		post: func(t *Table, _ Config, _ Budget, cells []*cell) {
+			for j, k := range filebenchKinds {
+				tp, le := cells[0].reports[j], cells[1].reports[j]
+				t.Rows = append(t.Rows, []string{
+					k.String(), f2((le.ReadMBps + le.WriteMBps) / (tp.ReadMBps + tp.WriteMBps)), "1.00",
+					pct(le.SingleFrac), pct(tp.SingleFrac),
+				})
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title:  "Tenant mix: WebSearch reads + Systor writes sharing one device (per-tenant open-loop latency)",
-		Header: []string{"FTL", "tenant", "offered IOPS", "requests", "mean", "p99", "p99.9", "wait"},
-		Rows:   rows,
-	}, nil
+		},
+	},
+	// The headline FIO comparison: throughput for four access patterns,
+	// hit ratios for reads and write amplification for writes, across all
+	// five FTLs.
+	{
+		id: "fig14", desc: "headline FIO comparison: all five FTLs x four patterns",
+		title: "Fig 14: FIO at 64 threads (throughput MB/s; CMT+model hit; WA)",
+		header: []string{"FTL", "randread", "seqread", "randwrite", "seqwrite",
+			"rr CMT", "rr model", "sr CMT", "sr model", "WA rand", "WA seq"},
+		grid: perScheme(func(c *cell, s Scheme, cfg Config, b Budget) error {
+			f, err := c.warmed(s, cfg)
+			if err != nil {
+				return err
+			}
+			rr := measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
+			sr := measureFIO(f, workload.SeqRead, b.Threads, 8, b.Requests)
+			rw := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
+			sw := measureFIO(f, workload.SeqWrite, b.Threads, 8, b.Requests)
+			c.row(s.String(),
+				f1(rr.ReadMBps), f1(sr.ReadMBps), f1(rw.WriteMBps), f1(sw.WriteMBps),
+				pct(rr.CMTHitRatio), pct(rr.ModelHitRatio),
+				pct(sr.CMTHitRatio), pct(sr.ModelHitRatio),
+				f2(rw.WriteAmp), f2(sw.WriteAmp))
+			return nil
+		}),
+	},
+	// The real host-CPU cost of the three added operations — LPN sorting,
+	// model training and model prediction — on a full 512-entry GTD entry,
+	// mirroring the paper's X86/ARM microbenchmark.
+	{
+		id: "fig15", desc: "host-CPU cost of sorting / training / prediction (wall clock)",
+		title:  "Fig 15: computing overhead of the added operations (host CPU; paper: ~50µs sort+train, 0.65µs predict on ARM A72)",
+		header: []string{"operation", "cost/entry"},
+		grid: func(Config, Budget) ([]int, cellFunc, error) {
+			return []int{1}, func(c *cell) error {
+				const span = 512
+				rng := rand.New(rand.NewSource(1))
+				vppns := make([]int64, span)
+				base := int64(1 << 20)
+				for i := range vppns {
+					if rng.Intn(4) == 0 {
+						vppns[i] = -1
+						continue
+					}
+					vppns[i] = base + int64(i) + int64(rng.Intn(3))
+				}
+				timeOp := func(iters int, op func()) time.Duration {
+					start := time.Now()
+					for i := 0; i < iters; i++ {
+						op()
+					}
+					return time.Since(start) / time.Duration(iters)
+				}
+				lpns := make([]int64, span)
+				sortCost := timeOp(2000, func() {
+					for i := range lpns {
+						lpns[i] = int64(rng.Intn(1 << 20))
+					}
+					sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
+				})
+				m := learned.NewInPlaceModel(span, 8)
+				trainCost := timeOp(2000, func() { m.TrainFull(base, vppns) })
+				var sink int64
+				predictCost := timeOp(200000, func() {
+					v, _ := m.Predict(128)
+					sink += v
+				})
+				if sink == -1 {
+					panic("unreachable")
+				}
+				c.row("sorting (512 LPNs)", sortCost.String())
+				c.row("training (512-entry model)", trainCost.String())
+				c.row("prediction", predictCost.String())
+				return nil
+			}, nil
+		},
+	},
+	// The GC-frequency comparison under FIO random and sequential writes.
+	{
+		id: "fig16", desc: "GC count and frequency under FIO writes",
+		title:  "Fig 16: GC activity under FIO writes (count; mean GCs per simulated second)",
+		header: []string{"FTL", "rand GCs", "rand GC/s", "seq GCs", "seq GC/s"},
+		grid: perScheme(func(c *cell, s Scheme, cfg Config, b Budget) error {
+			f, err := c.warmed(s, cfg)
+			if err != nil {
+				return err
+			}
+			rw := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
+			randGC := f.Collector().GCCount
+			sw := measureFIO(f, workload.SeqWrite, b.Threads, 8, b.Requests)
+			seqGC := f.Collector().GCCount
+			c.row(s.String(), fmt.Sprint(randGC), f2(rate(randGC, rw.Makespan)),
+				fmt.Sprint(seqGC), f2(rate(seqGC, sw.Makespan)))
+			return nil
+		}),
+	},
+	// The GC-time breakdown: the share of LearnedFTL's GC time spent on
+	// sorting + training, across increasing run lengths.
+	{
+		id: "fig17", desc: "sorting+training share of LearnedFTL GC time",
+		title:  "Fig 17: sorting+training share of LearnedFTL GC time (paper: <= 3.2%)",
+		header: []string{"randwrite requests", "GC busy", "sort+train", "share"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			mults := []float64{0.5, 1, 2}
+			return []int{len(mults)}, func(c *cell) error {
+				f, err := c.warmed(SchemeLearnedFTL, cfg)
+				if err != nil {
+					return err
+				}
+				n := int(float64(b.Requests) * mults[c.at[0]])
+				measureFIO(f, workload.RandWrite, b.Threads, 1, n)
+				col := f.Collector()
+				share := 0.0
+				if col.GCBusyTime > 0 {
+					share = float64(col.SortTrainNS) / float64(col.GCBusyTime)
+				}
+				c.row(fmt.Sprint(n), ms(col.GCBusyTime), ms(nand.Time(col.SortTrainNS)),
+					fmt.Sprintf("%.2f%%", share*100))
+				return nil
+			}, nil
+		},
+	},
+	// The overhead ablations: (a) random-write throughput with and without
+	// the training+sorting charge, (b) read throughput of LearnedFTL vs
+	// "ideal LearnedFTL" (no prediction cost, full DRAM map). The six runs
+	// are independent devices, one cell each: randwrite with and without
+	// the charge, then randread and seqread each with and without the
+	// prediction cost.
+	{
+		id: "fig18", desc: "LearnedFTL overhead ablations (training charge, prediction cost)",
+		title:  "Fig 18: LearnedFTL overhead ablations",
+		header: []string{"comparison", "LearnedFTL", "counterpart", "ratio"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			return []int{6}, func(c *cell) error {
+				i := c.at[0]
+				opt := DefaultLearnedOptions()
+				p, io := workload.RandWrite, 1
+				switch {
+				case i < 2:
+					opt.ChargeTraining = i == 0
+				case i < 4:
+					p = workload.RandRead
+				default:
+					p, io = workload.SeqRead, 8
+				}
+				if i >= 2 && i%2 == 1 {
+					opt.PredictCost = 0
+				}
+				f, err := NewLearned(cfg, opt)
+				if err != nil {
+					return err
+				}
+				c.warmUp(f)
+				c.reports = append(c.reports, measureFIO(f, p, b.Threads, io, b.Requests))
+				return nil
+			}, nil
+		},
+		post: func(t *Table, _ Config, _ Budget, cells []*cell) {
+			pair := func(label string, i int, mbps func(stats.Report) float64) []string {
+				ld, other := mbps(cells[i].reports[0]), mbps(cells[i+1].reports[0])
+				return []string{label, f1(ld), f1(other), f2(ld / other)}
+			}
+			write := func(r stats.Report) float64 { return r.WriteMBps }
+			read := func(r stats.Report) float64 { return r.ReadMBps }
+			t.Rows = [][]string{
+				pair("randwrite MB/s (w/ vs w/o train+sort)", 0, write),
+				pair("randread MB/s (LD vs ideal-LD)", 2, read),
+				pair("seqread MB/s (LD vs ideal-LD)", 4, read),
+			}
+		},
+	},
+	// The RocksDB experiment: db_bench readrandom/readseq with one thread
+	// over an 80%-full LSM-shaped database.
+	{
+		id: "fig19", desc: "RocksDB db_bench readrandom/readseq model",
+		title:  "Fig 19: RocksDB db_bench model, 1 thread (throughput; hit ratios)",
+		header: []string{"FTL", "readrandom MB/s", "readseq MB/s", "rr CMT", "rr model", "rs CMT", "rs model"},
+		grid: perScheme(func(c *cell, s Scheme, cfg Config, b Budget) error {
+			f, err := New(s, cfg)
+			if err != nil {
+				return err
+			}
+			lp := cfg.LogicalPages()
+			sim.Warmed(f, workload.RocksDBFill(lp, 0.8, float64(b.WarmExtra), 3), 0)
+			rr := measure(f, workload.RocksDBReadRandom(lp, 0.8, 1, b.Requests, 5))
+			rs := measure(f, workload.RocksDBReadSeq(lp, 0.8, 1, b.Requests, 5))
+			c.row(s.String(), f1(rr.ReadMBps), f1(rs.ReadMBps),
+				pct(rr.CMTHitRatio), pct(rr.ModelHitRatio),
+				pct(rs.CMTHitRatio), pct(rs.ModelHitRatio))
+			return nil
+		}),
+	},
+	// The Filebench comparison across all five FTLs.
+	{
+		id: "fig20", desc: "Filebench throughput, all five FTLs",
+		title:  "Fig 20: Filebench throughput (MB/s read+write; Table I configs)",
+		header: []string{"FTL", "fileserver", "webserver", "varmail"},
+		grid: perScheme(func(c *cell, s Scheme, cfg Config, b Budget) error {
+			f, err := c.warmed(s, cfg)
+			if err != nil {
+				return err
+			}
+			row := []string{s.String()}
+			for _, k := range filebenchKinds {
+				r := filebenchRun(f, k, b)
+				row = append(row, f1(r.ReadMBps+r.WriteMBps))
+			}
+			c.row(row...)
+			return nil
+		}),
+	},
+	// The tail-latency evaluation over the four Table II traces.
+	{
+		id: "fig21", desc: "P99/P99.9 tail latency under Table II traces",
+		title:  "Fig 21: P99 / P99.9 tail latency under real-world traces",
+		header: []string{"trace", "TPFTL p99", "LeaFTL p99", "LearnedFTL p99", "ideal p99", "TPFTL p999", "LeaFTL p999", "LearnedFTL p999", "ideal p999"},
+		grid:   traceGrid,
+		post: func(t *Table, _ Config, _ Budget, cells []*cell) {
+			t.Rows = traceRows(cells, func(reps []stats.Report) []string {
+				var row []string
+				for _, r := range reps {
+					row = append(row, ms(r.P99))
+				}
+				for _, r := range reps {
+					row = append(row, ms(r.P999))
+				}
+				return row
+			})
+		},
+	},
+	// The energy comparison over the four traces, normalized to TPFTL.
+	{
+		id: "fig22", desc: "energy under Table II traces, normalized to TPFTL",
+		title:  "Fig 22: energy under real-world traces (normalized to TPFTL)",
+		header: []string{"trace", "TPFTL", "LeaFTL", "LearnedFTL", "ideal"},
+		grid:   traceGrid,
+		post: func(t *Table, _ Config, _ Budget, cells []*cell) {
+			t.Rows = traceRows(cells, func(reps []stats.Report) []string {
+				var row []string
+				for _, r := range reps {
+					if base := reps[0].EnergyMJ; base > 0 {
+						row = append(row, f2(r.EnergyMJ/base))
+					} else {
+						row = append(row, "n/a")
+					}
+				}
+				return row
+			})
+		},
+	},
+	// A self-check of the synthetic trace generators against the published
+	// Table II characteristics.
+	{
+		id: "table2", desc: "trace-generator self-check against published statistics",
+		title:  "Table II: synthetic trace generators vs published characteristics",
+		header: []string{"trace", "#I/O (paper)", "#I/O (gen)", "avg KB (paper)", "avg KB (gen)", "read% (paper)", "read% (gen)"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			specs := workload.Traces()
+			return []int{len(specs)}, func(c *cell) error {
+				spec := specs[c.at[0]]
+				reqs, avgKB, readFrac := spec.Stats(cfg.LogicalPages(), b.TraceScale)
+				c.row(spec.Name,
+					fmt.Sprint(spec.Requests), fmt.Sprintf("%d (×%.2f)", reqs, b.TraceScale),
+					f1(spec.AvgKB), f1(avgKB),
+					pct(spec.ReadRatio), pct(readFrac))
+				return nil
+			}, nil
+		},
+	},
+	// The latency-vs-offered-load curve of every scheme: open-loop random
+	// reads at a ladder of offered IOPS, reporting achieved throughput,
+	// mean/P99/P99.9 total latency and the share of latency spent in the
+	// arrival queue. Budget.OfferedIOPS > 0 narrows the ladder to that
+	// single rate; Budget.Arrival picks the arrival process.
+	{
+		id: "loadsweep", desc: "open-loop latency vs offered IOPS for all five FTLs",
+		title:  "Load sweep: open-loop randread latency vs offered IOPS (wait = share of latency spent queued)",
+		header: []string{"FTL", "offered IOPS", "achieved IOPS", "mean", "p99", "p99.9", "wait"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			kind, err := b.openLoopKind()
+			if err != nil {
+				return nil, nil, err
+			}
+			rates := []float64{b.OfferedIOPS}
+			if b.OfferedIOPS <= 0 {
+				base := idealRandReadIOPS(cfg, b.Threads)
+				rates = nil
+				for _, fr := range loadSweepFractions {
+					rates = append(rates, fr*base)
+				}
+			}
+			schemes := Schemes()
+			return []int{len(schemes), len(rates)}, func(c *cell) error {
+				s, rate := schemes[c.at[0]], rates[c.at[1]]
+				f, err := c.warmed(s, cfg)
+				if err != nil {
+					return err
+				}
+				streams := workload.OpenFIO("randread", workload.RandRead, f.Config().LogicalPages(),
+					1, b.Threads, perThread(b.Requests, b.Threads), kind, rate, 1117)
+				r := measureOpen(f, streams, false)
+				c.row(s.String(), f0(rate), f0(r.IOPS),
+					lat(r.MeanLat), lat(r.P99), lat(r.P999), pct(r.WaitShare))
+				return nil
+			}, nil
+		},
+	},
+	// Two rate-controlled tenants sharing one device — WebSearch-like reads
+	// and Systor-like write-heavy traffic — with per-tenant mean/P99/P99.9
+	// latency and queue-wait share for every scheme. Budget.OfferedIOPS
+	// overrides the combined operating point and Budget.ReadTenantShare
+	// splits it (default 70% to the read tenant).
+	{
+		id: "tenantmix", desc: "two rate-controlled tenants sharing one device",
+		title:  "Tenant mix: WebSearch reads + Systor writes sharing one device (per-tenant open-loop latency)",
+		header: []string{"FTL", "tenant", "offered IOPS", "requests", "mean", "p99", "p99.9", "wait"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			kind, err := b.openLoopKind()
+			if err != nil {
+				return nil, nil, err
+			}
+			share := b.ReadTenantShare
+			if share == 0 {
+				share = 0.7
+			} else if share < 0 || share >= 1 {
+				return nil, nil, fmt.Errorf("learnedftl: tenantmix read-tenant share %v out of (0, 1)", share)
+			}
+			total := b.OfferedIOPS
+			if total <= 0 {
+				// Default operating point: a quarter of the device's ideal
+				// page rate, converted to a request rate via the mix's mean
+				// request size. That lands below the slowest scheme's knee,
+				// so the table differentiates tenants by moderate queueing
+				// rather than placing every scheme in deep overload.
+				wsPages := workload.WebSearch1.AvgKB * 1024 / float64(cfg.Geometry.PageSize)
+				sysPages := workload.Systor17.AvgKB * 1024 / float64(cfg.Geometry.PageSize)
+				mixPages := share*wsPages + (1-share)*sysPages
+				total = 0.25 * idealRandReadIOPS(cfg, b.Threads) / mixPages
+			}
+			offered := []float64{total * share, total * (1 - share)}
+			spt := max(1, b.Threads/2)
+			perTenant := max(spt, b.Requests/2)
+			schemes := Schemes()
+			return []int{len(schemes)}, func(c *cell) error {
+				f, err := c.warmed(schemes[c.at[0]], cfg)
+				if err != nil {
+					return err
+				}
+				streams := workload.TenantMix(f.Config().LogicalPages(), spt, perTenant,
+					kind, offered[0], offered[1])
+				r := measureOpen(f, streams, false)
+				for j, sr := range r.Streams[:min(len(r.Streams), len(offered))] {
+					c.row(schemes[c.at[0]].String(), sr.Name, f0(offered[j]),
+						fmt.Sprint(sr.Requests), lat(sr.MeanLat), lat(sr.P99), lat(sr.P999),
+						pct(sr.WaitShare))
+				}
+				return nil
+			}, nil
+		},
+	},
+	// Write amplification, GC activity and wear versus the
+	// over-provisioning ratio for every scheme × victim-selection policy:
+	// random single-page overwrites on a warmed device, the workload where
+	// GC dominates. WA falls monotonically as OP grows (more slack ⇒
+	// emptier victims ⇒ less relocation); the policy columns show what
+	// victim selection buys at fixed OP. Budget.GCPolicies narrows the
+	// policy set, Budget.OPRatio the ladder.
+	{
+		id: "gcsweep", desc: "write amplification and wear vs over-provisioning x GC policy",
+		title:  "GC sweep: write amplification and wear vs over-provisioning (randwrite; moved = pages relocated per GC; PE = erases)",
+		header: []string{"FTL", "policy", "OP", "WA", "GCs", "moved/GC", "max PE", "PE CV", "life TB"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			pols, err := b.gcPolicyList()
+			if err != nil {
+				return nil, nil, err
+			}
+			ratios := opLadder(cfg, b)
+			schemes := Schemes()
+			return []int{len(schemes), len(pols), len(ratios)}, func(c *cell) error {
+				s, pol := schemes[c.at[0]], pols[c.at[1]]
+				dcfg := cfg
+				dcfg.OPRatio = ratios[c.at[2]]
+				dcfg.GCPolicy = pol
+				f, err := c.warmed(s, dcfg)
+				if err != nil {
+					return err
+				}
+				r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
+				movedPerGC := 0.0
+				if col := f.Collector(); col.GCCount > 0 {
+					movedPerGC = float64(col.GCPagesMoved) / float64(col.GCCount)
+				}
+				c.row(s.String(), string(pol), pct(dcfg.OPRatio),
+					f2(r.WriteAmp), fmt.Sprint(r.GCCount), f1(movedPerGC),
+					fmt.Sprint(r.Wear.MaxErases), f2(r.Wear.CV), f1(r.LifetimeTBW))
+				return nil
+			}, nil
+		},
+	},
+	// Open-loop write tail latency under foreground-only versus background
+	// garbage collection, per scheme, at a moderate offered load. The
+	// default operating point is half of what the scheme itself sustains
+	// under closed-loop random writes on the same warmed device (a per-cell
+	// saturation probe), so every scheme sees real arrival gaps for
+	// background collection to hide in — a device-wide anchor would
+	// overload the slow schemes and starve the fast ones of GC pressure.
+	// Foreground mode charges collections to the triggering write (the
+	// paper's tail mechanism); background mode runs them in arrival gaps,
+	// cutting P99/P99.9. Budget.OfferedIOPS overrides the operating point,
+	// Budget.Arrival the arrival process.
+	{
+		id: "gclat", desc: "open-loop write tails: foreground vs background GC",
+		title:  "GC latency: open-loop randwrite tails, foreground vs background collection",
+		header: []string{"FTL", "gc mode", "offered IOPS", "achieved IOPS", "mean", "p99", "p99.9", "wait", "GCs", "bg GCs"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			kind, err := b.openLoopKind()
+			if err != nil {
+				return nil, nil, err
+			}
+			modes := []string{"foreground", "background"}
+			schemes := Schemes()
+			return []int{len(schemes), len(modes)}, func(c *cell) error {
+				s, background := schemes[c.at[0]], c.at[1] == 1
+				f, err := c.warmed(s, cfg)
+				if err != nil {
+					return err
+				}
+				rate := b.OfferedIOPS
+				if rate <= 0 {
+					// Saturation probe: closed-loop randwrite on this very
+					// device. Deterministic, so the foreground and
+					// background cells of one scheme derive the same
+					// operating point.
+					probe := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests/2)
+					rate = 0.5 * probe.IOPS
+				}
+				streams := workload.OpenFIO("randwrite", workload.RandWrite, f.Config().LogicalPages(),
+					1, b.Threads, perThread(b.Requests, b.Threads), kind, rate, 2221)
+				r := measureOpen(f, streams, background)
+				c.row(s.String(), modes[c.at[1]], f0(rate), f0(r.IOPS),
+					lat(r.MeanLat), lat(r.P99), lat(r.P999), pct(r.WaitShare),
+					fmt.Sprint(r.GCCount), fmt.Sprint(r.BGGCCount))
+				return nil
+			}, nil
+		},
+	},
+	// Crash-recovery time: for every scheme × fill level the device is
+	// filled, "loses power" (all DRAM translation state dropped) and
+	// remounts by scanning the flash array's out-of-band reverse mappings
+	// to rebuild the L2P and GTD (paper Fig. 11 — the OOB carries the
+	// reverse mapping precisely so this scan is possible). Mount latency is
+	// the timed scan's makespan: each chip reads the OOB of its programmed
+	// pages — stale pages included, since staleness is only known after
+	// reading — with chips scanning in parallel. The fill phase is a
+	// sequential write of the leading fraction of the logical space, so
+	// scanned pages grow with fill and the recovery-time-vs-fill curve is
+	// the deliverable. Schemes differ through their flash footprints:
+	// translation-page maintenance and buffering change how many pages a
+	// fill leaves programmed.
+	{
+		id: "mountlat", desc: "OOB crash-recovery scan latency vs device fill",
+		title:  "Mount latency: OOB crash-recovery scan vs device fill (scanned = programmed pages whose OOB the mount read)",
+		header: []string{"FTL", "fill", "recovered LPNs", "scanned pages", "mount"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			fills := []float64{0.25, 0.50, 0.75, 1.00}
+			schemes := Schemes()
+			return []int{len(schemes), len(fills)}, func(c *cell) error {
+				s, fillFrac := schemes[c.at[0]], fills[c.at[1]]
+				f, err := New(s, cfg)
+				if err != nil {
+					return err
+				}
+				rec, ok := f.(ftl.CrashRecoverer)
+				if !ok {
+					return fmt.Errorf("learnedftl: %s does not support crash recovery", f.Name())
+				}
+				sh, ok := f.(interface{ ShadowL2P() []nand.PPN })
+				if !ok {
+					return fmt.Errorf("learnedftl: %s does not expose a shadow L2P", f.Name())
+				}
+				fill := int64(float64(f.Config().LogicalPages()) * fillFrac)
+				var now nand.Time
+				for l := int64(0); l < fill; l += 128 {
+					now = f.WritePages(l, int(min(fill-l, 128)), now)
+				}
+				f.Flash().ResetCounters()
+				start := f.Flash().MaxChipBusy()
+				done := rec.RecoverFromCrash(start)
+				mapped := int64(0)
+				for _, p := range sh.ShadowL2P() {
+					if p != nand.InvalidPPN {
+						mapped++
+					}
+				}
+				row := []string{s.String(), pct(fillFrac), fmt.Sprint(mapped),
+					fmt.Sprint(f.Flash().Counters().Reads[nand.OpMount]), lat(done - start)}
+				// With the reliability model on, the scan can lose mappings
+				// to uncorrectable OOB reads; surface the count. The column
+				// appears only when fault is enabled so fault-free goldens
+				// stay byte-identical.
+				if cfg.Fault.Enabled {
+					ms, msOK := f.(interface{ MountScanStats() persist.ScanStats })
+					if !msOK {
+						return fmt.Errorf("learnedftl: %s does not expose mount scan stats", f.Name())
+					}
+					row = append(row, fmt.Sprint(ms.MountScanStats().LostMappings))
+				}
+				c.row(row...)
+				return nil
+			}, nil
+		},
+		post: func(t *Table, cfg Config, _ Budget, _ []*cell) {
+			if cfg.Fault.Enabled {
+				t.Header = append(t.Header, "lost maps")
+			}
+		},
+	},
+	// The power-loss injection campaign (internal/crash) per scheme: a
+	// warmed device is snapshotted, a deterministic write+GC-heavy window
+	// is probed uncut, then every enumerated (and fuzzed) flash-operation
+	// ordinal through that window is injected as a power cut — completing
+	// or tearing the in-flight program — followed by a timed OOB remount
+	// and full invariant verification against the durability oracle (acked
+	// writes must survive, at most one valid page per LPN, GTD/L2P/allocator
+	// consistent with flash). "lost acked" must be 0 and the verdict
+	// "clean" for every scheme; Budget.CrashFuzz and Budget.CrashStride
+	// size the campaign.
+	{
+		id: "crashsweep", desc: "power-loss injection campaign: recovery success, lost acked writes, mount latency",
+		title:  "Crash sweep: deterministic power-loss injection through a write+GC window (lost acked must be 0; torn drop = half-programmed pages discarded at mount)",
+		header: []string{"FTL", "window ops", "GCs", "points", "fired", "torn cuts", "lost acked", "torn drop", "lost maps", "mount mean", "mount max", "verdict"},
+		grid: perScheme(func(c *cell, s Scheme, cfg Config, b Budget) error {
+			fuzz := b.CrashFuzz
+			if fuzz <= 0 {
+				fuzz = 40
+			}
+			window := max(64, b.Requests/4)
+			i := int64(c.at[0])
+			f, err := c.warmed(s, cfg)
+			if err != nil {
+				return err
+			}
+			snap, err := SnapshotDevice(f)
+			if err != nil {
+				return err
+			}
+			lp := f.Config().LogicalPages()
+			newRun := func() (crash.Device, []sim.Generator, error) {
+				g, err := RestoreDevice(s, cfg, snap)
+				if err != nil {
+					return nil, nil, err
+				}
+				dev, ok := g.(crash.Device)
+				if !ok {
+					return nil, nil, fmt.Errorf("learnedftl: %s does not support crash injection", g.Name())
+				}
+				return dev, crashWindow(lp, window, 3301+i), nil
+			}
+			res, err := crash.RunCampaign(newRun, crash.CampaignConfig{
+				Stride:     b.CrashStride,
+				TargetEnum: 24,
+				Fuzz:       fuzz,
+				Seed:       9001 + i,
+			})
+			if err != nil {
+				return err
+			}
+			verdict := "clean"
+			if !res.OK() {
+				verdict = fmt.Sprintf("DIRTY (%d violations)", len(res.Violations))
+			}
+			c.row(s.String(), fmt.Sprint(res.WindowOps), fmt.Sprint(res.WindowErases),
+				fmt.Sprint(res.Points), fmt.Sprint(res.Fired), fmt.Sprint(res.TornCuts),
+				fmt.Sprint(res.LostAcked), fmt.Sprint(res.TornDiscarded),
+				fmt.Sprint(res.LostMappings),
+				lat(res.MountMean()), lat(res.MountMax), verdict)
+			return nil
+		}),
+	},
+	// End-to-end reliability vs raw bit error rate: every scheme runs a
+	// mixed open-loop workload (70% reads / 30% writes, idle-gap background
+	// GC + scrub active) at each rung of a raw-BER ladder, reporting
+	// achieved throughput, tail latency (read retries add timing-class
+	// delays), ECC retry traffic, the uncorrectable-bit error rate,
+	// scrub-driven refresh traffic and its write amplification.
+	// Budget.FaultBER pins a single rung and Budget.FaultSchemes narrows the
+	// scheme set (CI smoke cells).
+	{
+		id: "faultsweep", desc: "UBER, tails and refresh WA vs raw bit error rate",
+		title:  "Fault sweep: reliability vs raw BER, mixed open-loop 70r/30w with background scrub (refresh WA = scrub rewrites per host-written page)",
+		header: []string{"FTL", "raw BER", "IOPS", "p99", "p99.9", "retries", "uncorr", "UBER", "refresh pg", "refresh WA", "bad blk"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			kind, err := b.openLoopKind()
+			if err != nil {
+				return nil, nil, err
+			}
+			schemes, err := b.faultSchemeList()
+			if err != nil {
+				return nil, nil, err
+			}
+			bers := faultBERLadder
+			if b.FaultBER > 0 {
+				bers = []float64{b.FaultBER}
+			}
+			threads := max(2, b.Threads)
+			return []int{len(schemes), len(bers)}, func(c *cell) error {
+				s, ber := schemes[c.at[0]], bers[c.at[1]]
+				dcfg := cfg
+				dcfg.Fault = faultSweepConfig(ber, s)
+				f, err := c.warmed(s, dcfg)
+				if err != nil {
+					return err
+				}
+				rate := b.OfferedIOPS
+				if rate <= 0 {
+					// Saturation probe on this very device (the gclat
+					// idiom): writes are the slow half of the mix, so half
+					// the closed-loop randwrite rate lands the whole mix
+					// below the knee with idle gaps left for the scrubber.
+					// Retries slow the probe too, so the operating point
+					// self-scales with the rung's BER.
+					probe := measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2)
+					rate = 0.5 * probe.IOPS
+				}
+				spt, per := threads/2, perThread(b.Requests, threads)
+				lp := f.Config().LogicalPages()
+				streams := append(
+					workload.OpenFIO("randread", workload.RandRead, lp, 1, spt, per, kind, 0.7*rate, 3331),
+					workload.OpenFIO("randwrite", workload.RandWrite, lp, 1, spt, per, kind, 0.3*rate, 3433)...)
+				r := measureOpen(f, streams, true)
+				refreshWA := "-"
+				if hw := r.Flash.Programs[nand.OpHostData]; hw > 0 {
+					refreshWA = f2(float64(r.RefreshPages) / float64(hw))
+				}
+				c.row(s.String(), sci(ber), f0(r.IOPS), lat(r.P99), lat(r.P999),
+					fmt.Sprint(r.Rel.Retries), fmt.Sprint(r.Rel.HostUncorrectable), sci(r.UBER),
+					fmt.Sprint(r.RefreshPages), refreshWA, fmt.Sprint(r.GrownBadBlocks))
+				return nil
+			}, nil
+		},
+	},
+	// What background scrub buys: every scheme reads a small hot working
+	// set — striped by the sequential fill across every chip's
+	// first-written block — open-loop at equal offered load, scrub off vs
+	// on. The hot blocks enter the window at-risk (flagged on first read,
+	// still correctable) and the retention ramp pushes unscrubbed pages
+	// over the ECC threshold mid-window. Off, the back half of the hot
+	// reads is host-visible data loss. On, the first reads queue the stripe
+	// and the idle-gap scrubber rewrites it in time, so loss collapses to
+	// the reads that land after a block turns and before its refresh — at
+	// the cost of refresh traffic and scrub interference in the tails. The
+	// hot set is deliberately a few blocks' worth: a working set wider than
+	// the scrubber's idle-gap bandwidth could never be defended at any
+	// rate. LearnedFTL has no block-level scrub path, so its two rows
+	// match.
+	{
+		id: "scrublat", desc: "read-disturb data loss and tails, background scrub off vs on",
+		title:  "Scrub latency: hot-set reads of retention-aged blocks, background scrub off vs on (uncorr = host-visible data loss)",
+		header: []string{"FTL", "scrub", "offered IOPS", "IOPS", "p99", "p99.9", "uncorr", "UBER", "scrubs", "refresh pg"},
+		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
+			kind, err := b.openLoopKind()
+			if err != nil {
+				return nil, nil, err
+			}
+			schemes, err := b.faultSchemeList()
+			if err != nil {
+				return nil, nil, err
+			}
+			modes := []string{"off", "on"}
+			return []int{len(schemes), len(modes)}, func(c *cell) error {
+				s := schemes[c.at[0]]
+				dcfg := cfg
+				dcfg.Fault = scrubLatConfig(c.at[1] == 1)
+				// Sequential-fill warm only (no random overwrite passes):
+				// the hot LPNs must still live in the handful of
+				// first-written blocks, not scattered over whatever blocks
+				// the overwrite pass left active.
+				c.b.WarmExtra = 0
+				f, err := c.warmed(s, dcfg)
+				if err != nil {
+					return err
+				}
+				hot := min(int64(4*cfg.Geometry.PagesPerBlock), f.Config().LogicalPages())
+				per := perThread(b.Requests, b.Threads)
+				rate := b.OfferedIOPS
+				if rate <= 0 {
+					// Rate probe, under the still-benign model: closed-loop
+					// reads of the hot set on this very device —
+					// deterministic, so the off and on cells derive the same
+					// operating point. The tiny fraction is load-bearing:
+					// the sequential fill striped the hot LPNs across every
+					// chip's first block, so the scrubber must refresh a
+					// whole stripe of blocks — around a second of chip time
+					// — out of idle gaps before the retention ramp turns
+					// them lethal mid-window.
+					probe := measure(f, workload.FIO(workload.RandRead, hot, 1, b.Threads, per/2+1, 7))
+					rate = 0.008 * probe.IOPS
+				}
+				// Shelf-bake the device for one window length — every warm
+				// write enters the window at-risk but not yet lost (see
+				// scrubLatAge) — then swap in the retention ramp anchored
+				// to that bake. Physical state (ages, read counts) is
+				// untouched; only the clock and the BER mapping change.
+				bake := nand.Time(float64(int64(b.Threads)*int64(per)) / rate * float64(nand.Second))
+				f.Flash().AdvanceIdle(bake)
+				fc := scrubLatAge(dcfg.Fault, cfg, bake)
+				f.Flash().SetFaultModel(fault.New(fc, int64(cfg.Geometry.PageSize)*8))
+				streams := workload.OpenFIO("hotread", workload.RandRead,
+					hot, 1, b.Threads, per, kind, rate, 4447)
+				r := measureOpen(f, streams, true)
+				c.row(s.String(), modes[c.at[1]], f0(rate), f0(r.IOPS),
+					lat(r.P99), lat(r.P999),
+					fmt.Sprint(r.Rel.HostUncorrectable), sci(r.UBER),
+					fmt.Sprint(r.ScrubCount), fmt.Sprint(r.RefreshPages))
+				return nil
+			}, nil
+		},
+	},
+	// How simulator cost scales with device size: every scheme on a ladder
+	// of geometries from the tiny test device up to the paper's 32 GiB one,
+	// reporting the warm-up's simulated programs and host wall clock (the
+	// dominant cost of a sweep cell), steady-state random-write IOPS over
+	// the measured window, write amplification, and the device model's
+	// resident metadata footprint (bytes per physical page and total) that
+	// bounds how many cells fit in RAM. Warm-up deliberately bypasses the
+	// checkpoint cache — its wall clock is the deliverable, so restoring it
+	// would measure the cache instead. The wall-clock column is host time
+	// and varies run to run (it includes whatever co-running cells the
+	// worker pool scheduled); every other column is deterministic.
+	// Budget.ScaleMinGiB/ScaleMaxGiB window the ladder.
+	{
+		id: "scale", desc: "geometry ladder tiny -> paper: warm-up cost, steady IOPS, model footprint",
+		title:  "Scale: geometry ladder tiny -> paper (warm Mpg = simulated warm-up programs, deterministic; warm = host wall clock, contention-prone under -parallel)",
+		header: []string{"FTL", "device", "blocks", "meta B/page", "meta MiB", "warm Mpg", "warm", "randwrite IOPS", "WA"},
+		grid: func(_ Config, b Budget) ([]int, cellFunc, error) {
+			rungs, err := scaleLadder(b)
+			if err != nil {
+				return nil, nil, err
+			}
+			schemes := Schemes()
+			return []int{len(rungs), len(schemes)}, func(c *cell) error {
+				s, rung := schemes[c.at[1]], rungs[c.at[0]]
+				f, err := New(s, rung)
+				if err != nil {
+					return err
+				}
+				ws := c.warmUp(f)
+				r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
+				fp := f.Flash().Footprint()
+				c.row(s.String(),
+					fmt.Sprintf("%.2fGiB", float64(rung.Geometry.TotalBytes())/(1<<30)),
+					fmt.Sprint(rung.Geometry.TotalBlocks()),
+					fmt.Sprintf("%.2f", fp.BytesPerPage),
+					fmt.Sprintf("%.1f", float64(fp.TotalBytes)/(1<<20)),
+					fmt.Sprintf("%.2f", float64(ws.Programs)/1e6),
+					fmt.Sprintf("%.2fs", ws.Seconds),
+					f0(r.IOPS), f2(r.WriteAmp))
+				return nil
+			}, nil
+		},
+	},
+	{
+		id: "latbreak", desc: "mean and P99.9 latency decomposed by phase, per scheme",
+		title:  "Latency attribution: mean and P99.9 decomposed by phase (lookup = DRAM model/CMT compute, trans = translation-page flash, gc = foreground GC stall, data = flash data time)",
+		header: []string{"FTL", "pattern", "mean", "lookup", "trans", "gc", "data", "p99.9", "tail mean", "tail cause"},
+		grid:   perScheme(latBreakCell),
+	},
+	{
+		id: "fleet", desc: "multi-device array: per-tenant tails and wear CV per placement policy, with mid-run device failure + rebuild",
+		title: "Fleet: %d-device LearnedFTL array, two tenants, per placement policy (failure = device 1 killed mid-run; rebuild = re-replicated units done/total)",
+		header: []string{"placement", "scenario", "tenant", "requests", "p99", "p99.9", "wait",
+			"wear CV dev", "failed", "lost req", "rebuilt"},
+		grid: fleetGrid,
+		post: func(t *Table, _ Config, b Budget, _ []*cell) {
+			t.Title = fmt.Sprintf(t.Title, fleetWidth(b))
+		},
+	},
 }
 
-// Fig2 reproduces the motivation experiment: TPFTL sequential vs random read
-// throughput and CMT hit ratio as the thread count grows. Each thread count
-// is one sweep cell measuring a freshly warmed device, so cells are
-// independent and the table is identical at any worker count.
-func Fig2(cfg Config, b Budget) (Table, error) {
-	threads := []int{1, 16, 32, 64}
-	type cell struct{ seq, rnd stats.Report }
-	res := make([]cell, len(threads))
-	err := runCells(b, len(threads), func(i int) error {
-		f, err := newWarmed(SchemeTPFTL, cfg, b)
-		if err != nil {
-			return err
-		}
-		res[i].seq = measureFIO(f, workload.SeqRead, threads[i], 8, b.Requests)
-		res[i].rnd = measureFIO(f, workload.RandRead, threads[i], 1, b.Requests)
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
+// perScheme is the grid of the experiments that measure every scheme once,
+// one cell per scheme.
+func perScheme(measure func(c *cell, s Scheme, cfg Config, b Budget) error) func(Config, Budget) ([]int, cellFunc, error) {
+	return func(cfg Config, b Budget) ([]int, cellFunc, error) {
+		schemes := Schemes()
+		return []int{len(schemes)}, func(c *cell) error {
+			return measure(c, schemes[c.at[0]], cfg, b)
+		}, nil
 	}
-	t := Table{
-		Title:  "Fig 2: TPFTL read performance vs threads (seq uses 8-page I/O, rand 1-page)",
-		Header: []string{"threads", "seqread MB/s", "randread MB/s", "seq CMT hit", "rand CMT hit"},
-	}
-	for i, th := range threads {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(th), f1(res[i].seq.ReadMBps), f1(res[i].rnd.ReadMBps),
-			pct(res[i].seq.CMTHitRatio), pct(res[i].rnd.CMTHitRatio),
-		})
-	}
-	return t, nil
 }
 
-// Fig3 reproduces the CMT-scaling experiment: TPFTL's random-read hit ratio
-// barely improves even with a CMT holding 50% of all mappings.
-func Fig3(cfg Config, b Budget) (Table, error) {
-	ratios := []float64{0.001, 0.03, 0.10, 0.30, 0.50}
-	res := make([]stats.Report, len(ratios))
-	err := runCells(b, len(ratios), func(i int) error {
-		c := cfg
-		c.CMTRatio = ratios[i]
-		f, err := newWarmed(SchemeTPFTL, c, b)
-		if err != nil {
-			return err
-		}
-		res[i] = measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		Title:  "Fig 3: TPFTL CMT hit ratio vs CMT space (randread, 64 threads)",
-		Header: []string{"CMT space", "hit ratio"},
-	}
-	for i, ratio := range ratios {
-		t.Rows = append(t.Rows, []string{pct(ratio), pct(res[i].CMTHitRatio)})
-	}
-	return t, nil
-}
-
-// Fig6 reproduces the LeaFTL motivation: random-read throughput normalized
-// to TPFTL, and LeaFTL's single/double/triple read breakdown.
-func Fig6(cfg Config, b Budget) (Table, error) {
-	schemes := []Scheme{SchemeTPFTL, SchemeLeaFTL}
-	res := make([]stats.Report, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		f, err := newWarmed(schemes[i], cfg, b)
-		if err != nil {
-			return err
-		}
-		res[i] = measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	rTP, rLE := res[0], res[1]
-	t := Table{
-		Title:  "Fig 6: LeaFTL vs TPFTL under FIO random reads",
-		Header: []string{"FTL", "MB/s", "norm vs TPFTL", "single", "double", "triple"},
-	}
-	for _, r := range []stats.Report{rLE, rTP} {
-		t.Rows = append(t.Rows, []string{
-			r.FTL, f1(r.ReadMBps), f2(r.ReadMBps / rTP.ReadMBps),
-			pct(r.SingleFrac), pct(r.DoubleFrac), pct(r.TripleFrac),
-		})
-	}
-	return t, nil
-}
+// filebenchKinds are the Filebench personalities of Figs. 7 and 20.
+var filebenchKinds = []workload.FilebenchKind{workload.Fileserver, workload.Webserver, workload.Varmail}
 
 // filebenchRun measures one Filebench personality on a warmed device.
 func filebenchRun(f FTL, k workload.FilebenchKind, b Budget) stats.Report {
 	th := k.Threads()
-	per := b.Requests / th
-	if per < 1 {
-		per = 1
-	}
-	gens := workload.Filebench(k, f.Config().LogicalPages(), th, per, 23)
+	gens := workload.Filebench(k, f.Config().LogicalPages(), th, perThread(b.Requests, th), 23)
 	return measure(f, gens)
-}
-
-// Fig7 reproduces the locality motivation: TPFTL vs LeaFTL on Filebench,
-// plus the webserver hit-ratio comparison.
-func Fig7(cfg Config, b Budget) (Table, error) {
-	schemes := []Scheme{SchemeTPFTL, SchemeLeaFTL}
-	kinds := []workload.FilebenchKind{workload.Fileserver, workload.Webserver, workload.Varmail}
-	// One cell per scheme; the three personalities run back-to-back on that
-	// cell's device, as the paper's successive Filebench runs do.
-	res := make([][]stats.Report, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		f, err := newWarmed(schemes[i], cfg, b)
-		if err != nil {
-			return err
-		}
-		res[i] = make([]stats.Report, len(kinds))
-		for j, k := range kinds {
-			res[i][j] = filebenchRun(f, k, b)
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t := Table{
-		Title:  "Fig 7: TPFTL vs LeaFTL on Filebench (throughput norm. to TPFTL; hit = single-read fraction)",
-		Header: []string{"workload", "LeaFTL norm", "TPFTL norm", "LeaFTL single", "TPFTL single"},
-	}
-	for j, k := range kinds {
-		rTP, rLE := res[0][j], res[1][j]
-		den := rTP.ReadMBps + rTP.WriteMBps
-		num := rLE.ReadMBps + rLE.WriteMBps
-		t.Rows = append(t.Rows, []string{
-			k.String(), f2(num / den), "1.00",
-			pct(rLE.SingleFrac),
-			pct(rTP.SingleFrac),
-		})
-	}
-	return t, nil
-}
-
-// Fig14 reproduces the headline FIO comparison: throughput for four access
-// patterns, hit ratios for reads and write amplification for writes, across
-// all five FTLs.
-func Fig14(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title: "Fig 14: FIO at 64 threads (throughput MB/s; CMT+model hit; WA)",
-		Header: []string{"FTL", "randread", "seqread", "randwrite", "seqwrite",
-			"rr CMT", "rr model", "sr CMT", "sr model", "WA rand", "WA seq"},
-	}
-	schemes := Schemes()
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		s := schemes[i]
-		f, err := newWarmed(s, cfg, b)
-		if err != nil {
-			return err
-		}
-		rr := measureFIO(f, workload.RandRead, b.Threads, 1, b.Requests)
-		sr := measureFIO(f, workload.SeqRead, b.Threads, 8, b.Requests)
-		rw := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
-		sw := measureFIO(f, workload.SeqWrite, b.Threads, 8, b.Requests)
-		rows[i] = []string{
-			s.String(),
-			f1(rr.ReadMBps), f1(sr.ReadMBps), f1(rw.WriteMBps), f1(sw.WriteMBps),
-			pct(rr.CMTHitRatio), pct(rr.ModelHitRatio),
-			pct(sr.CMTHitRatio), pct(sr.ModelHitRatio),
-			f2(rw.WriteAmp), f2(sw.WriteAmp),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-// Fig15 measures the real host-CPU cost of the three added operations —
-// LPN sorting, model training and model prediction — on a full 512-entry
-// GTD entry, mirroring the paper's X86/ARM microbenchmark.
-func Fig15() (Table, error) {
-	const span = 512
-	rng := rand.New(rand.NewSource(1))
-	vppns := make([]int64, span)
-	base := int64(1 << 20)
-	for i := range vppns {
-		if rng.Intn(4) == 0 {
-			vppns[i] = -1
-			continue
-		}
-		vppns[i] = base + int64(i) + int64(rng.Intn(3))
-	}
-	timeOp := func(iters int, op func()) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			op()
-		}
-		return time.Since(start) / time.Duration(iters)
-	}
-	lpns := make([]int64, span)
-	sortCost := timeOp(2000, func() {
-		for i := range lpns {
-			lpns[i] = int64(rng.Intn(1 << 20))
-		}
-		sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	})
-	m := learned.NewInPlaceModel(span, 8)
-	trainCost := timeOp(2000, func() { m.TrainFull(base, vppns) })
-	var sink int64
-	predictCost := timeOp(200000, func() {
-		v, _ := m.Predict(128)
-		sink += v
-	})
-	if sink == -1 {
-		panic("unreachable")
-	}
-	t := Table{
-		Title:  "Fig 15: computing overhead of the added operations (host CPU; paper: ~50µs sort+train, 0.65µs predict on ARM A72)",
-		Header: []string{"operation", "cost/entry"},
-		Rows: [][]string{
-			{"sorting (512 LPNs)", sortCost.String()},
-			{"training (512-entry model)", trainCost.String()},
-			{"prediction", predictCost.String()},
-		},
-	}
-	return t, nil
-}
-
-// Fig16 reproduces the GC-frequency comparison under FIO random and
-// sequential writes.
-func Fig16(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 16: GC activity under FIO writes (count; mean GCs per simulated second)",
-		Header: []string{"FTL", "rand GCs", "rand GC/s", "seq GCs", "seq GC/s"},
-	}
-	schemes := Schemes()
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		s := schemes[i]
-		f, err := newWarmed(s, cfg, b)
-		if err != nil {
-			return err
-		}
-		rw := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
-		randGC := f.Collector().GCCount
-		randRate := rate(randGC, rw.Makespan)
-		sw := measureFIO(f, workload.SeqWrite, b.Threads, 8, b.Requests)
-		seqGC := f.Collector().GCCount
-		seqRate := rate(seqGC, sw.Makespan)
-		rows[i] = []string{
-			s.String(), fmt.Sprint(randGC), f2(randRate), fmt.Sprint(seqGC), f2(seqRate),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 func rate(n int64, span nand.Time) float64 {
@@ -823,275 +1392,46 @@ func rate(n int64, span nand.Time) float64 {
 	return float64(n) / (float64(span) / float64(nand.Second))
 }
 
-// Fig17 reproduces the GC-time breakdown: the share of LearnedFTL's GC time
-// spent on sorting + training, across increasing run lengths.
-func Fig17(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 17: sorting+training share of LearnedFTL GC time (paper: <= 3.2%)",
-		Header: []string{"randwrite requests", "GC busy", "sort+train", "share"},
-	}
-	mults := []float64{0.5, 1, 2}
-	rows := make([][]string, len(mults))
-	err := runCells(b, len(mults), func(i int) error {
-		mult := mults[i]
-		f, err := newWarmed(SchemeLearnedFTL, cfg, b)
-		if err != nil {
-			return err
-		}
-		measureFIO(f, workload.RandWrite, b.Threads, 1, int(float64(b.Requests)*mult))
-		col := f.Collector()
-		share := 0.0
-		if col.GCBusyTime > 0 {
-			share = float64(col.SortTrainNS) / float64(col.GCBusyTime)
-		}
-		rows[i] = []string{
-			fmt.Sprint(int(float64(b.Requests) * mult)),
-			ms(col.GCBusyTime), ms(nand.Time(col.SortTrainNS)),
-			fmt.Sprintf("%.2f%%", share*100),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-// Fig18 reproduces the overhead ablations: (a) random-write throughput with
-// and without the training+sorting charge, (b) read throughput of
-// LearnedFTL vs "ideal LearnedFTL" (no prediction cost, full DRAM map).
-func Fig18(cfg Config, b Budget) (Table, error) {
-	runWrite := func(charge bool) (float64, error) {
-		opt := DefaultLearnedOptions()
-		opt.ChargeTraining = charge
-		f, err := NewLearned(cfg, opt)
-		if err != nil {
-			return 0, err
-		}
-		warmDevice(f, b)
-		r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
-		return r.WriteMBps, nil
-	}
-	runRead := func(predictCost nand.Time, p workload.Pattern, io int) (float64, error) {
-		opt := DefaultLearnedOptions()
-		opt.PredictCost = predictCost
-		f, err := NewLearned(cfg, opt)
-		if err != nil {
-			return 0, err
-		}
-		warmDevice(f, b)
-		r := measureFIO(f, p, b.Threads, io, b.Requests)
-		return r.ReadMBps, nil
-	}
-	// The six ablation runs are independent devices: one cell each.
-	cells := []func() (float64, error){
-		func() (float64, error) { return runWrite(true) },
-		func() (float64, error) { return runWrite(false) },
-		func() (float64, error) { return runRead(DefaultLearnedOptions().PredictCost, workload.RandRead, 1) },
-		func() (float64, error) { return runRead(0, workload.RandRead, 1) },
-		func() (float64, error) { return runRead(DefaultLearnedOptions().PredictCost, workload.SeqRead, 8) },
-		func() (float64, error) { return runRead(0, workload.SeqRead, 8) },
-	}
-	vals := make([]float64, len(cells))
-	err := runCells(b, len(cells), func(i int) error {
-		v, err := cells[i]()
-		vals[i] = v
-		return err
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	with, without := vals[0], vals[1]
-	rrLD, rrIdeal := vals[2], vals[3]
-	srLD, srIdeal := vals[4], vals[5]
-	return Table{
-		Title:  "Fig 18: LearnedFTL overhead ablations",
-		Header: []string{"comparison", "LearnedFTL", "counterpart", "ratio"},
-		Rows: [][]string{
-			{"randwrite MB/s (w/ vs w/o train+sort)", f1(with), f1(without), f2(with / without)},
-			{"randread MB/s (LD vs ideal-LD)", f1(rrLD), f1(rrIdeal), f2(rrLD / rrIdeal)},
-			{"seqread MB/s (LD vs ideal-LD)", f1(srLD), f1(srIdeal), f2(srLD / srIdeal)},
-		},
-	}, nil
-}
-
-// Fig19 reproduces the RocksDB experiment: db_bench readrandom/readseq with
-// one thread over an 80%-full LSM-shaped database.
-func Fig19(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 19: RocksDB db_bench model, 1 thread (throughput; hit ratios)",
-		Header: []string{"FTL", "readrandom MB/s", "readseq MB/s", "rr CMT", "rr model", "rs CMT", "rs model"},
-	}
-	lp := cfg.LogicalPages()
-	schemes := Schemes()
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		s := schemes[i]
-		f, err := New(s, cfg)
-		if err != nil {
-			return err
-		}
-		sim.Warmed(f, workload.RocksDBFill(lp, 0.8, float64(b.WarmExtra), 3), 0)
-		rr := measure(f, workload.RocksDBReadRandom(lp, 0.8, 1, b.Requests, 5))
-		rs := measure(f, workload.RocksDBReadSeq(lp, 0.8, 1, b.Requests, 5))
-		rows[i] = []string{
-			s.String(), f1(rr.ReadMBps), f1(rs.ReadMBps),
-			pct(rr.CMTHitRatio), pct(rr.ModelHitRatio),
-			pct(rs.CMTHitRatio), pct(rs.ModelHitRatio),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-// Fig20 reproduces the Filebench comparison across all five FTLs.
-func Fig20(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 20: Filebench throughput (MB/s read+write; Table I configs)",
-		Header: []string{"FTL", "fileserver", "webserver", "varmail"},
-	}
-	schemes := Schemes()
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		s := schemes[i]
-		f, err := newWarmed(s, cfg, b)
-		if err != nil {
-			return err
-		}
-		row := []string{s.String()}
-		for _, k := range []workload.FilebenchKind{workload.Fileserver, workload.Webserver, workload.Varmail} {
-			r := filebenchRun(f, k, b)
-			row = append(row, f1(r.ReadMBps+r.WriteMBps))
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
 // traceSchemes are the FTLs of the tail-latency and energy evaluations.
 func traceSchemes() []Scheme {
 	return []Scheme{SchemeTPFTL, SchemeLeaFTL, SchemeLearnedFTL, SchemeIdeal}
 }
 
-// runTrace replays one synthetic trace on a warmed device.
-func runTrace(f FTL, spec workload.TraceSpec, b Budget) stats.Report {
-	gens := spec.Generators(f.Config().LogicalPages(), 4, b.TraceScale)
-	return measure(f, gens)
-}
-
-// Fig21 reproduces the tail-latency evaluation over the four Table II
-// traces.
-func Fig21(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 21: P99 / P99.9 tail latency under real-world traces",
-		Header: []string{"trace", "TPFTL p99", "LeaFTL p99", "LearnedFTL p99", "ideal p99", "TPFTL p999", "LeaFTL p999", "LearnedFTL p999", "ideal p999"},
-	}
-	specs := workload.Traces()
-	schemes := traceSchemes()
-	res, err := runTraceGrid(cfg, b, specs, schemes)
-	if err != nil {
-		return Table{}, err
-	}
-	for ti, spec := range specs {
-		row := []string{spec.Name}
-		for si := range schemes {
-			row = append(row, ms(res[ti][si].P99))
-		}
-		for si := range schemes {
-			row = append(row, ms(res[ti][si].P999))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// runTraceGrid measures every (trace × scheme) combination as one sweep
-// cell with its own warmed device, returning reports indexed
-// [trace][scheme].
-func runTraceGrid(cfg Config, b Budget, specs []workload.TraceSpec, schemes []Scheme) ([][]stats.Report, error) {
-	res := make([][]stats.Report, len(specs))
-	for ti := range res {
-		res[ti] = make([]stats.Report, len(schemes))
-	}
-	err := runCells(b, len(specs)*len(schemes), func(i int) error {
-		ti, si := i/len(schemes), i%len(schemes)
-		f, err := newWarmed(schemes[si], cfg, b)
+// traceGrid is the grid of Figs. 21 and 22: every (trace × scheme) pair
+// replayed on its own warmed device.
+func traceGrid(cfg Config, b Budget) ([]int, cellFunc, error) {
+	specs, schemes := workload.Traces(), traceSchemes()
+	return []int{len(specs), len(schemes)}, func(c *cell) error {
+		f, err := c.warmed(schemes[c.at[1]], cfg)
 		if err != nil {
 			return err
 		}
-		res[ti][si] = runTrace(f, specs[ti], b)
+		gens := specs[c.at[0]].Generators(f.Config().LogicalPages(), 4, b.TraceScale)
+		c.reports = append(c.reports, measure(f, gens))
 		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	}, nil
 }
 
-// Fig22 reproduces the energy comparison over the four traces, normalized
-// to TPFTL.
-func Fig22(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Fig 22: energy under real-world traces (normalized to TPFTL)",
-		Header: []string{"trace", "TPFTL", "LeaFTL", "LearnedFTL", "ideal"},
-	}
-	specs := workload.Traces()
-	schemes := traceSchemes()
-	res, err := runTraceGrid(cfg, b, specs, schemes)
-	if err != nil {
-		return Table{}, err
-	}
-	for ti, spec := range specs {
-		base := res[ti][0].EnergyMJ
-		row := []string{spec.Name}
-		for si := range schemes {
-			if base > 0 {
-				row = append(row, f2(res[ti][si].EnergyMJ/base))
-			} else {
-				row = append(row, "n/a")
-			}
+// traceRows builds one row per trace from traceGrid's cells: the trace name
+// followed by cols of its schemes' reports, in traceSchemes order.
+func traceRows(cells []*cell, cols func(reps []stats.Report) []string) [][]string {
+	n := len(traceSchemes())
+	var rows [][]string
+	for ti, spec := range workload.Traces() {
+		reps := make([]stats.Report, n)
+		for si := range reps {
+			reps[si] = cells[ti*n+si].reports[0]
 		}
-		t.Rows = append(t.Rows, row)
+		rows = append(rows, append([]string{spec.Name}, cols(reps)...))
 	}
-	return t, nil
+	return rows
 }
 
-// Table2 self-checks the synthetic trace generators against the published
-// Table II characteristics.
-func Table2(cfg Config, b Budget) (Table, error) {
-	t := Table{
-		Title:  "Table II: synthetic trace generators vs published characteristics",
-		Header: []string{"trace", "#I/O (paper)", "#I/O (gen)", "avg KB (paper)", "avg KB (gen)", "read% (paper)", "read% (gen)"},
-	}
-	specs := workload.Traces()
-	rows := make([][]string, len(specs))
-	err := runCells(b, len(specs), func(i int) error {
-		spec := specs[i]
-		reqs, avgKB, readFrac := spec.Stats(cfg.LogicalPages(), b.TraceScale)
-		rows[i] = []string{
-			spec.Name,
-			fmt.Sprint(spec.Requests), fmt.Sprintf("%d (×%.2f)", reqs, b.TraceScale),
-			f1(spec.AvgKB), f1(avgKB),
-			pct(spec.ReadRatio), pct(readFrac),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = rows
-	return t, nil
-}
+// loadSweepFractions is the offered-load ladder of the loadsweep
+// experiment, as fractions of idealRandReadIOPS. It brackets every
+// scheme's saturation knee: the last rungs exceed what even the ideal FTL
+// sustains, so the hockey stick is always visible.
+var loadSweepFractions = []float64{0.10, 0.20, 0.35, 0.50, 0.65, 0.80, 1.00, 1.20}
 
 // opLadder returns the over-provisioning ratios gcsweep measures: the
 // device config's own ratio plus three increments, clipped below the 0.5
@@ -1109,199 +1449,6 @@ func opLadder(cfg Config, b Budget) []float64 {
 		}
 	}
 	return out
-}
-
-// GCSweep measures write amplification, GC activity and wear versus the
-// over-provisioning ratio for every scheme × victim-selection policy:
-// random single-page overwrites on a warmed device, the workload where GC
-// dominates. WA falls monotonically as OP grows (more slack ⇒ emptier
-// victims ⇒ less relocation); the policy columns show what victim
-// selection buys at fixed OP. Budget.GCPolicies narrows the policy set,
-// Budget.OPRatio the ladder.
-func GCSweep(cfg Config, b Budget) (Table, error) {
-	pols, err := b.gcPolicyList()
-	if err != nil {
-		return Table{}, err
-	}
-	ratios := opLadder(cfg, b)
-	schemes := Schemes()
-	nCells := len(schemes) * len(pols) * len(ratios)
-	rows := make([][]string, nCells)
-	err = runCells(b, nCells, func(i int) error {
-		si := i / (len(pols) * len(ratios))
-		pi := i / len(ratios) % len(pols)
-		ri := i % len(ratios)
-		c := cfg
-		c.OPRatio = ratios[ri]
-		c.GCPolicy = pols[pi]
-		f, err := newWarmed(schemes[si], c, b)
-		if err != nil {
-			return err
-		}
-		r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
-		movedPerGC := 0.0
-		if col := f.Collector(); col.GCCount > 0 {
-			movedPerGC = float64(col.GCPagesMoved) / float64(col.GCCount)
-		}
-		rows[i] = []string{
-			schemes[si].String(), string(pols[pi]), pct(ratios[ri]),
-			f2(r.WriteAmp), fmt.Sprint(r.GCCount), f1(movedPerGC),
-			fmt.Sprint(r.Wear.MaxErases), f2(r.Wear.CV), f1(r.LifetimeTBW),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title:  "GC sweep: write amplification and wear vs over-provisioning (randwrite; moved = pages relocated per GC; PE = erases)",
-		Header: []string{"FTL", "policy", "OP", "WA", "GCs", "moved/GC", "max PE", "PE CV", "life TB"},
-		Rows:   rows,
-	}, nil
-}
-
-// gcLatModes are the two collection modes gclat contrasts.
-var gcLatModes = []string{"foreground", "background"}
-
-// GCLat measures open-loop write tail latency under foreground-only versus
-// background garbage collection, per scheme, at a moderate offered load.
-// The default operating point is half of what the scheme itself sustains
-// under closed-loop random writes on the same warmed device (a per-cell
-// saturation probe), so every scheme sees real arrival gaps for background
-// collection to hide in — a device-wide anchor would overload the slow
-// schemes and starve the fast ones of GC pressure. Foreground mode charges
-// collections to the triggering write (the paper's tail mechanism);
-// background mode runs them in arrival gaps, cutting P99/P99.9.
-// Budget.OfferedIOPS overrides the operating point, Budget.Arrival the
-// arrival process.
-func GCLat(cfg Config, b Budget) (Table, error) {
-	kind, err := b.openLoopKind()
-	if err != nil {
-		return Table{}, err
-	}
-	schemes := Schemes()
-	rows := make([][]string, len(schemes)*len(gcLatModes))
-	err = runCells(b, len(rows), func(i int) error {
-		si, mi := i/len(gcLatModes), i%len(gcLatModes)
-		f, err := newWarmed(schemes[si], cfg, b)
-		if err != nil {
-			return err
-		}
-		rate := b.OfferedIOPS
-		if rate <= 0 {
-			// Saturation probe: closed-loop randwrite on this very device.
-			// Deterministic, so the foreground and background cells of one
-			// scheme derive the same operating point.
-			probe := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests/2)
-			rate = 0.5 * probe.IOPS
-		}
-		per := b.Requests / b.Threads
-		if per < 1 {
-			per = 1
-		}
-		streams := workload.OpenFIO("randwrite", workload.RandWrite,
-			f.Config().LogicalPages(), 1, b.Threads, per, kind, rate, 2221)
-		r := measureOpenWith(f, streams, mi == 1)
-		rows[i] = []string{
-			schemes[si].String(), gcLatModes[mi], f0(rate), f0(r.IOPS),
-			lat(r.MeanLat), lat(r.P99), lat(r.P999), pct(r.WaitShare),
-			fmt.Sprint(r.GCCount), fmt.Sprint(r.BGGCCount),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title:  "GC latency: open-loop randwrite tails, foreground vs background collection",
-		Header: []string{"FTL", "gc mode", "offered IOPS", "achieved IOPS", "mean", "p99", "p99.9", "wait", "GCs", "bg GCs"},
-		Rows:   rows,
-	}, nil
-}
-
-// mountFills is the device-fill ladder of the mountlat experiment, as
-// fractions of the logical space written before the crash.
-var mountFills = []float64{0.25, 0.50, 0.75, 1.00}
-
-// MountLat measures crash-recovery time: for every scheme × fill level the
-// device is filled, "loses power" (all DRAM translation state dropped) and
-// remounts by scanning the flash array's out-of-band reverse mappings to
-// rebuild the L2P and GTD (paper Fig. 11 — the OOB carries the reverse
-// mapping precisely so this scan is possible). Mount latency is the timed
-// scan's makespan: each chip reads the OOB of its programmed pages —
-// stale pages included, since staleness is only known after reading — with
-// chips scanning in parallel. The fill phase is a sequential write of the
-// leading fraction of the logical space, so scanned pages grow with fill
-// and the recovery-time-vs-fill curve is the deliverable. Schemes differ
-// through their flash footprints: translation-page maintenance and
-// buffering change how many pages a fill leaves programmed.
-func MountLat(cfg Config, b Budget) (Table, error) {
-	schemes := Schemes()
-	rows := make([][]string, len(schemes)*len(mountFills))
-	err := runCells(b, len(rows), func(i int) error {
-		si, fi := i/len(mountFills), i%len(mountFills)
-		f, err := New(schemes[si], cfg)
-		if err != nil {
-			return err
-		}
-		rec, ok := f.(ftl.CrashRecoverer)
-		if !ok {
-			return fmt.Errorf("learnedftl: %s does not support crash recovery", f.Name())
-		}
-		sh, ok := f.(interface{ ShadowL2P() []nand.PPN })
-		if !ok {
-			return fmt.Errorf("learnedftl: %s does not expose a shadow L2P", f.Name())
-		}
-		lp := f.Config().LogicalPages()
-		fill := int64(float64(lp) * mountFills[fi])
-		var now nand.Time
-		for l := int64(0); l < fill; l += 128 {
-			n := fill - l
-			if n > 128 {
-				n = 128
-			}
-			now = f.WritePages(l, int(n), now)
-		}
-		f.Flash().ResetCounters()
-		start := f.Flash().MaxChipBusy()
-		done := rec.RecoverFromCrash(start)
-		cnt := f.Flash().Counters()
-		mapped := int64(0)
-		for _, p := range sh.ShadowL2P() {
-			if p != nand.InvalidPPN {
-				mapped++
-			}
-		}
-		row := []string{
-			schemes[si].String(), pct(mountFills[fi]), fmt.Sprint(mapped),
-			fmt.Sprint(cnt.Reads[nand.OpMount]), lat(done - start),
-		}
-		// With the reliability model on, the scan can lose mappings to
-		// uncorrectable OOB reads; surface the count. The column appears
-		// only when fault is enabled so fault-free goldens stay
-		// byte-identical.
-		if cfg.Fault.Enabled {
-			ms, msOK := f.(interface{ MountScanStats() persist.ScanStats })
-			if !msOK {
-				return fmt.Errorf("learnedftl: %s does not expose mount scan stats", f.Name())
-			}
-			row = append(row, fmt.Sprint(ms.MountScanStats().LostMappings))
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	header := []string{"FTL", "fill", "recovered LPNs", "scanned pages", "mount"}
-	if cfg.Fault.Enabled {
-		header = append(header, "lost maps")
-	}
-	return Table{
-		Title:  "Mount latency: OOB crash-recovery scan vs device fill (scanned = programmed pages whose OOB the mount read)",
-		Header: header,
-		Rows:   rows,
-	}, nil
 }
 
 // crashWindow returns crashsweep's measurement window: seeded random
@@ -1322,80 +1469,6 @@ func crashWindow(lp int64, n int, seed int64) []sim.Generator {
 		}
 		return sim.Request{Write: true, LPN: lpn, Pages: 1}, true
 	})}
-}
-
-// CrashSweep runs the power-loss injection campaign (internal/crash) per
-// scheme: a warmed device is snapshotted, a deterministic write+GC-heavy
-// window is probed uncut, then every enumerated (and fuzzed) flash-operation
-// ordinal through that window is injected as a power cut — completing or
-// tearing the in-flight program — followed by a timed OOB remount and full
-// invariant verification against the durability oracle (acked writes must
-// survive, at most one valid page per LPN, GTD/L2P/allocator consistent with
-// flash). "lost acked" must be 0 and the verdict "clean" for every scheme;
-// Budget.CrashFuzz and Budget.CrashStride size the campaign.
-func CrashSweep(cfg Config, b Budget) (Table, error) {
-	schemes := Schemes()
-	fuzz := b.CrashFuzz
-	if fuzz <= 0 {
-		fuzz = 40
-	}
-	window := b.Requests / 4
-	if window < 64 {
-		window = 64
-	}
-	rows := make([][]string, len(schemes))
-	err := runCells(b, len(schemes), func(i int) error {
-		s := schemes[i]
-		f, err := newWarmed(s, cfg, b)
-		if err != nil {
-			return err
-		}
-		snap, err := SnapshotDevice(f)
-		if err != nil {
-			return err
-		}
-		lp := f.Config().LogicalPages()
-		newRun := func() (crash.Device, []sim.Generator, error) {
-			g, err := RestoreDevice(s, cfg, snap)
-			if err != nil {
-				return nil, nil, err
-			}
-			dev, ok := g.(crash.Device)
-			if !ok {
-				return nil, nil, fmt.Errorf("learnedftl: %s does not support crash injection", g.Name())
-			}
-			return dev, crashWindow(lp, window, 3301+int64(i)), nil
-		}
-		res, err := crash.RunCampaign(newRun, crash.CampaignConfig{
-			Stride:     b.CrashStride,
-			TargetEnum: 24,
-			Fuzz:       fuzz,
-			Seed:       9001 + int64(i),
-		})
-		if err != nil {
-			return err
-		}
-		verdict := "clean"
-		if !res.OK() {
-			verdict = fmt.Sprintf("DIRTY (%d violations)", len(res.Violations))
-		}
-		rows[i] = []string{
-			s.String(), fmt.Sprint(res.WindowOps), fmt.Sprint(res.WindowErases),
-			fmt.Sprint(res.Points), fmt.Sprint(res.Fired), fmt.Sprint(res.TornCuts),
-			fmt.Sprint(res.LostAcked), fmt.Sprint(res.TornDiscarded),
-			fmt.Sprint(res.LostMappings),
-			lat(res.MountMean()), lat(res.MountMax), verdict,
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title:  "Crash sweep: deterministic power-loss injection through a write+GC window (lost acked must be 0; torn drop = half-programmed pages discarded at mount)",
-		Header: []string{"FTL", "window ops", "GCs", "points", "fired", "torn cuts", "lost acked", "torn drop", "lost maps", "mount mean", "mount max", "verdict"},
-		Rows:   rows,
-	}, nil
 }
 
 // scaledPaperConfig returns the paper configuration at ScaledGeometry(scale)
@@ -1459,63 +1532,6 @@ func scaleLadder(b Budget) ([]Config, error) {
 	return out, nil
 }
 
-// ScaleExp measures how simulator cost scales with device size: every
-// scheme on a ladder of geometries from the tiny test device up to the
-// paper's 32 GiB one, reporting the warm-up's host wall clock (the dominant
-// cost of a sweep cell), steady-state random-write IOPS over the measured
-// window, write amplification, and the device model's resident metadata
-// footprint (bytes per physical page and total) that bounds how many cells
-// fit in RAM. Warm-up deliberately bypasses the checkpoint cache — its
-// wall clock is the deliverable, so restoring it would measure the cache
-// instead. The wall-clock column is host time and varies run to run; every
-// other column is deterministic. Budget.ScaleMinGiB/ScaleMaxGiB window the
-// ladder.
-func ScaleExp(cfg Config, b Budget) (Table, error) {
-	rungs, err := scaleLadder(b)
-	if err != nil {
-		return Table{}, err
-	}
-	schemes := Schemes()
-	rows := make([][]string, len(rungs)*len(schemes))
-	err = runCells(b, len(rows), func(i int) error {
-		ri, si := i/len(schemes), i%len(schemes)
-		c := rungs[ri]
-		f, err := New(schemes[si], c)
-		if err != nil {
-			return err
-		}
-		// The simulated-program count of the warm-up is the deterministic,
-		// contention-free cost signal; the wall clock beside it includes
-		// whatever co-running cells the worker pool scheduled. Both come
-		// straight from the warm-up result now instead of being re-derived
-		// from the lifetime counters.
-		ws := warmDevice(f, b)
-		warmSecs := ws.Seconds
-		warmProgs := ws.Programs
-		r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
-		fp := f.Flash().Footprint()
-		rows[i] = []string{
-			schemes[si].String(),
-			fmt.Sprintf("%.2fGiB", float64(c.Geometry.TotalBytes())/(1<<30)),
-			fmt.Sprint(c.Geometry.TotalBlocks()),
-			fmt.Sprintf("%.2f", fp.BytesPerPage),
-			fmt.Sprintf("%.1f", float64(fp.TotalBytes)/(1<<20)),
-			fmt.Sprintf("%.2f", float64(warmProgs)/1e6),
-			fmt.Sprintf("%.2fs", warmSecs),
-			f0(r.IOPS), f2(r.WriteAmp),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title:  "Scale: geometry ladder tiny -> paper (warm Mpg = simulated warm-up programs, deterministic; warm = host wall clock, contention-prone under -parallel)",
-		Header: []string{"FTL", "device", "blocks", "meta B/page", "meta MiB", "warm Mpg", "warm", "randwrite IOPS", "WA"},
-		Rows:   rows,
-	}, nil
-}
-
 // faultBERLadder is the faultsweep raw-BER ladder. The rungs bracket the
 // default ECC strength (40 bits over a 4KB codeword, two retry steps at
 // x0.5): the low rungs correct cleanly, the middle ones climb the retry
@@ -1539,86 +1555,6 @@ func faultSweepConfig(ber float64, s Scheme) fault.Config {
 	}
 	return fc
 }
-
-// sci formats reliability rates (UBER, BER) in scientific notation.
-func sci(v float64) string { return fmt.Sprintf("%.2e", v) }
-
-// FaultSweep measures end-to-end reliability vs raw bit error rate: every
-// scheme runs a mixed open-loop workload (70% reads / 30% writes, idle-gap
-// background GC + scrub active) at each rung of a raw-BER ladder, reporting
-// achieved throughput, tail latency (read retries add timing-class delays),
-// ECC retry traffic, the uncorrectable-bit error rate, scrub-driven refresh
-// traffic and its write amplification. Budget.FaultBER pins a single rung
-// and Budget.FaultSchemes narrows the scheme set (CI smoke cells).
-func FaultSweep(cfg Config, b Budget) (Table, error) {
-	kind, err := b.openLoopKind()
-	if err != nil {
-		return Table{}, err
-	}
-	schemes, err := b.faultSchemeList()
-	if err != nil {
-		return Table{}, err
-	}
-	bers := faultBERLadder
-	if b.FaultBER > 0 {
-		bers = []float64{b.FaultBER}
-	}
-	threads := b.Threads
-	if threads < 2 {
-		threads = 2
-	}
-	rows := make([][]string, len(schemes)*len(bers))
-	err = runCells(b, len(rows), func(i int) error {
-		si, bi := i/len(bers), i%len(bers)
-		fcfg := cfg
-		fcfg.Fault = faultSweepConfig(bers[bi], schemes[si])
-		f, err := newWarmed(schemes[si], fcfg, b)
-		if err != nil {
-			return err
-		}
-		rate := b.OfferedIOPS
-		if rate <= 0 {
-			// Saturation probe on this very device (the GCLat idiom):
-			// writes are the slow half of the mix, so half the closed-loop
-			// randwrite rate lands the whole mix below the knee with idle
-			// gaps left for the scrubber. Retries slow the probe too, so
-			// the operating point self-scales with the rung's BER.
-			probe := measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2)
-			rate = 0.5 * probe.IOPS
-		}
-		spt := threads / 2
-		per := b.Requests / threads
-		if per < 1 {
-			per = 1
-		}
-		lp := f.Config().LogicalPages()
-		streams := append(
-			workload.OpenFIO("randread", workload.RandRead, lp, 1, spt, per, kind, 0.7*rate, 3331),
-			workload.OpenFIO("randwrite", workload.RandWrite, lp, 1, spt, per, kind, 0.3*rate, 3433)...)
-		r := measureOpenWith(f, streams, true)
-		refreshWA := "-"
-		if hw := r.Flash.Programs[nand.OpHostData]; hw > 0 {
-			refreshWA = f2(float64(r.RefreshPages) / float64(hw))
-		}
-		rows[i] = []string{
-			schemes[si].String(), sci(bers[bi]), f0(r.IOPS),
-			lat(r.P99), lat(r.P999),
-			fmt.Sprint(r.Rel.Retries), fmt.Sprint(r.Rel.HostUncorrectable), sci(r.UBER),
-			fmt.Sprint(r.RefreshPages), refreshWA, fmt.Sprint(r.GrownBadBlocks),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title:  "Fault sweep: reliability vs raw BER, mixed open-loop 70r/30w with background scrub (refresh WA = scrub rewrites per host-written page)",
-		Header: []string{"FTL", "raw BER", "IOPS", "p99", "p99.9", "retries", "uncorr", "UBER", "refresh pg", "refresh WA", "bad blk"},
-		Rows:   rows,
-	}, nil
-}
-
-var scrubModes = []string{"off", "on"}
 
 // scrubLatConfig is scrublat's initial reliability model: a clean base BER
 // with no retry ladder (the ECC threshold alone separates correctable from
@@ -1660,157 +1596,4 @@ func scrubLatAge(fc fault.Config, cfg Config, bake nand.Time) fault.Config {
 		fc.RetentionBERPerSec = (0.7*lethal - fc.BaseBER) / secs
 	}
 	return fc
-}
-
-// ScrubLat measures what background scrub buys: every scheme reads a small
-// hot working set — striped by the sequential fill across every chip's
-// first-written block — open-loop at equal offered load, scrub off vs on.
-// The hot blocks enter the window at-risk (flagged on first read, still
-// correctable) and the retention ramp pushes unscrubbed pages over the ECC
-// threshold mid-window. Off, the back half of the hot reads is
-// host-visible data loss. On, the first reads queue the stripe and the
-// idle-gap scrubber rewrites it in time, so loss collapses to the reads
-// that land after a block turns and before its refresh — at the cost of
-// refresh traffic and scrub interference in the tails. The hot set is
-// deliberately a few blocks' worth: a working set wider than the
-// scrubber's idle-gap bandwidth could never be defended at any rate.
-// LearnedFTL has no block-level scrub path, so its two rows match.
-func ScrubLat(cfg Config, b Budget) (Table, error) {
-	kind, err := b.openLoopKind()
-	if err != nil {
-		return Table{}, err
-	}
-	schemes, err := b.faultSchemeList()
-	if err != nil {
-		return Table{}, err
-	}
-	rows := make([][]string, len(schemes)*len(scrubModes))
-	err = runCells(b, len(rows), func(i int) error {
-		si, mi := i/len(scrubModes), i%len(scrubModes)
-		fcfg := cfg
-		fcfg.Fault = scrubLatConfig(mi == 1)
-		// Sequential-fill warm only (no random overwrite passes): the hot
-		// LPNs must still live in the handful of first-written blocks, not
-		// scattered over whatever blocks the overwrite pass left active.
-		bs := b
-		bs.WarmExtra = 0
-		f, err := newWarmed(schemes[si], fcfg, bs)
-		if err != nil {
-			return err
-		}
-		lp := f.Config().LogicalPages()
-		hot := int64(4 * cfg.Geometry.PagesPerBlock)
-		if hot > lp {
-			hot = lp
-		}
-		per := b.Requests / b.Threads
-		if per < 1 {
-			per = 1
-		}
-		rate := b.OfferedIOPS
-		if rate <= 0 {
-			// Rate probe, under the still-benign model: closed-loop reads
-			// of the hot set on this very device — deterministic, so the
-			// off and on cells derive the same operating point. The tiny
-			// fraction is load-bearing: the sequential fill striped the
-			// hot LPNs across every chip's first block, so the scrubber
-			// must refresh a whole stripe of blocks — around a second of
-			// chip time — out of idle gaps before the retention ramp
-			// turns them lethal mid-window.
-			probe := measure(f, workload.FIO(workload.RandRead, hot, 1, b.Threads, per/2+1, 7))
-			rate = 0.008 * probe.IOPS
-		}
-		// Shelf-bake the device for one window length — every warm write
-		// enters the window at-risk but not yet lost (see scrubLatAge) —
-		// then swap in the retention ramp anchored to that bake. Physical
-		// state (ages, read counts) is untouched; only the clock and the
-		// BER mapping change.
-		bake := nand.Time(float64(int64(b.Threads)*int64(per)) / rate * float64(nand.Second))
-		f.Flash().AdvanceIdle(bake)
-		fc := scrubLatAge(fcfg.Fault, cfg, bake)
-		f.Flash().SetFaultModel(fault.New(fc, int64(cfg.Geometry.PageSize)*8))
-		streams := workload.OpenFIO("hotread", workload.RandRead,
-			hot, 1, b.Threads, per, kind, rate, 4447)
-		r := measureOpenWith(f, streams, true)
-		rows[i] = []string{
-			schemes[si].String(), scrubModes[mi], f0(rate), f0(r.IOPS),
-			lat(r.P99), lat(r.P999),
-			fmt.Sprint(r.Rel.HostUncorrectable), sci(r.UBER),
-			fmt.Sprint(r.ScrubCount), fmt.Sprint(r.RefreshPages),
-		}
-		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title:  "Scrub latency: hot-set reads of retention-aged blocks, background scrub off vs on (uncorr = host-visible data loss)",
-		Header: []string{"FTL", "scrub", "offered IOPS", "IOPS", "p99", "p99.9", "uncorr", "UBER", "scrubs", "refresh pg"},
-		Rows:   rows,
-	}, nil
-}
-
-// ExperimentInfo describes one runnable experiment for the registry and
-// the ftlbench -list table.
-type ExperimentInfo struct {
-	ID   string
-	Desc string
-	Run  func(Config, Budget) (Table, error)
-}
-
-// ExperimentList returns every experiment in presentation order (paper
-// figures first, then the simulator's own experiments).
-func ExperimentList() []ExperimentInfo {
-	return []ExperimentInfo{
-		{"fig2", "TPFTL seq/rand read throughput + CMT hit vs thread count", Fig2},
-		{"fig3", "TPFTL CMT hit ratio vs CMT size (0.1%-50%)", Fig3},
-		{"fig6", "LeaFTL vs TPFTL random reads; single/double/triple breakdown", Fig6},
-		{"fig7", "TPFTL vs LeaFTL on Filebench personalities", Fig7},
-		{"fig14", "headline FIO comparison: all five FTLs x four patterns", Fig14},
-		{"fig15", "host-CPU cost of sorting / training / prediction (wall clock)",
-			func(_ Config, b Budget) (t Table, err error) {
-				err = runCells(b, 1, func(int) (err error) { t, err = Fig15(); return err })
-				return t, err
-			}},
-		{"fig16", "GC count and frequency under FIO writes", Fig16},
-		{"fig17", "sorting+training share of LearnedFTL GC time", Fig17},
-		{"fig18", "LearnedFTL overhead ablations (training charge, prediction cost)", Fig18},
-		{"fig19", "RocksDB db_bench readrandom/readseq model", Fig19},
-		{"fig20", "Filebench throughput, all five FTLs", Fig20},
-		{"fig21", "P99/P99.9 tail latency under Table II traces", Fig21},
-		{"fig22", "energy under Table II traces, normalized to TPFTL", Fig22},
-		{"table2", "trace-generator self-check against published statistics", Table2},
-		{"loadsweep", "open-loop latency vs offered IOPS for all five FTLs", LoadSweep},
-		{"tenantmix", "two rate-controlled tenants sharing one device", TenantMixExp},
-		{"gcsweep", "write amplification and wear vs over-provisioning x GC policy", GCSweep},
-		{"gclat", "open-loop write tails: foreground vs background GC", GCLat},
-		{"mountlat", "OOB crash-recovery scan latency vs device fill", MountLat},
-		{"crashsweep", "power-loss injection campaign: recovery success, lost acked writes, mount latency", CrashSweep},
-		{"faultsweep", "UBER, tails and refresh WA vs raw bit error rate", FaultSweep},
-		{"scrublat", "read-disturb data loss and tails, background scrub off vs on", ScrubLat},
-		{"scale", "geometry ladder tiny -> paper: warm-up cost, steady IOPS, model footprint", ScaleExp},
-		{"latbreak", "mean and P99.9 latency decomposed by phase, per scheme", LatBreak},
-		{"fleet", "multi-device array: per-tenant tails and wear CV per placement policy, with mid-run device failure + rebuild", FleetExp},
-	}
-}
-
-// Experiments maps experiment ids to runners; cmd/ftlbench and the README
-// use these ids.
-func Experiments() map[string]func(Config, Budget) (Table, error) {
-	m := make(map[string]func(Config, Budget) (Table, error))
-	for _, e := range ExperimentList() {
-		m[e.ID] = e.Run
-	}
-	return m
-}
-
-// ExperimentIDs returns the sorted experiment ids.
-func ExperimentIDs() []string {
-	m := Experiments()
-	ids := make([]string, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

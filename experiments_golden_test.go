@@ -27,12 +27,12 @@ const experimentsGoldenPath = "testdata/experiments.golden"
 var goldenMasked = map[string]string{"fig15": "cost/entry", "scale": "warm"}
 
 // goldenBudget is the budget experiment id runs under in the golden:
-// sweepTestBudget(1), with the scale ladder held to its tiny rung, and
+// sweepTestBudget(workers), with the scale ladder held to its tiny rung, and
 // crashsweep at 4000 requests — its window is a quarter of the budget, and
 // at 2000 requests LeaFTL's write buffer absorbs all 500 window writes, so
 // the campaign has no flash operation to cut and errors.
-func goldenBudget(id string, cfg Config) Budget {
-	b := sweepTestBudget(1)
+func goldenBudget(id string, cfg Config, workers int) Budget {
+	b := sweepTestBudget(workers)
 	switch id {
 	case "scale":
 		b.ScaleMaxGiB = float64(cfg.Geometry.TotalBytes()) / (1 << 30)
@@ -49,6 +49,11 @@ func goldenBudget(id string, cfg Config) Budget {
 func goldenSection(t *testing.T, r BenchResult) string {
 	t.Helper()
 	tab := r.Table
+	for i, row := range tab.Rows {
+		if len(row) != len(tab.Header) {
+			t.Errorf("%s: row %d has %d cells, header %d: %v", r.Experiment, i, len(row), len(tab.Header), row)
+		}
+	}
 	if col, ok := goldenMasked[r.Experiment]; ok {
 		c := slices.Index(tab.Header, col)
 		if c < 0 {
@@ -89,12 +94,18 @@ func parseGolden(data string) map[string]string {
 	return out
 }
 
+// goldenWorkers are the worker counts every experiment is pinned at: cells
+// are hermetic, so the serial and the parallel run must both match the
+// golden byte for byte.
+var goldenWorkers = []int{1, 4}
+
 // TestEveryExperimentMatchesGolden pins every registered experiment on
-// TinyConfig to testdata/experiments.golden: each table byte for byte
-// (wall-clock columns masked), and latbreak's and fleet's BENCH JSON
-// payloads by digest. Experiments run as parallel subtests; each is
-// hermetic, so the tables do not depend on what runs beside it. A failure
-// means a change moved a simulated number.
+// TinyConfig to testdata/experiments.golden at every goldenWorkers count:
+// each table byte for byte (wall-clock columns masked, every row as wide
+// as the header), and latbreak's and fleet's BENCH JSON payloads by
+// digest. Runs are parallel subtests; each is hermetic, so the tables do
+// not depend on what runs beside it. A failure means a change moved a
+// simulated number, or made one depend on the worker count.
 func TestEveryExperimentMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-experiment golden skipped in -short mode")
@@ -115,21 +126,28 @@ func TestEveryExperimentMatchesGolden(t *testing.T) {
 		for _, id := range ids {
 			t.Run(id, func(t *testing.T) {
 				t.Parallel()
-				res, err := RunExperiments([]string{id}, cfg, goldenBudget(id, cfg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sec := goldenSection(t, res[0])
-				mu.Lock()
-				got[id] = sec
-				mu.Unlock()
-				if want == nil {
-					return
-				}
-				if w, ok := want[id]; !ok {
-					t.Errorf("no golden section (regenerate with -update-golden)")
-				} else if sec != w {
-					t.Errorf("diverged from the golden:\ngot:\n%s\nwant:\n%s", sec, w)
+				for _, workers := range goldenWorkers {
+					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+						t.Parallel()
+						res, err := RunExperiments([]string{id}, cfg, goldenBudget(id, cfg, workers))
+						if err != nil {
+							t.Fatal(err)
+						}
+						sec := goldenSection(t, res[0])
+						if workers == goldenWorkers[0] {
+							mu.Lock()
+							got[id] = sec
+							mu.Unlock()
+						}
+						if want == nil {
+							return
+						}
+						if w, ok := want[id]; !ok {
+							t.Errorf("no golden section (regenerate with -update-golden)")
+						} else if sec != w {
+							t.Errorf("diverged from the golden:\ngot:\n%s\nwant:\n%s", sec, w)
+						}
+					})
 				}
 			})
 		}
@@ -153,4 +171,20 @@ func TestEveryExperimentMatchesGolden(t *testing.T) {
 	if err := os.WriteFile(experimentsGoldenPath, []byte(doc.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runTable runs one experiment through RunExperiments and returns its
+// table.
+func runTable(t testing.TB, id string, cfg Config, b Budget) Table {
+	t.Helper()
+	res, err := RunExperiments([]string{id}, cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].Table
+}
+
+// newWarmed is an experiment cell's warm-up outside an experiment run.
+func newWarmed(s Scheme, cfg Config, b Budget) (FTL, error) {
+	return (&cell{b: b}).warmed(s, cfg)
 }

@@ -9,11 +9,9 @@ package learnedftl
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"learnedftl/internal/fleet"
 	"learnedftl/internal/nand"
-	"learnedftl/internal/persist"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/stats"
 	"learnedftl/internal/sweep"
@@ -85,43 +83,26 @@ func RunOpenLoopFleet(a *FleetArray, streams []Stream, opt OpenOptions) RunResul
 	return sim.RunOpenTarget(a, streams, opt)
 }
 
-// newWarmedFleet builds n identical warmed devices sharing one warm-up:
-// device 0 comes from newWarmed — checkpoint-cache aware — and the
-// remaining n-1 are restored from its bit-exact in-memory snapshot instead
-// of re-simulating n warm-ups. For a scheme without snapshot support each
-// clone warms independently.
-func newWarmedFleet(s Scheme, cfg Config, b Budget, n int) ([]FTL, error) {
-	f0, err := newWarmed(s, cfg, b)
+// warmedFleet builds n identical warmed devices sharing one warm-up:
+// device 0 comes from warmed — checkpoint-cache aware — and the remaining
+// n-1 are restored from its bit-exact in-memory snapshot instead of
+// re-simulating n warm-ups.
+func (c *cell) warmedFleet(s Scheme, cfg Config, n int) ([]FTL, error) {
+	f0, err := c.warmed(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	devs := make([]FTL, n)
-	devs[0] = f0
-	if n == 1 {
-		return devs, nil
+	snap, err := SnapshotDevice(f0)
+	if err != nil {
+		return nil, err
 	}
-	dev, ok := f0.(persist.Device)
-	if !ok {
-		for i := 1; i < n; i++ {
-			fi, err := New(s, cfg)
-			if err != nil {
-				return nil, err
-			}
-			warmDevice(fi, b)
-			devs[i] = fi
-		}
-		return devs, nil
-	}
-	data := persist.Snapshot(dev, deviceFingerprint(f0))
-	for i := 1; i < n; i++ {
-		fi, err := New(s, cfg)
+	devs := []FTL{f0}
+	for len(devs) < n {
+		f, err := RestoreDevice(s, cfg, snap)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := restoreInto(fi, data); err != nil {
-			return nil, err
-		}
-		devs[i] = fi
+		devs = append(devs, f)
 	}
 	return devs, nil
 }
@@ -143,49 +124,6 @@ type FleetCell struct {
 	Tenants       []stats.StreamReport `json:"tenants,omitempty"`
 }
 
-// fleetAccum collects FleetCells across the experiment's concurrent cells,
-// indexed so assembly order is deterministic (the obsAccum idiom).
-type fleetAccum struct {
-	mu    sync.Mutex
-	cells map[int]FleetCell
-}
-
-func (a *fleetAccum) add(i int, c FleetCell) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	if a.cells == nil {
-		a.cells = make(map[int]FleetCell)
-	}
-	a.cells[i] = c
-	a.mu.Unlock()
-}
-
-func (a *fleetAccum) snapshot() []FleetCell {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.cells) == 0 {
-		return nil
-	}
-	max := 0
-	for i := range a.cells {
-		if i > max {
-			max = i
-		}
-	}
-	out := make([]FleetCell, 0, len(a.cells))
-	for i := 0; i <= max; i++ {
-		if c, ok := a.cells[i]; ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // fleetPolicyList resolves the budget's placement subset, erroring on
 // typos so a misspelled policy never silently collapses the sweep.
 func (b Budget) fleetPolicyList() ([]FleetPolicy, error) {
@@ -201,24 +139,29 @@ var fleetScenarios = []string{"healthy", "failure"}
 // onto survivors (needs Util <= (N-1)/N).
 const fleetUtil = 0.70
 
-// FleetExp measures a multi-device array under skewed two-tenant load for
+// fleetWidth is the fleet experiment's array width: Budget.FleetDevices,
+// 8 by default.
+func fleetWidth(b Budget) int {
+	if b.FleetDevices == 0 {
+		return 8
+	}
+	return b.FleetDevices
+}
+
+// fleetGrid measures a multi-device array under skewed two-tenant load for
 // every placement policy, healthy and with device 1 killed halfway through
 // the run: per-tenant P99/P99.9 cross-device latency, queue-wait share,
 // the wear-imbalance CV across devices, and the failure's blast radius
 // (lost requests under the single-copy policies, rebuild progress under
 // replication — rebuild traffic runs in idle gaps and competes with the
 // foreground tenants). All devices run LearnedFTL and share one warm-up
-// via snapshot cloning; cells are hermetic, so tables are byte-identical
-// at any Budget.Workers. Budget.FleetDevices sets the array width (default
+// via snapshot cloning. Budget.FleetDevices sets the array width (default
 // 8), Budget.FleetPlacement narrows the policies, Budget.FleetReplicas the
 // copy count (default 2), Budget.OfferedIOPS the operating point.
-func FleetExp(cfg Config, b Budget) (Table, error) {
-	n := b.FleetDevices
-	if n == 0 {
-		n = 8
-	}
+func fleetGrid(cfg Config, b Budget) ([]int, cellFunc, error) {
+	n := fleetWidth(b)
 	if n < 1 {
-		return Table{}, fmt.Errorf("learnedftl: fleet needs >= 1 device, got %d", n)
+		return nil, nil, fmt.Errorf("learnedftl: fleet needs >= 1 device, got %d", n)
 	}
 	k := b.FleetReplicas
 	if k == 0 {
@@ -226,23 +169,16 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 	}
 	policies, err := b.fleetPolicyList()
 	if err != nil {
-		return Table{}, err
+		return nil, nil, err
 	}
 	kind, err := b.openLoopKind()
 	if err != nil {
-		return Table{}, err
+		return nil, nil, err
 	}
-	threads := b.Threads
-	if threads < 2 {
-		threads = 2
-	}
-	const tenants = 2
-	g := sweep.NewGrid(len(policies), len(fleetScenarios))
-	rows := make([][]string, g.Cells()*tenants)
-	err = runCells(b, g.Cells(), func(i int) error {
-		pol := policies[g.Coord(i, 0)]
-		scenario := fleetScenarios[g.Coord(i, 1)]
-		devs, err := newWarmedFleet(SchemeLearnedFTL, cfg, b, n)
+	threads := max(2, b.Threads)
+	return []int{len(policies), len(fleetScenarios)}, func(c *cell) error {
+		pol, scenario := policies[c.at[0]], fleetScenarios[c.at[1]]
+		devs, err := c.warmedFleet(SchemeLearnedFTL, cfg, n)
 		if err != nil {
 			return err
 		}
@@ -266,10 +202,7 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 		// scales with the device count until streams are the bottleneck.
 		total := b.OfferedIOPS
 		if total <= 0 {
-			conc := threads
-			if ch := n * cfg.Geometry.Chips(); conc > ch {
-				conc = ch
-			}
+			conc := min(threads, n*cfg.Geometry.Chips())
 			demand := 0.7*float64(cfg.Timing.ReadLatency) +
 				0.3*8*float64(cfg.Timing.ProgramLatency)
 			total = 0.25 * float64(conc) * float64(nand.Second) / demand
@@ -280,15 +213,8 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 		// the whole space (8-page requests span stripe units, exercising
 		// fan-out and replication write costs).
 		lp := arr.Layout().LogicalPages
-		spt := threads / 2
-		per := b.Requests / threads
-		if per < 1 {
-			per = 1
-		}
-		hot := lp / 4
-		if hot < 1 {
-			hot = 1
-		}
+		spt, per := threads/2, perThread(b.Requests, threads)
+		hot := max(1, lp/4)
 		streams := append(
 			workload.OpenFIO("hotread", workload.RandRead, hot, 1, spt, per, kind, 0.7*total, 5557),
 			workload.OpenFIO("write", workload.RandWrite, lp, 8, spt, per, kind, 0.3*total, 5659)...)
@@ -318,18 +244,13 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 		if pol == FleetReplicate && scenario == "failure" {
 			rebuilt = fmt.Sprintf("%d/%d", arr.Rebuilt(), arr.Rebuilt()+arr.PendingRebuild())
 		}
-		for j, sr := range fr.Host.Streams {
-			if j >= tenants {
-				break
-			}
-			rows[i*tenants+j] = []string{
-				string(pol), scenario, sr.Name,
+		for _, sr := range fr.Host.Streams[:min(len(fr.Host.Streams), 2)] {
+			c.row(string(pol), scenario, sr.Name,
 				fmt.Sprint(sr.Requests), lat(sr.P99), lat(sr.P999), pct(sr.WaitShare),
 				f2(fr.WearCVDevices), failed,
-				fmt.Sprint(arr.LostRequests()), rebuilt,
-			}
+				fmt.Sprint(arr.LostRequests()), rebuilt)
 		}
-		b.fleet.add(i, FleetCell{
+		c.fleet = append(c.fleet, FleetCell{
 			Policy:        string(pol),
 			Scenario:      scenario,
 			Devices:       n,
@@ -342,14 +263,5 @@ func FleetExp(cfg Config, b Budget) (Table, error) {
 			Tenants:       fr.Host.Streams,
 		})
 		return nil
-	})
-	if err != nil {
-		return Table{}, err
-	}
-	return Table{
-		Title: fmt.Sprintf("Fleet: %d-device LearnedFTL array, two tenants, per placement policy (failure = device 1 killed mid-run; rebuild = re-replicated units done/total)", n),
-		Header: []string{"placement", "scenario", "tenant", "requests", "p99", "p99.9", "wait",
-			"wear CV dev", "failed", "lost req", "rebuilt"},
-		Rows: rows,
 	}, nil
 }

@@ -70,40 +70,14 @@ func TestFleetPassthroughMatchesOpenLoop(t *testing.T) {
 	}
 }
 
-// TestFleetExpDeterminism pins the fleet orchestrator to the repo's sweep
-// invariant: the table is byte-identical at any worker count, and therefore
-// independent of cell scheduling and device-iteration order.
-func TestFleetExpDeterminism(t *testing.T) {
-	cfg := TinyConfig()
-	mk := func(workers int) Budget {
-		b := fleetTestBudget(workers)
-		b.FleetDevices = 3
-		return b
-	}
-	serial, err := FleetExp(cfg, mk(1))
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	for _, workers := range []int{2, 8} {
-		parallel, err := FleetExp(cfg, mk(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("fleet table diverged at workers=%d:\nserial:\n%s\nparallel:\n%s",
-				workers, serial, parallel)
-		}
-	}
-}
-
 // TestFleetWarmSharing pins the checkpoint-shared warm-up: every device of
 // a warmed fleet is a byte-identical clone of the first, so N devices cost
 // one warm-up.
 func TestFleetWarmSharing(t *testing.T) {
 	cfg := TinyConfig()
-	devs, err := newWarmedFleet(SchemeLearnedFTL, cfg, fleetTestBudget(1), 3)
+	devs, err := (&cell{b: fleetTestBudget(1)}).warmedFleet(SchemeLearnedFTL, cfg, 3)
 	if err != nil {
-		t.Fatalf("newWarmedFleet: %v", err)
+		t.Fatalf("warmedFleet: %v", err)
 	}
 	ref, err := SnapshotDevice(devs[0])
 	if err != nil {

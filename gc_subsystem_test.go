@@ -18,10 +18,7 @@ func TestGCSweepWAMonotonicInOP(t *testing.T) {
 	cfg := TinyConfig()
 	b := sweepTestBudget(2)
 	b.GCPolicies = "greedy"
-	tab, err := GCSweep(cfg, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "gcsweep", cfg, b)
 	ratios := len(opLadder(cfg, b))
 	if ratios < 3 {
 		t.Fatalf("ladder too short (%d) to test monotonicity", ratios)
@@ -68,10 +65,10 @@ func TestBackgroundGCCutsWriteTail(t *testing.T) {
 			threads := b.Threads
 			probe := measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2)
 			rate := 0.5 * probe.IOPS
-			per := b.Requests / threads
+			per := perThread(b.Requests, threads)
 			streams := workload.OpenFIO("randwrite", workload.RandWrite,
 				f.Config().LogicalPages(), 1, threads, per, sim.ArrivalPoisson, rate, 2221)
-			r := measureOpenWith(f, streams, bg)
+			r := measureOpen(f, streams, bg)
 			return int64(r.P999), r.BGGCCount
 		}
 		fg, fgBG := runMode(false)
@@ -195,42 +192,5 @@ func TestGCPolicySelectionViaConfig(t *testing.T) {
 	}
 	if run(GCGreedy) == run(GCCostBenefit) {
 		t.Fatal("greedy and cost-benefit produced identical flash schedules")
-	}
-}
-
-// TestGCExperimentsDeterministic: the two new experiments must be
-// byte-identical across worker counts, like every other experiment.
-func TestGCExperimentsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("GC experiments across worker counts skipped in -short mode")
-	}
-	cfg := TinyConfig()
-	mk := func(workers int) Budget {
-		b := sweepTestBudget(workers)
-		b.GCPolicies = "greedy,costage"
-		b.OPRatio = 0.45
-		return b
-	}
-	for _, tc := range []struct {
-		id  string
-		run func(Config, Budget) (Table, error)
-	}{{"gcsweep", GCSweep}, {"gclat", GCLat}} {
-		serial, err := tc.run(cfg, mk(1))
-		if err != nil {
-			t.Fatalf("%s serial: %v", tc.id, err)
-		}
-		parallel, err := tc.run(cfg, mk(8))
-		if err != nil {
-			t.Fatalf("%s parallel: %v", tc.id, err)
-		}
-		if serial.String() != parallel.String() {
-			t.Fatalf("%s diverged:\n%s\nvs\n%s", tc.id, serial, parallel)
-		}
-	}
-	// Policy typos must error, not silently sweep the default set.
-	bad := mk(1)
-	bad.GCPolicies = "gready"
-	if _, err := GCSweep(cfg, bad); err == nil {
-		t.Fatal("typo'd policy list accepted")
 	}
 }

@@ -88,21 +88,17 @@ func Tasks(n int, cell func(i int) error) []Cell {
 
 // Grid indexes a multi-axis cell lattice row-major (the last axis varies
 // fastest), replacing the hand-rolled div/mod chains of multi-dimensional
-// sweeps — the fleet orchestrator's placement × scenario × tenant lattice
-// is the motivating user. A Grid is pure index arithmetic: combine it with
+// sweeps; the root package's experiment runner decodes every experiment's
+// cells through it. A Grid is pure index arithmetic: combine it with
 // Tasks(g.Cells(), ...) and g.Coord inside the cell.
 type Grid struct{ dims []int }
 
-// NewGrid returns a lattice over the given axis sizes. Axes of size < 1
-// are clamped to 1 so a degenerate axis collapses instead of zeroing the
-// whole lattice.
+// NewGrid returns a lattice over the given axis sizes. An axis of size < 1
+// empties the lattice, as an empty range empties a nested loop.
 func NewGrid(dims ...int) Grid {
 	ds := make([]int, len(dims))
 	for i, d := range dims {
-		if d < 1 {
-			d = 1
-		}
-		ds[i] = d
+		ds[i] = max(d, 0)
 	}
 	return Grid{dims: ds}
 }

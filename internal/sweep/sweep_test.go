@@ -94,3 +94,23 @@ func TestAutoPositive(t *testing.T) {
 		t.Fatalf("Auto() = %d", Auto())
 	}
 }
+
+func TestGridRowMajor(t *testing.T) {
+	g := NewGrid(2, 3)
+	if g.Cells() != 6 {
+		t.Fatalf("cells = %d, want 6", g.Cells())
+	}
+	for i := 0; i < g.Cells(); i++ {
+		if a, b := g.Coord(i, 0), g.Coord(i, 1); a != i/3 || b != i%3 {
+			t.Fatalf("cell %d at (%d, %d), want (%d, %d)", i, a, b, i/3, i%3)
+		}
+	}
+	if n := NewGrid().Cells(); n != 1 {
+		t.Fatalf("axis-less grid has %d cells, want 1", n)
+	}
+	for _, dims := range [][]int{{0}, {4, 0, 2}, {3, -1}} {
+		if n := NewGrid(dims...).Cells(); n != 0 {
+			t.Errorf("grid %v has %d cells, want 0", dims, n)
+		}
+	}
+}

@@ -8,7 +8,6 @@ package learnedftl
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/obs"
@@ -90,105 +89,46 @@ type ObsCell struct {
 	Breakdown Breakdown `json:"breakdown"`
 }
 
-// obsAccum collects ObsCells across latbreak's concurrent cells, indexed so
-// assembly order is deterministic.
-type obsAccum struct {
-	mu    sync.Mutex
-	cells map[int]ObsCell
-}
-
-func (a *obsAccum) add(i int, c ObsCell) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	if a.cells == nil {
-		a.cells = make(map[int]ObsCell)
-	}
-	a.cells[i] = c
-	a.mu.Unlock()
-}
-
-func (a *obsAccum) snapshot() []ObsCell {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.cells) == 0 {
-		return nil
-	}
-	max := 0
-	for i := range a.cells {
-		if i > max {
-			max = i
-		}
-	}
-	out := make([]ObsCell, 0, len(a.cells))
-	for i := 0; i <= max; i++ {
-		if c, ok := a.cells[i]; ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // latBreakPatterns are the workloads latbreak decomposes: the read pattern
 // carries the paper's translation-overhead story, the write pattern the
 // GC-stall story.
 var latBreakPatterns = []workload.Pattern{workload.RandRead, workload.RandWrite}
 
-// LatBreak measures, per scheme × pattern, mean and P99.9 latency
-// decomposed by phase — where each request's time actually went: DRAM
-// lookup compute, translation-page flash traffic, foreground-GC stalls and
-// raw data time. Closed-loop (saturation) measurement with single-page
-// requests, so each span's phases sum exactly to its latency. The "tail"
-// column names the dominant attributed phase of the P99.9 tail set — the
-// one-line answer to why a scheme's tail is slow.
-func LatBreak(cfg Config, b Budget) (Table, error) {
-	schemes := Schemes()
-	nPat := len(latBreakPatterns)
-	rows := make([][]string, len(schemes)*nPat)
-	err := runCells(b, len(schemes), func(i int) error {
-		s := schemes[i]
-		f, err := newWarmed(s, cfg, b)
-		if err != nil {
-			return err
-		}
-		for j, p := range latBreakPatterns {
-			tr := NewTracer()
-			tr.SetRegistry(StandardRegistry(f))
-			AttachTracer(f, tr)
-			rep := measureFIO(f, p, b.Threads, 1, b.Requests)
-			AttachTracer(f, nil)
-			bd := rep.Obs
-			if bd == nil {
-				return fmt.Errorf("latbreak: %s/%s produced no breakdown", s, p)
-			}
-			cause, share := bd.TailCause()
-			rows[i*nPat+j] = []string{
-				f.Name(), p.String(),
-				lat(bd.Mean()),
-				lat(bd.PhaseMean(PhaseLookup)),
-				lat(bd.PhaseMean(PhaseTrans)),
-				lat(bd.PhaseMean(PhaseGCStall)),
-				lat(bd.PhaseMean(PhaseData)),
-				lat(bd.P999),
-				lat(bd.TailMean()),
-				fmt.Sprintf("%s %.0f%%", cause, share*100),
-			}
-			b.obs.add(i*nPat+j, ObsCell{FTL: f.Name(), Pattern: p.String(), Breakdown: *bd})
-		}
-		return nil
-	})
+// latBreakCell measures, for one scheme × every pattern, mean and P99.9
+// latency decomposed by phase — where each request's time actually went:
+// DRAM lookup compute, translation-page flash traffic, foreground-GC
+// stalls and raw data time. Closed-loop (saturation) measurement with
+// single-page requests, so each span's phases sum exactly to its latency.
+// The "tail" column names the dominant attributed phase of the P99.9 tail
+// set — the one-line answer to why a scheme's tail is slow.
+func latBreakCell(c *cell, s Scheme, cfg Config, b Budget) error {
+	f, err := c.warmed(s, cfg)
 	if err != nil {
-		return Table{}, err
+		return err
 	}
-	return Table{
-		Title:  "Latency attribution: mean and P99.9 decomposed by phase (lookup = DRAM model/CMT compute, trans = translation-page flash, gc = foreground GC stall, data = flash data time)",
-		Header: []string{"FTL", "pattern", "mean", "lookup", "trans", "gc", "data", "p99.9", "tail mean", "tail cause"},
-		Rows:   rows,
-	}, nil
+	for _, p := range latBreakPatterns {
+		tr := NewTracer()
+		tr.SetRegistry(StandardRegistry(f))
+		AttachTracer(f, tr)
+		rep := measureFIO(f, p, b.Threads, 1, b.Requests)
+		AttachTracer(f, nil)
+		bd := rep.Obs
+		if bd == nil {
+			return fmt.Errorf("latbreak: %s/%s produced no breakdown", s, p)
+		}
+		cause, share := bd.TailCause()
+		c.row(f.Name(), p.String(),
+			lat(bd.Mean()),
+			lat(bd.PhaseMean(PhaseLookup)),
+			lat(bd.PhaseMean(PhaseTrans)),
+			lat(bd.PhaseMean(PhaseGCStall)),
+			lat(bd.PhaseMean(PhaseData)),
+			lat(bd.P999),
+			lat(bd.TailMean()),
+			fmt.Sprintf("%s %.0f%%", cause, share*100))
+		c.obs = append(c.obs, ObsCell{FTL: f.Name(), Pattern: p.String(), Breakdown: *bd})
+	}
+	return nil
 }
 
 // TraceCapture warms one device, attaches a tracer with a capEvents-bounded
@@ -199,7 +139,7 @@ func LatBreak(cfg Config, b Budget) (Table, error) {
 // the budgets the experiments reject.
 func TraceCapture(s Scheme, cfg Config, b Budget, capEvents int) (trace *Trace, tab Table, err error) {
 	err = runCells(b, 1, func(int) error {
-		f, err := newWarmed(s, cfg, b)
+		f, err := (&cell{b: b}).warmed(s, cfg)
 		if err != nil {
 			return err
 		}
@@ -207,10 +147,7 @@ func TraceCapture(s Scheme, cfg Config, b Budget, capEvents int) (trace *Trace, 
 		tr.EnableTrace(capEvents)
 		tr.SetRegistry(StandardRegistry(f))
 		AttachTracer(f, tr)
-		half := b.Requests / 2
-		if half < 1 {
-			half = 1
-		}
+		half := max(1, b.Requests/2)
 		measureFIO(f, workload.RandRead, b.Threads, 1, half)
 		rep := measureFIO(f, workload.RandWrite, b.Threads, 1, half)
 		AttachTracer(f, nil)

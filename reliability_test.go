@@ -41,10 +41,7 @@ func cellFloat(t *testing.T, row []string, col int) float64 {
 // uncorrectable count, and the top rung must be strictly worse than the
 // bottom one (the ladder spans the ECC threshold by construction).
 func TestFaultSweepUBERMonotone(t *testing.T) {
-	tb, err := FaultSweep(TinyConfig(), tinyFaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "faultsweep", TinyConfig(), tinyFaultBudget())
 	ftlCol := tableCol(t, tb, "FTL")
 	uberCol := tableCol(t, tb, "UBER")
 	uncorrCol := tableCol(t, tb, "uncorr")
@@ -87,10 +84,7 @@ func TestFaultSweepUBERMonotone(t *testing.T) {
 // host-visible uncorrectable count for every scheme with a scrub path, and
 // the on cell must actually have scrubbed (nonzero refreshes).
 func TestScrubReducesHostDataLoss(t *testing.T) {
-	tb, err := ScrubLat(TinyConfig(), tinyFaultBudget())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runTable(t, "scrublat", TinyConfig(), tinyFaultBudget())
 	ftlCol := tableCol(t, tb, "FTL")
 	modeCol := tableCol(t, tb, "scrub")
 	offeredCol := tableCol(t, tb, "offered IOPS")

@@ -19,10 +19,7 @@ import (
 func TestScaleExperimentTinyRung(t *testing.T) {
 	b := sweepTestBudget(2)
 	b.ScaleMaxGiB = 0.5 // tiny rung only
-	tab, err := ScaleExp(TinyConfig(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTable(t, "scale", TinyConfig(), b)
 	if len(tab.Rows) != len(Schemes()) {
 		t.Fatalf("scale rows = %d, want %d (one rung x schemes)", len(tab.Rows), len(Schemes()))
 	}
@@ -46,7 +43,7 @@ func TestScaleExperimentTinyRung(t *testing.T) {
 func TestScaleLadderWindow(t *testing.T) {
 	b := sweepTestBudget(1)
 	b.ScaleMinGiB, b.ScaleMaxGiB = 3, 3.5 // between rungs
-	if _, err := ScaleExp(TinyConfig(), b); err == nil {
+	if _, err := RunExperiments([]string{"scale"}, TinyConfig(), b); err == nil {
 		t.Fatal("empty ladder window accepted")
 	}
 	for _, scale := range []int{16, 8, 4, 2, 1} {

@@ -1,7 +1,6 @@
 package learnedftl
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -10,37 +9,6 @@ import (
 // few seconds even on one core.
 func sweepTestBudget(workers int) Budget {
 	return Budget{Requests: 2000, WarmExtra: 1, TraceScale: 0.002, Threads: 16, Workers: workers}
-}
-
-// TestExperimentsParallelDeterminism is the correctness bar of the sweep
-// engine: running an experiment's cells across a worker pool must produce a
-// table byte-identical to the serial run. fig2 (per-thread-count cells),
-// fig6 (per-scheme cells with post-hoc normalization) and table2 (pure
-// computation) cover the three assembly shapes; loadsweep (scheme × rate
-// open-loop cells with seeded Poisson arrivals) and tenantmix (per-scheme
-// cells emitting two per-tenant rows each) cover the open-loop host model.
-func TestExperimentsParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serial-vs-parallel tables skipped in -short mode")
-	}
-	cfg := TinyConfig()
-	for _, id := range []string{"fig2", "fig6", "table2", "loadsweep", "tenantmix"} {
-		run := Experiments()[id]
-		serial, err := run(cfg, sweepTestBudget(1))
-		if err != nil {
-			t.Fatalf("%s serial: %v", id, err)
-		}
-		parallel, err := run(cfg, sweepTestBudget(8))
-		if err != nil {
-			t.Fatalf("%s parallel: %v", id, err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("%s diverged:\nserial:\n%s\nparallel:\n%s", id, serial, parallel)
-		}
-		if serial.String() != parallel.String() {
-			t.Fatalf("%s rendering diverged", id)
-		}
-	}
 }
 
 // closedLoopGolden pins the closed-loop experiment tables bit-for-bit to
@@ -141,38 +109,22 @@ func TestClosedLoopTablesMatchPreRefactorEngine(t *testing.T) {
 	}
 	cfg := TinyConfig()
 	for id, want := range closedLoopGolden {
-		tab, err := Experiments()[id](cfg, sweepTestBudget(1))
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if got := trimTrailing(tab.String()); got != want {
+		if got := trimTrailing(runTable(t, id, cfg, sweepTestBudget(1)).String()); got != want {
 			t.Fatalf("%s diverged from the pre-refactor engine:\ngot:\n%s\nwant:\n%s", id, got, want)
 		}
 	}
 }
 
-// TestLoadSweepRepeatable: the open-loop ladder must be byte-identical
-// across repeated runs (seeded arrivals, hermetic cells) and must actually
-// show the hockey stick — queue-wait share rising monotonically enough to
-// reach domination on the last rung.
+// TestLoadSweepRepeatable: the open-loop ladder covers every scheme at
+// each of its eight offered rates. (That it repeats byte for byte at any
+// worker count is TestEveryExperimentMatchesGolden's to check.)
 func TestLoadSweepRepeatable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("repeated load ladder skipped in -short mode")
+		t.Skip("load ladder skipped in -short mode")
 	}
-	cfg := TinyConfig()
-	a, err := LoadSweep(cfg, sweepTestBudget(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadSweep(cfg, sweepTestBudget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("loadsweep not reproducible:\n%s\nvs\n%s", a, b)
-	}
-	if len(a.Rows) != len(Schemes())*8 {
-		t.Fatalf("loadsweep rows = %d, want %d", len(a.Rows), len(Schemes())*8)
+	tab := runTable(t, "loadsweep", TinyConfig(), sweepTestBudget(2))
+	if len(tab.Rows) != len(Schemes())*8 {
+		t.Fatalf("loadsweep rows = %d, want %d", len(tab.Rows), len(Schemes())*8)
 	}
 }
 
@@ -183,16 +135,16 @@ func TestLoadSweepRepeatable(t *testing.T) {
 func TestOpenLoopBudgetValidation(t *testing.T) {
 	b := sweepTestBudget(1)
 	b.Arrival = "possion"
-	if _, err := LoadSweep(TinyConfig(), b); err == nil {
+	if _, err := RunExperiments([]string{"loadsweep"}, TinyConfig(), b); err == nil {
 		t.Fatal("typo'd arrival accepted")
 	}
 	b.Arrival = "unbounded"
-	if _, err := TenantMixExp(TinyConfig(), b); err == nil {
+	if _, err := RunExperiments([]string{"tenantmix"}, TinyConfig(), b); err == nil {
 		t.Fatal("unbounded arrival accepted by tenantmix")
 	}
 	b.Arrival = ""
 	b.ReadTenantShare = 1.5
-	if _, err := TenantMixExp(TinyConfig(), b); err == nil {
+	if _, err := RunExperiments([]string{"tenantmix"}, TinyConfig(), b); err == nil {
 		t.Fatal("out-of-range tenant share accepted")
 	}
 }
