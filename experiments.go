@@ -977,7 +977,11 @@ var experiments = []experiment{
 				if col := f.Collector(); col.GCCount > 0 {
 					movedPerGC = float64(col.GCPagesMoved) / float64(col.GCCount)
 				}
-				c.row(s.String(), string(pol), pct(dcfg.OPRatio),
+				// The OP column is the effective ratio: LogicalPages rounds
+				// down to whole group spans, so two requested ratios can
+				// build the same device.
+				op := 1 - float64(dcfg.LogicalPages())/float64(dcfg.Geometry.TotalPages())
+				c.row(s.String(), string(pol), pct(op),
 					f2(r.WriteAmp), fmt.Sprint(r.GCCount), f1(movedPerGC),
 					fmt.Sprint(r.Wear.MaxErases), f2(r.Wear.CV), f1(r.LifetimeTBW))
 				return nil
