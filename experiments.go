@@ -244,12 +244,19 @@ func persistKey(name string, cfg Config) string {
 	return fmt.Sprintf("%s|%+v", name, cfg)
 }
 
-// warmKey identifies a warm checkpoint: the device identity plus the
-// warm-up spec (the settle phase is derived from the config, so WarmExtra
-// is the only free parameter). The leading tag versions the warm-up recipe
-// itself — change warmDevice, bump the tag.
-func warmKey(s Scheme, cfg Config, extra int) string {
-	return fmt.Sprintf("warm1|extra=%d|%s", extra, persistKey(s.String(), cfg))
+// modelVersion versions the simulated model a warm checkpoint was taken
+// under. Any change that moves a sim_digest or a golden table — a scheme's
+// allocation order, GC, training or timing — must bump it: the warm key
+// carries it, so a persistent checkpoint directory then misses and warms
+// cold instead of restoring devices that the older model warmed.
+const modelVersion = 1
+
+// warmKey identifies a warm checkpoint taken under model version model: the
+// device identity plus the warm-up spec (the settle phase is derived from
+// the config, so WarmExtra is the only free parameter). The leading tag
+// versions the warm-up recipe itself — change warmDevice, bump the tag.
+func warmKey(model int, s Scheme, cfg Config, extra int) string {
+	return fmt.Sprintf("warm1|model=%d|extra=%d|%s", model, extra, persistKey(s.String(), cfg))
 }
 
 // cell is one point of an experiment's grid: its index on each axis, the
@@ -298,7 +305,7 @@ func (c *cell) warmed(s Scheme, cfg Config) (FTL, error) {
 		c.warmUp(f)
 		return f, nil
 	}
-	key := warmKey(s, cfg, c.b.WarmExtra)
+	key := warmKey(modelVersion, s, cfg, c.b.WarmExtra)
 	if data, ok := cache.Load(key); ok {
 		if dev, devOK := f.(persist.Device); devOK && persist.Restore(dev, key, data) == nil {
 			// The restored lifetime program count is exactly the warm-up

@@ -94,20 +94,27 @@ type LearnedFTL struct {
 	rowListed   []bool
 
 	tp      *transPool
-	pending []int // groups whose encroachment crossed the GC threshold
+	pending []int // FIFO of groups whose encroachment crossed the GC threshold
 
 	// gcPol scores group victims for the non-default GC policies; nil for
 	// greedy, which keeps the paper's §III-D most-invalid-group rule.
 	gcPol gc.Policy
 
 	inGC bool
+	// collections counts group collections, the only moves of data pages:
+	// a write whose pages saw none since they were placed knows where they
+	// are without asking the mapping again.
+	collections int64
 
 	// Scratch of one group collection — collections never nest (inGC), so one
 	// set per device serves them all: the group's valid LPNs, one GTD entry's
-	// training VPPNs, and the rows still waiting to be erased.
+	// training VPPNs, the rows still waiting to be erased, and the valid
+	// pages of the row being evacuated: one block's, and the row's slots.
 	gcLPNs  []int64
 	gcVPPNs []int64
 	gcRows  []int
+	gcPPNs  []nand.PPN
+	gcSlots []uint64
 }
 
 // rowPlan is the superblock-row budget of a configuration: how the
@@ -213,6 +220,7 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 		reserve:    p.reserve,
 		tp:         newTransPool(st.Fl, p.transRows),
 		gcVPPNs:    make([]int64, cfg.EntriesPerTP),
+		gcSlots:    make([]uint64, (p.sbPages+63)/64),
 	}
 	// The mapping cache gets half the configured budget; the in-place
 	// models take the other half (§IV-A).
@@ -220,6 +228,14 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 		func(tpn int, now nand.Time) nand.Time { return f.updateTrans(tpn, true, now) })
 	for i := range f.models {
 		f.models[i] = learned.NewInPlaceModel(cfg.EntriesPerTP, cfg.MaxPieces)
+	}
+	// Every group's row list gets room for its GroupSuperblocks rows up
+	// front, out of one array, so a group growing into its rows late in a
+	// run does not allocate.
+	gs := max(cfg.GroupSuperblocks, 1)
+	rows := make([]int, p.ngroups*gs)
+	for i := range f.groups {
+		f.groups[i].rows = rows[i*gs : i*gs : (i+1)*gs]
 	}
 	for r := range f.rowOwner {
 		f.rowOwner[r] = -1
@@ -389,24 +405,28 @@ func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 	f.Observe(n)
 	end := now
 	type run struct {
-		tpn      int
-		startLPN int64
-		startOff int
-		length   int
-		firstV   int64
-		lastV    int64
+		tpn         int
+		startLPN    int64
+		startOff    int
+		length      int
+		firstV      int64
+		lastV       int64
+		collections int64 // f.collections once the first page was placed
 	}
 	var cur run
 	flushRun := func() {
 		if cur.length > 0 && !f.opt.DisableSeqInit {
 			// §III-E1: a consecutive-LPN write that landed on consecutive
 			// VPPNs is itself a y=x model — install it in place. A group GC
-			// triggered mid-request may have relocated part of the run, so
-			// re-derive the anchor from the live mapping and only install
-			// when the run is still contiguous (GC already retrained the
-			// moved part).
-			firstV := f.toVirtual(f.L2P.Get(cur.startLPN))
-			lastV := f.toVirtual(f.L2P.Get(cur.startLPN + int64(cur.length-1)))
+			// triggered since the run's first page was placed may have
+			// relocated part of the run: then re-derive the anchor from the
+			// live mapping and only install when the run is still contiguous
+			// (GC already retrained the moved part).
+			firstV, lastV := cur.firstV, cur.lastV
+			if f.collections != cur.collections {
+				firstV = f.toVirtual(f.L2P.Get(cur.startLPN))
+				lastV = f.toVirtual(f.L2P.Get(cur.startLPN + int64(cur.length-1)))
+			}
 			if lastV-firstV == int64(cur.length-1) {
 				f.models[cur.tpn].SequentialInit(cur.startOff, cur.length, firstV)
 			}
@@ -415,21 +435,22 @@ func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 	}
 	for k := 0; k < n; k++ {
 		l := lpn + int64(k)
-		done, vppn := f.writeOne(l, now)
+		done, ppn := f.writeOne(l, now)
 		if done > end {
 			end = done
 		}
+		vppn := f.toVirtual(ppn)
 		tpn := f.Cfg.TPNOf(l)
 		off := int(l - int64(tpn)*int64(f.Cfg.EntriesPerTP))
 		switch {
 		case cur.length == 0:
-			cur = run{tpn: tpn, startLPN: l, startOff: off, length: 1, firstV: vppn, lastV: vppn}
+			cur = run{tpn: tpn, startLPN: l, startOff: off, length: 1, firstV: vppn, lastV: vppn, collections: f.collections}
 		case tpn == cur.tpn && off == cur.startOff+cur.length && vppn == cur.lastV+1:
 			cur.length++
 			cur.lastV = vppn
 		default:
 			flushRun()
-			cur = run{tpn: tpn, startLPN: l, startOff: off, length: 1, firstV: vppn, lastV: vppn}
+			cur = run{tpn: tpn, startLPN: l, startOff: off, length: 1, firstV: vppn, lastV: vppn, collections: f.collections}
 		}
 	}
 	flushRun()
@@ -438,8 +459,9 @@ func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 
 // writeOne programs one host page through group-based allocation and keeps
 // the CMT and model bitmap coherent. It returns the completion time and the
-// page's virtual PPN (for sequential initialization).
-func (f *LearnedFTL) writeOne(lpn int64, now nand.Time) (nand.Time, int64) {
+// page's physical location once the write is done (for sequential
+// initialization).
+func (f *LearnedFTL) writeOne(lpn int64, now nand.Time) (nand.Time, nand.PPN) {
 	tpn := f.Cfg.TPNOf(lpn)
 	off := int(lpn - int64(tpn)*int64(f.Cfg.EntriesPerTP))
 	// Consistency first (§III-B): an overwritten LPN must not predict its
@@ -466,7 +488,7 @@ func (f *LearnedFTL) writeOne(lpn int64, now nand.Time) (nand.Time, int64) {
 	// runPendingGC may have relocated the page just written; report the
 	// page's current location so the sequential-init run tracker stays
 	// truthful.
-	return done, f.toVirtual(f.L2P.Get(lpn))
+	return done, f.L2P.Get(lpn)
 }
 
 // invalidateData invalidates a data page and maintains per-row invalid

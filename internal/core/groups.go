@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"learnedftl/internal/gc"
 	"learnedftl/internal/nand"
@@ -219,11 +220,15 @@ func (f *LearnedFTL) groupCandidate(gid int, now nand.Time) gc.Candidate {
 // runPendingGC collects donor groups whose encroachment crossed the
 // threshold, outside the allocation fast path. A donor is only collected
 // when doing so reclaims meaningful space; otherwise its trigger re-arms for
-// later.
+// later. The queue drains in FIFO order, including donors the collections
+// below queue behind the others, and is then emptied in place, so its
+// storage serves every later crossing.
 func (f *LearnedFTL) runPendingGC(now nand.Time) nand.Time {
-	for len(f.pending) > 0 && !f.inGC {
-		gid := f.pending[0]
-		f.pending = f.pending[1:]
+	if f.inGC {
+		return now
+	}
+	for i := 0; i < len(f.pending); i++ {
+		gid := f.pending[i]
 		g := &f.groups[gid]
 		if !g.pendingGC {
 			continue
@@ -236,6 +241,7 @@ func (f *LearnedFTL) runPendingGC(now nand.Time) nand.Time {
 			g.pendingGC = false
 		}
 	}
+	f.pending = f.pending[:0]
 	return now
 }
 
@@ -268,6 +274,7 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 	}
 	f.inGC = true
 	defer func() { f.inGC = false }()
+	f.collections++
 
 	// One attribution window covers the whole group collection, including
 	// model training charged inside relocation.
@@ -308,7 +315,7 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 	// Evacuate row by row, erasing each row as it empties.
 	for len(oldRows) > 0 {
 		row := oldRows[0]
-		t = f.evacuateForeign(oldRows[:1], gid, t, &moved)
+		t = f.evacuateForeign(row, gid, t, &moved)
 		before := len(oldRows)
 		t = f.eraseFreeable(&oldRows, t)
 		if len(oldRows) == before {
@@ -325,18 +332,15 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 }
 
 // evacuateForeign moves every valid page that belongs to another group out
-// of the collected rows, into its owner group's current write position. The
+// of a collected row, into its owner group's current write position. The
 // moved LPNs' model bits are cleared (their locations changed without
 // retraining).
-func (f *LearnedFTL) evacuateForeign(rows []int, gid int, t nand.Time, moved *int) nand.Time {
+func (f *LearnedFTL) evacuateForeign(row, gid int, t nand.Time, moved *int) nand.Time {
 	start := t
-	for _, row := range rows {
-		base := f.rowVPPNBase(row)
-		for s := 0; s < f.sbPages; s++ {
-			ppn := f.Codec.ToPhysical(nand.VPPN(base + int64(s)))
-			if f.Fl.State(ppn) != nand.PageValid {
-				continue
-			}
+	base := f.rowVPPNBase(row)
+	for w, word := range f.validSlots(row) {
+		for ; word != 0; word &= word - 1 {
+			ppn := f.Codec.ToPhysical(nand.VPPN(base + int64(w<<6+bits.TrailingZeros64(word))))
 			oob := f.Fl.PageOOB(ppn)
 			if oob.Trans {
 				continue
@@ -365,6 +369,27 @@ func (f *LearnedFTL) evacuateForeign(rows []int, gid int, t nand.Time, moved *in
 		}
 	}
 	return t
+}
+
+// validSlots returns a bitmap of the slots of row that hold valid pages.
+// Walked bit by bit it meets them in VPPN order, the order a slot-by-slot
+// walk of the row does and so the order evacuation allocates their new
+// slots in; it is built from the row's blocks' valid bitmaps rather than by
+// probing every slot. Evacuation programs no page into the row it walks and
+// invalidates only the page it moves, so the slots not yet walked stay
+// exact while the walk runs.
+func (f *LearnedFTL) validSlots(row int) []uint64 {
+	geo := f.Fl.Geometry()
+	base := f.rowVPPNBase(row)
+	clear(f.gcSlots)
+	for u := 0; u < geo.Units(); u++ {
+		f.gcPPNs = f.Fl.AppendValidPages(u*geo.BlocksPerUnit+row, f.gcPPNs[:0])
+		for _, p := range f.gcPPNs {
+			s := int64(f.Codec.ToVirtual(p)) - base
+			f.gcSlots[s>>6] |= 1 << (s & 63)
+		}
+	}
+	return f.gcSlots
 }
 
 // relocateGroup executes §III-E2 for one group: read its translation pages,
@@ -432,8 +457,12 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 	*moved += len(lpns)
 
 	// Steps ③/④: train each GTD entry's model and evaluate its bitmap,
-	// then persist the group's translation pages.
+	// then persist the group's translation pages. The locations are the
+	// ones just assigned: sorted LPN lpns[j] went to VPPN base+j, so one
+	// walk of lpns feeds every entry, the VPPN ablation training on the
+	// page that was programmed.
 	vppns := f.gcVPPNs
+	j := 0
 	for e := 0; e < f.Cfg.GroupEntries; e++ {
 		tpn := loTPN + e
 		lo, hi := f.Cfg.TPRange(tpn)
@@ -441,13 +470,14 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 		for i := range vppns {
 			vppns[i] = -1
 		}
-		for l := lo; l < hi; l++ {
-			if p := f.L2P.Get(l); p != nand.InvalidPPN {
-				v := f.toVirtual(p)
-				vppns[l-lo] = v
-				if baseV < 0 || v < baseV {
-					baseV = v
-				}
+		for ; j < len(lpns) && lpns[j] < hi; j++ {
+			v := base + int64(j)
+			if f.opt.DisableVPPN {
+				v = int64(f.Codec.ToPhysical(nand.VPPN(v)))
+			}
+			vppns[lpns[j]-lo] = v
+			if baseV < 0 || v < baseV {
+				baseV = v
 			}
 		}
 		if baseV >= 0 {

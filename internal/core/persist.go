@@ -89,7 +89,7 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	}
 	for i := range f.groups {
 		f.groups[i] = group{
-			rows:      d.Ints(),
+			rows:      append(f.groups[i].rows[:0], d.Ints()...),
 			wp:        d.Int(),
 			encroach:  d.Int(),
 			pendingGC: d.Bool(),

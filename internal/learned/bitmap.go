@@ -63,6 +63,23 @@ func (b *Bitmap) CountRange(lo, hi int) int {
 	return c
 }
 
+// AnyRange reports whether any bit in [lo, hi) is set, stopping at the first
+// word that holds one. Only the first and last words need masks.
+func (b *Bitmap) AnyRange(lo, hi int) bool {
+	if lo >= hi {
+		return false
+	}
+	w, last := lo>>6, (hi-1)>>6
+	m := ^uint64(0) << (uint(lo) & 63)
+	for ; w < last; w++ {
+		if b.words[w]&m != 0 {
+			return true
+		}
+		m = ^uint64(0)
+	}
+	return b.words[last]&m&(^uint64(0)>>(63-uint(hi-1)&63)) != 0
+}
+
 // ClearRange zeroes bits [lo, hi).
 func (b *Bitmap) ClearRange(lo, hi int) {
 	for w := lo >> 6; w<<6 < hi; w++ {

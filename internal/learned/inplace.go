@@ -123,7 +123,10 @@ func (m *InPlaceModel) TrainFull(base int64, vppns []int64) int {
 		return 0
 	}
 	m.base = base
-	kept, _ := FitExactCapped(pts, m.maxPieces)
+	// A fit of at most DefaultMaxPieces pieces stays in the frame too; only
+	// one that must be capped ranks its pieces on the heap.
+	var fit [DefaultMaxPieces]Piece
+	kept, _ := capPieces(appendFitExact(fit[:0], pts), pts, m.maxPieces)
 	m.pieces = append(m.pieces, kept...)
 	// Evaluate: only offsets the kept pieces predict exactly get a 1 bit
 	// (§III-E2 step ④).
@@ -235,7 +238,7 @@ func (m *InPlaceModel) pruneDead(pieces []Piece, s, e int64) []Piece {
 			out = append(out, p)
 			continue
 		}
-		if m.bm.CountRange(int(p.Off), int(pEnd)) > 0 {
+		if m.bm.AnyRange(int(p.Off), int(pEnd)) {
 			out = append(out, p)
 		}
 	}

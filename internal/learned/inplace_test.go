@@ -2,6 +2,7 @@ package learned
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -358,6 +359,9 @@ func TestBitmapRangeOpsMatchBitLoops(t *testing.T) {
 			if got := b.CountRange(lo, hi); got != count {
 				t.Fatalf("CountRange(%d, %d) = %d, want %d", lo, hi, got, count)
 			}
+			if got := b.AnyRange(lo, hi); got != (count > 0) {
+				t.Fatalf("AnyRange(%d, %d) = %v, want %v", lo, hi, got, count > 0)
+			}
 			b.SetRange(lo, hi)
 			for i := lo; i < hi; i++ {
 				ref[i] = true
@@ -372,6 +376,18 @@ func TestBitmapRangeOpsMatchBitLoops(t *testing.T) {
 			}
 			if !same(b, ref) {
 				t.Fatalf("ClearRange(%d, %d) differs from the bit loop", lo, hi)
+			}
+			// Set bits only outside the range, then one at either end.
+			for _, i := range []int{-1, lo, hi - 1} {
+				if i >= lo {
+					b.Set(i)
+				}
+				if got, want := b.AnyRange(lo, hi), i >= lo && lo < hi; got != want {
+					t.Fatalf("AnyRange(%d, %d) with bit %d set inside = %v, want %v", lo, hi, i, got, want)
+				}
+				if i >= lo {
+					b.Clear(i)
+				}
 			}
 		}
 	}
@@ -403,5 +419,222 @@ func TestSequentialInitZeroAlloc(t *testing.T) {
 	}
 	if installed == 0 || installed == i {
 		t.Fatalf("%d of %d updates installed: want both outcomes exercised", installed, i)
+	}
+}
+
+// The methods below are the per-write splice and the GC-time training as
+// they were before pruneDead's liveness test became Bitmap.AnyRange and
+// TrainFull's fit became allocation-free — insertPiece, pruneDead and
+// TrainFull moved here with their bodies unchanged (CountRange > 0,
+// FitExactCapped), plus SequentialInit calling the moved insertPiece: the
+// reference the live model is pinned against.
+
+func (m *InPlaceModel) trainFullReference(base int64, vppns []int64) int {
+	if len(vppns) != m.span {
+		panic("learned: TrainFull length mismatch")
+	}
+	// One paper-sized translation page of points fits the stack frame; a
+	// wider model's append moves them to the heap.
+	var frame [512]Point
+	pts := frame[:0]
+	for off, v := range vppns {
+		if v >= 0 {
+			pts = append(pts, Point{X: int64(off), Y: v - base})
+		}
+	}
+	m.bm.Reset()
+	m.pieces = m.pieces[:0]
+	if len(pts) == 0 {
+		m.base = unsetBase
+		return 0
+	}
+	m.base = base
+	kept, _ := FitExactCapped(pts, m.maxPieces)
+	m.pieces = append(m.pieces, kept...)
+	// Evaluate: only offsets the kept pieces predict exactly get a 1 bit
+	// (§III-E2 step ④).
+	exact := 0
+	for _, pt := range pts {
+		p, ok := m.pieceFor(pt.X)
+		if ok && p.Predict(pt.X) == pt.Y {
+			m.bm.Set(int(pt.X))
+			exact++
+		}
+	}
+	return exact
+}
+
+func (m *InPlaceModel) sequentialInitReference(startOff, n int, firstVPPN int64) bool {
+	if n <= 0 || startOff < 0 || startOff+n > m.span {
+		return false
+	}
+	if old := m.bm.CountRange(startOff, startOff+n); old >= n {
+		return false
+	}
+	if m.base == unsetBase {
+		m.base = firstVPPN
+	}
+	s, e := int64(startOff), int64(startOff+n)
+	np := Piece{Off: s, K: 1, B: float64(firstVPPN-m.base) - float64(s)}
+	if !m.insertPieceReference(np, s, e) {
+		return false
+	}
+	m.bm.SetRange(startOff, startOff+n)
+	return true
+}
+
+func (m *InPlaceModel) insertPieceReference(np Piece, s, e int64) bool {
+	var frame [DefaultMaxPieces + 2]Piece
+	out := frame[:0]
+	inserted := false
+	for i, p := range m.pieces {
+		pEnd := int64(m.span)
+		if i+1 < len(m.pieces) {
+			pEnd = m.pieces[i+1].Off
+		}
+		if pEnd <= s || p.Off >= e {
+			// Untouched piece; emit new piece before any later piece.
+			if !inserted && p.Off >= e {
+				out = append(out, np)
+				inserted = true
+			}
+			out = append(out, p)
+			continue
+		}
+		// Overlap: keep the head [p.Off, s) under the old parameters.
+		if p.Off < s {
+			out = append(out, p)
+		}
+		if !inserted {
+			out = append(out, np)
+			inserted = true
+		}
+		// Keep the tail [e, pEnd) under the old parameters: same K/B with a
+		// bumped Off, exactly the paper's off adjustment.
+		if pEnd > e {
+			out = append(out, Piece{Off: e, K: p.K, B: p.B})
+		}
+	}
+	if !inserted {
+		out = append(out, np)
+	}
+	out = m.pruneDeadReference(out, s, e)
+	if len(out) > m.maxPieces {
+		return false
+	}
+	m.pieces = append(m.pieces[:0], out...)
+	return true
+}
+
+func (m *InPlaceModel) pruneDeadReference(pieces []Piece, s, e int64) []Piece {
+	out := pieces[:0]
+	for i, p := range pieces {
+		pEnd := int64(m.span)
+		if i+1 < len(pieces) {
+			pEnd = pieces[i+1].Off
+		}
+		if p.Off <= s && s < pEnd || p.Off < e && e <= pEnd || (s <= p.Off && pEnd <= e) {
+			// Overlaps the about-to-be-set range: live.
+			out = append(out, p)
+			continue
+		}
+		if m.bm.CountRange(int(p.Off), int(pEnd)) > 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestModelMatchesReference drives a model and its reference through the
+// same seeded sequences — single and ranged invalidations, sequential
+// initializations of 1 to 64 offsets (refusals on a full piece array
+// included) and GC-time retraining of fragmented layouts, some fitting more
+// pieces than the array holds — and requires equal results and equal
+// exported state after every step, at three piece capacities.
+func TestModelMatchesReference(t *testing.T) {
+	const span = 512
+	for _, maxPieces := range []int{2, 4, DefaultMaxPieces} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			m, ref := NewInPlaceModel(span, maxPieces), NewInPlaceModel(span, maxPieces)
+			vppns := make([]int64, span)
+			next := int64(1000)
+			var installed, refused, capped int
+			for step := 0; step < 3000; step++ {
+				op := "Invalidate"
+				switch k := rng.Intn(100); {
+				case k < 35:
+					off := rng.Intn(span)
+					m.Invalidate(off)
+					ref.Invalidate(off)
+				case k < 45:
+					off, n := rng.Intn(span), 1+rng.Intn(64)
+					for i := off; i < off+n && i < span; i++ {
+						m.Invalidate(i)
+						ref.Invalidate(i)
+					}
+				case k < 98:
+					op = "SequentialInit"
+					n := 1 + rng.Intn(64)
+					if rng.Intn(2) == 0 {
+						n = 1 // the random-write case
+					}
+					off := rng.Intn(span - n + 1)
+					// The write path clears the range first; left set, an
+					// accurate range refuses the update.
+					for i := off; i < off+n && rng.Intn(4) > 0; i++ {
+						m.Invalidate(i)
+						ref.Invalidate(i)
+					}
+					got, want := m.SequentialInit(off, n, next), ref.sequentialInitReference(off, n, next)
+					if got != want {
+						t.Fatalf("maxPieces %d seed %d step %d: SequentialInit(%d, %d) = %v, reference %v", maxPieces, seed, step, off, n, got, want)
+					}
+					if got {
+						installed++
+					} else {
+						refused++
+					}
+					next += int64(n + rng.Intn(8))
+				default:
+					op = "TrainFull"
+					// Runs of consecutive VPPNs broken by holes and jumps: the
+					// more breaks, the more pieces the fit wants.
+					breaks := 1 + rng.Intn(16)
+					base := next
+					for i := range vppns {
+						switch {
+						case rng.Intn(span) < breaks:
+							next += int64(1 + rng.Intn(50))
+							vppns[i] = -1
+						case rng.Intn(span) < breaks:
+							next += int64(1 + rng.Intn(50))
+							vppns[i] = next
+						default:
+							vppns[i] = next
+						}
+						next++
+					}
+					var pts []Point
+					for off, v := range vppns {
+						if v >= 0 {
+							pts = append(pts, Point{X: int64(off), Y: v - base})
+						}
+					}
+					if len(FitExact(pts)) > maxPieces {
+						capped++
+					}
+					if got, want := m.TrainFull(base, vppns), ref.trainFullReference(base, vppns); got != want {
+						t.Fatalf("maxPieces %d seed %d step %d: TrainFull = %d, reference %d", maxPieces, seed, step, got, want)
+					}
+				}
+				if got, want := m.ExportState(), ref.ExportState(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("maxPieces %d seed %d step %d: after %s\n got %+v\nwant %+v", maxPieces, seed, step, op, got, want)
+				}
+			}
+			if installed == 0 || refused == 0 || capped == 0 {
+				t.Fatalf("maxPieces %d seed %d: %d installs, %d refusals, %d capped fits: want every outcome", maxPieces, seed, installed, refused, capped)
+			}
+		}
 	}
 }

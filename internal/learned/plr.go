@@ -33,8 +33,11 @@ func (p Piece) Predict(x int64) int64 {
 // (y-y0)·dx == (x-x0)·dy. This avoids float comparisons entirely; the float
 // K,B emitted per piece reproduce the integers exactly under rounding
 // because all intermediate values are far below 2^53.
-func FitExact(pts []Point) []Piece {
-	var out []Piece
+func FitExact(pts []Point) []Piece { return appendFitExact(nil, pts) }
+
+// appendFitExact appends FitExact's pieces to out, so a caller with room
+// for them fits without allocating.
+func appendFitExact(out []Piece, pts []Point) []Piece {
 	i := 0
 	for i < len(pts) {
 		x0, y0 := pts[i].X, pts[i].Y
@@ -79,18 +82,20 @@ func pieceCoverage(pieces []Piece, pts []Point) []int {
 // paper's fixed-size parameter array: the bitmap filter zeroes everything
 // the kept pieces do not predict exactly.
 func FitExactCapped(pts []Point, maxPieces int) (kept []Piece, covered int) {
-	pieces := FitExact(pts)
+	return capPieces(FitExact(pts), pts, maxPieces)
+}
+
+// capPieces is FitExactCapped after the fit: pieces, fitted over pts, come
+// back as they are — covering every point — when at most maxPieces of them
+// were fitted, so that case allocates nothing.
+func capPieces(pieces []Piece, pts []Point, maxPieces int) (kept []Piece, covered int) {
 	if len(pieces) == 0 {
 		return nil, 0
 	}
-	cov := pieceCoverage(pieces, pts)
 	if len(pieces) <= maxPieces {
-		total := 0
-		for _, c := range cov {
-			total += c
-		}
-		return pieces, total
+		return pieces, len(pts)
 	}
+	cov := pieceCoverage(pieces, pts)
 	// Select indexes of the maxPieces best-covering pieces.
 	type ic struct{ idx, cov int }
 	order := make([]ic, len(pieces))

@@ -418,6 +418,44 @@ func TestWarmCheckpointReuse(t *testing.T) {
 	}
 }
 
+// TestWarmCheckpointMissesOtherModelVersions: the warm key carries the
+// model version, so a checkpoint directory holding a device warmed under an
+// earlier or a later model misses, warms cold and stores its own entry,
+// which the next cell then restores.
+func TestWarmCheckpointMissesOtherModelVersions(t *testing.T) {
+	cfg := persistTestConfig()
+	b := sweepTestBudget(2)
+	cache, err := NewCheckpointCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Checkpoints = cache
+	s := SchemeLearnedFTL
+	other, err := New(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmDevice(other, b)
+	for _, v := range []int{modelVersion - 1, modelVersion + 1} {
+		k := warmKey(v, s, cfg, b.WarmExtra)
+		cache.Store(k, persist.Snapshot(other.(persist.Device), k))
+	}
+	cold := &cell{b: b}
+	if _, err := cold.warmed(s, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 || st.Stores != 3 || cold.warm.Programs == 0 {
+		t.Fatalf("with only other versions' checkpoints: %+v, %d warm-up programs; want a miss, a cold warm-up and its store", st, cold.warm.Programs)
+	}
+	warm := &cell{b: b}
+	if _, err := warm.warmed(s, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 1 || warm.warm.Programs != 0 {
+		t.Fatalf("after the cold warm-up stored this version's checkpoint: %+v, %d warm-up programs; want a hit", st, warm.warm.Programs)
+	}
+}
+
 // TestGoldenTablesWithCheckpointCache pins the restore path to the golden
 // closed-loop tables: fig16's rows — captured from the pre-refactor engine
 // — must come out byte-identical when the warm-up is restored from a
