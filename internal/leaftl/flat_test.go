@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"learnedftl/internal/learned"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/persist"
 )
@@ -16,13 +19,21 @@ import (
 // part-filled data buffer.
 func warmedForSnapshot(t *testing.T) *LeaFTL {
 	t.Helper()
-	cfg := testConfig()
-	l, err := New(cfg)
+	l, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	churn(l)
+	if l.Col.GCCount == 0 || l.BufferedPages() == 0 {
+		t.Fatalf("warm-up left %d GCs, %d buffered pages: want both", l.Col.GCCount, l.BufferedPages())
+	}
+	return l
+}
+
+// churn is warmedForSnapshot's fixed-seed mix of overwrites, reads and trims.
+func churn(l *LeaFTL) {
 	rng := rand.New(rand.NewSource(11))
-	lp := cfg.LogicalPages()
+	lp := l.Cfg.LogicalPages()
 	now := nand.Time(0)
 	for i := 0; i < 6000; i++ {
 		lpn := rng.Int63n(lp - 4)
@@ -35,10 +46,44 @@ func warmedForSnapshot(t *testing.T) *LeaFTL {
 			now = l.WritePages(lpn, 1+rng.Intn(4), now)
 		}
 	}
-	if l.Col.GCCount == 0 || l.BufferedPages() == 0 {
-		t.Fatalf("warm-up left %d GCs, %d buffered pages: want both", l.Col.GCCount, l.BufferedPages())
+}
+
+// TestConcurrentDevicesMatchSerial: the LSMT scratch belongs to the device,
+// so devices churned on their own goroutines, as sweep cells run them, reach
+// the snapshot one device churned alone reaches. Scratch shared between
+// devices diverges here, and is a data race under -race.
+func TestConcurrentDevicesMatchSerial(t *testing.T) {
+	snapshot := func(l *LeaFTL) []byte {
+		e := persist.NewEncoder()
+		l.SaveState(e)
+		return e.Data()
 	}
-	return l
+	want := snapshot(warmedForSnapshot(t))
+	got := make([][]byte, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			l, err := New(testConfig())
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			churn(l)
+			got[i] = snapshot(l)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("device %d of %d run concurrently ends in another state than one run alone", i, len(got))
+		}
+	}
 }
 
 // TestFlatStateMatchesMapBuiltSnapshot pins what the warmed device looks
@@ -88,14 +133,61 @@ func TestFlatStateMatchesMapBuiltSnapshot(t *testing.T) {
 // TestLoadStateRejectsOutOfRangeIndexes: the buffer, the model table and
 // the model-cache index are sized from the configuration, so a snapshot
 // naming an LPN or a translation page outside it — or a level or segment
-// count the stream cannot back — is an error, not a panic.
+// count the stream cannot back — is an error, not a panic. So are learned
+// segments an insert or a lookup would misread: a level out of S order or
+// with overlapping segments, a segment spanning no LPN, and one reaching
+// outside its translation page.
 func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 	cfg := testConfig()
 	src, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// trained is a tail with no buffered LPN, one trained translation page
+	// holding levels, and an empty model cache.
+	trained := func(tpn int, levels ...[]learned.Segment) func(e *persist.Encoder) {
+		return func(e *persist.Encoder) {
+			e.U64(0)
+			e.U64(1)
+			e.Int(tpn)
+			e.U64(uint64(len(levels)))
+			for _, lv := range levels {
+				e.U64(uint64(len(lv)))
+				for _, s := range lv {
+					e.I64(s.S)
+					e.I64(int64(s.L))
+					e.F64(s.K)
+					e.F64(s.I)
+					e.I64(int64(s.Err))
+				}
+			}
+			e.U64(0)
+		}
+	}
+	load := func(tail func(e *persist.Encoder)) error {
+		e := persist.NewEncoder()
+		src.SaveBaseState(e)
+		tail(e)
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fresh.LoadState(persist.NewDecoder(e.Data()))
+	}
+	lo, hi := cfg.TPRange(1)
+	sg := func(s int64, l int32) learned.Segment { return learned.Segment{S: s, L: l, K: 1} }
+	if err := load(trained(1, []learned.Segment{sg(lo, 4), sg(lo+4, 8)}, nil, []learned.Segment{sg(lo, int32(hi-lo))})); err != nil {
+		t.Fatalf("well-formed levels rejected: %v", err)
+	}
 	tails := map[string]func(e *persist.Encoder){
+		"level out of S order":            trained(1, []learned.Segment{sg(lo+20, 4), sg(lo+10, 4)}),
+		"overlapping segments in a level": trained(1, []learned.Segment{sg(lo+10, 8), sg(lo+12, 4)}),
+		"segments sharing a start":        trained(1, []learned.Segment{sg(lo+10, 1), sg(lo+10, 1)}),
+		"segment spanning no LPN":         trained(1, nil, []learned.Segment{sg(lo+10, 0)}),
+		"segment spanning minus one LPN":  trained(1, []learned.Segment{sg(lo+10, -1)}),
+		"segment past its page":           trained(1, []learned.Segment{sg(hi-2, 4)}),
+		"segment before its page":         trained(1, []learned.Segment{sg(lo-1, 2)}),
+		"segment at the int64 edge":       trained(1, []learned.Segment{sg(math.MaxInt64-1, 4)}),
 		"buffered LPN past the device": func(e *persist.Encoder) {
 			e.U64(1)
 			e.I64(cfg.LogicalPages())
@@ -132,14 +224,7 @@ func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 		},
 	}
 	for name, tail := range tails {
-		e := persist.NewEncoder()
-		src.SaveBaseState(e)
-		tail(e)
-		fresh, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.LoadState(persist.NewDecoder(e.Data())); err == nil {
+		if err := load(tail); err == nil {
 			t.Errorf("%s: LoadState accepted it", name)
 		}
 	}

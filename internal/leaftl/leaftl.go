@@ -42,6 +42,14 @@ type LeaFTL struct {
 	// trigger a collection, whose GCFinalize trains while the flush still
 	// holds its points.
 	flushPts, gcPts []learned.Point
+
+	// fitSegs holds one translation page's fitted segments until they are
+	// inserted, reused: the collection a translation update can trigger
+	// trains only after the segments it would overwrite went in.
+	fitSegs []learned.Segment
+
+	// lsmtScratch is the working memory every table of the device shares.
+	lsmtScratch learned.Scratch
 }
 
 // New builds a LeaFTL device.
@@ -149,10 +157,10 @@ func (l *LeaFTL) train(pts []learned.Point, afterGC bool, t nand.Time) nand.Time
 		for n < len(pts) && l.Cfg.TPNOf(pts[n].X) == tpn {
 			n++
 		}
-		segs := learned.FitSegments(pts[:n], l.Cfg.LeaGamma, maxSegmentLen)
+		l.fitSegs = learned.AppendFitSegments(l.fitSegs[:0], pts[:n], l.Cfg.LeaGamma, maxSegmentLen)
 		pts = pts[n:]
 		lt := l.lsmt(tpn)
-		lt.Insert(segs)
+		lt.Insert(l.fitSegs)
 		l.Col.ModelTrainings++
 		if afterGC {
 			lt.CompactShadowed()
@@ -168,7 +176,7 @@ func (l *LeaFTL) train(pts []learned.Point, afterGC bool, t nand.Time) nand.Time
 func (l *LeaFTL) lsmt(tpn int) *learned.LSMT {
 	lt := l.models[tpn]
 	if lt == nil {
-		lt = learned.NewLSMT()
+		lt = l.lsmtScratch.NewLSMT()
 		l.models[tpn] = lt
 	}
 	return lt
@@ -331,8 +339,14 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 			}
 			levels[li] = lv
 		}
-		lt := learned.NewLSMT()
-		lt.ImportLevels(levels)
+		if err := d.Err(); err != nil {
+			return err
+		}
+		lt := l.lsmtScratch.NewLSMT()
+		lo, hi := l.Cfg.TPRange(tpn)
+		if err := lt.ImportLevels(levels, lo, hi); err != nil {
+			return fmt.Errorf("leaftl: snapshot translation page %d: %w", tpn, err)
+		}
 		l.models[tpn] = lt
 	}
 	l.cache = newModelCache(l.Cfg.CMTEntries()*8, l.Cfg.NumTPNs())

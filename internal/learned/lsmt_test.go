@@ -209,90 +209,341 @@ func (t *refLSMT) compactShadowed() int {
 	return dropped
 }
 
-// TestLSMTInPlaceMatchesCopySplice drives random overlapping inserts and
-// compactions through the in-place table and the reference, comparing the
-// exported level structure — what a snapshot carries — and the lookup of
-// every key, covered or not, after every step.
-func TestLSMTInPlaceMatchesCopySplice(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		lt, ref := NewLSMT(), &refLSMT{}
-		const keys = 300
-		nseg := 0
-		for step := 0; step < 150; step++ {
-			if rng.Intn(6) == 0 {
-				dropped := ref.compactShadowed()
-				if lt.CompactShadowed() != dropped {
-					return false
-				}
-				nseg -= dropped
+// perSegLSMT is the in-place table as it was before an insert merged a run
+// per level and a compaction swept one coverage union: every segment is
+// pushed down on its own — a binary search and a tail shift per segment and
+// level — and a compaction probes every upper level per uncovered position.
+// insertAt and shadowed are kept verbatim as the second reference.
+type perSegLSMT struct {
+	levels [][]Segment
+	nseg   int
+}
+
+func (t *perSegLSMT) Insert(segs []Segment) {
+	for _, s := range segs {
+		t.insertAt(0, s)
+	}
+	t.nseg += len(segs)
+}
+
+func (t *perSegLSMT) insertAt(level int, seg Segment) {
+	if level == len(t.levels) {
+		t.levels = append(t.levels, nil)
+	}
+	lv := t.levels[level]
+	lo := seg.S
+	hi := seg.S + int64(seg.L)
+	// Find overlapping run [i, j): it starts at the last segment that
+	// begins at or before lo if that one reaches past lo, else right after.
+	i := lastStartingBy(lv, lo)
+	if i < 0 || lv[i].S+int64(lv[i].L) <= lo {
+		i++
+	}
+	j := i
+	for j < len(lv) && lv[j].S < hi {
+		j++
+	}
+	// The overlapped run moves down first, while it still sits intact in
+	// lv: an insert into a deeper level never touches this one, so it
+	// commutes with the splice below and needs no copy of the run.
+	for k := i; k < j; k++ {
+		t.insertAt(level+1, lv[k])
+	}
+	// Splice seg over the run in place: the tail shifts by 1-(j-i) slots.
+	n := len(lv) + 1 - (j - i)
+	tail := lv[j:]
+	if n > cap(lv) {
+		grown := make([]Segment, n, n+levelGrowth(n))
+		copy(grown, lv[:i])
+		lv = grown
+	} else {
+		lv = lv[:n]
+	}
+	copy(lv[i+1:], tail)
+	lv[i] = seg
+	t.levels[level] = lv
+}
+
+func (t *perSegLSMT) CompactShadowed() int {
+	dropped := 0
+	for li := 1; li < len(t.levels); li++ {
+		keep := t.levels[li][:0] // filtered in place: shadowed reads only the levels above
+		for _, s := range t.levels[li] {
+			if t.shadowed(s, li) {
+				dropped++
+				t.nseg--
 			} else {
-				batch := make([]Segment, 1+rng.Intn(3))
-				for i := range batch {
-					s := int64(rng.Intn(keys - 1))
-					l := 1 + rng.Intn(min(40, keys-int(s)))
-					batch[i] = Segment{S: s, L: int32(l), K: 1, I: float64(step*10 + i)}
-					ref.insertAt(0, batch[i])
-				}
-				lt.Insert(batch)
-				nseg += len(batch)
+				keep = append(keep, s)
 			}
-			got := lt.ExportLevels()
-			if len(got) != len(ref.levels) || lt.NumSegments() != nseg {
+		}
+		if spare := levelGrowth(len(keep)); cap(keep)-len(keep) > spare {
+			keep = append(make([]Segment, 0, len(keep)+spare), keep...)
+		}
+		t.levels[li] = keep
+	}
+	// Trim empty tail levels.
+	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {
+		t.levels = t.levels[:len(t.levels)-1]
+	}
+	return dropped
+}
+
+// shadowed reports whether every LPN of s is covered by levels above `below`.
+// Instead of probing each LPN of the segment, it walks the covered interval
+// greedily: at each uncovered position it binary-searches every upper level
+// (sorted by Segment.S) for the segment containing that position and jumps
+// to the farthest covered end, so the check costs O(k · levels · log n) for
+// k covering segments rather than O(L · levels · log n) for L spanned LPNs.
+func (t *perSegLSMT) shadowed(s Segment, below int) bool {
+	pos := s.S
+	hi := s.S + int64(s.L)
+	for pos < hi {
+		next := pos
+		for li := 0; li < below; li++ {
+			lv := t.levels[li]
+			if i := lastStartingBy(lv, pos); i >= 0 {
+				if end := lv[i].S + int64(lv[i].L); end > next {
+					next = end
+				}
+			}
+		}
+		if next == pos {
+			return false // pos is covered by no upper level
+		}
+		pos = next
+	}
+	return true
+}
+
+// lsmtKeys is the key space the equivalence tests insert into.
+const lsmtKeys = 200
+
+// contractBatch is what FitSegments hands Insert for one translation page:
+// 1–6 segments sorted by S, without overlaps, separated by gaps of 0–15 LPNs.
+func contractBatch(rng *rand.Rand, step int) []Segment {
+	n := 1 + rng.Intn(6)
+	batch := make([]Segment, 0, n)
+	for s := int64(rng.Intn(lsmtKeys - 1)); len(batch) < n && s < lsmtKeys; {
+		l := 1 + rng.Intn(min(30, lsmtKeys-int(s)))
+		batch = append(batch, Segment{S: s, L: int32(l), K: 1, I: float64(step*10 + len(batch))})
+		s += int64(l + rng.Intn(16))
+	}
+	return batch
+}
+
+// anyBatch is 1–3 segments placed independently: unsorted and overlapping
+// as often as not.
+func anyBatch(rng *rand.Rand, step int) []Segment {
+	batch := make([]Segment, 1+rng.Intn(3))
+	for i := range batch {
+		s := int64(rng.Intn(lsmtKeys - 1))
+		l := 1 + rng.Intn(min(30, lsmtKeys-int(s)))
+		batch[i] = Segment{S: s, L: int32(l), K: 1, I: float64(step*10 + i)}
+	}
+	return batch
+}
+
+// matchReferences drives the table, the per-segment table and the
+// copy-splice table through the same random inserts and compactions, and
+// returns the first step at which the exported levels, the segment counts,
+// the lookup of any key, covered or not, or a compaction's dropped count
+// differ, or -1. The levels' capacities must also equal the per-segment
+// table's: a run leaves the slack its segments one at a time would.
+func matchReferences(seed int64, steps int, batch func(*rand.Rand, int) []Segment) int {
+	rng := rand.New(rand.NewSource(seed))
+	lt, per, ref := NewLSMT(), &perSegLSMT{}, &refLSMT{}
+	nseg := 0
+	equal := func(a, b [][]Segment) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for li := range a {
+			if len(a[li]) != len(b[li]) {
 				return false
 			}
-			for li := range got {
-				if len(got[li]) != len(ref.levels[li]) {
-					return false
-				}
-				for si := range got[li] {
-					if got[li][si] != ref.levels[li][si] {
-						return false
-					}
-				}
-			}
-			for lpn := int64(-1); lpn <= keys; lpn++ {
-				gs, gok := lt.Lookup(lpn)
-				ws, wok := ref.lookup(lpn)
-				if gs != ws || gok != wok {
+			for si := range a[li] {
+				if a[li][si] != b[li][si] {
 					return false
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
+	for step := 0; step < steps; step++ {
+		if rng.Intn(6) == 0 {
+			dropped := ref.compactShadowed()
+			if lt.CompactShadowed() != dropped || per.CompactShadowed() != dropped {
+				return step
+			}
+			nseg -= dropped
+		} else {
+			b := batch(rng, step)
+			for _, s := range b {
+				ref.insertAt(0, s)
+			}
+			lt.Insert(b)
+			per.Insert(b)
+			nseg += len(b)
+		}
+		got := lt.ExportLevels()
+		if !equal(got, ref.levels) || !equal(got, per.levels) || lt.NumSegments() != nseg || per.nseg != nseg {
+			return step
+		}
+		for li := range got {
+			if cap(lt.levels[li]) != cap(per.levels[li]) {
+				return step
+			}
+		}
+		for lpn := int64(-1); lpn <= lsmtKeys; lpn++ {
+			gs, gok := lt.Lookup(lpn)
+			ws, wok := ref.lookup(lpn)
+			if gs != ws || gok != wok {
+				return step
+			}
+		}
+	}
+	return -1
+}
+
+// TestLSMTInPlaceMatchesCopySplice holds the run-merging table to both
+// references over the batches LeaFTL inserts — sorted, non-overlapping runs
+// with gaps — and random compactions, comparing what a snapshot carries,
+// every lookup and every dropped count after every step, over 1 000 seeds.
+func TestLSMTInPlaceMatchesCopySplice(t *testing.T) {
+	for seed := int64(0); seed < 1000; seed++ {
+		if step := matchReferences(seed, 80, contractBatch); step >= 0 {
+			t.Fatalf("seed %d: table diverges from the references at step %d", seed, step)
+		}
+	}
+}
+
+// TestLSMTAnyBatchMatchesReferences: a batch that is not one sorted,
+// non-overlapping run inserts as its maximal such runs, which is still
+// segment by segment.
+func TestLSMTAnyBatchMatchesReferences(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		if step := matchReferences(seed, 80, anyBatch); step >= 0 {
+			t.Fatalf("seed %d: table diverges from the references at step %d", seed, step)
+		}
 	}
 }
 
 // TestLSMTSteadyStateInsertZeroAlloc pins LeaFTL's post-collection cycle at
-// zero allocations once the levels have found their size: a retrained
-// segment replaces the one it overlaps in level 0, the replaced one moves
-// down into a slot a compaction freed, and is compacted away in turn. The
-// wider, only partly covered segments settle a level further down, so the
-// level in between is never the tail and keeps its slots.
+// zero allocations once the levels have found their size, for one segment
+// and for a run whose cascade reaches three levels.
 func TestLSMTSteadyStateInsertZeroAlloc(t *testing.T) {
-	const nseg = 32
-	lt := NewLSMT()
-	for s := int64(0); s < nseg; s++ {
-		lt.Insert([]Segment{seg(s*16, 16)})
+	// A retrained segment replaces the one it overlaps in level 0, the
+	// replaced one moves down into a slot a compaction freed, and is
+	// compacted away in turn. The wider, only partly covered segments settle
+	// a level further down, so the level in between is never the tail and
+	// keeps its slots.
+	t.Run("segment", func(t *testing.T) {
+		const nseg = 32
+		lt := NewLSMT()
+		for s := int64(0); s < nseg; s++ {
+			lt.Insert([]Segment{seg(s*16, 16)})
+		}
+		batch := make([]Segment, 1)
+		i := 0
+		cycle := func() {
+			batch[0] = Segment{S: int64(i % nseg * 16), L: 8, K: 1, I: float64(i)}
+			lt.Insert(batch)
+			lt.CompactShadowed()
+			i++
+		}
+		for i < 2*nseg {
+			cycle()
+		}
+		if a := testing.AllocsPerRun(500, cycle); a != 0 {
+			t.Fatalf("steady-state Insert + CompactShadowed allocates %.0f times per cycle", a)
+		}
+		if lt.NumLevels() != 3 || lt.NumSegments() != 2*nseg {
+			t.Fatalf("steady state holds %d segments in %d levels, want %d in 3", lt.NumSegments(), lt.NumLevels(), 2*nseg)
+		}
+	})
+	// Each of nreg regions of 32 LPNs alternates between two runs,
+	// A = {[0,8), [12,20)} and B = {[4,12), [16,24)}: each overlaps both
+	// segments of the other, and neither covers any segment of the other.
+	// Inserting A over B pushes B from level 0 onto the A in level 1, which
+	// moves to level 2 and is compacted away there, shadowed by the new A. A
+	// segment [0,32) below them, visible past LPN 24, keeps level 3 — and so
+	// level 2 — in place.
+	t.Run("run cascade", func(t *testing.T) {
+		const nreg = 16
+		run := func(r int, b bool) []Segment {
+			base, shift := int64(r*32), int64(0)
+			if b {
+				shift = 4
+			}
+			return []Segment{
+				{S: base + shift, L: 8, K: 1, I: float64(r)},
+				{S: base + 12 + shift, L: 8, K: 1, I: float64(r)},
+			}
+		}
+		lt := NewLSMT()
+		for r := 0; r < nreg; r++ {
+			lt.Insert([]Segment{seg(int64(r*32), 32)})
+			lt.Insert(run(r, false))
+			lt.Insert(run(r, true))
+		}
+		batch := make([]Segment, 2)
+		i, dropped := 0, 0
+		cycle := func() {
+			r := i % nreg
+			copy(batch, run(r, i/nreg%2 == 1))
+			lt.Insert(batch)
+			dropped += lt.CompactShadowed()
+			i++
+		}
+		for i < 4*nreg {
+			cycle()
+		}
+		dropped = 0
+		const cycles = 500
+		if a := testing.AllocsPerRun(cycles, cycle); a != 0 {
+			t.Fatalf("steady-state run Insert + CompactShadowed allocates %.0f times per cycle", a)
+		}
+		// AllocsPerRun runs the cycle once more than it measures.
+		if dropped != 2*(cycles+1) {
+			t.Fatalf("%d cycles dropped %d segments from level 2, want 2 each", cycles+1, dropped)
+		}
+		if lt.NumLevels() != 4 || lt.NumSegments() != 5*nreg {
+			t.Fatalf("steady state holds %d segments in %d levels, want %d in 4", lt.NumSegments(), lt.NumLevels(), 5*nreg)
+		}
+	})
+}
+
+// TestFitSegmentsMeetsInsertContract: whatever the points, error bound and
+// length cap, FitSegments returns one run Insert merges at once — sorted by
+// S, without overlaps, every segment spanning at least one LPN — and every
+// point lies in the segment fitted over it.
+func TestFitSegmentsMeetsInsertContract(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		pts := make([]Point, rng.Intn(600))
+		x, y := int64(rng.Intn(1000)), int64(rng.Intn(1<<20))
+		for i := range pts {
+			x += 1 + int64(rng.Intn(1+rng.Intn(4)))
+			if rng.Intn(8) == 0 {
+				y = int64(rng.Intn(1 << 20))
+			} else {
+				y += int64(rng.Intn(3))
+			}
+			pts[i] = Point{X: x, Y: y}
+		}
+		segs := FitSegments(pts, int64(rng.Intn(9)), 1+rng.Intn(300))
+		p := 0
+		for k, s := range segs {
+			if s.L < 1 || k > 0 && s.S < segs[k-1].S+int64(segs[k-1].L) {
+				return false
+			}
+			for p < len(pts) && s.Contains(pts[p].X) {
+				p++
+			}
+		}
+		return p == len(pts)
 	}
-	batch := make([]Segment, 1)
-	i := 0
-	cycle := func() {
-		batch[0] = Segment{S: int64(i % nseg * 16), L: 8, K: 1, I: float64(i)}
-		lt.Insert(batch)
-		lt.CompactShadowed()
-		i++
-	}
-	for i < 2*nseg {
-		cycle()
-	}
-	if a := testing.AllocsPerRun(500, cycle); a != 0 {
-		t.Fatalf("steady-state Insert + CompactShadowed allocates %.0f times per cycle", a)
-	}
-	if lt.NumLevels() != 3 || lt.NumSegments() != 2*nseg {
-		t.Fatalf("steady state holds %d segments in %d levels, want %d in 3", lt.NumSegments(), lt.NumLevels(), 2*nseg)
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

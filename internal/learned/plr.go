@@ -160,9 +160,16 @@ const SegmentBytes = 16
 // sorted by X (no duplicate X), with error bound gamma and a maximum of
 // maxLen points per segment (LeaFTL caps a segment at 256 mappings). The
 // shrinking-cone construction anchors each segment at its first point and
-// narrows the feasible slope interval point by point.
+// narrows the feasible slope interval point by point. The segments come out
+// sorted by S without overlaps, each spanning at least one LPN: a run
+// LSMT.Insert merges into a level at once.
 func FitSegments(pts []Point, gamma int64, maxLen int) []Segment {
-	var out []Segment
+	return AppendFitSegments(nil, pts, gamma, maxLen)
+}
+
+// AppendFitSegments appends FitSegments' segments to out, so a caller with
+// room for them fits without allocating.
+func AppendFitSegments(out []Segment, pts []Point, gamma int64, maxLen int) []Segment {
 	i := 0
 	for i < len(pts) {
 		x0, y0 := pts[i].X, pts[i].Y

@@ -212,6 +212,34 @@ func TestFitSegmentsApproximateCompresses(t *testing.T) {
 	}
 }
 
+// TestAppendFitSegmentsZeroAlloc: LeaFTL fits every trained translation
+// page into one reused buffer, which must come back holding what FitSegments
+// returns and, once it has room, cost no allocation.
+func TestAppendFitSegmentsZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]Point, 512)
+	x, y := int64(0), int64(0)
+	for i := range pts {
+		x += 1 + int64(rng.Intn(2))
+		y += int64(rng.Intn(3))
+		pts[i] = Point{X: x, Y: y}
+	}
+	want := FitSegments(pts, 4, 256)
+	buf := make([]Segment, 0, len(want))
+	var got []Segment
+	if a := testing.AllocsPerRun(100, func() { got = AppendFitSegments(buf[:0], pts, 4, 256) }); a != 0 {
+		t.Fatalf("AppendFitSegments into a buffer with room allocates %.0f times", a)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d segments, FitSegments fits %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("segment %d = %+v, FitSegments fits %+v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestSegmentContains(t *testing.T) {
 	s := Segment{S: 10, L: 5}
 	for lpn, want := range map[int64]bool{9: false, 10: true, 14: true, 15: false} {
