@@ -2,6 +2,7 @@ package learnedftl
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -153,10 +154,18 @@ func (b Budget) openLoopKind() (sim.ArrivalKind, error) {
 // completion order. With Budget.Progress set, each completed cell reports
 // (done, total). Every experiment and TraceCapture runs through here, so
 // this is where a budget no cell can run under is rejected: every
-// closed-loop measurement divides its requests across b.Threads.
+// closed-loop measurement divides its requests across b.Threads, and an
+// offered rate or tenant share no arrival process can pace is an error,
+// not a garbage table.
 func runCells(b Budget, n int, cell func(i int) error) error {
 	if b.Threads < 1 {
 		return fmt.Errorf("learnedftl: budget threads %d < 1", b.Threads)
+	}
+	if !(b.OfferedIOPS >= 0) || math.IsInf(b.OfferedIOPS, 1) {
+		return fmt.Errorf("learnedftl: budget offered IOPS %v is not a finite rate >= 0", b.OfferedIOPS)
+	}
+	if math.IsNaN(b.ReadTenantShare) {
+		return fmt.Errorf("learnedftl: budget read-tenant share is NaN")
 	}
 	var done atomic.Int64
 	return sweep.Run(b.Workers, sweep.Tasks(n, func(i int) error {

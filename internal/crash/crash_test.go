@@ -1,6 +1,7 @@
 package crash
 
 import (
+	"maps"
 	"testing"
 
 	"learnedftl/internal/ftl"
@@ -230,5 +231,57 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	Verify(dev, o, map[int64]struct{}{lpn: {}}, &out)
 	if out.LostAcked != 0 {
 		t.Fatalf("exempt LPN still counted lost (%d)", out.LostAcked)
+	}
+}
+
+// TestInFlightAtCutIsTheIssuingRequest: the engine fetches a request the
+// moment it issues it, so when power dies the oracle's in-flight set holds
+// exactly the pages of the request being issued — nothing fetched ahead
+// for another source. Four sources write disjoint LPN ranges, driven as
+// closed-loop threads and as Poisson open-loop streams.
+func TestInFlightAtCutIsTheIssuingRequest(t *testing.T) {
+	const sources, pages, perSource = 4, 2, 300
+	cfg := testConfig()
+	span := cfg.LogicalPages() / sources
+	for _, open := range []bool{false, true} {
+		for _, at := range []int64{5, 97, 211, 503} {
+			f, err := ftl.NewIdeal(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := NewOracle()
+			var issuing sim.Request
+			gens := make([]sim.Generator, sources)
+			for i := range gens {
+				base, n := int64(i)*span, int64(0)
+				gens[i] = o.Tap(sim.GenFunc(func() (sim.Request, bool) {
+					if n == perSource {
+						return sim.Request{}, false
+					}
+					issuing = sim.Request{Write: true, LPN: base + n*pages%(span-pages+1), Pages: pages}
+					n++
+					return issuing, true
+				}))
+			}
+			run := func() { sim.RunAcked(f, gens, 0, o.Ack) }
+			if open {
+				streams := make([]sim.Stream, sources)
+				for i, g := range gens {
+					streams[i] = sim.Stream{Name: "w", Gen: g, Kind: sim.ArrivalPoisson, Rate: 2e4, Seed: int64(i)}
+				}
+				run = func() { sim.RunOpenWith(f, streams, sim.OpenOptions{AckSink: o.Ack}) }
+			}
+			out := inject(f, Plan{AtOp: at}, o, run)
+			if !out.Fired || !out.OK() {
+				t.Fatalf("open=%v cut at op %d: fired %v, lost acked %d, violations %v", open, at, out.Fired, out.LostAcked, out.Violations)
+			}
+			want := map[int64]int{}
+			for k := int64(0); k < pages; k++ {
+				want[issuing.LPN+k] = 1
+			}
+			if !maps.Equal(o.inflight, want) {
+				t.Fatalf("open=%v cut at op %d: in flight %v, want the issuing request's pages %v", open, at, o.inflight, want)
+			}
+		}
 	}
 }

@@ -83,12 +83,13 @@ func (o *Oracle) Indeterminate(lpn int64) bool { return o.inflight[lpn] > 0 }
 func (o *Oracle) AckedWrites() int64 { return o.writes }
 
 // Tap wraps a generator so every fetched request registers with the
-// oracle before the engine can issue it. The closed loop fetches each
-// request immediately before issuing; the open loop prefetches one per
-// stream — either way, whatever is fetched and unacked when power dies is
-// (a superset of) the in-flight work, and exempting a prefetched request
-// that never started only weakens the check for its LPNs, never produces
-// a false verdict.
+// oracle before the engine can issue it. The engine fetches a request the
+// moment its source comes up and issues it right after, closed loop and
+// open loop alike, so whatever is fetched and unacked when power dies is
+// the one request being issued. Only idle-gap background work runs
+// between the fetch and the issue: a cut there exempts a request that
+// never started, which weakens the check for its LPNs but never produces a
+// false verdict.
 func (o *Oracle) Tap(gen sim.Generator) sim.Generator {
 	return sim.GenFunc(func() (sim.Request, bool) {
 		req, ok := gen.Next()

@@ -1,19 +1,21 @@
-// Package sim is the event-driven host layer of the simulator. Two host
-// models share one event core (event.go):
+// Package sim is the event-driven host layer of the simulator: one engine
+// loop (run) drives request sources against a device, and each source
+// brings its own arrival policy.
 //
-//   - The closed-loop model (Run) reproduces FIO's psync engine, the way the
-//     paper drives FEMU: each logical thread keeps exactly one request
-//     outstanding, issuing the next one the moment the previous completes.
-//     Offered load is whatever the device sustains — the saturation view.
+//   - A closed-loop thread (Run) is a source of unbounded arrivals. It
+//     reproduces FIO's psync engine, the way the paper drives FEMU: each
+//     thread keeps exactly one request outstanding, issuing the next one the
+//     moment the previous completes. Offered load is whatever the device
+//     sustains — the saturation view.
 //
-//   - The open-loop model (RunOpen) reproduces what a rate-controlled
-//     service sees: requests arrive on their own schedule (Poisson or fixed
-//     interval, deterministic given a seed) whether or not the device is
-//     ready, queue when it falls behind, and decompose their latency into
-//     queue wait plus device service.
+//   - An open-loop stream (RunOpen) is a rated source: its requests arrive
+//     on their own schedule (Poisson or fixed interval, deterministic given
+//     a seed) whether or not the device is ready, queue when it falls
+//     behind, and decompose their latency into queue wait plus device
+//     service.
 //
-// In both models parallelism across sources emerges from per-chip
-// scheduling inside the flash array, and all scheduling is deterministic.
+// Parallelism across sources emerges from per-chip scheduling inside the
+// flash array, and all scheduling is deterministic.
 package sim
 
 import (
@@ -63,7 +65,7 @@ func (r Result) Makespan() nand.Time { return r.End - r.Start }
 // comparisons instead of the O(T) linear scan a naive implementation would
 // need.
 func Run(f ftl.FTL, gens []Generator, maxRequests int64) Result {
-	return runLoop(f, gens, maxRequests, true, nil)
+	return RunAcked(f, gens, maxRequests, nil)
 }
 
 // AckFunc receives every request the engine completed, with the completion
@@ -77,55 +79,111 @@ type AckFunc func(req Request, done nand.Time)
 // (the engine's deterministic execution order), after the FTL has fully
 // processed the request.
 func RunAcked(f ftl.FTL, gens []Generator, maxRequests int64, ack AckFunc) Result {
-	return runLoop(f, gens, maxRequests, true, ack)
+	return run(newFTLTarget(f), gens, nil, maxRequests, recordDevice, false, ack)
 }
 
-// runLoop is the engine body shared by Run and Warmed. record=false skips
-// the per-request latency records — invisible to a Warmed caller, whose
-// collector is reset right after, but it keeps the warm-up hot path off
-// the collector entirely.
+// Warmed runs a warm-up phase and then resets all metrics so a subsequent
+// measured Run starts from a steady-state device, mirroring the paper's
+// "write the SSD over ~6 times" warm-up (§IV-B). It returns the warm-up
+// phase's own result (virtual span, requests issued) — the collector's
+// view of it is gone after the reset.
+func Warmed(f ftl.FTL, warm []Generator, maxRequests int64) Result {
+	r := run(newFTLTarget(f), warm, nil, maxRequests, recordNone, false, nil)
+	f.Collector().Reset()
+	f.Flash().ResetCounters()
+	return r
+}
+
+// record is what the engine records per request; each entry point fixes it.
+type record int
+
+const (
+	recordNone   record = iota // Warmed: nothing, not even spans (warm-up is unattributed)
+	recordDevice               // Run: device service time, into the host buckets
+	recordQueued               // RunOpen: queue wait plus service, per stream
+)
+
+// run is the engine. Source i draws its requests from gens[i] and, when
+// clocks is set, its arrivals from clocks[i]. A closed loop passes no
+// clocks: each thread is a stream of unbounded arrivals, whose clock would
+// never move, so the loop skips the bookkeeping. Every source starts at the
+// target's drain time and comes up at max(its next arrival, its previous
+// completion): the loop then fetches its request, retires it if it is
+// exhausted, offers the idle gap before it to background work (bg, open
+// loop only), issues, records, acks and re-keys the source to its next
+// event. Requests are fetched on come-up, never ahead, so a request is
+// generated the moment it is issued.
 //
 // Every request is one min/advance pair on the scheduler: the source that
-// just ran is re-keyed to its completion time in place, so a source that
-// stays the earliest — always, for a single-generator warm-up — simply
-// comes up again. The (time, index) order of processed events is pinned
-// against the frozen linear reference in sched_test.go.
-func runLoop(f ftl.FTL, gens []Generator, maxRequests int64, record bool, ack AckFunc) Result {
-	start := f.Flash().MaxChipBusy()
-	sc := newSchedAt(len(gens), start)
-	col := f.Collector()
+// just ran is re-keyed in place, so a source that stays the earliest —
+// always, for a single-generator warm-up — simply comes up again. The
+// (time, index) order of processed events is pinned against the frozen
+// linear reference in sched_test.go.
+func run(t OpenTarget, gens []Generator, clocks []clock, maxRequests int64, rec record, bg bool, ack AckFunc) Result {
+	// A single device is issued to directly: through the adapter, every
+	// request would pay one more indirect call.
+	dev, _ := t.(ftlTarget)
+	start := t.Busy()
+	col := t.Collector()
 	tr := col.Tracer()
-	if !record {
-		// Warm-up phases are not attributed: spans belong to the measured
-		// phase only, like the latency records themselves.
+	if rec == recordNone {
 		tr = nil
 	}
+	sc := newSched(len(gens), start)
 	var issued int64
 	end := start
 	for sc.len() > 0 {
 		if maxRequests > 0 && issued >= maxRequests {
 			break
 		}
-		th, now := sc.min()
-		req, ok := gens[th].Next()
+		i, now := sc.min()
+		req, ok := gens[i].Next()
 		if !ok {
-			sc.retire() // thread exhausted
+			sc.retire()
 			continue
 		}
-		if tr != nil && !req.Trim {
-			tr.BeginReq(req.Write, now, 0)
+		// An unbounded source's request arrives the moment it is issued, so
+		// it never waits ("wait" would only measure run progress), and its
+		// next one is due at once.
+		wait, due := nand.Time(0), start
+		if clocks != nil {
+			if c := &clocks[i]; c.kind != ArrivalUnbounded {
+				wait = now - c.stamp(start)
+				due = c.due(start)
+			}
+			if bg {
+				// The target drains before the service start: offer the
+				// idle gap to its background work (GC, rebuild). Work it
+				// launches finishes inside the gap or spills into the
+				// request's service time through per-chip queueing — never
+				// onto its queue wait.
+				if busy := t.Busy(); busy < now {
+					t.BackgroundWork(busy, now)
+				}
+			}
 		}
-		done, pages := issue(f, req, now)
-		if record {
-			switch {
-			case req.Trim:
-				// The FTL's TrimPages already counted the trim; a
-				// metadata op joins no latency population.
-			case req.Write:
+		if tr != nil && !req.Trim {
+			tr.BeginReq(req.Write, now, wait)
+		}
+		var done nand.Time
+		var pages int
+		if dev.f != nil {
+			done, pages = issue(dev.f, req, now)
+		} else {
+			done, pages = t.Issue(req, now)
+		}
+		switch {
+		case req.Trim:
+			// The FTL's TrimPages already counted the trim; a metadata op
+			// joins no latency population.
+		case rec == recordDevice:
+			if req.Write {
 				col.RecordWrite(done-now, pages)
-			default:
+			} else {
 				col.RecordRead(done-now, pages)
 			}
+		case rec == recordQueued:
+			col.RecordQueued(i, req.Write, wait, done-now, pages)
 		}
 		if tr != nil && !req.Trim {
 			tr.EndReq(done)
@@ -137,19 +195,7 @@ func runLoop(f ftl.FTL, gens []Generator, maxRequests int64, record bool, ack Ac
 			end = done
 		}
 		issued++
-		sc.advance(done)
+		sc.advance(max(done, due))
 	}
 	return Result{Start: start, End: end, Requests: issued}
-}
-
-// Warmed runs a warm-up phase and then resets all metrics so a subsequent
-// measured Run starts from a steady-state device, mirroring the paper's
-// "write the SSD over ~6 times" warm-up (§IV-B). It returns the warm-up
-// phase's own result (virtual span, requests issued) — the collector's
-// view of it is gone after the reset.
-func Warmed(f ftl.FTL, warm []Generator, maxRequests int64) Result {
-	r := runLoop(f, warm, maxRequests, false, nil)
-	f.Collector().Reset()
-	f.Flash().ResetCounters()
-	return r
 }

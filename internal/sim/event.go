@@ -8,14 +8,12 @@ import (
 	"learnedftl/internal/nand"
 )
 
-// This file is the shared event core of the host models. The closed-loop
-// engine (engine.go) and the open-loop engine (openloop.go) drive the
-// device the same way: a tournament tree (sched) orders request sources by
-// their next event time, and issue() executes one request against the FTL
-// at a virtual timestamp. Only the definition of "next event time" differs
-// — completion of the previous request for a closed-loop thread, the later
-// of arrival and completion for an open-loop stream — so the host models
-// stay thin policies over this core.
+// This file is the event core under the engine loop (run, engine.go): a
+// tournament tree (sched) orders request sources by their next event time,
+// and issue() executes one request against an FTL at a virtual timestamp.
+// A source's next event is the later of its next arrival and its previous
+// completion; a closed-loop thread's arrivals are unbounded, so its next
+// event is simply its previous completion.
 
 // issue executes one host request against f at virtual time now and returns
 // the completion time plus the normalized page count. The completion is
@@ -72,15 +70,15 @@ func (n schedNode) before(m schedNode) bool {
 	return n.key < m.key || (n.key == m.key && n.src < m.src)
 }
 
-// sched orders request sources (closed-loop threads or open-loop streams)
-// by (event time, source index). The secondary index ordering gives every
-// host model its deterministic tie-break: among sources eventing at the
-// same virtual time, the lowest-indexed one goes first.
+// sched orders request sources (closed-loop threads and open-loop streams)
+// by (event time, source index). The secondary index ordering is the
+// engine's deterministic tie-break: among sources eventing at the same
+// virtual time, the lowest-indexed one goes first.
 //
 // It is a loser tree of fixed shape. The sources are the leaves, padded
 // with never-eventing ones to a power of two; node[i], i >= 1, holds the
 // loser of the match played at internal node i, and node[0] the overall
-// winner. The engines only ever re-key the source they just ran, and
+// winner. The engine only ever re-keys the source it just ran, and
 // re-keying the winner replays exactly the matches on its leaf-to-root
 // path — log2(leaves) comparisons against the stored losers, one node
 // each. A single source has no internal node, so a one-generator warm-up
@@ -90,22 +88,20 @@ type sched struct {
 	live int // sources that have not retired
 }
 
-// newSched returns a scheduler over len(at) sources, source i eventing at
-// at[i]; a source whose time is never starts out retired.
-func newSched(at []nand.Time) *sched {
+// newSched returns a scheduler over n sources, all eventing at t.
+func newSched(n int, t nand.Time) *sched {
 	leaves := 1
-	for leaves < len(at) {
+	for leaves < n {
 		leaves *= 2
 	}
-	s := &sched{node: make([]schedNode, leaves)}
+	s := &sched{node: make([]schedNode, leaves), live: n}
 	// Play the tournament bottom-up: win[i] is the winner of the subtree
 	// under node i, the leaves sitting at win[leaves:].
 	win := make([]schedNode, 2*leaves)
 	for i := 0; i < leaves; i++ {
 		win[leaves+i] = schedNode{key: timeKey(never), src: uint32(i)}
-		if i < len(at) && at[i] != never {
-			win[leaves+i].key = timeKey(at[i])
-			s.live++
+		if i < n {
+			win[leaves+i].key = timeKey(t)
 		}
 	}
 	for i := leaves - 1; i >= 1; i-- {
@@ -117,15 +113,6 @@ func newSched(at []nand.Time) *sched {
 	}
 	s.node[0] = win[1]
 	return s
-}
-
-// newSchedAt returns a scheduler over n sources all eventing at t.
-func newSchedAt(n int, t nand.Time) *sched {
-	at := make([]nand.Time, n)
-	for i := range at {
-		at[i] = t
-	}
-	return newSched(at)
 }
 
 // len returns the number of sources still scheduled.

@@ -69,24 +69,20 @@ type Stream struct {
 	// Kind selects the arrival process.
 	Kind ArrivalKind
 	// Rate is the offered arrival rate in requests per virtual second.
-	// Ignored for ArrivalUnbounded; a Rate <= 0 degrades any kind to
-	// unbounded arrivals.
+	// Ignored for ArrivalUnbounded; a Rate that is not positive (NaN
+	// included) degrades any kind to unbounded arrivals.
 	Rate float64
 	// Seed seeds the Poisson interarrival RNG.
 	Seed int64
 }
 
-// olStream is the engine-side state of one open-loop stream.
-type olStream struct {
-	gen    Generator
+// clock is the arrival process of one open-loop stream: when each of its
+// requests arrives, independent of what the request is.
+type clock struct {
 	kind   ArrivalKind
-	meanNS float64 // mean interarrival gap in virtual ns
-
-	start   nand.Time
-	clockNS float64   // arrival offset of the fetched request, ns since start
-	arrival nand.Time // arrival time of the fetched request
-	req     Request   // fetched but not yet issued request
-	ready   nand.Time // completion time of the stream's previous request
+	meanNS float64   // mean interarrival gap in virtual ns
+	nextNS float64   // arrival offset of the next request, ns since start
+	next   nand.Time // nextNS rounded
 
 	// Poisson: the stream's own RNG and the unit-mean gaps drawn from it a
 	// batch at a time; the last gapLeft of gaps are still unused.
@@ -95,46 +91,47 @@ type olStream struct {
 	gaps    [64]float64
 }
 
-// newOLStream builds the engine-side state of s for a run starting at
-// start. A Rate <= 0 degrades any kind to unbounded arrivals.
-func newOLStream(s Stream, start nand.Time) *olStream {
-	st := &olStream{gen: s.Gen, kind: s.Kind, start: start, ready: start}
-	if s.Rate <= 0 {
-		st.kind = ArrivalUnbounded
+// newClock builds the arrival process of s. A Rate that is not positive
+// (NaN included) degrades any kind to unbounded arrivals.
+func newClock(s Stream) clock {
+	c := clock{kind: s.Kind}
+	if !(s.Rate > 0) {
+		c.kind = ArrivalUnbounded
 	}
-	switch st.kind {
+	switch c.kind {
 	case ArrivalFixed:
-		st.meanNS = float64(nand.Second) / s.Rate
+		c.meanNS = float64(nand.Second) / s.Rate
 	case ArrivalPoisson:
-		st.meanNS = float64(nand.Second) / s.Rate
-		st.rng = rand.New(rand.NewSource(s.Seed))
+		c.meanNS = float64(nand.Second) / s.Rate
+		c.rng = rand.New(rand.NewSource(s.Seed))
 	}
-	return st
+	return c
 }
 
-// fetch pulls the stream's next request and stamps its arrival time.
-// It returns false when the generator is exhausted.
-func (s *olStream) fetch() bool {
-	req, ok := s.gen.Next()
-	if !ok {
-		return false
-	}
-	s.req = req
-	s.arrival = s.start + nand.Time(math.Round(s.clockNS))
-	switch s.kind {
+// due returns the arrival time of the stream's next request in a run
+// starting at start.
+func (c *clock) due(start nand.Time) nand.Time { return start + c.next }
+
+// stamp returns the arrival time of the request just fetched and moves on
+// by one interarrival gap: the next request's arrival is due without
+// fetching it.
+func (c *clock) stamp(start nand.Time) nand.Time {
+	at := c.due(start)
+	switch c.kind {
 	case ArrivalFixed:
-		s.clockNS += s.meanNS
+		c.nextNS += c.meanNS
 	case ArrivalPoisson:
-		if s.gapLeft == 0 {
-			for i := range s.gaps {
-				s.gaps[i] = s.rng.ExpFloat64()
+		if c.gapLeft == 0 {
+			for i := range c.gaps {
+				c.gaps[i] = c.rng.ExpFloat64()
 			}
-			s.gapLeft = len(s.gaps)
+			c.gapLeft = len(c.gaps)
 		}
-		s.clockNS += s.gaps[len(s.gaps)-s.gapLeft] * s.meanNS
-		s.gapLeft--
+		c.nextNS += c.gaps[len(c.gaps)-c.gapLeft] * c.meanNS
+		c.gapLeft--
 	}
-	return true
+	c.next = nand.Time(math.Round(c.nextNS))
+	return at
 }
 
 // OpenOptions tune an open-loop run beyond the stream definitions.
@@ -173,9 +170,7 @@ type OpenOptions struct {
 // Scheduling is deterministic: the shared scheduler issues the stream
 // with the earliest service-start time first, lowest stream index winning
 // ties, and all arrival processes are seeded. With every stream unbounded
-// RunOpen degenerates to the closed-loop Run over the same generators:
-// identical issue order, identical flash schedule, identical service
-// times.
+// RunOpen schedules exactly as Run over the same generators.
 func RunOpen(f ftl.FTL, streams []Stream, maxRequests int64) Result {
 	return RunOpenWith(f, streams, OpenOptions{MaxRequests: maxRequests})
 }
@@ -185,10 +180,10 @@ func RunOpenWith(f ftl.FTL, streams []Stream, opt OpenOptions) Result {
 	return RunOpenTarget(newFTLTarget(f), streams, opt)
 }
 
-// OpenTarget is what the open-loop host model drives: a single FTL device
-// (the ftlTarget adapter) or a multi-device array (internal/fleet.Array).
-// The engine owns arrivals, per-stream FIFO queueing and latency recording;
-// the target owns request execution and idle-gap background work.
+// OpenTarget is what the engine drives: a single FTL device (the ftlTarget
+// adapter) or a multi-device array (internal/fleet.Array). The engine owns
+// arrivals, per-source FIFO queueing and latency recording; the target owns
+// request execution and idle-gap background work.
 type OpenTarget interface {
 	// Issue executes one host request at virtual time now and returns the
 	// completion time plus the normalized page count. Implementations must
@@ -206,10 +201,10 @@ type OpenTarget interface {
 	BackgroundWork(start, deadline nand.Time)
 }
 
-// ftlTarget adapts a single ftl.FTL to the OpenTarget shape. Its Issue is
-// exactly the shared issue() path, so RunOpenWith over the adapter is
-// byte-identical to the pre-refactor single-device loop. bg is f's
-// background collector, nil when it has none, asserted once per run.
+// ftlTarget adapts a single ftl.FTL to the OpenTarget shape: Run, Warmed
+// and RunOpenWith all drive a device through it. Its Issue is exactly the
+// shared issue() path. bg is f's background collector, nil when it has
+// none, asserted once per run.
 type ftlTarget struct {
 	f  ftl.FTL
 	bg ftl.BackgroundCollector
@@ -220,11 +215,9 @@ func newFTLTarget(f ftl.FTL) ftlTarget {
 	return ftlTarget{f, bg}
 }
 
-func (t ftlTarget) Issue(req Request, now nand.Time) (nand.Time, int) {
-	return issue(t.f, req, now)
-}
-func (t ftlTarget) Busy() nand.Time             { return t.f.Flash().MaxChipBusy() }
-func (t ftlTarget) Collector() *stats.Collector { return t.f.Collector() }
+func (t ftlTarget) Issue(req Request, now nand.Time) (nand.Time, int) { return issue(t.f, req, now) }
+func (t ftlTarget) Busy() nand.Time                                   { return t.f.Flash().MaxChipBusy() }
+func (t ftlTarget) Collector() *stats.Collector                       { return t.f.Collector() }
 func (t ftlTarget) BackgroundWork(s, d nand.Time) {
 	if t.bg != nil {
 		t.bg.BackgroundGC(s, d)
@@ -238,89 +231,12 @@ func (t ftlTarget) BackgroundWork(s, d nand.Time) {
 // OpenOptions.BackgroundGC set, the target's BackgroundWork is offered
 // every device-idle gap.
 func RunOpenTarget(t OpenTarget, streams []Stream, opt OpenOptions) Result {
-	return runOpenLoop(t, streams, opt.MaxRequests, opt.BackgroundGC, opt.AckSink)
-}
-
-// runOpenLoop is the shared open-loop engine body (see RunOpen for the
-// semantics). With bg set, the target's BackgroundWork is offered the idle
-// gap before each service start that its drain time precedes.
-func runOpenLoop(t OpenTarget, streams []Stream, maxRequests int64, bg bool, ack AckFunc) Result {
-	start := t.Busy()
-	col := t.Collector()
 	names := make([]string, len(streams))
+	gens := make([]Generator, len(streams))
+	clocks := make([]clock, len(streams))
 	for i, s := range streams {
-		names[i] = s.Name
+		names[i], gens[i], clocks[i] = s.Name, s.Gen, newClock(s)
 	}
-	col.DefineStreams(names)
-
-	states := make([]*olStream, len(streams))
-	first := make([]nand.Time, len(streams)) // service start of each stream's first request
-	for i, s := range streams {
-		st := newOLStream(s, start)
-		states[i] = st
-		first[i] = never
-		if st.fetch() {
-			first[i] = max(st.arrival, st.ready)
-		}
-	}
-	sc := newSched(first)
-
-	tr := col.Tracer()
-	var issued int64
-	end := start
-	for sc.len() > 0 {
-		if maxRequests > 0 && issued >= maxRequests {
-			break
-		}
-		i, now := sc.min()
-		st := states[i]
-		if bg {
-			// The target drains before the next service start: offer the
-			// idle gap to its background work source (GC, rebuild). Work it
-			// launches finishes inside the gap or spills into the request's
-			// service time through per-chip queueing — never onto its queue
-			// wait.
-			if busy := t.Busy(); busy < now {
-				t.BackgroundWork(busy, now)
-			}
-		}
-		wait := now - st.arrival
-		if st.kind == ArrivalUnbounded {
-			// Unbounded streams have no arrival schedule — every request
-			// is nominally available at run start, so "wait" would only
-			// measure run progress, and a mixed unbounded+rated run would
-			// report a meaningless ~100% wait share for the unbounded
-			// tenant. They are excluded from queue-wait accounting: their
-			// latency is pure device service, as in the closed loop they
-			// schedule identically to.
-			wait = 0
-		}
-		if tr != nil && !st.req.Trim {
-			tr.BeginReq(st.req.Write, now, wait)
-		}
-		done, pages := t.Issue(st.req, now)
-		if st.req.Trim {
-			// TrimPages counted the trim inside the FTL; metadata ops
-			// join no latency population.
-		} else {
-			col.RecordQueued(i, st.req.Write, wait, done-now, pages)
-			if tr != nil {
-				tr.EndReq(done)
-			}
-		}
-		if ack != nil {
-			ack(st.req, done)
-		}
-		st.ready = done
-		if done > end {
-			end = done
-		}
-		issued++
-		if st.fetch() {
-			sc.advance(max(st.arrival, st.ready))
-		} else {
-			sc.retire()
-		}
-	}
-	return Result{Start: start, End: end, Requests: issued}
+	t.Collector().DefineStreams(names)
+	return run(t, gens, clocks, opt.MaxRequests, recordQueued, opt.BackgroundGC, opt.AckSink)
 }

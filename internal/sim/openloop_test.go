@@ -11,10 +11,12 @@ import (
 )
 
 // TestArrivalsMatchPerFetchDraws pins each arrival process's instants: a
-// Poisson stream's, drawn a batch ahead, equal one ExpFloat64 per fetch
-// from rand.NewSource(Seed) accumulated in float64; a fixed stream's are
-// start + round(k/Rate); an unbounded stream's, and a rated stream's of
-// Rate 0, are all the start.
+// Poisson clock's, drawn a batch ahead, equal one ExpFloat64 per stamped
+// request from rand.NewSource(Seed) accumulated in float64; a fixed
+// clock's are start + round(k/Rate); an unbounded clock's, and a rated
+// stream's of Rate 0 or NaN, are all the start. Before each stamp the
+// request's arrival is already due: the engine re-keys a source to it
+// without fetching the request.
 func TestArrivalsMatchPerFetchDraws(t *testing.T) {
 	const n, start = 300, nand.Time(12_345)
 	for _, s := range []Stream{
@@ -24,15 +26,12 @@ func TestArrivalsMatchPerFetchDraws(t *testing.T) {
 		{Kind: ArrivalFixed, Rate: 30_000},
 		{Kind: ArrivalUnbounded},
 		{Kind: ArrivalPoisson},
+		{Kind: ArrivalFixed, Rate: math.NaN()},
 	} {
-		s.Gen = seqGen(0, n, false)
-		st := newOLStream(s, start)
+		c := newClock(s)
 		rng := rand.New(rand.NewSource(s.Seed))
 		var clock float64
 		for i := 0; i < n; i++ {
-			if !st.fetch() {
-				t.Fatalf("%v stream ended after %d of %d requests", s.Kind, i, n)
-			}
 			want := start
 			if s.Rate > 0 {
 				want += nand.Time(math.Round(clock))
@@ -43,12 +42,12 @@ func TestArrivalsMatchPerFetchDraws(t *testing.T) {
 					clock += rng.ExpFloat64() * (float64(nand.Second) / s.Rate)
 				}
 			}
-			if st.arrival != want || st.req.LPN != int64(i) {
-				t.Fatalf("%v rate %g: arrival %d at %d (LPN %d), want %d", s.Kind, s.Rate, i, st.arrival, st.req.LPN, want)
+			if due := c.due(start); due != want {
+				t.Fatalf("%v rate %g: arrival %d due at %d, want %d", s.Kind, s.Rate, i, due, want)
 			}
-		}
-		if st.fetch() {
-			t.Fatalf("%v stream outlived its generator", s.Kind)
+			if at := c.stamp(start); at != want {
+				t.Fatalf("%v rate %g: arrival %d stamped %d, want %d", s.Kind, s.Rate, i, at, want)
+			}
 		}
 	}
 }
@@ -56,14 +55,14 @@ func TestArrivalsMatchPerFetchDraws(t *testing.T) {
 // TestPoissonFetchZeroAlloc: stamping Poisson arrivals, gap refills
 // included, allocates nothing.
 func TestPoissonFetchZeroAlloc(t *testing.T) {
-	st := newOLStream(Stream{Gen: seqGen(0, 1<<30, false), Kind: ArrivalPoisson, Rate: 1e4, Seed: 1}, 0)
+	c := newClock(Stream{Kind: ArrivalPoisson, Rate: 1e4, Seed: 1})
 	allocs := testing.AllocsPerRun(5, func() {
-		for range 4 * len(st.gaps) { // four refills
-			st.fetch()
+		for range 4 * len(c.gaps) { // four refills
+			c.stamp(0)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%.1f allocations per %d fetches, want 0", allocs, 4*len(st.gaps))
+		t.Fatalf("%.1f allocations per %d stamps, want 0", allocs, 4*len(c.gaps))
 	}
 }
 
@@ -359,17 +358,27 @@ func TestUnboundedStreamsExcludedFromWaitAccounting(t *testing.T) {
 	}
 }
 
-// TestRateZeroStreamDegradesToUnboundedAccounting: Rate <= 0 degrades any
-// arrival kind to unbounded, and the wait exclusion must follow the
-// degraded kind, not the declared one.
+// TestRateZeroStreamDegradesToUnboundedAccounting: a Rate that is not
+// positive — 0, negative or NaN — degrades any arrival kind to unbounded,
+// and the wait exclusion must follow the degraded kind, not the declared
+// one. A NaN rate used to pass a Rate <= 0 test and record a mean queue
+// wait of about -1.8e17 ns.
 func TestRateZeroStreamDegradesToUnboundedAccounting(t *testing.T) {
-	f, _ := ftl.NewIdeal(testConfig())
-	Run(f, []Generator{seqGen(0, 64, true)}, 0)
-	f.Collector().Reset()
-	RunOpen(f, []Stream{
-		{Name: "z", Gen: seqGen(0, 50, false), Kind: ArrivalPoisson, Rate: 0},
-	}, 0)
-	if w := f.Collector().QueueWaitShare(); w != 0 {
-		t.Fatalf("rate-0 stream accumulated wait share %.3f, want 0", w)
+	for _, rate := range []float64{0, -5, math.NaN()} {
+		for _, kind := range []ArrivalKind{ArrivalPoisson, ArrivalFixed} {
+			f, _ := ftl.NewIdeal(testConfig())
+			Run(f, []Generator{seqGen(0, 64, true)}, 0)
+			f.Collector().Reset()
+			RunOpen(f, []Stream{
+				{Name: "z", Gen: seqGen(0, 50, false), Kind: kind, Rate: rate},
+			}, 0)
+			col := f.Collector()
+			if w, mw := col.QueueWaitShare(), col.MeanQueueWait(); w != 0 || mw != 0 {
+				t.Fatalf("%v rate %g: wait share %.3f, mean wait %d, want 0", kind, rate, w, mw)
+			}
+			if col.HostReads != 50 {
+				t.Fatalf("%v rate %g: %d reads, want 50", kind, rate, col.HostReads)
+			}
+		}
 	}
 }

@@ -168,7 +168,7 @@ func TestSchedMatchesLinearWithCap(t *testing.T) {
 
 // TestSchedOrdering unit-tests the scheduler's (time, index) ordering.
 func TestSchedOrdering(t *testing.T) {
-	sc := newSchedAt(4, 100)
+	sc := newSched(4, 100)
 	// All equal: sources must come up in index order.
 	for want := 0; want < 4; want++ {
 		th, at := sc.min()
@@ -233,10 +233,9 @@ func (l *linearSched) runnerUp() (nand.Time, bool) {
 // the same randomized advance/retire sequence. Keys move in small steps so
 // equal times are common; every fourth advance lands exactly on the
 // runner-up's key (the source must then yield iff its index is higher);
-// sources retire mid-run; and in the "joining" runs — the open loop's
-// construction — each source starts at its own time or not at all. The
-// non-power-of-two counts put never-eventing padding leaves beside live
-// ones.
+// sources retire mid-run; and in the "joining" runs each source is first
+// moved to its own time or retired. The non-power-of-two counts put
+// never-eventing padding leaves beside live ones.
 func TestSchedMatchesLinearScan(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 32, 257} {
 		for _, joining := range []bool{false, true} {
@@ -249,18 +248,22 @@ func TestSchedMatchesLinearScan(t *testing.T) {
 					ref.alive[i] = rng.Intn(5) != 0
 				}
 			}
-			var sc *sched
+			start := nand.Time(1000)
 			if joining {
-				first := make([]nand.Time, n)
-				for i := range first {
-					first[i] = never
+				start = 0 // below every joining time: sources come up in index order
+			}
+			sc := newSched(n, start)
+			if joining {
+				for i := range ref.at {
+					if w, _ := sc.min(); w != i {
+						t.Fatalf("n=%d: source %d came up while joining %d", n, w, i)
+					}
 					if ref.alive[i] {
-						first[i] = ref.at[i]
+						sc.advance(ref.at[i])
+					} else {
+						sc.retire()
 					}
 				}
-				sc = newSched(first)
-			} else {
-				sc = newSchedAt(n, 1000)
 			}
 			for step := 0; ref.len() > 0; step++ {
 				if sc.len() != ref.len() {
@@ -294,7 +297,7 @@ func TestSchedMatchesLinearScan(t *testing.T) {
 // key is never. A live source one tick short of never still comes first,
 // and ties between live sources at that key still break by index.
 func TestSchedPaddingLosesTies(t *testing.T) {
-	sc := newSchedAt(3, 5)
+	sc := newSched(3, 5)
 	for i := 0; i < 3; i++ {
 		sc.advance(never - 1)
 	}
@@ -312,7 +315,7 @@ func TestSchedPaddingLosesTies(t *testing.T) {
 // TestSchedAdvanceZeroAlloc pins the per-event scheduling cost at no
 // allocation.
 func TestSchedAdvanceZeroAlloc(t *testing.T) {
-	sc := newSchedAt(257, 0)
+	sc := newSched(257, 0)
 	at := nand.Time(0)
 	if a := testing.AllocsPerRun(1000, func() {
 		at += 3
@@ -329,7 +332,7 @@ func TestSchedAdvanceZeroAlloc(t *testing.T) {
 func BenchmarkSchedAdvance(b *testing.B) {
 	for _, n := range []int{1, 32, 257} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			sc := newSchedAt(n, 0)
+			sc := newSched(n, 0)
 			rng := rand.New(rand.NewSource(1))
 			steps := make([]nand.Time, 1024)
 			for i := range steps {

@@ -1,6 +1,7 @@
 package learnedftl
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -146,6 +147,19 @@ func TestOpenLoopBudgetValidation(t *testing.T) {
 	b.ReadTenantShare = 1.5
 	if _, err := RunExperiments([]string{"tenantmix"}, TinyConfig(), b); err == nil {
 		t.Fatal("out-of-range tenant share accepted")
+	}
+	b.ReadTenantShare = math.NaN()
+	if _, err := RunExperiments([]string{"tenantmix"}, TinyConfig(), b); err == nil {
+		t.Fatal("NaN tenant share accepted")
+	}
+	// A non-finite or negative offered rate used to reach the engine: a NaN
+	// printed a p99 of about -9.2e15 µs for every scheme.
+	b.ReadTenantShare = 0
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		b.OfferedIOPS = rate
+		if _, err := RunExperiments([]string{"loadsweep"}, TinyConfig(), b); err == nil {
+			t.Fatalf("offered IOPS %v accepted", rate)
+		}
 	}
 }
 
