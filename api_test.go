@@ -1,6 +1,8 @@
 package learnedftl
 
 import (
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -152,6 +154,25 @@ func TestExperimentRegistry(t *testing.T) {
 		if e.Desc == "" {
 			t.Fatalf("experiment %q missing description", e.ID)
 		}
+	}
+}
+
+// TestReadmeListsEveryExperiment: README's "Experiment ids" list names
+// every registered experiment, once, and nothing else.
+func TestReadmeListsEveryExperiment(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(readme), "Experiment ids: `")
+	list, _, ok2 := strings.Cut(list, "`")
+	if !ok || !ok2 {
+		t.Fatal("README has no \"Experiment ids: `...`\" list")
+	}
+	ids := strings.Fields(list)
+	slices.Sort(ids)
+	if want := ExperimentIDs(); !slices.Equal(ids, want) {
+		t.Fatalf("README lists %v\nregistry has  %v", ids, want)
 	}
 }
 

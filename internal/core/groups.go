@@ -322,9 +322,7 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 			panic(fmt.Sprintf("core: GC left row %d unerasable", row))
 		}
 	}
-	f.Col.RecordGC(now, moved, t-now)
-	cnt := f.Fl.Counters()
-	f.Col.RecordWASample(t, cnt.TotalPrograms())
+	f.Col.RecordGC(moved, t-now)
 	if tr != nil {
 		tr.ExitGC(t)
 	}

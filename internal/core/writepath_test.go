@@ -20,15 +20,6 @@ func TestSteadyStateWritesZeroAlloc(t *testing.T) {
 	now := fill(f, 0)
 	lp := f.LogicalPages()
 	rng := rand.New(rand.NewSource(1))
-	// The collector's per-collection logs belong to the stats layer, not
-	// the FTL: give the timestamp log room for every collection below, and
-	// fill the WA series until it first thins itself, after which it stays
-	// in place.
-	f.Col.GCTimestamps = make([]nand.Time, 0, 1<<16)
-	for n := 0; len(f.Col.WAOverTime()) >= n; {
-		n = len(f.Col.WAOverTime())
-		f.Col.RecordWASample(now, 0)
-	}
 
 	const writes = 50_000
 	thr := f.encroachThreshold()

@@ -409,17 +409,15 @@ func (c *Controller) collect(victim int, now nand.Time, mode collectMode) (nand.
 	switch mode {
 	case modeScrub:
 		c.stats.Scrubbed++
-		c.col.RecordScrub(len(pages), t-now)
+		c.col.RecordScrub(len(pages))
 	case modeBackground:
 		c.stats.Background++
 		c.col.RecordBGGC()
-		c.col.RecordGC(now, len(pages), t-now)
+		c.col.RecordGC(len(pages), t-now)
 	default:
 		c.stats.Foreground++
-		c.col.RecordGC(now, len(pages), t-now)
+		c.col.RecordGC(len(pages), t-now)
 	}
-	cnt := c.fl.Counters()
-	c.col.RecordWASample(t, cnt.TotalPrograms())
 	if tr != nil {
 		tr.ExitGC(t)
 	}
@@ -440,11 +438,9 @@ func (c *Controller) abort(victim, total, relocated int, moved []int64,
 	c.movedBuf = moved[:0]
 	c.stats.PagesMoved += int64(relocated)
 	if mode == modeScrub {
-		c.col.RecordScrub(relocated, t-now)
+		c.col.RecordScrub(relocated)
 	} else {
-		c.col.RecordGC(now, relocated, t-now)
+		c.col.RecordGC(relocated, t-now)
 	}
-	cnt := c.fl.Counters()
-	c.col.RecordWASample(t, cnt.TotalPrograms())
 	return t
 }

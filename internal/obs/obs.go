@@ -1,18 +1,19 @@
 // Package obs is the simulator's observability layer: per-request latency
-// attribution (spans decomposed into phases), a bounded virtual-time trace
-// exporter (Chrome trace-event JSON, trace.go) and a sampled metrics
-// registry (registry.go).
+// attribution (spans decomposed into phases) and a bounded virtual-time
+// trace exporter (Chrome trace-event JSON, trace.go).
 //
 // The layer follows the internal/fault precedent: everything is opt-in via
 // an attached *Tracer, and with no tracer attached every hook in the
 // engines, the FTLs and the flash array is a nil check — golden tables stay
 // byte-identical and the hot paths allocation-free. Memory is O(1) in run
-// length: per-phase log-bucket histograms, a bounded top-K tail set, a ring
-// buffer for trace events and stride-doubled metric series.
+// length: per-phase sums, a log-bucket histogram of span totals, a bounded
+// top-K tail set and a ring buffer for trace events.
 package obs
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"learnedftl/internal/nand"
 )
@@ -217,9 +218,8 @@ func (b Breakdown) TailCause() (Phase, float64) {
 // sees concurrency.
 //
 // A Tracer also implements nand.OpObserver: attached to the flash array it
-// receives every flash operation, which feeds the trace exporter, the
-// translation/retry/scrub-wait attribution and the registry's virtual-time
-// ticker.
+// receives every flash operation, which feeds the trace exporter and the
+// translation/retry/scrub-wait attribution.
 type Tracer struct {
 	active bool
 	cur    SpanRecord
@@ -235,7 +235,6 @@ type Tracer struct {
 	totalSum      nand.Time
 	phaseSum      [NumPhases]nand.Time
 	totalHist     Histogram
-	phaseHist     [NumPhases]Histogram
 
 	// topK is a min-heap on Total of the largest spans seen.
 	topK []SpanRecord
@@ -245,11 +244,10 @@ type Tracer struct {
 	chipScrub []bool
 
 	trace *Trace
-	reg   *Registry
 }
 
-// NewTracer returns an aggregation-only tracer; call EnableTrace and
-// SetRegistry to add the trace exporter and the metrics ticker.
+// NewTracer returns an aggregation-only tracer; call EnableTrace to add the
+// trace exporter.
 func NewTracer() *Tracer {
 	return &Tracer{topK: make([]SpanRecord, 0, topKCap)}
 }
@@ -260,13 +258,6 @@ func (t *Tracer) EnableTrace(capEvents int) { t.trace = NewTrace(capEvents) }
 
 // Trace returns the attached trace exporter (nil when disabled).
 func (t *Tracer) Trace() *Trace { return t.trace }
-
-// SetRegistry attaches a metrics registry ticked on the tracer's
-// virtual-time feed (request completions and flash op completions).
-func (t *Tracer) SetRegistry(r *Registry) { t.reg = r }
-
-// Registry returns the attached metrics registry (nil when disabled).
-func (t *Tracer) Registry() *Registry { return t.reg }
 
 // BeginReq opens the span of one host request at service-start time now
 // with queue wait (0 for closed-loop runs).
@@ -294,9 +285,6 @@ func (t *Tracer) EndReq(done nand.Time) {
 	}
 	t.active = false
 	t.finish(t.cur, done-t.start+t.cur.Phases[PhaseQueue])
-	if t.reg != nil {
-		t.reg.Tick(done)
-	}
 }
 
 // finish folds one completed span into the aggregates.
@@ -334,9 +322,6 @@ func (t *Tracer) finish(s SpanRecord, total nand.Time) {
 	t.totalHist.Add(int64(total))
 	for p := Phase(0); p < NumPhases; p++ {
 		t.phaseSum[p] += s.Phases[p]
-		if s.Phases[p] > 0 {
-			t.phaseHist[p].Add(int64(s.Phases[p]))
-		}
 	}
 	t.pushTop(s)
 }
@@ -414,9 +399,6 @@ func (t *Tracer) ExitGC(done nand.Time) {
 			t.trace.add(t.gcStart, d, trackGC, evGC)
 		}
 	}
-	if t.reg != nil {
-		t.reg.Tick(done)
-	}
 }
 
 // InGC reports whether a GC window is open (per-op attribution inside a
@@ -424,8 +406,8 @@ func (t *Tracer) ExitGC(done nand.Time) {
 func (t *Tracer) InGC() bool { return t.gcDepth > 0 }
 
 // ObserveOp implements nand.OpObserver: every flash operation feeds the
-// chip tracks of the trace, the per-span translation / retry / scrub-wait
-// attribution and the registry ticker.
+// chip tracks of the trace and the per-span translation / retry /
+// scrub-wait attribution.
 func (t *Tracer) ObserveOp(op nand.FlashOp) {
 	inGC := t.gcDepth > 0
 	if t.trace != nil {
@@ -459,9 +441,6 @@ func (t *Tracer) ObserveOp(op nand.FlashOp) {
 		}
 		t.chipScrub[op.Chip] = scrub
 	}
-	if t.reg != nil {
-		t.reg.Tick(op.Done)
-	}
 }
 
 // Requests returns the number of completed spans.
@@ -469,12 +448,6 @@ func (t *Tracer) Requests() int64 { return t.reads + t.writes }
 
 // PhaseSum returns the accumulated time in phase p over all spans.
 func (t *Tracer) PhaseSum(p Phase) nand.Time { return t.phaseSum[p] }
-
-// TotalHist returns the histogram of span totals.
-func (t *Tracer) TotalHist() *Histogram { return &t.totalHist }
-
-// PhaseHist returns the histogram of non-zero per-span times in phase p.
-func (t *Tracer) PhaseHist(p Phase) *Histogram { return &t.phaseHist[p] }
 
 // Breakdown freezes the aggregates, deriving the P99.9 tail decomposition
 // from the top-K set.
@@ -497,13 +470,10 @@ func (t *Tracer) Breakdown() Breakdown {
 	if int64(len(t.topK)) < want {
 		want = int64(len(t.topK))
 	}
-	// Largest `want` spans from the heap slice: sort a copy descending.
-	tail := append([]SpanRecord(nil), t.topK...)
-	for i := 1; i < len(tail); i++ {
-		for j := i; j > 0 && tail[j].Total > tail[j-1].Total; j-- {
-			tail[j], tail[j-1] = tail[j-1], tail[j]
-		}
-	}
+	// Largest `want` spans from the heap slice: sort a copy descending,
+	// stably, so spans tied on Total are picked in heap order.
+	tail := slices.Clone(t.topK)
+	slices.SortStableFunc(tail, func(a, b SpanRecord) int { return cmp.Compare(b.Total, a.Total) })
 	for _, s := range tail[:want] {
 		b.TailCount++
 		b.TailSum += s.Total

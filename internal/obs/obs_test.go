@@ -201,36 +201,6 @@ func TestObserveOpAttribution(t *testing.T) {
 	}
 }
 
-func TestRegistryTickAndDecimation(t *testing.T) {
-	r := NewRegistry(10, 8)
-	var v int64
-	r.Register("v", func() int64 { return v })
-	for now := nand.Time(10); now <= 200; now += 10 {
-		v = int64(now)
-		r.Tick(now)
-	}
-	s := r.Series()
-	if len(s) != 1 || s[0].Name != "v" {
-		t.Fatalf("series = %+v", s)
-	}
-	if len(s[0].Samples) >= 8 {
-		t.Fatalf("series not bounded: %d samples, cap 8", len(s[0].Samples))
-	}
-	prev := nand.Time(-1)
-	for _, p := range s[0].Samples {
-		if p.T <= prev {
-			t.Fatalf("sample times not increasing: %d after %d", p.T, prev)
-		}
-		prev = p.T
-	}
-	// A huge virtual-time jump must stay bounded (interval doubling), not
-	// loop once per original interval.
-	r.Tick(1 << 40)
-	if n := len(r.Series()[0].Samples); n >= 8 {
-		t.Fatalf("series unbounded after large gap: %d samples", n)
-	}
-}
-
 func TestTraceRingWrap(t *testing.T) {
 	tr := NewTrace(4)
 	for i := 0; i < 6; i++ {

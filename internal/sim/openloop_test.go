@@ -77,25 +77,11 @@ func unboundedStreams(gens []Generator) []Stream {
 	return streams
 }
 
-// serviceFingerprint mirrors sched_test's latencies() but over the
-// device-service component, which for a closed-loop run equals the
-// recorded latency and for an open-loop run is latency minus queue wait.
-func serviceFingerprint(f ftl.FTL) (reads, writes []nand.Time) {
-	col := f.Collector()
-	grid := []float64{0.5, 1, 5, 10, 25, 50, 75, 90, 95, 99, 99.9, 100}
-	for _, p := range grid {
-		reads = append(reads, col.ReadServicePercentile(p))
-		writes = append(writes, col.WriteServicePercentile(p))
-	}
-	reads = append(reads, nand.Time(col.HostReads))
-	writes = append(writes, nand.Time(col.HostWrites))
-	return reads, writes
-}
-
 // TestOpenUnboundedMatchesClosedLoop is the refactor-seam pin: open-loop
 // streams with unbounded arrivals must schedule identically to closed-loop
 // threads driving the same generators — same Result, same flash-op
-// counters, same per-request device-service times.
+// counters, same per-request latencies — and never wait, so each of their
+// latencies is the device-service time a closed loop records.
 func TestOpenUnboundedMatchesClosedLoop(t *testing.T) {
 	for _, threads := range []int{1, 7, 32} {
 		cfg := testConfig()
@@ -106,15 +92,18 @@ func TestOpenUnboundedMatchesClosedLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		rc := Run(fc, mixedGens(threads, 40, lp, 42), 0)
-		readsC, writesC := serviceFingerprint(fc)
+		readsC, writesC := latencies(fc)
 
 		fo, err := ftl.NewIdeal(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ro := RunOpen(fo, unboundedStreams(mixedGens(threads, 40, lp, 42)), 0)
-		readsO, writesO := serviceFingerprint(fo)
+		readsO, writesO := latencies(fo)
 
+		if w := fo.Collector().MeanQueueWait(); w != 0 {
+			t.Fatalf("threads=%d: unbounded streams recorded a mean queue wait of %d", threads, w)
+		}
 		if rc != ro {
 			t.Fatalf("threads=%d: closed %+v != open %+v", threads, rc, ro)
 		}
@@ -124,13 +113,13 @@ func TestOpenUnboundedMatchesClosedLoop(t *testing.T) {
 		}
 		for i := range readsC {
 			if readsC[i] != readsO[i] {
-				t.Fatalf("threads=%d: read service fingerprint differs at %d: %d vs %d",
+				t.Fatalf("threads=%d: read latency fingerprint differs at %d: %d vs %d",
 					threads, i, readsC[i], readsO[i])
 			}
 		}
 		for i := range writesC {
 			if writesC[i] != writesO[i] {
-				t.Fatalf("threads=%d: write service fingerprint differs at %d: %d vs %d",
+				t.Fatalf("threads=%d: write latency fingerprint differs at %d: %d vs %d",
 					threads, i, writesC[i], writesO[i])
 			}
 		}
@@ -175,7 +164,7 @@ func TestOpenPoissonDeterministic(t *testing.T) {
 		Run(f, []Generator{seqGen(0, 64, true)}, 0) // map some pages
 		f.Collector().Reset()
 		res := RunOpen(f, poissonStreams(4, 64, 32, 20000), 0)
-		reads, _ := serviceFingerprint(f)
+		reads, _ := latencies(f)
 		reads = append(reads, f.Collector().Percentile(99.9), f.Collector().MeanQueueWait())
 		return res, reads
 	}
@@ -312,8 +301,8 @@ func TestIssueClampsBackwardsCompletion(t *testing.T) {
 		{Name: "r", Gen: seqGen(0, 4, false), Kind: ArrivalFixed, Rate: 1e9},
 		{Name: "w", Gen: seqGen(0, 4, true), Kind: ArrivalFixed, Rate: 1e9},
 	}, 0)
-	if got := f2.col.ReadServicePercentile(100); got != 0 {
-		t.Fatalf("open-loop recorded service latency %d, want clamped 0", got)
+	if got := f2.col.MeanLatency() - f2.col.MeanQueueWait(); got != 0 {
+		t.Fatalf("open-loop recorded mean service latency %d, want clamped 0", got)
 	}
 	if f2.col.ReadPercentile(100) < 0 || f2.col.WritePercentile(100) < 0 {
 		t.Fatal("open-loop recorded a negative total latency")

@@ -93,14 +93,6 @@ func refPercentile(p float64, vs ...[]int64) nand.Time {
 	return nand.Time(s[idx])
 }
 
-func refService(lat, wait []int64) []int64 {
-	svc := slices.Clone(lat)
-	for i := range wait {
-		svc[i] -= wait[i]
-	}
-	return svc
-}
-
 // report builds what BuildReport builds from the collector's samples.
 func (c *refCollector) report(makespan nand.Time, pageSize int) Report {
 	sumL := refSum(c.readLat) + refSum(c.writeLat)
@@ -146,11 +138,9 @@ func compareWithRef(t *testing.T, c *Collector, ref *refCollector, at string) {
 	}
 	for _, p := range []float64{0.5, 25, 50, 90, 99, 99.9, 100} {
 		for name, pair := range map[string][2]nand.Time{
-			"read":          {c.ReadPercentile(p), refPercentile(p, ref.readLat)},
-			"write":         {c.WritePercentile(p), refPercentile(p, ref.writeLat)},
-			"all":           {c.Percentile(p), refPercentile(p, ref.readLat, ref.writeLat)},
-			"read service":  {c.ReadServicePercentile(p), refPercentile(p, refService(ref.readLat, ref.readWait))},
-			"write service": {c.WriteServicePercentile(p), refPercentile(p, refService(ref.writeLat, ref.writeWait))},
+			"read":  {c.ReadPercentile(p), refPercentile(p, ref.readLat)},
+			"write": {c.WritePercentile(p), refPercentile(p, ref.writeLat)},
+			"all":   {c.Percentile(p), refPercentile(p, ref.readLat, ref.writeLat)},
 		} {
 			if pair[0] != pair[1] {
 				t.Fatalf("%s: %s P%v = %d, want %d", at, name, p, pair[0], pair[1])
@@ -222,7 +212,7 @@ func TestResetRetainsTenantArenas(t *testing.T) {
 	chunks := func() (n int) {
 		for _, b := range c.buckets {
 			for _, p := range b.all() {
-				n += len(p.lat.chunks) + len(p.wait.chunks)
+				n += len(p.lat.chunks)
 			}
 		}
 		return n

@@ -1,11 +1,11 @@
 package stats
 
 // series is a chunk-backed append-only int64 store: the arena behind the
-// collector's per-request latency and queue-wait records. Chunks are
-// fixed-size, so growth never copies recorded values and an append after
-// warm-up touches no allocator; reset keeps the chunks, so the
-// warm-up/measure cycle (Collector.Reset between phases) and repeated
-// open-loop runs record at zero allocations per request in steady state.
+// collector's per-request latency records. Chunks are fixed-size, so growth
+// never copies recorded values and an append after warm-up touches no
+// allocator; reset keeps the chunks, so the warm-up/measure cycle
+// (Collector.Reset between phases) and repeated open-loop runs record at
+// zero allocations per request in steady state.
 type series struct {
 	chunks [][]int64
 	n      int

@@ -1,8 +1,8 @@
 // Package stats collects the metrics every experiment in the paper reports:
 // request latencies with exact tail percentiles (P99/P99.9), read-class
 // counters (single/double/triple flash reads per host read), mapping-cache
-// and learned-model hit ratios, GC activity over time, write amplification
-// and the NANDFlashSim-style energy totals.
+// and learned-model hit ratios, GC activity, write amplification and the
+// NANDFlashSim-style energy totals.
 package stats
 
 import (
@@ -54,9 +54,7 @@ type Collector struct {
 	// run (total latency plus its queue wait) the requests of no defined
 	// stream and, once DefineStreams starts another run, the earlier run's.
 	// A sample is stored once: the device-wide populations are host and
-	// every tenant bucket read together. An engine must not mix
-	// RecordRead/RecordWrite with RecordQueued in one run, or host's index
-	// pairing of latency and wait breaks.
+	// every tenant bucket read together.
 	host StreamLat
 
 	// Per-tenant buckets of an open-loop run, registered by DefineStreams:
@@ -91,15 +89,13 @@ type Collector struct {
 	GCCount      int64
 	BGGCCount    int64 // collections launched from idle-gap background GC
 	GCPagesMoved int64
-	GCTimestamps []nand.Time // virtual time of each GC invocation
-	GCBusyTime   nand.Time   // total virtual time spent inside GC
-	SortTrainOps int64       // GTD entries sorted+trained during GC
-	SortTrainNS  int64       // virtual ns charged for sorting+training
+	GCBusyTime   nand.Time // total virtual time spent inside GC
+	SortTrainOps int64     // GTD entries sorted+trained during GC
+	SortTrainNS  int64     // virtual ns charged for sorting+training
 
 	// Background scrub activity (fault model): at-risk block rewrites.
 	ScrubCount      int64
 	ScrubPagesMoved int64
-	ScrubBusyTime   nand.Time
 
 	// DeviceFailed latches when the FTL could not allocate space for a host
 	// or translation write — the device is overcommitted or bad-block
@@ -108,27 +104,14 @@ type Collector struct {
 	DeviceFailed bool
 	FailReason   string
 
-	// waSamples tracks cumulative write amplification over virtual time:
-	// one sample per GC completion, pairing the host pages written so far
-	// with the flash programs issued so far. The series is stride-
-	// downsampled: when it reaches waSampleCap points, every other point is
-	// dropped and only every waStride-th subsequent offer is recorded, so
-	// memory stays O(waSampleCap) on multi-billion-op streamed runs while
-	// shorter runs keep every sample.
-	waSamples []WASample
-	waSeen    int64
-	waStride  int64
-
 	// tr, when non-nil, is the attached observability tracer
 	// (internal/obs). It is run state like the series arenas — Reset
 	// preserves it — but it accumulates across phases; experiments attach a
 	// fresh tracer after warm-up to scope it to the measured phase.
 	tr *obs.Tracer
 
-	// Model bookkeeping (LearnedFTL).
+	// ModelTrainings counts learned-model (re)trainings.
 	ModelTrainings int64
-	ModelBitsSet   int64 // bits set to 1 at last full evaluation
-	ModelBitsTotal int64
 }
 
 // NewCollector returns an empty Collector.
@@ -156,26 +139,29 @@ func (c *Collector) RecordWrite(lat nand.Time, pages int) {
 	c.HostWritePages += int64(pages)
 }
 
-// latPop is one population of request latencies in chunked arenas (series)
-// that a reset keeps, so recording allocates nothing in steady state. wait
-// is empty for closed-loop samples and index-paired with lat for open-loop
-// ones.
-type latPop struct{ lat, wait series }
+// latPop is one population of request latencies, in a chunked arena
+// (series) that a reset keeps so recording allocates nothing in steady
+// state, plus the count and sum of the queue waits of its open-loop
+// samples (closed-loop samples record none).
+type latPop struct {
+	lat            series
+	waits, waitSum int64
+}
 
 // population is a set of latPops read as one. Everything computed from it —
-// integer sums, percentiles of the sorted samples, lat − wait of a pair —
-// is independent of the order the samples are visited in.
+// integer sums and percentiles of the sorted samples — is independent of
+// the order the samples are visited in.
 type population []*latPop
 
 // total returns the count and the sum of the latencies, or of the recorded
 // queue waits.
 func (ps population) total(waits bool) (n, sum int64) {
 	for _, p := range ps {
-		s := &p.lat
 		if waits {
-			s = &p.wait
+			n, sum = n+p.waits, sum+p.waitSum
+		} else {
+			n, sum = n+int64(p.lat.len()), sum+p.lat.sum()
 		}
-		n, sum = n+int64(s.len()), sum+s.sum()
 	}
 	return n, sum
 }
@@ -199,22 +185,16 @@ func (ps population) waitShare() float64 {
 	return float64(wait) / float64(lat)
 }
 
-// sorted returns a fresh ascending copy of the latencies — of the device
-// service times (latency minus the paired wait; a sample without a recorded
-// wait already is one) when service is set. percentileOf reads any number
-// of percentiles off one copy.
-func (ps population) sorted(service bool) []int64 {
+// sorted returns a fresh ascending copy of the latencies; percentileOf
+// reads any number of percentiles off one copy.
+func (ps population) sorted() []int64 {
 	n := 0
 	for _, p := range ps {
 		n += p.lat.len()
 	}
 	v := make([]int64, 0, n)
 	for _, p := range ps {
-		from := len(v)
 		v = p.lat.appendTo(v)
-		for i := 0; service && i < p.wait.len(); i++ {
-			v[from+i] -= p.wait.at(i)
-		}
 	}
 	slices.Sort(v)
 	return v
@@ -234,7 +214,7 @@ func (s *StreamLat) all() population { return population{&s.dir[0], &s.dir[1]} }
 func (s *StreamLat) reset() {
 	for _, p := range s.all() {
 		p.lat.reset()
-		p.wait.reset()
+		p.waits, p.waitSum = 0, 0
 	}
 }
 
@@ -246,7 +226,7 @@ func (s *StreamLat) Mean() nand.Time { return s.all().mean(false) }
 
 // Percentile returns the p-th percentile of the stream's total latencies.
 func (s *StreamLat) Percentile(p float64) nand.Time {
-	return percentileOf(s.all().sorted(false), p)
+	return percentileOf(s.all().sorted(), p)
 }
 
 // MeanWait returns the stream's mean queue wait.
@@ -264,8 +244,10 @@ func (s *StreamLat) WaitShare() float64 { return s.all().waitShare() }
 func (c *Collector) DefineStreams(names []string) {
 	for _, b := range c.streams {
 		for d := range b.dir {
-			c.host.dir[d].lat.extend(&b.dir[d].lat)
-			c.host.dir[d].wait.extend(&b.dir[d].wait)
+			h := &c.host.dir[d]
+			h.lat.extend(&b.dir[d].lat)
+			h.waits += b.dir[d].waits
+			h.waitSum += b.dir[d].waitSum
 		}
 		b.reset()
 	}
@@ -292,9 +274,9 @@ func (c *Collector) DefineStreams(names []string) {
 func (c *Collector) Streams() []*StreamLat { return c.streams }
 
 // RecordQueued records one completed open-loop request, once: the total
-// latency (wait + service) and the wait go to the stream's bucket — to host
-// for a stream DefineStreams did not name — and join the device-wide
-// populations from there.
+// latency (wait + service) and the wait's count and sum go to the stream's
+// bucket — to host for a stream DefineStreams did not name — and join the
+// device-wide populations from there.
 func (c *Collector) RecordQueued(stream int, write bool, wait, service nand.Time, pages int) {
 	b := &c.host
 	if uint(stream) < uint(len(c.streamOf)) {
@@ -310,18 +292,18 @@ func (c *Collector) RecordQueued(stream int, write bool, wait, service nand.Time
 		c.HostReadPages += int64(pages)
 	}
 	p.lat.append(int64(wait + service))
-	p.wait.append(int64(wait))
+	p.waits++
+	p.waitSum += int64(wait)
 }
 
 // RecordClass records the read class of one host page read.
 func (c *Collector) RecordClass(cl ReadClass) { c.ReadClasses[cl]++ }
 
-// RecordGC records one GC invocation at virtual time t that moved the given
-// number of valid pages and kept the device busy for busy ns.
-func (c *Collector) RecordGC(t nand.Time, pagesMoved int, busy nand.Time) {
+// RecordGC records one GC invocation that moved the given number of valid
+// pages and kept the device busy for busy ns.
+func (c *Collector) RecordGC(pagesMoved int, busy nand.Time) {
 	c.GCCount++
 	c.GCPagesMoved += int64(pagesMoved)
-	c.GCTimestamps = append(c.GCTimestamps, t)
 	c.GCBusyTime += busy
 }
 
@@ -330,13 +312,11 @@ func (c *Collector) RecordGC(t nand.Time, pagesMoved int, busy nand.Time) {
 func (c *Collector) RecordBGGC() { c.BGGCCount++ }
 
 // RecordScrub records one background scrub collection that refreshed
-// pagesMoved pages and kept the device busy for busy ns. Scrubs are
-// accounted apart from GC so refresh traffic is distinguishable from
-// reclamation.
-func (c *Collector) RecordScrub(pagesMoved int, busy nand.Time) {
+// pagesMoved pages. Scrubs are accounted apart from GC so refresh traffic
+// is distinguishable from reclamation.
+func (c *Collector) RecordScrub(pagesMoved int) {
 	c.ScrubCount++
 	c.ScrubPagesMoved += int64(pagesMoved)
-	c.ScrubBusyTime += busy
 }
 
 // RecordDeviceFailure latches the device-failed state; the first reported
@@ -356,60 +336,6 @@ func (c *Collector) RecordTrim(pages, live int) {
 	c.HostTrimPages += int64(pages)
 	c.HostTrimmedLive += int64(live)
 }
-
-// WASample is one point of the write-amplification-over-time series: the
-// cumulative host pages written and flash pages programmed as of virtual
-// time T.
-type WASample struct {
-	T             nand.Time
-	HostPages     int64
-	FlashPrograms int64
-}
-
-// WA returns the cumulative write amplification at this sample.
-func (s WASample) WA() float64 {
-	if s.HostPages == 0 {
-		return 0
-	}
-	return float64(s.FlashPrograms) / float64(s.HostPages)
-}
-
-// waSampleCap bounds the WA-over-time series; reaching it halves the
-// series and doubles the recording stride.
-const waSampleCap = 4096
-
-// RecordWASample appends one WA-over-time point (typically at each GC
-// completion) pairing the current host write count with the device's
-// cumulative program count. Below waSampleCap points every offer is
-// recorded; beyond, the series is stride-downsampled so it never exceeds
-// the cap — runs of any length keep an evenly-thinned series in O(1)
-// memory.
-func (c *Collector) RecordWASample(t nand.Time, flashPrograms int64) {
-	seen := c.waSeen
-	c.waSeen++
-	if c.waStride > 1 && seen%c.waStride != 0 {
-		return
-	}
-	c.waSamples = append(c.waSamples, WASample{
-		T:             t,
-		HostPages:     c.HostWritePages,
-		FlashPrograms: flashPrograms,
-	})
-	if len(c.waSamples) >= waSampleCap {
-		half := c.waSamples[:0]
-		for i := 0; i < len(c.waSamples); i += 2 {
-			half = append(half, c.waSamples[i])
-		}
-		c.waSamples = half
-		if c.waStride < 1 {
-			c.waStride = 1
-		}
-		c.waStride *= 2
-	}
-}
-
-// WAOverTime returns the recorded write-amplification series.
-func (c *Collector) WAOverTime() []WASample { return c.waSamples }
 
 // Reset clears all accumulated metrics (between warm-up and measurement).
 // The latency arenas — host's and every tenant bucket's — are kept and
@@ -442,17 +368,17 @@ func (c *Collector) pop(reads, writes bool) population {
 // Percentile returns the p-th percentile (0 < p <= 100) of the merged
 // read+write latency population, or 0 if empty.
 func (c *Collector) Percentile(p float64) nand.Time {
-	return percentileOf(c.pop(true, true).sorted(false), p)
+	return percentileOf(c.pop(true, true).sorted(), p)
 }
 
 // ReadPercentile returns the p-th percentile of read latencies.
 func (c *Collector) ReadPercentile(p float64) nand.Time {
-	return percentileOf(c.pop(true, false).sorted(false), p)
+	return percentileOf(c.pop(true, false).sorted(), p)
 }
 
 // WritePercentile returns the p-th percentile of write latencies.
 func (c *Collector) WritePercentile(p float64) nand.Time {
-	return percentileOf(c.pop(false, true).sorted(false), p)
+	return percentileOf(c.pop(false, true).sorted(), p)
 }
 
 // percentileOf returns the p-th percentile of an ascending slice.
@@ -468,18 +394,6 @@ func percentileOf(s []int64, p float64) nand.Time {
 		idx = len(s) - 1
 	}
 	return nand.Time(s[idx])
-}
-
-// ReadServicePercentile returns the p-th percentile of device-service time
-// (total latency minus queue wait) of host reads. For closed-loop runs —
-// no recorded waits — it equals ReadPercentile.
-func (c *Collector) ReadServicePercentile(p float64) nand.Time {
-	return percentileOf(c.pop(true, false).sorted(true), p)
-}
-
-// WriteServicePercentile is ReadServicePercentile for writes.
-func (c *Collector) WriteServicePercentile(p float64) nand.Time {
-	return percentileOf(c.pop(false, true).sorted(true), p)
 }
 
 // MeanLatency returns the average over the merged read+write latency
@@ -597,12 +511,11 @@ type Report struct {
 	Failed         bool
 	FailReason     string
 
-	// Obs is the per-request latency attribution breakdown and Metrics the
-	// sampled metric series, both filled by BuildReport only when an
-	// observability tracer was attached to the collector — with
-	// observability off the Report is exactly what it always was.
-	Obs     *obs.Breakdown     `json:"obs,omitempty"`
-	Metrics []obs.MetricSeries `json:"metrics,omitempty"`
+	// Obs is the per-request latency attribution breakdown, filled by
+	// BuildReport only when an observability tracer was attached to the
+	// collector — with observability off the Report is exactly what it
+	// always was.
+	Obs *obs.Breakdown `json:"obs,omitempty"`
 }
 
 // AddWear attaches the device's erase distribution and the projected
@@ -651,7 +564,7 @@ type StreamReport struct {
 func BuildReport(name string, c *Collector, flash nand.OpCounters,
 	makespan nand.Time, pageSize int, energy nand.Energy) Report {
 
-	lats := c.pop(true, true).sorted(false) // one sort serves both percentiles
+	lats := c.pop(true, true).sorted() // one sort serves both percentiles
 	r := Report{
 		FTL:           name,
 		Makespan:      makespan,
@@ -684,7 +597,7 @@ func BuildReport(name string, c *Collector, flash nand.OpCounters,
 		r.IOPS = float64(r.Requests) / secs
 	}
 	for _, s := range c.Streams() {
-		lats := s.all().sorted(false)
+		lats := s.all().sorted()
 		r.Streams = append(r.Streams, StreamReport{
 			Name:      s.Name,
 			Requests:  s.Requests(),
@@ -701,9 +614,6 @@ func BuildReport(name string, c *Collector, flash nand.OpCounters,
 	if tr := c.Tracer(); tr != nil {
 		b := tr.Breakdown()
 		r.Obs = &b
-		if reg := tr.Registry(); reg != nil {
-			r.Metrics = reg.Series()
-		}
 	}
 	return r
 }

@@ -160,13 +160,10 @@ func TestBuildReportThroughputAndWA(t *testing.T) {
 
 func TestRecordGC(t *testing.T) {
 	c := NewCollector()
-	c.RecordGC(100, 32, 5*nand.Millisecond)
-	c.RecordGC(200, 16, 3*nand.Millisecond)
+	c.RecordGC(32, 5*nand.Millisecond)
+	c.RecordGC(16, 3*nand.Millisecond)
 	if c.GCCount != 2 || c.GCPagesMoved != 48 {
 		t.Fatalf("GC counters: %d moved %d", c.GCCount, c.GCPagesMoved)
-	}
-	if len(c.GCTimestamps) != 2 || c.GCTimestamps[1] != 200 {
-		t.Fatalf("timestamps %v", c.GCTimestamps)
 	}
 	if c.GCBusyTime != 8*nand.Millisecond {
 		t.Fatalf("busy %v", c.GCBusyTime)
@@ -199,12 +196,6 @@ func TestRecordQueuedDecomposition(t *testing.T) {
 	if got := c.ReadPercentile(100); got != 60 {
 		t.Fatalf("total read P100 = %d, want 60", got)
 	}
-	if got := c.ReadServicePercentile(100); got != 50 {
-		t.Fatalf("service read P100 = %d, want 50", got)
-	}
-	if got := c.WriteServicePercentile(100); got != 100 {
-		t.Fatalf("service write P100 = %d, want 100", got)
-	}
 	// Wait share: (30+0+10) / (40+100+60) = 0.2
 	if got := c.QueueWaitShare(); got != 0.2 {
 		t.Fatalf("wait share = %v, want 0.2", got)
@@ -235,16 +226,22 @@ func TestRecordQueuedDecomposition(t *testing.T) {
 	}
 }
 
-func TestServicePercentileClosedLoopFallback(t *testing.T) {
-	// With no recorded waits (closed-loop run), service == latency.
+// TestClosedLoopRecordsNoQueueWait: closed-loop samples carry no queue
+// wait, also beside open-loop samples of one un-Reset collector, where the
+// mean wait is over the open-loop requests alone.
+func TestClosedLoopRecordsNoQueueWait(t *testing.T) {
 	c := NewCollector()
 	c.RecordRead(40, 1)
-	c.RecordRead(80, 1)
-	if c.ReadServicePercentile(100) != c.ReadPercentile(100) {
-		t.Fatal("service percentile should equal latency percentile without waits")
-	}
+	c.RecordWrite(80, 1)
 	if c.QueueWaitShare() != 0 || c.MeanQueueWait() != 0 {
 		t.Fatal("closed-loop collector reports nonzero queue wait")
+	}
+	c.RecordQueued(0, false, 30, 50, 1)
+	if got := c.MeanQueueWait(); got != 30 {
+		t.Fatalf("mean wait = %d, want 30 (over the one open-loop request)", got)
+	}
+	if got := c.QueueWaitShare(); got != 30.0/200 {
+		t.Fatalf("wait share = %v, want 30/200", got)
 	}
 }
 

@@ -94,7 +94,6 @@ func TestObsGoldenEquivalence(t *testing.T) {
 		lp := fb.Config().LogicalPages()
 		trSeq := NewTracer()
 		trSeq.EnableTrace(1 << 16)
-		trSeq.SetRegistry(StandardRegistry(fb))
 		AttachTracer(fb, trSeq)
 		warmB := sim.Warmed(fb, obsWarm(lp), 0)
 		runB := sim.Run(fb, obsGens(lp), 0)

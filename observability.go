@@ -2,8 +2,8 @@ package learnedftl
 
 // The root-level observability surface: the latbreak experiment (per-scheme
 // latency decomposed by phase — the paper's translation-overhead claim
-// measured instead of inferred), the standard metrics registry every traced
-// run carries, and the single-device trace capture behind ftlbench -trace.
+// measured instead of inferred) and the single-device trace capture behind
+// ftlbench -trace.
 
 import (
 	"fmt"
@@ -24,13 +24,9 @@ type (
 	Breakdown = obs.Breakdown
 	// Phase is one component of a request's latency decomposition.
 	Phase = obs.Phase
-	// MetricSeries is one sampled metric of the registry.
-	MetricSeries = obs.MetricSeries
 	// Trace is the bounded virtual-time event ring exported as Chrome
 	// trace-event JSON (Perfetto-viewable).
 	Trace = obs.Trace
-	// Registry samples named counters/gauges on a virtual-time ticker.
-	Registry = obs.Registry
 )
 
 // The span phases (see internal/obs for their exact attribution rules).
@@ -45,41 +41,14 @@ const (
 	NumPhases      = obs.NumPhases
 )
 
-// NewTracer returns an aggregation-only tracer; EnableTrace / SetRegistry
-// add the trace ring and the metrics ticker.
+// NewTracer returns an aggregation-only tracer; EnableTrace adds the trace
+// ring.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
 // AttachTracer wires a tracer into a device: the engines, FTL layers, GC
 // and flash array all feed it. nil detaches, restoring the unobserved hot
 // paths exactly — golden tables are byte-identical with no tracer attached.
 func AttachTracer(f FTL, tr *Tracer) { ftl.AttachTracer(f, tr) }
-
-// StandardRegistry registers the standard metric set over a device into a
-// fresh registry: host and flash op counts, GC activity and running write
-// amplification (×1000), each sampled on the tracer's virtual-time ticker.
-func StandardRegistry(f FTL) *Registry {
-	reg := obs.NewRegistry(obs.DefaultSampleInterval, obs.DefaultSeriesCap)
-	col, fl := f.Collector(), f.Flash()
-	reg.Register("host_reads", func() int64 { return col.HostReads })
-	reg.Register("host_writes", func() int64 { return col.HostWrites })
-	reg.Register("flash_reads", func() int64 {
-		c := fl.Counters()
-		return c.TotalReads()
-	})
-	reg.Register("flash_programs", func() int64 {
-		c := fl.Counters()
-		return c.TotalPrograms()
-	})
-	reg.Register("gc_count", func() int64 { return col.GCCount })
-	reg.Register("wa_milli", func() int64 {
-		if col.HostWritePages == 0 {
-			return 0
-		}
-		c := fl.Counters()
-		return c.TotalPrograms() * 1000 / col.HostWritePages
-	})
-	return reg
-}
 
 // ObsCell is one latbreak measurement in the BENCH JSON: a scheme ×
 // pattern cell's full phase breakdown.
@@ -108,7 +77,6 @@ func latBreakCell(c *cell, s Scheme, cfg Config, b Budget) error {
 	}
 	for _, p := range latBreakPatterns {
 		tr := NewTracer()
-		tr.SetRegistry(StandardRegistry(f))
 		AttachTracer(f, tr)
 		rep := measureFIO(f, p, b.Threads, 1, b.Requests)
 		AttachTracer(f, nil)
@@ -132,7 +100,7 @@ func latBreakCell(c *cell, s Scheme, cfg Config, b Budget) error {
 }
 
 // TraceCapture warms one device, attaches a tracer with a capEvents-bounded
-// trace ring and the standard registry, runs the measured closed-loop mixed
+// trace ring, runs the measured closed-loop mixed
 // workload (random reads then random writes, half the budget each), and
 // returns the trace for export plus a one-row summary table. This is the
 // engine behind ftlbench -trace; it runs as a one-cell sweep, so it rejects
@@ -145,7 +113,6 @@ func TraceCapture(s Scheme, cfg Config, b Budget, capEvents int) (trace *Trace, 
 		}
 		tr := NewTracer()
 		tr.EnableTrace(capEvents)
-		tr.SetRegistry(StandardRegistry(f))
 		AttachTracer(f, tr)
 		half := max(1, b.Requests/2)
 		measureFIO(f, workload.RandRead, b.Threads, 1, half)
