@@ -42,7 +42,7 @@ type (
 	FTL = ftl.FTL
 	// Options are LearnedFTL's ablation switches.
 	Options = core.Options
-	// Stream is one rate-tagged open-loop request source for RunOpenLoop.
+	// Stream is one rate-tagged open-loop request source for RunOpenLoopWith.
 	Stream = sim.Stream
 	// ArrivalKind selects an open-loop stream's arrival process.
 	ArrivalKind = sim.ArrivalKind
@@ -101,20 +101,15 @@ const (
 // open-loop default).
 func ParseArrival(s string) (ArrivalKind, bool) { return sim.ParseArrival(s) }
 
-// RunOpenLoop replays rate-controlled open-loop streams against a device
-// until the streams are exhausted or maxRequests have been issued (0 =
-// unlimited). Per-request latency lands in the device's collector
-// decomposed into queue wait + device service, tagged per stream; build a
-// stats.Report (or read the collector) afterwards for percentiles. The
-// run is deterministic given the streams' seeds.
-func RunOpenLoop(f FTL, streams []Stream, maxRequests int64) RunResult {
-	return sim.RunOpen(f, streams, maxRequests)
-}
-
-// RunOpenLoopWith is RunOpenLoop with explicit options; OpenOptions.
-// BackgroundGC moves garbage collection into device-idle gaps, preempted
-// by host arrivals (compare with the default foreground collection via
-// the gclat experiment).
+// RunOpenLoopWith replays rate-controlled open-loop streams against a
+// device until the streams are exhausted or OpenOptions.MaxRequests have
+// been issued (0 = unlimited). Per-request latency lands in the device's
+// collector decomposed into queue wait + device service, tagged per
+// stream; build a stats.Report (or read the collector) afterwards for
+// percentiles. OpenOptions.BackgroundGC moves garbage collection into
+// device-idle gaps, preempted by host arrivals (compare with the default
+// foreground collection via the gclat experiment). The run is
+// deterministic given the streams' seeds.
 func RunOpenLoopWith(f FTL, streams []Stream, opt OpenOptions) RunResult {
 	return sim.RunOpenWith(f, streams, opt)
 }
@@ -201,9 +196,6 @@ type (
 	// ftlbench -checkpoint-dir use: sweeps restore warmed devices from it
 	// instead of re-simulating warm-up, with byte-identical tables.
 	CheckpointCache = persist.Cache
-	// CheckpointStats summarizes cache traffic; ProgramsSaved prices hits
-	// in simulated flash programs the cache avoided re-simulating.
-	CheckpointStats = persist.CacheStats
 )
 
 // NewCheckpointCache opens (creating if needed) a warm-checkpoint
@@ -305,14 +297,6 @@ type (
 	// what it hit, mount latency, scan loss accounting, lost acked writes
 	// and invariant violations (empty when recovery held).
 	CrashOutcome = crash.Outcome
-	// CrashCampaignConfig sizes a crash-point enumeration + fuzz campaign.
-	CrashCampaignConfig = crash.CampaignConfig
-	// CrashCampaignResult aggregates a campaign; OK() means zero lost
-	// acked writes and zero invariant violations across every fired point.
-	CrashCampaignResult = crash.CampaignResult
-	// CrashDevice is what injection needs from a device; every built-in
-	// scheme satisfies it.
-	CrashDevice = crash.Device
 )
 
 // InjectCrash replays gens against f with plan's power cut armed; when the
@@ -326,15 +310,6 @@ func InjectCrash(f FTL, gens []Generator, maxRequests int64, plan CrashPlan) (Cr
 		return CrashOutcome{}, fmt.Errorf("learnedftl: %s does not support crash injection", f.Name())
 	}
 	return crash.Inject(dev, gens, maxRequests, plan), nil
-}
-
-// RunCrashCampaign enumerates and fuzzes crash points through the
-// deterministic window newRun returns; newRun must produce an identically
-// prepared device and workload on every call (e.g. RestoreDevice from one
-// SnapshotDevice stream). See the crashsweep experiment for the harness
-// this wraps.
-func RunCrashCampaign(newRun func() (CrashDevice, []Generator, error), cfg CrashCampaignConfig) (CrashCampaignResult, error) {
-	return crash.RunCampaign(newRun, cfg)
 }
 
 // DeviceFootprint summarizes the resident bytes of the simulated device

@@ -1,6 +1,7 @@
 package learnedftl
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -22,6 +23,32 @@ func TestZeroThreadsIsAnError(t *testing.T) {
 		}
 		if _, _, err := TraceCapture(SchemeLearnedFTL, cfg, b, 0); err == nil {
 			t.Errorf("TraceCapture accepted Threads: %d", threads)
+		}
+	}
+}
+
+// TestAbsurdKnobIsAnError: a NaN, infinite or negative narrowing knob is an
+// error, not a silent fall-back to the knob's default ladder.
+func TestAbsurdKnobIsAnError(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		id, knob string
+		set      func(*Budget)
+	}{
+		{"faultsweep", "FaultBER NaN", func(b *Budget) { b.FaultBER = nan }},
+		{"faultsweep", "FaultBER -1", func(b *Budget) { b.FaultBER = -1 }},
+		{"faultsweep", "FaultBER +Inf", func(b *Budget) { b.FaultBER = math.Inf(1) }},
+		{"gcsweep", "OPRatio -0.5", func(b *Budget) { b.OPRatio = -0.5 }},
+		{"gcsweep", "OPRatio NaN", func(b *Budget) { b.OPRatio = nan }},
+		{"crashsweep", "CrashStride -5", func(b *Budget) { b.CrashStride = -5 }},
+		{"crashsweep", "CrashFuzz -1", func(b *Budget) { b.CrashFuzz = -1 }},
+		{"scale", "ScaleMaxGiB -1", func(b *Budget) { b.ScaleMaxGiB = -1 }},
+		{"scale", "ScaleMinGiB -1", func(b *Budget) { b.ScaleMinGiB = -1 }},
+	} {
+		b := goldenBudget(c.id, TinyConfig(), 2)
+		c.set(&b)
+		if _, err := RunExperiments([]string{c.id}, TinyConfig(), b); err == nil {
+			t.Errorf("%s accepted %s", c.id, c.knob)
 		}
 	}
 }

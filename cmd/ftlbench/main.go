@@ -200,11 +200,12 @@ func run() int {
 	budget.FleetPlacement = *placement
 	budget.FleetReplicas = *replicas
 	// Only explicit flags override the scale ladder window: the unset 0
-	// must not clobber PaperBudget's 32 GiB cap.
-	if *scaleMinGiB > 0 {
+	// must not clobber PaperBudget's 32 GiB cap, and a negative or NaN
+	// value reaches the budget check instead of the default ladder.
+	if *scaleMinGiB != 0 {
 		budget.ScaleMinGiB = *scaleMinGiB
 	}
-	if *scaleMaxGiB > 0 {
+	if *scaleMaxGiB != 0 {
 		budget.ScaleMaxGiB = *scaleMaxGiB
 	}
 	var checkpoints *learnedftl.CheckpointCache

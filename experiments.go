@@ -161,8 +161,22 @@ func runCells(b Budget, n int, cell func(i int) error) error {
 	if b.Threads < 1 {
 		return fmt.Errorf("learnedftl: budget threads %d < 1", b.Threads)
 	}
-	if !(b.OfferedIOPS >= 0) || math.IsInf(b.OfferedIOPS, 1) {
-		return fmt.Errorf("learnedftl: budget offered IOPS %v is not a finite rate >= 0", b.OfferedIOPS)
+	for _, k := range []struct {
+		name string
+		v    float64
+	}{
+		{"offered IOPS", b.OfferedIOPS},
+		{"OP ratio", b.OPRatio},
+		{"fault BER", b.FaultBER},
+		{"scale min GiB", b.ScaleMinGiB},
+		{"scale max GiB", b.ScaleMaxGiB},
+	} {
+		if !(k.v >= 0) || math.IsInf(k.v, 1) {
+			return fmt.Errorf("learnedftl: budget %s %v is not a finite value >= 0", k.name, k.v)
+		}
+	}
+	if b.CrashFuzz < 0 || b.CrashStride < 0 {
+		return fmt.Errorf("learnedftl: budget crash fuzz %d and stride %d must be >= 0", b.CrashFuzz, b.CrashStride)
 	}
 	if math.IsNaN(b.ReadTenantShare) {
 		return fmt.Errorf("learnedftl: budget read-tenant share is NaN")
@@ -390,7 +404,7 @@ func measureFIO(f FTL, p workload.Pattern, threads, ioPages, total int) stats.Re
 
 // measureOpen runs open-loop streams on a (typically warmed) device, with
 // idle-gap background GC when asked, and summarizes, including the
-// queue-wait decomposition and per-tenant breakdown RunOpen records.
+// queue-wait decomposition and per-tenant breakdown RunOpenWith records.
 func measureOpen(f FTL, streams []sim.Stream, backgroundGC bool) stats.Report {
 	f.Collector().Reset()
 	f.Flash().ResetCounters()

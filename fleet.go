@@ -29,8 +29,6 @@ type (
 	// FleetArray is an array of devices behind a placement layer; drive
 	// it with RunOpenLoopFleet.
 	FleetArray = fleet.Array
-	// FleetLayout is a constructed placement over concrete capacities.
-	FleetLayout = fleet.Layout
 	// FleetReport merges per-device reports under the host-level view.
 	FleetReport = stats.FleetReport
 	// FleetFailure surfaces one failed device in an aggregated report.

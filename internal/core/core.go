@@ -325,14 +325,6 @@ func (f *LearnedFTL) ModelAccuracy() (setBits, mappedLPNs int64) {
 	return setBits, mappedLPNs
 }
 
-// ModelsBytes returns the DRAM footprint of all in-place models.
-func (f *LearnedFTL) ModelsBytes() int {
-	if len(f.models) == 0 {
-		return 0
-	}
-	return len(f.models) * f.models[0].SizeBytes()
-}
-
 // toVirtual maps physical→virtual for training, honoring the VPPN ablation.
 func (f *LearnedFTL) toVirtual(p nand.PPN) int64 {
 	if f.opt.DisableVPPN {

@@ -337,3 +337,33 @@ func TestUnmappedReadFree(t *testing.T) {
 		t.Fatal("unmapped read took time")
 	}
 }
+
+// TestTransPoolChurnKeepsSlack is the regression test for the translation
+// pool wedge: a pool allowed to fill completely cannot host its own GC
+// relocations and used to panic ("translation pool wedged during GC") the
+// moment every full block still held a live translation page. updateTrans
+// now collects while the pool's slack is at or below one block, so churning
+// translation updates far past the pool's raw capacity must neither panic
+// nor let the slack collapse, and the GTD must stay coherent throughout.
+func TestTransPoolChurnKeepsSlack(t *testing.T) {
+	f := newFTL(t)
+	ppb := f.Cfg.Geometry.PagesPerBlock
+	slots := f.tp.freeSlots()
+	tpns := len(f.models)
+	var now nand.Time
+	for i := 0; i < 3*slots; i++ {
+		now = f.updateTrans(i%tpns, false, now)
+		if free := f.tp.freeSlots(); free < ppb {
+			t.Fatalf("after %d churn updates the pool slack collapsed to %d slots (< one block of %d)", i+1, free, ppb)
+		}
+	}
+	for tpn := 0; tpn < tpns; tpn++ {
+		p := f.GTD.Lookup(tpn)
+		if f.Fl.State(p) != nand.PageValid {
+			t.Fatalf("GTD entry %d points at a %v page after pool churn", tpn, f.Fl.State(p))
+		}
+		if oob := f.Fl.PageOOB(p); !oob.Trans || oob.Key != int64(tpn) {
+			t.Fatalf("GTD entry %d OOB diverged: %+v", tpn, oob)
+		}
+	}
+}

@@ -95,7 +95,7 @@ func checkInvariants(t *testing.T, f *LearnedFTL) {
 	}
 }
 
-// TestInvariantsUnderRandomOps drives random write/read/rewrite sequences
+// TestInvariantsUnderRandomOps drives random write/read/group-GC sequences
 // and revalidates every structural invariant at checkpoints.
 func TestInvariantsUnderRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -115,8 +115,8 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 					now = f.WritePages(lpn, n, now)
 				case 5, 6, 7, 8: // read
 					now = f.ReadPages(rng.Int63n(lp), 1, now)
-				case 9: // occasional rewrite of a random group
-					now = f.RewriteGroup(rng.Intn(f.ngroups), now)
+				case 9: // occasional collection of a random group
+					now = collectGroup(f, rng.Intn(f.ngroups), now)
 				}
 			}
 			checkInvariants(t, f)

@@ -99,9 +99,9 @@ func checkViews(t *testing.T, f *LearnedFTL, after string) {
 
 // TestGroupViewsMatchRecount drives every operation that changes rows,
 // write positions or invalid counts — host writes (with the borrowing, the
-// pending-donor and the reserve collections they trigger), trims, forced
-// and background group GC, retention rewrites, snapshot→restore and
-// crash→recover — and checks the views after every step.
+// pending-donor and the reserve collections they trigger), trims, forced,
+// background and random-group GC, snapshot→restore and crash→recover — and
+// checks the views after every step.
 func TestGroupViewsMatchRecount(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f := newFTL(t)
@@ -138,8 +138,8 @@ func TestGroupViewsMatchRecount(t *testing.T) {
 				op = "background GC"
 				now = f.BackgroundGC(now, now+nand.Second)
 			case k < 96:
-				op = "rewrite"
-				now = f.RewriteGroup(rng.Intn(f.ngroups), now)
+				op = "random-group GC"
+				now = collectGroup(f, rng.Intn(f.ngroups), now)
 			case k < 98:
 				op = "snapshot+restore"
 				e := persist.NewEncoder()
@@ -164,7 +164,7 @@ func TestGroupViewsMatchRecount(t *testing.T) {
 		if !borrowed {
 			t.Errorf("seed %d: no write borrowed a slot", seed)
 		}
-		for _, op := range []string{"write", "forced GC", "background GC", "rewrite"} {
+		for _, op := range []string{"write", "forced GC", "background GC", "random-group GC"} {
 			if gcs[op] == 0 {
 				t.Errorf("seed %d: no group collection ran under %q", seed, op)
 			}

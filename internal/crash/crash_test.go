@@ -120,25 +120,6 @@ func TestInjectAtVirtualTime(t *testing.T) {
 	}
 }
 
-func TestInjectOpenLoop(t *testing.T) {
-	cfg := testConfig()
-	f, err := ftl.NewIdeal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams := []sim.Stream{{Name: "w", Gen: testGens(cfg, 600)[0], Kind: sim.ArrivalPoisson, Rate: 5e4, Seed: 42}}
-	out := InjectOpen(f, streams, sim.OpenOptions{}, Plan{AtOp: 211})
-	if !out.Fired {
-		t.Fatal("open-loop cut did not fire")
-	}
-	if !out.OK() {
-		t.Fatalf("lost acked %d, violations %v", out.LostAcked, out.Violations)
-	}
-	if out.AckedWrites == 0 {
-		t.Fatal("open-loop run acked no writes before the cut")
-	}
-}
-
 func TestInjectWindowEndsUncut(t *testing.T) {
 	dev, gens, _ := newIdealRun(t)
 	out := Inject(dev, gens, 50, Plan{AtOp: 1 << 40})

@@ -22,22 +22,6 @@ func Inject(dev Device, gens []sim.Generator, maxRequests int64, plan Plan) Outc
 	})
 }
 
-// InjectOpen is Inject over the open-loop engine: the same cut, recovery
-// and verification around a rate-controlled streams run. opt's AckSink is
-// overridden with the harness's oracle.
-func InjectOpen(dev Device, streams []sim.Stream, opt sim.OpenOptions, plan Plan) Outcome {
-	o := NewOracle()
-	opt.AckSink = o.Ack
-	tapped := make([]sim.Stream, len(streams))
-	for i, s := range streams {
-		tapped[i] = s
-		tapped[i].Gen = o.Tap(s.Gen)
-	}
-	return inject(dev, plan, o, func() {
-		sim.RunOpenWith(dev, tapped, opt)
-	})
-}
-
 // inject is the engine-agnostic harness body: arm, run to the cut,
 // power-cycle, recover, verify.
 func inject(dev Device, plan Plan, o *Oracle, run func()) Outcome {

@@ -96,12 +96,6 @@ func NewArray(lay *Layout, devs []ftl.FTL) (*Array, error) {
 // Layout returns the array's placement layout.
 func (a *Array) Layout() *Layout { return a.lay }
 
-// Devices returns the backing devices in index order.
-func (a *Array) Devices() []ftl.FTL { return a.devs }
-
-// Alive reports whether device d is still serving requests.
-func (a *Array) Alive(d int) bool { return a.alive[d] }
-
 // LostRequests counts host requests failed because some stripe unit they
 // touched had no alive replica.
 func (a *Array) LostRequests() int64 { return a.lostRequests }
@@ -115,9 +109,6 @@ func (a *Array) LostUnits() int64 { return a.lostUnits }
 // PendingRebuild the jobs still queued.
 func (a *Array) Rebuilt() int64        { return a.rebuilt }
 func (a *Array) PendingRebuild() int64 { return int64(len(a.jobs) - a.jobNext) }
-
-// RebuildPages counts pages of rebuild traffic written to targets.
-func (a *Array) RebuildPages() int64 { return a.rebuildPages }
 
 // ScheduleFailure arms a mid-run device kill: after `after` host requests
 // have been issued, device dev drops dead — its in-flight schedule stands,

@@ -66,8 +66,6 @@ type Loc struct {
 
 // Placement maps fleet-logical stripe units to device-local slots.
 type Placement interface {
-	// Policy identifies the placement.
-	Policy() Policy
 	// Copies is the number of replicas each unit has (1 for the
 	// single-copy policies).
 	Copies() int
@@ -239,8 +237,7 @@ func slotsOnDevice(units, n, d int64) int64 {
 // 1-device array this is the identity mapping.
 type stripePlace struct{ n int64 }
 
-func (p stripePlace) Policy() Policy { return Striping }
-func (p stripePlace) Copies() int    { return 1 }
+func (p stripePlace) Copies() int { return 1 }
 func (p stripePlace) Locate(u int64, dst []Loc) []Loc {
 	return append(dst, Loc{Dev: int32(u % p.n), Slot: u / p.n})
 }
@@ -250,8 +247,7 @@ func (p stripePlace) Locate(u int64, dst []Loc) []Loc {
 // distinct slots, so the layout is collision-free by construction.
 type replicatePlace struct{ n, k int64 }
 
-func (p replicatePlace) Policy() Policy { return Replicate }
-func (p replicatePlace) Copies() int    { return int(p.k) }
+func (p replicatePlace) Copies() int { return int(p.k) }
 func (p replicatePlace) Locate(u int64, dst []Loc) []Loc {
 	row := u / p.n
 	for r := int64(0); r < p.k; r++ {
@@ -270,8 +266,7 @@ type hashPlace struct {
 	locs []Loc // unit -> location
 }
 
-func (p hashPlace) Policy() Policy { return Hash }
-func (p hashPlace) Copies() int    { return 1 }
+func (p hashPlace) Copies() int { return 1 }
 func (p hashPlace) Locate(u int64, dst []Loc) []Loc {
 	return append(dst, p.locs[u])
 }

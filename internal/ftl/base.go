@@ -135,16 +135,6 @@ func (b *Base) AffectedTPNs(lpns []int64) []int {
 	return out[:n]
 }
 
-// mustProgram wraps Flash.Program; allocation and programming are paired in
-// this package, so a failure is an internal invariant violation.
-func (b *Base) mustProgram(p nand.PPN, oob nand.OOB, after nand.Time, kind nand.OpKind) nand.Time {
-	done, err := b.Fl.Program(p, oob, after, kind)
-	if err != nil {
-		panic(fmt.Sprintf("ftl: %v", err))
-	}
-	return done
-}
-
 // HostProgram writes one host data page: it reclaims space if needed,
 // allocates on the least-busy chip, programs, and maintains the shadow map.
 // It returns the new PPN and the completion time.

@@ -88,9 +88,6 @@ func NewBlockMan(f *nand.Flash) *BlockMan {
 // blocks.
 func (b *BlockMan) FreeBlocks() int { return b.freeCount }
 
-// FreeBlocksOnChip returns the free-block count of one chip.
-func (b *BlockMan) FreeBlocksOnChip(chip int) int { return len(b.free[chip]) }
-
 // active returns the active-block slice for the stream.
 func (b *BlockMan) active(trans bool) []int {
 	if trans {

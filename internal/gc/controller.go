@@ -167,9 +167,6 @@ func (c *Controller) IndexStats() IndexStats {
 	return IndexStats{Selections: c.idx.selections, Examined: c.idx.examined}
 }
 
-// Policy returns the active victim-selection policy.
-func (c *Controller) Policy() Policy { return c.pol }
-
 // InGC reports whether a collection is in flight. Translation maintenance
 // that runs inside a collection (relocation hooks) allocates through the
 // GC-reserve-bypassing paths based on this.

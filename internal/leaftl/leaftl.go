@@ -72,9 +72,6 @@ func New(cfg ftl.Config) (*LeaFTL, error) {
 // Name implements ftl.FTL.
 func (l *LeaFTL) Name() string { return "LeaFTL" }
 
-// BufferedPages returns the current data-buffer occupancy (tests).
-func (l *LeaFTL) BufferedPages() int { return l.buffer.len() }
-
 // BufferedLPNs returns the LPNs sitting in the volatile DRAM data buffer,
 // in ascending order. LeaFTL acknowledges buffered writes before they
 // reach flash (write-back caching), so these LPNs are acked-but-volatile:
@@ -86,18 +83,6 @@ func (l *LeaFTL) BufferedLPNs() []int64 {
 		out = append(out, lpn)
 	}
 	return out
-}
-
-// SegmentsTotal returns the total live segments across all translation
-// pages (tests; space-overhead accounting).
-func (l *LeaFTL) SegmentsTotal() int {
-	n := 0
-	for _, t := range l.models {
-		if t != nil {
-			n += t.NumSegments()
-		}
-	}
-	return n
 }
 
 // WritePages implements ftl.FTL: writes land in the data buffer; a full

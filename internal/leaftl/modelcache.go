@@ -152,9 +152,3 @@ func (c *modelCache) exportLRU() []mcState {
 	}
 	return out
 }
-
-// Len returns the number of cached models.
-func (c *modelCache) Len() int { return c.size }
-
-// Used returns the bytes currently charged.
-func (c *modelCache) Used() int { return c.used }

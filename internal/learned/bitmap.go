@@ -20,9 +20,6 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Len returns the number of bits.
-func (b *Bitmap) Len() int { return b.n }
-
 // Set sets bit i to 1.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
@@ -78,13 +75,6 @@ func (b *Bitmap) AnyRange(lo, hi int) bool {
 		m = ^uint64(0)
 	}
 	return b.words[last]&m&(^uint64(0)>>(63-uint(hi-1)&63)) != 0
-}
-
-// ClearRange zeroes bits [lo, hi).
-func (b *Bitmap) ClearRange(lo, hi int) {
-	for w := lo >> 6; w<<6 < hi; w++ {
-		b.words[w] &^= wordMask(w, lo, hi)
-	}
 }
 
 // SetRange sets bits [lo, hi).

@@ -43,18 +43,9 @@ func NewInPlaceModel(span, maxPieces int) *InPlaceModel {
 	}
 }
 
-// Span returns the number of LPN offsets the model covers.
-func (m *InPlaceModel) Span() int { return m.span }
-
-// Trained reports whether the model has ever been trained or initialized.
-func (m *InPlaceModel) Trained() bool { return m.base != unsetBase }
-
 // AccurateBits returns the number of LPN offsets with guaranteed-exact
 // predictions.
 func (m *InPlaceModel) AccurateBits() int { return m.bm.Count() }
-
-// NumPieces returns the number of live linear pieces.
-func (m *InPlaceModel) NumPieces() int { return len(m.pieces) }
 
 // CanPredict reports whether offset off has a guaranteed-exact prediction.
 func (m *InPlaceModel) CanPredict(off int) bool {

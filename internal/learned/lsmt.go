@@ -34,9 +34,6 @@ func (sc *Scratch) NewLSMT() *LSMT { return &LSMT{sc: sc} }
 // NumSegments returns the total number of live segments.
 func (t *LSMT) NumSegments() int { return t.nseg }
 
-// NumLevels returns the current number of levels.
-func (t *LSMT) NumLevels() int { return len(t.levels) }
-
 // SizeBytes returns the memory footprint charged for the table.
 func (t *LSMT) SizeBytes() int { return t.nseg * SegmentBytes }
 

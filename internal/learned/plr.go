@@ -76,18 +76,12 @@ func pieceCoverage(pieces []Piece, pts []Point) []int {
 	return cov
 }
 
-// FitExactCapped fits exact pieces and, if more than maxPieces result, keeps
-// the maxPieces pieces covering the most points. The returned covered count
-// is the number of points predicted exactly by the kept pieces. This is the
-// paper's fixed-size parameter array: the bitmap filter zeroes everything
-// the kept pieces do not predict exactly.
-func FitExactCapped(pts []Point, maxPieces int) (kept []Piece, covered int) {
-	return capPieces(FitExact(pts), pts, maxPieces)
-}
-
-// capPieces is FitExactCapped after the fit: pieces, fitted over pts, come
-// back as they are — covering every point — when at most maxPieces of them
-// were fitted, so that case allocates nothing.
+// capPieces keeps, of pieces fitted exactly over pts, the maxPieces that
+// cover the most points, and returns them with the number of points they
+// predict exactly. This is the paper's fixed-size parameter array: the
+// bitmap filter zeroes everything the kept pieces do not predict exactly.
+// Pieces come back as they are — covering every point — when at most
+// maxPieces of them were fitted, so that case allocates nothing.
 func capPieces(pieces []Piece, pts []Point, maxPieces int) (kept []Piece, covered int) {
 	if len(pieces) == 0 {
 		return nil, 0

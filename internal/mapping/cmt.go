@@ -326,13 +326,6 @@ func (c *CMT) removeNode(n int32) Entry {
 	return e
 }
 
-// MarkClean clears the dirty flag of lpn if cached.
-func (c *CMT) MarkClean(lpn int64) {
-	if n := c.find(lpn); n != nilNode {
-		c.setDirty(n, false)
-	}
-}
-
 // CleanRange clears the dirty flag of every cached entry with LPN in
 // [lo, hi) and returns how many it cleared. The schemes call it with one
 // translation page's range after persisting that page: the rewrite carried

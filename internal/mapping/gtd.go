@@ -27,15 +27,6 @@ func NewGTD(numTPNs int) *GTD {
 // NumTPNs returns the number of translation pages the directory tracks.
 func (g *GTD) NumTPNs() int { return len(g.loc) }
 
-// TPNOf returns the translation-page number covering lpn.
-func TPNOf(lpn int64) int { return int(lpn / EntriesPerTransPage) }
-
-// RangeOf returns the [lo, hi) LPN range covered by tpn.
-func RangeOf(tpn int) (lo, hi int64) {
-	lo = int64(tpn) * EntriesPerTransPage
-	return lo, lo + EntriesPerTransPage
-}
-
 // Lookup returns the flash location of translation page tpn.
 func (g *GTD) Lookup(tpn int) nand.PPN { return g.loc[tpn] }
 

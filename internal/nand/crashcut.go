@@ -98,9 +98,6 @@ func (f *Flash) IsTorn(p PPN) bool {
 	return false
 }
 
-// TornPages returns a copy of the torn-page roster.
-func (f *Flash) TornPages() []PPN { return append([]PPN(nil), f.torn...) }
-
 // clearTornBlock drops roster entries belonging to blockID (its erase
 // recharged the cells; the tear is gone with the contents).
 func (f *Flash) clearTornBlock(blockID int) {

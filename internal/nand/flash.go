@@ -468,10 +468,6 @@ func (f *Flash) BlockBad(blockID int) bool { return f.blocks[blockID].bad }
 // BadBlocks returns the grown bad-block count.
 func (f *Flash) BadBlocks() int { return f.badCount }
 
-// BlockReads returns blockID's read count since its last erase (the
-// read-disturb counter). Zero unless a fault model is attached.
-func (f *Flash) BlockReads(blockID int) int64 { return f.blocks[blockID].reads }
-
 // RelCounters returns the reliability event tallies since the last
 // ResetCounters.
 func (f *Flash) RelCounters() RelCounters { return f.rel }

@@ -40,6 +40,3 @@ type OpObserver interface {
 // observer attached the read/program/erase paths are exactly the
 // unobserved paths: one nil check each.
 func (f *Flash) SetOpObserver(o OpObserver) { f.opObs = o }
-
-// OpObserver returns the registered operation observer (nil when detached).
-func (f *Flash) OpObserver() OpObserver { return f.opObs }

@@ -110,9 +110,6 @@ func (h *Histogram) Add(v int64) {
 	h.n++
 }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int64 { return h.n }
-
 // Percentile returns an approximation (bucket lower bound) of the p-th
 // percentile, 0 < p <= 100.
 func (h *Histogram) Percentile(p float64) nand.Time {
@@ -401,10 +398,6 @@ func (t *Tracer) ExitGC(done nand.Time) {
 	}
 }
 
-// InGC reports whether a GC window is open (per-op attribution inside a
-// window is suppressed: the window itself carries the time).
-func (t *Tracer) InGC() bool { return t.gcDepth > 0 }
-
 // ObserveOp implements nand.OpObserver: every flash operation feeds the
 // chip tracks of the trace and the per-span translation / retry /
 // scrub-wait attribution.
@@ -442,12 +435,6 @@ func (t *Tracer) ObserveOp(op nand.FlashOp) {
 		t.chipScrub[op.Chip] = scrub
 	}
 }
-
-// Requests returns the number of completed spans.
-func (t *Tracer) Requests() int64 { return t.reads + t.writes }
-
-// PhaseSum returns the accumulated time in phase p over all spans.
-func (t *Tracer) PhaseSum(p Phase) nand.Time { return t.phaseSum[p] }
 
 // Breakdown freezes the aggregates, deriving the P99.9 tail decomposition
 // from the top-K set.

@@ -44,12 +44,6 @@ func (e *Encoder) F64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
-// Blob appends a length-prefixed byte slice.
-func (e *Encoder) Blob(p []byte) {
-	e.U64(uint64(len(p)))
-	e.buf = append(e.buf, p...)
-}
-
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) {
 	e.U64(uint64(len(s)))

@@ -8,7 +8,7 @@
 //     moment the previous completes. Offered load is whatever the device
 //     sustains — the saturation view.
 //
-//   - An open-loop stream (RunOpen) is a rated source: its requests arrive
+//   - An open-loop stream (RunOpenWith) is a rated source: its requests arrive
 //     on their own schedule (Poisson or fixed interval, deterministic given
 //     a seed) whether or not the device is ready, queue when it falls
 //     behind, and decompose their latency into queue wait plus device
@@ -100,7 +100,7 @@ type record int
 const (
 	recordNone   record = iota // Warmed: nothing, not even spans (warm-up is unattributed)
 	recordDevice               // Run: device service time, into the host buckets
-	recordQueued               // RunOpen: queue wait plus service, per stream
+	recordQueued               // RunOpen*: queue wait plus service, per stream
 )
 
 // run is the engine. Source i draws its requests from gens[i] and, when

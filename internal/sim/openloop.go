@@ -155,8 +155,9 @@ type OpenOptions struct {
 	AckSink AckFunc
 }
 
-// RunOpen replays rate-controlled open-loop streams against f until all
-// streams are exhausted or maxRequests have been issued (0 = unlimited).
+// RunOpenWith replays rate-controlled open-loop streams against f until
+// all streams are exhausted or opt.MaxRequests have been issued (0 =
+// unlimited).
 //
 // Each stream's requests arrive on the schedule of its arrival process and
 // are serviced in order, one outstanding at a time: request j begins
@@ -170,12 +171,7 @@ type OpenOptions struct {
 // Scheduling is deterministic: the shared scheduler issues the stream
 // with the earliest service-start time first, lowest stream index winning
 // ties, and all arrival processes are seeded. With every stream unbounded
-// RunOpen schedules exactly as Run over the same generators.
-func RunOpen(f ftl.FTL, streams []Stream, maxRequests int64) Result {
-	return RunOpenWith(f, streams, OpenOptions{MaxRequests: maxRequests})
-}
-
-// RunOpenWith is RunOpen with explicit options (background GC).
+// RunOpenWith schedules exactly as Run over the same generators.
 func RunOpenWith(f ftl.FTL, streams []Stream, opt OpenOptions) Result {
 	return RunOpenTarget(newFTLTarget(f), streams, opt)
 }
