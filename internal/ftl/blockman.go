@@ -127,17 +127,18 @@ func (b *BlockMan) AllocGCPage(trans bool) (nand.PPN, bool) {
 	return b.allocLeastBusy(trans, true)
 }
 
+// allocLeastBusy allocates on the least busy chip with space, the first in
+// scanOrder on ties. The busy time is one load, the space check several, so
+// a chip is checked for space only when it would become the new best.
 func (b *BlockMan) allocLeastBusy(trans, gcAlloc bool) (nand.PPN, bool) {
 	best := -1
 	var bestBusy nand.Time
 	for _, chip := range b.scanOrder {
-		if !b.chipHasSpace(chip, trans, gcAlloc) {
+		busy := b.f.ChipBusyUntil(chip)
+		if best != -1 && busy >= bestBusy || !b.chipHasSpace(chip, trans, gcAlloc) {
 			continue
 		}
-		busy := b.f.ChipBusyUntil(chip)
-		if best == -1 || busy < bestBusy {
-			best, bestBusy = chip, busy
-		}
+		best, bestBusy = chip, busy
 	}
 	if best == -1 {
 		return nand.InvalidPPN, false

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"math/rand"
 	"testing"
 
 	"learnedftl/internal/nand"
@@ -141,5 +142,102 @@ func TestRunGCRespectsLowWater(t *testing.T) {
 	if b.BM.FreeBlocks() <= cfg.GCLowWater {
 		t.Fatalf("free blocks %d still at/below watermark %d",
 			b.BM.FreeBlocks(), cfg.GCLowWater)
+	}
+}
+
+// predicateFirstLeastBusy is the chip allocLeastBusy picks, by the scan it
+// was first written as: every chip is checked for space, then the least busy
+// of those wins, the first in scanOrder on ties. -1 when none has space.
+func predicateFirstLeastBusy(b *BlockMan, trans, gcAlloc bool) int {
+	best := -1
+	var bestBusy nand.Time
+	for _, chip := range b.scanOrder {
+		if !b.chipHasSpace(chip, trans, gcAlloc) {
+			continue
+		}
+		busy := b.f.ChipBusyUntil(chip)
+		if best == -1 || busy < bestBusy {
+			best, bestBusy = chip, busy
+		}
+	}
+	return best
+}
+
+// TestAllocLeastBusyMatchesPredicateFirstScan: reading the busy time first
+// and checking space only for a chip that would become the new best picks
+// the chip the predicate-first scan picks, over random busy times — from a
+// few values, so ties are common — and random space: chips filled to their
+// last block, blocks erased back into the pool, both streams, host and GC
+// allocations, and the device's reserved last block.
+func TestAllocLeastBusyMatchesPredicateFirstScan(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b, err := NewBase(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ppb := b.Cfg.Geometry.PagesPerBlock
+		program := func(p nand.PPN) {
+			b.mustProgram(p, nand.OOB{}, nand.Time(rng.Intn(4))*nand.Time(rng.Intn(1e6)), nand.OpHostData)
+		}
+		var full []int // programmed, inactive blocks: erasable
+		noteFull := func(p nand.PPN) {
+			if blk := b.Codec.BlockID(p); b.Fl.BlockFreePages(blk) == 0 {
+				full = append(full, blk)
+			}
+		}
+		allocs, fails := 0, 0
+		for step := 0; step < 3000; step++ {
+			trans, gcAlloc := rng.Intn(2) == 0, rng.Intn(4) == 0
+			switch op := rng.Intn(10); {
+			case op == 0 && len(full) > 0: // erase a block back into the pool
+				i := rng.Intn(len(full))
+				blk := full[i]
+				full[i] = full[len(full)-1]
+				full = full[:len(full)-1]
+				if b.BM.IsActive(blk) {
+					continue
+				}
+				base := int64(blk) * int64(ppb)
+				for p := base; p < base+int64(ppb); p++ {
+					if err := b.Fl.Invalidate(nand.PPN(p)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := b.Fl.Erase(blk, 0); err != nil {
+					t.Fatal(err)
+				}
+				b.BM.Release(blk)
+			case op <= 2: // fill one chip's active block
+				chip := rng.Intn(b.Cfg.Geometry.Chips())
+				for k := 0; k < ppb; k++ {
+					if !b.BM.chipHasSpace(chip, trans, true) {
+						break
+					}
+					p, _ := b.BM.AllocGCPageOnChip(chip, trans)
+					program(p)
+					noteFull(p)
+				}
+			default:
+				want := predicateFirstLeastBusy(b.BM, trans, gcAlloc)
+				p, ok := b.BM.allocLeastBusy(trans, gcAlloc)
+				if !ok {
+					if want != -1 {
+						t.Fatalf("seed %d step %d: allocation failed, the reference picks chip %d", seed, step, want)
+					}
+					fails++
+					continue
+				}
+				if got := b.Codec.Chip(p); got != want {
+					t.Fatalf("seed %d step %d: allocated on chip %d, the reference picks %d", seed, step, got, want)
+				}
+				allocs++
+				program(p)
+				noteFull(p)
+			}
+		}
+		if allocs == 0 || fails == 0 {
+			t.Fatalf("seed %d: %d allocations, %d failures: want both", seed, allocs, fails)
+		}
 	}
 }

@@ -165,6 +165,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ftl: group span GroupEntries×EntriesPerTP = %d×%d exceeds the %d-page device limit",
 			c.GroupEntries, c.EntriesPerTP, int64(nand.MaxPages))
 	}
+	// LeaFTL packs a segment's span (at most a translation page) and its
+	// error (at most the bound) into 16 bits each, and names a page's
+	// segments by 16-bit handles: the ones still visible, at most one per
+	// entry, and one page's fit must fit below 2^16 together.
+	if c.EntriesPerTP >= 1<<15 {
+		return fmt.Errorf("ftl: EntriesPerTP %d must be below 2^15", c.EntriesPerTP)
+	}
+	if c.LeaGamma < 0 || c.LeaGamma > 1<<15 {
+		return fmt.Errorf("ftl: LeaGamma %d out of [0, 2^15]", c.LeaGamma)
+	}
 	if c.GCLowWater < 2 {
 		return fmt.Errorf("ftl: GCLowWater must be >= 2")
 	}

@@ -54,6 +54,25 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("GCLowWater 1 accepted")
 	}
+	// LeaFTL packs a segment's span and error into 16 bits each and names a
+	// translation page's segments by 16-bit handles.
+	for _, c := range []struct {
+		entries int
+		gamma   int64
+		ok      bool
+	}{
+		{1<<15 - 1, 1 << 15, true},
+		{1 << 15, 4, false},
+		{1 << 16, 4, false},
+		{32, 1<<15 + 1, false},
+		{32, -1, false},
+	} {
+		lea := cfg
+		lea.GroupEntries, lea.EntriesPerTP, lea.LeaGamma = 1, c.entries, c.gamma
+		if err := lea.Validate(); (err == nil) != c.ok {
+			t.Errorf("EntriesPerTP %d, LeaGamma %d: Validate() = %v, want ok %v", c.entries, c.gamma, err, c.ok)
+		}
+	}
 }
 
 func TestBlockManAllocSpreadsAcrossChips(t *testing.T) {

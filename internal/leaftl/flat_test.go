@@ -130,13 +130,29 @@ func TestFlatStateMatchesMapBuiltSnapshot(t *testing.T) {
 	}
 }
 
+// handleLimitLevels fills the page [lo, hi) with one-LPN segments, a level
+// at a time, until there is one segment more than a table can name.
+func handleLimitLevels(lo, hi int64) [][]learned.Segment {
+	var levels [][]learned.Segment
+	for n := 0; n <= math.MaxUint16; {
+		var lv []learned.Segment
+		for s := lo; s < hi && n <= math.MaxUint16; s++ {
+			lv = append(lv, learned.Segment{S: s, L: 1, K: 1})
+			n++
+		}
+		levels = append(levels, lv)
+	}
+	return levels
+}
+
 // TestLoadStateRejectsOutOfRangeIndexes: the buffer, the model table and
 // the model-cache index are sized from the configuration, so a snapshot
 // naming an LPN or a translation page outside it — or a level or segment
 // count the stream cannot back — is an error, not a panic. So are learned
 // segments an insert or a lookup would misread: a level out of S order or
-// with overlapping segments, a segment spanning no LPN, and one reaching
-// outside its translation page.
+// with overlapping segments, a segment spanning no LPN, one reaching
+// outside its translation page, an error the packed segment record cannot
+// hold, and more segments in one table than its handles can name.
 func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 	cfg := testConfig()
 	src, err := New(cfg)
@@ -188,6 +204,9 @@ func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 		"segment past its page":           trained(1, []learned.Segment{sg(hi-2, 4)}),
 		"segment before its page":         trained(1, []learned.Segment{sg(lo-1, 2)}),
 		"segment at the int64 edge":       trained(1, []learned.Segment{sg(math.MaxInt64-1, 4)}),
+		"negative segment error":          trained(1, []learned.Segment{{S: lo, L: 4, Err: -1}}),
+		"segment error past 16 bits":      trained(1, []learned.Segment{{S: lo, L: 4, Err: 1 << 16}}),
+		"table past the handle limit":     trained(1, handleLimitLevels(lo, hi)...),
 		"buffered LPN past the device": func(e *persist.Encoder) {
 			e.U64(1)
 			e.I64(cfg.LogicalPages())
@@ -228,4 +247,77 @@ func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 			t.Errorf("%s: LoadState accepted it", name)
 		}
 	}
+}
+
+// topDownLookup is LSMT.Lookup as it was before the table kept a per-LPN
+// index: each level, newest first, binary-searched for the last segment
+// starting at or before lpn.
+func topDownLookup(levels [][]learned.Segment, lpn int64) (learned.Segment, bool) {
+	for _, lv := range levels {
+		lo, hi := 0, len(lv)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if lv[mid].S <= lpn {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo > 0 && lv[lo-1].Contains(lpn) {
+			return lv[lo-1], true
+		}
+	}
+	return learned.Segment{}, false
+}
+
+// TestLookupMatchesTopDownScan: every table of a device answers every LPN of
+// its translation page, and the one on either side, as a top-down scan of
+// its exported levels does — after warm-up, after a snapshot is restored
+// into a fresh device, and after collections retrain and compact it.
+func TestLookupMatchesTopDownScan(t *testing.T) {
+	check := func(when string, l *LeaFTL) {
+		t.Helper()
+		tables := 0
+		for tpn, lt := range l.models {
+			if lt == nil {
+				continue
+			}
+			tables++
+			levels := lt.ExportLevels()
+			lo, hi := l.Cfg.TPRange(tpn)
+			for lpn := lo - 1; lpn <= hi; lpn++ {
+				gs, gok := lt.Lookup(lpn)
+				ws, wok := topDownLookup(levels, lpn)
+				if gs != ws || gok != wok {
+					t.Fatalf("%s: page %d Lookup(%d) = %+v, %v; the top-down scan %+v, %v", when, tpn, lpn, gs, gok, ws, wok)
+				}
+			}
+		}
+		if tables == 0 {
+			t.Fatalf("%s: no trained table", when)
+		}
+	}
+	l := warmedForSnapshot(t)
+	check("after warm-up", l)
+
+	e := persist.NewEncoder()
+	l.SaveState(e)
+	restored, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.LoadState(persist.NewDecoder(e.Data())); err != nil {
+		t.Fatal(err)
+	}
+	check("after restore", restored)
+
+	trainings := restored.Col.ModelTrainings
+	now := nand.Time(0)
+	for i := 0; i < 8; i++ {
+		now, _ = restored.GC.CollectOnce(now)
+	}
+	if restored.Col.ModelTrainings == trainings {
+		t.Fatal("forced collections retrained no table")
+	}
+	check("after forced GC", restored)
 }

@@ -161,7 +161,7 @@ func (l *LeaFTL) train(pts []learned.Point, afterGC bool, t nand.Time) nand.Time
 func (l *LeaFTL) lsmt(tpn int) *learned.LSMT {
 	lt := l.models[tpn]
 	if lt == nil {
-		lt = l.lsmtScratch.NewLSMT()
+		lt = l.lsmtScratch.NewLSMT(l.Cfg.TPRange(tpn))
 		l.models[tpn] = lt
 	}
 	return lt
@@ -327,9 +327,8 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		lt := l.lsmtScratch.NewLSMT()
-		lo, hi := l.Cfg.TPRange(tpn)
-		if err := lt.ImportLevels(levels, lo, hi); err != nil {
+		lt := l.lsmtScratch.NewLSMT(l.Cfg.TPRange(tpn))
+		if err := lt.ImportLevels(levels); err != nil {
 			return fmt.Errorf("leaftl: snapshot translation page %d: %w", tpn, err)
 		}
 		l.models[tpn] = lt

@@ -219,6 +219,12 @@ type perSegLSMT struct {
 	nseg   int
 }
 
+// lastStartingBy returns the index of the last segment of lv — sorted by S —
+// with S <= x, or -1 when every segment starts after x.
+func lastStartingBy(lv []Segment, x int64) int {
+	return sort.Search(len(lv), func(i int) bool { return lv[i].S > x }) - 1
+}
+
 func (t *perSegLSMT) Insert(segs []Segment) {
 	for _, s := range segs {
 		t.insertAt(0, s)
@@ -546,4 +552,85 @@ func TestFitSegmentsMeetsInsertContract(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestImportLevelsRejectsWhatTheSlabCannotHold: a span or an error outside
+// 16 bits, or more segments than a table has handles, is an error that
+// leaves the table as it was.
+func TestImportLevelsRejectsWhatTheSlabCannotHold(t *testing.T) {
+	full := make([][]Segment, 1)
+	for s := int64(0); s <= maxSegments; s++ {
+		full[0] = append(full[0], seg(s, 1))
+	}
+	for name, levels := range map[string][][]Segment{
+		"span of 2^16 LPNs":  {{seg(0, 1<<16)}},
+		"negative error":     {{{S: 0, L: 4, Err: -1}}},
+		"error of 2^16":      {{{S: 0, L: 4, Err: 1 << 16}}},
+		"2^16 segments":      full,
+		"start past 2^31-1":  {{seg(1<<31, 1)}},
+		"end past 2^31-1":    {{seg(1<<31-2, 4)}},
+		"negative start LPN": {{seg(-1, 4)}},
+	} {
+		lt := NewLSMT()
+		lt.Insert([]Segment{seg(0, 8)})
+		if err := lt.ImportLevels(levels); err == nil {
+			t.Errorf("%s: imported", name)
+		}
+		if s, ok := lt.Lookup(3); lt.NumSegments() != 1 || !ok || s != seg(0, 8) {
+			t.Errorf("%s: a rejected import changed the table", name)
+		}
+	}
+	lt := NewLSMT()
+	if err := lt.ImportLevels([][]Segment{{seg(0, 1<<16-1), {S: 1 << 16, L: 1, Err: 1<<16 - 1}}}); err != nil {
+		t.Fatalf("the largest span and error rejected: %v", err)
+	}
+	if s, ok := lt.Lookup(1<<16 - 2); !ok || s != seg(0, 1<<16-1) {
+		t.Fatalf("Lookup(2^16-2) = %+v, %v", s, ok)
+	}
+}
+
+// TestLSMTFullTableCompactsBeforeInserting: a table that would pass its
+// 2^16-1 handles drops its shadowed segments first — lookups cannot tell,
+// also when the limit falls inside a batch whose earlier runs are pushed
+// down by later ones — and one whose segments are all visible refuses the
+// insert loudly.
+func TestLSMTFullTableCompactsBeforeInserting(t *testing.T) {
+	// Each of the first n LPNs is covered twice, the older segment
+	// shadowed, and LPN n once, which leaves two handles. The batch's runs
+	// A = [n+1, n+3), B = [n+2, n+3) and C = [n+2, n+3) take them, push A
+	// below level 0, and pass the limit at C.
+	const n = maxSegments/2 - 1
+	lt := NewLSMT()
+	for s := int64(0); s < n; s++ {
+		lt.Insert([]Segment{seg(s, 1)})
+		lt.Insert([]Segment{{S: s, L: 1, K: 1, I: -float64(s)}})
+	}
+	lt.Insert([]Segment{seg(n, 1)})
+	lt.Insert([]Segment{{S: n + 1, L: 2, K: 1, I: 1}, {S: n + 2, L: 1, K: 1, I: 2}, {S: n + 2, L: 1, K: 1, I: 3}})
+	if want := n + 4; lt.NumSegments() != want {
+		t.Fatalf("%d segments, want %d: the shadowed ones compacted away", lt.NumSegments(), want)
+	}
+	for lpn := int64(0); lpn < n; lpn++ {
+		if s, ok := lt.Lookup(lpn); !ok || s.I != -float64(lpn) {
+			t.Fatalf("Lookup(%d) = %+v, %v; want the newer segment", lpn, s, ok)
+		}
+	}
+	for lpn, want := range map[int64]float64{n: n * 10, n + 1: 1, n + 2: 3} {
+		if s, ok := lt.Lookup(lpn); !ok || s.I != want {
+			t.Fatalf("Lookup(%d) = %+v, %v; want the segment with I %v", lpn, s, ok, want)
+		}
+	}
+
+	visible := make([]Segment, maxSegments)
+	for i := range visible {
+		visible[i] = seg(int64(i), 1)
+	}
+	lt = NewLSMT()
+	lt.Insert(visible)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an insert past the handle limit did not panic")
+		}
+	}()
+	lt.Insert([]Segment{seg(maxSegments, 1)})
 }

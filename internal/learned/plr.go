@@ -126,8 +126,9 @@ func capPieces(pieces []Piece, pts []Point, maxPieces int) (kept []Piece, covere
 // VPPN = K·(LPN-S) + I, guaranteeing |prediction − actual| ≤ Err for the
 // points it was trained on. Err == 0 marks an accurate segment.
 //
-// The two 4-byte fields sit together at the end so the struct is 32 bytes,
-// two per cache line under the LSMT's binary search.
+// The two 4-byte fields sit together at the end so the struct is 32 bytes.
+// It is the form segments are fitted, inserted, looked up and snapshotted
+// in; an LSMT stores each packed into a 24-byte record.
 type Segment struct {
 	S   int64   // starting LPN
 	K   float64 // slope

@@ -249,11 +249,20 @@ func TestSegmentContains(t *testing.T) {
 	}
 }
 
-// TestSegmentIs32Bytes pins the field order: LeaFTL holds a segment per
-// learned run and binary-searches them, so 8 bytes of padding per segment are
-// a fifth of its table and a second cache line on every other probe.
+// TestSegmentIs32Bytes pins the field order: a lookup returns a segment by
+// value and a fit appends them, so 8 bytes of padding would be a fifth of
+// every copy.
 func TestSegmentIs32Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(Segment{}); got != 32 {
 		t.Fatalf("Segment is %d bytes, want 32", got)
+	}
+}
+
+// TestSlabRecordIs24Bytes pins the packed record an LSMT's slab holds per
+// segment: the 8 bytes it saves against a Segment pay for the table's
+// per-LPN index.
+func TestSlabRecordIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got != 24 {
+		t.Fatalf("record is %d bytes, want 24", got)
 	}
 }
