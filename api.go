@@ -7,13 +7,9 @@
 // full-map FTL — plus the workload generators and experiment harnesses that
 // regenerate every figure and table of the paper's evaluation.
 //
-// Quick start:
-//
-//	cfg := learnedftl.QuickConfig()
-//	dev, _ := learnedftl.New(learnedftl.SchemeLearnedFTL, cfg)
-//	gens := workload.FIO(workload.RandRead, cfg.LogicalPages(), 1, 64, 1000, 42)
-//	sim.Warmed(dev, workload.Warmup(cfg.LogicalPages(), 2, 128, 1), 0)
-//	res := sim.Run(dev, gens, 0)
+// New builds one device; RunExperiments regenerates the evaluation's tables
+// by experiment id (ExperimentList). The package Example, which README's
+// Quickstart repeats, regenerates Fig. 14 on the tiny device.
 package learnedftl
 
 import (
@@ -22,9 +18,7 @@ import (
 	"strings"
 
 	"learnedftl/internal/core"
-	"learnedftl/internal/crash"
 	"learnedftl/internal/demand"
-	"learnedftl/internal/fault"
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/gc"
 	"learnedftl/internal/leaftl"
@@ -40,42 +34,13 @@ type (
 	Config = ftl.Config
 	// FTL is the interface all five schemes implement.
 	FTL = ftl.FTL
-	// Options are LearnedFTL's ablation switches.
-	Options = core.Options
-	// Stream is one rate-tagged open-loop request source for RunOpenLoopWith.
-	Stream = sim.Stream
 	// ArrivalKind selects an open-loop stream's arrival process.
 	ArrivalKind = sim.ArrivalKind
 	// RunResult summarizes one engine run (virtual start/end, requests).
 	RunResult = sim.Result
-	// Generator produces one closed-loop thread's request stream.
-	Generator = sim.Generator
-	// OpenOptions tune an open-loop run (request cap, background GC).
-	OpenOptions = sim.OpenOptions
 	// GCPolicy names a garbage-collection victim-selection policy
 	// (Config.GCPolicy).
 	GCPolicy = gc.Kind
-	// FaultConfig configures the NAND reliability model (Config.Fault):
-	// raw-BER composition, ECC strength and read-retry ladder, program/
-	// erase failure injection and background scrub.
-	FaultConfig = fault.Config
-)
-
-// DefaultFaultConfig returns the reliability model's default parameters
-// (disabled; set Enabled to activate the documented BER and ECC values).
-func DefaultFaultConfig() FaultConfig { return fault.Default() }
-
-// The built-in GC victim-selection policies (see internal/gc).
-const (
-	// GCGreedy collects the candidate with the fewest valid pages — the
-	// default, and the policy the paper's evaluation uses.
-	GCGreedy = gc.Greedy
-	// GCCostBenefit weighs reclaimable space against age (Rosenblum's
-	// benefit/cost), preferring cold mostly-invalid victims.
-	GCCostBenefit = gc.CostBenefit
-	// GCCostAgeTimes additionally divides by wear, steering collections
-	// away from worn blocks.
-	GCCostAgeTimes = gc.CostAgeTimes
 )
 
 // GCPolicies returns the built-in policies in presentation order.
@@ -85,34 +50,14 @@ func GCPolicies() []GCPolicy { return gc.Kinds() }
 // name was recognized ("" parses as greedy, the default).
 func ParseGCPolicy(s string) (GCPolicy, bool) { return gc.ParseKind(s) }
 
-// Open-loop arrival processes (see internal/sim).
-const (
-	// ArrivalUnbounded paces a stream by device back-pressure only; it
-	// schedules identically to a closed-loop thread.
-	ArrivalUnbounded = sim.ArrivalUnbounded
-	// ArrivalFixed spaces arrivals by exactly 1/Rate virtual seconds.
-	ArrivalFixed = sim.ArrivalFixed
-	// ArrivalPoisson draws seeded exponential interarrival gaps.
-	ArrivalPoisson = sim.ArrivalPoisson
-)
+// ArrivalUnbounded is the arrival process that paces a stream by device
+// back-pressure only; it schedules identically to a closed-loop thread.
+const ArrivalUnbounded = sim.ArrivalUnbounded
 
 // ParseArrival maps "poisson", "fixed" or "unbounded" to an ArrivalKind,
 // reporting whether the name was recognized ("" parses as Poisson, the
 // open-loop default).
 func ParseArrival(s string) (ArrivalKind, bool) { return sim.ParseArrival(s) }
-
-// RunOpenLoopWith replays rate-controlled open-loop streams against a
-// device until the streams are exhausted or OpenOptions.MaxRequests have
-// been issued (0 = unlimited). Per-request latency lands in the device's
-// collector decomposed into queue wait + device service, tagged per
-// stream; build a stats.Report (or read the collector) afterwards for
-// percentiles. OpenOptions.BackgroundGC moves garbage collection into
-// device-idle gaps, preempted by host arrivals (compare with the default
-// foreground collection via the gclat experiment). The run is
-// deterministic given the streams' seeds.
-func RunOpenLoopWith(f FTL, streams []Stream, opt OpenOptions) RunResult {
-	return sim.RunOpenWith(f, streams, opt)
-}
 
 // Scheme identifies one of the reproduced FTL designs.
 type Scheme int
@@ -160,8 +105,9 @@ func ParseScheme(name string) (Scheme, bool) {
 	return 0, false
 }
 
-// New builds a device running the given scheme. LearnedFTL uses the paper's
-// default options; use NewLearned for ablations.
+// New builds a device running the given scheme. LearnedFTL reads its design
+// switches from cfg.Learned: the paper's design by default, an ablation when
+// one is switched off.
 func New(s Scheme, cfg Config) (FTL, error) {
 	switch s {
 	case SchemeDFTL:
@@ -171,23 +117,13 @@ func New(s Scheme, cfg Config) (FTL, error) {
 	case SchemeLeaFTL:
 		return leaftl.New(cfg)
 	case SchemeLearnedFTL:
-		return core.New(cfg, core.DefaultOptions())
+		return core.New(cfg)
 	case SchemeIdeal:
 		return ftl.NewIdeal(cfg)
 	default:
 		return nil, fmt.Errorf("learnedftl: unknown scheme %d", s)
 	}
 }
-
-// NewLearned builds a LearnedFTL device with explicit options (ablations:
-// VPPN off, sequential init off, cross-group allocation off, training charge
-// off).
-func NewLearned(cfg Config, opt Options) (*core.LearnedFTL, error) {
-	return core.New(cfg, opt)
-}
-
-// DefaultLearnedOptions returns the paper's LearnedFTL configuration.
-func DefaultLearnedOptions() Options { return core.DefaultOptions() }
 
 // Persistence (see internal/persist): device snapshots, OOB crash
 // recovery and the warm-checkpoint cache.
@@ -204,18 +140,6 @@ func NewCheckpointCache(dir string) (*CheckpointCache, error) {
 	return persist.NewCache(dir)
 }
 
-// deviceFingerprint identifies a device for snapshot verification: scheme
-// name + full config, plus the ablation options for devices that carry
-// them (LearnedFTL) — options change behavior, so a snapshot must never
-// silently restore into a differently optioned device.
-func deviceFingerprint(f FTL) string {
-	fp := persistKey(f.Name(), f.Config())
-	if o, ok := f.(interface{ Options() Options }); ok {
-		fp += fmt.Sprintf("|opt=%+v", o.Options())
-	}
-	return fp
-}
-
 // SnapshotDevice serializes a device's complete state — flash array, OOB,
 // block metadata, L2P, GTD, scheme caches and models, allocator and GC
 // state — into a versioned, checksummed, deterministic byte stream.
@@ -228,12 +152,11 @@ func SnapshotDevice(f FTL) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("learnedftl: %s does not support snapshots", f.Name())
 	}
-	return persist.Snapshot(dev, deviceFingerprint(f)), nil
+	return persist.Snapshot(dev, persistKey(f.Name(), f.Config())), nil
 }
 
 // RestoreDevice rebuilds a device from a SnapshotDevice stream. The scheme
-// and configuration — for LearnedFTL, the default options; use
-// RestoreLearnedDevice for ablations — must match the snapshot's;
+// and configuration, cfg.Learned included, must match the snapshot's;
 // mismatches, corruption and format-version changes are all detected and
 // returned as errors.
 func RestoreDevice(s Scheme, cfg Config, data []byte) (FTL, error) {
@@ -241,30 +164,11 @@ func RestoreDevice(s Scheme, cfg Config, data []byte) (FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return restoreInto(f, data)
-}
-
-// RestoreLearnedDevice is RestoreDevice for LearnedFTL snapshots taken
-// under explicit ablation options (NewLearned): the options are part of
-// the snapshot fingerprint, so they must match too.
-func RestoreLearnedDevice(cfg Config, opt Options, data []byte) (*core.LearnedFTL, error) {
-	f, err := NewLearned(cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := restoreInto(f, data); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// restoreInto loads a snapshot into a freshly constructed device.
-func restoreInto(f FTL, data []byte) (FTL, error) {
 	dev, ok := f.(persist.Device)
 	if !ok {
 		return nil, fmt.Errorf("learnedftl: %s does not support snapshots", f.Name())
 	}
-	if err := persist.Restore(dev, deviceFingerprint(f), data); err != nil {
+	if err := persist.Restore(dev, persistKey(f.Name(), f.Config()), data); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -284,32 +188,6 @@ func RecoverFromCrash(f FTL) (RunResult, error) {
 	start := f.Flash().MaxChipBusy()
 	done := rec.RecoverFromCrash(start)
 	return RunResult{Start: start, End: done}, nil
-}
-
-// Crash injection (see internal/crash): deterministic power-loss cuts,
-// torn-page modeling, and recovery invariant verification.
-type (
-	// CrashPlan arms a power cut: at the k-th flash operation (AtOp,
-	// 1-based), or the first operation at or after AtTime; Torn leaves the
-	// fatal program half-programmed instead of completing it.
-	CrashPlan = crash.Plan
-	// CrashOutcome is one injected crash's verdict: whether the cut fired,
-	// what it hit, mount latency, scan loss accounting, lost acked writes
-	// and invariant violations (empty when recovery held).
-	CrashOutcome = crash.Outcome
-)
-
-// InjectCrash replays gens against f with plan's power cut armed; when the
-// cut fires it power-cycles the device, runs the timed OOB recovery mount
-// and verifies the recovery invariants against the durability oracle (see
-// CrashOutcome). The device is fully operational — and verified — after a
-// fired cut; an unfired window returns Fired=false with the cut disarmed.
-func InjectCrash(f FTL, gens []Generator, maxRequests int64, plan CrashPlan) (CrashOutcome, error) {
-	dev, ok := f.(crash.Device)
-	if !ok {
-		return CrashOutcome{}, fmt.Errorf("learnedftl: %s does not support crash injection", f.Name())
-	}
-	return crash.Inject(dev, gens, maxRequests, plan), nil
 }
 
 // DeviceFootprint summarizes the resident bytes of the simulated device
@@ -406,7 +284,7 @@ func QuickConfig() Config {
 }
 
 // TinyConfig returns the smallest structurally faithful device; it is meant
-// for tests and the quickstart example.
+// for tests and the package examples.
 func TinyConfig() Config {
 	g := nand.Geometry{Channels: 8, Ways: 8, Planes: 1, BlocksPerUnit: 16, PagesPerBlock: 64, PageSize: 4096}
 	cfg := ftl.DefaultConfig(g)

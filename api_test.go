@@ -1,11 +1,15 @@
 package learnedftl
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"slices"
 	"strings"
 	"testing"
 
+	"learnedftl/internal/core"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/workload"
 )
@@ -53,7 +57,7 @@ func TestConfigsAreValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The group allocator must accept each published config.
-		if _, err := NewLearned(cfg, DefaultLearnedOptions()); err != nil {
+		if _, err := core.New(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,6 +177,46 @@ func TestReadmeListsEveryExperiment(t *testing.T) {
 	slices.Sort(ids)
 	if want := ExperimentIDs(); !slices.Equal(ids, want) {
 		t.Fatalf("README lists %v\nregistry has  %v", ids, want)
+	}
+}
+
+// TestReadmeQuickstartIsTheExample: README's Quickstart code block is the
+// body of the package Example in example_test.go, one tab dedented, so the
+// snippet readers copy is one that tier 1 runs and checks the output of.
+func TestReadmeQuickstartIsTheExample(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(readme), "## Quickstart\n\n```go\n")
+	block, _, ok2 := strings.Cut(block, "```")
+	if !ok || !ok2 {
+		t.Fatal("README's Quickstart does not open with a ```go block")
+	}
+	src, err := os.ReadFile("example_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "example_test.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body string
+	for _, d := range file.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "Example" {
+			body = string(src[fset.Position(fn.Body.Lbrace).Offset+1 : fset.Position(fn.Body.Rbrace).Offset])
+		}
+	}
+	if body == "" {
+		t.Fatal("example_test.go declares no package Example")
+	}
+	var want strings.Builder
+	for _, line := range strings.Split(strings.Trim(body, "\n"), "\n") {
+		want.WriteString(strings.TrimPrefix(line, "\t") + "\n")
+	}
+	if block != want.String() {
+		t.Fatalf("README Quickstart:\n%s\nbody of Example:\n%s", block, want.String())
 	}
 }
 

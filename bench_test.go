@@ -186,11 +186,10 @@ func BenchmarkSegmentsFit(b *testing.B) {
 
 // Ablation benches for the design choices DESIGN.md calls out.
 
-func benchLearnedRandRead(b *testing.B, opt Options) {
-	cfg := TinyConfig()
+func benchLearnedRandRead(b *testing.B, cfg Config) {
 	bud := benchBudget()
 	for i := 0; i < b.N; i++ {
-		f, err := NewLearned(cfg, opt)
+		f, err := New(SchemeLearnedFTL, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,25 +203,25 @@ func benchLearnedRandRead(b *testing.B, opt Options) {
 }
 
 func BenchmarkAblationBaseline(b *testing.B) {
-	benchLearnedRandRead(b, DefaultLearnedOptions())
+	benchLearnedRandRead(b, TinyConfig())
 }
 
 func BenchmarkAblationNoVPPN(b *testing.B) {
-	opt := DefaultLearnedOptions()
-	opt.DisableVPPN = true
-	benchLearnedRandRead(b, opt)
+	cfg := TinyConfig()
+	cfg.Learned.DisableVPPN = true
+	benchLearnedRandRead(b, cfg)
 }
 
 func BenchmarkAblationNoSeqInit(b *testing.B) {
-	opt := DefaultLearnedOptions()
-	opt.DisableSeqInit = true
-	benchLearnedRandRead(b, opt)
+	cfg := TinyConfig()
+	cfg.Learned.DisableSeqInit = true
+	benchLearnedRandRead(b, cfg)
 }
 
 func BenchmarkAblationNoCrossGroup(b *testing.B) {
-	opt := DefaultLearnedOptions()
-	opt.DisableCrossGroup = true
-	benchLearnedRandRead(b, opt)
+	cfg := TinyConfig()
+	cfg.Learned.DisableCrossGroup = true
+	benchLearnedRandRead(b, cfg)
 }
 
 // Micro-benchmarks of the translation hot paths. The cache-hit paths must

@@ -4,6 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"learnedftl/internal/fleet"
+	"learnedftl/internal/gc"
 )
 
 // TestZeroThreadsIsAnError: a budget without threads is rejected by every
@@ -80,8 +83,8 @@ func TestGCPoliciesKnob(t *testing.T) {
 	parse := func(s string) ([]GCPolicy, error) { return Budget{GCPolicies: s}.gcPolicyList() }
 	checkListKnob(t, parse, []listCase[GCPolicy]{
 		{"", GCPolicies()},
-		{"costage", []GCPolicy{GCCostAgeTimes}},
-		{" greedy , costbenefit ", []GCPolicy{GCGreedy, GCCostBenefit}},
+		{"costage", []GCPolicy{gc.CostAgeTimes}},
+		{" greedy , costbenefit ", []GCPolicy{gc.Greedy, gc.CostBenefit}},
 		{"greedy,costbenfit", nil}, // typo
 		{"greedy,,costage", nil},   // empty element
 		{"greedy,", nil},           // trailing comma
@@ -109,11 +112,11 @@ func TestFaultSchemesKnob(t *testing.T) {
 }
 
 func TestFleetPlacementKnob(t *testing.T) {
-	parse := func(s string) ([]FleetPolicy, error) { return Budget{FleetPlacement: s}.fleetPolicyList() }
-	checkListKnob(t, parse, []listCase[FleetPolicy]{
-		{"", FleetPolicies()},
-		{"striping,hash", []FleetPolicy{FleetStriping, FleetHash}},
-		{" replicate ", []FleetPolicy{FleetReplicate}},
+	parse := func(s string) ([]fleet.Policy, error) { return Budget{FleetPlacement: s}.fleetPolicyList() }
+	checkListKnob(t, parse, []listCase[fleet.Policy]{
+		{"", fleet.Policies()},
+		{"striping,hash", []fleet.Policy{fleet.Striping, fleet.Hash}},
+		{" replicate ", []fleet.Policy{fleet.Replicate}},
 		{"striping,hsah", nil}, // typo
 		{"striping,,hash", nil},
 		{"hash,", nil},

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"learnedftl"
+	"learnedftl/internal/gc"
 )
 
 // TestGCPolicyFlag: -gc-policy takes exactly the lists Budget.GCPolicies
@@ -16,8 +17,8 @@ func TestGCPolicyFlag(t *testing.T) {
 		want []learnedftl.GCPolicy // nil: an error
 	}{
 		{"", learnedftl.GCPolicies()},
-		{"greedy", []learnedftl.GCPolicy{learnedftl.GCGreedy}},
-		{" greedy , costbenefit ", []learnedftl.GCPolicy{learnedftl.GCGreedy, learnedftl.GCCostBenefit}},
+		{"greedy", []learnedftl.GCPolicy{gc.Greedy}},
+		{" greedy , costbenefit ", []learnedftl.GCPolicy{gc.Greedy, gc.CostBenefit}},
 		{"greedy,costbenfit", nil},
 		{"greedy,,costage", nil},
 		{"costage,", nil},

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"learnedftl/internal/crash"
+	"learnedftl/internal/fault"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/persist"
 	"learnedftl/internal/sim"
@@ -99,7 +101,7 @@ func TestCrashRecoveryAtGCBoundaries(t *testing.T) {
 // injection at construction (documented in core.New).
 func TestRecoveryExcludesRetiredBadBlocks(t *testing.T) {
 	cfg := TinyConfig()
-	cfg.Fault = DefaultFaultConfig()
+	cfg.Fault = fault.Default()
 	cfg.Fault.Enabled = true
 	cfg.Fault.ProgramFailProb = 0.002
 	cfg.Fault.Seed = 99
@@ -147,9 +149,8 @@ func TestRecoveryExcludesRetiredBadBlocks(t *testing.T) {
 	}
 }
 
-// TestInjectCrashAPI pins the public wrapper: an injected cut on a root
-// device fires, recovers and verifies clean, and a non-firing plan reports
-// Fired=false.
+// TestInjectCrashAPI: an injected cut on a device built by New fires,
+// recovers and verifies clean, and a non-firing plan reports Fired=false.
 func TestInjectCrashAPI(t *testing.T) {
 	cfg := TinyConfig()
 	f, err := New(SchemeDFTL, cfg)
@@ -158,10 +159,7 @@ func TestInjectCrashAPI(t *testing.T) {
 	}
 	lp := f.Config().LogicalPages()
 	gens := workload.FIO(workload.RandWrite, lp, 1, 4, 2000, 11)
-	out, err := InjectCrash(f, gens, 0, CrashPlan{AtOp: 701})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := crash.Inject(f.(crash.Device), gens, 0, crash.Plan{AtOp: 701})
 	if !out.Fired || out.Cut.Op != 701 {
 		t.Fatalf("cut did not fire at op 701: %+v", out.Cut)
 	}
@@ -173,10 +171,7 @@ func TestInjectCrashAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = InjectCrash(g, workload.FIO(workload.RandWrite, lp, 1, 1, 10, 12), 0, CrashPlan{AtOp: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out = crash.Inject(g.(crash.Device), workload.FIO(workload.RandWrite, lp, 1, 1, 10, 12), 0, crash.Plan{AtOp: 1 << 40})
 	if out.Fired {
 		t.Fatal("cut fired beyond the window")
 	}

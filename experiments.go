@@ -749,25 +749,23 @@ var experiments = []experiment{
 		header: []string{"comparison", "LearnedFTL", "counterpart", "ratio"},
 		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
 			return []int{6}, func(c *cell) error {
-				i := c.at[0]
-				opt := DefaultLearnedOptions()
+				i, cfg := c.at[0], cfg // cells run concurrently: switch a copy
 				p, io := workload.RandWrite, 1
 				switch {
 				case i < 2:
-					opt.ChargeTraining = i == 0
+					cfg.Learned.ChargeTraining = i == 0
 				case i < 4:
 					p = workload.RandRead
 				default:
 					p, io = workload.SeqRead, 8
 				}
 				if i >= 2 && i%2 == 1 {
-					opt.PredictCost = 0
+					cfg.Learned.PredictCost = 0
 				}
-				f, err := NewLearned(cfg, opt)
+				f, err := c.warmed(SchemeLearnedFTL, cfg)
 				if err != nil {
 					return err
 				}
-				c.warmUp(f)
 				c.reports = append(c.reports, measureFIO(f, p, b.Threads, io, b.Requests))
 				return nil
 			}, nil

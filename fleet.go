@@ -1,10 +1,9 @@
 package learnedftl
 
-// The root-level fleet surface: re-exports of internal/fleet's array and
-// placement types, the checkpoint-shared fleet warm-up, and the fleet
-// experiment — per-tenant tail latency and cross-device wear imbalance
-// versus placement policy on a multi-device array, with a mid-run device
-// failure + rebuild scenario beside the healthy baseline.
+// The fleet experiment — per-tenant tail latency and cross-device wear
+// imbalance versus placement policy on a multi-device array, with a mid-run
+// device failure + rebuild scenario beside the healthy baseline — and the
+// checkpoint-shared fleet warm-up it runs on.
 
 import (
 	"fmt"
@@ -17,69 +16,6 @@ import (
 	"learnedftl/internal/sweep"
 	"learnedftl/internal/workload"
 )
-
-// Re-exported fleet types (see internal/fleet and internal/stats).
-type (
-	// FleetConfig parameterizes a fleet layout: device count, placement
-	// policy, replication factor, stripe unit, hash virtual nodes and the
-	// utilization headroom rebuild re-homes into.
-	FleetConfig = fleet.Config
-	// FleetPolicy names a placement policy.
-	FleetPolicy = fleet.Policy
-	// FleetArray is an array of devices behind a placement layer; drive
-	// it with RunOpenLoopFleet.
-	FleetArray = fleet.Array
-	// FleetReport merges per-device reports under the host-level view.
-	FleetReport = stats.FleetReport
-	// FleetFailure surfaces one failed device in an aggregated report.
-	FleetFailure = stats.FleetFailure
-)
-
-// The built-in placement policies (see internal/fleet).
-const (
-	// FleetStriping is RAID-0 striping: maximum parallelism, no
-	// redundancy.
-	FleetStriping = fleet.Striping
-	// FleetReplicate keeps K chained-declustered copies per stripe unit;
-	// reads go to the least-busy replica, writes fan out, and a failed
-	// device rebuilds onto survivors.
-	FleetReplicate = fleet.Replicate
-	// FleetHash places units by consistent hashing with virtual nodes
-	// and bounded loads.
-	FleetHash = fleet.Hash
-)
-
-// FleetPolicies returns the built-in placement policies in presentation
-// order.
-func FleetPolicies() []FleetPolicy { return fleet.Policies() }
-
-// ParseFleetPolicy maps a flag value to a FleetPolicy, reporting whether
-// the name was recognized ("" parses as striping, the default).
-func ParseFleetPolicy(s string) (FleetPolicy, bool) { return fleet.ParsePolicy(s) }
-
-// NewFleet assembles an array over already-built devices (typically
-// identical warmed clones): the layout is constructed against the first
-// device's logical capacity and validated against all of them.
-func NewFleet(fc FleetConfig, devs []FTL) (*FleetArray, error) {
-	if len(devs) == 0 {
-		return nil, fmt.Errorf("learnedftl: fleet needs at least one device")
-	}
-	lay, err := fleet.NewLayout(fc, devs[0].Config().LogicalPages())
-	if err != nil {
-		return nil, err
-	}
-	return fleet.NewArray(lay, devs)
-}
-
-// RunOpenLoopFleet drives a fleet array with the open-loop host model —
-// the same arrival processes, queueing semantics and deterministic
-// scheduling as RunOpenLoopWith on a single device, under one virtual
-// clock across all devices. Host-level latencies land in the array's
-// collector; OpenOptions.BackgroundGC additionally offers device-idle gaps
-// to every device's background collector and to the rebuild pump.
-func RunOpenLoopFleet(a *FleetArray, streams []Stream, opt OpenOptions) RunResult {
-	return sim.RunOpenTarget(a, streams, opt)
-}
 
 // warmedFleet builds n identical warmed devices sharing one warm-up:
 // device 0 comes from warmed — checkpoint-cache aware — and the remaining
@@ -114,7 +50,7 @@ type FleetCell struct {
 	Scenario      string               `json:"scenario"`
 	Devices       int                  `json:"devices"`
 	WearCVDevices float64              `json:"wear_cv_devices"`
-	Failed        []FleetFailure       `json:"failed,omitempty"`
+	Failed        []stats.FleetFailure `json:"failed,omitempty"`
 	LostRequests  int64                `json:"lost_requests,omitempty"`
 	LostUnits     int64                `json:"lost_units,omitempty"`
 	RebuiltUnits  int64                `json:"rebuilt_units,omitempty"`
@@ -124,8 +60,8 @@ type FleetCell struct {
 
 // fleetPolicyList resolves the budget's placement subset, erroring on
 // typos so a misspelled policy never silently collapses the sweep.
-func (b Budget) fleetPolicyList() ([]FleetPolicy, error) {
-	return sweep.ParseList(b.FleetPlacement, "placement policy", FleetPolicies(), ParseFleetPolicy)
+func (b Budget) fleetPolicyList() ([]fleet.Policy, error) {
+	return sweep.ParseList(b.FleetPlacement, "placement policy", fleet.Policies(), fleet.ParsePolicy)
 }
 
 // fleetScenarios are the two columns of the fleet experiment: the healthy
@@ -180,9 +116,13 @@ func fleetGrid(cfg Config, b Budget) ([]int, cellFunc, error) {
 		if err != nil {
 			return err
 		}
-		arr, err := NewFleet(FleetConfig{
+		lay, err := fleet.NewLayout(fleet.Config{
 			Devices: n, Policy: pol, Replicas: k, Util: fleetUtil,
-		}, devs)
+		}, devs[0].Config().LogicalPages())
+		if err != nil {
+			return err
+		}
+		arr, err := fleet.NewArray(lay, devs)
 		if err != nil {
 			return err
 		}
@@ -220,7 +160,7 @@ func fleetGrid(cfg Config, b Budget) ([]int, cellFunc, error) {
 			f.Collector().Reset()
 			f.Flash().ResetCounters()
 		}
-		res := RunOpenLoopFleet(arr, streams, OpenOptions{BackgroundGC: true})
+		res := sim.RunOpenTarget(arr, streams, sim.OpenOptions{BackgroundGC: true})
 		var sum nand.OpCounters
 		devReports := make([]stats.Report, n)
 		for j, f := range devs {
@@ -239,7 +179,7 @@ func fleetGrid(cfg Config, b Budget) ([]int, cellFunc, error) {
 			failed = strings.Join(names, "+")
 		}
 		rebuilt := "-"
-		if pol == FleetReplicate && scenario == "failure" {
+		if pol == fleet.Replicate && scenario == "failure" {
 			rebuilt = fmt.Sprintf("%d/%d", arr.Rebuilt(), arr.Rebuilt()+arr.PendingRebuild())
 		}
 		for _, sr := range fr.Host.Streams[:min(len(fr.Host.Streams), 2)] {

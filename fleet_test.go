@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"learnedftl/internal/fleet"
+	"learnedftl/internal/sim"
 	"learnedftl/internal/stats"
 	"learnedftl/internal/workload"
 )
@@ -18,23 +20,23 @@ func fleetTestBudget(workers int) Budget {
 }
 
 // fleetTestStreams is a small deterministic two-tenant mix over lp pages.
-func fleetTestStreams(lp int64) []Stream {
+func fleetTestStreams(lp int64) []sim.Stream {
 	return append(
-		workload.OpenFIO("reads", workload.RandRead, lp, 1, 2, 400, ArrivalPoisson, 40000, 11),
-		workload.OpenFIO("writes", workload.RandWrite, lp, 8, 2, 200, ArrivalPoisson, 8000, 13)...)
+		workload.OpenFIO("reads", workload.RandRead, lp, 1, 2, 400, sim.ArrivalPoisson, 40000, 11),
+		workload.OpenFIO("writes", workload.RandWrite, lp, 8, 2, 200, sim.ArrivalPoisson, 8000, 13)...)
 }
 
 // TestFleetPassthroughMatchesOpenLoop is the byte-identity bar of the fleet
 // layer: a 1-device array is a passthrough, so driving a device through it
 // must leave the device in exactly the state — snapshot byte for byte —
-// that RunOpenLoopWith leaves an identically-built device in, with the
+// that sim.RunOpenWith leaves an identically-built device in, with the
 // engine observing the same completions. All five schemes, both single-copy
 // policies.
 func TestFleetPassthroughMatchesOpenLoop(t *testing.T) {
 	cfg := TinyConfig()
 	b := fleetTestBudget(1)
 	for _, s := range Schemes() {
-		for _, pol := range []FleetPolicy{FleetStriping, FleetHash} {
+		for _, pol := range []fleet.Policy{fleet.Striping, fleet.Hash} {
 			direct, err := newWarmed(s, cfg, b)
 			if err != nil {
 				t.Fatalf("%v: newWarmed: %v", s, err)
@@ -43,17 +45,21 @@ func TestFleetPassthroughMatchesOpenLoop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: newWarmed: %v", s, err)
 			}
-			arr, err := NewFleet(FleetConfig{Devices: 1, Policy: pol}, []FTL{arrDev})
+			lay, err := fleet.NewLayout(fleet.Config{Devices: 1, Policy: pol}, arrDev.Config().LogicalPages())
 			if err != nil {
-				t.Fatalf("%v/%s: NewFleet: %v", s, pol, err)
+				t.Fatalf("%v/%s: NewLayout: %v", s, pol, err)
+			}
+			arr, err := fleet.NewArray(lay, []FTL{arrDev})
+			if err != nil {
+				t.Fatalf("%v/%s: NewArray: %v", s, pol, err)
 			}
 			// The 1-device layout is the identity map over the device's
 			// stripe-aligned capacity; both runs replay the same streams over
 			// that same space.
 			lp := arr.Layout().LogicalPages
-			opt := OpenOptions{BackgroundGC: true}
-			resA := RunOpenLoopWith(direct, fleetTestStreams(lp), opt)
-			resB := RunOpenLoopFleet(arr, fleetTestStreams(lp), opt)
+			opt := sim.OpenOptions{BackgroundGC: true}
+			resA := sim.RunOpenWith(direct, fleetTestStreams(lp), opt)
+			resB := sim.RunOpenTarget(arr, fleetTestStreams(lp), opt)
 			if !reflect.DeepEqual(resA, resB) {
 				t.Fatalf("%v/%s: results diverged: direct %+v, fleet %+v", s, pol, resA, resB)
 			}
@@ -122,10 +128,10 @@ func TestFleetBenchJSON(t *testing.T) {
 			if len(c.Failed) != 1 || c.Failed[0].Device != 1 {
 				t.Errorf("cell %s failure: Failed = %+v, want device 1", c.Policy, c.Failed)
 			}
-			if c.Policy == string(FleetStriping) && c.LostUnits == 0 {
+			if c.Policy == string(fleet.Striping) && c.LostUnits == 0 {
 				t.Errorf("striping failure lost no units")
 			}
-			if c.Policy == string(FleetReplicate) && c.LostRequests != 0 {
+			if c.Policy == string(fleet.Replicate) && c.LostRequests != 0 {
 				t.Errorf("replicate failure lost %d requests", c.LostRequests)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"learnedftl/internal/gc"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/workload"
 )
@@ -190,7 +191,7 @@ func TestGCPolicySelectionViaConfig(t *testing.T) {
 		c := f.Flash().Counters()
 		return c.TotalPrograms()
 	}
-	if run(GCGreedy) == run(GCCostBenefit) {
+	if run(gc.Greedy) == run(gc.CostBenefit) {
 		t.Fatal("greedy and cost-benefit produced identical flash schedules")
 	}
 }

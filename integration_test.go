@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"learnedftl/internal/core"
 	ftlpkg "learnedftl/internal/ftl"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/sim"
@@ -48,8 +49,7 @@ func TestReadLatencyArithmetic(t *testing.T) {
 	}
 
 	// LearnedFTL: model hit = read + prediction cost.
-	opt := DefaultLearnedOptions()
-	ld, err := NewLearned(cfg, opt)
+	ld, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func TestReadLatencyArithmetic(t *testing.T) {
 	}
 	idle = ld.Flash().MaxChipBusy()
 	done = ld.ReadPages(3, 1, idle)
-	if done-idle != rd+opt.PredictCost {
-		t.Fatalf("model-hit latency = %d, want %d", done-idle, rd+opt.PredictCost)
+	if done-idle != rd+cfg.Learned.PredictCost {
+		t.Fatalf("model-hit latency = %d, want %d", done-idle, rd+cfg.Learned.PredictCost)
 	}
 	if ld.Collector().ModelHits == 0 {
 		t.Fatal("model path not taken")
@@ -148,7 +148,7 @@ func TestCrossFTLMappedSetEquivalence(t *testing.T) {
 // scratch row.
 func TestFullyLiveGroupGCRegression(t *testing.T) {
 	cfg := TinyConfig()
-	f, err := NewLearned(cfg, DefaultLearnedOptions())
+	f, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,39 +21,6 @@ import (
 	"learnedftl/internal/stats"
 )
 
-// Options tweak LearnedFTL behavior for the paper's ablations.
-type Options struct {
-	// ChargeTraining adds the measured CPU cost of sorting+training per
-	// GTD entry to GC time (Fig. 15/17/18a). Disabled = the paper's
-	// "w/o training&sorting" configuration.
-	ChargeTraining bool
-	// SortTrainCost is the virtual CPU time per GTD entry for GC-time
-	// sorting + training (paper: ~50µs on ARM Cortex-A72).
-	SortTrainCost nand.Time
-	// PredictCost is the virtual CPU time of one model prediction on the
-	// read path (paper Fig. 15: 0.65µs). Zero gives the paper's "ideal
-	// LearnedFTL" that fetches the PPN from a full DRAM map instead
-	// (Fig. 18b).
-	PredictCost nand.Time
-	// DisableVPPN trains models on raw PPNs instead of VPPNs — the
-	// ablation showing why §III-C exists.
-	DisableVPPN bool
-	// DisableSeqInit turns off §III-E1 sequential initialization.
-	DisableSeqInit bool
-	// DisableCrossGroup turns off §III-D opportunistic cross-group
-	// allocation.
-	DisableCrossGroup bool
-}
-
-// DefaultOptions returns the paper's configuration.
-func DefaultOptions() Options {
-	return Options{
-		ChargeTraining: true,
-		SortTrainCost:  50 * nand.Microsecond,
-		PredictCost:    650, // 0.65µs
-	}
-}
-
 // group tracks one GTD entry group's allocation state (§III-D).
 type group struct {
 	rows      []int // owned superblock rows; last is active
@@ -67,7 +34,6 @@ type group struct {
 type LearnedFTL struct {
 	ftl.State
 	ftl.Demand
-	opt    Options
 	models []*learned.InPlaceModel // one per GTD entry (= per TPN)
 
 	// Group-based allocation.
@@ -177,8 +143,8 @@ func SpareRows(cfg ftl.Config) int {
 // New builds a LearnedFTL device. The configuration's logical space must be
 // group-aligned and the geometry must leave enough superblock rows for the
 // groups plus GC reserve; DefaultConfig at paper or paper-scaled geometry
-// satisfies both.
-func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
+// satisfies both. cfg.Learned selects the paper's design or an ablation.
+func New(cfg ftl.Config) (*LearnedFTL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -205,7 +171,6 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 	}
 	f := &LearnedFTL{
 		State:      st,
-		opt:        opt,
 		models:     make([]*learned.InPlaceModel, p.numTPNs),
 		span:       p.span,
 		sbPages:    p.sbPages,
@@ -258,12 +223,6 @@ func New(cfg ftl.Config, opt Options) (*LearnedFTL, error) {
 
 // Name implements ftl.FTL.
 func (f *LearnedFTL) Name() string { return "LearnedFTL" }
-
-// Options returns the ablation options the device was built with. Snapshot
-// fingerprints include them: options change behavior (training charges,
-// prediction cost, VPPN ablation), so a snapshot must never silently
-// restore into a differently optioned device.
-func (f *LearnedFTL) Options() Options { return f.opt }
 
 // LogicalPages returns the group-aligned logical capacity of this device.
 func (f *LearnedFTL) LogicalPages() int64 { return f.L2P.Len() }
@@ -327,7 +286,7 @@ func (f *LearnedFTL) ModelAccuracy() (setBits, mappedLPNs int64) {
 
 // toVirtual maps physical→virtual for training, honoring the VPPN ablation.
 func (f *LearnedFTL) toVirtual(p nand.PPN) int64 {
-	if f.opt.DisableVPPN {
+	if f.Cfg.Learned.DisableVPPN {
 		return int64(p)
 	}
 	return int64(f.Codec.ToVirtual(p))
@@ -335,7 +294,7 @@ func (f *LearnedFTL) toVirtual(p nand.PPN) int64 {
 
 // fromVirtual maps a model prediction back to a physical page.
 func (f *LearnedFTL) fromVirtual(v int64) nand.PPN {
-	if f.opt.DisableVPPN {
+	if f.Cfg.Learned.DisableVPPN {
 		return nand.PPN(v)
 	}
 	return f.Codec.ToPhysical(nand.VPPN(v))
@@ -378,11 +337,11 @@ func (f *LearnedFTL) readOne(lpn int64, remaining int, now nand.Time) nand.Time 
 		f.Col.ModelHits++
 		f.Col.RecordClass(stats.ReadSingle)
 		if tr := f.Col.Tracer(); tr != nil {
-			tr.AddPhase(obs.PhaseLookup, f.opt.PredictCost)
+			tr.AddPhase(obs.PhaseLookup, f.Cfg.Learned.PredictCost)
 		}
 		// The prediction itself costs CPU time (bitmap check + y=kx+b +
 		// VPPN→PPN translation) before the flash read can issue.
-		return f.Fl.Read(ppn, now+f.opt.PredictCost, nand.OpHostData)
+		return f.Fl.Read(ppn, now+f.Cfg.Learned.PredictCost, nand.OpHostData)
 	}
 	// Fallback: TPFTL demand path with prefetch — the double read.
 	t := f.ReadTrans(tpn, now)
@@ -407,7 +366,7 @@ func (f *LearnedFTL) WritePages(lpn int64, n int, now nand.Time) nand.Time {
 	}
 	var cur run
 	flushRun := func() {
-		if cur.length > 0 && !f.opt.DisableSeqInit {
+		if cur.length > 0 && !f.Cfg.Learned.DisableSeqInit {
 			// §III-E1: a consecutive-LPN write that landed on consecutive
 			// VPPNs is itself a y=x model — install it in place. A group GC
 			// triggered since the run's first page was placed may have

@@ -26,7 +26,7 @@ func testConfig() ftl.Config {
 
 func newFTL(t *testing.T) *LearnedFTL {
 	t.Helper()
-	f, err := New(testConfig(), DefaultOptions())
+	f, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +36,12 @@ func newFTL(t *testing.T) *LearnedFTL {
 func TestNewValidatesGeometry(t *testing.T) {
 	cfg := testConfig()
 	cfg.GroupEntries = 64 // span 2048 > superblock 128
-	if _, err := New(cfg, DefaultOptions()); err == nil {
+	if _, err := New(cfg); err == nil {
 		t.Fatal("oversized group accepted")
 	}
 	cfg = testConfig()
 	cfg.OPRatio = 0.02 // not enough rows for groups + reserve
-	if _, err := New(cfg, DefaultOptions()); err == nil {
+	if _, err := New(cfg); err == nil {
 		t.Fatal("overcommitted geometry accepted")
 	}
 }
@@ -172,7 +172,7 @@ func TestGroupGCKeepsGroupsCompact(t *testing.T) {
 
 func TestCrossGroupBorrowingDelaysGC(t *testing.T) {
 	cfg := testConfig()
-	f, err := New(cfg, DefaultOptions())
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +199,9 @@ func TestCrossGroupBorrowingDelaysGC(t *testing.T) {
 }
 
 func TestDisableCrossGroupStillWorks(t *testing.T) {
-	opt := DefaultOptions()
-	opt.DisableCrossGroup = true
-	f, err := New(testConfig(), opt)
+	cfg := testConfig()
+	cfg.Learned.DisableCrossGroup = true
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +218,10 @@ func TestDisableCrossGroupStillWorks(t *testing.T) {
 
 func TestVPPNAblationDegradesAccuracy(t *testing.T) {
 	run := func(disableVPPN bool) float64 {
-		opt := DefaultOptions()
-		opt.DisableVPPN = disableVPPN
-		opt.DisableSeqInit = true // isolate GC training
-		f, err := New(testConfig(), opt)
+		cfg := testConfig()
+		cfg.Learned.DisableVPPN = disableVPPN
+		cfg.Learned.DisableSeqInit = true // isolate GC training
+		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,9 +251,9 @@ func TestVPPNAblationDegradesAccuracy(t *testing.T) {
 
 func TestSeqInitAblation(t *testing.T) {
 	run := func(disable bool) int64 {
-		opt := DefaultOptions()
-		opt.DisableSeqInit = disable
-		f, _ := New(testConfig(), opt)
+		cfg := testConfig()
+		cfg.Learned.DisableSeqInit = disable
+		f, _ := New(cfg)
 		now := nand.Time(0)
 		lp := f.LogicalPages()
 		for lpn := int64(0); lpn < lp; lpn += 16 {
@@ -278,7 +278,7 @@ func TestTrainingChargeAccountedInGCTime(t *testing.T) {
 	if f.Col.SortTrainOps == 0 {
 		t.Fatal("no training charge recorded")
 	}
-	want := f.Col.SortTrainOps * int64(DefaultOptions().SortTrainCost)
+	want := f.Col.SortTrainOps * int64(testConfig().Learned.SortTrainCost)
 	if f.Col.SortTrainNS != want {
 		t.Fatalf("SortTrainNS = %d, want %d", f.Col.SortTrainNS, want)
 	}
@@ -290,7 +290,7 @@ func TestTrainingChargeAccountedInGCTime(t *testing.T) {
 func TestTranslationPoolGC(t *testing.T) {
 	cfg := testConfig()
 	cfg.CMTRatio = 0.01 // tiny CMT → constant dirty evictions → TP churn
-	f, err := New(cfg, DefaultOptions())
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

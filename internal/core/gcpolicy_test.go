@@ -51,7 +51,7 @@ func TestVictimGroupPolicyPlumbing(t *testing.T) {
 	for _, k := range []gc.Kind{gc.CostBenefit, gc.CostAgeTimes} {
 		cfg := testConfig()
 		cfg.GCPolicy = k
-		f, err := New(cfg, DefaultOptions())
+		f, err := New(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
@@ -77,7 +77,7 @@ func TestVictimGroupPolicyPlumbing(t *testing.T) {
 func TestVictimGroupSkipsZeroGain(t *testing.T) {
 	cfg := testConfig()
 	cfg.GCPolicy = gc.CostBenefit
-	f, err := New(cfg, DefaultOptions())
+	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func (f *LearnedFTL) allocSlot(gid int, now nand.Time) (int64, nand.Time) {
 		if f.inGC {
 			// GC evacuation cannot recurse into another GC: borrow from
 			// any group but the victim, then dip into the reserve.
-			if !f.opt.DisableCrossGroup {
+			if !f.Cfg.Learned.DisableCrossGroup {
 				if v, ok := f.borrowSlot(gid); ok {
 					return v, now
 				}
@@ -111,7 +111,7 @@ func (f *LearnedFTL) allocSlot(gid int, now nand.Time) (int64, nand.Time) {
 			now = f.gcGroup(victim, now)
 			continue
 		}
-		if !f.opt.DisableCrossGroup {
+		if !f.Cfg.Learned.DisableCrossGroup {
 			if v, ok := f.borrowSlot(gid); ok {
 				return v, now
 			}
@@ -470,7 +470,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 		}
 		for ; j < len(lpns) && lpns[j] < hi; j++ {
 			v := base + int64(j)
-			if f.opt.DisableVPPN {
+			if f.Cfg.Learned.DisableVPPN {
 				v = int64(f.Codec.ToPhysical(nand.VPPN(v)))
 			}
 			vppns[lpns[j]-lo] = v
@@ -481,10 +481,10 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 		if baseV >= 0 {
 			f.models[tpn].TrainFull(baseV, vppns)
 			f.Col.ModelTrainings++
-			if f.opt.ChargeTraining {
-				t += f.opt.SortTrainCost
+			if f.Cfg.Learned.ChargeTraining {
+				t += f.Cfg.Learned.SortTrainCost
 				f.Col.SortTrainOps++
-				f.Col.SortTrainNS += int64(f.opt.SortTrainCost)
+				f.Col.SortTrainNS += int64(f.Cfg.Learned.SortTrainCost)
 			}
 		}
 		t = f.updateTrans(tpn, false, t)

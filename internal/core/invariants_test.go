@@ -99,7 +99,7 @@ func checkInvariants(t *testing.T, f *LearnedFTL) {
 // and revalidates every structural invariant at checkpoints.
 func TestInvariantsUnderRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		f, err := New(testConfig(), DefaultOptions())
+		f, err := New(testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 // TestInvariantsAfterHeavyAging does a long randwrite run and a final deep
 // check (more writes than TestInvariantsUnderRandomOps, fewer checkpoints).
 func TestInvariantsAfterHeavyAging(t *testing.T) {
-	f, err := New(testConfig(), DefaultOptions())
+	f, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

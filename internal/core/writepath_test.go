@@ -90,9 +90,9 @@ func (f *LearnedFTL) trainedFromL2P(tpn int) (learned.ModelState, bool) {
 // fit several pieces, some more than the array holds, and some map nothing.
 func TestGCTrainingMatchesL2PTraining(t *testing.T) {
 	for _, disableVPPN := range []bool{false, true} {
-		opt := DefaultOptions()
-		opt.DisableVPPN = disableVPPN
-		f, err := New(testConfig(), opt)
+		cfg := testConfig()
+		cfg.Learned.DisableVPPN = disableVPPN
+		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

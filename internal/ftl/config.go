@@ -81,6 +81,35 @@ type Config struct {
 	// injection and background scrub. The zero value disables it, keeping
 	// every flash path bit-identical to the ideal-NAND device.
 	Fault fault.Config
+
+	// Learned holds LearnedFTL's design switches and CPU charges; the other
+	// schemes ignore it. DefaultConfig sets the paper's values; the
+	// ablations switch one off.
+	Learned LearnedConfig
+}
+
+// LearnedConfig tweaks LearnedFTL behavior for the paper's ablations.
+type LearnedConfig struct {
+	// ChargeTraining adds the measured CPU cost of sorting+training per
+	// GTD entry to GC time (Fig. 15/17/18a). Disabled = the paper's
+	// "w/o training&sorting" configuration.
+	ChargeTraining bool
+	// SortTrainCost is the virtual CPU time per GTD entry for GC-time
+	// sorting + training (paper: ~50µs on ARM Cortex-A72).
+	SortTrainCost nand.Time
+	// PredictCost is the virtual CPU time of one model prediction on the
+	// read path (paper Fig. 15: 0.65µs). Zero gives the paper's "ideal
+	// LearnedFTL" that fetches the PPN from a full DRAM map instead
+	// (Fig. 18b).
+	PredictCost nand.Time
+	// DisableVPPN trains models on raw PPNs instead of VPPNs — the
+	// ablation showing why §III-C exists.
+	DisableVPPN bool
+	// DisableSeqInit turns off §III-E1 sequential initialization.
+	DisableSeqInit bool
+	// DisableCrossGroup turns off §III-D opportunistic cross-group
+	// allocation.
+	DisableCrossGroup bool
 }
 
 // DefaultConfig returns the paper's configuration at the given geometry.
@@ -103,6 +132,11 @@ func DefaultConfig(g nand.Geometry) Config {
 		GCPolicy:         gc.Greedy,
 		BlockEndurance:   3000,
 		GroupSuperblocks: 3,
+		Learned: LearnedConfig{
+			ChargeTraining: true,
+			SortTrainCost:  50 * nand.Microsecond,
+			PredictCost:    650, // 0.65µs
+		},
 	}
 }
 
@@ -181,10 +215,11 @@ func (c Config) Validate() error {
 	if _, ok := gc.ParseKind(string(c.GCPolicy)); !ok {
 		return fmt.Errorf("ftl: unknown GC policy %q (want one of %v)", c.GCPolicy, gc.Kinds())
 	}
-	if err := c.Fault.Validate(); err != nil {
-		return err
+	if c.Learned.SortTrainCost < 0 || c.Learned.PredictCost < 0 {
+		return fmt.Errorf("ftl: LearnedFTL CPU charges must not be negative (SortTrainCost %d, PredictCost %d)",
+			c.Learned.SortTrainCost, c.Learned.PredictCost)
 	}
-	return nil
+	return c.Fault.Validate()
 }
 
 // FTL is the behavior every reproduced scheme implements. Page-granular

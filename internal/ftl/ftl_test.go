@@ -54,6 +54,23 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("GCLowWater 1 accepted")
 	}
+	// A negative LearnedFTL CPU charge would issue a model-hit read before
+	// the request that made it arrived.
+	bad = cfg
+	bad.Learned.SortTrainCost = -1
+	if bad.Validate() == nil {
+		t.Fatal("negative SortTrainCost accepted")
+	}
+	bad = cfg
+	bad.Learned.PredictCost = -1
+	if bad.Validate() == nil {
+		t.Fatal("negative PredictCost accepted")
+	}
+	bad = cfg
+	bad.Learned.SortTrainCost, bad.Learned.PredictCost = 0, 0
+	if err := bad.Validate(); err != nil {
+		t.Fatalf("zero LearnedFTL charges rejected: %v", err)
+	}
 	// LeaFTL packs a segment's span and error into 16 bits each and names a
 	// translation page's segments by 16-bit handles.
 	for _, c := range []struct {

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"testing"
 
+	ftlpkg "learnedftl/internal/ftl"
 	"learnedftl/internal/nand"
+	"learnedftl/internal/obs"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/workload"
 )
@@ -20,9 +22,9 @@ func obsBudget() Budget {
 // obsGens builds the measured-phase workload of the observability tests: a
 // read-heavy random mix (1 write in 4) that exercises CMT hits and misses,
 // model predictions, translation write-backs and GC.
-func obsGens(lp int64) []Generator {
+func obsGens(lp int64) []sim.Generator {
 	const threads, perThread = 8, 150
-	gens := make([]Generator, threads)
+	gens := make([]sim.Generator, threads)
 	for th := 0; th < threads; th++ {
 		rng := rand.New(rand.NewSource(31 + int64(th)*7919))
 		issued := 0
@@ -43,7 +45,7 @@ func obsGens(lp int64) []Generator {
 
 // obsWarm builds the warm-up generators (fresh per run — generators are
 // stateful).
-func obsWarm(lp int64) []Generator {
+func obsWarm(lp int64) []sim.Generator {
 	return workload.Warmup(lp, 1, 64, 1)
 }
 
@@ -62,9 +64,9 @@ func runObsReference(t *testing.T, s Scheme) (FTL, RunResult, RunResult) {
 }
 
 // sumPhases folds a breakdown's phase sums.
-func sumPhases(b Breakdown) nand.Time {
+func sumPhases(b obs.Breakdown) nand.Time {
 	var sum nand.Time
-	for p := Phase(0); p < NumPhases; p++ {
+	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		sum += b.PhaseSum[p]
 	}
 	return sum
@@ -92,12 +94,12 @@ func TestObsGoldenEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		lp := fb.Config().LogicalPages()
-		trSeq := NewTracer()
+		trSeq := obs.NewTracer()
 		trSeq.EnableTrace(1 << 16)
-		AttachTracer(fb, trSeq)
+		ftlpkg.AttachTracer(fb, trSeq)
 		warmB := sim.Warmed(fb, obsWarm(lp), 0)
 		runB := sim.Run(fb, obsGens(lp), 0)
-		AttachTracer(fb, nil)
+		ftlpkg.AttachTracer(fb, nil)
 
 		if warmA != warmB || runA != runB {
 			t.Fatalf("%s: traced results diverged: %+v/%+v vs %+v/%+v",
@@ -149,7 +151,7 @@ func TestObsDisabledZeroAlloc(t *testing.T) {
 }
 
 // benchObsReads measures the host read path with and without a tracer.
-func benchObsReads(b *testing.B, tr *Tracer) {
+func benchObsReads(b *testing.B, tr *obs.Tracer) {
 	f, err := New(SchemeLearnedFTL, TinyConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -157,7 +159,7 @@ func benchObsReads(b *testing.B, tr *Tracer) {
 	lp := f.Config().LogicalPages()
 	sim.Warmed(f, obsWarm(lp), 0)
 	if tr != nil {
-		AttachTracer(f, tr)
+		ftlpkg.AttachTracer(f, tr)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -179,7 +181,7 @@ func benchObsReads(b *testing.B, tr *Tracer) {
 func BenchmarkTraceOff(b *testing.B) { benchObsReads(b, nil) }
 
 func BenchmarkTraceOn(b *testing.B) {
-	tr := NewTracer()
+	tr := obs.NewTracer()
 	tr.EnableTrace(1 << 16)
 	benchObsReads(b, tr)
 }
@@ -260,12 +262,12 @@ func TestLatBreakPhaseSums(t *testing.T) {
 				c.FTL, c.Pattern, got, bd.TotalSum)
 		}
 		// Per-phase means must reassemble the mean latency to within the
-		// integer-division slack of NumPhases nanoseconds.
+		// integer-division slack of obs.NumPhases nanoseconds.
 		var meanSum nand.Time
-		for p := Phase(0); p < NumPhases; p++ {
+		for p := obs.Phase(0); p < obs.NumPhases; p++ {
 			meanSum += bd.PhaseMean(p)
 		}
-		if d := bd.Mean() - meanSum; d < 0 || d > nand.Time(NumPhases) {
+		if d := bd.Mean() - meanSum; d < 0 || d > nand.Time(obs.NumPhases) {
 			t.Fatalf("%s/%s: phase means sum to %d, mean is %d",
 				c.FTL, c.Pattern, meanSum, bd.Mean())
 		}

@@ -14,48 +14,16 @@ import (
 	"learnedftl/internal/workload"
 )
 
-// Re-exported observability types (see internal/obs).
-type (
-	// Tracer accumulates per-request latency attribution spans; attach one
-	// with AttachTracer before a measured run and read Breakdown() after.
-	Tracer = obs.Tracer
-	// Breakdown is the frozen aggregate: per-phase latency sums, P99.9,
-	// and the exact decomposition of the P99.9 tail set.
-	Breakdown = obs.Breakdown
-	// Phase is one component of a request's latency decomposition.
-	Phase = obs.Phase
-	// Trace is the bounded virtual-time event ring exported as Chrome
-	// trace-event JSON (Perfetto-viewable).
-	Trace = obs.Trace
-)
-
-// The span phases (see internal/obs for their exact attribution rules).
-const (
-	PhaseQueue     = obs.PhaseQueue
-	PhaseLookup    = obs.PhaseLookup
-	PhaseTrans     = obs.PhaseTrans
-	PhaseGCStall   = obs.PhaseGCStall
-	PhaseRetry     = obs.PhaseRetry
-	PhaseScrubWait = obs.PhaseScrubWait
-	PhaseData      = obs.PhaseData
-	NumPhases      = obs.NumPhases
-)
-
-// NewTracer returns an aggregation-only tracer; EnableTrace adds the trace
-// ring.
-func NewTracer() *Tracer { return obs.NewTracer() }
-
-// AttachTracer wires a tracer into a device: the engines, FTL layers, GC
-// and flash array all feed it. nil detaches, restoring the unobserved hot
-// paths exactly — golden tables are byte-identical with no tracer attached.
-func AttachTracer(f FTL, tr *Tracer) { ftl.AttachTracer(f, tr) }
+// Trace is the bounded virtual-time event ring TraceCapture returns, exported
+// as Chrome trace-event JSON (Perfetto-viewable) by WriteTrace.
+type Trace = obs.Trace
 
 // ObsCell is one latbreak measurement in the BENCH JSON: a scheme ×
 // pattern cell's full phase breakdown.
 type ObsCell struct {
-	FTL       string    `json:"ftl"`
-	Pattern   string    `json:"pattern"`
-	Breakdown Breakdown `json:"breakdown"`
+	FTL       string        `json:"ftl"`
+	Pattern   string        `json:"pattern"`
+	Breakdown obs.Breakdown `json:"breakdown"`
 }
 
 // latBreakPatterns are the workloads latbreak decomposes: the read pattern
@@ -76,10 +44,10 @@ func latBreakCell(c *cell, s Scheme, cfg Config, b Budget) error {
 		return err
 	}
 	for _, p := range latBreakPatterns {
-		tr := NewTracer()
-		AttachTracer(f, tr)
+		tr := obs.NewTracer()
+		ftl.AttachTracer(f, tr)
 		rep := measureFIO(f, p, b.Threads, 1, b.Requests)
-		AttachTracer(f, nil)
+		ftl.AttachTracer(f, nil)
 		bd := rep.Obs
 		if bd == nil {
 			return fmt.Errorf("latbreak: %s/%s produced no breakdown", s, p)
@@ -87,10 +55,10 @@ func latBreakCell(c *cell, s Scheme, cfg Config, b Budget) error {
 		cause, share := bd.TailCause()
 		c.row(f.Name(), p.String(),
 			lat(bd.Mean()),
-			lat(bd.PhaseMean(PhaseLookup)),
-			lat(bd.PhaseMean(PhaseTrans)),
-			lat(bd.PhaseMean(PhaseGCStall)),
-			lat(bd.PhaseMean(PhaseData)),
+			lat(bd.PhaseMean(obs.PhaseLookup)),
+			lat(bd.PhaseMean(obs.PhaseTrans)),
+			lat(bd.PhaseMean(obs.PhaseGCStall)),
+			lat(bd.PhaseMean(obs.PhaseData)),
 			lat(bd.P999),
 			lat(bd.TailMean()),
 			fmt.Sprintf("%s %.0f%%", cause, share*100))
@@ -111,13 +79,13 @@ func TraceCapture(s Scheme, cfg Config, b Budget, capEvents int) (trace *Trace, 
 		if err != nil {
 			return err
 		}
-		tr := NewTracer()
+		tr := obs.NewTracer()
 		tr.EnableTrace(capEvents)
-		AttachTracer(f, tr)
+		ftl.AttachTracer(f, tr)
 		half := max(1, b.Requests/2)
 		measureFIO(f, workload.RandRead, b.Threads, 1, half)
 		rep := measureFIO(f, workload.RandWrite, b.Threads, 1, half)
-		AttachTracer(f, nil)
+		ftl.AttachTracer(f, nil)
 		trace = tr.Trace()
 		bd := tr.Breakdown()
 		tab = Table{

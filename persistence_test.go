@@ -136,15 +136,15 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal("truncated snapshot restored")
 	}
 
-	// Ablation options are part of a LearnedFTL snapshot's identity: a
-	// snapshot taken under non-default options must not restore into a
-	// default-options device (the costs and VPPN behavior would diverge),
-	// and must round-trip through RestoreLearnedDevice with the same
-	// options.
-	opt := DefaultLearnedOptions()
-	opt.DisableVPPN = true
-	opt.PredictCost = 0
-	ld, err := NewLearned(cfg, opt)
+	// LearnedFTL's switches (Config.Learned) are part of its snapshot's
+	// identity: a snapshot taken under an ablation must not restore into a
+	// default device, nor into one that differs in a single switch (the
+	// costs and VPPN behavior would diverge), and must round-trip under the
+	// same switches.
+	ablated := cfg
+	ablated.Learned.DisableVPPN = true
+	ablated.Learned.PredictCost = 0
+	ld, err := New(SchemeLearnedFTL, ablated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,29 +154,32 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := RestoreDevice(SchemeLearnedFTL, cfg, ldSnap); err == nil {
-		t.Fatal("non-default-options snapshot restored into a default-options device")
+		t.Fatal("ablated snapshot restored into a default device")
 	}
-	if _, err := RestoreLearnedDevice(cfg, DefaultLearnedOptions(), ldSnap); err == nil {
-		t.Fatal("snapshot restored under different ablation options")
+	oneOff := ablated
+	oneOff.Learned.PredictCost = cfg.Learned.PredictCost
+	if _, err := RestoreDevice(SchemeLearnedFTL, oneOff, ldSnap); err == nil {
+		t.Fatal("snapshot restored under different ablation switches")
 	}
-	if _, err := RestoreLearnedDevice(cfg, opt, ldSnap); err != nil {
-		t.Fatalf("matching-options restore failed: %v", err)
+	if _, err := RestoreDevice(SchemeLearnedFTL, ablated, ldSnap); err != nil {
+		t.Fatalf("matching-switches restore failed: %v", err)
 	}
 }
 
 // TestSnapshotStreamMatchesWideTables pins the snapshot stream of one warmed
-// device per scheme to the SHA-256 the same seed produced when the flash keys
-// and the L2P were 8 bytes an entry (recorded by running this body at commit
-// a9c33e3). The narrow tables encode to the same varints, so Version-3
-// checkpoints and -checkpoint-dir caches written before the change still load,
-// and ones written after it load there.
+// device per scheme to a SHA-256. The device state in it is what the same
+// seed produced when the flash keys and the L2P were 8 bytes an entry
+// (recorded by running this body at commit a9c33e3): the narrow tables encode
+// to the same varints. The identity string at the head of the stream renders
+// the whole Config, so these sums were re-recorded when Config gained its
+// Learned field; the bytes after that string did not change.
 func TestSnapshotStreamMatchesWideTables(t *testing.T) {
 	want := map[Scheme]string{
-		SchemeDFTL:       "7b6931cd7fa0320f6d473d95d7a6eccaef1bcb8845c2391878d852ee6e021bd8",
-		SchemeTPFTL:      "62d659ede9e9b94bac362d970ee77ba60ee5207728e3a5c4d325241c7055c7d0",
-		SchemeLeaFTL:     "4678a5365cb1ad3160e3687829e98cd2c9cae08e6cfcf4e03abaf49914833ffe",
-		SchemeLearnedFTL: "735f6ef78d0c1aa5af6022239b2f20f184238d41c3d87bc19221fbc48a374113",
-		SchemeIdeal:      "a1fd9c7b64ea656bbf9e0e491f118638669a8577aa2e839d03b842b18a9f166e",
+		SchemeDFTL:       "f62f3c6999587c3c74d0052da35f2158070e28d3ad5281149747c0612ee1a317",
+		SchemeTPFTL:      "56dabb81ee67d207485002dab1f57e7a5da2a11099330372d320dfac635fbf2a",
+		SchemeLeaFTL:     "ebb9418567578aed0a3ede572b6807a6b8a32276eac5b15a9567470c4982435a",
+		SchemeLearnedFTL: "68275eedb7955b43175d03dc63c6aeff53b8a95963b50618acc7a689d8ae66b8",
+		SchemeIdeal:      "ac3bd64f0206da60c8da90278cb156bc2906d32f288e8eb5cb4f19475de8edc0",
 	}
 	cfg := persistTestConfig()
 	for _, s := range Schemes() {
