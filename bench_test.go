@@ -426,7 +426,7 @@ func BenchmarkLSMTInsert(b *testing.B) {
 
 // BenchmarkSimRunSchedule measures the engine's per-request scheduling cost
 // (one tournament-tree advance over 256 closed-loop threads; the tree alone
-// is BenchmarkSchedAdvance in internal/sim) against the ideal FTL,
+// is BenchmarkSchedAdvance in internal/sched) against the ideal FTL,
 // whose translation is a single slice load — so scheduling dominates.
 func BenchmarkSimRunSchedule(b *testing.B) {
 	cfg := TinyConfig()

@@ -269,10 +269,13 @@ func persistKey(name string, cfg Config) string {
 
 // modelVersion versions the simulated model a warm checkpoint was taken
 // under. Any change that moves a sim_digest or a golden table — a scheme's
-// allocation order, GC, training or timing — must bump it: the warm key
-// carries it, so a persistent checkpoint directory then misses and warms
-// cold instead of restoring devices that the older model warmed.
-const modelVersion = 1
+// allocation order, GC, training or timing — or what a checkpoint restores
+// must bump it: the warm key carries it, so a persistent checkpoint
+// directory then misses and warms cold instead of restoring devices that
+// the older model warmed. Version 2 snapshots the scrub queue of a device
+// with a fault model; a version-1 checkpoint of one would decode the
+// scheme's state as the queue.
+const modelVersion = 2
 
 // warmKey identifies a warm checkpoint taken under model version model: the
 // device identity plus the warm-up spec (the settle phase is derived from

@@ -1,6 +1,9 @@
 package ftl
 
-import "learnedftl/internal/nand"
+import (
+	"learnedftl/internal/nand"
+	"learnedftl/internal/sched"
+)
 
 // gcReserve is the number of free blocks host allocations must leave in
 // the device-wide pool: the last free block belongs to garbage collection.
@@ -35,6 +38,17 @@ type BlockMan struct {
 	// allocation order), so equal-busy ties fall to the chip whose next
 	// page has the smallest VPPN and striped writes get contiguous VPPNs.
 	scanOrder []int
+
+	// streams holds one tournament per stream (0 data, 1 translation)
+	// over the chips: entrant r is chip scanOrder[r], keyed by
+	// (busy-until, r), or by sched.Never once the chip was found without
+	// room for the stream even counting the GC reserve. Keys refresh lazily and stay lower
+	// bounds of the current ones: within a flash clock epoch busy times
+	// only grow, and a chip keyed Never regains room only through Release,
+	// which resets the trees. A winner whose key is its busy time and that
+	// has room is therefore the least busy chip with room.
+	streams [2]*sched.Tree
+	epoch   uint64 // f.ClockEpoch() at the last reset
 
 	// onActive fires for every block whose active-write status changes on
 	// the allocation path (both the retiring and the newly opened block).
@@ -80,6 +94,10 @@ func NewBlockMan(f *nand.Flash) *BlockMan {
 			b.free[chip] = append(b.free[chip], chip*blocksPerChip+i)
 		}
 		b.freeCount += blocksPerChip
+	}
+	b.epoch = f.ClockEpoch()
+	for i := range b.streams {
+		b.streams[i] = sched.New(chips, b.rankBusy)
 	}
 	return b
 }
@@ -127,10 +145,59 @@ func (b *BlockMan) AllocGCPage(trans bool) (nand.PPN, bool) {
 	return b.allocLeastBusy(trans, true)
 }
 
+// rankBusy is the busy-until time of the chip of scan-order rank r.
+func (b *BlockMan) rankBusy(r int) nand.Time { return b.f.ChipBusyUntil(b.scanOrder[r]) }
+
+// resetStreams keys every chip of both tournaments at its busy time.
+func (b *BlockMan) resetStreams() {
+	b.epoch = b.f.ClockEpoch()
+	for _, t := range b.streams {
+		t.Reset(b.rankBusy)
+	}
+}
+
 // allocLeastBusy allocates on the least busy chip with space, the first in
-// scanOrder on ties. The busy time is one load, the space check several, so
-// a chip is checked for space only when it would become the new best.
+// scanOrder on ties. A winner of the stream's tournament whose busy time
+// moved on is re-keyed at it, one leaf-to-root replay — typically the chip
+// the previous allocation programmed — and one without room at Never, so
+// a chip's room is checked only when it comes up with a current key. Only
+// a host allocation the device-wide GC reserve turns away from the winner
+// falls back to the full scan.
 func (b *BlockMan) allocLeastBusy(trans, gcAlloc bool) (nand.PPN, bool) {
+	if b.f.ClockEpoch() != b.epoch {
+		b.resetStreams()
+	}
+	t := b.streams[0]
+	if trans {
+		t = b.streams[1]
+	}
+	for {
+		r, at := t.Min()
+		if at == sched.Never {
+			return nand.InvalidPPN, false
+		}
+		chip := b.scanOrder[r]
+		key := b.f.ChipBusyUntil(chip)
+		if key == at {
+			if b.chipHasSpace(chip, trans, true) {
+				// A host allocation may open the reserved block only when
+				// it is not the device's last free one.
+				if gcAlloc || b.freeCount > gcReserve || b.chipHasSpace(chip, trans, false) {
+					return b.allocOn(chip, trans)
+				}
+				return b.allocScan(trans, gcAlloc)
+			}
+			key = sched.Never
+		}
+		t.Advance(key)
+	}
+}
+
+// allocScan allocates on the least busy chip with space by scanning every
+// chip, the first in scanOrder on ties. The busy time is one load, the
+// space check several, so a chip is checked for space only when it would
+// become the new best.
+func (b *BlockMan) allocScan(trans, gcAlloc bool) (nand.PPN, bool) {
 	best := -1
 	var bestBusy nand.Time
 	for _, chip := range b.scanOrder {
@@ -195,11 +262,17 @@ func (b *BlockMan) Retire(blockID int) {
 	}
 }
 
-// Release returns an erased block to the free pool.
+// Release returns an erased block to the free pool. A chip that had no
+// room for a stream has room again, a key the lazy tournaments cannot
+// lower in place, so they are reset.
 func (b *BlockMan) Release(blockID int) {
 	chip := b.codec.Chip(b.codec.BlockBase(blockID))
+	full := !b.chipHasSpace(chip, false, true) || !b.chipHasSpace(chip, true, true)
 	b.free[chip] = append(b.free[chip], blockID)
 	b.freeCount++
+	if full {
+		b.resetStreams()
+	}
 }
 
 // IsActive reports whether blockID is currently an active write block of

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -163,12 +164,16 @@ func predicateFirstLeastBusy(b *BlockMan, trans, gcAlloc bool) int {
 	return best
 }
 
-// TestAllocLeastBusyMatchesPredicateFirstScan: reading the busy time first
-// and checking space only for a chip that would become the new best picks
-// the chip the predicate-first scan picks, over random busy times — from a
-// few values, so ties are common — and random space: chips filled to their
-// last block, blocks erased back into the pool, both streams, host and GC
-// allocations, and the device's reserved last block.
+// TestAllocLeastBusyMatchesPredicateFirstScan: the allocator's lazily
+// refreshed chip tournaments pick the chip the predicate-first scan picks,
+// over random busy times — from a few values, so ties are common — and
+// random space: chips filled to their last block, blocks erased back into
+// the pool (a full chip regaining room), both streams, host and GC
+// allocations, and the device's reserved last block. Between allocations
+// the chip clocks also move behind the allocator's back: reads advance
+// single chips, AdvanceIdle moves them all forward, PowerCycle sets them
+// all to an earlier time, and ImportState loads the same array with every
+// clock redrawn, some earlier and some later.
 func TestAllocLeastBusyMatchesPredicateFirstScan(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -189,7 +194,24 @@ func TestAllocLeastBusyMatchesPredicateFirstScan(t *testing.T) {
 		allocs, fails := 0, 0
 		for step := 0; step < 3000; step++ {
 			trans, gcAlloc := rng.Intn(2) == 0, rng.Intn(4) == 0
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(14); {
+			case op == 10: // a read advances one chip's clock
+				blk := rng.Intn(b.Cfg.Geometry.TotalBlocks())
+				if b.Fl.BlockWritePtr(blk) > 0 {
+					b.Fl.Read(b.Codec.BlockBase(blk), nand.Time(rng.Intn(4))*nand.Time(rng.Intn(1e6)), nand.OpHostData)
+				}
+			case op == 11 && step%5 == 0: // every chip idles forward
+				b.Fl.AdvanceIdle(nand.Time(rng.Intn(1e6)))
+			case op == 11: // every chip restarts at an earlier time
+				b.Fl.PowerCycle(nand.Time(rng.Int63n(int64(b.Fl.MaxChipBusy()) + 1)))
+			case op == 12: // the same array, every clock redrawn
+				st := b.Fl.ExportState()
+				for i := range st.ChipBusy {
+					st.ChipBusy[i] = nand.Time(rng.Int63n(int64(b.Fl.MaxChipBusy())/2+1) * 3)
+				}
+				if err := b.Fl.ImportState(st); err != nil {
+					t.Fatal(err)
+				}
 			case op == 0 && len(full) > 0: // erase a block back into the pool
 				i := rng.Intn(len(full))
 				blk := full[i]
@@ -239,5 +261,45 @@ func TestAllocLeastBusyMatchesPredicateFirstScan(t *testing.T) {
 		if allocs == 0 || fails == 0 {
 			t.Fatalf("seed %d: %d allocations, %d failures: want both", seed, allocs, fails)
 		}
+	}
+}
+
+// BenchmarkOverwriteByChips is one random single-page overwrite of a full
+// ideal-FTL device — least-busy allocation, program, invalidation and the
+// garbage collection it triggers — on the repository benchmark's device
+// (4×4 chips of 32 blocks of 512 pages, 35 % over-provisioning) and on the
+// same chips in the paper's 8×8 array: the write path's cost against the
+// chip count the allocator's pick scales with. Sixteen writers keep one
+// write each outstanding, so chip clocks differ the way a closed loop
+// leaves them.
+func BenchmarkOverwriteByChips(b *testing.B) {
+	for _, side := range []int{4, 8} {
+		b.Run(fmt.Sprintf("chips=%d", side*side), func(b *testing.B) {
+			g := nand.Geometry{Channels: side, Ways: side, Planes: 1, BlocksPerUnit: 32, PagesPerBlock: 512, PageSize: 4096}
+			cfg := DefaultConfig(g)
+			cfg.GroupEntries = 12
+			cfg.OPRatio = 0.35
+			f, err := NewIdeal(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			lp := f.Cfg.LogicalPages()
+			var ready [16]nand.Time
+			for l := int64(0); l < lp; l++ {
+				ready[l%16] = f.WritePages(l, 1, ready[l%16])
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := int64(0); i < lp; i++ {
+				ready[i%16] = f.WritePages(rng.Int63n(lp), 1, ready[i%16])
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ready[i%16] = f.WritePages(rng.Int63n(lp), 1, ready[i%16])
+			}
+			b.StopTimer()
+			if f.Col.DeviceFailed || f.Col.GCCount == 0 {
+				b.Fatalf("failed %v (%s) after %d collections: the window must collect and never fail", f.Col.DeviceFailed, f.Col.FailReason, f.Col.GCCount)
+			}
+		})
 	}
 }

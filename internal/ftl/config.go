@@ -160,11 +160,13 @@ func (c Config) NumTPNs() int {
 	return int(c.LogicalPages() / int64(c.EntriesPerTP))
 }
 
-// TPNOf returns the translation page covering lpn.
-func (c Config) TPNOf(lpn int64) int { return int(lpn / int64(c.EntriesPerTP)) }
+// TPNOf returns the translation page covering lpn. It and TPRange take a
+// pointer: they run inside per-page loops, where a value receiver copied
+// the whole Config on every call.
+func (c *Config) TPNOf(lpn int64) int { return int(lpn / int64(c.EntriesPerTP)) }
 
 // TPRange returns the [lo, hi) LPN range of translation page tpn.
-func (c Config) TPRange(tpn int) (lo, hi int64) {
+func (c *Config) TPRange(tpn int) (lo, hi int64) {
 	lo = int64(tpn) * int64(c.EntriesPerTP)
 	return lo, lo + int64(c.EntriesPerTP)
 }

@@ -172,6 +172,7 @@ func (b *BlockMan) load(d *persist.Decoder) error {
 	}
 	copy(b.activeData, ad)
 	copy(b.activeTrans, at)
+	b.resetStreams()
 	return nil
 }
 
@@ -214,4 +215,5 @@ func (b *BlockMan) RebuildFromFlash() {
 			}
 		}
 	}
+	b.resetStreams()
 }

@@ -54,6 +54,9 @@ type victimIndex struct {
 
 	dirty []bool
 	queue []int // dirty blocks awaiting a leaf reload; cap nBlocks, no growth
+	// pulled marks the internal nodes a flush has already queued for one
+	// level's pull; each is cleared as the node is pulled.
+	pulled []bool
 
 	selections int64 // victim queries answered
 	examined   int64 // candidate leaves scored across all queries
@@ -90,6 +93,7 @@ func newVictimIndex(fl *nand.Flash, alloc Allocator, pol Policy) *victimIndex {
 		active:  make([]bool, n),
 		dirty:   make([]bool, n),
 		queue:   make([]int, 0, n),
+		pulled:  make([]bool, size),
 	}
 	for b := 0; b < n; b++ {
 		x.active[b] = alloc.IsActive(b)
@@ -133,12 +137,30 @@ func (x *victimIndex) resyncActive() {
 }
 
 // flush drains the dirty queue: each dirty block's leaf is re-read from the
-// flash array and its root path re-aggregated, O(log B) per block.
+// flash array, then the tree is re-aggregated one level at a time, bottom
+// up, pulling each ancestor of a dirty leaf once. Dirty leaves share most
+// of their ancestors near the root, so this is far fewer pulls than a root
+// path per leaf. The queue is rewritten in place into the level's node
+// indices.
 func (x *victimIndex) flush() {
-	for _, b := range x.queue {
+	q := x.queue
+	for k, b := range q {
 		x.dirty[b] = false
 		x.reloadLeaf(b)
-		for i := (x.size + b) / 2; i >= 1; i /= 2 {
+		q[k] = x.size + b
+	}
+	for len(q) > 0 && q[0] > 1 {
+		n := 0
+		for _, i := range q {
+			if p := i >> 1; !x.pulled[p] {
+				x.pulled[p] = true
+				q[n] = p
+				n++
+			}
+		}
+		q = q[:n]
+		for _, i := range q {
+			x.pulled[i] = false
 			x.pull(i)
 		}
 	}

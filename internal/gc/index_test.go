@@ -2,6 +2,7 @@ package gc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"learnedftl/internal/nand"
@@ -18,8 +19,10 @@ func indexTestGeom() nand.Geometry {
 // incremental index: across randomized program / invalidate / erase /
 // active-transition / snapshot-import traces, Victim must agree with the
 // retained frozen linear-scan reference at every query time, under all
-// three policies. Any divergence — scoring, tie-break, staleness — fails
-// here before it can move a golden table.
+// three policies, and after every flush each internal node must equal a
+// bottom-up rebuild from the leaves. Any divergence — scoring, tie-break,
+// staleness, an ancestor left unpulled — fails here before it can move a
+// golden table.
 func TestVictimIndexMatchesLinearScan(t *testing.T) {
 	for _, kind := range Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
@@ -44,6 +47,9 @@ func TestVictimIndexMatchesLinearScan(t *testing.T) {
 					if got != want {
 						t.Fatalf("step %d now=%d: index victim %d, linear scan %d", step, now, got, want)
 					}
+				}
+				if i, want := staleNode(c.idx); i != 0 {
+					t.Fatalf("step %d: internal node %d is %+v after the flush, %+v rebuilt from the leaves", step, i, c.idx.nodes[i], want)
 				}
 			}
 
@@ -103,6 +109,24 @@ func TestVictimIndexMatchesLinearScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// staleNode returns the first internal node of x that differs from a
+// bottom-up rebuild from the leaves, with the rebuilt value; 0 when none
+// does.
+func staleNode(x *victimIndex) (int, ixNode) {
+	got := x.nodes
+	x.nodes = slices.Clone(got)
+	defer func() { x.nodes = got }()
+	for i := x.size - 1; i >= 1; i-- {
+		x.pull(i)
+	}
+	for i := 1; i < x.size; i++ {
+		if got[i] != x.nodes[i] {
+			return i, x.nodes[i]
+		}
+	}
+	return 0, ixNode{}
 }
 
 // TestVictimIndexExaminesSublinear is the acceptance counter: on a device

@@ -143,6 +143,12 @@ type Flash struct {
 	// nil/empty in normal operation, so the hot paths pay one nil-check.
 	cut  *cutPlan
 	torn []PPN
+
+	// clockEpoch counts the wholesale clock writers: between two bumps
+	// every chip's clock only grows, which lets an index over the clocks
+	// refresh lazily (see ClockEpoch). It sits last so the hot fields
+	// above keep their offsets.
+	clockEpoch uint64
 }
 
 // NewFlash builds an erased flash array for geometry g with timing t.
@@ -175,6 +181,9 @@ func (f *Flash) SetFaultModel(m FaultModel) {
 		f.scrubQueue = make([]int, 0, f.geo.TotalBlocks())
 	}
 }
+
+// FaultModel returns the attached reliability model, nil when none is.
+func (f *Flash) FaultModel() FaultModel { return f.fm }
 
 // SetBlockObserver registers the single block-dirty observer (nil to
 // detach). The flash array supports one observer: the last registration
@@ -684,6 +693,12 @@ type FlashState struct {
 	Reads []int64
 	Bad   []bool
 	Rel   RelCounters
+	// Scrub is the scrub queue from its head: each entry the block id
+	// while the block is flagged, and its complement (^id, negative) once
+	// an erase or retirement voided the flag — a voided entry revives if
+	// the block is queued again before PopScrubBlock passes it. It is nil
+	// for an array without a fault model, which queues nothing.
+	Scrub []int
 }
 
 // ExportState copies the array's mutable state into a FlashState.
@@ -707,6 +722,15 @@ func (f *Flash) ExportState() FlashState {
 		s.Reads[i] = f.blocks[i].reads
 		s.Bad[i] = f.blocks[i].bad
 	}
+	if f.fm != nil {
+		s.Scrub = make([]int, 0, len(f.scrubQueue)-f.scrubHead)
+		for _, blk := range f.scrubQueue[f.scrubHead:] {
+			if !f.scrubQueued[blk] {
+				blk = ^blk
+			}
+			s.Scrub = append(s.Scrub, blk)
+		}
+	}
 	return s
 }
 
@@ -728,6 +752,13 @@ func (f *Flash) ImportState(s FlashState) error {
 		return fmt.Errorf("nand: import of %d block read counters into %d-block device", len(s.Reads), len(f.blocks))
 	case len(s.Bad) != len(f.blocks):
 		return fmt.Errorf("nand: import of %d bad-block flags into %d-block device", len(s.Bad), len(f.blocks))
+	case len(s.Scrub) > 0 && f.scrubQueued == nil:
+		return fmt.Errorf("nand: import of %d queued scrubs into a device without a fault model", len(s.Scrub))
+	}
+	for _, e := range s.Scrub {
+		if blk := max(e, ^e); blk >= len(f.blocks) {
+			return fmt.Errorf("nand: import of scrub-queued block %d into %d-block device", blk, len(f.blocks))
+		}
 	}
 	ppb := f.geo.PagesPerBlock
 	for b := range f.blocks {
@@ -769,20 +800,24 @@ func (f *Flash) ImportState(s FlashState) error {
 	copy(f.keys, s.Keys)
 	copy(f.chipBusy, s.ChipBusy)
 	f.maxBusy = max(0, slices.Max(f.chipBusy))
+	f.clockEpoch++
 	f.counters = s.Counters
 	f.lifetime = s.Lifetime
 	f.lifetime.subtract(s.Counters)
 	f.rel = s.Rel
-	// The scrub queue is transient risk-tracking state, not snapshotted;
-	// at-risk blocks re-flag on their next disturbed read. Likewise the
-	// crash machinery: an imported snapshot is a clean image, so any armed
-	// cut and the torn roster reset.
+	// An imported snapshot is a clean image to the crash machinery, so any
+	// armed cut and the torn roster reset.
 	f.cut = nil
 	f.torn = f.torn[:0]
 	f.scrubQueue = f.scrubQueue[:0]
 	f.scrubHead = 0
 	for i := range f.scrubQueued {
 		f.scrubQueued[i] = false
+	}
+	for _, e := range s.Scrub {
+		blk := max(e, ^e)
+		f.scrubQueue = append(f.scrubQueue, blk)
+		f.scrubQueued[blk] = f.scrubQueued[blk] || e >= 0
 	}
 	for b := range f.blocks {
 		f.notifyBlock(b)
@@ -810,4 +845,11 @@ func (f *Flash) setClocks(t Time) {
 		f.chipBusy[i] = t
 	}
 	f.maxBusy = max(0, t)
+	f.clockEpoch++
 }
+
+// ClockEpoch changes whenever the chip clocks are set wholesale
+// (ImportState, AdvanceIdle, PowerCycle), which may move one backwards.
+// While it holds, ChipBusyUntil only grows: a busy time read under the
+// same epoch is a lower bound on the chip's current one.
+func (f *Flash) ClockEpoch() uint64 { return f.clockEpoch }

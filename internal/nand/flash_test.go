@@ -519,3 +519,85 @@ func TestFlashExportImportRoundTrip(t *testing.T) {
 		t.Fatal("import accepted a valid bit without a programmed bit")
 	}
 }
+
+// TestImportStateKeepsScrubQueue: an array with a fault model exports its
+// scrub queue and an import restores it exactly — including an entry an
+// erase voided, which revives at its old place when the block is queued
+// again — so the restored array pops the blocks the original pops, in the
+// same order. A fault-free array exports no queue, and an import rejects a
+// queue it cannot hold or a block it does not have.
+func TestImportStateKeepsScrubQueue(t *testing.T) {
+	g := Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 4, PagesPerBlock: 4, PageSize: 4096}
+	if s := mustFlash(g).ExportState(); s.Scrub != nil {
+		t.Fatalf("fault-free array exported scrub queue %v", s.Scrub)
+	}
+	f := mustFlash(g)
+	f.SetFaultModel(ladderStub{})
+	for _, b := range []int{3, 5, 1} {
+		f.QueueScrub(b)
+	}
+	if _, err := f.Erase(5, 0); err != nil { // voids 5's entry
+		t.Fatal(err)
+	}
+	f.QueueScrub(2)
+	if got := f.PopScrubBlock(); got != 3 {
+		t.Fatalf("popped %d, want 3", got)
+	}
+	st := f.ExportState()
+	r := mustFlash(g)
+	r.SetFaultModel(ladderStub{})
+	if err := r.ImportState(st); err != nil {
+		t.Fatal(err)
+	}
+	var got, want []int
+	for _, x := range []*Flash{f, r} {
+		x.QueueScrub(5) // revives the voided entry ahead of 1
+		x.QueueScrub(7)
+		var popped []int
+		for b := x.PopScrubBlock(); b >= 0; b = x.PopScrubBlock() {
+			popped = append(popped, b)
+		}
+		got, want = popped, got
+	}
+	if !slices.Equal(want, []int{5, 1, 2, 7}) || !slices.Equal(got, want) {
+		t.Fatalf("restored array pops %v, the original %v (want [5 1 2 7])", got, want)
+	}
+	if err := mustFlash(g).ImportState(st); err == nil {
+		t.Fatal("a fault-free array imported a scrub queue")
+	}
+	st.Scrub = append(st.Scrub, g.TotalBlocks())
+	if err := r.ImportState(st); err == nil {
+		t.Fatal("import accepted a scrub-queued block past the device")
+	}
+}
+
+// TestClockEpochMovesOnWholesaleClockWrites: operations only move chip
+// clocks forward and keep the epoch; ImportState, AdvanceIdle and
+// PowerCycle set them wholesale and each move it.
+func TestClockEpochMovesOnWholesaleClockWrites(t *testing.T) {
+	f := newTestFlash(t)
+	e := f.ClockEpoch()
+	done, err := f.Program(0, OOB{Key: 1}, 0, OpHostData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Read(0, done, OpHostData)
+	if f.ClockEpoch() != e {
+		t.Fatal("a program or read moved the clock epoch")
+	}
+	for name, set := range map[string]func(){
+		"ImportState": func() {
+			if err := f.ImportState(f.ExportState()); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"AdvanceIdle": func() { f.AdvanceIdle(Second) },
+		"PowerCycle":  func() { f.PowerCycle(0) },
+	} {
+		set()
+		if f.ClockEpoch() == e {
+			t.Fatalf("%s kept the clock epoch", name)
+		}
+		e = f.ClockEpoch()
+	}
+}

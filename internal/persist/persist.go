@@ -143,6 +143,11 @@ func SaveFlash(e *Encoder, fl *nand.Flash) {
 		e.Bool(bad)
 	}
 	saveRelCounters(e, s.Rel)
+	// The scrub queue exists only beside a fault model, so a fault-free
+	// array's section ends with the counters.
+	if fl.FaultModel() != nil {
+		e.Ints(s.Scrub)
+	}
 }
 
 func saveRelCounters(e *Encoder, r nand.RelCounters) {
@@ -200,6 +205,9 @@ func LoadFlash(d *Decoder, fl *nand.Flash) error {
 		s.Bad[i] = d.Bool()
 	}
 	s.Rel = loadRelCounters(d)
+	if fl.FaultModel() != nil {
+		s.Scrub = d.Ints()
+	}
 	if err := d.Err(); err != nil {
 		return err
 	}

@@ -21,6 +21,7 @@ package sim
 import (
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/nand"
+	"learnedftl/internal/sched"
 )
 
 // Request is one host I/O in pages. Trim takes precedence over Write: a
@@ -129,17 +130,17 @@ func run(t OpenTarget, gens []Generator, clocks []clock, maxRequests int64, rec 
 	if rec == recordNone {
 		tr = nil
 	}
-	sc := newSched(len(gens), start)
+	sc := sched.New(len(gens), func(int) nand.Time { return start })
 	var issued int64
 	end := start
-	for sc.len() > 0 {
+	for sc.Len() > 0 {
 		if maxRequests > 0 && issued >= maxRequests {
 			break
 		}
-		i, now := sc.min()
+		i, now := sc.Min()
 		req, ok := gens[i].Next()
 		if !ok {
-			sc.retire()
+			sc.Retire()
 			continue
 		}
 		// An unbounded source's request arrives the moment it is issued, so
@@ -195,7 +196,7 @@ func run(t OpenTarget, gens []Generator, clocks []clock, maxRequests int64, rec 
 			end = done
 		}
 		issued++
-		sc.advance(max(done, due))
+		sc.Advance(max(done, due))
 	}
 	return Result{Start: start, End: end, Requests: issued}
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"learnedftl/internal/ftl"
@@ -163,187 +162,5 @@ func TestSchedMatchesLinearWithCap(t *testing.T) {
 	}
 	if ra.Requests != 333 {
 		t.Fatalf("issued %d, want 333", ra.Requests)
-	}
-}
-
-// TestSchedOrdering unit-tests the scheduler's (time, index) ordering.
-func TestSchedOrdering(t *testing.T) {
-	sc := newSched(4, 100)
-	// All equal: sources must come up in index order.
-	for want := 0; want < 4; want++ {
-		th, at := sc.min()
-		if th != want || at != 100 {
-			t.Fatalf("min = (%d,%d), want (%d,100)", th, at, want)
-		}
-		sc.advance(nand.Time(200 + want))
-	}
-	// Distinct times: sources come up in time order.
-	for want := 0; want < 4; want++ {
-		th, at := sc.min()
-		if th != want || at != nand.Time(200+want) {
-			t.Fatalf("min = (%d,%d), want (%d,%d)", th, at, want, 200+want)
-		}
-		sc.retire()
-	}
-	if sc.len() != 0 {
-		t.Fatalf("len = %d after draining", sc.len())
-	}
-}
-
-// linearSched is the reference the tournament tree is checked against: the
-// frozen scheduler's scan (runLinear above) over explicit keys.
-type linearSched struct {
-	at    []nand.Time
-	alive []bool
-}
-
-func (l *linearSched) len() int {
-	n := 0
-	for _, a := range l.alive {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
-func (l *linearSched) min() (int, nand.Time) {
-	th := -1
-	for i := range l.at {
-		if l.alive[i] && (th == -1 || l.at[i] < l.at[th]) {
-			th = i
-		}
-	}
-	return th, l.at[th]
-}
-
-// runnerUp returns the key of the earliest source other than the minimum.
-func (l *linearSched) runnerUp() (nand.Time, bool) {
-	w, _ := l.min()
-	l.alive[w] = false
-	defer func() { l.alive[w] = true }()
-	if l.len() == 0 {
-		return 0, false
-	}
-	_, at := l.min()
-	return at, true
-}
-
-// TestSchedMatchesLinearScan drives the tree and the linear scan through
-// the same randomized advance/retire sequence. Keys move in small steps so
-// equal times are common; every fourth advance lands exactly on the
-// runner-up's key (the source must then yield iff its index is higher);
-// sources retire mid-run; and in the "joining" runs each source is first
-// moved to its own time or retired. The non-power-of-two counts put
-// never-eventing padding leaves beside live ones.
-func TestSchedMatchesLinearScan(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 32, 257} {
-		for _, joining := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(int64(n)*31 + 7))
-			ref := &linearSched{at: make([]nand.Time, n), alive: make([]bool, n)}
-			for i := range ref.at {
-				ref.at[i], ref.alive[i] = 1000, true
-				if joining {
-					ref.at[i] = nand.Time(1000 + rng.Intn(4))
-					ref.alive[i] = rng.Intn(5) != 0
-				}
-			}
-			start := nand.Time(1000)
-			if joining {
-				start = 0 // below every joining time: sources come up in index order
-			}
-			sc := newSched(n, start)
-			if joining {
-				for i := range ref.at {
-					if w, _ := sc.min(); w != i {
-						t.Fatalf("n=%d: source %d came up while joining %d", n, w, i)
-					}
-					if ref.alive[i] {
-						sc.advance(ref.at[i])
-					} else {
-						sc.retire()
-					}
-				}
-			}
-			for step := 0; ref.len() > 0; step++ {
-				if sc.len() != ref.len() {
-					t.Fatalf("n=%d joining=%v step %d: len %d, want %d", n, joining, step, sc.len(), ref.len())
-				}
-				w, at := sc.min()
-				rw, rat := ref.min()
-				if w != rw || at != rat {
-					t.Fatalf("n=%d joining=%v step %d: min (%d,%d), want (%d,%d)", n, joining, step, w, at, rw, rat)
-				}
-				if step > 20*n || rng.Intn(8*n) == 0 {
-					sc.retire()
-					ref.alive[rw] = false
-					continue
-				}
-				next := at + nand.Time(rng.Intn(3))
-				if ru, ok := ref.runnerUp(); ok && step%4 == 0 {
-					next = ru
-				}
-				sc.advance(next)
-				ref.at[rw] = next
-			}
-			if sc.len() != 0 {
-				t.Fatalf("n=%d joining=%v: len %d after the reference drained", n, joining, sc.len())
-			}
-		}
-	}
-}
-
-// TestSchedPaddingLosesTies: three sources sit beside one padding leaf whose
-// key is never. A live source one tick short of never still comes first,
-// and ties between live sources at that key still break by index.
-func TestSchedPaddingLosesTies(t *testing.T) {
-	sc := newSched(3, 5)
-	for i := 0; i < 3; i++ {
-		sc.advance(never - 1)
-	}
-	for want := 0; want < 3; want++ {
-		if th, at := sc.min(); th != want || at != never-1 {
-			t.Fatalf("min = (%d,%d), want (%d,%d)", th, at, want, never-1)
-		}
-		sc.retire()
-	}
-	if sc.len() != 0 {
-		t.Fatalf("len = %d after draining", sc.len())
-	}
-}
-
-// TestSchedAdvanceZeroAlloc pins the per-event scheduling cost at no
-// allocation.
-func TestSchedAdvanceZeroAlloc(t *testing.T) {
-	sc := newSched(257, 0)
-	at := nand.Time(0)
-	if a := testing.AllocsPerRun(1000, func() {
-		at += 3
-		sc.advance(at)
-	}); a != 0 {
-		t.Fatalf("advance allocates %.1f times per call", a)
-	}
-}
-
-// BenchmarkSchedAdvance is one scheduling step of a closed loop — read the
-// minimum, re-key it a little later — at the engine's three shapes: the
-// single-generator warm-up (no internal node), FIO's 32 threads, and a
-// non-power-of-two count with padding leaves.
-func BenchmarkSchedAdvance(b *testing.B) {
-	for _, n := range []int{1, 32, 257} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			sc := newSched(n, 0)
-			rng := rand.New(rand.NewSource(1))
-			steps := make([]nand.Time, 1024)
-			for i := range steps {
-				steps[i] = nand.Time(40_000 + rng.Intn(20_000))
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, at := sc.min()
-				sc.advance(at + steps[i&1023])
-			}
-		})
 	}
 }

@@ -463,7 +463,10 @@ func TestWarmCheckpointMissesOtherModelVersions(t *testing.T) {
 // closed-loop tables: fig16's rows — captured from the pre-refactor engine
 // — must come out byte-identical when the warm-up is restored from a
 // checkpoint instead of simulated. This is the "bit-for-bit equivalent to
-// never having snapshotted" requirement on real experiment output.
+// never having snapshotted" requirement on real experiment output. The
+// faultsweep table holds it for devices with a fault model, whose warm-up
+// leaves blocks queued for scrub: both passes through the cache equal the
+// uncached table.
 func TestGoldenTablesWithCheckpointCache(t *testing.T) {
 	cfg := TinyConfig()
 	cache, err := NewCheckpointCache(t.TempDir())
@@ -478,8 +481,20 @@ func TestGoldenTablesWithCheckpointCache(t *testing.T) {
 			t.Fatalf("pass %d diverged from golden:\ngot:\n%s\nwant:\n%s", pass, got, want)
 		}
 	}
-	if st := cache.Stats(); st.Hits == 0 {
+	st := cache.Stats()
+	if st.Hits == 0 {
 		t.Fatalf("second pass restored nothing: %+v", st)
+	}
+	fb := tinyFaultBudget()
+	want = runTable(t, "faultsweep", cfg, fb).String()
+	fb.Checkpoints = cache
+	for pass := 0; pass < 2; pass++ {
+		if got := runTable(t, "faultsweep", cfg, fb).String(); got != want {
+			t.Fatalf("faultsweep pass %d diverged from the uncached table:\ngot:\n%s\nwant:\n%s", pass, got, want)
+		}
+	}
+	if fst := cache.Stats(); fst.Hits == st.Hits {
+		t.Fatalf("the second faultsweep pass restored nothing: %+v", fst)
 	}
 }
 
