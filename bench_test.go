@@ -399,9 +399,9 @@ func BenchmarkSequentialInit1(b *testing.B) {
 }
 
 // BenchmarkLSMTInsert is LeaFTL's steady state after a collection: a
-// retrained segment replaces the one it overlaps in level 0, which moves
-// down a level and is dropped there as shadowed. The levels below hold
-// wider, older segments that stay.
+// retrained segment shadows the one the previous round inserted over the
+// same LPNs, which the compaction drops. Wider, older segments stay partly
+// visible.
 func BenchmarkLSMTInsert(b *testing.B) {
 	const nseg = 64
 	t := learned.NewLSMT()

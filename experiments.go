@@ -274,8 +274,9 @@ func persistKey(name string, cfg Config) string {
 // directory then misses and warms cold instead of restoring devices that
 // the older model warmed. Version 2 snapshots the scrub queue of a device
 // with a fault model; a version-1 checkpoint of one would decode the
-// scheme's state as the queue.
-const modelVersion = 2
+// scheme's state as the queue. Version 3 snapshots LeaFTL's tables as
+// segments in insertion order rather than as levels.
+const modelVersion = 3
 
 // warmKey identifies a warm checkpoint taken under model version model: the
 // device identity plus the warm-up spec (the settle phase is derived from

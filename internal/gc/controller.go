@@ -1,9 +1,10 @@
 package gc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"learnedftl/internal/nand"
 	"learnedftl/internal/stats"
@@ -326,7 +327,10 @@ func (c *Controller) collect(victim int, now nand.Time, mode collectMode) (nand.
 	c.pagesBuf = pages[:0]
 	sorted := c.host.SortByLPN()
 	if sorted {
-		sort.Slice(pages, func(i, j int) bool { return pages[i].oob.Key < pages[j].oob.Key })
+		// A victim's valid pages carry distinct keys — a block holds one
+		// stream, data or translation, and each LPN or TPN has one valid
+		// copy — so any sort gives this one order.
+		slices.SortFunc(pages, func(a, b vp) int { return cmp.Compare(a.oob.Key, b.oob.Key) })
 	}
 
 	// Relocation overlaps across chips, as FEMU's GC does: every page's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -23,16 +24,17 @@ func warmedForSnapshot(t *testing.T) *LeaFTL {
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn(l)
+	churn(l, 11)
 	if l.Col.GCCount == 0 || l.BufferedPages() == 0 {
 		t.Fatalf("warm-up left %d GCs, %d buffered pages: want both", l.Col.GCCount, l.BufferedPages())
 	}
 	return l
 }
 
-// churn is warmedForSnapshot's fixed-seed mix of overwrites, reads and trims.
-func churn(l *LeaFTL) {
-	rng := rand.New(rand.NewSource(11))
+// churn drives warmedForSnapshot's mix of overwrites, reads and trims from
+// seed and returns when the last request completes.
+func churn(l *LeaFTL, seed int64) nand.Time {
+	rng := rand.New(rand.NewSource(seed))
 	lp := l.Cfg.LogicalPages()
 	now := nand.Time(0)
 	for i := 0; i < 6000; i++ {
@@ -46,6 +48,7 @@ func churn(l *LeaFTL) {
 			now = l.WritePages(lpn, 1+rng.Intn(4), now)
 		}
 	}
+	return now
 }
 
 // TestConcurrentDevicesMatchSerial: the LSMT scratch belongs to the device,
@@ -71,7 +74,7 @@ func TestConcurrentDevicesMatchSerial(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			churn(l)
+			churn(l, 11)
 			got[i] = snapshot(l)
 		}(i)
 	}
@@ -90,9 +93,12 @@ func TestConcurrentDevicesMatchSerial(t *testing.T) {
 // like from outside — snapshot bytes, buffered LPNs, live segments — to the
 // values recorded when the buffer, the per-page models and the model-cache
 // index were Go maps, and checks the snapshot loads back to the same bytes.
+// The digest was re-recorded when the tables came to be written oldest
+// first instead of by level: the bytes before and after the segment section
+// stayed the same, and so did each table's segments.
 func TestFlatStateMatchesMapBuiltSnapshot(t *testing.T) {
 	const (
-		wantDigest   = "7326dc5b1d3e1b29"
+		wantDigest   = "71c5075a02121775"
 		wantBuffered = 31
 		wantSegments = 352
 	)
@@ -130,56 +136,45 @@ func TestFlatStateMatchesMapBuiltSnapshot(t *testing.T) {
 	}
 }
 
-// handleLimitLevels fills the page [lo, hi) with one-LPN segments, a level
-// at a time, until there is one segment more than a table can name.
-func handleLimitLevels(lo, hi int64) [][]learned.Segment {
-	var levels [][]learned.Segment
-	for n := 0; n <= math.MaxUint16; {
-		var lv []learned.Segment
-		for s := lo; s < hi && n <= math.MaxUint16; s++ {
-			lv = append(lv, learned.Segment{S: s, L: 1, K: 1})
-			n++
-		}
-		levels = append(levels, lv)
-	}
-	return levels
-}
-
 // TestLoadStateRejectsOutOfRangeIndexes: the buffer, the model table and
 // the model-cache index are sized from the configuration, so a snapshot
-// naming an LPN or a translation page outside it — or a level or segment
-// count the stream cannot back — is an error, not a panic. So are learned
-// segments an insert or a lookup would misread: a level out of S order or
-// with overlapping segments, a segment spanning no LPN, one reaching
-// outside its translation page, an error the packed segment record cannot
-// hold, and more segments in one table than its handles can name.
+// naming an LPN or a translation page outside it — or a segment count the
+// stream cannot back — is an error, not a panic. So are learned
+// segments an insert or a lookup would misread: a segment spanning no LPN,
+// one reaching outside its translation page, a span or an error the packed
+// segment record cannot hold, and more segments in one table than its
+// handles can name. Segments overlapping each other are legal: they load
+// in insertion order, the newest covering an LPN answering for it.
 func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 	cfg := testConfig()
 	src, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// segment is one segment's fields as SaveState writes them, wide enough
+	// for values no Segment field holds.
+	type segment struct {
+		s, l, err int64
+	}
 	// trained is a tail with no buffered LPN, one trained translation page
-	// holding levels, and an empty model cache.
-	trained := func(tpn int, levels ...[]learned.Segment) func(e *persist.Encoder) {
+	// holding segs, oldest first, and an empty model cache.
+	trained := func(tpn int, segs ...segment) func(e *persist.Encoder) {
 		return func(e *persist.Encoder) {
 			e.U64(0)
 			e.U64(1)
 			e.Int(tpn)
-			e.U64(uint64(len(levels)))
-			for _, lv := range levels {
-				e.U64(uint64(len(lv)))
-				for _, s := range lv {
-					e.I64(s.S)
-					e.I64(int64(s.L))
-					e.F64(s.K)
-					e.F64(s.I)
-					e.I64(int64(s.Err))
-				}
+			e.U64(uint64(len(segs)))
+			for _, s := range segs {
+				e.I64(s.s)
+				e.I64(s.l)
+				e.F64(1)
+				e.F64(0)
+				e.I64(s.err)
 			}
 			e.U64(0)
 		}
 	}
+	var loaded *LeaFTL
 	load := func(tail func(e *persist.Encoder)) error {
 		e := persist.NewEncoder()
 		src.SaveBaseState(e)
@@ -188,25 +183,36 @@ func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		loaded = fresh
 		return fresh.LoadState(persist.NewDecoder(e.Data()))
 	}
 	lo, hi := cfg.TPRange(1)
-	sg := func(s int64, l int32) learned.Segment { return learned.Segment{S: s, L: l, K: 1} }
-	if err := load(trained(1, []learned.Segment{sg(lo, 4), sg(lo+4, 8)}, nil, []learned.Segment{sg(lo, int32(hi-lo))})); err != nil {
-		t.Fatalf("well-formed levels rejected: %v", err)
+	whole := segment{lo, hi - lo, 0}
+	if err := load(trained(1, whole, segment{lo + 4, 8, 3}, segment{lo, 8, 1<<16 - 1})); err != nil {
+		t.Fatalf("well-formed overlapping segments rejected: %v", err)
+	}
+	for lpn, want := range map[int64]int32{lo: 1<<16 - 1, lo + 9: 3, lo + 12: 0, hi - 1: 0} {
+		if s, ok := loaded.models[1].Lookup(lpn); !ok || s.Err != want {
+			t.Fatalf("Lookup(%d) = %+v, %v; want the newest segment covering it, error %d", lpn, s, ok, want)
+		}
+	}
+	// One-LPN segments over the page, over and over, one more than a table
+	// can name.
+	limit := make([]segment, math.MaxUint16+1)
+	for i := range limit {
+		limit[i] = segment{lo + int64(i)%(hi-lo), 1, 0}
 	}
 	tails := map[string]func(e *persist.Encoder){
-		"level out of S order":            trained(1, []learned.Segment{sg(lo+20, 4), sg(lo+10, 4)}),
-		"overlapping segments in a level": trained(1, []learned.Segment{sg(lo+10, 8), sg(lo+12, 4)}),
-		"segments sharing a start":        trained(1, []learned.Segment{sg(lo+10, 1), sg(lo+10, 1)}),
-		"segment spanning no LPN":         trained(1, nil, []learned.Segment{sg(lo+10, 0)}),
-		"segment spanning minus one LPN":  trained(1, []learned.Segment{sg(lo+10, -1)}),
-		"segment past its page":           trained(1, []learned.Segment{sg(hi-2, 4)}),
-		"segment before its page":         trained(1, []learned.Segment{sg(lo-1, 2)}),
-		"segment at the int64 edge":       trained(1, []learned.Segment{sg(math.MaxInt64-1, 4)}),
-		"negative segment error":          trained(1, []learned.Segment{{S: lo, L: 4, Err: -1}}),
-		"segment error past 16 bits":      trained(1, []learned.Segment{{S: lo, L: 4, Err: 1 << 16}}),
-		"table past the handle limit":     trained(1, handleLimitLevels(lo, hi)...),
+		"segment spanning no LPN":        trained(1, whole, segment{lo + 10, 0, 0}),
+		"segment spanning minus one LPN": trained(1, segment{lo + 10, -1, 0}),
+		"segment span past 32 bits":      trained(1, segment{lo, 1<<32 + 4, 0}),
+		"segment past its page":          trained(1, segment{hi - 2, 4, 0}),
+		"segment before its page":        trained(1, segment{lo - 1, 2, 0}),
+		"segment at the int64 edge":      trained(1, segment{math.MaxInt64 - 1, 4, 0}),
+		"negative segment error":         trained(1, segment{lo, 4, -1}),
+		"segment error past 16 bits":     trained(1, segment{lo, 4, 1 << 16}),
+		"segment error past 32 bits":     trained(1, segment{lo, 4, 1<<32 + 1}),
+		"table past the handle limit":    trained(1, limit...),
 		"buffered LPN past the device": func(e *persist.Encoder) {
 			e.U64(1)
 			e.I64(cfg.LogicalPages())
@@ -221,17 +227,10 @@ func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 			e.Int(cfg.NumTPNs())
 			e.U64(0)
 		},
-		"level count past the stream": func(e *persist.Encoder) {
-			e.U64(0)
-			e.U64(1)
-			e.Int(0)
-			e.U64(1 << 62)
-		},
 		"segment count past the stream": func(e *persist.Encoder) {
 			e.U64(0)
 			e.U64(1)
 			e.Int(0)
-			e.U64(1)
 			e.U64(1 << 62)
 		},
 		"cached page past the table": func(e *persist.Encoder) {
@@ -249,30 +248,20 @@ func TestLoadStateRejectsOutOfRangeIndexes(t *testing.T) {
 	}
 }
 
-// topDownLookup is LSMT.Lookup as it was before the table kept a per-LPN
-// index: each level, newest first, binary-searched for the last segment
-// starting at or before lpn.
-func topDownLookup(levels [][]learned.Segment, lpn int64) (learned.Segment, bool) {
-	for _, lv := range levels {
-		lo, hi := 0, len(lv)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if lv[mid].S <= lpn {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo > 0 && lv[lo-1].Contains(lpn) {
-			return lv[lo-1], true
+// topDownLookup is LSMT.Lookup without the per-LPN index: the segments,
+// newest first, scanned for the first covering lpn.
+func topDownLookup(segs []learned.Segment, lpn int64) (learned.Segment, bool) {
+	for i := len(segs) - 1; i >= 0; i-- {
+		if segs[i].Contains(lpn) {
+			return segs[i], true
 		}
 	}
 	return learned.Segment{}, false
 }
 
 // TestLookupMatchesTopDownScan: every table of a device answers every LPN of
-// its translation page, and the one on either side, as a top-down scan of
-// its exported levels does — after warm-up, after a snapshot is restored
+// its translation page, and the one on either side, as a newest-first scan
+// of its exported segments does — after warm-up, after a snapshot is restored
 // into a fresh device, and after collections retrain and compact it.
 func TestLookupMatchesTopDownScan(t *testing.T) {
 	check := func(when string, l *LeaFTL) {
@@ -283,11 +272,11 @@ func TestLookupMatchesTopDownScan(t *testing.T) {
 				continue
 			}
 			tables++
-			levels := lt.ExportLevels()
+			segs := lt.Export()
 			lo, hi := l.Cfg.TPRange(tpn)
 			for lpn := lo - 1; lpn <= hi; lpn++ {
 				gs, gok := lt.Lookup(lpn)
-				ws, wok := topDownLookup(levels, lpn)
+				ws, wok := topDownLookup(segs, lpn)
 				if gs != ws || gok != wok {
 					t.Fatalf("%s: page %d Lookup(%d) = %+v, %v; the top-down scan %+v, %v", when, tpn, lpn, gs, gok, ws, wok)
 				}
@@ -320,4 +309,70 @@ func TestLookupMatchesTopDownScan(t *testing.T) {
 		t.Fatal("forced collections retrained no table")
 	}
 	check("after forced GC", restored)
+}
+
+// TestRestoredTablesAnswerAsTheSource: a device restored from a snapshot
+// answers every LPN's lookup and counts every table's segments as the
+// device the snapshot was taken from, and the same requests then take both
+// to the same end — the counters, flash operations and mapping the
+// benchmark's sim_digest hashes, and the same next snapshot.
+func TestRestoredTablesAnswerAsTheSource(t *testing.T) {
+	src := warmedForSnapshot(t)
+	e := persist.NewEncoder()
+	src.SaveState(e)
+	dst, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.LoadState(persist.NewDecoder(e.Data())); err != nil {
+		t.Fatal(err)
+	}
+	for tpn, lt := range src.models {
+		got := dst.models[tpn]
+		if lt == nil || got == nil {
+			if lt != got {
+				t.Fatalf("page %d: trained %v, restored trained %v", tpn, lt != nil, got != nil)
+			}
+			continue
+		}
+		if lt.NumSegments() != got.NumSegments() {
+			t.Fatalf("page %d: %d segments, restored %d", tpn, lt.NumSegments(), got.NumSegments())
+		}
+		lo, hi := src.Cfg.TPRange(tpn)
+		for lpn := lo; lpn < hi; lpn++ {
+			ws, wok := lt.Lookup(lpn)
+			if gs, gok := got.Lookup(lpn); gs != ws || gok != wok {
+				t.Fatalf("page %d: restored Lookup(%d) = %+v, %v; the source %+v, %v", tpn, lpn, gs, gok, ws, wok)
+			}
+		}
+	}
+	// The collector and the flash counters are not device state: the
+	// snapshot leaves them behind, and the benchmark resets them per phase.
+	for _, l := range []*LeaFTL{src, dst} {
+		l.Col.Reset()
+		l.Fl.ResetCounters()
+	}
+	digest := func(l *LeaFTL, done nand.Time) (string, []byte) {
+		h := sha256.New()
+		c := l.Col
+		fmt.Fprintf(h, "%d|%d %d %d %d|%d %d %d|%v|%d %d %d %d %d|%+v|", done,
+			c.HostReads, c.HostWrites, c.HostReadPages, c.HostWritePages,
+			c.CMTHits, c.ModelHits, c.CMTLookups, c.ReadClasses,
+			c.GCCount, c.BGGCCount, c.GCPagesMoved, c.GCBusyTime, c.ModelTrainings,
+			l.Fl.Counters())
+		for lpn := int64(0); lpn < l.Cfg.LogicalPages(); lpn++ {
+			fmt.Fprintf(h, "%d,", l.L2P.Get(lpn))
+		}
+		e := persist.NewEncoder()
+		l.SaveState(e)
+		return hex.EncodeToString(h.Sum(nil)), e.Data()
+	}
+	want, wantSnap := digest(src, churn(src, 12))
+	if src.Col.GCCount == 0 {
+		t.Fatal("the continuation collected no garbage")
+	}
+	got, gotSnap := digest(dst, churn(dst, 12))
+	if got != want || !bytes.Equal(gotSnap, wantSnap) {
+		t.Fatalf("the same requests took the restored device to digest %s, the source to %s (snapshots equal: %v)", got, want, bytes.Equal(gotSnap, wantSnap))
+	}
 }

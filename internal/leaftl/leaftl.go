@@ -249,8 +249,8 @@ func (l *LeaFTL) predict(tpn int, lpn int64) nand.PPN {
 
 // SaveState implements the persist.Device contract: the shared base state,
 // the data buffer in ascending LPN order, every translation page's learned
-// segments (ascending page number) with their exact LSMT level structure,
-// and the model cache in exact recency order.
+// segments (ascending page number), oldest first, and the model cache in
+// exact recency order.
 func (l *LeaFTL) SaveState(e *persist.Encoder) {
 	l.SaveBaseState(e)
 	e.U64(uint64(l.buffer.len()))
@@ -269,17 +269,14 @@ func (l *LeaFTL) SaveState(e *persist.Encoder) {
 			continue
 		}
 		e.Int(tpn)
-		levels := lt.ExportLevels()
-		e.U64(uint64(len(levels)))
-		for _, lv := range levels {
-			e.U64(uint64(len(lv)))
-			for _, s := range lv {
-				e.I64(s.S)
-				e.I64(int64(s.L))
-				e.F64(s.K)
-				e.F64(s.I)
-				e.I64(int64(s.Err))
-			}
+		segs := lt.Export()
+		e.U64(uint64(len(segs)))
+		for _, s := range segs {
+			e.I64(s.S)
+			e.I64(int64(s.L))
+			e.F64(s.K)
+			e.F64(s.I)
+			e.I64(int64(s.Err))
 		}
 	}
 	ents := l.cache.exportLRU()
@@ -310,25 +307,19 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 		if tpn < 0 || tpn >= len(l.models) {
 			return fmt.Errorf("leaftl: snapshot trains translation page %d of %d", tpn, len(l.models))
 		}
-		levels := make([][]learned.Segment, d.Count())
-		for li := range levels {
-			lv := make([]learned.Segment, d.Count())
-			for si := range lv {
-				lv[si] = learned.Segment{
-					S:   d.I64(),
-					L:   int32(d.I64()),
-					K:   d.F64(),
-					I:   d.F64(),
-					Err: int32(d.I64()),
-				}
+		segs := make([]learned.Segment, d.Count())
+		for si := range segs {
+			start, span, slope, icpt, bound := d.I64(), d.I64(), d.F64(), d.F64(), d.I64()
+			if span != int64(int32(span)) || bound != int64(int32(bound)) {
+				return fmt.Errorf("leaftl: snapshot translation page %d: segment %d spans %d LPNs with error %d", tpn, si, span, bound)
 			}
-			levels[li] = lv
+			segs[si] = learned.Segment{S: start, L: int32(span), K: slope, I: icpt, Err: int32(bound)}
 		}
 		if err := d.Err(); err != nil {
 			return err
 		}
 		lt := l.lsmtScratch.NewLSMT(l.Cfg.TPRange(tpn))
-		if err := lt.ImportLevels(levels); err != nil {
+		if err := lt.Import(segs); err != nil {
 			return fmt.Errorf("leaftl: snapshot translation page %d: %w", tpn, err)
 		}
 		l.models[tpn] = lt

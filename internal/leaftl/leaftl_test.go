@@ -289,3 +289,57 @@ func TestModelCachePoolRecycling(t *testing.T) {
 		t.Fatalf("resize grew pool to %d slots", got)
 	}
 }
+
+// relocationCheck wraps a LeaFTL's GC hooks and checks, at every collection,
+// what lets the controller sort a victim's valid pages by key with any sort
+// and get one order: the moved LPNs are strictly ascending, so the victim's
+// data pages carry distinct keys, and every valid page of the device is the
+// one copy its key maps to — a data page through the L2P, a translation
+// page through the GTD — in a block holding one stream. So whatever block
+// is the next victim, its valid pages carry distinct keys.
+type relocationCheck struct {
+	*LeaFTL
+	t           *testing.T
+	collections int
+	buf         []nand.PPN
+}
+
+func (r *relocationCheck) GCFinalize(moved []int64, t nand.Time) nand.Time {
+	r.collections++
+	for i := 1; i < len(moved); i++ {
+		if moved[i-1] >= moved[i] {
+			r.t.Fatalf("collection %d moved LPN %d after %d", r.collections, moved[i], moved[i-1])
+		}
+	}
+	l := r.LeaFTL
+	for blk := 0; blk < l.Cfg.Geometry.TotalBlocks(); blk++ {
+		r.buf = l.Fl.AppendValidPages(blk, r.buf[:0])
+		for _, p := range r.buf {
+			oob := l.Fl.PageOOB(p)
+			if oob.Trans != l.Fl.PageOOB(r.buf[0]).Trans {
+				r.t.Fatalf("after collection %d block %d holds data and translation pages", r.collections, blk)
+			}
+			if oob.Trans && l.GTD.Lookup(int(oob.Key)) != p || !oob.Trans && l.L2P.Get(oob.Key) != p {
+				r.t.Fatalf("after collection %d page %d holds a second valid copy of key %+v", r.collections, p, oob)
+			}
+		}
+	}
+	return l.GCFinalize(moved, t)
+}
+
+// TestGCRelocatesDistinctKeys runs overwrites, reads and trims through
+// thousands of collections under relocationCheck.
+func TestGCRelocatesDistinctKeys(t *testing.T) {
+	l, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := &relocationCheck{LeaFTL: l, t: t}
+	l.Hooks = check
+	for seed := int64(1); seed <= 4; seed++ {
+		churn(l, seed)
+	}
+	if check.collections < 1000 {
+		t.Fatalf("%d collections, want a GC-heavy run", check.collections)
+	}
+}

@@ -13,9 +13,6 @@ func (m *InPlaceModel) Trained() bool { return m.base != unsetBase }
 // NumPieces returns the number of live linear pieces.
 func (m *InPlaceModel) NumPieces() int { return len(m.pieces) }
 
-// NumLevels returns the current number of levels.
-func (t *LSMT) NumLevels() int { return len(t.levels) }
-
 // ClearRange zeroes bits [lo, hi).
 func (b *Bitmap) ClearRange(lo, hi int) {
 	for w := lo >> 6; w<<6 < hi; w++ {

@@ -10,8 +10,8 @@ const maxFuzzOps = 120
 // operation is one byte, op, followed by what it reads:
 //
 //   - op%4 == 0: CompactShadowed.
-//   - op%4 == 1: ExportLevels into a fresh table's ImportLevels, which the
-//     operations that follow use.
+//   - op%4 == 1: Export into a fresh table's Import, which the operations
+//     that follow use.
 //   - otherwise: Insert a batch of 1 + op>>2%4 segments, three bytes each
 //     (start, span, error). With op&0x40 set the batch is one sorted run
 //     with gaps, as FitSegments fits one translation page; without, each
@@ -22,21 +22,18 @@ const maxFuzzOps = 120
 func FuzzLSMT(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lt, ref := NewLSMT(), &refLSMT{}
-		nseg := 0
 		for step := 0; step < maxFuzzOps && len(data) > 0; step++ {
 			op := data[0]
 			data = data[1:]
 			switch op % 4 {
 			case 0:
-				dropped := ref.compactShadowed()
-				if got := lt.CompactShadowed(); got != dropped {
-					t.Fatalf("step %d: compaction dropped %d segments, the reference %d", step, got, dropped)
+				if got, want := lt.CompactShadowed(), ref.compactShadowed(); got != want {
+					t.Fatalf("step %d: compaction dropped %d segments, the reference %d", step, got, want)
 				}
-				nseg -= dropped
 			case 1:
 				fresh := NewLSMT()
-				if err := fresh.ImportLevels(lt.ExportLevels()); err != nil {
-					t.Fatalf("step %d: the table's own levels do not import: %v", step, err)
+				if err := fresh.Import(lt.Export()); err != nil {
+					t.Fatalf("step %d: the table's own segments do not import: %v", step, err)
 				}
 				lt = fresh
 			default:
@@ -60,31 +57,9 @@ func FuzzLSMT(f *testing.F) {
 					ref.insertAt(0, seg)
 				}
 				lt.Insert(batch)
-				nseg += len(batch)
 			}
-			if lt.NumSegments() != nseg {
-				t.Fatalf("step %d: %d segments, want %d", step, lt.NumSegments(), nseg)
-			}
-			got := lt.ExportLevels()
-			if len(got) != len(ref.levels) {
-				t.Fatalf("step %d: %d levels, the reference %d", step, len(got), len(ref.levels))
-			}
-			for li := range got {
-				if len(got[li]) != len(ref.levels[li]) {
-					t.Fatalf("step %d: level %d holds %d segments, the reference %d", step, li, len(got[li]), len(ref.levels[li]))
-				}
-				for si := range got[li] {
-					if got[li][si] != ref.levels[li][si] {
-						t.Fatalf("step %d: level %d segment %d is %+v, the reference %+v", step, li, si, got[li][si], ref.levels[li][si])
-					}
-				}
-			}
-			for lpn := int64(-1); lpn <= lsmtKeys; lpn++ {
-				gs, gok := lt.Lookup(lpn)
-				ws, wok := ref.lookup(lpn)
-				if gs != ws || gok != wok {
-					t.Fatalf("step %d: Lookup(%d) = %+v, %v; the reference %+v, %v", step, lpn, gs, gok, ws, wok)
-				}
+			if d := diverges(lt, ref); d != "" {
+				t.Fatalf("step %d: %s", step, d)
 			}
 		}
 	})

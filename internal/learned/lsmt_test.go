@@ -1,7 +1,10 @@
 package learned
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -14,8 +17,8 @@ func seg(s, l int64) Segment {
 func TestLSMTInsertAndLookup(t *testing.T) {
 	lt := NewLSMT()
 	lt.Insert([]Segment{seg(0, 10), seg(20, 10)})
-	if lt.NumSegments() != 2 || lt.NumLevels() != 1 {
-		t.Fatalf("segments=%d levels=%d", lt.NumSegments(), lt.NumLevels())
+	if lt.NumSegments() != 2 {
+		t.Fatalf("segments=%d", lt.NumSegments())
 	}
 	if s, ok := lt.Lookup(5); !ok || s.S != 0 {
 		t.Fatalf("Lookup(5) = %+v,%v", s, ok)
@@ -34,15 +37,19 @@ func TestLSMTNewerWins(t *testing.T) {
 	lt.Insert([]Segment{old})
 	newer := Segment{S: 40, L: 20, K: 1, I: 9999}
 	lt.Insert([]Segment{newer})
-	if lt.NumLevels() != 2 {
-		t.Fatalf("levels = %d, want 2", lt.NumLevels())
+	if lt.NumSegments() != 2 {
+		t.Fatalf("segments = %d, want 2", lt.NumSegments())
 	}
 	if s, _ := lt.Lookup(50); s.I != 9999 {
 		t.Fatalf("Lookup(50) returned old segment %+v", s)
 	}
-	// LPNs outside the new range still resolve to the old one, pushed down.
+	// LPNs outside the new range still resolve to the old one, which is
+	// only partly shadowed and so survives a compaction.
 	if s, ok := lt.Lookup(10); !ok || s.I != 0 {
 		t.Fatalf("Lookup(10) = %+v,%v", s, ok)
+	}
+	if dropped := lt.CompactShadowed(); dropped != 0 {
+		t.Fatalf("compaction dropped %d segments, want 0", dropped)
 	}
 }
 
@@ -51,11 +58,18 @@ func TestLSMTCascadingPushdown(t *testing.T) {
 	lt.Insert([]Segment{{S: 0, L: 10, K: 1, I: 1}})
 	lt.Insert([]Segment{{S: 0, L: 10, K: 1, I: 2}})
 	lt.Insert([]Segment{{S: 0, L: 10, K: 1, I: 3}})
-	if lt.NumLevels() != 3 || lt.NumSegments() != 3 {
-		t.Fatalf("levels=%d segs=%d", lt.NumLevels(), lt.NumSegments())
+	if lt.NumSegments() != 3 {
+		t.Fatalf("segs=%d", lt.NumSegments())
 	}
 	if s, _ := lt.Lookup(5); s.I != 3 {
 		t.Fatalf("newest insert does not win: %+v", s)
+	}
+	// Both older segments sit under the newest one: a compaction drops them.
+	if dropped := lt.CompactShadowed(); dropped != 2 || lt.NumSegments() != 1 {
+		t.Fatalf("dropped=%d segs=%d, want 2 and 1", dropped, lt.NumSegments())
+	}
+	if s, _ := lt.Lookup(5); s.I != 3 {
+		t.Fatalf("survivor wrong: %+v", s)
 	}
 }
 
@@ -67,8 +81,8 @@ func TestLSMTCompactShadowed(t *testing.T) {
 		t.Fatal("setup wrong")
 	}
 	dropped := lt.CompactShadowed()
-	if dropped != 1 || lt.NumSegments() != 1 || lt.NumLevels() != 1 {
-		t.Fatalf("dropped=%d segs=%d levels=%d", dropped, lt.NumSegments(), lt.NumLevels())
+	if dropped != 1 || lt.NumSegments() != 1 {
+		t.Fatalf("dropped=%d segs=%d", dropped, lt.NumSegments())
 	}
 	if s, _ := lt.Lookup(5); s.I != 2 {
 		t.Fatalf("survivor wrong: %+v", s)
@@ -209,118 +223,6 @@ func (t *refLSMT) compactShadowed() int {
 	return dropped
 }
 
-// perSegLSMT is the in-place table as it was before an insert merged a run
-// per level and a compaction swept one coverage union: every segment is
-// pushed down on its own — a binary search and a tail shift per segment and
-// level — and a compaction probes every upper level per uncovered position.
-// insertAt and shadowed are kept verbatim as the second reference.
-type perSegLSMT struct {
-	levels [][]Segment
-	nseg   int
-}
-
-// lastStartingBy returns the index of the last segment of lv — sorted by S —
-// with S <= x, or -1 when every segment starts after x.
-func lastStartingBy(lv []Segment, x int64) int {
-	return sort.Search(len(lv), func(i int) bool { return lv[i].S > x }) - 1
-}
-
-func (t *perSegLSMT) Insert(segs []Segment) {
-	for _, s := range segs {
-		t.insertAt(0, s)
-	}
-	t.nseg += len(segs)
-}
-
-func (t *perSegLSMT) insertAt(level int, seg Segment) {
-	if level == len(t.levels) {
-		t.levels = append(t.levels, nil)
-	}
-	lv := t.levels[level]
-	lo := seg.S
-	hi := seg.S + int64(seg.L)
-	// Find overlapping run [i, j): it starts at the last segment that
-	// begins at or before lo if that one reaches past lo, else right after.
-	i := lastStartingBy(lv, lo)
-	if i < 0 || lv[i].S+int64(lv[i].L) <= lo {
-		i++
-	}
-	j := i
-	for j < len(lv) && lv[j].S < hi {
-		j++
-	}
-	// The overlapped run moves down first, while it still sits intact in
-	// lv: an insert into a deeper level never touches this one, so it
-	// commutes with the splice below and needs no copy of the run.
-	for k := i; k < j; k++ {
-		t.insertAt(level+1, lv[k])
-	}
-	// Splice seg over the run in place: the tail shifts by 1-(j-i) slots.
-	n := len(lv) + 1 - (j - i)
-	tail := lv[j:]
-	if n > cap(lv) {
-		grown := make([]Segment, n, n+levelGrowth(n))
-		copy(grown, lv[:i])
-		lv = grown
-	} else {
-		lv = lv[:n]
-	}
-	copy(lv[i+1:], tail)
-	lv[i] = seg
-	t.levels[level] = lv
-}
-
-func (t *perSegLSMT) CompactShadowed() int {
-	dropped := 0
-	for li := 1; li < len(t.levels); li++ {
-		keep := t.levels[li][:0] // filtered in place: shadowed reads only the levels above
-		for _, s := range t.levels[li] {
-			if t.shadowed(s, li) {
-				dropped++
-				t.nseg--
-			} else {
-				keep = append(keep, s)
-			}
-		}
-		if spare := levelGrowth(len(keep)); cap(keep)-len(keep) > spare {
-			keep = append(make([]Segment, 0, len(keep)+spare), keep...)
-		}
-		t.levels[li] = keep
-	}
-	// Trim empty tail levels.
-	for len(t.levels) > 0 && len(t.levels[len(t.levels)-1]) == 0 {
-		t.levels = t.levels[:len(t.levels)-1]
-	}
-	return dropped
-}
-
-// shadowed reports whether every LPN of s is covered by levels above `below`.
-// Instead of probing each LPN of the segment, it walks the covered interval
-// greedily: at each uncovered position it binary-searches every upper level
-// (sorted by Segment.S) for the segment containing that position and jumps
-// to the farthest covered end, so the check costs O(k · levels · log n) for
-// k covering segments rather than O(L · levels · log n) for L spanned LPNs.
-func (t *perSegLSMT) shadowed(s Segment, below int) bool {
-	pos := s.S
-	hi := s.S + int64(s.L)
-	for pos < hi {
-		next := pos
-		for li := 0; li < below; li++ {
-			lv := t.levels[li]
-			if i := lastStartingBy(lv, pos); i >= 0 {
-				if end := lv[i].S + int64(lv[i].L); end > next {
-					next = end
-				}
-			}
-		}
-		if next == pos {
-			return false // pos is covered by no upper level
-		}
-		pos = next
-	}
-	return true
-}
-
 // lsmtKeys is the key space the equivalence tests insert into.
 const lsmtKeys = 200
 
@@ -349,100 +251,88 @@ func anyBatch(rng *rand.Rand, step int) []Segment {
 	return batch
 }
 
-// matchReferences drives the table, the per-segment table and the
-// copy-splice table through the same random inserts and compactions, and
-// returns the first step at which the exported levels, the segment counts,
-// the lookup of any key, covered or not, or a compaction's dropped count
-// differ, or -1. The levels' capacities must also equal the per-segment
-// table's: a run leaves the slack its segments one at a time would.
-func matchReferences(seed int64, steps int, batch func(*rand.Rand, int) []Segment) int {
-	rng := rand.New(rand.NewSource(seed))
-	lt, per, ref := NewLSMT(), &perSegLSMT{}, &refLSMT{}
-	nseg := 0
-	equal := func(a, b [][]Segment) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for li := range a {
-			if len(a[li]) != len(b[li]) {
-				return false
-			}
-			for si := range a[li] {
-				if a[li][si] != b[li][si] {
-					return false
-				}
-			}
-		}
-		return true
+// diverges describes how the table differs from the reference, or returns
+// "" when it does not: every lookup, covered or not, the segment count, and
+// the segments a snapshot carries — the reference's live segments in
+// insertion order, which each segment's I encodes.
+func diverges(lt *LSMT, ref *refLSMT) string {
+	var want []Segment
+	for _, lv := range ref.levels {
+		want = append(want, lv...)
 	}
+	slices.SortFunc(want, func(a, b Segment) int { return cmp.Compare(a.I, b.I) })
+	if lt.NumSegments() != len(want) {
+		return fmt.Sprintf("%d segments, the reference %d", lt.NumSegments(), len(want))
+	}
+	if got := lt.Export(); !slices.Equal(got, want) {
+		return fmt.Sprintf("exports %+v, the reference holds %+v", got, want)
+	}
+	for lpn := int64(-1); lpn <= lsmtKeys; lpn++ {
+		gs, gok := lt.Lookup(lpn)
+		ws, wok := ref.lookup(lpn)
+		if gs != ws || gok != wok {
+			return fmt.Sprintf("Lookup(%d) = %+v, %v; the reference %+v, %v", lpn, gs, gok, ws, wok)
+		}
+	}
+	return ""
+}
+
+// matchReferences drives the table and the copy-splice table through the
+// same random inserts and compactions, and describes the first step after
+// which they diverge or a compaction's dropped count differs, or returns "".
+func matchReferences(seed int64, steps int, batch func(*rand.Rand, int) []Segment) string {
+	rng := rand.New(rand.NewSource(seed))
+	lt, ref := NewLSMT(), &refLSMT{}
 	for step := 0; step < steps; step++ {
 		if rng.Intn(6) == 0 {
-			dropped := ref.compactShadowed()
-			if lt.CompactShadowed() != dropped || per.CompactShadowed() != dropped {
-				return step
+			if got, want := lt.CompactShadowed(), ref.compactShadowed(); got != want {
+				return fmt.Sprintf("step %d: compaction dropped %d segments, the reference %d", step, got, want)
 			}
-			nseg -= dropped
 		} else {
 			b := batch(rng, step)
 			for _, s := range b {
 				ref.insertAt(0, s)
 			}
 			lt.Insert(b)
-			per.Insert(b)
-			nseg += len(b)
 		}
-		got := lt.ExportLevels()
-		if !equal(got, ref.levels) || !equal(got, per.levels) || lt.NumSegments() != nseg || per.nseg != nseg {
-			return step
-		}
-		for li := range got {
-			if cap(lt.levels[li]) != cap(per.levels[li]) {
-				return step
-			}
-		}
-		for lpn := int64(-1); lpn <= lsmtKeys; lpn++ {
-			gs, gok := lt.Lookup(lpn)
-			ws, wok := ref.lookup(lpn)
-			if gs != ws || gok != wok {
-				return step
-			}
+		if d := diverges(lt, ref); d != "" {
+			return fmt.Sprintf("step %d: %s", step, d)
 		}
 	}
-	return -1
+	return ""
 }
 
-// TestLSMTInPlaceMatchesCopySplice holds the run-merging table to both
-// references over the batches LeaFTL inserts — sorted, non-overlapping runs
-// with gaps — and random compactions, comparing what a snapshot carries,
-// every lookup and every dropped count after every step, over 1 000 seeds.
+// TestLSMTInPlaceMatchesCopySplice holds the table in insertion order to the
+// levelled reference over the batches LeaFTL inserts — sorted,
+// non-overlapping runs with gaps — and random compactions, comparing what a
+// snapshot carries, every lookup and every dropped count after every step,
+// over 1 000 seeds. The reference compacts only below level 0, so equal
+// dropped counts also show that a level-0 segment is never shadowed.
 func TestLSMTInPlaceMatchesCopySplice(t *testing.T) {
 	for seed := int64(0); seed < 1000; seed++ {
-		if step := matchReferences(seed, 80, contractBatch); step >= 0 {
-			t.Fatalf("seed %d: table diverges from the references at step %d", seed, step)
+		if d := matchReferences(seed, 80, contractBatch); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
 		}
 	}
 }
 
 // TestLSMTAnyBatchMatchesReferences: a batch that is not one sorted,
-// non-overlapping run inserts as its maximal such runs, which is still
-// segment by segment.
+// non-overlapping run inserts as its segments one at a time would.
 func TestLSMTAnyBatchMatchesReferences(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		if step := matchReferences(seed, 80, anyBatch); step >= 0 {
-			t.Fatalf("seed %d: table diverges from the references at step %d", seed, step)
+	for seed := int64(0); seed < 1000; seed++ {
+		if d := matchReferences(seed, 80, anyBatch); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
 		}
 	}
 }
 
 // TestLSMTSteadyStateInsertZeroAlloc pins LeaFTL's post-collection cycle at
-// zero allocations once the levels have found their size, for one segment
-// and for a run whose cascade reaches three levels.
+// zero allocations once the table has found its size, for one segment and
+// for a run of two.
 func TestLSMTSteadyStateInsertZeroAlloc(t *testing.T) {
-	// A retrained segment replaces the one it overlaps in level 0, the
-	// replaced one moves down into a slot a compaction freed, and is
-	// compacted away in turn. The wider, only partly covered segments settle
-	// a level further down, so the level in between is never the tail and
-	// keeps its slots.
+	// A retrained segment shadows the one the previous round inserted over
+	// the same LPNs, which the compaction drops, freeing a slot the next
+	// insert takes. The wider, older segments stay partly visible.
 	t.Run("segment", func(t *testing.T) {
 		const nseg = 32
 		lt := NewLSMT()
@@ -463,17 +353,16 @@ func TestLSMTSteadyStateInsertZeroAlloc(t *testing.T) {
 		if a := testing.AllocsPerRun(500, cycle); a != 0 {
 			t.Fatalf("steady-state Insert + CompactShadowed allocates %.0f times per cycle", a)
 		}
-		if lt.NumLevels() != 3 || lt.NumSegments() != 2*nseg {
-			t.Fatalf("steady state holds %d segments in %d levels, want %d in 3", lt.NumSegments(), lt.NumLevels(), 2*nseg)
+		if lt.NumSegments() != 2*nseg {
+			t.Fatalf("steady state holds %d segments, want %d", lt.NumSegments(), 2*nseg)
 		}
 	})
 	// Each of nreg regions of 32 LPNs alternates between two runs,
 	// A = {[0,8), [12,20)} and B = {[4,12), [16,24)}: each overlaps both
 	// segments of the other, and neither covers any segment of the other.
-	// Inserting A over B pushes B from level 0 onto the A in level 1, which
-	// moves to level 2 and is compacted away there, shadowed by the new A. A
-	// segment [0,32) below them, visible past LPN 24, keeps level 3 — and so
-	// level 2 — in place.
+	// Inserting A over B shadows the older A, which the compaction drops,
+	// and leaves B partly visible. A segment [0,32) older than both stays
+	// visible past LPN 24.
 	t.Run("run cascade", func(t *testing.T) {
 		const nreg = 16
 		run := func(r int, b bool) []Segment {
@@ -511,10 +400,10 @@ func TestLSMTSteadyStateInsertZeroAlloc(t *testing.T) {
 		}
 		// AllocsPerRun runs the cycle once more than it measures.
 		if dropped != 2*(cycles+1) {
-			t.Fatalf("%d cycles dropped %d segments from level 2, want 2 each", cycles+1, dropped)
+			t.Fatalf("%d cycles dropped %d segments, want 2 each", cycles+1, dropped)
 		}
-		if lt.NumLevels() != 4 || lt.NumSegments() != 5*nreg {
-			t.Fatalf("steady state holds %d segments in %d levels, want %d in 4", lt.NumSegments(), lt.NumLevels(), 5*nreg)
+		if lt.NumSegments() != 5*nreg {
+			t.Fatalf("steady state holds %d segments, want %d", lt.NumSegments(), 5*nreg)
 		}
 	})
 }
@@ -554,26 +443,28 @@ func TestFitSegmentsMeetsInsertContract(t *testing.T) {
 	}
 }
 
-// TestImportLevelsRejectsWhatTheSlabCannotHold: a span or an error outside
-// 16 bits, or more segments than a table has handles, is an error that
-// leaves the table as it was.
-func TestImportLevelsRejectsWhatTheSlabCannotHold(t *testing.T) {
-	full := make([][]Segment, 1)
-	for s := int64(0); s <= maxSegments; s++ {
-		full[0] = append(full[0], seg(s, 1))
+// TestImportRejectsWhatTheSlabCannotHold: a span or an error outside 16
+// bits, a segment outside the key range, or more segments than a table has
+// handles, is an error that leaves the table as it was. Overlapping
+// segments are not: the newest covering an LPN answers for it.
+func TestImportRejectsWhatTheSlabCannotHold(t *testing.T) {
+	full := make([]Segment, maxSegments+1)
+	for i := range full {
+		full[i] = seg(int64(i), 1)
 	}
-	for name, levels := range map[string][][]Segment{
-		"span of 2^16 LPNs":  {{seg(0, 1<<16)}},
-		"negative error":     {{{S: 0, L: 4, Err: -1}}},
-		"error of 2^16":      {{{S: 0, L: 4, Err: 1 << 16}}},
+	for name, segs := range map[string][]Segment{
+		"span of no LPN":     {seg(0, 0)},
+		"span of 2^16 LPNs":  {seg(0, 1<<16)},
+		"negative error":     {{S: 0, L: 4, Err: -1}},
+		"error of 2^16":      {{S: 0, L: 4, Err: 1 << 16}},
 		"2^16 segments":      full,
-		"start past 2^31-1":  {{seg(1<<31, 1)}},
-		"end past 2^31-1":    {{seg(1<<31-2, 4)}},
-		"negative start LPN": {{seg(-1, 4)}},
+		"start past 2^31-1":  {seg(1<<31, 1)},
+		"end past 2^31-1":    {seg(1<<31-2, 4)},
+		"negative start LPN": {seg(-1, 4)},
 	} {
 		lt := NewLSMT()
 		lt.Insert([]Segment{seg(0, 8)})
-		if err := lt.ImportLevels(levels); err == nil {
+		if err := lt.Import(segs); err == nil {
 			t.Errorf("%s: imported", name)
 		}
 		if s, ok := lt.Lookup(3); lt.NumSegments() != 1 || !ok || s != seg(0, 8) {
@@ -581,24 +472,30 @@ func TestImportLevelsRejectsWhatTheSlabCannotHold(t *testing.T) {
 		}
 	}
 	lt := NewLSMT()
-	if err := lt.ImportLevels([][]Segment{{seg(0, 1<<16-1), {S: 1 << 16, L: 1, Err: 1<<16 - 1}}}); err != nil {
-		t.Fatalf("the largest span and error rejected: %v", err)
+	widest := seg(0, 1<<16-1)
+	if err := lt.Import([]Segment{widest, {S: 1 << 16, L: 1, Err: 1<<16 - 1}, seg(8, 4), seg(4, 8)}); err != nil {
+		t.Fatalf("the largest span and error, overlapping, rejected: %v", err)
 	}
-	if s, ok := lt.Lookup(1<<16 - 2); !ok || s != seg(0, 1<<16-1) {
-		t.Fatalf("Lookup(2^16-2) = %+v, %v", s, ok)
+	for lpn, want := range map[int64]Segment{3: widest, 4: seg(4, 8), 9: seg(4, 8), 12: widest, 1<<16 - 2: widest} {
+		if s, ok := lt.Lookup(lpn); !ok || s != want {
+			t.Fatalf("Lookup(%d) = %+v, %v; want %+v", lpn, s, ok, want)
+		}
+	}
+	if dropped := lt.CompactShadowed(); dropped != 1 || lt.NumSegments() != 3 {
+		t.Fatalf("compaction dropped %d of 4 segments, leaving %d; want the one covered by a newer one", dropped, lt.NumSegments())
 	}
 }
 
 // TestLSMTFullTableCompactsBeforeInserting: a table that would pass its
 // 2^16-1 handles drops its shadowed segments first — lookups cannot tell,
-// also when the limit falls inside a batch whose earlier runs are pushed
-// down by later ones — and one whose segments are all visible refuses the
+// also when the limit falls inside a batch whose later runs overlap its
+// earlier ones — and one whose segments are all visible refuses the
 // insert loudly.
 func TestLSMTFullTableCompactsBeforeInserting(t *testing.T) {
 	// Each of the first n LPNs is covered twice, the older segment
 	// shadowed, and LPN n once, which leaves two handles. The batch's runs
-	// A = [n+1, n+3), B = [n+2, n+3) and C = [n+2, n+3) take them, push A
-	// below level 0, and pass the limit at C.
+	// A = [n+1, n+3), B = [n+2, n+3) and C = [n+2, n+3) take them, B
+	// shadowing half of A, and pass the limit at C.
 	const n = maxSegments/2 - 1
 	lt := NewLSMT()
 	for s := int64(0); s < n; s++ {

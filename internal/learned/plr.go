@@ -156,8 +156,8 @@ const SegmentBytes = 16
 // maxLen points per segment (LeaFTL caps a segment at 256 mappings). The
 // shrinking-cone construction anchors each segment at its first point and
 // narrows the feasible slope interval point by point. The segments come out
-// sorted by S without overlaps, each spanning at least one LPN: a run
-// LSMT.Insert merges into a level at once.
+// sorted by S without overlaps, each spanning at least one LPN: one run
+// for LSMT.Insert.
 func FitSegments(pts []Point, gamma int64, maxLen int) []Segment {
 	return AppendFitSegments(nil, pts, gamma, maxLen)
 }

@@ -30,8 +30,9 @@ import (
 // Version is the snapshot format version; bump on any encoding change.
 // Restore accepts exactly this version: the checkpoint cache is a cache, so
 // a snapshot written before a bump fails cleanly and its owner falls back to
-// a cold warm-up.
-const Version = 3
+// a cold warm-up. Version 4 writes each LeaFTL table's segments oldest
+// first, where version 3 wrote its LSMT levels.
+const Version = 4
 
 // magic leads every snapshot.
 const magic = "LFTLSNAP"

@@ -172,14 +172,18 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 // (recorded by running this body at commit a9c33e3): the narrow tables encode
 // to the same varints. The identity string at the head of the stream renders
 // the whole Config, so these sums were re-recorded when Config gained its
-// Learned field; the bytes after that string did not change.
+// Learned field; the bytes after that string did not change. They were
+// re-recorded again for format version 4, which writes each LeaFTL table's
+// segments oldest first instead of by level: every byte after the version
+// stayed the same but LeaFTL's segment section, whose segments per table
+// did not change.
 func TestSnapshotStreamMatchesWideTables(t *testing.T) {
 	want := map[Scheme]string{
-		SchemeDFTL:       "f62f3c6999587c3c74d0052da35f2158070e28d3ad5281149747c0612ee1a317",
-		SchemeTPFTL:      "56dabb81ee67d207485002dab1f57e7a5da2a11099330372d320dfac635fbf2a",
-		SchemeLeaFTL:     "ebb9418567578aed0a3ede572b6807a6b8a32276eac5b15a9567470c4982435a",
-		SchemeLearnedFTL: "68275eedb7955b43175d03dc63c6aeff53b8a95963b50618acc7a689d8ae66b8",
-		SchemeIdeal:      "ac3bd64f0206da60c8da90278cb156bc2906d32f288e8eb5cb4f19475de8edc0",
+		SchemeDFTL:       "6e5a5f463931484786a7b6a641b710f330cf26a678e71e6167679f88323ffc0b",
+		SchemeTPFTL:      "2f6b71aac09b3509d0e0b6b2f8fe6fbade4db22c84b99598e2988499a33f5023",
+		SchemeLeaFTL:     "35c5aeba9a938dd3c78633328d1711f243c66883077155e2045332c5a53b7b0b",
+		SchemeLearnedFTL: "fa2587fb47e527efe3c9eeaad0a99f126fec45970ef16f3274fbc79b776a989f",
+		SchemeIdeal:      "e5d5526daa7f16d40cb190595da838e0a50ec5f4027fff0a62db913f043f00fc",
 	}
 	cfg := persistTestConfig()
 	for _, s := range Schemes() {
