@@ -31,7 +31,9 @@ func TestZeroThreadsIsAnError(t *testing.T) {
 }
 
 // TestAbsurdKnobIsAnError: a NaN, infinite or negative narrowing knob is an
-// error, not a silent fall-back to the knob's default ladder.
+// error, not a silent fall-back to the knob's default ladder; so is a NaN,
+// infinite or negative size (trace scale, warm-up, requests), not a table
+// of NaNs or of an unwarmed device.
 func TestAbsurdKnobIsAnError(t *testing.T) {
 	nan := math.NaN()
 	for _, c := range []struct {
@@ -47,6 +49,11 @@ func TestAbsurdKnobIsAnError(t *testing.T) {
 		{"crashsweep", "CrashFuzz -1", func(b *Budget) { b.CrashFuzz = -1 }},
 		{"scale", "ScaleMaxGiB -1", func(b *Budget) { b.ScaleMaxGiB = -1 }},
 		{"scale", "ScaleMinGiB -1", func(b *Budget) { b.ScaleMinGiB = -1 }},
+		{"table2", "TraceScale NaN", func(b *Budget) { b.TraceScale = nan }},
+		{"table2", "TraceScale -0.5", func(b *Budget) { b.TraceScale = -0.5 }},
+		{"table2", "TraceScale +Inf", func(b *Budget) { b.TraceScale = math.Inf(1) }},
+		{"fig6", "WarmExtra -3", func(b *Budget) { b.WarmExtra = -3 }},
+		{"fig2", "Requests -1", func(b *Budget) { b.Requests = -1 }},
 	} {
 		b := goldenBudget(c.id, TinyConfig(), 2)
 		c.set(&b)

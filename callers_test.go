@@ -27,7 +27,6 @@ var callerExempt = map[string]string{
 	"learnedftl/internal/stats.Collector.ReadPercentile":  "sim tests read the read tail",
 	"learnedftl/internal/stats.Collector.WritePercentile": "root and sim tests read the write tail",
 	"learnedftl/internal/workload.TrimWrite":              "root GC and persistence tests mix trims into their runs",
-	"learnedftl/internal/persist.Cache.Dir":               "root persistence tests list the checkpoint files",
 	"learnedftl/internal/learned.FitExact":                "the root PLR microbenchmark times the exact fit",
 	"learnedftl/internal/learned.LSMT.NumSegments":        "leaftl tests count a table's live segments",
 	"learnedftl/internal/core.LearnedFTL.ModelAccuracy":   "Example_ablation prints it: the paper's model-accuracy metric",

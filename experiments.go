@@ -165,6 +165,7 @@ func runCells(b Budget, n int, cell func(i int) error) error {
 		name string
 		v    float64
 	}{
+		{"trace scale", b.TraceScale},
 		{"offered IOPS", b.OfferedIOPS},
 		{"OP ratio", b.OPRatio},
 		{"fault BER", b.FaultBER},
@@ -175,8 +176,9 @@ func runCells(b Budget, n int, cell func(i int) error) error {
 			return fmt.Errorf("learnedftl: budget %s %v is not a finite value >= 0", k.name, k.v)
 		}
 	}
-	if b.CrashFuzz < 0 || b.CrashStride < 0 {
-		return fmt.Errorf("learnedftl: budget crash fuzz %d and stride %d must be >= 0", b.CrashFuzz, b.CrashStride)
+	if b.Requests < 0 || b.WarmExtra < 0 || b.CrashFuzz < 0 || b.CrashStride < 0 {
+		return fmt.Errorf("learnedftl: budget requests %d, warm extra %d, crash fuzz %d and stride %d must be >= 0",
+			b.Requests, b.WarmExtra, b.CrashFuzz, b.CrashStride)
 	}
 	if math.IsNaN(b.ReadTenantShare) {
 		return fmt.Errorf("learnedftl: budget read-tenant share is NaN")
@@ -267,23 +269,11 @@ func persistKey(name string, cfg Config) string {
 	return fmt.Sprintf("%s|%+v", name, cfg)
 }
 
-// modelVersion versions the simulated model a warm checkpoint was taken
-// under. Any change that moves a sim_digest or a golden table — a scheme's
-// allocation order, GC, training or timing — or what a checkpoint restores
-// must bump it: the warm key carries it, so a persistent checkpoint
-// directory then misses and warms cold instead of restoring devices that
-// the older model warmed. Version 2 snapshots the scrub queue of a device
-// with a fault model; a version-1 checkpoint of one would decode the
-// scheme's state as the queue. Version 3 snapshots LeaFTL's tables as
-// segments in insertion order rather than as levels.
-const modelVersion = 3
-
-// warmKey identifies a warm checkpoint taken under model version model: the
-// device identity plus the warm-up spec (the settle phase is derived from
-// the config, so WarmExtra is the only free parameter). The leading tag
-// versions the warm-up recipe itself — change warmDevice, bump the tag.
-func warmKey(model int, s Scheme, cfg Config, extra int) string {
-	return fmt.Sprintf("warm1|model=%d|extra=%d|%s", model, extra, persistKey(s.String(), cfg))
+// warmKey identifies a warm checkpoint: the device identity plus WarmExtra
+// (the settle phase is derived from the config). The cache adds the build,
+// so a change to the model or to warmDevice misses on its own.
+func warmKey(s Scheme, cfg Config, extra int) string {
+	return fmt.Sprintf("extra=%d|%s", extra, persistKey(s.String(), cfg))
 }
 
 // cell is one point of an experiment's grid: its index on each axis, the
@@ -332,7 +322,7 @@ func (c *cell) warmed(s Scheme, cfg Config) (FTL, error) {
 		c.warmUp(f)
 		return f, nil
 	}
-	key := warmKey(modelVersion, s, cfg, c.b.WarmExtra)
+	key := warmKey(s, cfg, c.b.WarmExtra)
 	if data, ok := cache.Load(key); ok {
 		if dev, devOK := f.(persist.Device); devOK && persist.Restore(dev, key, data) == nil {
 			// The restored lifetime program count is exactly the warm-up
@@ -341,9 +331,8 @@ func (c *cell) warmed(s Scheme, cfg Config) (FTL, error) {
 			cache.NoteRestored(life.TotalPrograms())
 			return f, nil
 		}
-		// Corrupt or stale (format bump): counts as a miss, and the cold
-		// warm-up below overwrites the entry — on a fresh device, since the
-		// failed restore may have loaded part of the snapshot.
+		// Corrupt: a miss. The cold warm-up below overwrites the entry, on a
+		// fresh device: the failed restore may have loaded part of it.
 		cache.NoteUnusable()
 		if f, err = New(s, cfg); err != nil {
 			return nil, err
@@ -1093,13 +1082,9 @@ var experiments = []experiment{
 				if err != nil {
 					return err
 				}
-				rec, ok := f.(ftl.CrashRecoverer)
+				dev, ok := f.(crash.Device)
 				if !ok {
 					return fmt.Errorf("learnedftl: %s does not support crash recovery", f.Name())
-				}
-				sh, ok := f.(interface{ ShadowL2P() []nand.PPN })
-				if !ok {
-					return fmt.Errorf("learnedftl: %s does not expose a shadow L2P", f.Name())
 				}
 				fill := int64(float64(f.Config().LogicalPages()) * fillFrac)
 				var now nand.Time
@@ -1108,9 +1093,9 @@ var experiments = []experiment{
 				}
 				f.Flash().ResetCounters()
 				start := f.Flash().MaxChipBusy()
-				done := rec.RecoverFromCrash(start)
+				done := dev.RecoverFromCrash(start)
 				mapped := int64(0)
-				for _, p := range sh.ShadowL2P() {
+				for _, p := range dev.ShadowL2P() {
 					if p != nand.InvalidPPN {
 						mapped++
 					}
@@ -1122,11 +1107,7 @@ var experiments = []experiment{
 				// appears only when fault is enabled so fault-free goldens
 				// stay byte-identical.
 				if cfg.Fault.Enabled {
-					ms, msOK := f.(interface{ MountScanStats() persist.ScanStats })
-					if !msOK {
-						return fmt.Errorf("learnedftl: %s does not expose mount scan stats", f.Name())
-					}
-					row = append(row, fmt.Sprint(ms.MountScanStats().LostMappings))
+					row = append(row, fmt.Sprint(dev.MountScanStats().LostMappings))
 				}
 				c.row(row...)
 				return nil

@@ -84,6 +84,17 @@ func goldenSection(t *testing.T, r BenchResult) string {
 	return b.String()
 }
 
+// trimTrailing strips the column padding Table.String appends to every
+// line, so the golden carries no trailing whitespace. Cell contents are
+// compared exactly.
+func trimTrailing(s string) string {
+	lines := strings.Split(s, "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " ")
+	}
+	return strings.Join(lines, "\n")
+}
+
 // parseGolden splits the golden file into its "### id" sections.
 func parseGolden(data string) map[string]string {
 	out := map[string]string{}
@@ -94,18 +105,23 @@ func parseGolden(data string) map[string]string {
 	return out
 }
 
-// goldenWorkers are the worker counts every experiment is pinned at: cells
-// are hermetic, so the serial and the parallel run must both match the
-// golden byte for byte.
+// goldenWorkers are the worker counts every experiment is pinned at, in
+// pass order: cells are hermetic, so the serial and the parallel run must
+// both match the golden byte for byte.
 var goldenWorkers = []int{1, 4}
 
 // TestEveryExperimentMatchesGolden pins every registered experiment on
 // TinyConfig to testdata/experiments.golden at every goldenWorkers count:
 // each table byte for byte (wall-clock columns masked, every row as wide
 // as the header), and latbreak's and fleet's BENCH JSON payloads by
-// digest. Runs are parallel subtests; each is hermetic, so the tables do
-// not depend on what runs beside it. A failure means a change moved a
-// simulated number, or made one depend on the worker count.
+// digest. Experiments are parallel subtests; each is hermetic, so the
+// tables do not depend on what runs beside it. The passes of one
+// experiment run in order through one warm-checkpoint cache: the first
+// warms every device cold and stores it, the second must restore every
+// warmed device from the cache (hits, no misses) and still match — a
+// restored device is bit-exact to the warm-up it replaced. A failure means
+// a change moved a simulated number, made one depend on the worker count,
+// or left state out of a snapshot.
 func TestEveryExperimentMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-experiment golden skipped in -short mode")
@@ -126,15 +142,25 @@ func TestEveryExperimentMatchesGolden(t *testing.T) {
 		for _, id := range ids {
 			t.Run(id, func(t *testing.T) {
 				t.Parallel()
-				for _, workers := range goldenWorkers {
+				cache, err := NewCheckpointCache(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pass, workers := range goldenWorkers {
 					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-						t.Parallel()
-						res, err := RunExperiments([]string{id}, cfg, goldenBudget(id, cfg, workers))
+						before := cache.Stats()
+						b := goldenBudget(id, cfg, workers)
+						b.Checkpoints = cache
+						res, err := RunExperiments([]string{id}, cfg, b)
 						if err != nil {
 							t.Fatal(err)
 						}
+						if st := cache.Stats(); pass > 0 && before.Stores > 0 && (st.Hits == before.Hits || st.Misses != before.Misses) {
+							t.Errorf("pass after %d stores: %d hits, %d misses; want every warm-up restored",
+								before.Stores, st.Hits-before.Hits, st.Misses-before.Misses)
+						}
 						sec := goldenSection(t, res[0])
-						if workers == goldenWorkers[0] {
+						if pass == 0 {
 							mu.Lock()
 							got[id] = sec
 							mu.Unlock()

@@ -167,7 +167,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	dev.RecoverFromCrash(dev.Flash().MaxChipBusy())
 
 	var out Outcome
-	Verify(dev, NewOracle(), nil, &out)
+	Verify(dev, NewOracle(dev.Config().LogicalPages()), nil, &out)
 	if len(out.Violations) != 0 {
 		t.Fatalf("clean recovery reports violations: %v", out.Violations)
 	}
@@ -188,13 +188,13 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = Outcome{}
-	Verify(dev, NewOracle(), nil, &out)
+	Verify(dev, NewOracle(dev.Config().LogicalPages()), nil, &out)
 	if len(out.Violations) == 0 {
 		t.Fatal("verifier missed an L2P entry pointing at an invalid page")
 	}
 
 	// Breach 2: an acked write the recovered map lacks.
-	o := NewOracle()
+	o := NewOracle(dev.Config().LogicalPages())
 	o.Ack(sim.Request{Write: true, LPN: lpn, Pages: 1}, 0)
 	dev.RecoverFromCrash(dev.Flash().MaxChipBusy()) // heals breach 1's map view
 	shadow = dev.ShadowL2P()
@@ -230,7 +230,7 @@ func TestInFlightAtCutIsTheIssuingRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := NewOracle()
+			o := NewOracle(cfg.LogicalPages())
 			var issuing sim.Request
 			gens := make([]sim.Generator, sources)
 			for i := range gens {
@@ -256,12 +256,18 @@ func TestInFlightAtCutIsTheIssuingRequest(t *testing.T) {
 			if !out.Fired || !out.OK() {
 				t.Fatalf("open=%v cut at op %d: fired %v, lost acked %d, violations %v", open, at, out.Fired, out.LostAcked, out.Violations)
 			}
-			want := map[int64]int{}
+			want := map[int64]int32{}
 			for k := int64(0); k < pages; k++ {
 				want[issuing.LPN+k] = 1
 			}
-			if !maps.Equal(o.inflight, want) {
-				t.Fatalf("open=%v cut at op %d: in flight %v, want the issuing request's pages %v", open, at, o.inflight, want)
+			got := map[int64]int32{}
+			for lpn, n := range o.inflight {
+				if n != 0 {
+					got[int64(lpn)] = n
+				}
+			}
+			if !maps.Equal(got, want) {
+				t.Fatalf("open=%v cut at op %d: in flight %v, want the issuing request's pages %v", open, at, got, want)
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 // Outcome has Fired=false and the (disarmed) device is left as the run
 // left it.
 func Inject(dev Device, gens []sim.Generator, maxRequests int64, plan Plan) Outcome {
-	o := NewOracle()
+	o := NewOracle(dev.Config().LogicalPages())
 	tapped := make([]sim.Generator, len(gens))
 	for i, g := range gens {
 		tapped[i] = o.Tap(g)

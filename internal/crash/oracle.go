@@ -21,17 +21,24 @@ import (
 // acked trim keeps it unmapped. The oracle tracks those LPNs through an
 // issue tap (Tap) and the verifier skips them.
 type Oracle struct {
-	expect   map[int64]bool // lpn → expect-mapped
-	inflight map[int64]int  // lpn → issued-but-unacked request count
+	expect   []acked // by LPN
+	inflight []int32 // by LPN: issued-but-unacked request count
 	writes   int64
 }
 
-// NewOracle returns an empty oracle.
-func NewOracle() *Oracle {
-	return &Oracle{
-		expect:   make(map[int64]bool),
-		inflight: make(map[int64]int),
-	}
+// acked is what an LPN's last acknowledged request leaves the host
+// expecting.
+type acked uint8
+
+const (
+	ackedNone  acked = iota // nothing acknowledged: no expectation
+	ackedWrite              // mapped
+	ackedTrim               // unmapped
+)
+
+// NewOracle returns an empty oracle over lp logical pages.
+func NewOracle(lp int64) *Oracle {
+	return &Oracle{expect: make([]acked, lp), inflight: make([]int32, lp)}
 }
 
 // Issued records a request handed to the engine. Its LPNs stay
@@ -50,29 +57,20 @@ func (o *Oracle) Issued(req sim.Request) {
 // request — so writes become expected-durable exactly when a host would
 // consider them stable.
 func (o *Oracle) Ack(req sim.Request, done nand.Time) {
+	want := ackedWrite
 	switch {
 	case req.Trim:
-		for k := 0; k < req.Pages; k++ {
-			lpn := req.LPN + int64(k)
-			o.expect[lpn] = false
-			o.settle(lpn)
-		}
+		want = ackedTrim
 	case req.Write:
-		for k := 0; k < req.Pages; k++ {
-			lpn := req.LPN + int64(k)
-			o.expect[lpn] = true
-			o.settle(lpn)
-		}
 		o.writes++
+	default:
+		return
 	}
-}
-
-// settle clears one in-flight mark for lpn.
-func (o *Oracle) settle(lpn int64) {
-	if n := o.inflight[lpn]; n > 1 {
-		o.inflight[lpn] = n - 1
-	} else {
-		delete(o.inflight, lpn)
+	for lpn := req.LPN; lpn < req.LPN+int64(req.Pages); lpn++ {
+		o.expect[lpn] = want
+		if o.inflight[lpn] > 0 {
+			o.inflight[lpn]--
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package crash
 
 import (
 	"fmt"
-	"sort"
 
 	"learnedftl/internal/nand"
 )
@@ -29,7 +28,10 @@ func Verify(dev Device, o *Oracle, exempt map[int64]struct{}, out *Outcome) {
 	// Forward+reverse walk of the valid pages in flash order: uniqueness
 	// (at most one valid page per key) and the reverse half of the
 	// bijections (every valid page is reachable from the rebuilt maps).
-	data := make(map[int64]nand.PPN)
+	data := make([]nand.PPN, lp)
+	for i := range data {
+		data[i] = nand.InvalidPPN
+	}
 	var scratch []nand.PPN
 	for blk := 0; blk < g.TotalBlocks(); blk++ {
 		if fl.BlockBad(blk) {
@@ -54,7 +56,7 @@ func Verify(dev Device, o *Oracle, exempt map[int64]struct{}, out *Outcome) {
 				out.violate("valid page %d holds out-of-range LPN %d", p, lpn)
 				continue
 			}
-			if prev, dup := data[lpn]; dup {
+			if prev := data[lpn]; prev != nand.InvalidPPN {
 				out.violate("two valid pages for LPN %d: %d and %d", lpn, prev, p)
 			}
 			data[lpn] = p
@@ -72,7 +74,7 @@ func Verify(dev Device, o *Oracle, exempt map[int64]struct{}, out *Outcome) {
 		if ppn == nand.InvalidPPN {
 			continue
 		}
-		if got, ok := data[lpn]; !ok || got != ppn {
+		if data[lpn] != ppn {
 			out.violate("L2P maps LPN %d to page %d, which does not hold it validly", lpn, ppn)
 		}
 	}
@@ -91,13 +93,9 @@ func Verify(dev Device, o *Oracle, exempt map[int64]struct{}, out *Outcome) {
 	}
 
 	// Acked durability against the oracle, in LPN order.
-	lpns := make([]int64, 0, len(o.expect))
-	for lpn := range o.expect {
-		lpns = append(lpns, lpn)
-	}
-	sort.Slice(lpns, func(i, j int) bool { return lpns[i] < lpns[j] })
-	for _, lpn := range lpns {
-		if _, ok := exempt[lpn]; ok {
+	for i, want := range o.expect {
+		lpn := int64(i)
+		if _, ok := exempt[lpn]; ok || want == ackedNone {
 			continue
 		}
 		if o.Indeterminate(lpn) {
@@ -105,14 +103,14 @@ func Verify(dev Device, o *Oracle, exempt map[int64]struct{}, out *Outcome) {
 			// can expect nothing for it, in either direction.
 			continue
 		}
-		mapped := lpn >= 0 && lpn < lp && shadow[lpn] != nand.InvalidPPN
+		mapped := lpn < lp && shadow[lpn] != nand.InvalidPPN
 		switch {
-		case o.expect[lpn] && !mapped:
+		case want == ackedWrite && !mapped:
 			out.LostAcked++
 			if out.LostAcked <= maxLostDetail {
 				out.violate("acked write to LPN %d lost: unmapped after recovery", lpn)
 			}
-		case !o.expect[lpn] && mapped:
+		case want == ackedTrim && mapped:
 			out.violate("acked trim of LPN %d resurfaced: mapped to page %d", lpn, shadow[lpn])
 		}
 	}

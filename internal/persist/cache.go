@@ -23,40 +23,62 @@ type CacheStats struct {
 
 // Cache is the warm-checkpoint store: a directory of snapshot files keyed
 // by an opaque identity string (scheme, geometry, config and warm-up spec
-// hashed together). Concurrent sweep cells may load and store the same key;
-// stores write via temp-file + rename so readers never observe a partial
-// file, and because snapshots are deterministic, racing stores of one key
-// write identical bytes.
+// hashed together) and by the build that wrote them. Concurrent sweep cells
+// may load and store the same key; stores write via temp-file + rename so
+// readers never observe a partial file, and because snapshots are
+// deterministic, racing stores of one key write identical bytes.
 type Cache struct {
-	dir string
+	dir   string
+	build string
 
 	mu    sync.Mutex
 	stats CacheStats
 }
 
-// NewCache opens (creating if needed) a checkpoint directory.
+// buildID is the SHA-256 of the running executable, read once per process.
+// Go builds are reproducible, so binaries built from one tree share it and
+// a change to shipped code changes it. A binary stamped with VCS state (go
+// build in a checkout) changes with every commit too: a cold warm-up, never
+// a device that another model warmed.
+var buildID = sync.OnceValues(func() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	data, err := os.ReadFile(exe)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]), nil
+})
+
+// NewCache opens (creating if needed) a checkpoint directory whose entries
+// are keyed by the running build.
 func NewCache(dir string) (*Cache, error) {
+	build, err := buildID()
+	if err != nil {
+		return nil, fmt.Errorf("persist: checkpoint build id: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: checkpoint dir: %w", err)
 	}
-	return &Cache{dir: dir}, nil
+	return &Cache{dir: dir, build: build}, nil
 }
 
-// Dir returns the cache's directory.
-func (c *Cache) Dir() string { return c.dir }
-
-// path maps a key to its file: the key is hashed so arbitrary config
-// strings (spaces, slashes) become safe fixed-length names.
+// path maps a key to its file: the build id and the key are hashed
+// together, so arbitrary config strings (spaces, slashes) become safe
+// fixed-length names and an entry another build wrote is never found.
 func (c *Cache) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
+	sum := sha256.Sum256([]byte(c.build + "|" + key))
 	return filepath.Join(c.dir, hex.EncodeToString(sum[:])+".ckpt")
 }
 
 // Load returns the snapshot stored under key. An absent entry counts as a
 // miss immediately; a present entry is NOT yet a hit — only the caller
 // knows whether the bytes actually restore, so it reports the outcome via
-// NoteRestored (hit) or NoteUnusable (stale/corrupt file that fell back
-// to a cold warm-up: a miss).
+// NoteRestored (hit) or NoteUnusable (corrupt file that fell back to a
+// cold warm-up: a miss).
 func (c *Cache) Load(key string) ([]byte, bool) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
@@ -77,9 +99,9 @@ func (c *Cache) NoteRestored(programsSaved int64) {
 	c.mu.Unlock()
 }
 
-// NoteUnusable records a loaded snapshot that failed verification (stale
-// version, corruption, config drift): the caller fell back to a cold
-// warm-up, so it counts as a miss.
+// NoteUnusable records a loaded snapshot that failed verification
+// (corruption, config drift): the caller fell back to a cold warm-up, so it
+// counts as a miss.
 func (c *Cache) NoteUnusable() {
 	c.mu.Lock()
 	c.stats.Misses++

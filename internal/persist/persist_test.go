@@ -384,7 +384,7 @@ func TestCacheLoadStoreStats(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Stores != 1 || st.ProgramsSaved != 500 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// A loaded-but-unusable entry (stale version, corruption) is a miss.
+	// A loaded-but-unusable entry (corruption, config drift) is a miss.
 	c.NoteUnusable()
 	if st := c.Stats(); st.Misses != 2 || st.Hits != 1 {
 		t.Fatalf("unusable entry not counted as miss: %+v", st)
@@ -393,5 +393,33 @@ func TestCacheLoadStoreStats(t *testing.T) {
 	c.Store("a/b|c d", []byte("x"))
 	if data, ok := c.Load("a/b|c d"); !ok || string(data) != "x" {
 		t.Fatal("hostile key round-trip failed")
+	}
+}
+
+// TestCacheMissesOtherBuilds: entries are keyed by the build that wrote
+// them, so over one directory an entry another build stored is a miss and
+// each build loads only its own.
+func TestCacheMissesOtherBuilds(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.build) != 64 {
+		t.Fatalf("build id %q is not a SHA-256", c.build)
+	}
+	other := &Cache{dir: dir, build: "another build"}
+	other.Store("k", []byte("theirs"))
+	if _, ok := c.Load("k"); ok {
+		t.Fatal("loaded an entry another build stored")
+	}
+	c.Store("k", []byte("ours"))
+	for _, tc := range []struct {
+		c    *Cache
+		want string
+	}{{c, "ours"}, {other, "theirs"}} {
+		if data, ok := tc.c.Load("k"); !ok || string(data) != tc.want {
+			t.Fatalf("build %.8s loaded %q, %v; want its own %q", tc.c.build, data, ok, tc.want)
+		}
 	}
 }

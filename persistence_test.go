@@ -382,7 +382,8 @@ func TestWarmCheckpointReuse(t *testing.T) {
 
 	cold := runTable(t, "fig6", cfg, b)
 
-	cache, err := NewCheckpointCache(t.TempDir())
+	dir := t.TempDir()
+	cache, err := NewCheckpointCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestWarmCheckpointReuse(t *testing.T) {
 	}
 	// Corrupt entries are misses: each cell warms cold on a fresh device,
 	// with the same table, and stores a good entry over the bad one.
-	files, err := filepath.Glob(filepath.Join(cache.Dir(), "*.ckpt"))
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil || len(files) != 2 {
 		t.Fatalf("checkpoint files = %v (%v), want 2", files, err)
 	}
@@ -422,83 +423,6 @@ func TestWarmCheckpointReuse(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Misses != 4 || st.Stores != 4 || st.Hits != 2 {
 		t.Fatalf("after corrupt checkpoints: %+v, want 4 misses, 4 stores, 2 hits", st)
-	}
-}
-
-// TestWarmCheckpointMissesOtherModelVersions: the warm key carries the
-// model version, so a checkpoint directory holding a device warmed under an
-// earlier or a later model misses, warms cold and stores its own entry,
-// which the next cell then restores.
-func TestWarmCheckpointMissesOtherModelVersions(t *testing.T) {
-	cfg := persistTestConfig()
-	b := sweepTestBudget(2)
-	cache, err := NewCheckpointCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Checkpoints = cache
-	s := SchemeLearnedFTL
-	other, err := New(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmDevice(other, b)
-	for _, v := range []int{modelVersion - 1, modelVersion + 1} {
-		k := warmKey(v, s, cfg, b.WarmExtra)
-		cache.Store(k, persist.Snapshot(other.(persist.Device), k))
-	}
-	cold := &cell{b: b}
-	if _, err := cold.warmed(s, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 || st.Stores != 3 || cold.warm.Programs == 0 {
-		t.Fatalf("with only other versions' checkpoints: %+v, %d warm-up programs; want a miss, a cold warm-up and its store", st, cold.warm.Programs)
-	}
-	warm := &cell{b: b}
-	if _, err := warm.warmed(s, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.Hits != 1 || warm.warm.Programs != 0 {
-		t.Fatalf("after the cold warm-up stored this version's checkpoint: %+v, %d warm-up programs; want a hit", st, warm.warm.Programs)
-	}
-}
-
-// TestGoldenTablesWithCheckpointCache pins the restore path to the golden
-// closed-loop tables: fig16's rows — captured from the pre-refactor engine
-// — must come out byte-identical when the warm-up is restored from a
-// checkpoint instead of simulated. This is the "bit-for-bit equivalent to
-// never having snapshotted" requirement on real experiment output. The
-// faultsweep table holds it for devices with a fault model, whose warm-up
-// leaves blocks queued for scrub: both passes through the cache equal the
-// uncached table.
-func TestGoldenTablesWithCheckpointCache(t *testing.T) {
-	cfg := TinyConfig()
-	cache, err := NewCheckpointCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := sweepTestBudget(1)
-	b.Checkpoints = cache
-	want := closedLoopGolden["fig16"]
-	for pass := 0; pass < 2; pass++ {
-		if got := trimTrailing(runTable(t, "fig16", cfg, b).String()); got != want {
-			t.Fatalf("pass %d diverged from golden:\ngot:\n%s\nwant:\n%s", pass, got, want)
-		}
-	}
-	st := cache.Stats()
-	if st.Hits == 0 {
-		t.Fatalf("second pass restored nothing: %+v", st)
-	}
-	fb := tinyFaultBudget()
-	want = runTable(t, "faultsweep", cfg, fb).String()
-	fb.Checkpoints = cache
-	for pass := 0; pass < 2; pass++ {
-		if got := runTable(t, "faultsweep", cfg, fb).String(); got != want {
-			t.Fatalf("faultsweep pass %d diverged from the uncached table:\ngot:\n%s\nwant:\n%s", pass, got, want)
-		}
-	}
-	if fst := cache.Stats(); fst.Hits == st.Hits {
-		t.Fatalf("the second faultsweep pass restored nothing: %+v", fst)
 	}
 }
 
