@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,5 +102,81 @@ func TestCIPatternsNameDeclaredTests(t *testing.T) {
 	}
 	if lines == 0 {
 		t.Fatal("ci.yml has no go test line")
+	}
+}
+
+// TestDocsNameDeclaredFlags: every -flag on an ftlbench command line in the
+// docs, the CI workflow and the verify skill is a flag cmd/ftlbench
+// declares. The flag package rejects an unknown flag with exit 2, so a
+// documented example of a deleted flag is a command that no longer runs.
+// A command line is a line of a fenced code block (or of ci.yml) or an
+// inline code span, from "ftlbench" up to a shell comment, pipe or list
+// operator.
+func TestDocsNameDeclaredFlags(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "cmd/ftlbench/main.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{"h": true, "help": true} // the flag package's own
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) > 0 {
+			sel, _ := call.Fun.(*ast.SelectorExpr)
+			lit, _ := call.Args[0].(*ast.BasicLit)
+			if sel != nil && lit != nil && lit.Kind == token.STRING {
+				if pkg, _ := sel.X.(*ast.Ident); pkg != nil && pkg.Name == "flag" {
+					name, _ := strconv.Unquote(lit.Value)
+					declared[name] = true
+				}
+			}
+		}
+		return true
+	})
+	if len(declared) < 10 {
+		t.Fatalf("found only %d flag declarations in cmd/ftlbench/main.go", len(declared)-2)
+	}
+
+	inline := regexp.MustCompile("`[^`]+`")
+	flagRe := regexp.MustCompile(`(?:^|\s)--?([A-Za-z][\w-]*)`)
+	commands := 0
+	for _, path := range []string{"README.md", "EXPERIMENTS.md", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Split the file into command-line candidates: code lines as they
+		// are, inline code spans from the prose (they may wrap a line).
+		var segments []string
+		var prose strings.Builder
+		fenced := strings.HasSuffix(path, ".yml")
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if fenced {
+				segments = append(segments, line)
+			} else {
+				prose.WriteString(line + "\n")
+			}
+		}
+		segments = append(segments, inline.FindAllString(prose.String(), -1)...)
+		for _, seg := range segments {
+			_, cmd, ok := strings.Cut(seg, "ftlbench")
+			if !ok || strings.HasPrefix(strings.TrimSpace(seg), "#") {
+				continue
+			}
+			if i := strings.IndexAny(cmd, "#|;&`"); i >= 0 {
+				cmd = cmd[:i]
+			}
+			commands++
+			for _, m := range flagRe.FindAllStringSubmatch(cmd, -1) {
+				if !declared[m[1]] {
+					t.Errorf("%s: ftlbench -%s is not a declared flag: %q", path, m[1], strings.TrimSpace(seg))
+				}
+			}
+		}
+	}
+	if commands < 20 {
+		t.Fatalf("found only %d ftlbench command lines in the docs", commands)
 	}
 }

@@ -10,7 +10,7 @@
 //	ftlbench -exp all -parallel -json   # also write BENCH_<timestamp>.json
 //	ftlbench -exp loadsweep             # open-loop latency vs offered IOPS
 //	ftlbench -exp tenantmix -rate 50000 # two tenants at 50k IOPS combined
-//	ftlbench -exp gcsweep -gc-policy greedy,costbenefit  # WA vs OP ratio
+//	ftlbench -exp gcsweep               # WA vs OP ratio x GC policy
 //	ftlbench -exp gclat                 # foreground vs background GC tails
 //	ftlbench -exp fig16 -gc-policy costage  # any experiment, other policy
 //	ftlbench -exp mountlat              # OOB crash-recovery latency vs fill
@@ -24,8 +24,8 @@
 // (inspect with `go tool pprof`), so perf work on the simulator is measured
 // rather than guessed. The scale experiment climbs a geometry ladder from
 // the tiny device toward the paper's 32 GiB one; -scale-min-gib and
-// -scale-max-gib window the ladder (a CI smoke cell pins one rung by
-// setting both to the same value).
+// -scale-max-gib window the ladder (setting both to the same value
+// profiles one rung alone).
 //
 // -parallel fans the independent (scheme × workload) cells of each
 // experiment across GOMAXPROCS worker goroutines. Every cell builds its own
@@ -39,10 +39,15 @@
 // The open-loop experiments (loadsweep, tenantmix) drive the device with
 // rate-controlled arrivals instead of the closed-loop psync model.
 // -rate fixes the total offered IOPS (0 derives a ladder / operating point
-// from the device's ideal random-read capability), -arrival picks the
-// arrival process (poisson or fixed), and -tenant-share splits tenantmix's
-// offered load between the WebSearch read tenant and the Systor write
-// tenant. All arrivals are seeded, so the tables stay deterministic.
+// from the device's ideal random-read capability) and -arrival picks the
+// arrival process (poisson or fixed). All arrivals are seeded, so the
+// tables stay deterministic.
+//
+// Every experiment runs its full grid: gcsweep every GC policy over the
+// device's OP ladder, faultsweep and scrublat all five schemes over the
+// whole raw-BER ladder, fleet an 8-device array under all three placement
+// policies. -gc-policy names the one victim-selection policy every other
+// experiment's devices run under.
 //
 // -json additionally writes the results (per-experiment tables plus
 // wall-clock seconds, device and budget metadata) to BENCH_<timestamp>.json
@@ -60,7 +65,6 @@ import (
 	"time"
 
 	"learnedftl"
-	"learnedftl/internal/sweep"
 )
 
 // benchFile is the JSON document -json emits.
@@ -89,22 +93,11 @@ func run() int {
 		parallel = flag.Bool("parallel", false, "fan experiment cells across GOMAXPROCS workers (same tables, less wall-clock)")
 		jsonOut  = flag.Bool("json", false, "write results to BENCH_<timestamp>.json")
 
-		rate        = flag.Float64("rate", 0, "open-loop offered IOPS (0 = derive ladder/operating point from the device)")
-		arrival     = flag.String("arrival", "poisson", "open-loop arrival process: poisson | fixed")
-		tenantShare = flag.Float64("tenant-share", 0, "tenantmix: fraction of offered load for the read tenant (0 = default 0.7)")
+		rate    = flag.Float64("rate", 0, "open-loop offered IOPS (0 = derive ladder/operating point from the device)")
+		arrival = flag.String("arrival", "poisson", "open-loop arrival process: poisson | fixed")
 
-		gcPolicy = flag.String("gc-policy", "", "GC victim-selection policies, comma-separated (greedy | costbenefit | costage); a single value also sets the device policy for every experiment, gcsweep sweeps the listed subset (\"\" = all)")
-		opRatio  = flag.Float64("op-ratio", 0, "gcsweep: single over-provisioning ratio (0 = ladder derived from the device config)")
-
-		faultBER     = flag.Float64("fault-ber", 0, "faultsweep: single raw-BER rung (0 = the built-in decade ladder)")
-		faultSchemes = flag.String("fault-schemes", "", "faultsweep/scrublat: comma-separated scheme subset, e.g. dftl,ideal (\"\" = all five)")
-
-		crashFuzz   = flag.Int("crash-fuzz", 0, "crashsweep: seeded random crash points per scheme on top of the enumeration (0 = 40)")
-		crashStride = flag.Int64("crash-stride", 0, "crashsweep: enumerate every Nth flash-operation ordinal through the window (0 = derive ~24 ordinals)")
-
-		fleetDevices = flag.Int("fleet-devices", 0, "fleet: number of devices in the array (0 = 8)")
-		placement    = flag.String("placement", "", "fleet: comma-separated placement policies, e.g. striping,hash (\"\" = all three)")
-		replicas     = flag.Int("replicas", 0, "fleet: replication copy count for the replicate policy (0 = 2)")
+		gcPolicy  = flag.String("gc-policy", "", "GC victim-selection policy of the device every experiment but gcsweep runs on: greedy | costbenefit | costage (\"\" = the config's)")
+		crashFuzz = flag.Int("crash-fuzz", 0, "crashsweep: seeded random crash points per scheme on top of the enumeration (0 = 40)")
 
 		checkpointDir = flag.String("checkpoint-dir", "", "directory of warm-device checkpoints: cells restore a cached warmed device instead of re-simulating warm-up (tables stay byte-identical); cold cells populate it")
 
@@ -155,9 +148,8 @@ func run() int {
 		return 2
 	}
 
-	// Every listed policy must parse, and typos must fail loudly before any
-	// multi-hour run starts.
-	policies, err := parseGCPolicies(*gcPolicy)
+	// A typo must fail loudly before any multi-hour run starts.
+	policy, err := parseGCPolicy(*gcPolicy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -189,16 +181,7 @@ func run() int {
 	}
 	budget.OfferedIOPS = *rate
 	budget.Arrival = *arrival
-	budget.ReadTenantShare = *tenantShare
-	budget.GCPolicies = *gcPolicy
-	budget.OPRatio = *opRatio
-	budget.FaultBER = *faultBER
-	budget.FaultSchemes = *faultSchemes
 	budget.CrashFuzz = *crashFuzz
-	budget.CrashStride = *crashStride
-	budget.FleetDevices = *fleetDevices
-	budget.FleetPlacement = *placement
-	budget.FleetReplicas = *replicas
 	// Only explicit flags override the scale ladder window: the unset 0
 	// must not clobber PaperBudget's 32 GiB cap, and a negative or NaN
 	// value reaches the budget check instead of the default ladder.
@@ -218,11 +201,9 @@ func run() int {
 		}
 		budget.Checkpoints = checkpoints
 	}
-	// A single -gc-policy value also selects the device policy every other
-	// experiment runs under (gcsweep always builds per-cell configs from
-	// its own policy column).
-	if len(policies) == 1 {
-		cfg.GCPolicy = policies[0]
+	// gcsweep still sweeps every policy: it sets each cell's own.
+	if policy != "" {
+		cfg.GCPolicy = policy
 	}
 	fmt.Printf("device: %s  logical pages: %d  budget: %d requests/run  workers: %d\n\n",
 		cfg.Geometry, cfg.LogicalPages(), budget.Requests, max(1, budget.Workers))
@@ -234,7 +215,7 @@ func run() int {
 				*traceScheme, learnedftl.Schemes())
 			return 2
 		}
-		trace, tab, err := learnedftl.TraceCapture(scheme, cfg, budget, 0)
+		trace, tab, err := learnedftl.TraceCapture(scheme, cfg, budget)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -331,7 +312,15 @@ func run() int {
 	return 0
 }
 
-// parseGCPolicies resolves the -gc-policy list ("" = every policy).
-func parseGCPolicies(list string) ([]learnedftl.GCPolicy, error) {
-	return sweep.ParseList(list, "GC policy", learnedftl.GCPolicies(), learnedftl.ParseGCPolicy)
+// parseGCPolicy resolves -gc-policy: "" keeps the device config's policy
+// and is returned as is; anything else must name exactly one policy.
+func parseGCPolicy(name string) (learnedftl.GCPolicy, error) {
+	if name == "" {
+		return "", nil
+	}
+	p, ok := learnedftl.ParseGCPolicy(name)
+	if !ok {
+		return "", fmt.Errorf("unknown GC policy %q (want one of %v)", name, learnedftl.GCPolicies())
+	}
+	return p, nil
 }

@@ -1,37 +1,35 @@
 package main
 
 import (
-	"reflect"
 	"testing"
 
-	"learnedftl"
 	"learnedftl/internal/gc"
 )
 
-// TestGCPolicyFlag: -gc-policy takes exactly the lists Budget.GCPolicies
-// takes — surrounding spaces trimmed, names case-sensitive, a typo or an
-// empty element an error before any experiment runs.
+// TestGCPolicyFlag: -gc-policy names one policy or none — names
+// case-sensitive, a typo or a comma list an error before any experiment
+// runs.
 func TestGCPolicyFlag(t *testing.T) {
 	cases := []struct {
 		in   string
-		want []learnedftl.GCPolicy // nil: an error
+		want gc.Kind
+		ok   bool
 	}{
-		{"", learnedftl.GCPolicies()},
-		{"greedy", []learnedftl.GCPolicy{gc.Greedy}},
-		{" greedy , costbenefit ", []learnedftl.GCPolicy{gc.Greedy, gc.CostBenefit}},
-		{"greedy,costbenfit", nil},
-		{"greedy,,costage", nil},
-		{"costage,", nil},
-		{"COSTAGE", nil},
+		{"", "", true},
+		{"greedy", gc.Greedy, true},
+		{"costage", gc.CostAgeTimes, true},
+		{"costbenfit", "", false},
+		{"COSTAGE", "", false},
+		{"greedy,costbenefit", "", false},
 	}
 	for _, c := range cases {
-		got, err := parseGCPolicies(c.in)
+		got, err := parseGCPolicy(c.in)
 		switch {
-		case c.want == nil && err == nil:
+		case !c.ok && err == nil:
 			t.Errorf("%q: accepted as %v, want an error", c.in, got)
-		case c.want != nil && err != nil:
+		case c.ok && err != nil:
 			t.Errorf("%q: %v", c.in, err)
-		case c.want != nil && !reflect.DeepEqual(got, c.want):
+		case c.ok && got != c.want:
 			t.Errorf("%q: got %v, want %v", c.in, got, c.want)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"learnedftl/internal/crash"
 	"learnedftl/internal/fault"
 	"learnedftl/internal/ftl"
-	"learnedftl/internal/gc"
 	"learnedftl/internal/learned"
 	"learnedftl/internal/nand"
 	"learnedftl/internal/persist"
@@ -51,50 +50,18 @@ type Budget struct {
 	// Arrival selects the open-loop arrival process: "poisson" (default)
 	// or "fixed".
 	Arrival string `json:"arrival,omitempty"`
-	// ReadTenantShare splits tenantmix's offered load between the
-	// WebSearch read tenant and the Systor write tenant (default 0.7).
-	ReadTenantShare float64 `json:"read_tenant_share,omitempty"`
 
-	// GC-experiment knobs (gcsweep / gclat). GCPolicies is a
-	// comma-separated subset of the victim-selection policies to sweep
-	// ("" = all of greedy, costbenefit, costage). OPRatio narrows
-	// gcsweep's over-provisioning ladder to a single ratio (0 = derive a
-	// ladder upward from the device config's ratio).
-	GCPolicies string  `json:"gc_policies,omitempty"`
-	OPRatio    float64 `json:"op_ratio,omitempty"`
-
-	// Fault-experiment knobs (faultsweep / scrublat). FaultBER narrows
-	// faultsweep's raw-BER ladder to a single rung (0 = the full ladder)
-	// and FaultSchemes comma-selects the schemes swept ("" = all five) —
-	// both exist so a CI smoke cell can pin one rung and two schemes.
-	FaultBER     float64 `json:"fault_ber,omitempty"`
-	FaultSchemes string  `json:"fault_schemes,omitempty"`
-
-	// Fleet-experiment knobs. FleetDevices is the array width (0 = 8),
-	// FleetPlacement comma-selects the placement policies swept ("" = all
-	// three) and FleetReplicas the replication copy count (0 = 2) — the
-	// narrowing knobs exist so a CI smoke cell can pin a 4-device array
-	// and two policies.
-	FleetDevices   int    `json:"fleet_devices,omitempty"`
-	FleetPlacement string `json:"fleet_placement,omitempty"`
-	FleetReplicas  int    `json:"fleet_replicas,omitempty"`
-
-	// Crash-experiment knobs (crashsweep). CrashFuzz is the number of
-	// seeded random crash points injected per scheme on top of the
-	// enumeration (0 = 40; the root acceptance test raises the total past
-	// 200 across the five schemes). CrashStride enumerates every
-	// CrashStride-th flash-operation ordinal through the window (0 =
-	// derive a stride that enumerates ~24 ordinals, each injected twice:
-	// completing and tearing the fatal program).
-	CrashFuzz   int   `json:"crash_fuzz,omitempty"`
-	CrashStride int64 `json:"crash_stride,omitempty"`
+	// CrashFuzz is crashsweep's number of seeded random crash points
+	// injected per scheme on top of the enumeration (0 = 40; the root
+	// acceptance test raises the total past 200 across the five schemes).
+	CrashFuzz int `json:"crash_fuzz,omitempty"`
 
 	// Scale-experiment knobs. The scale experiment climbs a geometry
 	// ladder from the tiny device up to the paper's 32 GiB one;
 	// ScaleMaxGiB caps the ladder (0 = a 2 GiB default that keeps quick
 	// runs quick; PaperBudget raises it to the full 32) and ScaleMinGiB
-	// cuts the lower rungs off, so a CI smoke cell can pin one mid-size
-	// rung with min == max.
+	// cuts the lower rungs off, so one mid-size rung can be profiled alone
+	// with min == max.
 	ScaleMinGiB float64 `json:"scale_min_gib,omitempty"`
 	ScaleMaxGiB float64 `json:"scale_max_gib,omitempty"`
 
@@ -122,19 +89,6 @@ type WarmStats struct {
 	Seconds  float64   // host wall clock
 }
 
-// gcPolicyList resolves the budget's policy subset, erroring on typos so a
-// misspelled policy never silently collapses the sweep.
-func (b Budget) gcPolicyList() ([]gc.Kind, error) {
-	return sweep.ParseList(b.GCPolicies, "GC policy", gc.Kinds(), gc.ParseKind)
-}
-
-// faultSchemeList resolves the budget's scheme subset for the fault
-// experiments (case-insensitively), erroring on typos so a misspelled
-// scheme never silently collapses the sweep.
-func (b Budget) faultSchemeList() ([]Scheme, error) {
-	return sweep.ParseList(b.FaultSchemes, "scheme", Schemes(), ParseScheme)
-}
-
 // openLoopKind resolves and validates the budget's arrival process for the
 // open-loop experiments, which need a rate-controlled process: a typo'd
 // Arrival string must error, not silently fall back to Poisson, and
@@ -155,8 +109,8 @@ func (b Budget) openLoopKind() (sim.ArrivalKind, error) {
 // (done, total). Every experiment and TraceCapture runs through here, so
 // this is where a budget no cell can run under is rejected: every
 // closed-loop measurement divides its requests across b.Threads, and an
-// offered rate or tenant share no arrival process can pace is an error,
-// not a garbage table.
+// offered rate no arrival process can pace is an error, not a garbage
+// table.
 func runCells(b Budget, n int, cell func(i int) error) error {
 	if b.Threads < 1 {
 		return fmt.Errorf("learnedftl: budget threads %d < 1", b.Threads)
@@ -167,8 +121,6 @@ func runCells(b Budget, n int, cell func(i int) error) error {
 	}{
 		{"trace scale", b.TraceScale},
 		{"offered IOPS", b.OfferedIOPS},
-		{"OP ratio", b.OPRatio},
-		{"fault BER", b.FaultBER},
 		{"scale min GiB", b.ScaleMinGiB},
 		{"scale max GiB", b.ScaleMaxGiB},
 	} {
@@ -176,12 +128,9 @@ func runCells(b Budget, n int, cell func(i int) error) error {
 			return fmt.Errorf("learnedftl: budget %s %v is not a finite value >= 0", k.name, k.v)
 		}
 	}
-	if b.Requests < 0 || b.WarmExtra < 0 || b.CrashFuzz < 0 || b.CrashStride < 0 {
-		return fmt.Errorf("learnedftl: budget requests %d, warm extra %d, crash fuzz %d and stride %d must be >= 0",
-			b.Requests, b.WarmExtra, b.CrashFuzz, b.CrashStride)
-	}
-	if math.IsNaN(b.ReadTenantShare) {
-		return fmt.Errorf("learnedftl: budget read-tenant share is NaN")
+	if b.Requests < 0 || b.WarmExtra < 0 || b.CrashFuzz < 0 {
+		return fmt.Errorf("learnedftl: budget requests %d, warm extra %d and crash fuzz %d must be >= 0",
+			b.Requests, b.WarmExtra, b.CrashFuzz)
 	}
 	var done atomic.Int64
 	return sweep.Run(b.Workers, sweep.Tasks(n, func(i int) error {
@@ -428,8 +377,8 @@ type experiment struct {
 	grid func(cfg Config, b Budget) ([]int, cellFunc, error)
 	// post, when set, finishes the table once every cell is done: the
 	// experiments that compare cells with each other build their rows
-	// from the cells' reports, and fleet and mountlat fit the title and
-	// header to the budget and config.
+	// from the cells' reports, and mountlat fits its header to the
+	// config.
 	post func(t *Table, cfg Config, b Budget, cells []*cell)
 }
 
@@ -916,8 +865,8 @@ var experiments = []experiment{
 	// Two rate-controlled tenants sharing one device — WebSearch-like reads
 	// and Systor-like write-heavy traffic — with per-tenant mean/P99/P99.9
 	// latency and queue-wait share for every scheme. Budget.OfferedIOPS
-	// overrides the combined operating point and Budget.ReadTenantShare
-	// splits it (default 70% to the read tenant).
+	// overrides the combined operating point; 70% of it goes to the read
+	// tenant.
 	{
 		id: "tenantmix", desc: "two rate-controlled tenants sharing one device",
 		title:  "Tenant mix: WebSearch reads + Systor writes sharing one device (per-tenant open-loop latency)",
@@ -927,12 +876,7 @@ var experiments = []experiment{
 			if err != nil {
 				return nil, nil, err
 			}
-			share := b.ReadTenantShare
-			if share == 0 {
-				share = 0.7
-			} else if share < 0 || share >= 1 {
-				return nil, nil, fmt.Errorf("learnedftl: tenantmix read-tenant share %v out of (0, 1)", share)
-			}
+			const share = 0.7
 			total := b.OfferedIOPS
 			if total <= 0 {
 				// Default operating point: a quarter of the device's ideal
@@ -971,43 +915,12 @@ var experiments = []experiment{
 	// random single-page overwrites on a warmed device, the workload where
 	// GC dominates. WA falls monotonically as OP grows (more slack ⇒
 	// emptier victims ⇒ less relocation); the policy columns show what
-	// victim selection buys at fixed OP. Budget.GCPolicies narrows the
-	// policy set, Budget.OPRatio the ladder.
+	// victim selection buys at fixed OP.
 	{
 		id: "gcsweep", desc: "write amplification and wear vs over-provisioning x GC policy",
 		title:  "GC sweep: write amplification and wear vs over-provisioning (randwrite; moved = pages relocated per GC; PE = erases)",
 		header: []string{"FTL", "policy", "OP", "WA", "GCs", "moved/GC", "max PE", "PE CV", "life TB"},
-		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
-			pols, err := b.gcPolicyList()
-			if err != nil {
-				return nil, nil, err
-			}
-			ratios := opLadder(cfg, b)
-			schemes := Schemes()
-			return []int{len(schemes), len(pols), len(ratios)}, func(c *cell) error {
-				s, pol := schemes[c.at[0]], pols[c.at[1]]
-				dcfg := cfg
-				dcfg.OPRatio = ratios[c.at[2]]
-				dcfg.GCPolicy = pol
-				f, err := c.warmed(s, dcfg)
-				if err != nil {
-					return err
-				}
-				r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
-				movedPerGC := 0.0
-				if col := f.Collector(); col.GCCount > 0 {
-					movedPerGC = float64(col.GCPagesMoved) / float64(col.GCCount)
-				}
-				// The OP column is the effective ratio: LogicalPages rounds
-				// down to whole group spans, so two requested ratios can
-				// build the same device.
-				op := 1 - float64(dcfg.LogicalPages())/float64(dcfg.Geometry.TotalPages())
-				c.row(s.String(), string(pol), pct(op),
-					f2(r.WriteAmp), fmt.Sprint(r.GCCount), f1(movedPerGC),
-					fmt.Sprint(r.Wear.MaxErases), f2(r.Wear.CV), f1(r.LifetimeTBW))
-				return nil
-			}, nil
-		},
+		grid:   gcSweepGrid(GCPolicies()),
 	},
 	// Open-loop write tail latency under foreground-only versus background
 	// garbage collection, per scheme, at a moderate offered load. The
@@ -1127,8 +1040,7 @@ var experiments = []experiment{
 	// and full invariant verification against the durability oracle (acked
 	// writes must survive, at most one valid page per LPN, GTD/L2P/allocator
 	// consistent with flash). "lost acked" must be 0 and the verdict
-	// "clean" for every scheme; Budget.CrashFuzz and Budget.CrashStride
-	// size the campaign.
+	// "clean" for every scheme; Budget.CrashFuzz sizes the campaign.
 	{
 		id: "crashsweep", desc: "power-loss injection campaign: recovery success, lost acked writes, mount latency",
 		title:  "Crash sweep: deterministic power-loss injection through a write+GC window (lost acked must be 0; torn drop = half-programmed pages discarded at mount)",
@@ -1160,12 +1072,7 @@ var experiments = []experiment{
 				}
 				return dev, crashWindow(lp, window, 3301+i), nil
 			}
-			res, err := crash.RunCampaign(newRun, crash.CampaignConfig{
-				Stride:     b.CrashStride,
-				TargetEnum: 24,
-				Fuzz:       fuzz,
-				Seed:       9001 + i,
-			})
+			res, err := crash.RunCampaign(newRun, crash.CampaignConfig{Fuzz: fuzz, Seed: 9001 + i})
 			if err != nil {
 				return err
 			}
@@ -1187,61 +1094,11 @@ var experiments = []experiment{
 	// achieved throughput, tail latency (read retries add timing-class
 	// delays), ECC retry traffic, the uncorrectable-bit error rate,
 	// scrub-driven refresh traffic and its write amplification.
-	// Budget.FaultBER pins a single rung and Budget.FaultSchemes narrows the
-	// scheme set (CI smoke cells).
 	{
 		id: "faultsweep", desc: "UBER, tails and refresh WA vs raw bit error rate",
 		title:  "Fault sweep: reliability vs raw BER, mixed open-loop 70r/30w with background scrub (refresh WA = scrub rewrites per host-written page)",
 		header: []string{"FTL", "raw BER", "IOPS", "p99", "p99.9", "retries", "uncorr", "UBER", "refresh pg", "refresh WA", "bad blk"},
-		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
-			kind, err := b.openLoopKind()
-			if err != nil {
-				return nil, nil, err
-			}
-			schemes, err := b.faultSchemeList()
-			if err != nil {
-				return nil, nil, err
-			}
-			bers := faultBERLadder
-			if b.FaultBER > 0 {
-				bers = []float64{b.FaultBER}
-			}
-			threads := max(2, b.Threads)
-			return []int{len(schemes), len(bers)}, func(c *cell) error {
-				s, ber := schemes[c.at[0]], bers[c.at[1]]
-				dcfg := cfg
-				dcfg.Fault = faultSweepConfig(ber, s)
-				f, err := c.warmed(s, dcfg)
-				if err != nil {
-					return err
-				}
-				rate := b.OfferedIOPS
-				if rate <= 0 {
-					// Saturation probe on this very device (the gclat
-					// idiom): writes are the slow half of the mix, so half
-					// the closed-loop randwrite rate lands the whole mix
-					// below the knee with idle gaps left for the scrubber.
-					// Retries slow the probe too, so the operating point
-					// self-scales with the rung's BER.
-					probe := measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2)
-					rate = 0.5 * probe.IOPS
-				}
-				spt, per := threads/2, perThread(b.Requests, threads)
-				lp := f.Config().LogicalPages()
-				streams := append(
-					workload.OpenFIO("randread", workload.RandRead, lp, 1, spt, per, kind, 0.7*rate, 3331),
-					workload.OpenFIO("randwrite", workload.RandWrite, lp, 1, spt, per, kind, 0.3*rate, 3433)...)
-				r := measureOpen(f, streams, true)
-				refreshWA := "-"
-				if hw := r.Flash.Programs[nand.OpHostData]; hw > 0 {
-					refreshWA = f2(float64(r.RefreshPages) / float64(hw))
-				}
-				c.row(s.String(), sci(ber), f0(r.IOPS), lat(r.P99), lat(r.P999),
-					fmt.Sprint(r.Rel.Retries), fmt.Sprint(r.Rel.HostUncorrectable), sci(r.UBER),
-					fmt.Sprint(r.RefreshPages), refreshWA, fmt.Sprint(r.GrownBadBlocks))
-				return nil
-			}, nil
-		},
+		grid:   faultSweepGrid(Schemes()),
 	},
 	// What background scrub buys: every scheme reads a small hot working
 	// set — striped by the sequential fill across every chip's
@@ -1266,11 +1123,7 @@ var experiments = []experiment{
 			if err != nil {
 				return nil, nil, err
 			}
-			schemes, err := b.faultSchemeList()
-			if err != nil {
-				return nil, nil, err
-			}
-			modes := []string{"off", "on"}
+			schemes, modes := Schemes(), []string{"off", "on"}
 			return []int{len(schemes), len(modes)}, func(c *cell) error {
 				s := schemes[c.at[0]]
 				dcfg := cfg
@@ -1371,14 +1224,92 @@ var experiments = []experiment{
 	},
 	{
 		id: "fleet", desc: "multi-device array: per-tenant tails and wear CV per placement policy, with mid-run device failure + rebuild",
-		title: "Fleet: %d-device LearnedFTL array, two tenants, per placement policy (failure = device 1 killed mid-run; rebuild = re-replicated units done/total)",
+		title: fmt.Sprintf("Fleet: %d-device LearnedFTL array, two tenants, per placement policy (failure = device 1 killed mid-run; rebuild = re-replicated units done/total)", fleetDevices),
 		header: []string{"placement", "scenario", "tenant", "requests", "p99", "p99.9", "wait",
 			"wear CV dev", "failed", "lost req", "rebuilt"},
 		grid: fleetGrid,
-		post: func(t *Table, _ Config, b Budget, _ []*cell) {
-			t.Title = fmt.Sprintf(t.Title, fleetWidth(b))
-		},
 	},
+}
+
+// gcSweepGrid is gcsweep's grid over the policies pols: every scheme ×
+// policy × rung of the config's OP ladder. The registry sweeps every
+// policy; a test that reads one policy's rows runs only that one.
+func gcSweepGrid(pols []GCPolicy) func(Config, Budget) ([]int, cellFunc, error) {
+	return func(cfg Config, b Budget) ([]int, cellFunc, error) {
+		ratios := opLadder(cfg)
+		schemes := Schemes()
+		return []int{len(schemes), len(pols), len(ratios)}, func(c *cell) error {
+			s, pol := schemes[c.at[0]], pols[c.at[1]]
+			dcfg := cfg
+			dcfg.OPRatio = ratios[c.at[2]]
+			dcfg.GCPolicy = pol
+			f, err := c.warmed(s, dcfg)
+			if err != nil {
+				return err
+			}
+			r := measureFIO(f, workload.RandWrite, b.Threads, 1, b.Requests)
+			movedPerGC := 0.0
+			if col := f.Collector(); col.GCCount > 0 {
+				movedPerGC = float64(col.GCPagesMoved) / float64(col.GCCount)
+			}
+			// The OP column is the effective ratio: LogicalPages rounds
+			// down to whole group spans, so two requested ratios can
+			// build the same device.
+			op := 1 - float64(dcfg.LogicalPages())/float64(dcfg.Geometry.TotalPages())
+			c.row(s.String(), string(pol), pct(op),
+				f2(r.WriteAmp), fmt.Sprint(r.GCCount), f1(movedPerGC),
+				fmt.Sprint(r.Wear.MaxErases), f2(r.Wear.CV), f1(r.LifetimeTBW))
+			return nil
+		}, nil
+	}
+}
+
+// faultSweepGrid is faultsweep's grid over the schemes given: each at
+// every rung of the raw-BER ladder. The registry runs all five; a test of
+// the ladder's shape runs two.
+func faultSweepGrid(schemes []Scheme) func(Config, Budget) ([]int, cellFunc, error) {
+	return func(cfg Config, b Budget) ([]int, cellFunc, error) {
+		kind, err := b.openLoopKind()
+		if err != nil {
+			return nil, nil, err
+		}
+		bers := faultBERLadder
+		threads := max(2, b.Threads)
+		return []int{len(schemes), len(bers)}, func(c *cell) error {
+			s, ber := schemes[c.at[0]], bers[c.at[1]]
+			dcfg := cfg
+			dcfg.Fault = faultSweepConfig(ber, s)
+			f, err := c.warmed(s, dcfg)
+			if err != nil {
+				return err
+			}
+			rate := b.OfferedIOPS
+			if rate <= 0 {
+				// Saturation probe on this very device (the gclat
+				// idiom): writes are the slow half of the mix, so half
+				// the closed-loop randwrite rate lands the whole mix
+				// below the knee with idle gaps left for the scrubber.
+				// Retries slow the probe too, so the operating point
+				// self-scales with the rung's BER.
+				probe := measureFIO(f, workload.RandWrite, threads, 1, b.Requests/2)
+				rate = 0.5 * probe.IOPS
+			}
+			spt, per := threads/2, perThread(b.Requests, threads)
+			lp := f.Config().LogicalPages()
+			streams := append(
+				workload.OpenFIO("randread", workload.RandRead, lp, 1, spt, per, kind, 0.7*rate, 3331),
+				workload.OpenFIO("randwrite", workload.RandWrite, lp, 1, spt, per, kind, 0.3*rate, 3433)...)
+			r := measureOpen(f, streams, true)
+			refreshWA := "-"
+			if hw := r.Flash.Programs[nand.OpHostData]; hw > 0 {
+				refreshWA = f2(float64(r.RefreshPages) / float64(hw))
+			}
+			c.row(s.String(), sci(ber), f0(r.IOPS), lat(r.P99), lat(r.P999),
+				fmt.Sprint(r.Rel.Retries), fmt.Sprint(r.Rel.HostUncorrectable), sci(r.UBER),
+				fmt.Sprint(r.RefreshPages), refreshWA, fmt.Sprint(r.GrownBadBlocks))
+			return nil
+		}, nil
+	}
 }
 
 // perScheme is the grid of the experiments that measure every scheme once,
@@ -1454,11 +1385,7 @@ var loadSweepFractions = []float64{0.10, 0.20, 0.35, 0.50, 0.65, 0.80, 1.00, 1.2
 // device config's own ratio plus three increments, clipped below the 0.5
 // validation bound (the ladder ascends so every scheme — including
 // LearnedFTL's row-hungry group allocator — constructs at every rung).
-// Budget.OPRatio > 0 narrows the ladder to that single ratio.
-func opLadder(cfg Config, b Budget) []float64 {
-	if b.OPRatio > 0 {
-		return []float64{b.OPRatio}
-	}
+func opLadder(cfg Config) []float64 {
 	var out []float64
 	for _, d := range []float64{0, 0.04, 0.08, 0.12} {
 		if r := cfg.OPRatio + d; r < 0.5 {

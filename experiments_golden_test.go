@@ -210,6 +210,19 @@ func runTable(t testing.TB, id string, cfg Config, b Budget) Table {
 	return res[0].Table
 }
 
+// runNarrowed runs registry experiment id on grid instead of its own: a
+// test that reads part of a sweep runs only that part.
+func runNarrowed(t testing.TB, id string, grid func(Config, Budget) ([]int, cellFunc, error), cfg Config, b Budget) Table {
+	t.Helper()
+	e := experiments[slices.IndexFunc(experiments, func(e experiment) bool { return e.id == id })]
+	e.grid = grid
+	res, err := e.run(cfg, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Table
+}
+
 // newWarmed is an experiment cell's warm-up outside an experiment run.
 func newWarmed(s Scheme, cfg Config, b Budget) (FTL, error) {
 	return (&cell{b: b}).warmed(s, cfg)

@@ -13,7 +13,6 @@ import (
 	"learnedftl/internal/nand"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/stats"
-	"learnedftl/internal/sweep"
 	"learnedftl/internal/workload"
 )
 
@@ -58,29 +57,19 @@ type FleetCell struct {
 	Tenants       []stats.StreamReport `json:"tenants,omitempty"`
 }
 
-// fleetPolicyList resolves the budget's placement subset, erroring on
-// typos so a misspelled policy never silently collapses the sweep.
-func (b Budget) fleetPolicyList() ([]fleet.Policy, error) {
-	return sweep.ParseList(b.FleetPlacement, "placement policy", fleet.Policies(), fleet.ParsePolicy)
-}
-
 // fleetScenarios are the two columns of the fleet experiment: the healthy
 // baseline and a mid-run device failure with rebuild.
 var fleetScenarios = []string{"healthy", "failure"}
 
-// fleetUtil is the fleet experiment's utilization factor: enough headroom
-// that a replicated 8-device array can fully re-home a dead device's units
-// onto survivors (needs Util <= (N-1)/N).
-const fleetUtil = 0.70
-
-// fleetWidth is the fleet experiment's array width: Budget.FleetDevices,
-// 8 by default.
-func fleetWidth(b Budget) int {
-	if b.FleetDevices == 0 {
-		return 8
-	}
-	return b.FleetDevices
-}
+// The fleet experiment's array: fleetDevices LearnedFTL devices, the
+// replicate policy keeping fleetReplicas copies, at utilization fleetUtil —
+// enough headroom that the replicated array can fully re-home a dead
+// device's units onto survivors (needs Util <= (N-1)/N).
+const (
+	fleetDevices  = 8
+	fleetReplicas = 2
+	fleetUtil     = 0.70
+)
 
 // fleetGrid measures a multi-device array under skewed two-tenant load for
 // every placement policy, healthy and with device 1 killed halfway through
@@ -89,22 +78,10 @@ func fleetWidth(b Budget) int {
 // (lost requests under the single-copy policies, rebuild progress under
 // replication — rebuild traffic runs in idle gaps and competes with the
 // foreground tenants). All devices run LearnedFTL and share one warm-up
-// via snapshot cloning. Budget.FleetDevices sets the array width (default
-// 8), Budget.FleetPlacement narrows the policies, Budget.FleetReplicas the
-// copy count (default 2), Budget.OfferedIOPS the operating point.
+// via snapshot cloning. Budget.OfferedIOPS sets the operating point.
 func fleetGrid(cfg Config, b Budget) ([]int, cellFunc, error) {
-	n := fleetWidth(b)
-	if n < 1 {
-		return nil, nil, fmt.Errorf("learnedftl: fleet needs >= 1 device, got %d", n)
-	}
-	k := b.FleetReplicas
-	if k == 0 {
-		k = 2
-	}
-	policies, err := b.fleetPolicyList()
-	if err != nil {
-		return nil, nil, err
-	}
+	const n = fleetDevices
+	policies := fleet.Policies()
 	kind, err := b.openLoopKind()
 	if err != nil {
 		return nil, nil, err
@@ -117,7 +94,7 @@ func fleetGrid(cfg Config, b Budget) ([]int, cellFunc, error) {
 			return err
 		}
 		lay, err := fleet.NewLayout(fleet.Config{
-			Devices: n, Policy: pol, Replicas: k, Util: fleetUtil,
+			Devices: n, Policy: pol, Replicas: fleetReplicas, Util: fleetUtil,
 		}, devs[0].Config().LogicalPages())
 		if err != nil {
 			return err

@@ -105,20 +105,17 @@ func TestFleetWarmSharing(t *testing.T) {
 // and the per-device failure roster.
 func TestFleetBenchJSON(t *testing.T) {
 	cfg := TinyConfig()
-	b := fleetTestBudget(2)
-	b.FleetDevices = 2
-	b.FleetPlacement = "striping,replicate"
-	results, err := RunExperiments([]string{"fleet"}, cfg, b)
+	results, err := RunExperiments([]string{"fleet"}, cfg, fleetTestBudget(2))
 	if err != nil {
 		t.Fatalf("RunExperiments: %v", err)
 	}
-	if len(results) != 1 || len(results[0].Fleet) != 4 {
-		t.Fatalf("want 1 result with 4 fleet cells (2 policies x 2 scenarios), got %+v", results)
+	if want := len(fleet.Policies()) * len(fleetScenarios); len(results) != 1 || len(results[0].Fleet) != want {
+		t.Fatalf("want 1 result with %d fleet cells (policies x scenarios), got %+v", want, results)
 	}
 	sawFailure := false
 	for _, c := range results[0].Fleet {
-		if c.Devices != 2 {
-			t.Errorf("cell %s/%s: Devices = %d, want 2", c.Policy, c.Scenario, c.Devices)
+		if c.Devices != fleetDevices {
+			t.Errorf("cell %s/%s: Devices = %d, want %d", c.Policy, c.Scenario, c.Devices, fleetDevices)
 		}
 		if len(c.Tenants) == 0 {
 			t.Errorf("cell %s/%s: no per-tenant reports", c.Policy, c.Scenario)

@@ -17,10 +17,8 @@ import (
 // collections and the WA estimate is burst noise rather than a trend.
 func TestGCSweepWAMonotonicInOP(t *testing.T) {
 	cfg := TinyConfig()
-	b := sweepTestBudget(2)
-	b.GCPolicies = "greedy"
-	tab := runTable(t, "gcsweep", cfg, b)
-	ratios := len(opLadder(cfg, b))
+	tab := runNarrowed(t, "gcsweep", gcSweepGrid([]GCPolicy{gc.Greedy}), cfg, sweepTestBudget(2))
+	ratios := len(opLadder(cfg))
 	if ratios < 3 {
 		t.Fatalf("ladder too short (%d) to test monotonicity", ratios)
 	}

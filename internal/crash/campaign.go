@@ -8,28 +8,23 @@ import (
 	"learnedftl/internal/sim"
 )
 
+// A campaign enumerates about targetEnum operation ordinals evenly
+// through the window, whatever its operation count, and injects each
+// twice: once completing the fatal program, once tearing it. It retains
+// the first maxViolations breach messages; the counters always cover
+// everything.
+const (
+	targetEnum    = 24
+	maxViolations = 8
+)
+
 // CampaignConfig tunes a crash campaign.
 type CampaignConfig struct {
-	// MaxRequests caps each injected run's workload window (0 = until the
-	// generators exhaust).
-	MaxRequests int64
-	// Stride enumerates every Stride-th operation ordinal through the
-	// window (default 1 = fully dense). Each enumerated ordinal is
-	// injected twice: once completing the fatal program, once tearing it.
-	Stride int64
-	// TargetEnum, when Stride is 0, derives the stride so roughly
-	// TargetEnum ordinals are enumerated across the window regardless of
-	// its operation count — the knob experiment budgets scale. Both zero
-	// means fully dense.
-	TargetEnum int
 	// Fuzz adds this many seeded random crash points (ordinal and torn
 	// flag drawn from Seed) on top of the enumeration.
 	Fuzz int
 	// Seed seeds the fuzz draw; same seed, same crash points.
 	Seed int64
-	// MaxViolations caps the retained violation messages (default 8); the
-	// counters always cover everything.
-	MaxViolations int
 }
 
 // CampaignResult aggregates one campaign.
@@ -56,7 +51,7 @@ type CampaignResult struct {
 	// MountTotal and MountMax aggregate recovery scan latency.
 	MountTotal nand.Time
 	MountMax   nand.Time
-	// Violations holds the first MaxViolations breach messages, each
+	// Violations holds the first maxViolations breach messages, each
 	// prefixed with its crash point.
 	Violations []string
 }
@@ -87,7 +82,7 @@ func RunCampaign(newRun func() (Device, []sim.Generator, error), cfg CampaignCon
 		return res, err
 	}
 	before := dev.Flash().Counters()
-	sim.Run(dev, gens, cfg.MaxRequests)
+	sim.Run(dev, gens, 0)
 	after := dev.Flash().Counters()
 	res.WindowOps = after.TotalReads() - before.TotalReads() +
 		after.TotalPrograms() - before.TotalPrograms() +
@@ -96,16 +91,12 @@ func RunCampaign(newRun func() (Device, []sim.Generator, error), cfg CampaignCon
 	if res.WindowOps == 0 {
 		return res, fmt.Errorf("crash: probe run issued no flash operations")
 	}
-	maxV := cfg.MaxViolations
-	if maxV <= 0 {
-		maxV = 8
-	}
 	point := func(p Plan) error {
 		dev, gens, err := newRun()
 		if err != nil {
 			return err
 		}
-		out := Inject(dev, gens, cfg.MaxRequests, p)
+		out := Inject(dev, gens, 0, p)
 		res.Points++
 		if !out.Fired {
 			res.NotFired++
@@ -126,22 +117,14 @@ func RunCampaign(newRun func() (Device, []sim.Generator, error), cfg CampaignCon
 			res.MountMax = out.MountLatency
 		}
 		for _, v := range out.Violations {
-			if len(res.Violations) < maxV {
+			if len(res.Violations) < maxViolations {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("op %d torn=%v: %s", out.Cut.Op, p.Torn, v))
 			}
 		}
 		return nil
 	}
-	stride := cfg.Stride
-	if stride < 1 {
-		stride = 1
-		if cfg.TargetEnum > 0 {
-			if stride = res.WindowOps / int64(cfg.TargetEnum); stride < 1 {
-				stride = 1
-			}
-		}
-	}
+	stride := max(1, res.WindowOps/targetEnum)
 	for k := int64(1); k <= res.WindowOps; k += stride {
 		if err := point(Plan{AtOp: k}); err != nil {
 			return res, err

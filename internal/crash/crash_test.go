@@ -133,7 +133,7 @@ func TestInjectWindowEndsUncut(t *testing.T) {
 
 func TestCampaignIdealClean(t *testing.T) {
 	newRun := func() (Device, []sim.Generator, error) { return newIdealRun(t) }
-	res, err := RunCampaign(newRun, CampaignConfig{Stride: 137, Fuzz: 12, Seed: 7})
+	res, err := RunCampaign(newRun, CampaignConfig{Fuzz: 12, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ const (
 // Policies returns the built-in policies in presentation order.
 func Policies() []Policy { return []Policy{Striping, Replicate, Hash} }
 
-// ParsePolicy maps a flag value to a Policy, reporting whether the name
+// ParsePolicy maps a policy name to a Policy, reporting whether the name
 // was recognized ("" parses as striping, the default).
 func ParsePolicy(s string) (Policy, bool) {
 	switch Policy(s) {

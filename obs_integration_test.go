@@ -190,7 +190,7 @@ func BenchmarkTraceOn(b *testing.B) {
 // tiny device and asserts the export is valid Chrome trace-event JSON with
 // chip tracks and a GC track.
 func TestTraceCaptureJSONValid(t *testing.T) {
-	trace, tab, err := TraceCapture(SchemeLearnedFTL, TinyConfig(), obsBudget(), 1<<15)
+	trace, tab, err := TraceCapture(SchemeLearnedFTL, TinyConfig(), obsBudget())
 	if err != nil {
 		t.Fatal(err)
 	}

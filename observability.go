@@ -67,20 +67,20 @@ func latBreakCell(c *cell, s Scheme, cfg Config, b Budget) error {
 	return nil
 }
 
-// TraceCapture warms one device, attaches a tracer with a capEvents-bounded
-// trace ring, runs the measured closed-loop mixed
+// TraceCapture warms one device, attaches a tracer with a trace ring of
+// obs.DefaultTraceEvents, runs the measured closed-loop mixed
 // workload (random reads then random writes, half the budget each), and
 // returns the trace for export plus a one-row summary table. This is the
 // engine behind ftlbench -trace; it runs as a one-cell sweep, so it rejects
 // the budgets the experiments reject.
-func TraceCapture(s Scheme, cfg Config, b Budget, capEvents int) (trace *Trace, tab Table, err error) {
+func TraceCapture(s Scheme, cfg Config, b Budget) (trace *Trace, tab Table, err error) {
 	err = runCells(b, 1, func(int) error {
 		f, err := (&cell{b: b}).warmed(s, cfg)
 		if err != nil {
 			return err
 		}
 		tr := obs.NewTracer()
-		tr.EnableTrace(capEvents)
+		tr.EnableTrace(obs.DefaultTraceEvents)
 		ftl.AttachTracer(f, tr)
 		half := max(1, b.Requests/2)
 		measureFIO(f, workload.RandRead, b.Threads, 1, half)
