@@ -159,7 +159,7 @@ func TestInjectCrashAPI(t *testing.T) {
 	}
 	lp := f.Config().LogicalPages()
 	gens := workload.FIO(workload.RandWrite, lp, 1, 4, 2000, 11)
-	out := crash.Inject(f.(crash.Device), gens, 0, crash.Plan{AtOp: 701})
+	out := crash.Inject(f.(crash.Device), gens, crash.Plan{AtOp: 701})
 	if !out.Fired || out.Cut.Op != 701 {
 		t.Fatalf("cut did not fire at op 701: %+v", out.Cut)
 	}
@@ -171,7 +171,7 @@ func TestInjectCrashAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = crash.Inject(g.(crash.Device), workload.FIO(workload.RandWrite, lp, 1, 1, 10, 12), 0, crash.Plan{AtOp: 1 << 40})
+	out = crash.Inject(g.(crash.Device), workload.FIO(workload.RandWrite, lp, 1, 1, 10, 12), crash.Plan{AtOp: 1 << 40})
 	if out.Fired {
 		t.Fatal("cut fired beyond the window")
 	}

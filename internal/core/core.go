@@ -34,7 +34,7 @@ type group struct {
 type LearnedFTL struct {
 	ftl.State
 	ftl.Demand
-	models []*learned.InPlaceModel // one per GTD entry (= per TPN)
+	models []learned.InPlaceModel // one per GTD entry (= per TPN)
 
 	// Group-based allocation.
 	span       int // logical pages per group
@@ -59,6 +59,17 @@ type LearnedFTL struct {
 	reclaimable int
 	rowListed   []bool
 
+	// Cached picks over the views, kept by setInvalid and setFree so that
+	// a write does not rescan every group: victim is grpInvalid's lowest-id
+	// argmax, leader grpFree's, and runnerUp bounds every other group's
+	// grpFree from above. A stale flag defers a rescan to the next query;
+	// the zero value is exact for all-zero views.
+	victim      int
+	victimStale bool
+	leader      int
+	runnerUp    int32
+	leaderStale bool
+
 	tp      *transPool
 	pending []int // FIFO of groups whose encroachment crossed the GC threshold
 
@@ -74,13 +85,15 @@ type LearnedFTL struct {
 
 	// Scratch of one group collection — collections never nest (inGC), so one
 	// set per device serves them all: the group's valid LPNs, one GTD entry's
-	// training VPPNs, the rows still waiting to be erased, and the valid
-	// pages of the row being evacuated: one block's, and the row's slots.
+	// training VPPNs, the rows still waiting to be erased, the valid pages
+	// of the row being evacuated: one block's, and the row's slots, and the
+	// first page of the relocation row on each unit.
 	gcLPNs  []int64
 	gcVPPNs []int64
 	gcRows  []int
 	gcPPNs  []nand.PPN
 	gcSlots []uint64
+	gcUnits []nand.PPN
 }
 
 // rowPlan is the superblock-row budget of a configuration: how the
@@ -171,7 +184,7 @@ func New(cfg ftl.Config) (*LearnedFTL, error) {
 	}
 	f := &LearnedFTL{
 		State:      st,
-		models:     make([]*learned.InPlaceModel, p.numTPNs),
+		models:     make([]learned.InPlaceModel, p.numTPNs),
 		span:       p.span,
 		sbPages:    p.sbPages,
 		ngroups:    p.ngroups,
@@ -186,13 +199,14 @@ func New(cfg ftl.Config) (*LearnedFTL, error) {
 		tp:         newTransPool(st.Fl, p.transRows),
 		gcVPPNs:    make([]int64, cfg.EntriesPerTP),
 		gcSlots:    make([]uint64, (p.sbPages+63)/64),
+		gcUnits:    make([]nand.PPN, g.Units()),
 	}
 	// The mapping cache gets half the configured budget; the in-place
 	// models take the other half (§IV-A).
 	f.Demand = ftl.NewDemand(cfg.CMTEntriesFor(cfg.CMTRatio/2), cfg.EntriesPerTP, true,
 		func(tpn int, now nand.Time) nand.Time { return f.updateTrans(tpn, true, now) })
 	for i := range f.models {
-		f.models[i] = learned.NewInPlaceModel(cfg.EntriesPerTP, cfg.MaxPieces)
+		f.models[i] = *learned.NewInPlaceModel(cfg.EntriesPerTP, cfg.MaxPieces)
 	}
 	// Every group's row list gets room for its GroupSuperblocks rows up
 	// front, out of one array, so a group growing into its rows late in a
@@ -272,8 +286,8 @@ func (f *LearnedFTL) BackgroundGC(start, deadline nand.Time) nand.Time {
 // ModelAccuracy returns the fraction of mapped LPNs whose bitmap bit
 // guarantees an exact prediction — the paper's "55.5% accuracy" metric.
 func (f *LearnedFTL) ModelAccuracy() (setBits, mappedLPNs int64) {
-	for tpn, m := range f.models {
-		setBits += int64(m.AccurateBits())
+	for tpn := range f.models {
+		setBits += int64(f.models[tpn].AccurateBits())
 		lo, hi := f.Cfg.TPRange(tpn)
 		for l := lo; l < hi; l++ {
 			if f.Mapped(l) {
@@ -419,6 +433,7 @@ func (f *LearnedFTL) writeOne(lpn int64, now nand.Time) (nand.Time, nand.PPN) {
 	// stale location.
 	f.models[tpn].Invalidate(off)
 
+	collections := f.collections
 	vppn, t := f.allocSlot(int(lpn/int64(f.span)), now)
 	ppn := f.Codec.ToPhysical(nand.VPPN(vppn))
 	done, err := f.Fl.Program(ppn, nand.OOB{Key: lpn}, t, nand.OpHostData)
@@ -429,9 +444,11 @@ func (f *LearnedFTL) writeOne(lpn int64, now nand.Time) (nand.Time, nand.PPN) {
 		f.invalidateData(old)
 	}
 	f.L2P.Set(lpn, ppn)
-	// allocSlot may have run a group GC that retrained this entry's model
+	// A group GC allocSlot ran may have retrained this entry's model
 	// against the pre-write mapping; the bit for this LPN is stale again.
-	f.models[tpn].Invalidate(off)
+	if f.collections != collections {
+		f.models[tpn].Invalidate(off)
+	}
 	f.CMT.Insert(lpn, ppn, true)
 	done = f.Drain(done)
 	done = f.runPendingGC(done)
@@ -456,14 +473,45 @@ func (f *LearnedFTL) invalidateData(p nand.PPN) {
 	}
 }
 
-// setInvalid sets group gid's invalid-page count, reclaimable with it.
+// setInvalid sets group gid's invalid-page count, reclaimable and the
+// cached victim with it. A rise can only make gid the victim; a fall of the
+// victim's own count leaves the next query to rescan.
 func (f *LearnedFTL) setInvalid(gid int, n int32) {
-	if was, is := int(f.grpInvalid[gid]) >= f.sbPages, int(n) >= f.sbPages; is && !was {
+	was := f.grpInvalid[gid]
+	if wasR, isR := int(was) >= f.sbPages, int(n) >= f.sbPages; isR && !wasR {
 		f.reclaimable++
-	} else if was && !is {
+	} else if wasR && !isR {
 		f.reclaimable--
 	}
 	f.grpInvalid[gid] = n
+	if f.victimStale {
+		return
+	}
+	if gid == f.victim {
+		f.victimStale = n < was
+	} else if best := f.grpInvalid[f.victim]; n > best || n == best && gid < f.victim {
+		f.victim = gid
+	}
+}
+
+// setFree sets group gid's free-slot count and keeps the cached donor
+// leader with it: a group rising past the leader takes its place, the old
+// leader's count bounding the rest; a leader falling to the bound or below
+// leaves the next query to rescan.
+func (f *LearnedFTL) setFree(gid int, n int32) {
+	f.grpFree[gid] = n
+	if f.leaderStale {
+		return
+	}
+	if gid == f.leader {
+		f.leaderStale = n <= f.runnerUp
+		return
+	}
+	if best := f.grpFree[f.leader]; n > best || n == best && gid < f.leader {
+		f.leader, f.runnerUp = gid, max(f.runnerUp, best)
+		return
+	}
+	f.runnerUp = max(f.runnerUp, n)
 }
 
 // gcTransTraced runs one translation-pool collection inside a GC

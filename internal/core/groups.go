@@ -22,7 +22,7 @@ func (f *LearnedFTL) takeRow(gid int) {
 	g := &f.groups[gid]
 	g.rows = append(g.rows, row)
 	g.wp = 0
-	f.grpFree[gid] = int32(f.sbPages)
+	f.setFree(gid, int32(f.sbPages))
 }
 
 // encroachThreshold is how many borrowed pages a donor group tolerates
@@ -37,8 +37,27 @@ func (f *LearnedFTL) encroachThreshold() int {
 
 // donorFor picks the group gid borrows a slot from: the one with the most
 // free slots in its active superblock — the coldest — lowest id first among
-// equals, or -1 when no other group has a free slot.
+// equals, or -1 when no other group has a free slot. That is the cached
+// leader unless gid leads itself, which a borrower, its own row full, does
+// only when no group has a free slot.
 func (f *LearnedFTL) donorFor(gid int) int {
+	if f.leaderStale {
+		f.leader, f.runnerUp = 0, 0
+		for id, free := range f.grpFree {
+			if free > f.grpFree[f.leader] {
+				f.leader, f.runnerUp = id, f.grpFree[f.leader]
+			} else if id != f.leader {
+				f.runnerUp = max(f.runnerUp, free)
+			}
+		}
+		f.leaderStale = false
+	}
+	if gid != f.leader {
+		if f.grpFree[f.leader] > 0 {
+			return f.leader
+		}
+		return -1
+	}
 	donor, bestFree := -1, int32(0)
 	for id, free := range f.grpFree {
 		if free > bestFree && id != gid {
@@ -60,7 +79,7 @@ func (f *LearnedFTL) borrowSlot(gid int) (int64, bool) {
 	row := g.rows[len(g.rows)-1]
 	v := f.rowVPPNBase(row) + int64(g.wp)
 	g.wp++
-	f.grpFree[donor]--
+	f.setFree(donor, f.grpFree[donor]-1)
 	g.encroach++
 	if g.encroach >= f.encroachThreshold() && !g.pendingGC {
 		g.pendingGC = true
@@ -85,7 +104,7 @@ func (f *LearnedFTL) allocSlot(gid int, now nand.Time) (int64, nand.Time) {
 			row := g.rows[len(g.rows)-1]
 			v := f.rowVPPNBase(row) + int64(g.wp)
 			g.wp++
-			f.grpFree[gid]--
+			f.setFree(gid, f.grpFree[gid]-1)
 			return v, now
 		}
 		if len(g.rows) < f.Cfg.GroupSuperblocks && len(f.freeRows) > f.reserve {
@@ -135,13 +154,16 @@ func (f *LearnedFTL) allocSlot(gid int, now nand.Time) (int64, nand.Time) {
 // rows and that count (§III-D: "GC is performed on the GTD entry group with
 // the most invalid data pages").
 func (f *LearnedFTL) mostInvalidGroup() (int, int) {
-	victim, best := 0, int32(-1)
-	for id, inv := range f.grpInvalid {
-		if inv > best {
-			victim, best = id, inv
+	if f.victimStale {
+		f.victim = 0
+		for id, inv := range f.grpInvalid {
+			if inv > f.grpInvalid[f.victim] {
+				f.victim = id
+			}
 		}
+		f.victimStale = false
 	}
-	return victim, int(best)
+	return f.victim, int(f.grpInvalid[f.victim])
 }
 
 // victimGroup picks the group-GC victim and returns it with its invalid
@@ -435,10 +457,21 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 	row := newRow
 	base := f.rowVPPNBase(row)
 	relocStart := t
-	for i, lpn := range lpns {
+	// Slot i of a row is page i/units of the row's block on unit i%units:
+	// the walk steps through the units' first pages, one page further each
+	// sweep.
+	first := f.gcUnits
+	for u := range first {
+		first[u] = f.Codec.ToPhysical(nand.VPPN(base + int64(u)))
+	}
+	u, page := 0, nand.PPN(0)
+	for _, lpn := range lpns {
 		old := f.L2P.Get(lpn)
 		readDone := f.Fl.Read(old, relocStart, nand.OpGC)
-		np := f.Codec.ToPhysical(nand.VPPN(base + int64(i)))
+		np := first[u] + page
+		if u++; u == len(first) {
+			u, page = 0, page+1
+		}
 		done, err := f.Fl.Program(np, nand.OOB{Key: lpn}, readDone, nand.OpGC)
 		if err != nil {
 			panic(fmt.Sprintf("core: %v", err))
@@ -451,7 +484,7 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 		f.CMT.UpdatePPN(lpn, np)
 	}
 	g.wp = len(lpns)
-	f.grpFree[id] = int32(f.sbPages - g.wp)
+	f.setFree(id, int32(f.sbPages-g.wp))
 	*moved += len(lpns)
 
 	// Steps ③/④: train each GTD entry's model and evaluate its bitmap,

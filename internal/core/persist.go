@@ -20,8 +20,8 @@ func (f *LearnedFTL) SaveState(e *persist.Encoder) {
 	f.SaveMapState(e)
 	f.Save(e)
 	e.U64(uint64(len(f.models)))
-	for _, m := range f.models {
-		st := m.ExportState()
+	for i := range f.models {
+		st := f.models[i].ExportState()
 		e.I64(st.Base)
 		e.U64(uint64(len(st.Pieces)))
 		for _, p := range st.Pieces {
@@ -138,7 +138,7 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 func (f *LearnedFTL) RecoverFromCrash(now nand.Time) nand.Time {
 	f.Reset()
 	for i := range f.models {
-		f.models[i] = learned.NewInPlaceModel(f.Cfg.EntriesPerTP, f.Cfg.MaxPieces)
+		f.models[i] = *learned.NewInPlaceModel(f.Cfg.EntriesPerTP, f.Cfg.MaxPieces)
 	}
 	f.pending = nil
 	f.inGC = false
@@ -356,11 +356,13 @@ func (f *LearnedFTL) rebuildViews() {
 			invalid += f.rowInvalid[r]
 		}
 		f.setInvalid(gid, int32(invalid))
-		f.grpFree[gid] = 0
+		free := 0
 		if len(g.rows) > 0 {
-			f.grpFree[gid] = int32(f.sbPages - g.wp)
+			free = f.sbPages - g.wp
 		}
+		f.setFree(gid, int32(free))
 	}
+	f.victimStale, f.leaderStale = true, true
 }
 
 // rebuild reconstructs the translation pool's allocator view from the

@@ -96,7 +96,7 @@ func RunCampaign(newRun func() (Device, []sim.Generator, error), cfg CampaignCon
 		if err != nil {
 			return err
 		}
-		out := Inject(dev, gens, 0, p)
+		out := Inject(dev, gens, p)
 		res.Points++
 		if !out.Fired {
 			res.NotFired++

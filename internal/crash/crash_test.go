@@ -60,7 +60,7 @@ func newIdealRun(t *testing.T) (Device, []sim.Generator, error) {
 func TestInjectFiresAndRecoversClean(t *testing.T) {
 	for _, k := range []int64{1, 7, 101, 503, 997} {
 		dev, gens, _ := newIdealRun(t)
-		out := Inject(dev, gens, 0, Plan{AtOp: k})
+		out := Inject(dev, gens, Plan{AtOp: k})
 		if !out.Fired {
 			t.Fatalf("cut at op %d did not fire", k)
 		}
@@ -83,7 +83,7 @@ func TestInjectTornProgram(t *testing.T) {
 	torn := 0
 	for k := int64(1); k <= 40; k += 3 {
 		dev, gens, _ := newIdealRun(t)
-		out := Inject(dev, gens, 0, Plan{AtOp: k, Torn: true})
+		out := Inject(dev, gens, Plan{AtOp: k, Torn: true})
 		if !out.Fired {
 			t.Fatalf("cut at op %d did not fire", k)
 		}
@@ -108,7 +108,7 @@ func TestInjectTornProgram(t *testing.T) {
 func TestInjectAtVirtualTime(t *testing.T) {
 	dev, gens, _ := newIdealRun(t)
 	at := 5 * nand.Millisecond
-	out := Inject(dev, gens, 0, Plan{AtTime: at})
+	out := Inject(dev, gens, Plan{AtTime: at})
 	if !out.Fired {
 		t.Fatal("time-armed cut did not fire")
 	}
@@ -122,7 +122,15 @@ func TestInjectAtVirtualTime(t *testing.T) {
 
 func TestInjectWindowEndsUncut(t *testing.T) {
 	dev, gens, _ := newIdealRun(t)
-	out := Inject(dev, gens, 50, Plan{AtOp: 1 << 40})
+	// The window is the workload's first 50 requests.
+	n := 0
+	window := sim.GenFunc(func() (sim.Request, bool) {
+		if n++; n > 50 {
+			return sim.Request{}, false
+		}
+		return gens[0].Next()
+	})
+	out := Inject(dev, []sim.Generator{window}, Plan{AtOp: 1 << 40})
 	if out.Fired {
 		t.Fatal("cut fired beyond the window")
 	}

@@ -5,20 +5,20 @@ import (
 	"learnedftl/internal/sim"
 )
 
-// Inject arms plan on dev's flash array, replays gens through the
-// closed-loop engine, and — if the cut fires inside the window —
+// Inject arms plan on dev's flash array, replays gens to their end through
+// the closed-loop engine, and — if the cut fires inside the window —
 // power-cycles the device, recovers it and verifies the recovery
 // invariants. When the window ends without the cut firing, the returned
 // Outcome has Fired=false and the (disarmed) device is left as the run
 // left it.
-func Inject(dev Device, gens []sim.Generator, maxRequests int64, plan Plan) Outcome {
+func Inject(dev Device, gens []sim.Generator, plan Plan) Outcome {
 	o := NewOracle(dev.Config().LogicalPages())
 	tapped := make([]sim.Generator, len(gens))
 	for i, g := range gens {
 		tapped[i] = o.Tap(g)
 	}
 	return inject(dev, plan, o, func() {
-		sim.RunAcked(dev, tapped, maxRequests, o.Ack)
+		sim.RunAcked(dev, tapped, 0, o.Ack)
 	})
 }
 

@@ -25,7 +25,13 @@ type InPlaceModel struct {
 	maxPieces int
 	base      int64 // base VPPN; unsetBase when untrained
 	pieces    []Piece
-	bm        *Bitmap
+	bm        Bitmap
+	// bits[i] counts the set bitmap bits in pieces[i]'s ownership range,
+	// [pieces[i].Off, pieces[i+1].Off or span); live counts the pieces whose
+	// count is nonzero. A single-offset SequentialInit decides refusal from
+	// them without building the candidate array.
+	bits []int32
+	live int
 }
 
 // NewInPlaceModel returns an untrained model covering span LPN offsets with
@@ -39,7 +45,8 @@ func NewInPlaceModel(span, maxPieces int) *InPlaceModel {
 		maxPieces: maxPieces,
 		base:      unsetBase,
 		pieces:    make([]Piece, 0, maxPieces),
-		bm:        NewBitmap(span),
+		bm:        *NewBitmap(span),
+		bits:      make([]int32, 0, maxPieces),
 	}
 }
 
@@ -84,8 +91,48 @@ func (m *InPlaceModel) pieceFor(x int64) (Piece, bool) {
 // "LearnedFTL first checks if the corresponding bit of this LPN in the
 // bitmap is 1; if so, set it to 0").
 func (m *InPlaceModel) Invalidate(off int) {
-	if off >= 0 && off < m.span {
-		m.bm.Clear(off)
+	if off < 0 || off >= m.span || !m.bm.Get(off) {
+		return
+	}
+	m.bm.Clear(off)
+	// TrainFull sets only offsets a piece predicts and SequentialInit only
+	// its new piece's, so only an imported state can hold a bit before the
+	// first piece, which no count includes.
+	if i := m.pieceIndex(int64(off)); i >= 0 {
+		if m.bits[i]--; m.bits[i] == 0 {
+			m.live--
+		}
+	}
+}
+
+// pieceIndex returns the index of the piece owning offset x, -1 when x lies
+// before the first piece.
+func (m *InPlaceModel) pieceIndex(x int64) int {
+	i := len(m.pieces) - 1
+	for i >= 0 && m.pieces[i].Off > x {
+		i--
+	}
+	return i
+}
+
+// pieceEnd returns the end of piece i's ownership range.
+func (m *InPlaceModel) pieceEnd(i int) int64 {
+	if i+1 < len(m.pieces) {
+		return m.pieces[i+1].Off
+	}
+	return int64(m.span)
+}
+
+// recount recomputes bits and live from the bitmap.
+func (m *InPlaceModel) recount() {
+	m.bits = m.bits[:0]
+	m.live = 0
+	for i, p := range m.pieces {
+		c := m.bm.CountRange(int(p.Off), int(m.pieceEnd(i)))
+		m.bits = append(m.bits, int32(c))
+		if c > 0 {
+			m.live++
+		}
 	}
 }
 
@@ -111,6 +158,7 @@ func (m *InPlaceModel) TrainFull(base int64, vppns []int64) int {
 	m.pieces = m.pieces[:0]
 	if len(pts) == 0 {
 		m.base = unsetBase
+		m.recount()
 		return 0
 	}
 	m.base = base
@@ -129,6 +177,7 @@ func (m *InPlaceModel) TrainFull(base int64, vppns []int64) int {
 			exact++
 		}
 	}
+	m.recount()
 	return exact
 }
 
@@ -152,13 +201,45 @@ func (m *InPlaceModel) SequentialInit(startOff, n int, firstVPPN int64) bool {
 		m.base = firstVPPN
 	}
 	s, e := int64(startOff), int64(startOff+n)
+	if n == 1 && m.refusesSplit(s) {
+		return false
+	}
 	np := Piece{Off: s, K: 1, B: float64(firstVPPN-m.base) - float64(s)}
 	if !m.insertPiece(np, s, e) {
 		return false
 	}
 	// Step ④: the new piece is exact by construction over [s, e).
 	m.bm.SetRange(startOff, startOff+n)
+	m.recount()
 	return true
+}
+
+// refusesSplit reports, from the per-piece counts, whether insertPiece would
+// refuse a one-offset piece at s, whose bit is clear. The candidate keeps
+// every live piece but the one s splits, their ranges unchanged, plus the
+// new piece and the split piece's head [Off, s) and tail [s+1, end) where
+// they hold bits: live+1 pieces at least, live+2 when the split piece holds
+// bits on both sides of s. Offsets before the first piece split nothing.
+func (m *InPlaceModel) refusesSplit(s int64) bool {
+	switch {
+	case m.live >= m.maxPieces:
+		return true
+	case m.live+2 <= m.maxPieces:
+		return false
+	}
+	i := m.pieceIndex(s)
+	if i < 0 || m.bits[i] == 0 {
+		return false
+	}
+	// One count over the shorter side tells whether both sides hold bits.
+	lo, hi, total := m.pieces[i].Off, m.pieceEnd(i), int(m.bits[i])
+	var head int
+	if s-lo <= hi-s-1 {
+		head = m.bm.CountRange(int(lo), int(s))
+	} else {
+		head = total - m.bm.CountRange(int(s)+1, int(hi))
+	}
+	return head > 0 && head < total
 }
 
 // insertPiece splices a new piece covering [s, e) into the sorted piece
@@ -174,10 +255,7 @@ func (m *InPlaceModel) insertPiece(np Piece, s, e int64) bool {
 	out := frame[:0]
 	inserted := false
 	for i, p := range m.pieces {
-		pEnd := int64(m.span)
-		if i+1 < len(m.pieces) {
-			pEnd = m.pieces[i+1].Off
-		}
+		pEnd := m.pieceEnd(i)
 		if pEnd <= s || p.Off >= e {
 			// Untouched piece; emit new piece before any later piece.
 			if !inserted && p.Off >= e {
@@ -267,6 +345,7 @@ func (m *InPlaceModel) ImportState(s ModelState) error {
 	m.base = s.Base
 	m.pieces = append(m.pieces[:0], s.Pieces...)
 	copy(m.bm.words, s.Bits)
+	m.recount()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package learned
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -422,14 +423,59 @@ func TestSequentialInitZeroAlloc(t *testing.T) {
 	}
 }
 
-// The methods below are the per-write splice and the GC-time training as
-// they were before pruneDead's liveness test became Bitmap.AnyRange and
-// TrainFull's fit became allocation-free — insertPiece, pruneDead and
-// TrainFull moved here with their bodies unchanged (CountRange > 0,
-// FitExactCapped), plus SequentialInit calling the moved insertPiece: the
-// reference the live model is pinned against.
+// refModel is the in-place model as it was before the per-write splice
+// pruned with Bitmap.AnyRange, TrainFull's fit became allocation-free and
+// the model counted its bits per piece: insertPiece, pruneDead and
+// TrainFull with their bodies unchanged (CountRange > 0, FitExactCapped),
+// on a type of its own so that it keeps no counts. It is the reference the
+// live model is pinned against.
+type refModel struct {
+	span      int
+	maxPieces int
+	base      int64
+	pieces    []Piece
+	bm        *Bitmap
+}
 
-func (m *InPlaceModel) trainFullReference(base int64, vppns []int64) int {
+func newRefModel(span, maxPieces int) *refModel {
+	return &refModel{span: span, maxPieces: maxPieces, base: unsetBase, bm: NewBitmap(span)}
+}
+
+func (m *refModel) pieceFor(x int64) (Piece, bool) {
+	for i := len(m.pieces) - 1; i >= 0; i-- {
+		if m.pieces[i].Off <= x {
+			return m.pieces[i], true
+		}
+	}
+	return Piece{}, false
+}
+
+func (m *refModel) predict(off int) (int64, bool) {
+	if off < 0 || off >= m.span || !m.bm.Get(off) {
+		return 0, false
+	}
+	p, ok := m.pieceFor(int64(off))
+	if !ok {
+		return 0, false
+	}
+	return m.base + p.Predict(int64(off)), true
+}
+
+func (m *refModel) invalidate(off int) {
+	if off >= 0 && off < m.span {
+		m.bm.Clear(off)
+	}
+}
+
+func (m *refModel) exportState() ModelState {
+	return ModelState{
+		Base:   m.base,
+		Pieces: append([]Piece(nil), m.pieces...),
+		Bits:   append([]uint64(nil), m.bm.words...),
+	}
+}
+
+func (m *refModel) trainFull(base int64, vppns []int64) int {
 	if len(vppns) != m.span {
 		panic("learned: TrainFull length mismatch")
 	}
@@ -464,7 +510,7 @@ func (m *InPlaceModel) trainFullReference(base int64, vppns []int64) int {
 	return exact
 }
 
-func (m *InPlaceModel) sequentialInitReference(startOff, n int, firstVPPN int64) bool {
+func (m *refModel) sequentialInit(startOff, n int, firstVPPN int64) bool {
 	if n <= 0 || startOff < 0 || startOff+n > m.span {
 		return false
 	}
@@ -476,14 +522,14 @@ func (m *InPlaceModel) sequentialInitReference(startOff, n int, firstVPPN int64)
 	}
 	s, e := int64(startOff), int64(startOff+n)
 	np := Piece{Off: s, K: 1, B: float64(firstVPPN-m.base) - float64(s)}
-	if !m.insertPieceReference(np, s, e) {
+	if !m.insertPiece(np, s, e) {
 		return false
 	}
 	m.bm.SetRange(startOff, startOff+n)
 	return true
 }
 
-func (m *InPlaceModel) insertPieceReference(np Piece, s, e int64) bool {
+func (m *refModel) insertPiece(np Piece, s, e int64) bool {
 	var frame [DefaultMaxPieces + 2]Piece
 	out := frame[:0]
 	inserted := false
@@ -518,7 +564,7 @@ func (m *InPlaceModel) insertPieceReference(np Piece, s, e int64) bool {
 	if !inserted {
 		out = append(out, np)
 	}
-	out = m.pruneDeadReference(out, s, e)
+	out = m.pruneDead(out, s, e)
 	if len(out) > m.maxPieces {
 		return false
 	}
@@ -526,7 +572,7 @@ func (m *InPlaceModel) insertPieceReference(np Piece, s, e int64) bool {
 	return true
 }
 
-func (m *InPlaceModel) pruneDeadReference(pieces []Piece, s, e int64) []Piece {
+func (m *refModel) pruneDead(pieces []Piece, s, e int64) []Piece {
 	out := pieces[:0]
 	for i, p := range pieces {
 		pEnd := int64(m.span)
@@ -545,18 +591,66 @@ func (m *InPlaceModel) pruneDeadReference(pieces []Piece, s, e int64) []Piece {
 	return out
 }
 
+// countsDiverge returns "" when m's per-piece bit counts and live count
+// equal a bit-by-bit recount of its bitmap over its pieces' ranges, and
+// what differs otherwise.
+func countsDiverge(m *InPlaceModel) string {
+	if len(m.bits) != len(m.pieces) {
+		return fmt.Sprintf("%d counts for %d pieces", len(m.bits), len(m.pieces))
+	}
+	live := 0
+	for i, p := range m.pieces {
+		end := int64(m.span)
+		if i+1 < len(m.pieces) {
+			end = m.pieces[i+1].Off
+		}
+		n := 0
+		for x := p.Off; x < end; x++ {
+			if m.bm.Get(int(x)) {
+				n++
+			}
+		}
+		if int(m.bits[i]) != n {
+			return fmt.Sprintf("piece %d [%d, %d) counts %d bits, its range holds %d", i, p.Off, end, m.bits[i], n)
+		}
+		if n > 0 {
+			live++
+		}
+	}
+	if m.live != live {
+		return fmt.Sprintf("live = %d, %d pieces hold bits", m.live, live)
+	}
+	return ""
+}
+
+// modelDiverges returns "" when m answers every offset as ref does, exports
+// ref's state and keeps exact counts, and what differs otherwise.
+func modelDiverges(m *InPlaceModel, ref *refModel) string {
+	if got, want := m.ExportState(), ref.exportState(); !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("state\n got %+v\nwant %+v", got, want)
+	}
+	for off := 0; off < m.span; off++ {
+		v, ok := m.Predict(off)
+		if rv, rok := ref.predict(off); v != rv || ok != rok {
+			return fmt.Sprintf("Predict(%d) = %d, %v; reference %d, %v", off, v, ok, rv, rok)
+		}
+	}
+	return countsDiverge(m)
+}
+
 // TestModelMatchesReference drives a model and its reference through the
 // same seeded sequences — single and ranged invalidations, sequential
 // initializations of 1 to 64 offsets (refusals on a full piece array
 // included) and GC-time retraining of fragmented layouts, some fitting more
-// pieces than the array holds — and requires equal results and equal
-// exported state after every step, at three piece capacities.
+// pieces than the array holds — and requires equal results, equal exported
+// state and exact per-piece counts after every step, at three piece
+// capacities.
 func TestModelMatchesReference(t *testing.T) {
 	const span = 512
 	for _, maxPieces := range []int{2, 4, DefaultMaxPieces} {
 		for seed := int64(1); seed <= 8; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			m, ref := NewInPlaceModel(span, maxPieces), NewInPlaceModel(span, maxPieces)
+			m, ref := NewInPlaceModel(span, maxPieces), newRefModel(span, maxPieces)
 			vppns := make([]int64, span)
 			next := int64(1000)
 			var installed, refused, capped int
@@ -566,12 +660,12 @@ func TestModelMatchesReference(t *testing.T) {
 				case k < 35:
 					off := rng.Intn(span)
 					m.Invalidate(off)
-					ref.Invalidate(off)
+					ref.invalidate(off)
 				case k < 45:
 					off, n := rng.Intn(span), 1+rng.Intn(64)
 					for i := off; i < off+n && i < span; i++ {
 						m.Invalidate(i)
-						ref.Invalidate(i)
+						ref.invalidate(i)
 					}
 				case k < 98:
 					op = "SequentialInit"
@@ -584,11 +678,18 @@ func TestModelMatchesReference(t *testing.T) {
 					// accurate range refuses the update.
 					for i := off; i < off+n && rng.Intn(4) > 0; i++ {
 						m.Invalidate(i)
-						ref.Invalidate(i)
+						ref.invalidate(i)
 					}
-					got, want := m.SequentialInit(off, n, next), ref.sequentialInitReference(off, n, next)
+					// A one-offset update over a clear bit is refused only for
+					// capacity, which the counts must tell exactly.
+					counted := n == 1 && !m.CanPredict(off)
+					refuses := counted && m.refusesSplit(int64(off))
+					got, want := m.SequentialInit(off, n, next), ref.sequentialInit(off, n, next)
 					if got != want {
 						t.Fatalf("maxPieces %d seed %d step %d: SequentialInit(%d, %d) = %v, reference %v", maxPieces, seed, step, off, n, got, want)
+					}
+					if counted && refuses == want {
+						t.Fatalf("maxPieces %d seed %d step %d: refusesSplit(%d) = %v, reference installs: %v", maxPieces, seed, step, off, refuses, want)
 					}
 					if got {
 						installed++
@@ -624,12 +725,12 @@ func TestModelMatchesReference(t *testing.T) {
 					if len(FitExact(pts)) > maxPieces {
 						capped++
 					}
-					if got, want := m.TrainFull(base, vppns), ref.trainFullReference(base, vppns); got != want {
+					if got, want := m.TrainFull(base, vppns), ref.trainFull(base, vppns); got != want {
 						t.Fatalf("maxPieces %d seed %d step %d: TrainFull = %d, reference %d", maxPieces, seed, step, got, want)
 					}
 				}
-				if got, want := m.ExportState(), ref.ExportState(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("maxPieces %d seed %d step %d: after %s\n got %+v\nwant %+v", maxPieces, seed, step, op, got, want)
+				if d := modelDiverges(m, ref); d != "" {
+					t.Fatalf("maxPieces %d seed %d step %d: after %s: %s", maxPieces, seed, step, op, d)
 				}
 			}
 			if installed == 0 || refused == 0 || capped == 0 {
