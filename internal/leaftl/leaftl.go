@@ -11,6 +11,7 @@ package leaftl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/learned"
@@ -50,6 +51,22 @@ type LeaFTL struct {
 
 	// lsmtScratch is the working memory every table of the device shares.
 	lsmtScratch learned.Scratch
+
+	// memo remembers recent predictions, direct-mapped by the LPN's low
+	// bits, one slot per CMT entry rounded up to a power of two. It is host
+	// scratch, not modelled DRAM: a prediction is a pure function of its
+	// table's state, so the memo only saves the simulator the lookup and
+	// changes no simulated number, and no snapshot, footprint or
+	// model-cache budget counts it. A zeroed slot holds LPN 0 under stamp
+	// 0, which is right: a table of stamp 0 predicts page 0.
+	memo []prediction
+}
+
+// prediction is one memo slot: the page predict returned for lpn while
+// lpn's table carried stamp.
+type prediction struct {
+	stamp    uint64
+	lpn, ppn int32
 }
 
 // New builds a LeaFTL device.
@@ -63,6 +80,7 @@ func New(cfg ftl.Config) (*LeaFTL, error) {
 		buffer: newLPNSet(cfg.LogicalPages()),
 		models: make([]*learned.LSMT, cfg.NumTPNs()),
 		cache:  newModelCache(cfg.CMTEntries()*8, cfg.NumTPNs()), // same bytes as a CMT
+		memo:   make([]prediction, 1<<bits.Len(uint(cfg.CMTEntries()-1))),
 	}
 	b.Hooks = l
 	b.SortRelocate = true // GC relocates in LPN order for trainability
@@ -224,14 +242,26 @@ func (l *LeaFTL) readOne(lpn int64, now nand.Time) nand.Time {
 	return l.Fl.Read(truth, t, nand.OpHostData)
 }
 
-// predict runs the learned lookup for lpn, returning a physical page to
-// probe. Failed lookups or out-of-range predictions probe a clamped page and
-// take the misprediction path naturally.
+// predict returns the physical page to probe for lpn: the memo's answer when
+// its slot holds lpn under the current stamp of the table, otherwise
+// lookup's, which then fills the slot. Every LPN is below 2^31−1, and so is
+// every page.
 func (l *LeaFTL) predict(tpn int, lpn int64) nand.PPN {
 	lt := l.models[tpn]
 	if lt == nil {
 		return 0
 	}
+	m := &l.memo[int(lpn)&(len(l.memo)-1)]
+	if m.lpn != int32(lpn) || m.stamp != lt.Stamp() {
+		*m = prediction{stamp: lt.Stamp(), lpn: int32(lpn), ppn: int32(l.lookup(lt, lpn))}
+	}
+	return nand.PPN(m.ppn)
+}
+
+// lookup runs the learned lookup for lpn in its table lt. Failed lookups or
+// out-of-range predictions probe a clamped page and take the misprediction
+// path naturally.
+func (l *LeaFTL) lookup(lt *learned.LSMT, lpn int64) nand.PPN {
 	seg, ok := lt.Lookup(lpn)
 	if !ok {
 		return 0

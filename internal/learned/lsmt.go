@@ -25,6 +25,7 @@ type LSMT struct {
 	lo, hi int64    // the key range [lo, hi)
 	index  []uint16 // per LPN from lo: handle of the newest segment covering it
 	sc     *Scratch
+	stamp  uint64 // names the index's contents; see Stamp
 }
 
 // record is a Segment packed for the slab. Every LPN is below
@@ -50,7 +51,8 @@ const maxSegments = math.MaxUint16
 // one, so it costs one buffer per device rather than one per table; tables
 // sharing a Scratch must not be used concurrently.
 type Scratch struct {
-	named []bool // by handle: whether the index names it, during a compaction
+	named  []bool // by handle: whether the index names it, during a compaction
+	stamps uint64 // the last stamp handed to a table
 }
 
 // NewLSMT returns an empty table with its own scratch over the LPNs
@@ -66,6 +68,19 @@ func (sc *Scratch) NewLSMT(lo, hi int64) *LSMT {
 
 // NumSegments returns the total number of live segments.
 func (t *LSMT) NumSegments() int { return len(t.order) }
+
+// Stamp names the answers the table gives: every Insert and Import hands it
+// a stamp no table sharing its Scratch ever had, and a compaction, which
+// changes no answer, keeps it. So two lookups of one LPN under one stamp
+// return the same segment. A table no Insert or Import reached has stamp 0
+// and answers no lookup.
+func (t *LSMT) Stamp() uint64 { return t.stamp }
+
+// restamp hands the table the next stamp of its Scratch.
+func (t *LSMT) restamp() {
+	t.sc.stamps++
+	t.stamp = t.sc.stamps
+}
 
 // SizeBytes returns the memory footprint charged for the table.
 func (t *LSMT) SizeBytes() int { return len(t.order) * SegmentBytes }
@@ -140,8 +155,9 @@ func (t *LSMT) release(h uint16) {
 }
 
 // paint makes h the newest segment of every LPN it covers, growing the
-// index of a table made by NewLSMT to reach them.
+// index of a table made by NewLSMT to reach them, and restamps the table.
 func (t *LSMT) paint(h uint16) {
+	t.restamp()
 	r := &t.slab[h-1]
 	lo, hi := int64(r.S)-t.lo, int64(r.S)+int64(r.L)-t.lo
 	if n := int(hi); n > len(t.index) {
@@ -196,6 +212,7 @@ func (t *LSMT) Import(segs []Segment) error {
 	t.slab, t.free = make([]record, 0, len(segs)), 0
 	t.order = make([]uint16, len(segs))
 	clear(t.index)
+	t.restamp()
 	for i, s := range segs {
 		t.order[i] = t.put(s)
 		t.paint(t.order[i])
