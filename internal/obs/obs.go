@@ -6,13 +6,14 @@
 // an attached *Tracer, and with no tracer attached every hook in the
 // engines, the FTLs and the flash array is a nil check — golden tables stay
 // byte-identical and the hot paths allocation-free. Memory is O(1) in run
-// length: per-phase sums, a log-bucket histogram of span totals, a bounded
-// top-K tail set and a ring buffer for trace events.
+// length: per-phase sums, a bounded top-K tail set, which also gives the
+// exact P99.9, and a ring buffer for trace events. Latency percentiles of
+// the whole population are internal/stats's; the tail set stays here
+// because each of its spans carries the per-phase decomposition.
 package obs
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"learnedftl/internal/nand"
@@ -46,88 +47,14 @@ const (
 	NumPhases
 )
 
+var phaseNames = [NumPhases]string{"queue", "lookup", "trans", "gc", "retry", "scrub", "data"}
+
 // String implements fmt.Stringer.
 func (p Phase) String() string {
-	switch p {
-	case PhaseQueue:
-		return "queue"
-	case PhaseLookup:
-		return "lookup"
-	case PhaseTrans:
-		return "trans"
-	case PhaseGCStall:
-		return "gc"
-	case PhaseRetry:
-		return "retry"
-	case PhaseScrubWait:
-		return "scrub"
-	case PhaseData:
-		return "data"
-	default:
-		return "unknown"
+	if p < NumPhases {
+		return phaseNames[p]
 	}
-}
-
-// histBuckets is sized for 4 sub-buckets per power of two up to 2^63.
-const histBuckets = 252
-
-// Histogram is a log-bucketed latency histogram: 4 sub-buckets per power of
-// two, <=20% worst-case relative error, fixed memory.
-type Histogram struct {
-	counts [histBuckets]int64
-	n      int64
-}
-
-// histBucket maps a non-negative value to its bucket.
-func histBucket(v int64) int {
-	if v < 4 {
-		if v < 0 {
-			return 0
-		}
-		return int(v)
-	}
-	e := bits.Len64(uint64(v)) // >= 3
-	b := 4*(e-2) + int((v>>(e-3))&3)
-	if b >= histBuckets {
-		return histBuckets - 1
-	}
-	return b
-}
-
-// histValue returns the lower bound of a bucket.
-func histValue(b int) int64 {
-	if b < 4 {
-		return int64(b)
-	}
-	e := b/4 + 2
-	s := int64(b % 4)
-	return 1<<(e-1) | s<<(e-3)
-}
-
-// Add records one value.
-func (h *Histogram) Add(v int64) {
-	h.counts[histBucket(v)]++
-	h.n++
-}
-
-// Percentile returns an approximation (bucket lower bound) of the p-th
-// percentile, 0 < p <= 100.
-func (h *Histogram) Percentile(p float64) nand.Time {
-	if h.n == 0 {
-		return 0
-	}
-	rank := int64(p / 100 * float64(h.n))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for b := 0; b < histBuckets; b++ {
-		cum += h.counts[b]
-		if cum >= rank {
-			return nand.Time(histValue(b))
-		}
-	}
-	return nand.Time(histValue(histBuckets - 1))
+	return "unknown"
 }
 
 // SpanRecord is one completed request's latency decomposition.
@@ -138,13 +65,13 @@ type SpanRecord struct {
 }
 
 // topKCap bounds the exact tail set: the top-K spans by total latency are
-// retained, so the P99.9 tail decomposition is exact for runs up to
-// 1000×topKCap requests and degrades to "top topKCap requests" beyond.
+// retained, so P99.9 and its tail decomposition are exact for runs up to
+// 1000×topKCap requests and degrade to "top topKCap requests" beyond.
 const topKCap = 4096
 
 // Breakdown is the frozen aggregate view of a tracer: per-phase latency
-// sums over all spans, the approximate P99.9, and the exact decomposition
-// of the P99.9 tail set.
+// sums over all spans, the P99.9, and the exact decomposition of the P99.9
+// tail set.
 type Breakdown struct {
 	Requests int64 `json:"requests"`
 	Reads    int64 `json:"reads"`
@@ -154,8 +81,9 @@ type Breakdown struct {
 	// residual), so Sum(PhaseSum) == TotalSum.
 	TotalSum nand.Time            `json:"total_sum"`
 	PhaseSum [NumPhases]nand.Time `json:"phase_sum"`
-	// P999 approximates the 99.9th percentile of total latency (log-bucket
-	// histogram, <=20% relative error).
+	// P999 is the 99.9th percentile of total latency under the collector's
+	// rule (internal/stats): exact while its rank from the top is within the
+	// top-K set, else the smallest total the set holds, an upper bound.
 	P999 nand.Time `json:"p999"`
 	// Tail* decompose the top ceil(0.1%) of requests by total latency —
 	// the P99.9-by-cause view. Exact while the tail fits the top-K set.
@@ -231,7 +159,6 @@ type Tracer struct {
 	reads, writes int64
 	totalSum      nand.Time
 	phaseSum      [NumPhases]nand.Time
-	totalHist     Histogram
 
 	// topK is a min-heap on Total of the largest spans seen.
 	topK []SpanRecord
@@ -316,7 +243,6 @@ func (t *Tracer) finish(s SpanRecord, total nand.Time) {
 		t.reads++
 	}
 	t.totalSum += total
-	t.totalHist.Add(int64(total))
 	for p := Phase(0); p < NumPhases; p++ {
 		t.phaseSum[p] += s.Phases[p]
 	}
@@ -436,8 +362,8 @@ func (t *Tracer) ObserveOp(op nand.FlashOp) {
 	}
 }
 
-// Breakdown freezes the aggregates, deriving the P99.9 tail decomposition
-// from the top-K set.
+// Breakdown freezes the aggregates, deriving P99.9 and its tail
+// decomposition from the top-K set.
 func (t *Tracer) Breakdown() Breakdown {
 	b := Breakdown{
 		Requests: t.reads + t.writes,
@@ -445,22 +371,17 @@ func (t *Tracer) Breakdown() Breakdown {
 		Writes:   t.writes,
 		TotalSum: t.totalSum,
 		PhaseSum: t.phaseSum,
-		P999:     t.totalHist.Percentile(99.9),
 	}
 	if b.Requests == 0 {
 		return b
 	}
-	want := b.Requests / 1000
-	if want < 1 {
-		want = 1
-	}
-	if int64(len(t.topK)) < want {
-		want = int64(len(t.topK))
-	}
-	// Largest `want` spans from the heap slice: sort a copy descending,
+	// Largest spans first from the heap slice: sort a copy descending,
 	// stably, so spans tied on Total are picked in heap order.
 	tail := slices.Clone(t.topK)
 	slices.SortStableFunc(tail, func(a, b SpanRecord) int { return cmp.Compare(b.Total, a.Total) })
+	idx := min(max(int64(99.9/100*float64(b.Requests))-1, 0), b.Requests-1)
+	b.P999 = tail[min(b.Requests-idx, int64(len(tail)))-1].Total
+	want := min(max(b.Requests/1000, 1), int64(len(tail)))
 	for _, s := range tail[:want] {
 		b.TailCount++
 		b.TailSum += s.Total

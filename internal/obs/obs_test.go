@@ -8,50 +8,26 @@ import (
 	"learnedftl/internal/nand"
 )
 
-// Histogram buckets must be monotone, cover the full int64 range and keep
-// the documented <=12.5% relative error (bucket lower bound vs value).
-func TestHistBucket(t *testing.T) {
-	prev := -1
-	for _, v := range []int64{0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 100, 1000,
-		40000, 200000, 2000000, 1 << 40, 1<<62 + 1} {
-		b := histBucket(v)
-		if b < prev {
-			t.Fatalf("histBucket not monotone at %d: %d < %d", v, b, prev)
+// P99.9 is the collector's percentile of the span totals: exact while its
+// rank from the top is within the tail set, then the set's smallest total.
+func TestBreakdownP999(t *testing.T) {
+	if got := NewTracer().Breakdown().P999; got != 0 {
+		t.Fatalf("empty tracer P99.9 = %d", got)
+	}
+	for _, tc := range []struct{ n, want int64 }{
+		{1, 1},
+		{999, 998},                           // index int(998.001)-1 = 997: rank 2
+		{5000, 4995},                         // index 4994: rank 6
+		{5_000_000, 5_000_000 - topKCap + 1}, // rank 5 001 is past the set
+	} {
+		tr := NewTracer()
+		for i := int64(1); i <= tc.n; i++ {
+			tr.BeginReq(false, 0, 0)
+			tr.EndReq(nand.Time((i*7919)%tc.n + 1)) // every total 1..n once, out of order
 		}
-		prev = b
-		lo := histValue(b)
-		if lo > v {
-			t.Fatalf("histValue(%d)=%d exceeds original %d", b, lo, v)
+		if got := tr.Breakdown().P999; got != nand.Time(tc.want) {
+			t.Fatalf("n=%d: P99.9 = %d, want %d", tc.n, got, tc.want)
 		}
-		if v >= 8 && float64(v-lo)/float64(v) > 0.20 {
-			t.Fatalf("bucket error for %d: lower bound %d off by >20%%", v, lo)
-		}
-	}
-	if histBucket(-5) != 0 {
-		t.Fatalf("negative values must land in bucket 0")
-	}
-}
-
-func TestHistogramPercentile(t *testing.T) {
-	var h Histogram
-	if h.Percentile(99) != 0 {
-		t.Fatalf("empty histogram percentile must be 0")
-	}
-	for i := int64(1); i <= 1000; i++ {
-		h.Add(i)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d, want 1000", h.Count())
-	}
-	p50, p999 := h.Percentile(50), h.Percentile(99.9)
-	if p50 < 400 || p50 > 500 {
-		t.Fatalf("p50 = %d, want ~500 (<=12.5%% low)", p50)
-	}
-	if p999 < 875 || p999 > 1000 {
-		t.Fatalf("p99.9 = %d, want ~999 (<=12.5%% low)", p999)
-	}
-	if p999 < p50 {
-		t.Fatalf("percentiles not monotone: p99.9 %d < p50 %d", p999, p50)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // was stored once, in plain slices: every request joins the device-wide
 // read or write population and, a second time, its tenant's bucket;
 // DefineStreams drops the buckets and leaves the populations; Reset drops
-// everything. It is the reference the arena-backed Collector is compared
-// with, field for field of the report.
+// everything. It is the reference the distribution-backed Collector is
+// compared with, field for field of the report.
 type refCollector struct {
 	readLat, writeLat, readWait, writeWait []int64
 	pages                                  [2]int64
@@ -82,26 +82,47 @@ func refShare(lat, wait int64) float64 {
 	return float64(wait) / float64(lat)
 }
 
-// refPercentile copies and sorts per call, as the old code did.
-func refPercentile(p float64, vs ...[]int64) nand.Time {
+// refSorted returns the populations vs as one ascending slice, as the
+// collector sorted them before it kept a bounded distribution.
+func refSorted(vs ...[]int64) []int64 {
 	s := slices.Concat(vs...)
+	slices.Sort(s)
+	return s
+}
+
+// refIndex is the index of the p-th percentile in a sorted population of n.
+func refIndex(n int, p float64) int { return min(max(int(p/100*float64(n))-1, 0), n-1) }
+
+// refPercentile returns the p-th percentile of the ascending slice s.
+func refPercentile(s []int64, p float64) nand.Time {
 	if len(s) == 0 {
 		return 0
 	}
-	slices.Sort(s)
-	idx := min(max(int(p/100*float64(len(s)))-1, 0), len(s)-1)
-	return nand.Time(s[idx])
+	return nand.Time(s[refIndex(len(s), p)])
+}
+
+// refReads reports whether got is what the collector may read for the p-th
+// percentile of the ascending slice s: the sorted value while its rank from
+// the top is at most topK, else that value or its histogram bucket's lower
+// bound.
+func refReads(got nand.Time, p float64, s []int64) (want nand.Time, ok bool) {
+	want = refPercentile(s, p)
+	if got == want || len(s)-refIndex(len(s), p) <= topK {
+		return want, got == want
+	}
+	return want, int64(got) == bucketLow(bucketOf(int64(want)))
 }
 
 // report builds what BuildReport builds from the collector's samples.
 func (c *refCollector) report(makespan nand.Time, pageSize int) Report {
 	sumL := refSum(c.readLat) + refSum(c.writeLat)
+	all := refSorted(c.readLat, c.writeLat)
 	r := Report{
 		FTL:         "ref",
 		Makespan:    makespan,
 		MeanReadLat: refMean(c.readLat),
-		P99:         refPercentile(99, c.readLat, c.writeLat),
-		P999:        refPercentile(99.9, c.readLat, c.writeLat),
+		P99:         refPercentile(all, 99),
+		P999:        refPercentile(all, 99.9),
 		Requests:    int64(len(c.readLat) + len(c.writeLat)),
 		MeanLat:     refMean(c.readLat, c.writeLat),
 		MeanWait:    refMean(c.readWait, c.writeWait),
@@ -112,12 +133,13 @@ func (c *refCollector) report(makespan nand.Time, pageSize int) Report {
 	r.WriteMBps = float64(c.pages[1]) * float64(pageSize) / (1 << 20) / secs
 	r.IOPS = float64(r.Requests) / secs
 	for _, s := range c.streams {
+		lat := refSorted(s.lat)
 		r.Streams = append(r.Streams, StreamReport{
 			Name:      s.name,
 			Requests:  int64(len(s.lat)),
 			MeanLat:   refMean(s.lat),
-			P99:       refPercentile(99, s.lat),
-			P999:      refPercentile(99.9, s.lat),
+			P99:       refPercentile(lat, 99),
+			P999:      refPercentile(lat, 99.9),
 			MeanWait:  refMean(s.wait),
 			WaitShare: refShare(refSum(s.lat), refSum(s.wait)),
 		})
@@ -136,22 +158,26 @@ func compareWithRef(t *testing.T, c *Collector, ref *refCollector, at string) {
 	if got, want := c.MeanWriteLatency(), refMean(ref.writeLat); got != want {
 		t.Fatalf("%s: mean write latency %d, want %d", at, got, want)
 	}
+	reads, writes, all := refSorted(ref.readLat), refSorted(ref.writeLat), refSorted(ref.readLat, ref.writeLat)
 	for _, p := range []float64{0.5, 25, 50, 90, 99, 99.9, 100} {
-		for name, pair := range map[string][2]nand.Time{
-			"read":  {c.ReadPercentile(p), refPercentile(p, ref.readLat)},
-			"write": {c.WritePercentile(p), refPercentile(p, ref.writeLat)},
-			"all":   {c.Percentile(p), refPercentile(p, ref.readLat, ref.writeLat)},
+		for name, read := range map[string]struct {
+			got nand.Time
+			of  []int64
+		}{
+			"read":  {c.ReadPercentile(p), reads},
+			"write": {c.WritePercentile(p), writes},
+			"all":   {c.Percentile(p), all},
 		} {
-			if pair[0] != pair[1] {
-				t.Fatalf("%s: %s P%v = %d, want %d", at, name, p, pair[0], pair[1])
+			if want, ok := refReads(read.got, p, read.of); !ok {
+				t.Fatalf("%s: %s P%v = %d, want %d", at, name, p, read.got, want)
 			}
 		}
 	}
 	for i, s := range c.Streams() {
-		rs := ref.streams[i]
+		lat := refSorted(ref.streams[i].lat)
 		for _, p := range []float64{1, 50, 99.9} {
-			if got, want := s.Percentile(p), refPercentile(p, rs.lat); got != want {
-				t.Fatalf("%s: stream %s P%v = %d, want %d", at, s.Name, p, got, want)
+			if want, ok := refReads(s.Percentile(p), p, lat); !ok {
+				t.Fatalf("%s: stream %s P%v = %d, want %d", at, s.Name, p, s.Percentile(p), want)
 			}
 		}
 	}
@@ -161,7 +187,10 @@ func compareWithRef(t *testing.T, c *Collector, ref *refCollector, at string) {
 // multi-tenant open-loop runs through both collectors: tenants spread over
 // same-named streams, tenants that read and write, a stream index outside
 // the defined range, a second run without Reset (the populations keep
-// accumulating, the buckets restart), and Reset followed by reuse.
+// accumulating, the buckets restart), and Reset followed by reuse. Seed 1's
+// first run is long enough that one bucket's reads pass topCap, so its
+// distribution cuts its buffer while recording, and the populations'
+// medians read the histogram.
 func TestCollectorMatchesDoubleRecordingReference(t *testing.T) {
 	tenants := []string{"web", "sys", "web", "log", "sys", "web"}
 	for seed := int64(1); seed <= 5; seed++ {
@@ -183,7 +212,14 @@ func TestCollectorMatchesDoubleRecordingReference(t *testing.T) {
 				ref.recordQueued(stream, write, wait, service, pages)
 			}
 		}
-		run(tenants, 3*seriesChunkSize+rng.Intn(1000)) // past a chunk boundary
+		first := 25_000 + rng.Intn(1000)
+		if seed == 1 {
+			first = 10 * topK
+		}
+		run(tenants, first)
+		if past := slices.ContainsFunc(c.buckets, func(b *StreamLat) bool { return b.dir[0].lat.n > topCap }); past != (seed == 1) {
+			t.Fatalf("seed %d: a bucket's reads passed topCap: %v", seed, past)
+		}
 		compareWithRef(t, c, ref, "first run")
 		run(tenants[:4], 2000+rng.Intn(1000))
 		compareWithRef(t, c, ref, "second run without Reset")
@@ -202,25 +238,26 @@ func TestCollectorMatchesDoubleRecordingReference(t *testing.T) {
 }
 
 // TestResetRetainsTenantArenas: Reset empties the tenant buckets and keeps
-// their chunks, and the next run's DefineStreams hands them out again.
+// their memory — each distribution's buffer and histogram — and the next
+// run's DefineStreams hands them out again.
 func TestResetRetainsTenantArenas(t *testing.T) {
 	c := NewCollector()
 	c.DefineStreams([]string{"a", "b"})
-	for i := 0; i < 2*seriesChunkSize; i++ {
-		c.RecordQueued(i%2, i%4 < 2, 5, 10, 1)
+	for i := 0; i < 4*topCap+4; i++ { // every population cuts
+		c.RecordQueued(i%2, i%4 < 2, nand.Time(i), 10, 1)
 	}
-	chunks := func() (n int) {
+	held := func() (n int) {
 		for _, b := range c.buckets {
 			for _, p := range b.all() {
-				n += len(p.lat.chunks)
+				n += cap(p.lat.top) + len(p.lat.hist)
 			}
 		}
 		return n
 	}
-	before := chunks()
+	before := held()
 	c.Reset()
-	if got := chunks(); got != before || before == 0 {
-		t.Fatalf("Reset kept %d of %d tenant chunks", got, before)
+	if got := held(); got != before || before == 0 {
+		t.Fatalf("Reset kept %d of %d tenant slots", got, before)
 	}
 	c.DefineStreams([]string{"x", "y"})
 	if s := c.Streams(); len(s) != 2 || s[0].Name != "x" || s[0].Requests() != 0 || s[0] != c.buckets[0] {
@@ -228,7 +265,7 @@ func TestResetRetainsTenantArenas(t *testing.T) {
 	}
 }
 
-// TestRecordQueuedZeroAlloc: with the arenas warm — one run recorded, then
+// TestRecordQueuedZeroAlloc: with the buckets warm — one run recorded, then
 // Reset and the next run's DefineStreams — recording open-loop requests
 // allocates nothing, for defined and undefined streams alike. The whole
 // block is one AllocsPerRun run, because AllocsPerRun rounds down: a slice
@@ -237,7 +274,7 @@ func TestResetRetainsTenantArenas(t *testing.T) {
 func TestRecordQueuedZeroAlloc(t *testing.T) {
 	c := NewCollector()
 	names := []string{"reader", "reader", "writer"}
-	const n = 4 * seriesChunkSize
+	const n = 2 * topCap
 	i := 0
 	block := func() {
 		for k := 0; k < n; k++ {

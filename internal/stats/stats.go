@@ -1,13 +1,12 @@
 // Package stats collects the metrics every experiment in the paper reports:
-// request latencies with exact tail percentiles (P99/P99.9), read-class
-// counters (single/double/triple flash reads per host read), mapping-cache
-// and learned-model hit ratios, GC activity, write amplification and the
-// NANDFlashSim-style energy totals.
+// request latencies with exact tail percentiles (P99/P99.9) in bounded
+// memory (dist.go), read-class counters (single/double/triple flash reads
+// per host read), mapping-cache and learned-model hit ratios, GC activity,
+// write amplification and the NANDFlashSim-style energy totals.
 package stats
 
 import (
 	"fmt"
-	"slices"
 
 	"learnedftl/internal/nand"
 	"learnedftl/internal/obs"
@@ -31,18 +30,14 @@ const (
 	readClasses
 )
 
+var readClassNames = [readClasses]string{"single", "double", "triple"}
+
 // String implements fmt.Stringer.
 func (c ReadClass) String() string {
-	switch c {
-	case ReadSingle:
-		return "single"
-	case ReadDouble:
-		return "double"
-	case ReadTriple:
-		return "triple"
-	default:
-		return "unknown"
+	if c < readClasses {
+		return readClassNames[c]
 	}
+	return "unknown"
 }
 
 // Collector accumulates per-run metrics. One Collector belongs to one FTL
@@ -60,7 +55,8 @@ type Collector struct {
 	// Per-tenant buckets of an open-loop run, registered by DefineStreams:
 	// streams the run's buckets in first-appearance order, streamOf the
 	// bucket of each engine stream. buckets is every bucket ever made;
-	// like host it survives Reset, so a later run records into warm arenas.
+	// like host it survives Reset, so a later run records into memory it
+	// already holds.
 	streams  []*StreamLat
 	streamOf []*StreamLat
 	buckets  []*StreamLat
@@ -105,7 +101,7 @@ type Collector struct {
 	FailReason   string
 
 	// tr, when non-nil, is the attached observability tracer
-	// (internal/obs). It is run state like the series arenas — Reset
+	// (internal/obs). It is run state like the latency buckets — Reset
 	// preserves it — but it accumulates across phases; experiments attach a
 	// fresh tracer after warm-up to scope it to the measured phase.
 	tr *obs.Tracer
@@ -127,30 +123,29 @@ func (c *Collector) Tracer() *obs.Tracer { return c.tr }
 
 // RecordRead records a completed host read request of the given latency.
 func (c *Collector) RecordRead(lat nand.Time, pages int) {
-	c.host.dir[0].lat.append(int64(lat))
+	c.host.dir[0].lat.add(int64(lat))
 	c.HostReads++
 	c.HostReadPages += int64(pages)
 }
 
 // RecordWrite records a completed host write request of the given latency.
 func (c *Collector) RecordWrite(lat nand.Time, pages int) {
-	c.host.dir[1].lat.append(int64(lat))
+	c.host.dir[1].lat.add(int64(lat))
 	c.HostWrites++
 	c.HostWritePages += int64(pages)
 }
 
-// latPop is one population of request latencies, in a chunked arena
-// (series) that a reset keeps so recording allocates nothing in steady
-// state, plus the count and sum of the queue waits of its open-loop
-// samples (closed-loop samples record none).
+// latPop is one population of request latencies plus the count and sum of
+// the queue waits of its open-loop samples (closed-loop samples record
+// none).
 type latPop struct {
-	lat            series
+	lat            dist
 	waits, waitSum int64
 }
 
 // population is a set of latPops read as one. Everything computed from it —
-// integer sums and percentiles of the sorted samples — is independent of
-// the order the samples are visited in.
+// integer sums, and percentiles of the merged distribution — is independent
+// of the order the samples are visited in.
 type population []*latPop
 
 // total returns the count and the sum of the latencies, or of the recorded
@@ -160,7 +155,7 @@ func (ps population) total(waits bool) (n, sum int64) {
 		if waits {
 			n, sum = n+p.waits, sum+p.waitSum
 		} else {
-			n, sum = n+int64(p.lat.len()), sum+p.lat.sum()
+			n, sum = n+p.lat.n, sum+p.lat.sum
 		}
 	}
 	return n, sum
@@ -185,19 +180,14 @@ func (ps population) waitShare() float64 {
 	return float64(wait) / float64(lat)
 }
 
-// sorted returns a fresh ascending copy of the latencies; percentileOf
-// reads any number of percentiles off one copy.
-func (ps population) sorted() []int64 {
-	n := 0
+// merged returns the latencies as one fresh distribution, which reads any
+// number of percentiles.
+func (ps population) merged() *dist {
+	d := &dist{}
 	for _, p := range ps {
-		n += p.lat.len()
+		d.merge(&p.lat)
 	}
-	v := make([]int64, 0, n)
-	for _, p := range ps {
-		v = p.lat.appendTo(v)
-	}
-	slices.Sort(v)
-	return v
+	return d
 }
 
 // StreamLat accumulates one tenant's request latencies and queue waits,
@@ -210,7 +200,7 @@ type StreamLat struct {
 
 func (s *StreamLat) all() population { return population{&s.dir[0], &s.dir[1]} }
 
-// reset empties the bucket and keeps its arenas.
+// reset empties the bucket and keeps its memory.
 func (s *StreamLat) reset() {
 	for _, p := range s.all() {
 		p.lat.reset()
@@ -219,14 +209,14 @@ func (s *StreamLat) reset() {
 }
 
 // Requests returns the number of completed requests recorded.
-func (s *StreamLat) Requests() int64 { return int64(s.dir[0].lat.len() + s.dir[1].lat.len()) }
+func (s *StreamLat) Requests() int64 { return s.dir[0].lat.n + s.dir[1].lat.n }
 
 // Mean returns the stream's mean total latency.
 func (s *StreamLat) Mean() nand.Time { return s.all().mean(false) }
 
 // Percentile returns the p-th percentile of the stream's total latencies.
 func (s *StreamLat) Percentile(p float64) nand.Time {
-	return percentileOf(s.all().sorted(), p)
+	return nand.Time(s.all().merged().percentile(p))
 }
 
 // MeanWait returns the stream's mean queue wait.
@@ -245,7 +235,7 @@ func (c *Collector) DefineStreams(names []string) {
 	for _, b := range c.streams {
 		for d := range b.dir {
 			h := &c.host.dir[d]
-			h.lat.extend(&b.dir[d].lat)
+			h.lat.merge(&b.dir[d].lat)
 			h.waits += b.dir[d].waits
 			h.waitSum += b.dir[d].waitSum
 		}
@@ -291,7 +281,7 @@ func (c *Collector) RecordQueued(stream int, write bool, wait, service nand.Time
 		c.HostReads++
 		c.HostReadPages += int64(pages)
 	}
-	p.lat.append(int64(wait + service))
+	p.lat.add(int64(wait + service))
 	p.waits++
 	p.waitSum += int64(wait)
 }
@@ -338,9 +328,9 @@ func (c *Collector) RecordTrim(pages, live int) {
 }
 
 // Reset clears all accumulated metrics (between warm-up and measurement).
-// The latency arenas — host's and every tenant bucket's — are kept and
-// emptied rather than dropped, so the next phase records into
-// already-allocated chunks.
+// The latency buckets — host's and every tenant's — are kept and emptied
+// rather than dropped, so the next phase records into memory they already
+// hold.
 func (c *Collector) Reset() {
 	host, buckets, tr := c.host, c.buckets, c.tr
 	*c = Collector{}
@@ -368,32 +358,17 @@ func (c *Collector) pop(reads, writes bool) population {
 // Percentile returns the p-th percentile (0 < p <= 100) of the merged
 // read+write latency population, or 0 if empty.
 func (c *Collector) Percentile(p float64) nand.Time {
-	return percentileOf(c.pop(true, true).sorted(), p)
+	return nand.Time(c.pop(true, true).merged().percentile(p))
 }
 
 // ReadPercentile returns the p-th percentile of read latencies.
 func (c *Collector) ReadPercentile(p float64) nand.Time {
-	return percentileOf(c.pop(true, false).sorted(), p)
+	return nand.Time(c.pop(true, false).merged().percentile(p))
 }
 
 // WritePercentile returns the p-th percentile of write latencies.
 func (c *Collector) WritePercentile(p float64) nand.Time {
-	return percentileOf(c.pop(false, true).sorted(), p)
-}
-
-// percentileOf returns the p-th percentile of an ascending slice.
-func percentileOf(s []int64, p float64) nand.Time {
-	if len(s) == 0 {
-		return 0
-	}
-	idx := int(p/100*float64(len(s))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return nand.Time(s[idx])
+	return nand.Time(c.pop(false, true).merged().percentile(p))
 }
 
 // MeanLatency returns the average over the merged read+write latency
@@ -564,13 +539,13 @@ type StreamReport struct {
 func BuildReport(name string, c *Collector, flash nand.OpCounters,
 	makespan nand.Time, pageSize int, energy nand.Energy) Report {
 
-	lats := c.pop(true, true).sorted() // one sort serves both percentiles
+	lats := c.pop(true, true).merged()
 	r := Report{
 		FTL:           name,
 		Makespan:      makespan,
 		MeanReadLat:   c.MeanReadLatency(),
-		P99:           percentileOf(lats, 99),
-		P999:          percentileOf(lats, 99.9),
+		P99:           nand.Time(lats.percentile(99)),
+		P999:          nand.Time(lats.percentile(99.9)),
 		Requests:      c.HostReads + c.HostWrites,
 		MeanLat:       c.MeanLatency(),
 		MeanWait:      c.MeanQueueWait(),
@@ -597,13 +572,13 @@ func BuildReport(name string, c *Collector, flash nand.OpCounters,
 		r.IOPS = float64(r.Requests) / secs
 	}
 	for _, s := range c.Streams() {
-		lats := s.all().sorted()
+		lats := s.all().merged()
 		r.Streams = append(r.Streams, StreamReport{
 			Name:      s.Name,
 			Requests:  s.Requests(),
 			MeanLat:   s.Mean(),
-			P99:       percentileOf(lats, 99),
-			P999:      percentileOf(lats, 99.9),
+			P99:       nand.Time(lats.percentile(99)),
+			P999:      nand.Time(lats.percentile(99.9)),
 			MeanWait:  s.MeanWait(),
 			WaitShare: s.WaitShare(),
 		})

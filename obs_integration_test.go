@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	ftlpkg "learnedftl/internal/ftl"
@@ -229,6 +230,35 @@ func TestTraceCaptureJSONValid(t *testing.T) {
 	}
 	if spans == 0 {
 		t.Fatalf("no span events in export")
+	}
+}
+
+// TestLatBreakP999IsTheCollectors: every latbreak cell's P99.9 is the
+// collector's exact P99.9 of the same requests. Each cell is measured again
+// on a device warmed as the experiment warms it, and its breakdown must
+// equal the experiment's.
+func TestLatBreakP999IsTheCollectors(t *testing.T) {
+	b := sweepTestBudget(1)
+	res, err := RunExperiments([]string{"latbreak"}, TinyConfig(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := res[0].Obs
+	for _, s := range Schemes() {
+		f, err := (&cell{b: b}).warmed(s, TinyConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range latBreakPatterns {
+			rep := latBreakRun(f, p, b)
+			i := slices.IndexFunc(cells, func(c ObsCell) bool { return c.FTL == f.Name() && c.Pattern == p.String() })
+			if i < 0 || !reflect.DeepEqual(cells[i].Breakdown, *rep.Obs) {
+				t.Fatalf("%s/%s: no latbreak cell with this breakdown", f.Name(), p)
+			}
+			if rep.Obs.P999 != rep.P999 {
+				t.Errorf("%s/%s: breakdown P99.9 %v, collector P99.9 %v", f.Name(), p, rep.Obs.P999, rep.P999)
+			}
+		}
 	}
 }
 

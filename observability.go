@@ -11,6 +11,7 @@ import (
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/obs"
+	"learnedftl/internal/stats"
 	"learnedftl/internal/workload"
 )
 
@@ -37,18 +38,15 @@ var latBreakPatterns = []workload.Pattern{workload.RandRead, workload.RandWrite}
 // stalls and raw data time. Closed-loop (saturation) measurement with
 // single-page requests, so each span's phases sum exactly to its latency.
 // The "tail" column names the dominant attributed phase of the P99.9 tail
-// set — the one-line answer to why a scheme's tail is slow.
+// set — the one-line answer to why a scheme's tail is slow. The P99.9
+// column is exact: the tracer's tail set holds its rank.
 func latBreakCell(c *cell, s Scheme, cfg Config, b Budget) error {
 	f, err := c.warmed(s, cfg)
 	if err != nil {
 		return err
 	}
 	for _, p := range latBreakPatterns {
-		tr := obs.NewTracer()
-		ftl.AttachTracer(f, tr)
-		rep := measureFIO(f, p, b.Threads, 1, b.Requests)
-		ftl.AttachTracer(f, nil)
-		bd := rep.Obs
+		bd := latBreakRun(f, p, b).Obs
 		if bd == nil {
 			return fmt.Errorf("latbreak: %s/%s produced no breakdown", s, p)
 		}
@@ -65,6 +63,14 @@ func latBreakCell(c *cell, s Scheme, cfg Config, b Budget) error {
 		c.obs = append(c.obs, ObsCell{FTL: f.Name(), Pattern: p.String(), Breakdown: *bd})
 	}
 	return nil
+}
+
+// latBreakRun measures pattern p on f with a fresh tracer attached; the
+// report carries its breakdown.
+func latBreakRun(f FTL, p workload.Pattern, b Budget) stats.Report {
+	ftl.AttachTracer(f, obs.NewTracer())
+	defer ftl.AttachTracer(f, nil)
+	return measureFIO(f, p, b.Threads, 1, b.Requests)
 }
 
 // TraceCapture warms one device, attaches a tracer with a trace ring of

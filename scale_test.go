@@ -167,9 +167,29 @@ func TestVictimIndexSublinearOnRealWorkload(t *testing.T) {
 // TestOpenLoopAllocBudget pins what an open-loop request may allocate: a
 // fresh 100 000-request RunOpenWith — Poisson readers beside writers with
 // idle-gap GC, bench/'s mixed_open in small — takes at most 12 heap bytes
-// per request. The collector's share is 8: a latency stored once in a
-// chunked arena; the queue wait only joins a per-bucket count and sum.
+// per request, and a run ten times as long at most 1 MiB more in all. The
+// collector's latency populations are bounded: a histogram and at most
+// 64 Ki exact values each, whatever the run's length; the queue wait only
+// joins a per-bucket count and sum.
 func TestOpenLoopAllocBudget(t *testing.T) {
+	short, shortBytes := openLoopAlloc(t, 1)
+	perReq := float64(shortBytes) / float64(short)
+	t.Logf("%d requests, %.1f B allocated per request", short, perReq)
+	if perReq > 12 {
+		t.Fatalf("open-loop run allocated %.1f B per request, want <= 12", perReq)
+	}
+	long, longBytes := openLoopAlloc(t, 10)
+	t.Logf("%d requests, %d B allocated, %d B more than %d requests", long, longBytes, int64(longBytes)-int64(shortBytes), short)
+	if longBytes > shortBytes+1<<20 {
+		t.Fatalf("%d requests allocated %d B, %d requests %d B: more than 1 MiB apart", long, longBytes, short, shortBytes)
+	}
+}
+
+// openLoopAlloc runs TestOpenLoopAllocBudget's workload, each stream scale
+// times as long, on a fresh warmed device and returns the requests issued
+// and the heap bytes the run allocated.
+func openLoopAlloc(t *testing.T, scale int) (requests int64, bytes uint64) {
+	t.Helper()
 	cfg := TinyConfig()
 	f, err := ftl.NewIdeal(cfg)
 	if err != nil {
@@ -178,7 +198,7 @@ func TestOpenLoopAllocBudget(t *testing.T) {
 	lp := cfg.LogicalPages()
 	sim.Warmed(f, workload.Warmup(lp, 2, 128, 1), 0)
 	f.Collector().Reset()
-	const readers, writers, perReader, perWriter = 8, 2, 11_900, 2_400
+	readers, writers, perReader, perWriter := 8, 2, 11_900*scale, 2_400*scale
 	streams := workload.OpenFIO("reader", workload.RandRead, lp, 1, readers, perReader, sim.ArrivalPoisson, 20_000, 11)
 	streams = append(streams, workload.OpenFIO("writer", workload.RandWrite, lp, 1, writers, perWriter, sim.ArrivalPoisson, 1_000, 13)...)
 
@@ -186,12 +206,8 @@ func TestOpenLoopAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	res := sim.RunOpenWith(f, streams, sim.OpenOptions{BackgroundGC: true})
 	runtime.ReadMemStats(&m1)
-	if res.Requests != readers*perReader+writers*perWriter {
-		t.Fatalf("engine issued %d requests", res.Requests)
+	if want := int64(readers*perReader + writers*perWriter); res.Requests != want {
+		t.Fatalf("engine issued %d of %d requests", res.Requests, want)
 	}
-	perReq := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(res.Requests)
-	t.Logf("%d requests, %.1f B allocated per request", res.Requests, perReq)
-	if perReq > 12 {
-		t.Fatalf("open-loop run allocated %.1f B per request, want <= 12", perReq)
-	}
+	return res.Requests, m1.TotalAlloc - m0.TotalAlloc
 }

@@ -10,9 +10,8 @@ import (
 // BenchmarkWarmup measures the warm-up hot path — the dominant wall-clock
 // cost of a cold experiment cell. It reports simulated flash programs per
 // wall-clock second (Mpg/s, the scale experiment's warm-throughput column)
-// and allocations, guarding the arena-backed path: allocs/op must stay
-// flat as warm-up size grows, since steady-state recording reuses its
-// chunks.
+// and allocations: allocs/op must stay flat as warm-up size grows (warm-up
+// records no latency).
 func BenchmarkWarmup(b *testing.B) {
 	cfg := TinyConfig()
 	b.ReportAllocs()
