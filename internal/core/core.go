@@ -35,6 +35,12 @@ type LearnedFTL struct {
 	ftl.State
 	ftl.Demand
 	models []learned.InPlaceModel // one per GTD entry (= per TPN)
+	// stamps is the counter the models' stamps come from. memo remembers
+	// their recent predictions, declines included, under those stamps, one
+	// slot per CMT entry. It is host scratch, not modelled DRAM: no
+	// snapshot, footprint or CMT budget counts it.
+	stamps learned.Scratch
+	memo   learned.Memo
 
 	// Group-based allocation.
 	span       int // logical pages per group
@@ -206,8 +212,9 @@ func New(cfg ftl.Config) (*LearnedFTL, error) {
 	f.Demand = ftl.NewDemand(cfg.CMTEntriesFor(cfg.CMTRatio/2), cfg.EntriesPerTP, true,
 		func(tpn int, now nand.Time) nand.Time { return f.updateTrans(tpn, true, now) })
 	for i := range f.models {
-		f.models[i] = *learned.NewInPlaceModel(cfg.EntriesPerTP, cfg.MaxPieces)
+		f.models[i] = *f.stamps.NewInPlaceModel(cfg.EntriesPerTP, cfg.MaxPieces)
 	}
+	f.memo = learned.NewMemo(f.CMT.Cap())
 	// Every group's row list gets room for its GroupSuperblocks rows up
 	// front, out of one array, so a group growing into its rows late in a
 	// run does not allocate.
@@ -314,6 +321,22 @@ func (f *LearnedFTL) fromVirtual(v int64) nand.PPN {
 	return f.Codec.ToPhysical(nand.VPPN(v))
 }
 
+// predict returns the page lpn's model predicts, nand.InvalidPPN when its
+// bitmap declines: the memo's answer under the model's current stamp,
+// otherwise Predict's, which then fills the slot.
+func (f *LearnedFTL) predict(tpn int, lpn int64) nand.PPN {
+	m := &f.models[tpn]
+	ppn, stamp, ok := f.memo.Get(lpn)
+	if !ok || stamp != m.Stamp() {
+		ppn = int64(nand.InvalidPPN)
+		if v, hit := m.Predict(int(lpn - int64(tpn)*int64(f.Cfg.EntriesPerTP))); hit {
+			ppn = int64(f.fromVirtual(v))
+		}
+		f.memo.Put(lpn, m.Stamp(), ppn)
+	}
+	return nand.PPN(ppn)
+}
+
 // ReadPages implements ftl.FTL.
 func (f *LearnedFTL) ReadPages(lpn int64, n int, now nand.Time) nand.Time {
 	f.Observe(n)
@@ -338,12 +361,10 @@ func (f *LearnedFTL) readOne(lpn int64, remaining int, now nand.Time) nand.Time 
 		return now
 	}
 	tpn := f.Cfg.TPNOf(lpn)
-	off := int(lpn - int64(tpn)*int64(f.Cfg.EntriesPerTP))
 	// Bitmap check, then model prediction (§III-B): the bitmap guarantees
 	// the prediction is exact, so this is a single flash read with zero
 	// miss penalty.
-	if v, ok := f.models[tpn].Predict(off); ok {
-		ppn := f.fromVirtual(v)
+	if ppn := f.predict(tpn, lpn); ppn != nand.InvalidPPN {
 		if ppn != f.L2P.Get(lpn) {
 			panic(fmt.Sprintf("core: model predicted %d for lpn %d but truth is %d (bitmap invariant broken)",
 				ppn, lpn, f.L2P.Get(lpn)))

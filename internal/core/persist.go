@@ -138,7 +138,7 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 func (f *LearnedFTL) RecoverFromCrash(now nand.Time) nand.Time {
 	f.Reset()
 	for i := range f.models {
-		f.models[i] = *learned.NewInPlaceModel(f.Cfg.EntriesPerTP, f.Cfg.MaxPieces)
+		f.models[i] = *f.stamps.NewInPlaceModel(f.Cfg.EntriesPerTP, f.Cfg.MaxPieces)
 	}
 	f.pending = nil
 	f.inGC = false

@@ -11,7 +11,6 @@ package leaftl
 
 import (
 	"fmt"
-	"math/bits"
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/learned"
@@ -52,21 +51,10 @@ type LeaFTL struct {
 	// lsmtScratch is the working memory every table of the device shares.
 	lsmtScratch learned.Scratch
 
-	// memo remembers recent predictions, direct-mapped by the LPN's low
-	// bits, one slot per CMT entry rounded up to a power of two. It is host
-	// scratch, not modelled DRAM: a prediction is a pure function of its
-	// table's state, so the memo only saves the simulator the lookup and
-	// changes no simulated number, and no snapshot, footprint or
-	// model-cache budget counts it. A zeroed slot holds LPN 0 under stamp
-	// 0, which is right: a table of stamp 0 predicts page 0.
-	memo []prediction
-}
-
-// prediction is one memo slot: the page predict returned for lpn while
-// lpn's table carried stamp.
-type prediction struct {
-	stamp    uint64
-	lpn, ppn int32
+	// memo remembers recent predictions under their tables' stamps, one
+	// slot per CMT entry. It is host scratch, not modelled DRAM: no
+	// snapshot, footprint or model-cache budget counts it.
+	memo learned.Memo
 }
 
 // New builds a LeaFTL device.
@@ -80,7 +68,7 @@ func New(cfg ftl.Config) (*LeaFTL, error) {
 		buffer: newLPNSet(cfg.LogicalPages()),
 		models: make([]*learned.LSMT, cfg.NumTPNs()),
 		cache:  newModelCache(cfg.CMTEntries()*8, cfg.NumTPNs()), // same bytes as a CMT
-		memo:   make([]prediction, 1<<bits.Len(uint(cfg.CMTEntries()-1))),
+		memo:   learned.NewMemo(cfg.CMTEntries()),
 	}
 	b.Hooks = l
 	b.SortRelocate = true // GC relocates in LPN order for trainability
@@ -242,20 +230,20 @@ func (l *LeaFTL) readOne(lpn int64, now nand.Time) nand.Time {
 	return l.Fl.Read(truth, t, nand.OpHostData)
 }
 
-// predict returns the physical page to probe for lpn: the memo's answer when
-// its slot holds lpn under the current stamp of the table, otherwise
-// lookup's, which then fills the slot. Every LPN is below 2^31−1, and so is
-// every page.
+// predict returns the physical page to probe for lpn: the memo's answer
+// under the table's current stamp, otherwise lookup's, which then fills the
+// slot.
 func (l *LeaFTL) predict(tpn int, lpn int64) nand.PPN {
 	lt := l.models[tpn]
 	if lt == nil {
 		return 0
 	}
-	m := &l.memo[int(lpn)&(len(l.memo)-1)]
-	if m.lpn != int32(lpn) || m.stamp != lt.Stamp() {
-		*m = prediction{stamp: lt.Stamp(), lpn: int32(lpn), ppn: int32(l.lookup(lt, lpn))}
+	ppn, stamp, ok := l.memo.Get(lpn)
+	if !ok || stamp != lt.Stamp() {
+		ppn = int64(l.lookup(lt, lpn))
+		l.memo.Put(lpn, lt.Stamp(), ppn)
 	}
-	return nand.PPN(m.ppn)
+	return nand.PPN(ppn)
 }
 
 // lookup runs the learned lookup for lpn in its table lt. Failed lookups or

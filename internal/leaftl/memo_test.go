@@ -38,10 +38,10 @@ func (c *memoCheck) predict(when string, l *LeaFTL, lpn int64) {
 	c.t.Helper()
 	tpn := l.Cfg.TPNOf(lpn)
 	if lt := l.models[tpn]; lt != nil {
-		switch m := l.memo[int(lpn)&(len(l.memo)-1)]; {
-		case m.lpn != int32(lpn):
+		switch _, stamp, ok := l.memo.Get(lpn); {
+		case !ok:
 			c.miss++
-		case m.stamp == lt.Stamp():
+		case stamp == lt.Stamp():
 			c.hits++
 		default:
 			c.stale++

@@ -20,23 +20,36 @@ const DefaultMaxPieces = 8
 // training time; bit i == 1 guarantees Predict(i) returns the exact VPPN.
 // Because the bitmap gates every prediction, a lookup never probes flash on
 // a guess: it either returns the true location or reports a miss.
+//
+// The fields a read uses, Stamp's and Predict's, come first, so that they
+// lie within the model's first 64 bytes: a read that misses the memo loads
+// one cache line of the model, not two.
 type InPlaceModel struct {
-	span      int
+	span   int
+	stamp  uint64 // names the answers Predict gives; see Stamp
+	base   int64  // base VPPN; unsetBase when untrained
+	pieces []Piece
+	bm     Bitmap
+
 	maxPieces int
-	base      int64 // base VPPN; unsetBase when untrained
-	pieces    []Piece
-	bm        Bitmap
 	// bits[i] counts the set bitmap bits in pieces[i]'s ownership range,
 	// [pieces[i].Off, pieces[i+1].Off or span); live counts the pieces whose
 	// count is nonzero. A single-offset SequentialInit decides refusal from
 	// them without building the candidate array.
 	bits []int32
 	live int
+	sc   *Scratch // where stamps come from
 }
 
-// NewInPlaceModel returns an untrained model covering span LPN offsets with
-// at most maxPieces linear pieces.
+// NewInPlaceModel returns an untrained model with its own stamp counter,
+// covering span LPN offsets with at most maxPieces linear pieces.
 func NewInPlaceModel(span, maxPieces int) *InPlaceModel {
+	return new(Scratch).NewInPlaceModel(span, maxPieces)
+}
+
+// NewInPlaceModel returns an untrained model stamped from sc, covering span
+// LPN offsets with at most maxPieces linear pieces.
+func (sc *Scratch) NewInPlaceModel(span, maxPieces int) *InPlaceModel {
 	if maxPieces <= 0 {
 		maxPieces = DefaultMaxPieces
 	}
@@ -47,8 +60,16 @@ func NewInPlaceModel(span, maxPieces int) *InPlaceModel {
 		pieces:    make([]Piece, 0, maxPieces),
 		bm:        *NewBitmap(span),
 		bits:      make([]int32, 0, maxPieces),
+		sc:        sc,
+		stamp:     sc.nextStamp(),
 	}
 }
+
+// Stamp names the answers Predict gives: the model takes a stamp no model or
+// table sharing its Scratch ever had when it is made and at every change of
+// its base, pieces or bitmap. So two Predicts of one offset under one stamp
+// return the same answer.
+func (m *InPlaceModel) Stamp() uint64 { return m.stamp }
 
 // AccurateBits returns the number of LPN offsets with guaranteed-exact
 // predictions.
@@ -95,6 +116,7 @@ func (m *InPlaceModel) Invalidate(off int) {
 		return
 	}
 	m.bm.Clear(off)
+	m.stamp = m.sc.nextStamp()
 	// TrainFull sets only offsets a piece predicts and SequentialInit only
 	// its new piece's, so only an imported state can hold a bit before the
 	// first piece, which no count includes.
@@ -156,6 +178,7 @@ func (m *InPlaceModel) TrainFull(base int64, vppns []int64) int {
 	}
 	m.bm.Reset()
 	m.pieces = m.pieces[:0]
+	m.stamp = m.sc.nextStamp()
 	if len(pts) == 0 {
 		m.base = unsetBase
 		m.recount()
@@ -197,6 +220,7 @@ func (m *InPlaceModel) SequentialInit(startOff, n int, firstVPPN int64) bool {
 	if old := m.bm.CountRange(startOff, startOff+n); old >= n {
 		return false
 	}
+	m.stamp = m.sc.nextStamp()
 	if m.base == unsetBase {
 		m.base = firstVPPN
 	}
@@ -346,6 +370,7 @@ func (m *InPlaceModel) ImportState(s ModelState) error {
 	m.pieces = append(m.pieces[:0], s.Pieces...)
 	copy(m.bm.words, s.Bits)
 	m.recount()
+	m.stamp = m.sc.nextStamp()
 	return nil
 }
 

@@ -47,12 +47,19 @@ func (r *record) segment() Segment {
 // uint16 and 0 means none.
 const maxSegments = math.MaxUint16
 
-// Scratch is the working memory of LSMT compactions. A device's tables share
-// one, so it costs one buffer per device rather than one per table; tables
+// Scratch is what a device's learned tables and models share: the working
+// memory of LSMT compactions, so it costs one buffer per device rather than
+// one per table, and the counter their stamps come from. Tables and models
 // sharing a Scratch must not be used concurrently.
 type Scratch struct {
 	named  []bool // by handle: whether the index names it, during a compaction
-	stamps uint64 // the last stamp handed to a table
+	stamps uint64 // the last stamp handed out
+}
+
+// nextStamp returns a stamp sc never handed out before.
+func (sc *Scratch) nextStamp() uint64 {
+	sc.stamps++
+	return sc.stamps
 }
 
 // NewLSMT returns an empty table with its own scratch over the LPNs
@@ -77,10 +84,7 @@ func (t *LSMT) NumSegments() int { return len(t.order) }
 func (t *LSMT) Stamp() uint64 { return t.stamp }
 
 // restamp hands the table the next stamp of its Scratch.
-func (t *LSMT) restamp() {
-	t.sc.stamps++
-	t.stamp = t.sc.stamps
-}
+func (t *LSMT) restamp() { t.stamp = t.sc.nextStamp() }
 
 // SizeBytes returns the memory footprint charged for the table.
 func (t *LSMT) SizeBytes() int { return len(t.order) * SegmentBytes }

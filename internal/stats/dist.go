@@ -143,39 +143,65 @@ func (d *dist) percentile(p float64) int64 {
 }
 
 // nth reorders s so that s[m] holds the value a sort would put there, with
-// nothing greater before it and nothing smaller after it: a quickselect
-// whose Hoare partition splits a run of equal values evenly. An order that
-// defeats its median-of-three pivot falls back to a sort, so it stays
+// nothing greater before it and nothing smaller after it. Each round takes
+// its pivot from a sorted sample of the range, at m's rank in the sample
+// (Floyd and Rivest's sampled pivot), and splits the range in branch-free
+// passes: first the values below the pivot, then, when m is not among them,
+// the values equal to it, where m ends the search. Latencies often repeat a
+// few values many times, and m among the pivot's equals ends it at once. An
+// order that keeps defeating the sample falls back to a sort, so it stays
 // O(n log n).
 func nth(s []int64, m int) {
-	lo, hi := 0, len(s)-1
-	for rounds := 0; lo < hi; rounds++ {
-		if rounds > 2*bits.Len(uint(len(s))) {
-			slices.Sort(s[lo : hi+1])
+	lo, hi := 0, len(s)
+	var sample [nthSample]int64
+	for rounds := 0; hi-lo > 1; rounds++ {
+		n := hi - lo
+		if n <= 2*nthSample || rounds > 2*bits.Len(uint(len(s))) {
+			slices.Sort(s[lo:hi])
 			return
 		}
-		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi]
-		p := max(min(a, b), min(max(a, b), c)) // median of three
-		i, j := lo, hi
-		for i <= j {
-			for s[i] < p {
-				i++
-			}
-			for s[j] > p {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i, j = i+1, j-1
-			}
+		for i := range sample {
+			sample[i] = s[lo+i*(n/nthSample)]
 		}
-		switch {
-		case m <= j:
-			hi = j
-		case m >= i:
-			lo = i
-		default:
+		slices.Sort(sample[:])
+		p := sample[(m-lo)*nthSample/n]
+		lt := lo + below(s[lo:hi], p)
+		if m < lt {
+			hi = lt
+			continue
+		}
+		le := hi
+		if p < math.MaxInt64 {
+			le = lt + below(s[lt:hi], p+1)
+		}
+		if m < le {
 			return
 		}
+		lo = le
 	}
+}
+
+// nthSample is how many values of its range a round of nth samples.
+const nthSample = 128
+
+// below moves the values of s less than p to its front and returns how many
+// there are. Each value is swapped into place whether it moves or not and the
+// count advances by the comparison, so the loop has no branch on the data.
+func below(s []int64, p int64) int {
+	i := 0
+	for j, v := range s {
+		s[j] = s[i]
+		s[i] = v
+		i += b2i(v < p)
+	}
+	return i
+}
+
+// b2i returns 1 for true and 0 for false; the compiler turns it into a flag
+// set, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
