@@ -146,13 +146,10 @@ func NewCheckpointCache(dir string) (*CheckpointCache, error) {
 // Restoring it into a freshly built device of the same scheme and config
 // is bit-for-bit equivalent to never having snapshotted. The metrics
 // collector is not captured; RestoreDevice returns a device with a fresh
-// one, matching what every experiment's measurement reset produces.
+// one, matching what every experiment's measurement reset produces. Every
+// scheme can be snapshotted: the error is always nil.
 func SnapshotDevice(f FTL) ([]byte, error) {
-	dev, ok := f.(persist.Device)
-	if !ok {
-		return nil, fmt.Errorf("learnedftl: %s does not support snapshots", f.Name())
-	}
-	return persist.Snapshot(dev, persistKey(f.Name(), f.Config())), nil
+	return persist.Snapshot(f, persistKey(f.Name(), f.Config())), nil
 }
 
 // RestoreDevice rebuilds a device from a SnapshotDevice stream. The scheme
@@ -164,11 +161,7 @@ func RestoreDevice(s Scheme, cfg Config, data []byte) (FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev, ok := f.(persist.Device)
-	if !ok {
-		return nil, fmt.Errorf("learnedftl: %s does not support snapshots", f.Name())
-	}
-	if err := persist.Restore(dev, persistKey(f.Name(), f.Config()), data); err != nil {
+	if err := persist.Restore(f, persistKey(f.Name(), f.Config()), data); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -179,15 +172,11 @@ func RestoreDevice(s Scheme, cfg Config, data []byte) (FTL, error) {
 // dropped and rebuilt by the timed out-of-band scan of the flash array —
 // the recovery path the paper's OOB reverse mappings exist for. The
 // returned result's Makespan is the mount latency; the device is fully
-// operational afterwards. See the mountlat experiment.
+// operational afterwards. See the mountlat experiment. Every scheme
+// recovers: the error is always nil.
 func RecoverFromCrash(f FTL) (RunResult, error) {
-	rec, ok := f.(ftl.CrashRecoverer)
-	if !ok {
-		return RunResult{}, fmt.Errorf("learnedftl: %s does not support crash recovery", f.Name())
-	}
 	start := f.Flash().MaxChipBusy()
-	done := rec.RecoverFromCrash(start)
-	return RunResult{Start: start, End: done}, nil
+	return RunResult{Start: start, End: f.RecoverFromCrash(start)}, nil
 }
 
 // DeviceFootprint summarizes the resident bytes of the simulated device

@@ -180,3 +180,95 @@ func TestDocsNameDeclaredFlags(t *testing.T) {
 		t.Fatalf("found only %d ftlbench command lines in the docs", commands)
 	}
 }
+
+// TestDocsNameDeclaredIdentifiers: every backquoted pkg.Name in README.md
+// and EXPERIMENTS.md whose pkg is a package of this module names a
+// top-level declaration of that package (`nand.Flash.Wear()` is checked as
+// `nand.Flash`), so the docs cannot keep citing a type, function, variable
+// or constant that was renamed or deleted. A name with an underscore is a
+// benchmark metric (`sim.shard2_speedup`), and `pkg.go` a file, not a Go
+// identifier.
+func TestDocsNameDeclaredIdentifiers(t *testing.T) {
+	files, err := filepath.Glob("internal/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]map[string]bool{} // package name → top-level names
+	for _, path := range append(root, files...) {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := declared[f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			declared[f.Name.Name] = names
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(declared) < 15 {
+		t.Fatalf("found only %d packages in the module", len(declared))
+	}
+
+	inline := regexp.MustCompile("`[^`]+`")
+	cite := regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.(\w+)`)
+	ident := regexp.MustCompile(`^[A-Za-z][A-Za-z0-9]*$`)
+	cited := map[string]bool{}
+	for _, path := range []string{"README.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prose strings.Builder
+		fenced := false
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			} else if !fenced {
+				prose.WriteString(line + "\n")
+			}
+		}
+		for _, span := range inline.FindAllString(prose.String(), -1) {
+			for _, m := range cite.FindAllStringSubmatch(span, -1) {
+				pkg, name := m[1], m[2]
+				names := declared[pkg]
+				if names == nil || name == "go" || !ident.MatchString(name) {
+					continue
+				}
+				cited[pkg+"."+name] = true
+				if !names[name] {
+					t.Errorf("%s: %s names no top-level declaration of package %s", path, span, pkg)
+				}
+			}
+		}
+	}
+	if len(cited) < 20 {
+		t.Fatalf("found only %d package-qualified names in the docs", len(cited))
+	}
+	t.Logf("%d package-qualified names cited", len(cited))
+}

@@ -6,8 +6,6 @@ import (
 
 	"learnedftl/internal/crash"
 	"learnedftl/internal/fault"
-	"learnedftl/internal/nand"
-	"learnedftl/internal/persist"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/workload"
 )
@@ -75,11 +73,11 @@ func TestCrashRecoveryAtGCBoundaries(t *testing.T) {
 					// A collection finished inside this 32-request chunk:
 					// recover at the boundary.
 					found = true
-					shadow := append([]nand.PPN(nil), f.(shadower).ShadowL2P()...)
+					shadow := f.ShadowL2P()
 					if _, err := RecoverFromCrash(f); err != nil {
 						t.Fatal(err)
 					}
-					got := f.(shadower).ShadowL2P()
+					got := f.ShadowL2P()
 					for i := range got {
 						if got[i] != shadow[i] {
 							t.Fatalf("recovered L2P[%d] = %d, shadow had %d", i, got[i], shadow[i])
@@ -111,10 +109,6 @@ func TestRecoveryExcludesRetiredBadBlocks(t *testing.T) {
 		t.Fatalf("LearnedFTL accepted program-fault injection (err=%v)", err)
 	}
 
-	type invarianter interface {
-		AllocInvariants() []string
-		MountScanStats() persist.ScanStats
-	}
 	for _, s := range []Scheme{SchemeDFTL, SchemeTPFTL, SchemeLeaFTL, SchemeIdeal} {
 		t.Run(s.String(), func(t *testing.T) {
 			f, err := New(s, cfg)
@@ -133,14 +127,13 @@ func TestRecoveryExcludesRetiredBadBlocks(t *testing.T) {
 			if _, err := RecoverFromCrash(f); err != nil {
 				t.Fatal(err)
 			}
-			inv := f.(invarianter)
-			if got := inv.MountScanStats().BadSkipped; got != int64(bad) {
+			if got := f.MountScanStats().BadSkipped; got != int64(bad) {
 				t.Fatalf("mount scan skipped %d bad blocks, flash has %d", got, bad)
 			}
 			// AllocInvariants includes "bad block in free stack" and
 			// completeness checks: empty means the rebuilt allocator
 			// excludes exactly the bad list.
-			if v := inv.AllocInvariants(); len(v) != 0 {
+			if v := f.AllocInvariants(); len(v) != 0 {
 				t.Fatalf("allocator invariants violated after recovery: %v", v)
 			}
 			// Still operational on the surviving blocks.
@@ -159,7 +152,7 @@ func TestInjectCrashAPI(t *testing.T) {
 	}
 	lp := f.Config().LogicalPages()
 	gens := workload.FIO(workload.RandWrite, lp, 1, 4, 2000, 11)
-	out := crash.Inject(f.(crash.Device), gens, crash.Plan{AtOp: 701})
+	out := crash.Inject(f, gens, crash.Plan{AtOp: 701})
 	if !out.Fired || out.Cut.Op != 701 {
 		t.Fatalf("cut did not fire at op 701: %+v", out.Cut)
 	}
@@ -171,7 +164,7 @@ func TestInjectCrashAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out = crash.Inject(g.(crash.Device), workload.FIO(workload.RandWrite, lp, 1, 1, 10, 12), crash.Plan{AtOp: 1 << 40})
+	out = crash.Inject(g, workload.FIO(workload.RandWrite, lp, 1, 1, 10, 12), crash.Plan{AtOp: 1 << 40})
 	if out.Fired {
 		t.Fatal("cut fired beyond the window")
 	}

@@ -273,7 +273,7 @@ func (c *cell) warmed(s Scheme, cfg Config) (FTL, error) {
 	}
 	key := warmKey(s, cfg, c.b.WarmExtra)
 	if data, ok := cache.Load(key); ok {
-		if dev, devOK := f.(persist.Device); devOK && persist.Restore(dev, key, data) == nil {
+		if persist.Restore(f, key, data) == nil {
 			// The restored lifetime program count is exactly the warm-up
 			// work this hit avoided re-simulating.
 			life := f.Flash().LifetimeCounters()
@@ -288,9 +288,7 @@ func (c *cell) warmed(s Scheme, cfg Config) (FTL, error) {
 		}
 	}
 	c.warmUp(f)
-	if dev, devOK := f.(persist.Device); devOK {
-		cache.Store(key, persist.Snapshot(dev, key))
-	}
+	cache.Store(key, persist.Snapshot(f, key))
 	return f, nil
 }
 
@@ -995,10 +993,6 @@ var experiments = []experiment{
 				if err != nil {
 					return err
 				}
-				dev, ok := f.(crash.Device)
-				if !ok {
-					return fmt.Errorf("learnedftl: %s does not support crash recovery", f.Name())
-				}
 				fill := int64(float64(f.Config().LogicalPages()) * fillFrac)
 				var now nand.Time
 				for l := int64(0); l < fill; l += 128 {
@@ -1006,9 +1000,9 @@ var experiments = []experiment{
 				}
 				f.Flash().ResetCounters()
 				start := f.Flash().MaxChipBusy()
-				done := dev.RecoverFromCrash(start)
+				done := f.RecoverFromCrash(start)
 				mapped := int64(0)
-				for _, p := range dev.ShadowL2P() {
+				for _, p := range f.ShadowL2P() {
 					if p != nand.InvalidPPN {
 						mapped++
 					}
@@ -1020,7 +1014,7 @@ var experiments = []experiment{
 				// appears only when fault is enabled so fault-free goldens
 				// stay byte-identical.
 				if cfg.Fault.Enabled {
-					row = append(row, fmt.Sprint(dev.MountScanStats().LostMappings))
+					row = append(row, fmt.Sprint(f.MountScanStats().LostMappings))
 				}
 				c.row(row...)
 				return nil
@@ -1066,11 +1060,7 @@ var experiments = []experiment{
 				if err != nil {
 					return nil, nil, err
 				}
-				dev, ok := g.(crash.Device)
-				if !ok {
-					return nil, nil, fmt.Errorf("learnedftl: %s does not support crash injection", g.Name())
-				}
-				return dev, crashWindow(lp, window, 3301+i), nil
+				return g, crashWindow(lp, window, 3301+i), nil
 			}
 			res, err := crash.RunCampaign(newRun, crash.CampaignConfig{Fuzz: fuzz, Seed: 9001 + i})
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"learnedftl/internal/gc"
+	"learnedftl/internal/nand"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/workload"
 )
@@ -118,7 +119,6 @@ func TestTrimReducesWriteAmplification(t *testing.T) {
 func TestTrimAcrossAllSchemes(t *testing.T) {
 	cfg := TinyConfig()
 	lp := cfg.LogicalPages()
-	type mappedFn interface{ Mapped(int64) bool }
 	for _, s := range Schemes() {
 		f, err := New(s, cfg)
 		if err != nil {
@@ -127,19 +127,20 @@ func TestTrimAcrossAllSchemes(t *testing.T) {
 		now := f.WritePages(0, 256, 0)
 		now = f.ReadPages(0, 64, now) // populate caches
 		now = f.TrimPages(32, 128, now)
-		m := f.(mappedFn)
+		l2p := f.ShadowL2P()
 		for l := int64(0); l < 256; l++ {
 			want := l < 32 || l >= 160
+			mapped := l2p[l] != nand.InvalidPPN
 			if s == SchemeLeaFTL {
 				// Buffered writes are not in LeaFTL's L2P until flush; only
 				// the trimmed range has a defined expectation.
-				if !want && m.Mapped(l) {
+				if !want && mapped {
 					t.Fatalf("%v: lpn %d still mapped after trim", s, l)
 				}
 				continue
 			}
-			if m.Mapped(l) != want {
-				t.Fatalf("%v: lpn %d mapped=%v after trim", s, l, m.Mapped(l))
+			if mapped != want {
+				t.Fatalf("%v: lpn %d mapped=%v after trim", s, l, mapped)
 			}
 		}
 		// Reads over the trimmed range must not crash or fetch stale data.

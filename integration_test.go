@@ -103,7 +103,6 @@ func TestCrossFTLMappedSetEquivalence(t *testing.T) {
 			return sim.Request{Write: w, LPN: lpn, Pages: pages}, true
 		})}
 	}
-	type mappedFn interface{ Mapped(int64) bool }
 	var ref []bool
 	for _, s := range Schemes() {
 		f, err := New(s, cfg)
@@ -111,18 +110,12 @@ func TestCrossFTLMappedSetEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.Run(f, mk(), 0)
-		// LeaFTL buffers some writes in DRAM; flush them to flash state by
-		// checking via the scheme's own Mapped (which includes buffered
-		// data through L2P only after flush) — so compare through reads
-		// instead: Mapped must be identical because every scheme updates
-		// its shadow map at the same workload step… except LeaFTL's buffer.
-		m, ok := any(f).(mappedFn)
-		if !ok {
-			t.Fatalf("%v does not expose Mapped", s)
-		}
+		// The mapped set, read off each scheme's shadow L2P, must be
+		// identical: every scheme updates it at the same workload step,
+		// except LeaFTL, whose DRAM buffer maps a write only at flush.
 		got := make([]bool, lp)
-		for l := int64(0); l < lp; l++ {
-			got[l] = m.Mapped(l)
+		for l, p := range f.ShadowL2P() {
+			got[l] = p != nand.InvalidPPN
 		}
 		if s == SchemeLeaFTL {
 			// Buffered-but-unflushed LPNs are not in LeaFTL's L2P yet;

@@ -107,9 +107,8 @@ type LearnedFTL struct {
 // and the GC reserve. New and the scale experiment's feasibility probe
 // (SpareRows) derive it from the same arithmetic so they cannot diverge.
 type rowPlan struct {
-	span      int   // logical pages per group
-	sbPages   int   // physical pages per superblock row
-	lp        int64 // group-aligned logical pages
+	span      int // logical pages per group
+	sbPages   int // physical pages per superblock row
 	ngroups   int
 	numTPNs   int
 	transRows int
@@ -129,13 +128,9 @@ func planRows(cfg ftl.Config) (rowPlan, error) {
 	if p.span > p.sbPages {
 		return p, fmt.Errorf("core: group span %d exceeds superblock capacity %d; lower GroupEntries", p.span, p.sbPages)
 	}
-	p.lp = cfg.LogicalPages()
-	p.lp -= p.lp % int64(p.span)
-	if p.lp == 0 {
-		return p, fmt.Errorf("core: logical space smaller than one group (%d pages)", p.span)
-	}
-	p.ngroups = int(p.lp / int64(p.span))
-	p.numTPNs = int(p.lp) / cfg.EntriesPerTP
+	// Config.LogicalPages is a whole number of group spans, at least one.
+	p.ngroups = int(cfg.LogicalPages() / int64(p.span))
+	p.numTPNs = cfg.NumTPNs()
 	tpPages := 5 * p.numTPNs / 2
 	p.transRows = (tpPages + p.sbPages - 1) / p.sbPages
 	if p.transRows < 2 {
@@ -159,10 +154,10 @@ func SpareRows(cfg ftl.Config) int {
 	return p.dataRows - p.ngroups - p.reserve
 }
 
-// New builds a LearnedFTL device. The configuration's logical space must be
-// group-aligned and the geometry must leave enough superblock rows for the
-// groups plus GC reserve; DefaultConfig at paper or paper-scaled geometry
-// satisfies both. cfg.Learned selects the paper's design or an ablation.
+// New builds a LearnedFTL device. The geometry must leave enough superblock
+// rows for the groups plus GC reserve; DefaultConfig at paper or
+// paper-scaled geometry does. cfg.Learned selects the paper's design or an
+// ablation.
 func New(cfg ftl.Config) (*LearnedFTL, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -184,7 +179,7 @@ func New(cfg ftl.Config) (*LearnedFTL, error) {
 	if cfg.Fault.Enabled && (cfg.Fault.ProgramFailProb > 0 || cfg.Fault.EraseFailProb > 0) {
 		return nil, fmt.Errorf("core: program/erase fault injection is not supported by the group-granular FTL (read-path faults only)")
 	}
-	st, err := ftl.NewState(cfg, p.lp, p.numTPNs)
+	st, err := ftl.NewState(cfg, cfg.LogicalPages(), p.numTPNs)
 	if err != nil {
 		return nil, err
 	}
@@ -245,9 +240,6 @@ func New(cfg ftl.Config) (*LearnedFTL, error) {
 // Name implements ftl.FTL.
 func (f *LearnedFTL) Name() string { return "LearnedFTL" }
 
-// LogicalPages returns the group-aligned logical capacity of this device.
-func (f *LearnedFTL) LogicalPages() int64 { return f.L2P.Len() }
-
 // TrimPages implements ftl.FTL: drop the mappings of n consecutive LPNs,
 // invalidating their flash pages (free reclaim for group GC), clearing the
 // cached mappings and the model bitmap bits. A metadata operation — no
@@ -269,11 +261,11 @@ func (f *LearnedFTL) TrimPages(lpn int64, n int, now nand.Time) nand.Time {
 	return now
 }
 
-// BackgroundGC implements ftl.BackgroundCollector: during a device-idle
-// gap, collect groups whose reclaimable pages cover at least one whole
-// superblock row, so the write path rarely has to collect in the
-// foreground. New collections launch only before the deadline; a running
-// one completes (arrivals queue behind it per chip).
+// BackgroundGC implements ftl.FTL: during a device-idle gap, collect
+// groups whose reclaimable pages cover at least one whole superblock row,
+// so the write path rarely has to collect in the foreground. New
+// collections launch only before the deadline; a running one completes
+// (arrivals queue behind it per chip).
 func (f *LearnedFTL) BackgroundGC(start, deadline nand.Time) nand.Time {
 	now := start
 	for now < deadline && !f.inGC {

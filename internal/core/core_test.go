@@ -49,7 +49,7 @@ func TestNewValidatesGeometry(t *testing.T) {
 func TestSequentialWritesInitializeModels(t *testing.T) {
 	f := newFTL(t)
 	now := nand.Time(0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	for lpn := int64(0); lpn < lp; lpn += 16 {
 		now = f.WritePages(lpn, 16, now)
 	}
@@ -66,7 +66,7 @@ func TestSequentialWritesInitializeModels(t *testing.T) {
 func TestModelHitEliminatesDoubleRead(t *testing.T) {
 	f := newFTL(t)
 	now := nand.Time(0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	for lpn := int64(0); lpn < lp; lpn += 16 {
 		now = f.WritePages(lpn, 16, now)
 	}
@@ -113,7 +113,7 @@ func TestWriteInvalidatesModelBit(t *testing.T) {
 func TestRandomOverwritesThenGCRetrains(t *testing.T) {
 	f := newFTL(t)
 	now := nand.Time(0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	for lpn := int64(0); lpn < lp; lpn += 16 {
 		now = f.WritePages(lpn, 16, now)
 	}
@@ -150,7 +150,7 @@ func TestRandomOverwritesThenGCRetrains(t *testing.T) {
 func TestGroupGCKeepsGroupsCompact(t *testing.T) {
 	f := newFTL(t)
 	now := nand.Time(0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	rng := rand.New(rand.NewSource(3))
 	for i := int64(0); i < 6*lp; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)
@@ -177,7 +177,7 @@ func TestCrossGroupBorrowingDelaysGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := nand.Time(0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	// Touch every group once so each owns a row.
 	for lpn := int64(0); lpn < lp; lpn += int64(f.span) {
 		now = f.WritePages(lpn, 1, now)
@@ -206,7 +206,7 @@ func TestDisableCrossGroupStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := nand.Time(0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	rng := rand.New(rand.NewSource(9))
 	for i := int64(0); i < 3*lp; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)
@@ -226,7 +226,7 @@ func TestVPPNAblationDegradesAccuracy(t *testing.T) {
 			t.Fatal(err)
 		}
 		now := nand.Time(0)
-		lp := f.LogicalPages()
+		lp := f.Cfg.LogicalPages()
 		rng := rand.New(rand.NewSource(5))
 		for i := int64(0); i < 5*lp; i++ {
 			now = f.WritePages(rng.Int63n(lp), 1, now)
@@ -255,7 +255,7 @@ func TestSeqInitAblation(t *testing.T) {
 		cfg.Learned.DisableSeqInit = disable
 		f, _ := New(cfg)
 		now := nand.Time(0)
-		lp := f.LogicalPages()
+		lp := f.Cfg.LogicalPages()
 		for lpn := int64(0); lpn < lp; lpn += 16 {
 			now = f.WritePages(lpn, 16, now)
 		}
@@ -270,7 +270,7 @@ func TestSeqInitAblation(t *testing.T) {
 func TestTrainingChargeAccountedInGCTime(t *testing.T) {
 	f := newFTL(t)
 	now := nand.Time(0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	rng := rand.New(rand.NewSource(4))
 	for i := int64(0); i < 4*lp; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)
@@ -295,7 +295,7 @@ func TestTranslationPoolGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := nand.Time(0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	rng := rand.New(rand.NewSource(8))
 	for i := int64(0); i < 6*lp; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)

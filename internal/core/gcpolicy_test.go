@@ -11,7 +11,7 @@ import (
 // overwrite drives n random single-page writes.
 func overwrite(f *LearnedFTL, n int64, seed int64, now nand.Time) nand.Time {
 	rng := rand.New(rand.NewSource(seed))
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	for i := int64(0); i < n; i++ {
 		now = f.WritePages(rng.Int63n(lp), 1, now)
 	}
@@ -20,7 +20,7 @@ func overwrite(f *LearnedFTL, n int64, seed int64, now nand.Time) nand.Time {
 
 // fill writes the whole logical space once.
 func fill(f *LearnedFTL, now nand.Time) nand.Time {
-	for lpn := int64(0); lpn < f.LogicalPages(); lpn += 16 {
+	for lpn, lp := int64(0), f.Cfg.LogicalPages(); lpn < lp; lpn += 16 {
 		now = f.WritePages(lpn, 16, now)
 	}
 	return now
@@ -33,7 +33,7 @@ func fill(f *LearnedFTL, now nand.Time) nand.Time {
 func TestVictimGroupDefaultIsPaperRule(t *testing.T) {
 	f := newFTL(t)
 	now := fill(f, 0)
-	overwrite(f, f.LogicalPages(), 2, now)
+	overwrite(f, f.Cfg.LogicalPages(), 2, now)
 	if f.gcPol != nil {
 		t.Fatal("default config installed a non-greedy group policy")
 	}
@@ -59,7 +59,7 @@ func TestVictimGroupPolicyPlumbing(t *testing.T) {
 			t.Fatalf("%v: policy not installed", k)
 		}
 		now := fill(f, 0)
-		overwrite(f, f.LogicalPages(), 2, now)
+		overwrite(f, f.Cfg.LogicalPages(), 2, now)
 		gid, inv := f.victimGroup(nand.Second)
 		if gid < 0 || gid >= f.ngroups {
 			t.Fatalf("%v: victim group %d out of range", k, gid)
@@ -105,7 +105,7 @@ func TestVictimGroupSkipsZeroGain(t *testing.T) {
 func TestCoreBackgroundGC(t *testing.T) {
 	f := newFTL(t)
 	now := fill(f, 0)
-	now = overwrite(f, 2*f.LogicalPages(), 3, now)
+	now = overwrite(f, 2*f.Cfg.LogicalPages(), 3, now)
 	_, inv := f.victimGroup(now)
 	if inv < f.sbPages {
 		t.Skipf("overwrite left only %d invalid pages (< row of %d)", inv, f.sbPages)

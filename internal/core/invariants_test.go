@@ -60,7 +60,7 @@ func checkInvariants(t *testing.T, f *LearnedFTL) {
 	}
 
 	// (3) L2P ↔ flash coherence.
-	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
+	for lpn, lp := int64(0), f.Cfg.LogicalPages(); lpn < lp; lpn++ {
 		ppn := f.L2P.Get(lpn)
 		if ppn == nand.InvalidPPN {
 			continue
@@ -88,7 +88,7 @@ func checkInvariants(t *testing.T, f *LearnedFTL) {
 	}
 
 	// (5) CMT entries agree with L2P.
-	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
+	for lpn, lp := int64(0), f.Cfg.LogicalPages(); lpn < lp; lpn++ {
 		if e, ok := f.CMT.Peek(lpn); ok && e.PPN != f.L2P.Get(lpn) {
 			t.Fatalf("lpn %d: CMT %d vs L2P %d", lpn, e.PPN, f.L2P.Get(lpn))
 		}
@@ -104,7 +104,7 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		lp := f.LogicalPages()
+		lp := f.Cfg.LogicalPages()
 		now := nand.Time(0)
 		for step := 0; step < 12; step++ {
 			for op := 0; op < 400; op++ {
@@ -132,7 +132,7 @@ func TestInvariantsAfterHeavyAging(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	now := nand.Time(0)
 	for lpn := int64(0); lpn < lp; lpn += 16 {
 		now = f.WritePages(lpn, 16, now)

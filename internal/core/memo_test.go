@@ -51,32 +51,41 @@ func (c *modelMemoCheck) predict(when string, f *LearnedFTL, lpn int64) {
 // before it reached them.
 func (c *modelMemoCheck) sweep(when string, f *LearnedFTL) {
 	c.t.Helper()
-	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
+	for lpn, lp := int64(0), f.Cfg.LogicalPages(); lpn < lp; lpn++ {
 		if _, _, ok := f.memo.Get(lpn); ok {
 			c.predict(when, f, lpn)
 		}
 	}
-	for lpn := int64(0); lpn < f.LogicalPages(); lpn++ {
+	for lpn, lp := int64(0), f.Cfg.LogicalPages(); lpn < lp; lpn++ {
 		c.predict(when, f, lpn)
 	}
 }
 
-// TestModelReadsMatchFreshPrediction drives a small device through
-// single-page overwrites (each clearing a bit, some installing a one-page
-// piece), sequential writes (installing longer pieces), trims, group
-// collections (retraining their models), a snapshot loaded back into the
-// same device and a crash recovery, and at every read holds the memo-backed
-// prediction, declines included, to the model's own. The memo has 32 slots
-// over 1 280 LPNs, so slots change hands and models change under them: a
-// memo keyed on the LPN alone, or a model change that keeps its stamp,
-// answers from a stale slot here. Half the reads go to a hot range that
-// fits the memo, so slots also hit, and the writes, trims and collections
-// that reach it leave them stale.
+// TestModelReadsMatchFreshPrediction holds every memo-backed prediction,
+// declines included, to the model's own, on a churned device and on the
+// first stamps a device hands out.
 func TestModelReadsMatchFreshPrediction(t *testing.T) {
+	t.Run("churn", testModelMemoChurn)
+	for _, event := range []string{"recover", "load"} {
+		t.Run("first-stamps-"+event, func(t *testing.T) { testModelMemoFirstStamps(t, event) })
+	}
+}
+
+// testModelMemoChurn drives a small device through single-page overwrites
+// (each clearing a bit, some installing a one-page piece), sequential
+// writes (installing longer pieces), trims, group collections (retraining
+// their models), a snapshot loaded back into the same device and a crash
+// recovery, and checks every read. The memo has 32 slots over 1 280 LPNs,
+// so slots change hands and models change under them: a memo keyed on the
+// LPN alone, or a model change that keeps its stamp, answers from a stale
+// slot here. Half the reads go to a hot range that fits the memo, so slots
+// also hit, and the writes, trims and collections that reach it leave them
+// stale.
+func testModelMemoChurn(t *testing.T) {
 	f := newFTL(t)
 	c := &modelMemoCheck{t: t}
 	rng := rand.New(rand.NewSource(37))
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	hot := lp/2 + 3 // a hot range inside one group, across two models
 	hotGroup := int(hot / int64(f.span))
 	now := fill(f, 0)
@@ -140,6 +149,65 @@ func TestModelReadsMatchFreshPrediction(t *testing.T) {
 	}
 }
 
+// testModelMemoFirstStamps fills memo slots under the lowest stamps a
+// device hands out, half under its untrained models' first stamps and half
+// under its first trainings', then recovers from a crash or loads the
+// device's first snapshot, trains every model again on other pages, and
+// reads those LPNs. A slot is read only at the end, so each keeps its
+// first stamp until then. A recovery whose models count stamps of their
+// own from 1, or a load that restarts the device's counter, hands some
+// model one of those stamps again with other answers under it. A churned
+// device never holds such slots: by its first event every slot carries a
+// stamp far above them.
+func testModelMemoFirstStamps(t *testing.T, event string) {
+	f := newFTL(t)
+	c := &modelMemoCheck{t: t}
+	e := persist.NewEncoder()
+	f.SaveState(e)
+	first := e.Data()
+	ept := int64(f.Cfg.EntriesPerTP)
+	lpns := make([]int64, min(len(f.models), len(f.memo), int(ept)))
+	for j := range lpns {
+		lpns[j] = int64(j)*ept + int64(j) // model j, offset j: slot j here
+	}
+	half := len(lpns) / 2
+	// train installs one piece in each of models [from, to): a sequential
+	// write of the model's offsets from shift on.
+	train := func(from, to int, shift int64, now nand.Time) nand.Time {
+		for j := from; j < to; j++ {
+			now = f.WritePages(int64(j)*ept+shift, int(ept-shift), now)
+		}
+		return now
+	}
+	for _, lpn := range lpns[:half] {
+		c.predict("first read", f, lpn)
+	}
+	now := train(half, len(lpns), 0, 0)
+	for _, lpn := range lpns[half:] {
+		c.predict("first read", f, lpn)
+	}
+	switch event {
+	case "recover":
+		now = f.RecoverFromCrash(now)
+	case "load":
+		if err := f.LoadState(persist.NewDecoder(first)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now = train(half, len(lpns), 1, now) // in the first order, a page on
+	train(0, half, 0, now)
+	trained := 0
+	for _, lpn := range lpns {
+		if freshPrediction(f, lpn) != nand.InvalidPPN {
+			trained++
+		}
+		c.predict("after "+event+" and training", f, lpn)
+	}
+	if trained < len(lpns)/2 {
+		t.Fatalf("%d of %d models predict their LPN after training, want most", trained, len(lpns))
+	}
+}
+
 // TestModelReadsZeroAlloc: on a filled device a read through the models
 // allocates nothing, whether its prediction is in the memo (a hot set read
 // over and over) or not (LPNs across the device, each filling its slot,
@@ -147,7 +215,7 @@ func TestModelReadsMatchFreshPrediction(t *testing.T) {
 func TestModelReadsZeroAlloc(t *testing.T) {
 	f := newFTL(t)
 	now := fill(f, 0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	rng := rand.New(rand.NewSource(3))
 	for i := int64(0); i < lp/4; i++ { // overwrites clear bits: some reads decline
 		now = f.WritePages(rng.Int63n(lp), 1, now)

@@ -15,7 +15,7 @@ import (
 // crash-recovery path that, after the shared mount scan, re-derives the
 // allocation state from the flash array alone.
 
-// SaveState implements the persist.Device contract.
+// SaveState implements ftl.FTL.
 func (f *LearnedFTL) SaveState(e *persist.Encoder) {
 	f.SaveMapState(e)
 	f.Save(e)
@@ -60,7 +60,7 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	if err := f.LoadMapState(d); err != nil {
 		return err
 	}
-	if err := f.Load(d, f.LogicalPages()); err != nil {
+	if err := f.Load(d, f.L2P.Len()); err != nil {
 		return err
 	}
 	if n := d.U64(); d.Err() == nil && n != uint64(len(f.models)) {
@@ -126,8 +126,8 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	return d.Err()
 }
 
-// RecoverFromCrash implements ftl.CrashRecoverer: every DRAM structure —
-// L2P, GTD, CMT, the in-place models with their bitmap filters, the group
+// RecoverFromCrash implements ftl.FTL: every DRAM structure — L2P, GTD,
+// CMT, the in-place models with their bitmap filters, the group
 // allocation table and the translation pool's view — is discarded, then
 // the shared mount scan rebuilds the L2P (data pages) and GTD (translation
 // pages), the superblock-row ownership is re-derived from the surviving

@@ -106,7 +106,7 @@ func TestGroupViewsMatchRecount(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f := newFTL(t)
 		rng := rand.New(rand.NewSource(seed))
-		lp := f.LogicalPages()
+		lp := f.Cfg.LogicalPages()
 		now := fill(f, 0)
 		checkViews(t, f, "fill")
 		gcs := map[string]int64{}

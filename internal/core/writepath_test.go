@@ -18,7 +18,7 @@ import (
 func TestSteadyStateWritesZeroAlloc(t *testing.T) {
 	f := newFTL(t)
 	now := fill(f, 0)
-	lp := f.LogicalPages()
+	lp := f.Cfg.LogicalPages()
 	rng := rand.New(rand.NewSource(1))
 
 	const writes = 50_000
@@ -97,7 +97,7 @@ func TestGCTrainingMatchesL2PTraining(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(3))
-		lp := f.LogicalPages()
+		lp := f.Cfg.LogicalPages()
 		now := fill(f, 0)
 		checked, empty := 0, 0
 		for step := 0; step < 4000; step++ {

@@ -47,21 +47,9 @@ type Plan struct {
 	Torn   bool
 }
 
-// Device is the full contract the harness drives: a scheme that can serve
-// I/O, rebuild itself from flash OOB after power loss, and expose its
-// rebuilt state for verification. All five schemes satisfy it.
-type Device interface {
-	ftl.FTL
-	ftl.CrashRecoverer
-	// ShadowL2P returns a copy of the authoritative L2P map.
-	ShadowL2P() []nand.PPN
-	// GTDLocations returns a copy of the GTD's translation-page locations.
-	GTDLocations() []nand.PPN
-	// MountScanStats returns the counters of the last recovery scan.
-	MountScanStats() persist.ScanStats
-	// AllocInvariants cross-checks the allocator view against flash.
-	AllocInvariants() []string
-}
+// Device is what the harness drives: the device contract, whose crash
+// recovery and verification views every scheme implements.
+type Device = ftl.FTL
 
 // VolatileBuffer is implemented by schemes that acknowledge writes from a
 // volatile DRAM buffer before flash programming (LeaFTL). The listed LPNs

@@ -116,8 +116,8 @@ func (d *FTL) GCFinalize(moved []int64, t nand.Time) nand.Time {
 	return t
 }
 
-// SaveState implements the persist.Device contract: the shared base state,
-// the CMT in exact recency order and, for TPFTL, the request-length EMA.
+// SaveState implements ftl.FTL: the shared base state, the CMT in exact
+// recency order and, for TPFTL, the request-length EMA.
 func (d *FTL) SaveState(e *persist.Encoder) {
 	d.SaveBaseState(e)
 	d.Save(e)
@@ -137,8 +137,8 @@ func (d *FTL) LoadState(dec *persist.Decoder) error {
 	return dec.Err()
 }
 
-// RecoverFromCrash implements ftl.CrashRecoverer: the base OOB scan
-// rebuilds L2P + GTD, and the cache — DRAM, lost with power — restarts cold.
+// RecoverFromCrash implements ftl.FTL: the base OOB scan rebuilds L2P +
+// GTD, and the cache — DRAM, lost with power — restarts cold.
 func (d *FTL) RecoverFromCrash(now nand.Time) nand.Time {
 	d.Reset()
 	return d.Base.RecoverFromCrash(now)

@@ -152,9 +152,7 @@ func (a *Array) BackgroundWork(start, deadline nand.Time) {
 		if !a.alive[i] {
 			continue
 		}
-		if bg, ok := f.(ftl.BackgroundCollector); ok {
-			bg.BackgroundGC(start, deadline)
-		}
+		f.BackgroundGC(start, deadline)
 	}
 	a.pumpRebuild(start, deadline)
 }

@@ -38,10 +38,10 @@ func (NopHooks) GCFinalize(_ []int64, t nand.Time) nand.Time { return t }
 // DataTrimmed implements RelocHooks.
 func (NopHooks) DataTrimmed(int64, nand.PPN) {}
 
-// BackgroundCollector is the optional capability the open-loop host model
-// probes for: an FTL that can run garbage collection during device-idle
-// gaps, preempted by the next host arrival. Base (and so every
-// block-granular scheme) and LearnedFTL implement it.
+// BackgroundCollector is the idle-gap part of the FTL contract, which
+// embeds it: garbage collection during device-idle gaps, preempted by the
+// next host arrival. Base (and so every block-granular scheme) and
+// LearnedFTL implement it.
 type BackgroundCollector interface {
 	// BackgroundGC collects during the idle gap [start, deadline): new
 	// collections launch only before the deadline; one already running
@@ -268,9 +268,9 @@ func (b *Base) RunGC(now nand.Time) nand.Time {
 	return b.GC.Foreground(now)
 }
 
-// BackgroundGC implements BackgroundCollector by delegating to the
-// controller's idle-gap collection, then draining the scrub queue — the
-// at-risk blocks the fault model flagged — in whatever gap remains.
+// BackgroundGC implements FTL by delegating to the controller's idle-gap
+// collection, then draining the scrub queue — the at-risk blocks the fault
+// model flagged — in whatever gap remains.
 func (b *Base) BackgroundGC(start, deadline nand.Time) nand.Time {
 	// Scrub first: the at-risk queue is bounded and drains, while the
 	// free-pool top-up below can want every idle nanosecond the run has —

@@ -15,6 +15,7 @@ import (
 	"learnedftl/internal/fault"
 	"learnedftl/internal/gc"
 	"learnedftl/internal/nand"
+	"learnedftl/internal/persist"
 	"learnedftl/internal/stats"
 )
 
@@ -224,9 +225,11 @@ func (c Config) Validate() error {
 	return c.Fault.Validate()
 }
 
-// FTL is the behavior every reproduced scheme implements. Page-granular
+// FTL is the contract every reproduced scheme implements. Page-granular
 // host requests enter at a virtual time and return their completion time;
-// the engine derives latency and throughput from the difference.
+// the engine derives latency and throughput from the difference. Snapshot,
+// crash recovery, idle-gap GC and the recovery views are part of it: all
+// five schemes implement every method, so no caller probes for one.
 type FTL interface {
 	Name() string
 	// ReadPages serves a host read of n consecutive pages starting at lpn.
@@ -243,4 +246,27 @@ type FTL interface {
 	Flash() *nand.Flash
 	// Config exposes the device configuration.
 	Config() Config
+
+	// SaveState and LoadState snapshot and restore the device's complete
+	// mutable state (persist.Snapshot, persist.Restore).
+	persist.Device
+	// BackgroundGC collects during device-idle gaps (the open-loop engine).
+	BackgroundCollector
+	// RecoverFromCrash drops the device's DRAM state and rebuilds it from
+	// the flash array's out-of-band metadata, modeling the mount-time
+	// recovery scan. The returned time is the scan's completion — mount
+	// latency measured from the passed start time.
+	RecoverFromCrash(now nand.Time) nand.Time
+
+	// The verification views the crash harness checks a recovery with.
+
+	// ShadowL2P returns a copy of the authoritative L2P map.
+	ShadowL2P() []nand.PPN
+	// GTDLocations returns a copy of the GTD's translation-page locations.
+	GTDLocations() []nand.PPN
+	// MountScanStats returns the counters of the last recovery scan.
+	MountScanStats() persist.ScanStats
+	// AllocInvariants cross-checks the allocator's view against the flash
+	// array and returns the violations (empty means consistent).
+	AllocInvariants() []string
 }

@@ -19,9 +19,7 @@ func NewIdeal(cfg Config) (*Ideal, error) {
 	if err != nil {
 		return nil, err
 	}
-	i := &Ideal{Base: b}
-	b.Hooks = NopHooks{}
-	return i, nil
+	return &Ideal{Base: b}, nil
 }
 
 // Name implements FTL.

@@ -12,14 +12,6 @@ import (
 // snapshot hooks Base contributes to every scheme's SaveState/LoadState,
 // and the allocator rebuild that follows State's mount scan (state.go).
 
-// CrashRecoverer is implemented by devices that can drop their DRAM state
-// and rebuild it from the flash array's out-of-band metadata, modeling the
-// mount-time recovery scan. The returned time is the scan's completion —
-// mount latency measured from the passed start time.
-type CrashRecoverer interface {
-	RecoverFromCrash(now nand.Time) nand.Time
-}
-
 // SaveBaseState appends the shared device state: the flash array, the L2P
 // shadow map, the GTD, the block manager's allocator stacks (in exact pop
 // order) and the GC controller's counters. Schemes append their own cache
@@ -59,19 +51,18 @@ func (b *Base) LoadBaseState(d *persist.Decoder) error {
 	return d.Err()
 }
 
-// SaveState implements the persist.Device contract for schemes with no
-// state beyond Base (the ideal FTL). Schemes with caches shadow it.
+// SaveState implements FTL for schemes with no state beyond Base (the
+// ideal FTL). Schemes with caches shadow it.
 func (b *Base) SaveState(e *persist.Encoder) { b.SaveBaseState(e) }
 
 // LoadState is SaveState's counterpart.
 func (b *Base) LoadState(d *persist.Decoder) error { return b.LoadBaseState(d) }
 
-// RecoverFromCrash implements CrashRecoverer for every Base-embedding
-// scheme: the mount scan rebuilds L2P and GTD, then the allocator view and
-// the victim index are re-derived from the flash array (a crash rebuild
-// reopens active blocks without per-transition notifications). Schemes with
-// DRAM caches shadow this to also drop them — a stale cache would serve
-// pre-crash PPNs.
+// RecoverFromCrash implements FTL for every Base-embedding scheme: the
+// mount scan rebuilds L2P and GTD, then the allocator view and the victim
+// index are re-derived from the flash array (a crash rebuild reopens active
+// blocks without per-transition notifications). Schemes with DRAM caches
+// shadow this to also drop them — a stale cache would serve pre-crash PPNs.
 func (b *Base) RecoverFromCrash(now nand.Time) nand.Time {
 	done := b.RecoverMappings(now)
 	b.BM.RebuildFromFlash()

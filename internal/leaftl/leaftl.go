@@ -265,10 +265,9 @@ func (l *LeaFTL) lookup(lt *learned.LSMT, lpn int64) nand.PPN {
 	return l.Codec.ToPhysical(nand.VPPN(v))
 }
 
-// SaveState implements the persist.Device contract: the shared base state,
-// the data buffer in ascending LPN order, every translation page's learned
-// segments (ascending page number), oldest first, and the model cache in
-// exact recency order.
+// SaveState implements ftl.FTL: the shared base state, the data buffer in
+// ascending LPN order, every translation page's learned segments (ascending
+// page number), oldest first, and the model cache in exact recency order.
 func (l *LeaFTL) SaveState(e *persist.Encoder) {
 	l.SaveBaseState(e)
 	e.U64(uint64(l.buffer.len()))
@@ -354,8 +353,8 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 	return d.Err()
 }
 
-// RecoverFromCrash implements ftl.CrashRecoverer: the base OOB scan
-// rebuilds L2P + GTD. The DRAM data buffer is lost — buffered writes that
+// RecoverFromCrash implements ftl.FTL: the base OOB scan rebuilds L2P +
+// GTD. The DRAM data buffer is lost — buffered writes that
 // never reached flash are gone, exactly as on real hardware — and the
 // model cache restarts cold. The trained segments themselves survive:
 // LeaFTL persists them inside translation pages at flush time, so they are

@@ -60,16 +60,25 @@ func (c *memoCheck) sweep(when string, l *LeaFTL) {
 	}
 }
 
-// TestMemoMatchesFreshPrediction drives a small device through overwrites
-// (buffer flushes and the collections they force, each retraining a
-// table), forced collections, trims and reads, a snapshot loaded back into
-// the same device and a crash recovery, and at every read holds predict to
-// a prediction made afresh from the tables' segments. The memo has 64
+// TestMemoMatchesFreshPrediction holds every memo-backed prediction to one
+// made afresh from the tables' segments, on a churned device and on the
+// first stamps a device hands out.
+func TestMemoMatchesFreshPrediction(t *testing.T) {
+	t.Run("churn", testMemoChurn)
+	for _, event := range []string{"recover", "load"} {
+		t.Run("first-stamps-"+event, func(t *testing.T) { testMemoFirstStamps(t, event) })
+	}
+}
+
+// testMemoChurn drives a small device through overwrites (buffer flushes
+// and the collections they force, each retraining a table), forced
+// collections, trims and reads, a snapshot loaded back into the same
+// device and a crash recovery, and checks every read. The memo has 64
 // slots over 768 LPNs, so slots change hands and tables change under them:
 // a memo keyed on the LPN alone, or a table an insert does not restamp,
 // answers from a stale slot here. Half the reads go to a hot range that
 // fits the memo, so slots also hit, and writes to it leave them stale.
-func TestMemoMatchesFreshPrediction(t *testing.T) {
+func testMemoChurn(t *testing.T) {
 	l, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +136,44 @@ func TestMemoMatchesFreshPrediction(t *testing.T) {
 	t.Logf("%d hits, %d stale slots, %d slots of another LPN", c.hits, c.stale, c.miss)
 	if c.hits == 0 || c.stale == 0 || c.miss == 0 {
 		t.Fatal("the run did not reach hits, stale slots and slots of other LPNs")
+	}
+}
+
+// testMemoFirstStamps fills memo slots under the lowest stamps a device
+// hands out, those of its first tables, then recovers from a crash or
+// loads the device's first snapshot, trains the same tables on other
+// pages with one flush, and reads those LPNs again. A slot is read only at
+// the end, so each keeps its first stamp until then: a load that restarted
+// the stamp counter would hand the retrained tables those stamps again. A
+// churned device never holds such slots: by its first event every slot
+// carries a stamp far above its first tables' ones.
+func testMemoFirstStamps(t *testing.T, event string) {
+	l, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &memoCheck{t: t}
+	e := persist.NewEncoder()
+	l.SaveState(e)
+	first := e.Data()
+	n := int64(len(l.memo)) // LPNs [0, n) take distinct slots
+	now := l.flush(l.WritePages(0, int(n), 0))
+	for lpn := int64(0); lpn < n; lpn++ {
+		c.predict("first read", l, lpn)
+	}
+	switch event {
+	case "recover":
+		now = l.RecoverFromCrash(now)
+	case "load":
+		if err := l.LoadState(persist.NewDecoder(first)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Shifted by a quarter, the flush lays the first tables' LPNs on other
+	// pages.
+	l.flush(l.WritePages(n/4, int(n), now))
+	for lpn := int64(0); lpn < n; lpn++ {
+		c.predict("after "+event+" and training", l, lpn)
 	}
 }
 

@@ -37,9 +37,9 @@ const Version = 4
 // magic leads every snapshot.
 const magic = "LFTLSNAP"
 
-// Device is the persistence contract a scheme implements: the scheme name
-// (written to the header and verified on restore) and the two state hooks.
-// All five FTLs of this repo satisfy it.
+// Device is the persistence part of the device contract (ftl.FTL embeds
+// it): the scheme name, written to the header and verified on restore,
+// and the two state hooks.
 type Device interface {
 	Name() string
 	// SaveState appends the device's complete mutable state.

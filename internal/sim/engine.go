@@ -80,7 +80,7 @@ type AckFunc func(req Request, done nand.Time)
 // (the engine's deterministic execution order), after the FTL has fully
 // processed the request.
 func RunAcked(f ftl.FTL, gens []Generator, maxRequests int64, ack AckFunc) Result {
-	return run(newFTLTarget(f), gens, nil, maxRequests, recordDevice, false, ack)
+	return run(ftlTarget{f}, gens, nil, maxRequests, recordDevice, false, ack)
 }
 
 // Warmed runs a warm-up phase and then resets all metrics so a subsequent
@@ -89,7 +89,7 @@ func RunAcked(f ftl.FTL, gens []Generator, maxRequests int64, ack AckFunc) Resul
 // phase's own result (virtual span, requests issued) — the collector's
 // view of it is gone after the reset.
 func Warmed(f ftl.FTL, warm []Generator, maxRequests int64) Result {
-	r := run(newFTLTarget(f), warm, nil, maxRequests, recordNone, false, nil)
+	r := run(ftlTarget{f}, warm, nil, maxRequests, recordNone, false, nil)
 	f.Collector().Reset()
 	f.Flash().ResetCounters()
 	return r

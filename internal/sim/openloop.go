@@ -138,15 +138,15 @@ func (c *clock) stamp(start nand.Time) nand.Time {
 type OpenOptions struct {
 	// MaxRequests caps the issued requests (0 = unlimited).
 	MaxRequests int64
-	// BackgroundGC runs garbage collection during device-idle gaps when
-	// the FTL implements ftl.BackgroundCollector: whenever the next host
-	// arrival is later than the device's drain time, the gap is offered to
-	// the collector, which launches collections until the arrival is due
-	// or the collector's own stop rule holds (block-granular FTLs: free
-	// pool at the background watermark; LearnedFTL: no group with a full
-	// superblock row reclaimable). A collection the arrival catches
-	// mid-flight delays that request through ordinary per-chip queueing —
-	// preemption by arrival, not mid-erase abort.
+	// BackgroundGC runs garbage collection during device-idle gaps:
+	// whenever the next host arrival is later than the device's drain
+	// time, the gap is offered to the FTL's BackgroundGC, which launches
+	// collections until the arrival is due or the collector's own stop
+	// rule holds (block-granular FTLs: free pool at the background
+	// watermark; LearnedFTL: no group with a full superblock row
+	// reclaimable). A collection the arrival catches mid-flight delays
+	// that request through ordinary per-chip queueing — preemption by
+	// arrival, not mid-erase abort.
 	BackgroundGC bool
 	// AckSink, when set, receives every completed request with its
 	// completion time — the host-visible acknowledgment. The crash harness
@@ -173,7 +173,7 @@ type OpenOptions struct {
 // ties, and all arrival processes are seeded. With every stream unbounded
 // RunOpenWith schedules exactly as Run over the same generators.
 func RunOpenWith(f ftl.FTL, streams []Stream, opt OpenOptions) Result {
-	return RunOpenTarget(newFTLTarget(f), streams, opt)
+	return RunOpenTarget(ftlTarget{f}, streams, opt)
 }
 
 // OpenTarget is what the engine drives: a single FTL device (the ftlTarget
@@ -199,26 +199,13 @@ type OpenTarget interface {
 
 // ftlTarget adapts a single ftl.FTL to the OpenTarget shape: Run, Warmed
 // and RunOpenWith all drive a device through it. Its Issue is exactly the
-// shared issue() path. bg is f's background collector, nil when it has
-// none, asserted once per run.
-type ftlTarget struct {
-	f  ftl.FTL
-	bg ftl.BackgroundCollector
-}
-
-func newFTLTarget(f ftl.FTL) ftlTarget {
-	bg, _ := f.(ftl.BackgroundCollector)
-	return ftlTarget{f, bg}
-}
+// shared issue() path.
+type ftlTarget struct{ f ftl.FTL }
 
 func (t ftlTarget) Issue(req Request, now nand.Time) (nand.Time, int) { return issue(t.f, req, now) }
 func (t ftlTarget) Busy() nand.Time                                   { return t.f.Flash().MaxChipBusy() }
 func (t ftlTarget) Collector() *stats.Collector                       { return t.f.Collector() }
-func (t ftlTarget) BackgroundWork(s, d nand.Time) {
-	if t.bg != nil {
-		t.bg.BackgroundGC(s, d)
-	}
-}
+func (t ftlTarget) BackgroundWork(s, d nand.Time)                     { t.f.BackgroundGC(s, d) }
 
 // RunOpenTarget drives any OpenTarget — in this repo, internal/fleet's
 // multi-device Array — with the same open-loop host model as RunOpenWith:

@@ -255,30 +255,23 @@ func TestOpenLoopPerStreamBuckets(t *testing.T) {
 }
 
 // backwardsFTL returns completion times earlier than the issue time — the
-// pathological input the engines must clamp before recording.
-type backwardsFTL struct {
-	cfg ftl.Config
-	fl  *nand.Flash
-	col *stats.Collector
-}
+// pathological input the engines must clamp before recording. The rest of
+// the contract is an ideal FTL's.
+type backwardsFTL struct{ *ftl.Ideal }
 
 func newBackwardsFTL(t *testing.T) *backwardsFTL {
 	t.Helper()
-	cfg := testConfig()
-	fl, err := nand.NewFlash(cfg.Geometry, cfg.Timing)
+	f, err := ftl.NewIdeal(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &backwardsFTL{cfg: cfg, fl: fl, col: stats.NewCollector()}
+	return &backwardsFTL{f}
 }
 
 func (b *backwardsFTL) Name() string                                       { return "backwards" }
 func (b *backwardsFTL) ReadPages(_ int64, _ int, now nand.Time) nand.Time  { return now - 5 }
 func (b *backwardsFTL) WritePages(_ int64, _ int, now nand.Time) nand.Time { return now - 7 }
 func (b *backwardsFTL) TrimPages(_ int64, _ int, now nand.Time) nand.Time  { return now }
-func (b *backwardsFTL) Collector() *stats.Collector                        { return b.col }
-func (b *backwardsFTL) Flash() *nand.Flash                                 { return b.fl }
-func (b *backwardsFTL) Config() ftl.Config                                 { return b.cfg }
 
 // TestIssueClampsBackwardsCompletion is the regression test for the
 // record-before-clamp bug: a backwards completion time must never surface
@@ -289,10 +282,10 @@ func TestIssueClampsBackwardsCompletion(t *testing.T) {
 	if res.Makespan() != 0 {
 		t.Fatalf("clamped run advanced time: %+v", res)
 	}
-	if got := f.col.ReadPercentile(100); got != 0 {
+	if got := f.Col.ReadPercentile(100); got != 0 {
 		t.Fatalf("closed-loop recorded read latency %d, want clamped 0", got)
 	}
-	if got := f.col.WritePercentile(100); got != 0 {
+	if got := f.Col.WritePercentile(100); got != 0 {
 		t.Fatalf("closed-loop recorded write latency %d, want clamped 0", got)
 	}
 
@@ -301,10 +294,10 @@ func TestIssueClampsBackwardsCompletion(t *testing.T) {
 		{Name: "r", Gen: seqGen(0, 4, false), Kind: ArrivalFixed, Rate: 1e9},
 		{Name: "w", Gen: seqGen(0, 4, true), Kind: ArrivalFixed, Rate: 1e9},
 	}, 0)
-	if got := f2.col.MeanLatency() - f2.col.MeanQueueWait(); got != 0 {
+	if got := f2.Col.MeanLatency() - f2.Col.MeanQueueWait(); got != 0 {
 		t.Fatalf("open-loop recorded mean service latency %d, want clamped 0", got)
 	}
-	if f2.col.ReadPercentile(100) < 0 || f2.col.WritePercentile(100) < 0 {
+	if f2.Col.ReadPercentile(100) < 0 || f2.Col.WritePercentile(100) < 0 {
 		t.Fatal("open-loop recorded a negative total latency")
 	}
 }

@@ -69,30 +69,3 @@ func TestShardedMaxRequestsCap(t *testing.T) {
 		}
 	}
 }
-
-// plainFTL hides every method of the wrapped FTL beyond the ftl.FTL
-// interface, as a device with no optional capabilities would.
-type plainFTL struct{ ftl.FTL }
-
-// TestShardedFallback: a device that offers nothing beyond ftl.FTL runs
-// through RunSharded with Run's exact result and no fallback reported —
-// there is no other engine to fall back from.
-func TestShardedFallback(t *testing.T) {
-	cfg := testConfig()
-	lp := cfg.LogicalPages()
-	fa, _ := ftl.NewIdeal(cfg)
-	fb, _ := ftl.NewIdeal(cfg)
-	ra := Run(fa, mixedGens(4, 50, lp, 3), 0)
-	rb, st := RunSharded(plainFTL{fb}, mixedGens(4, 50, lp, 3), 0, 8)
-	if st.Fallback != "" {
-		t.Fatalf("unexpected fallback reason %q", st.Fallback)
-	}
-	if ra != rb {
-		t.Fatalf("result %+v != Run's %+v", rb, ra)
-	}
-	readsA, writesA := latencies(fa)
-	readsB, writesB := latencies(fb)
-	if !slices.Equal(readsA, readsB) || !slices.Equal(writesA, writesB) {
-		t.Fatal("latency records differ from Run's")
-	}
-}

@@ -16,11 +16,6 @@ import (
 	"learnedftl/internal/workload"
 )
 
-// shadower is the L2P access every scheme exposes for recovery invariants.
-type shadower interface {
-	ShadowL2P() []nand.PPN
-}
-
 // persistTestConfig is TinyConfig shrunk further so the five-scheme
 // equivalence matrix stays fast.
 func persistTestConfig() Config {
@@ -331,12 +326,8 @@ func TestOOBRecoveryRebuildsL2P(t *testing.T) {
 				}
 				sim.Run(f, workload.FIO(workload.RandWrite, hi, 1, 2, 200, int64(step)+11), 0)
 
-				shadow := f.(shadower).ShadowL2P()
-				var gtdBefore []nand.PPN
-				type gtdExposer interface{ GTDLocations() []nand.PPN }
-				if g, ok := f.(gtdExposer); ok {
-					gtdBefore = g.GTDLocations()
-				}
+				shadow := f.ShadowL2P()
+				gtdBefore := f.GTDLocations()
 
 				res, err := RecoverFromCrash(f)
 				if err != nil {
@@ -345,7 +336,7 @@ func TestOOBRecoveryRebuildsL2P(t *testing.T) {
 				if res.Makespan() <= 0 {
 					t.Fatalf("fill %.2f: mount scan took no time", frac)
 				}
-				got := f.(shadower).ShadowL2P()
+				got := f.ShadowL2P()
 				if len(got) != len(shadow) {
 					t.Fatalf("fill %.2f: L2P length changed", frac)
 				}
@@ -354,12 +345,13 @@ func TestOOBRecoveryRebuildsL2P(t *testing.T) {
 						t.Fatalf("fill %.2f: recovered L2P[%d] = %d, shadow %d", frac, i, got[i], shadow[i])
 					}
 				}
-				if g, ok := f.(gtdExposer); ok {
-					after := g.GTDLocations()
-					for i := range after {
-						if after[i] != gtdBefore[i] {
-							t.Fatalf("fill %.2f: recovered GTD[%d] = %d, want %d", frac, i, after[i], gtdBefore[i])
-						}
+				after := f.GTDLocations()
+				if len(after) != len(gtdBefore) {
+					t.Fatalf("fill %.2f: GTD length changed", frac)
+				}
+				for i := range after {
+					if after[i] != gtdBefore[i] {
+						t.Fatalf("fill %.2f: recovered GTD[%d] = %d, want %d", frac, i, after[i], gtdBefore[i])
 					}
 				}
 				now = res.End
