@@ -1,11 +1,13 @@
 package learnedftl
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -187,7 +189,9 @@ func TestDocsNameDeclaredFlags(t *testing.T) {
 // `nand.Flash`), so the docs cannot keep citing a type, function, variable
 // or constant that was renamed or deleted. A name with an underscore is a
 // benchmark metric (`sim.shard2_speedup`), and `pkg.go` a file, not a Go
-// identifier.
+// identifier. A bare `Config.X` or `Config.X.Y` is the device configuration
+// and must resolve to fields of ftl.Config; `ftl.Config.Validate` is a
+// package-qualified name and checked as one.
 func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 	files, err := filepath.Glob("internal/*/*.go")
 	if err != nil {
@@ -238,7 +242,9 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 	inline := regexp.MustCompile("`[^`]+`")
 	cite := regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.(\w+)`)
 	ident := regexp.MustCompile(`^[A-Za-z][A-Za-z0-9]*$`)
+	field := regexp.MustCompile(`(?:^|[^\w.])Config((?:\.[A-Za-z]\w*)+)`)
 	cited := map[string]bool{}
+	fields := 0
 	for _, path := range []string{"README.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -265,10 +271,36 @@ func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 					t.Errorf("%s: %s names no top-level declaration of package %s", path, span, pkg)
 				}
 			}
+			for _, m := range field.FindAllStringSubmatch(span, -1) {
+				fields++
+				if err := resolveConfigPath(strings.Split(m[1][1:], ".")); err != nil {
+					t.Errorf("%s: %s: %v", path, span, err)
+				}
+			}
 		}
 	}
 	if len(cited) < 20 {
 		t.Fatalf("found only %d package-qualified names in the docs", len(cited))
 	}
-	t.Logf("%d package-qualified names cited", len(cited))
+	if fields == 0 {
+		t.Fatal("found no Config field citations in the docs")
+	}
+	t.Logf("%d package-qualified names and %d Config field citations", len(cited), fields)
+}
+
+// resolveConfigPath walks path through ftl.Config's fields, nested structs
+// included.
+func resolveConfigPath(path []string) error {
+	t := reflect.TypeOf(Config{})
+	for _, name := range path {
+		if t.Kind() != reflect.Struct {
+			return fmt.Errorf("%s is not a struct", t)
+		}
+		f, ok := t.FieldByName(name)
+		if !ok {
+			return fmt.Errorf("%s has no field %s", t, name)
+		}
+		t = f.Type
+	}
+	return nil
 }

@@ -225,7 +225,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		werr := learnedftl.WriteTrace(trace, out)
+		werr := trace.WriteJSON(out)
 		if cerr := out.Close(); werr == nil {
 			werr = cerr
 		}

@@ -102,7 +102,6 @@ func TestRecoveryExcludesRetiredBadBlocks(t *testing.T) {
 	cfg.Fault = fault.Default()
 	cfg.Fault.Enabled = true
 	cfg.Fault.ProgramFailProb = 0.002
-	cfg.Fault.Seed = 99
 
 	if _, err := New(SchemeLearnedFTL, cfg); err == nil ||
 		!strings.Contains(err.Error(), "not supported by the group-granular FTL") {

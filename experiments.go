@@ -324,13 +324,17 @@ func measure(f FTL, gens []sim.Generator) stats.Report {
 	return report(f, res)
 }
 
+// blockEndurance is the rated program/erase cycles per block (typical TLC)
+// behind the projected-lifetime column.
+const blockEndurance = 3000
+
 // report freezes a run into a stats.Report with the device's wear view and
 // model footprint attached.
 func report(f FTL, res sim.Result) stats.Report {
 	cfg := f.Config()
 	r := stats.BuildReport(f.Name(), f.Collector(), f.Flash().Counters(),
 		res.Makespan(), cfg.Geometry.PageSize, cfg.Energy)
-	r.AddWear(f.Flash().Wear(), cfg.BlockEndurance, cfg.Geometry.TotalBytes())
+	r.AddWear(f.Flash().Wear(), blockEndurance, cfg.Geometry.TotalBytes())
 	r.AddFootprint(f.Flash().Footprint())
 	r.AddReliability(f.Flash().RelCounters(), f.Flash().BadBlocks(), cfg.Geometry.PageSize)
 	return r
@@ -1524,7 +1528,7 @@ func scrubLatConfig(scrub bool) fault.Config {
 //     climb back past even the flag point before the run ends.
 func scrubLatAge(fc fault.Config, cfg Config, bake nand.Time) fault.Config {
 	cwBits := float64(cfg.Geometry.PageSize) * 8
-	lethal := float64(fc.ECCBits) / (cwBits * 0.9) // uncorrectable even at minimum jitter
+	lethal := fault.ECCBits / (cwBits * 0.9) // uncorrectable even at minimum jitter
 	secs := float64(bake) / float64(nand.Second)
 	if secs > 0 {
 		fc.RetentionBERPerSec = (0.7*lethal - fc.BaseBER) / secs

@@ -21,6 +21,16 @@ import (
 	"learnedftl/internal/stats"
 )
 
+const (
+	// groupSuperblocks is the number of superblocks a GTD entry group may
+	// accumulate before group GC triggers.
+	groupSuperblocks = 3
+	// sortTrainCost is the virtual CPU time per GTD entry for GC-time
+	// sorting + training (paper: ~50µs on ARM Cortex-A72), charged while
+	// Config.Learned.ChargeTraining is set.
+	sortTrainCost = 50 * nand.Microsecond
+)
+
 // group tracks one GTD entry group's allocation state (§III-D).
 type group struct {
 	rows      []int // owned superblock rows; last is active
@@ -210,10 +220,10 @@ func New(cfg ftl.Config) (*LearnedFTL, error) {
 		f.models[i] = *f.stamps.NewInPlaceModel(cfg.EntriesPerTP, cfg.MaxPieces)
 	}
 	f.memo = learned.NewMemo(f.CMT.Cap())
-	// Every group's row list gets room for its GroupSuperblocks rows up
+	// Every group's row list gets room for its groupSuperblocks rows up
 	// front, out of one array, so a group growing into its rows late in a
 	// run does not allocate.
-	gs := max(cfg.GroupSuperblocks, 1)
+	const gs = groupSuperblocks
 	rows := make([]int, p.ngroups*gs)
 	for i := range f.groups {
 		f.groups[i].rows = rows[i*gs : i*gs : (i+1)*gs]

@@ -20,7 +20,6 @@ func testConfig() ftl.Config {
 	cfg.OPRatio = 0.35
 	cfg.GCLowWater = 2
 	cfg.CMTRatio = 0.05
-	cfg.GroupSuperblocks = 3
 	return cfg
 }
 
@@ -160,7 +159,7 @@ func TestGroupGCKeepsGroupsCompact(t *testing.T) {
 	owned := 0
 	for gid := range f.groups {
 		owned += len(f.groups[gid].rows)
-		if len(f.groups[gid].rows) > f.Cfg.GroupSuperblocks {
+		if len(f.groups[gid].rows) > groupSuperblocks {
 			t.Fatalf("group %d holds %d rows > limit", gid, len(f.groups[gid].rows))
 		}
 	}
@@ -278,7 +277,7 @@ func TestTrainingChargeAccountedInGCTime(t *testing.T) {
 	if f.Col.SortTrainOps == 0 {
 		t.Fatal("no training charge recorded")
 	}
-	want := f.Col.SortTrainOps * int64(testConfig().Learned.SortTrainCost)
+	want := f.Col.SortTrainOps * int64(sortTrainCost)
 	if f.Col.SortTrainNS != want {
 		t.Fatalf("SortTrainNS = %d, want %d", f.Col.SortTrainNS, want)
 	}

@@ -107,7 +107,7 @@ func (f *LearnedFTL) allocSlot(gid int, now nand.Time) (int64, nand.Time) {
 			f.setFree(gid, f.grpFree[gid]-1)
 			return v, now
 		}
-		if len(g.rows) < f.Cfg.GroupSuperblocks && len(f.freeRows) > f.reserve {
+		if len(g.rows) < groupSuperblocks && len(f.freeRows) > f.reserve {
 			f.takeRow(gid)
 			continue
 		}
@@ -331,7 +331,7 @@ func (f *LearnedFTL) gcGroup(gid int, now nand.Time) nand.Time {
 	// so one bootstrap row always suffices.
 	g := &f.groups[gid]
 	if len(oldRows) > 0 && g.wp >= f.sbPages && len(f.freeRows) > 0 &&
-		len(g.rows) < f.Cfg.GroupSuperblocks {
+		len(g.rows) < groupSuperblocks {
 		f.takeRow(gid)
 	}
 	// Evacuate row by row, erasing each row as it empties.
@@ -515,9 +515,9 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 			f.models[tpn].TrainFull(baseV, vppns)
 			f.Col.ModelTrainings++
 			if f.Cfg.Learned.ChargeTraining {
-				t += f.Cfg.Learned.SortTrainCost
+				t += sortTrainCost
 				f.Col.SortTrainOps++
-				f.Col.SortTrainNS += int64(f.Cfg.Learned.SortTrainCost)
+				f.Col.SortTrainNS += int64(sortTrainCost)
 			}
 		}
 		t = f.updateTrans(tpn, false, t)

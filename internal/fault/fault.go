@@ -14,17 +14,16 @@
 // in [0.9, 1.1) — codeword-to-codeword variation around the mean is modest,
 // and a tight band keeps the margin between "flag for scrub" and
 // "uncorrectable" a real window rather than jitter noise. ECC corrects up
-// to ECCBits errors on the first sense; each
-// of up to RetrySteps retry steps multiplies the error count by RetryFactor
-// (a shifted reference voltage recovers some raw errors) and costs
-// nand.Timing.RetryLatency of chip occupancy. A codeword still above the
-// threshold after the ladder is uncorrectable — a UBER event. Reads that
-// needed the ladder's last step to converge flag their block for background
-// scrub.
+// to ECCBits errors on the first sense; each of up to RetrySteps retry
+// steps multiplies the error count by retryFactor (a shifted reference
+// voltage recovers some raw errors) and costs nand.Timing.RetryLatency of
+// chip occupancy. A codeword still above the threshold after the ladder is
+// uncorrectable — a UBER event. Reads that needed the ladder's last step to
+// converge flag their block for background scrub.
 //
-// Every outcome is a pure function of (Seed, page, per-block counters), so
-// identical access sequences produce identical fault histories: sweeps stay
-// byte-deterministic and monotone in the BER knobs.
+// Every outcome is a pure function of (page, per-block counters) under one
+// fixed hash seed, so identical access sequences produce identical fault
+// histories: sweeps stay byte-deterministic and monotone in the BER knobs.
 package fault
 
 import (
@@ -38,8 +37,6 @@ type Config struct {
 	// Enabled turns the model on. Off (the default), the flash array's
 	// read/program/erase paths are the ideal-NAND paths, bit for bit.
 	Enabled bool `json:"enabled,omitempty"`
-	// Seed seeds every hash draw; same seed, same fault history.
-	Seed uint64 `json:"seed,omitempty"`
 
 	// BaseBER is the raw bit-error rate of a fresh, cold page.
 	BaseBER float64 `json:"base_ber,omitempty"`
@@ -52,12 +49,8 @@ type Config struct {
 	// erase (read disturb).
 	DisturbBER float64 `json:"disturb_ber,omitempty"`
 
-	// ECCBits is the per-codeword correction capability.
-	ECCBits int `json:"ecc_bits,omitempty"`
 	// RetrySteps bounds the read-retry ladder.
 	RetrySteps int `json:"retry_steps,omitempty"`
-	// RetryFactor scales the raw error count per retry step (< 1).
-	RetryFactor float64 `json:"retry_factor,omitempty"`
 
 	// ProgramFailProb and EraseFailProb are per-operation grown-defect
 	// probabilities.
@@ -72,18 +65,27 @@ type Config struct {
 	ScrubAtFraction float64 `json:"scrub_at_fraction,omitempty"`
 }
 
+// ECCBits is the per-codeword correction capability: a 40-bit/codeword
+// BCH class ECC.
+const ECCBits = 40
+
+const (
+	// retryFactor scales the raw error count per retry step: a shifted
+	// reference voltage recovers half the raw errors.
+	retryFactor = 0.5
+	// seed seeds every hash draw; same seed, same fault history.
+	seed = 1
+)
+
 // Default returns a disabled config whose knobs, once Enabled is set,
-// model a 40-bit/codeword BCH class ECC with a two-step retry ladder.
+// model a two-step retry ladder in front of the ECCBits threshold.
 func Default() Config {
 	return Config{
-		Seed:               1,
 		BaseBER:            1e-4,
 		WearBER:            1e-8,
 		RetentionBERPerSec: 1e-7,
 		DisturbBER:         1e-8,
-		ECCBits:            40,
 		RetrySteps:         2,
-		RetryFactor:        0.5,
 		ScrubAtFraction:    0.5,
 	}
 }
@@ -96,12 +98,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.BaseBER < 0 || c.WearBER < 0 || c.RetentionBERPerSec < 0 || c.DisturbBER < 0:
 		return fmt.Errorf("fault: negative BER component in %+v", c)
-	case c.ECCBits <= 0:
-		return fmt.Errorf("fault: ECC correction capability %d must be positive", c.ECCBits)
 	case c.RetrySteps < 0:
 		return fmt.Errorf("fault: negative retry steps %d", c.RetrySteps)
-	case c.RetrySteps > 0 && (c.RetryFactor <= 0 || c.RetryFactor >= 1):
-		return fmt.Errorf("fault: retry factor %v out of (0, 1)", c.RetryFactor)
 	case c.ProgramFailProb < 0 || c.ProgramFailProb > 1:
 		return fmt.Errorf("fault: program fail probability %v out of [0, 1]", c.ProgramFailProb)
 	case c.EraseFailProb < 0 || c.EraseFailProb > 1:
@@ -126,12 +124,12 @@ func New(cfg Config, codewordBits int64) *Model {
 	return &Model{
 		cfg:    cfg,
 		cwBits: float64(codewordBits),
-		thresh: float64(cfg.ECCBits),
-		scrub:  cfg.ScrubAtFraction * float64(cfg.ECCBits),
+		thresh: ECCBits,
+		scrub:  cfg.ScrubAtFraction * ECCBits,
 	}
 }
 
-// RetrySteps implements nand.RetryLadder: the depth of the read-retry
+// RetrySteps implements nand.FaultModel: the depth of the read-retry
 // ladder. A torn page's read walks all of it before going uncorrectable.
 func (m *Model) RetrySteps() int { return m.cfg.RetrySteps }
 
@@ -146,7 +144,7 @@ func splitmix64(x uint64) uint64 {
 
 // hash3 mixes the seed with two event coordinates.
 func (m *Model) hash3(a, b uint64) uint64 {
-	return splitmix64(splitmix64(splitmix64(m.cfg.Seed)^a) ^ b)
+	return splitmix64(splitmix64(splitmix64(seed)^a) ^ b)
 }
 
 // unit01 maps a hash to [0, 1) with 53 bits of precision.
@@ -179,7 +177,7 @@ func (m *Model) ReadFault(p nand.PPN, blockReads, blockErases int64, age nand.Ti
 	}
 	for errs > m.thresh && out.Retries < m.cfg.RetrySteps {
 		out.Retries++
-		errs *= m.cfg.RetryFactor
+		errs *= retryFactor
 	}
 	if errs > m.thresh {
 		out.Uncorrectable = true

@@ -27,9 +27,7 @@ func TestValidate(t *testing.T) {
 		tweak func(*Config)
 	}{
 		{"negative BER", func(c *Config) { c.BaseBER = -1 }},
-		{"zero ECC", func(c *Config) { c.ECCBits = 0 }},
 		{"negative retries", func(c *Config) { c.RetrySteps = -1 }},
-		{"retry factor 1", func(c *Config) { c.RetryFactor = 1 }},
 		{"program prob > 1", func(c *Config) { c.ProgramFailProb = 1.5 }},
 		{"erase prob < 0", func(c *Config) { c.EraseFailProb = -0.1 }},
 		{"scrub fraction > 1", func(c *Config) { c.ScrubAtFraction = 2 }},

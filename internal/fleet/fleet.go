@@ -224,7 +224,7 @@ func (a *Array) locsFor(u int64) []Loc {
 // same-device contiguous extents merge, so a 1-device array issues exactly
 // one device call per request — the passthrough byte-identity invariant.
 func (a *Array) routeRead(lpn int64, pages int, dst []extent) ([]extent, bool) {
-	s := int64(a.lay.Cfg.Stripe)
+	s := int64(stripe)
 	for p := lpn; p < lpn+int64(pages); {
 		u, off := p/s, p%s
 		n := s - off
@@ -256,7 +256,7 @@ func (a *Array) routeRead(lpn int64, pages int, dst []extent) ([]extent, bool) {
 // merges independently; under a single copy it degenerates to routeRead's
 // ascending order.
 func (a *Array) routeAll(lpn int64, pages int, dst []extent) ([]extent, bool) {
-	s := int64(a.lay.Cfg.Stripe)
+	s := int64(stripe)
 	copies := a.lay.Place.Copies()
 	if a.overlay != nil {
 		copies++ // one extra pass for rebuilt replacements
@@ -394,7 +394,7 @@ func (a *Array) enqueueRebuild(d int) {
 // pickTarget advances the round-robin cursor to the next alive device with
 // spare capacity that does not already hold the unit, or -1 if none.
 func (a *Array) pickTarget(next *int, holders []Loc) int {
-	maxSlots := a.lay.PerDevicePages / int64(a.lay.Cfg.Stripe)
+	maxSlots := a.lay.PerDevicePages / stripe
 	for tries := 0; tries < len(a.devs); tries++ {
 		d := (*next + tries) % len(a.devs)
 		if !a.alive[d] || a.spare[d] >= maxSlots {
@@ -431,7 +431,7 @@ func (a *Array) pumpRebuild(start, deadline nand.Time) {
 	if t < start {
 		t = start
 	}
-	s := int64(a.lay.Cfg.Stripe)
+	s := int64(stripe)
 	for a.jobNext < len(a.jobs) && t < deadline {
 		j := a.jobs[a.jobNext]
 		rdone := a.devs[j.src.Dev].ReadPages(j.src.Slot*s, int(s), t)

@@ -62,7 +62,7 @@ func write(t *testing.T, a *Array, lpn int64, pages int, now nand.Time) nand.Tim
 // one-unit write must program every replica's device.
 func TestReplicateWriteFanOut(t *testing.T) {
 	a := testArray(t, Config{Devices: 3, Policy: Replicate, Replicas: 2, Util: 0.5}, 3)
-	s := a.Layout().Cfg.Stripe
+	s := stripe
 	progs := func(d int) int64 {
 		c := a.Devices()[d].Flash().Counters()
 		return c.TotalPrograms()
@@ -79,7 +79,7 @@ func TestReplicateWriteFanOut(t *testing.T) {
 // device index, and a busier replica loses the next read.
 func TestReplicateReadLeastBusy(t *testing.T) {
 	a := testArray(t, Config{Devices: 2, Policy: Replicate, Replicas: 2, Util: 0.5}, 2)
-	s := a.Layout().Cfg.Stripe
+	s := stripe
 	done := write(t, a, 0, s, 0) // populate unit 0 on both devices
 	reads := func(d int) int64 {
 		c := a.Devices()[d].Flash().Counters()
@@ -105,7 +105,7 @@ func TestReplicateReadLeastBusy(t *testing.T) {
 // and requests entirely on survivors keep succeeding.
 func TestStripingFailureLosesUnits(t *testing.T) {
 	a := testArray(t, Config{Devices: 2, Policy: Striping, Util: 0.5}, 2)
-	s := int64(a.Layout().Cfg.Stripe)
+	s := int64(stripe)
 	if err := a.ScheduleFailure(1, 2, "test kill"); err != nil {
 		t.Fatalf("ScheduleFailure: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestStripingFailureLosesUnits(t *testing.T) {
 // overlay without touching the dead device.
 func TestReplicateRebuild(t *testing.T) {
 	a := testArray(t, Config{Devices: 3, Policy: Replicate, Replicas: 2, Util: 0.5}, 3)
-	s := int64(a.Layout().Cfg.Stripe)
+	s := int64(stripe)
 	units := a.Layout().Units
 
 	// Populate every unit, then kill device 0 on the next request.

@@ -58,7 +58,7 @@ func ParsePolicy(s string) (Policy, bool) {
 }
 
 // Loc is one replica location: a device index and the device-local stripe
-// unit slot. The unit's pages live at Slot*Stripe + offset on that device.
+// unit slot. The unit's pages live at Slot*stripe + offset on that device.
 type Loc struct {
 	Dev  int32
 	Slot int64
@@ -75,6 +75,15 @@ type Placement interface {
 	Locate(u int64, dst []Loc) []Loc
 }
 
+const (
+	// stripe is the stripe unit size in pages.
+	stripe = 8
+	// vNodes is the number of virtual ring nodes per device for Hash.
+	vNodes = 64
+	// ringSeed perturbs the Hash ring.
+	ringSeed uint64 = 1
+)
+
 // Config parameterizes a fleet layout.
 type Config struct {
 	// Devices is the array width N (>= 1).
@@ -84,18 +93,11 @@ type Config struct {
 	// Replicas is the copy count K for Replicate (default 2; the
 	// single-copy policies ignore it).
 	Replicas int
-	// Stripe is the stripe unit size in pages (default 8).
-	Stripe int
-	// VNodes is the number of virtual ring nodes per device for Hash
-	// (default 64).
-	VNodes int
 	// Util is the fraction of the aggregate usable logical capacity the
 	// fleet exposes (default 1.0). Replication rebuild re-homes the dead
 	// device's units into the headroom Util leaves, so a failure scenario
 	// needs Util <= (N-1)/N to fully re-replicate.
 	Util float64
-	// Seed perturbs the Hash ring (default 1).
-	Seed int64
 }
 
 // withDefaults fills the zero-value knobs.
@@ -106,17 +108,8 @@ func (c Config) withDefaults() Config {
 	if c.Replicas == 0 {
 		c.Replicas = 2
 	}
-	if c.Stripe == 0 {
-		c.Stripe = 8
-	}
-	if c.VNodes == 0 {
-		c.VNodes = 64
-	}
 	if c.Util == 0 {
 		c.Util = 1.0
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -127,7 +120,7 @@ func (c Config) withDefaults() Config {
 type Layout struct {
 	Cfg Config
 	// Units is the number of stripe units the fleet exposes and
-	// LogicalPages the resulting fleet-logical page space (Units*Stripe).
+	// LogicalPages the resulting fleet-logical page space (Units*stripe).
 	Units        int64
 	LogicalPages int64
 	// PerDevicePages is each device's own logical capacity (all devices
@@ -150,9 +143,6 @@ func NewLayout(cfg Config, perDevicePages int64) (*Layout, error) {
 	if _, ok := ParsePolicy(string(c.Policy)); !ok {
 		return nil, fmt.Errorf("fleet: unknown placement policy %q (want one of %v)", c.Policy, Policies())
 	}
-	if c.Stripe < 1 {
-		return nil, fmt.Errorf("fleet: stripe unit %d pages out of range", c.Stripe)
-	}
 	if c.Util < 0 || c.Util > 1 {
 		return nil, fmt.Errorf("fleet: utilization %v out of (0, 1]", c.Util)
 	}
@@ -164,10 +154,9 @@ func NewLayout(cfg Config, perDevicePages int64) (*Layout, error) {
 			return nil, fmt.Errorf("fleet: %d replicas exceed %d devices", c.Replicas, c.Devices)
 		}
 	}
-	s := int64(c.Stripe)
-	unitsPerDev := perDevicePages / s
+	unitsPerDev := perDevicePages / stripe
 	if unitsPerDev < 1 {
-		return nil, fmt.Errorf("fleet: stripe unit %d pages exceeds device capacity %d", c.Stripe, perDevicePages)
+		return nil, fmt.Errorf("fleet: stripe unit %d pages exceeds device capacity %d", stripe, perDevicePages)
 	}
 	n := int64(c.Devices)
 	lay := &Layout{Cfg: c, PerDevicePages: perDevicePages, UsedSlots: make([]int64, c.Devices)}
@@ -207,7 +196,7 @@ func NewLayout(cfg Config, perDevicePages int64) (*Layout, error) {
 		lay.Place = place
 		copy(lay.UsedSlots, used)
 	}
-	lay.LogicalPages = lay.Units * s
+	lay.LogicalPages = lay.Units * stripe
 	if lay.Units < 1 {
 		return nil, fmt.Errorf("fleet: utilization %v exposes no stripe units", c.Util)
 	}
@@ -257,7 +246,7 @@ func (p replicatePlace) Locate(u int64, dst []Loc) []Loc {
 }
 
 // hashPlace is consistent hashing with virtual nodes and bounded loads:
-// each unit hashes onto a ring of Devices*VNodes points and walks clockwise
+// each unit hashes onto a ring of Devices*vNodes points and walks clockwise
 // to the first device with spare capacity, so no device overflows even at
 // full utilization. Slots are assigned by rank in ascending unit order, so
 // a 1-device ring is the identity mapping. The whole table is precomputed;
@@ -289,10 +278,10 @@ type ringNode struct {
 // newHashPlace builds the bounded-load consistent-hash table for `units`
 // stripe units and returns it with the per-device used-slot counts.
 func newHashPlace(c Config, units, unitsPerDev int64) (hashPlace, []int64) {
-	ring := make([]ringNode, 0, c.Devices*c.VNodes)
+	ring := make([]ringNode, 0, c.Devices*vNodes)
 	for d := 0; d < c.Devices; d++ {
-		for v := 0; v < c.VNodes; v++ {
-			h := splitmix64(uint64(c.Seed)<<32 ^ uint64(d)<<16 ^ uint64(v))
+		for v := 0; v < vNodes; v++ {
+			h := splitmix64(ringSeed<<32 ^ uint64(d)<<16 ^ uint64(v))
 			ring = append(ring, ringNode{hash: h, dev: int32(d)})
 		}
 	}
@@ -302,7 +291,7 @@ func newHashPlace(c Config, units, unitsPerDev int64) (hashPlace, []int64) {
 	used := make([]int64, c.Devices)
 	locs := make([]Loc, units)
 	for u := int64(0); u < units; u++ {
-		h := splitmix64(uint64(c.Seed)*0x9E3779B97F4A7C15 ^ uint64(u))
+		h := splitmix64(ringSeed*0x9E3779B97F4A7C15 ^ uint64(u))
 		i := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
 		// Bounded loads: walk clockwise past full devices. Capacity
 		// invariant units <= Devices*unitsPerDev guarantees a slot exists.

@@ -26,7 +26,7 @@ func TestPlacementCollisionFree(t *testing.T) {
 		{Devices: 7, Policy: Hash, Util: 0.6},
 	} {
 		lay := layoutFor(t, cfg, perDev)
-		maxSlots := lay.PerDevicePages / int64(lay.Cfg.Stripe)
+		maxSlots := lay.PerDevicePages / stripe
 		seen := make(map[Loc]int64)
 		var locs []Loc
 		for u := int64(0); u < lay.Units; u++ {
@@ -96,7 +96,7 @@ func TestPlacementIdentityOneDevice(t *testing.T) {
 func TestHashBoundedLoad(t *testing.T) {
 	const perDev = 48 * 8
 	lay := layoutFor(t, Config{Devices: 4, Policy: Hash}, perDev)
-	unitsPerDev := perDev / int64(lay.Cfg.Stripe)
+	unitsPerDev := int64(perDev / stripe)
 	if lay.Units != 4*unitsPerDev {
 		t.Fatalf("full-util hash layout exposes %d units, want %d", lay.Units, 4*unitsPerDev)
 	}
@@ -113,28 +113,18 @@ func TestHashBoundedLoad(t *testing.T) {
 	}
 }
 
-// TestHashSeedPerturbsRing pins that the ring seed actually changes the
-// assignment (and that equal seeds reproduce it).
-func TestHashSeedPerturbsRing(t *testing.T) {
+// TestHashRingIsDeterministic pins that equal configs build equal rings:
+// the hash layout is a pure function of the config and the capacity.
+func TestHashRingIsDeterministic(t *testing.T) {
 	const perDev = 64 * 8
-	a := layoutFor(t, Config{Devices: 4, Policy: Hash, Seed: 1, Util: 0.5}, perDev)
-	b := layoutFor(t, Config{Devices: 4, Policy: Hash, Seed: 1, Util: 0.5}, perDev)
-	c := layoutFor(t, Config{Devices: 4, Policy: Hash, Seed: 2, Util: 0.5}, perDev)
-	same, diff := 0, 0
-	var la, lb, lc []Loc
+	a := layoutFor(t, Config{Devices: 4, Policy: Hash, Util: 0.5}, perDev)
+	b := layoutFor(t, Config{Devices: 4, Policy: Hash, Util: 0.5}, perDev)
+	var la, lb []Loc
 	for u := int64(0); u < a.Units; u++ {
-		la, lb, lc = a.Place.Locate(u, la[:0]), b.Place.Locate(u, lb[:0]), c.Place.Locate(u, lc[:0])
+		la, lb = a.Place.Locate(u, la[:0]), b.Place.Locate(u, lb[:0])
 		if la[0] != lb[0] {
-			t.Fatalf("same seed, unit %d differs: %+v vs %+v", u, la[0], lb[0])
+			t.Fatalf("same config, unit %d differs: %+v vs %+v", u, la[0], lb[0])
 		}
-		if la[0] == lc[0] {
-			same++
-		} else {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Fatalf("seeds 1 and 2 produced identical rings (%d units)", same)
 	}
 }
 
@@ -146,11 +136,17 @@ func TestLayoutValidation(t *testing.T) {
 		{Devices: 2, Policy: "raid6"},
 		{Devices: 2, Policy: Replicate, Replicas: 3},
 		{Devices: 2, Util: 1.5},
-		{Devices: 2, Stripe: int(perDev) + 8},
 	} {
 		if _, err := NewLayout(cfg, perDev); err == nil {
 			t.Errorf("NewLayout(%+v) accepted, want error", cfg)
 		}
+	}
+	// A device smaller than one stripe unit holds no unit.
+	if _, err := NewLayout(Config{Devices: 2}, stripe-1); err == nil {
+		t.Errorf("a %d-page device under a %d-page stripe unit accepted", stripe-1, stripe)
+	}
+	if _, err := NewLayout(Config{Devices: 2}, stripe); err != nil {
+		t.Errorf("a device of exactly one stripe unit rejected: %v", err)
 	}
 }
 
@@ -160,7 +156,7 @@ func TestLayoutValidation(t *testing.T) {
 func TestUtilHeadroom(t *testing.T) {
 	const perDev = 64 * 8
 	lay := layoutFor(t, Config{Devices: 4, Policy: Replicate, Replicas: 2, Util: 0.5}, perDev)
-	maxSlots := lay.PerDevicePages / int64(lay.Cfg.Stripe)
+	maxSlots := lay.PerDevicePages / stripe
 	for d, used := range lay.UsedSlots {
 		if spare := maxSlots - used; spare < maxSlots/3 {
 			t.Errorf("device %d: only %d spare slots of %d at Util 0.5", d, spare, maxSlots)

@@ -88,7 +88,7 @@ func NewBase(cfg Config) (*Base, error) {
 		return nil, err
 	}
 	b := &Base{State: st, BM: NewBlockMan(st.Fl), Hooks: NopHooks{}}
-	b.GC = gc.NewController(b.Fl, b.BM, b, b.Col, pol, cfg.GCLowWater, cfg.GCBGWater)
+	b.GC = gc.NewController(b.Fl, b.BM, b, b.Col, pol, cfg.GCLowWater)
 	// Active-block transitions feed the controller's incremental victim
 	// index: active blocks are never victims, so the index must learn about
 	// every open/retire without rescanning the device.

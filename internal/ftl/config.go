@@ -64,19 +64,6 @@ type Config struct {
 	// groups with the same policy kinds.
 	GCPolicy gc.Kind
 
-	// GCBGWater is the background-collection target: idle-gap GC (open-loop
-	// host model) tops the free pool up to this many blocks. Zero derives
-	// 2×GCLowWater.
-	GCBGWater int
-
-	// BlockEndurance is the rated program/erase cycles per block, used only
-	// for the projected-lifetime report (typical TLC: 3000).
-	BlockEndurance int64
-
-	// GroupSuperblocks is the number of superblocks a GTD entry group may
-	// accumulate before group GC triggers (LearnedFTL).
-	GroupSuperblocks int
-
 	// Fault configures the NAND reliability model (internal/fault): BER vs
 	// wear/retention/read-disturb, ECC read-retry, program/erase failure
 	// injection and background scrub. The zero value disables it, keeping
@@ -95,9 +82,6 @@ type LearnedConfig struct {
 	// GTD entry to GC time (Fig. 15/17/18a). Disabled = the paper's
 	// "w/o training&sorting" configuration.
 	ChargeTraining bool
-	// SortTrainCost is the virtual CPU time per GTD entry for GC-time
-	// sorting + training (paper: ~50µs on ARM Cortex-A72).
-	SortTrainCost nand.Time
 	// PredictCost is the virtual CPU time of one model prediction on the
 	// read path (paper Fig. 15: 0.65µs). Zero gives the paper's "ideal
 	// LearnedFTL" that fetches the PPN from a full DRAM map instead
@@ -129,13 +113,10 @@ func DefaultConfig(g nand.Geometry) Config {
 		// GC must start while every chip can still open a fresh active
 		// block for both the data and translation streams; anything
 		// smaller can wedge a 64-chip device mid-collection.
-		GCLowWater:       max(4, 2*g.Chips()),
-		GCPolicy:         gc.Greedy,
-		BlockEndurance:   3000,
-		GroupSuperblocks: 3,
+		GCLowWater: max(4, 2*g.Chips()),
+		GCPolicy:   gc.Greedy,
 		Learned: LearnedConfig{
 			ChargeTraining: true,
-			SortTrainCost:  50 * nand.Microsecond,
 			PredictCost:    650, // 0.65µs
 		},
 	}
@@ -192,8 +173,17 @@ func (c Config) Validate() error {
 	if c.OPRatio <= 0 || c.OPRatio >= 0.5 {
 		return fmt.Errorf("ftl: OPRatio %v out of (0, 0.5)", c.OPRatio)
 	}
+	// The negated test also rejects NaN. A ratio above 1 would size the
+	// mapping cache past the logical space it caches.
+	if !(c.CMTRatio > 0 && c.CMTRatio <= 1) {
+		return fmt.Errorf("ftl: CMTRatio %v out of (0, 1]", c.CMTRatio)
+	}
 	if c.EntriesPerTP <= 0 || c.GroupEntries <= 0 {
 		return fmt.Errorf("ftl: EntriesPerTP/GroupEntries must be positive")
+	}
+	// A model never needs more pieces than its translation page has entries.
+	if c.MaxPieces < 1 || c.MaxPieces > c.EntriesPerTP {
+		return fmt.Errorf("ftl: MaxPieces %d out of [1, EntriesPerTP = %d]", c.MaxPieces, c.EntriesPerTP)
 	}
 	// LogicalPages is at most max(TotalPages, one group span) and NumTPNs at
 	// most LogicalPages, so bounding the span bounds every LPN and TPN to the
@@ -218,9 +208,8 @@ func (c Config) Validate() error {
 	if _, ok := gc.ParseKind(string(c.GCPolicy)); !ok {
 		return fmt.Errorf("ftl: unknown GC policy %q (want one of %v)", c.GCPolicy, gc.Kinds())
 	}
-	if c.Learned.SortTrainCost < 0 || c.Learned.PredictCost < 0 {
-		return fmt.Errorf("ftl: LearnedFTL CPU charges must not be negative (SortTrainCost %d, PredictCost %d)",
-			c.Learned.SortTrainCost, c.Learned.PredictCost)
+	if c.Learned.PredictCost < 0 {
+		return fmt.Errorf("ftl: LearnedFTL PredictCost %d must not be negative", c.Learned.PredictCost)
 	}
 	return c.Fault.Validate()
 }

@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -44,32 +45,36 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.OPRatio = 0
-	if bad.Validate() == nil {
-		t.Fatal("OPRatio 0 accepted")
-	}
-	bad = cfg
-	bad.GCLowWater = 1
-	if bad.Validate() == nil {
-		t.Fatal("GCLowWater 1 accepted")
-	}
 	// A negative LearnedFTL CPU charge would issue a model-hit read before
-	// the request that made it arrived.
-	bad = cfg
-	bad.Learned.SortTrainCost = -1
-	if bad.Validate() == nil {
-		t.Fatal("negative SortTrainCost accepted")
-	}
-	bad = cfg
-	bad.Learned.PredictCost = -1
-	if bad.Validate() == nil {
-		t.Fatal("negative PredictCost accepted")
-	}
-	bad = cfg
-	bad.Learned.SortTrainCost, bad.Learned.PredictCost = 0, 0
-	if err := bad.Validate(); err != nil {
-		t.Fatalf("zero LearnedFTL charges rejected: %v", err)
+	// the request that made it arrived. A CMTRatio or MaxPieces out of range
+	// would size the mapping cache or every model's piece array from it.
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"OPRatio 0", func(c *Config) { c.OPRatio = 0 }, false},
+		{"GCLowWater 1", func(c *Config) { c.GCLowWater = 1 }, false},
+		{"negative PredictCost", func(c *Config) { c.Learned.PredictCost = -1 }, false},
+		{"zero PredictCost", func(c *Config) { c.Learned.PredictCost = 0 }, true},
+		{"CMTRatio 0", func(c *Config) { c.CMTRatio = 0 }, false},
+		{"negative CMTRatio", func(c *Config) { c.CMTRatio = -0.01 }, false},
+		{"NaN CMTRatio", func(c *Config) { c.CMTRatio = math.NaN() }, false},
+		{"CMTRatio above 1", func(c *Config) { c.CMTRatio = 1.01 }, false},
+		{"infinite CMTRatio", func(c *Config) { c.CMTRatio = math.Inf(1) }, false},
+		{"CMTRatio 1", func(c *Config) { c.CMTRatio = 1 }, true},
+		{"MaxPieces 0", func(c *Config) { c.MaxPieces = 0 }, false},
+		{"negative MaxPieces", func(c *Config) { c.MaxPieces = -1 }, false},
+		{"MaxPieces above EntriesPerTP", func(c *Config) { c.MaxPieces = c.EntriesPerTP + 1 }, false},
+		{"huge MaxPieces", func(c *Config) { c.MaxPieces = math.MaxInt }, false},
+		{"MaxPieces 1", func(c *Config) { c.MaxPieces = 1 }, true},
+		{"MaxPieces EntriesPerTP", func(c *Config) { c.MaxPieces = c.EntriesPerTP }, true},
+	} {
+		bad := cfg
+		c.set(&bad)
+		if err := bad.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok %v", c.name, err, c.ok)
+		}
 	}
 	// LeaFTL packs a segment's span and error into 16 bits each and names a
 	// translation page's segments by 16-bit handles.

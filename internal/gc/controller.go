@@ -91,10 +91,10 @@ type Controller struct {
 	pol   Policy
 
 	// lowWater is the foreground trigger: collect while FreeBlocks() is at
-	// or below it. bgWater is the background target: idle-gap collection
-	// tops the free pool up to it (bgWater > lowWater, so background
-	// collection runs ahead of need and the write path rarely triggers).
-	lowWater, bgWater int
+	// or below it. Idle-gap collection tops the free pool up to twice it,
+	// so background collection runs ahead of need and the write path
+	// rarely triggers.
+	lowWater int
 
 	// idx is the incremental victim index Victim selects through; it is
 	// registered as the flash array's block observer and kept in sync with
@@ -118,14 +118,10 @@ type vp struct {
 	oob nand.OOB
 }
 
-// NewController wires a controller. bgWater <= lowWater is raised to
-// 2×lowWater so background collection always has headroom over the
-// foreground trigger.
+// NewController wires a controller that collects in the foreground once
+// the free pool falls to lowWater.
 func NewController(fl *nand.Flash, alloc Allocator, host Host,
-	col *stats.Collector, pol Policy, lowWater, bgWater int) *Controller {
-	if bgWater <= lowWater {
-		bgWater = 2 * lowWater
-	}
+	col *stats.Collector, pol Policy, lowWater int) *Controller {
 	c := &Controller{
 		fl:       fl,
 		codec:    fl.Codec(),
@@ -134,7 +130,6 @@ func NewController(fl *nand.Flash, alloc Allocator, host Host,
 		col:      col,
 		pol:      pol,
 		lowWater: lowWater,
-		bgWater:  bgWater,
 		idx:      newVictimIndex(fl, alloc, pol),
 	}
 	// The index lives on the flash array's block-dirty feed. One observer
@@ -204,15 +199,15 @@ func (c *Controller) Foreground(now nand.Time) nand.Time {
 
 // Background collects during a device-idle gap [now, deadline): it keeps
 // launching collections while the free pool is below the background
-// watermark and the next collection still starts before the deadline. A
-// collection already running when the deadline passes completes — host
-// requests arriving meanwhile queue behind it on the chips it occupies —
-// but no new one starts.
+// watermark (2×lowWater) and the next collection still starts before the
+// deadline. A collection already running when the deadline passes
+// completes — host requests arriving meanwhile queue behind it on the chips
+// it occupies — but no new one starts.
 func (c *Controller) Background(now, deadline nand.Time) nand.Time {
 	if c.inGC {
 		return now
 	}
-	for now < deadline && c.alloc.FreeBlocks() < c.bgWater {
+	for now < deadline && c.alloc.FreeBlocks() < 2*c.lowWater {
 		done, ok := c.collectOnce(now, true)
 		if !ok {
 			break

@@ -181,7 +181,7 @@ func invalidate(t *testing.T, fl *nand.Flash, blk, n int) {
 }
 
 func newTestController(fl *nand.Flash, a *fakeAlloc, h *fakeHost, k Kind) *Controller {
-	c := NewController(fl, a, h, stats.NewCollector(), MustPolicy(k), 2, 0)
+	c := NewController(fl, a, h, stats.NewCollector(), MustPolicy(k), 2)
 	a.onActive = c.ActiveChanged
 	return c
 }
@@ -350,7 +350,7 @@ func TestForegroundRespectsLowWater(t *testing.T) {
 func TestBackgroundStopsAtDeadlineAndWater(t *testing.T) {
 	fl := testFlash(t)
 	a := &fakeAlloc{fl: fl, active: -1, free: []int{13, 14, 15}}
-	c := newTestController(fl, a, &fakeHost{}, Greedy) // bgWater = 4
+	c := newTestController(fl, a, &fakeHost{}, Greedy) // background watermark 2×lowWater = 4
 	for blk := 0; blk < 4; blk++ {
 		fillBlock(t, fl, blk, int64(100*blk))
 		invalidate(t, fl, blk, 6)
@@ -360,7 +360,7 @@ func TestBackgroundStopsAtDeadlineAndWater(t *testing.T) {
 	if c.Stats().Background != 0 {
 		t.Fatal("background GC launched in an empty gap")
 	}
-	// Wide gap: collect until the pool reaches bgWater (4). The first
+	// Wide gap: collect until the pool reaches the watermark (4). The first
 	// collection opens a relocation target (pool 3 → 2 → release → 3), the
 	// second reuses it (3 → release → 4): two collections, then the
 	// watermark holds.
@@ -369,7 +369,7 @@ func TestBackgroundStopsAtDeadlineAndWater(t *testing.T) {
 		t.Fatalf("background collections = %d, want 2", got)
 	}
 	if a.FreeBlocks() < 4 {
-		t.Fatalf("pool = %d, want >= bgWater", a.FreeBlocks())
+		t.Fatalf("pool = %d, want >= the background watermark 4", a.FreeBlocks())
 	}
 	c.Background(0, 1<<40)
 	if got := c.Stats().Background; got != 2 {

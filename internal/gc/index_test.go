@@ -215,7 +215,7 @@ func benchIndexDevice(b *testing.B, kind Kind) (*nand.Flash, *Controller) {
 	g := nand.Geometry{Channels: 8, Ways: 8, Planes: 1, BlocksPerUnit: 64, PagesPerBlock: 32, PageSize: 4096}
 	fl := mustFlash(g)
 	a := &fakeAlloc{fl: fl, active: -1}
-	c := NewController(fl, a, &fakeHost{}, stats.NewCollector(), MustPolicy(kind), 2, 0)
+	c := NewController(fl, a, &fakeHost{}, stats.NewCollector(), MustPolicy(kind), 2)
 	a.onActive = c.ActiveChanged
 	rng := rand.New(rand.NewSource(11))
 	ppb := g.PagesPerBlock
@@ -282,7 +282,7 @@ func BenchmarkInvalidateHook(b *testing.B) {
 	g := nand.Geometry{Channels: 4, Ways: 4, Planes: 1, BlocksPerUnit: 32, PagesPerBlock: 64, PageSize: 4096}
 	fl := mustFlash(g)
 	a := &fakeAlloc{fl: fl, active: -1}
-	c := NewController(fl, a, &fakeHost{}, stats.NewCollector(), MustPolicy(Greedy), 2, 0)
+	c := NewController(fl, a, &fakeHost{}, stats.NewCollector(), MustPolicy(Greedy), 2)
 	a.onActive = c.ActiveChanged
 	total := g.TotalPages()
 	refill := func() {

@@ -141,22 +141,15 @@ func (f *Flash) ReadChecked(p PPN, after Time, kind OpKind) (Time, ReadOutcome) 
 	return f.plainRead(p, after, kind), ReadOutcome{}
 }
 
-// RetryLadder is optionally implemented by fault models that expose the
-// depth of their read-retry ladder; a torn page's read walks the whole
-// ladder before giving up, so its latency charge includes every step.
-type RetryLadder interface {
-	RetrySteps() int
-}
-
-// tornRead reads a torn page: ECC walks the full retry ladder (when the
-// attached model has one) and never converges.
+// tornRead reads a torn page: ECC walks the attached model's full retry
+// ladder and never converges, so the latency charge includes every step.
 func (f *Flash) tornRead(p PPN, after Time, kind OpKind) (Time, ReadOutcome) {
 	out := ReadOutcome{Uncorrectable: true}
 	d := f.timing.ReadLatency
 	var retry Time
 	if f.fm != nil {
-		if lm, ok := f.fm.(RetryLadder); ok && lm.RetrySteps() > 0 {
-			out.Retries = lm.RetrySteps()
+		if n := f.fm.RetrySteps(); n > 0 {
+			out.Retries = n
 			retry = Time(out.Retries) * f.timing.RetryLatency
 			d += retry
 			f.rel.Retries += int64(out.Retries)

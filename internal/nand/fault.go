@@ -42,6 +42,9 @@ type FaultModel interface {
 	// EraseFault reports whether an erase of blockID fails, growing a bad
 	// block.
 	EraseFault(blockID int, blockErases int64) bool
+	// RetrySteps is the depth of the read-retry ladder; a torn page's read
+	// walks all of it before going uncorrectable.
+	RetrySteps() int
 }
 
 // RelCounters tallies reliability events. Unlike OpCounters they are not

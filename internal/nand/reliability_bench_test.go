@@ -9,6 +9,7 @@ type ladderStub struct{ out ReadOutcome }
 func (s ladderStub) ReadFault(PPN, int64, int64, Time) ReadOutcome { return s.out }
 func (s ladderStub) ProgramFault(PPN, int64) bool                  { return false }
 func (s ladderStub) EraseFault(int, int64) bool                    { return false }
+func (s ladderStub) RetrySteps() int                               { return 0 }
 
 // TestFaultDisabledReadPathAllocFree pins the guarantee the whole PR rests
 // on: with no fault model attached, the read path is the ideal-NAND path —

@@ -18,6 +18,7 @@ func (s scanStub) ReadFault(p nand.PPN, _, _ int64, _ nand.Time) nand.ReadOutcom
 }
 func (s scanStub) ProgramFault(p nand.PPN, _ int64) bool { return s.failProg[p] }
 func (s scanStub) EraseFault(int, int64) bool            { return false }
+func (s scanStub) RetrySteps() int                       { return 0 }
 
 func TestScanOOBLostMappingsUnderFaults(t *testing.T) {
 	g := nand.Geometry{Channels: 1, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}

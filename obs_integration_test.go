@@ -202,7 +202,7 @@ func TestTraceCaptureJSONValid(t *testing.T) {
 		t.Fatalf("summary table rows = %d, want 1", len(tab.Rows))
 	}
 	var buf bytes.Buffer
-	if err := WriteTrace(trace, &buf); err != nil {
+	if err := trace.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -7,7 +7,6 @@ package learnedftl
 
 import (
 	"fmt"
-	"io"
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/obs"
@@ -16,7 +15,7 @@ import (
 )
 
 // Trace is the bounded virtual-time event ring TraceCapture returns, exported
-// as Chrome trace-event JSON (Perfetto-viewable) by WriteTrace.
+// as Chrome trace-event JSON (Perfetto-viewable) by its WriteJSON method.
 type Trace = obs.Trace
 
 // ObsCell is one latbreak measurement in the BENCH JSON: a scheme ×
@@ -111,7 +110,3 @@ func TraceCapture(s Scheme, cfg Config, b Budget) (trace *Trace, tab Table, err 
 	})
 	return trace, tab, err
 }
-
-// WriteTrace exports a captured trace as Chrome trace-event JSON, loadable
-// in Perfetto (ui.perfetto.dev) or chrome://tracing.
-func WriteTrace(t *Trace, w io.Writer) error { return t.WriteJSON(w) }

@@ -171,14 +171,16 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 // re-recorded again for format version 4, which writes each LeaFTL table's
 // segments oldest first instead of by level: every byte after the version
 // stayed the same but LeaFTL's segment section, whose segments per table
-// did not change.
+// did not change. They were re-recorded once more when seven single-valued
+// Config and fault.Config fields became constants; the bytes after the
+// identity string did not change.
 func TestSnapshotStreamMatchesWideTables(t *testing.T) {
 	want := map[Scheme]string{
-		SchemeDFTL:       "6e5a5f463931484786a7b6a641b710f330cf26a678e71e6167679f88323ffc0b",
-		SchemeTPFTL:      "2f6b71aac09b3509d0e0b6b2f8fe6fbade4db22c84b99598e2988499a33f5023",
-		SchemeLeaFTL:     "35c5aeba9a938dd3c78633328d1711f243c66883077155e2045332c5a53b7b0b",
-		SchemeLearnedFTL: "fa2587fb47e527efe3c9eeaad0a99f126fec45970ef16f3274fbc79b776a989f",
-		SchemeIdeal:      "e5d5526daa7f16d40cb190595da838e0a50ec5f4027fff0a62db913f043f00fc",
+		SchemeDFTL:       "a8d6be7c9c72763754690a1e12049e72e95d3c124e8eb478e43f460276dcb33e",
+		SchemeTPFTL:      "8758c54d5adadd7696804fed94edf01a312d77609e13fedb803609e2282b5883",
+		SchemeLeaFTL:     "04c88ee68ef834e0f57b3961029f131ee28ccf08c0873a935d334b7f4b17849c",
+		SchemeLearnedFTL: "7a4ef4b0370c8c564d9d5c333ed8299a1095ea0f34970b572cbce13ea106021b",
+		SchemeIdeal:      "cac7ad60b59116dd00eb48cc9f5f1b978649309a0a62ebcf94751ce74c7f6e8f",
 	}
 	cfg := persistTestConfig()
 	for _, s := range Schemes() {
