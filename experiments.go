@@ -1528,7 +1528,7 @@ func scrubLatConfig(scrub bool) fault.Config {
 //     climb back past even the flag point before the run ends.
 func scrubLatAge(fc fault.Config, cfg Config, bake nand.Time) fault.Config {
 	cwBits := float64(cfg.Geometry.PageSize) * 8
-	lethal := fault.ECCBits / (cwBits * 0.9) // uncorrectable even at minimum jitter
+	lethal := fault.ECCBits / (cwBits * fault.JitterFloor) // uncorrectable even at minimum jitter
 	secs := float64(bake) / float64(nand.Second)
 	if secs > 0 {
 		fc.RetentionBERPerSec = (0.7*lethal - fc.BaseBER) / secs

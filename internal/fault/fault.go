@@ -69,6 +69,11 @@ type Config struct {
 // BCH class ECC.
 const ECCBits = 40
 
+// JitterFloor is the low end of the per-read jitter band [JitterFloor,
+// JitterFloor+0.2) that scales a codeword's expected raw errors: a BER
+// uncorrectable at the floor is uncorrectable at every draw.
+const JitterFloor = 0.9
+
 const (
 	// retryFactor scales the raw error count per retry step: a shifted
 	// reference voltage recovers half the raw errors.
@@ -166,7 +171,7 @@ func (m *Model) rawBER(blockReads, blockErases int64, age nand.Time) float64 {
 // error count — the monotonicity the faultsweep assertions rely on.
 func (m *Model) ReadFault(p nand.PPN, blockReads, blockErases int64, age nand.Time) nand.ReadOutcome {
 	ber := m.rawBER(blockReads, blockErases, age)
-	jitter := 0.9 + 0.2*unit01(m.hash3(uint64(p), uint64(blockReads)))
+	jitter := JitterFloor + 0.2*unit01(m.hash3(uint64(p), uint64(blockReads)))
 	errs := ber * m.cwBits * jitter
 	var out nand.ReadOutcome
 	if errs <= m.thresh {

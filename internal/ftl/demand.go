@@ -66,10 +66,11 @@ func (d *Demand) prefetchSpan(lpn int64, remaining int) int64 {
 // Fill caches lpn's mapping after a miss fetched its translation page. With
 // the loading policy on, the prefetch span rides along: those mappings share
 // the fetched flash page, so they are free in flash ops but consume cache
-// space. The caller drains evictions next.
+// space. The caller drains evictions next. The prefetch starts past lpn,
+// which the final Insert caches (or refreshes) as MRU whatever it held.
 func (d *Demand) Fill(lpn int64, remaining int, l2p mapping.L2P) {
 	if d.tp {
-		for l, hi := lpn, lpn+d.prefetchSpan(lpn, remaining); l < hi; l++ {
+		for l, hi := lpn+1, lpn+d.prefetchSpan(lpn, remaining); l < hi; l++ {
 			if p := l2p.Get(l); p != nand.InvalidPPN && !d.CMT.Contains(l) {
 				d.CMT.Insert(l, p, false)
 			}

@@ -48,11 +48,9 @@ func NewInPlaceModel(span, maxPieces int) *InPlaceModel {
 }
 
 // NewInPlaceModel returns an untrained model stamped from sc, covering span
-// LPN offsets with at most maxPieces linear pieces.
+// LPN offsets with at most maxPieces linear pieces. maxPieces must be at
+// least 1: ftl.Config.Validate holds a device's MaxPieces to that.
 func (sc *Scratch) NewInPlaceModel(span, maxPieces int) *InPlaceModel {
-	if maxPieces <= 0 {
-		maxPieces = DefaultMaxPieces
-	}
 	return &InPlaceModel{
 		span:      span,
 		maxPieces: maxPieces,

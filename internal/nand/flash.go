@@ -39,10 +39,11 @@ func (s PageState) String() string {
 // the learned segment covering the page. The simulator keeps only the fields
 // the reproduced FTLs consult.
 //
-// OOB is the API value type; the array itself stores each page's OOB packed
-// into a single tagged uint32 (Key<<1 | Trans), a quarter of the resident
-// bytes of the old 16-byte struct layout. Keys are LPNs or TPNs, both in
-// [0, MaxPages], so key and tag bit always fit.
+// OOB is the API value type; the array itself stores each page's OOB as one
+// tagged key (Key<<1 | Trans), packed at the device's own width: the bits
+// that 2·TotalPages − 1 needs, 19 on a 262 144-page device (see keyArray).
+// Keys are LPNs or TPNs, both in [0, MaxPages], so key and tag bit always
+// fit 32 bits.
 type OOB struct {
 	// Key is the LPN for data pages or the translation-page number (TPN)
 	// for translation pages.
@@ -52,8 +53,8 @@ type OOB struct {
 }
 
 // packOOB folds an OOB into its tagged-key storage form.
-func packOOB(o OOB) uint32 {
-	k := uint32(o.Key) << 1
+func packOOB(o OOB) uint64 {
+	k := uint64(o.Key) << 1
 	if o.Trans {
 		k |= 1
 	}
@@ -61,7 +62,7 @@ func packOOB(o OOB) uint32 {
 }
 
 // unpackOOB is packOOB's inverse.
-func unpackOOB(k uint32) OOB {
+func unpackOOB(k uint64) OOB {
 	return OOB{Key: int64(k >> 1), Trans: k&1 != 0}
 }
 
@@ -94,9 +95,10 @@ type BlockObserver interface {
 // concurrent use; the simulation engine is single-threaded by design.
 //
 // Page metadata is stored packed: two parallel bitmaps (programmed, valid)
-// give each page's 2-bit state, and one tagged uint32 per page carries the
-// OOB reverse mapping — 4.25 bytes per page against the 17 bytes of the
-// historical one-byte-state + 16-byte-OOB-struct layout. The valid bitmap
+// give each page's 2-bit state, and one tagged key per page, at the
+// device's own width, carries the OOB reverse mapping — 2.625 bytes per
+// page on a 262 144-page device against the 17 bytes of the historical
+// one-byte-state + 16-byte-OOB-struct layout. The valid bitmap
 // doubles as the per-block valid-page index GC relocation and the mount
 // scan iterate instead of probing every page.
 type Flash struct {
@@ -106,7 +108,7 @@ type Flash struct {
 
 	programmed []uint64 // bit p set ⇔ page p programmed since its last erase
 	valid      []uint64 // bit p set ⇔ page p holds live data
-	keys       []uint32 // packed OOB (packOOB); 0 for free pages
+	keys       keyArray // packed OOB (packOOB); 0 for free pages
 	blocks     []blockMeta
 
 	chipBusy []Time // per parallel unit, next idle time
@@ -163,7 +165,7 @@ func NewFlash(g Geometry, t Timing) (*Flash, error) {
 		timing:     t,
 		programmed: make([]uint64, words),
 		valid:      make([]uint64, words),
-		keys:       make([]uint32, g.TotalPages()),
+		keys:       newKeyArray(g.TotalPages(), keyWidth(int64(g.TotalPages()))),
 		blocks:     make([]blockMeta, g.TotalBlocks()),
 		chipBusy:   make([]Time, g.Chips()),
 	}
@@ -317,7 +319,8 @@ func (f *Flash) faultReadOut(p PPN, after Time, kind OpKind) (Time, ReadOutcome)
 // requires in-order programming within a block; violating that, or
 // programming a non-free page, is a simulator-usage bug and returns an
 // error. OOB keys must lie in [0, 2³¹) (LPNs and TPNs do: Geometry.Validate
-// caps the device at MaxPages), so key and tag bit fit the packed 32 bits.
+// caps the device at MaxPages), so key and tag bit fit 32 bits. A key past
+// the device's own page count is stored too: it widens the key array once.
 func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
 	bid, page := f.codec.BlockPage(p)
 	b := &f.blocks[bid]
@@ -332,6 +335,10 @@ func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
 	if oob.Key < 0 || oob.Key > MaxPages {
 		return 0, fmt.Errorf("nand: program of page %d with OOB key %d outside [0, 2^31)", p, oob.Key)
 	}
+	key := packOOB(oob)
+	if key > f.keys.mask {
+		f.keys.widen(key) // a key past the device's page count
+	}
 	cutAfter := false
 	if f.cut != nil && f.cut.due(after) {
 		if f.cut.torn {
@@ -341,7 +348,7 @@ func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
 			// key is recorded for the simulator's omniscient loss reporting;
 			// the recovery scan must never consume it (IsTorn guards).
 			f.programmed[w] |= m
-			f.keys[p] = packOOB(oob)
+			f.keys.set(int(p), key)
 			b.writePtr++
 			f.markTorn(p)
 			f.notifyBlock(bid)
@@ -377,7 +384,7 @@ func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
 	}
 	f.programmed[w] |= m
 	f.valid[w] |= m
-	f.keys[p] = packOOB(oob)
+	f.keys.set(int(p), key)
 	b.valid++
 	b.writePtr++
 	f.counters.Programs[kind]++
@@ -427,9 +434,7 @@ func (f *Flash) Erase(blockID int, after Time) (Time, error) {
 	base := PPN(int64(blockID) * int64(f.geo.PagesPerBlock))
 	clearBits(f.programmed, int64(base), int64(base)+int64(f.geo.PagesPerBlock))
 	clearBits(f.valid, int64(base), int64(base)+int64(f.geo.PagesPerBlock))
-	for i := 0; i < f.geo.PagesPerBlock; i++ {
-		f.keys[base+PPN(i)] = 0
-	}
+	f.keys.clear(int(base), int(base)+f.geo.PagesPerBlock)
 	b.writePtr = 0
 	b.erases++
 	// The block's program history died with its contents: age-aware GC
@@ -547,7 +552,7 @@ func (f *Flash) State(p PPN) PageState {
 }
 
 // PageOOB returns the OOB metadata of page p.
-func (f *Flash) PageOOB(p PPN) OOB { return unpackOOB(f.keys[p]) }
+func (f *Flash) PageOOB(p PPN) OOB { return unpackOOB(f.keys.get(int(p))) }
 
 // AppendValidPages appends the PPNs of blockID's valid pages to dst in
 // ascending order, iterating the block's valid bitmap word by word instead
@@ -642,8 +647,8 @@ func (f *Flash) ChipBusyUntil(chip int) Time { return f.chipBusy[chip] }
 // is what bounds how large a geometry a sweep can hold in RAM.
 type Footprint struct {
 	// PageMetaBytes covers the page-granular arrays: the programmed and
-	// valid bitmaps (1 bit per page each) and the tagged OOB keys (4 bytes
-	// per page).
+	// valid bitmaps (1 bit per page each) and the tagged OOB keys (the bits
+	// 2·pages − 1 needs per page, plus the key array's 7-byte tail).
 	PageMetaBytes int64 `json:"page_meta_bytes"`
 	// BlockMetaBytes covers the per-block metadata structs.
 	BlockMetaBytes int64 `json:"block_meta_bytes"`
@@ -659,9 +664,15 @@ type Footprint struct {
 // building the arrays.
 func FootprintFor(g Geometry) Footprint {
 	pages := int64(g.TotalPages())
+	return footprint(g, keyBytes(pages, keyWidth(pages)))
+}
+
+// footprint is FootprintFor with a key array of keyLen bytes.
+func footprint(g Geometry, keyLen int64) Footprint {
+	pages := int64(g.TotalPages())
 	words := (pages + 63) / 64
 	fp := Footprint{
-		PageMetaBytes:  2*8*words + 4*pages,
+		PageMetaBytes:  2*8*words + keyLen,
 		BlockMetaBytes: int64(g.TotalBlocks()) * int64(unsafe.Sizeof(blockMeta{})),
 		ChipBytes:      int64(g.Chips()) * 8,
 	}
@@ -672,13 +683,15 @@ func FootprintFor(g Geometry) Footprint {
 	return fp
 }
 
-// Footprint returns the resident metadata footprint of this array.
-func (f *Flash) Footprint() Footprint { return FootprintFor(f.geo) }
+// Footprint returns the resident metadata footprint of this array: that of
+// its geometry, unless a key past the device's page count widened the keys.
+func (f *Flash) Footprint() Footprint { return footprint(f.geo, int64(len(f.keys.b))) }
 
-// FlashState is the portable snapshot of a flash array's mutable state, in
-// the packed representation the array itself uses. Per-block valid counts
-// and write pointers are not carried: NAND's in-order programming makes a
-// block's programmed pages a prefix, so both derive from the bitmaps.
+// FlashState is the portable snapshot of a flash array's mutable state: the
+// array's own bitmaps, and one 32-bit tagged key (packOOB) per page, which
+// the array packs at its own width. Per-block valid counts and write
+// pointers are not carried: NAND's in-order programming makes a block's
+// programmed pages a prefix, so both derive from the bitmaps.
 type FlashState struct {
 	Programmed []uint64
 	Valid      []uint64
@@ -706,7 +719,7 @@ func (f *Flash) ExportState() FlashState {
 	s := FlashState{
 		Programmed: append([]uint64(nil), f.programmed...),
 		Valid:      append([]uint64(nil), f.valid...),
-		Keys:       append([]uint32(nil), f.keys...),
+		Keys:       make([]uint32, f.keys.n),
 		Erases:     make([]int64, len(f.blocks)),
 		LastMod:    make([]Time, len(f.blocks)),
 		ChipBusy:   append([]Time(nil), f.chipBusy...),
@@ -716,6 +729,7 @@ func (f *Flash) ExportState() FlashState {
 		Bad:        make([]bool, len(f.blocks)),
 		Rel:        f.rel,
 	}
+	f.keys.unpack(s.Keys)
 	for i := range f.blocks {
 		s.Erases[i] = f.blocks[i].erases
 		s.LastMod[i] = f.blocks[i].lastMod
@@ -742,8 +756,8 @@ func (f *Flash) ExportState() FlashState {
 func (f *Flash) ImportState(s FlashState) error {
 	switch {
 	case len(s.Programmed) != len(f.programmed), len(s.Valid) != len(f.valid),
-		len(s.Keys) != len(f.keys):
-		return fmt.Errorf("nand: import of %d-page state into %d-page device", len(s.Keys), len(f.keys))
+		len(s.Keys) != f.keys.n:
+		return fmt.Errorf("nand: import of %d-page state into %d-page device", len(s.Keys), f.keys.n)
 	case len(s.Erases) != len(f.blocks), len(s.LastMod) != len(f.blocks):
 		return fmt.Errorf("nand: import of %d blocks into %d-block device", len(s.Erases), len(f.blocks))
 	case len(s.ChipBusy) != len(f.chipBusy):
@@ -797,7 +811,11 @@ func (f *Flash) ImportState(s FlashState) error {
 	}
 	copy(f.programmed, s.Programmed)
 	copy(f.valid, s.Valid)
-	copy(f.keys, s.Keys)
+	if all := f.keys.pack(s.Keys); uint64(all) > f.keys.mask {
+		// A key wider than the array: pack again into one wide enough.
+		f.keys = newKeyArray(f.keys.n, uint(bits.Len32(all)))
+		f.keys.pack(s.Keys)
+	}
 	copy(f.chipBusy, s.ChipBusy)
 	f.maxBusy = max(0, slices.Max(f.chipBusy))
 	f.clockEpoch++

@@ -3,7 +3,6 @@ package nand
 import (
 	"slices"
 	"testing"
-	"unsafe"
 )
 
 func newTestFlash(t *testing.T) *Flash {
@@ -428,17 +427,19 @@ func TestProgramRejectsKeyPast31Bits(t *testing.T) {
 }
 
 // TestFootprintPackedVsStructLayout is the footprint acceptance bar: the
-// packed metadata must spend at most 4.5 resident bytes per physical page —
-// 3.7x under the 17 of the retired struct layout (1-byte state + 16-byte
-// OOB) — and FootprintFor must describe the arrays NewFlash really builds.
+// packed metadata must spend at most 3.3 resident bytes per physical page —
+// 0.25 for the two state bitmaps plus 3 for the 24-bit keys of the paper's
+// 8 Mi-page device, with 0.05 of margin; 5.2x under the 17 of the retired
+// struct layout (1-byte state + 16-byte OOB) — and FootprintFor must
+// describe the arrays NewFlash really builds.
 func TestFootprintPackedVsStructLayout(t *testing.T) {
 	for _, g := range []Geometry{testGeom(), PaperGeometry()} {
 		fp := FootprintFor(g)
 		if fp.BytesPerPage <= 0 {
 			t.Fatalf("degenerate footprint %+v", fp)
 		}
-		if fp.BytesPerPage > 4.5 {
-			t.Fatalf("packed layout spends %.2f B/page, want <= 4.5", fp.BytesPerPage)
+		if fp.BytesPerPage > 3.3 {
+			t.Fatalf("packed layout spends %.2f B/page, want <= 3.3", fp.BytesPerPage)
 		}
 		if fp.TotalBytes != fp.PageMetaBytes+fp.BlockMetaBytes+fp.ChipBytes {
 			t.Fatalf("footprint totals inconsistent: %+v", fp)
@@ -448,9 +449,18 @@ func TestFootprintPackedVsStructLayout(t *testing.T) {
 	if f.Footprint() != FootprintFor(f.Geometry()) {
 		t.Fatal("Flash.Footprint diverges from FootprintFor")
 	}
-	built := int64(8*(len(f.programmed)+len(f.valid))) + int64(len(f.keys))*int64(unsafe.Sizeof(f.keys[0]))
+	built := int64(8*(len(f.programmed)+len(f.valid))) + int64(len(f.keys.b))
 	if got := f.Footprint().PageMetaBytes; got != built {
 		t.Fatalf("FootprintFor reports %d page-metadata bytes, the arrays hold %d", got, built)
+	}
+	// A key past the device's page count widens the array; the footprint
+	// follows it.
+	if _, err := f.Program(0, OOB{Key: MaxPages}, 0, OpHostData); err != nil {
+		t.Fatal(err)
+	}
+	built = int64(8*(len(f.programmed)+len(f.valid))) + int64(len(f.keys.b))
+	if got := f.Footprint().PageMetaBytes; got != built || got <= FootprintFor(f.Geometry()).PageMetaBytes {
+		t.Fatalf("widened footprint reports %d page-metadata bytes, the arrays hold %d", got, built)
 	}
 }
 

@@ -73,10 +73,10 @@ func (g Geometry) TotalBytes() int64 {
 	return int64(g.TotalPages()) * int64(g.PageSize)
 }
 
-// MaxPages is the largest device the model addresses, in pages: the flash
-// array keeps one 32-bit tagged key per page and the FTLs one 32-bit entry
-// per LPN, so page numbers, LPNs and TPNs must all fit 31 bits (8 TiB of
-// 4 KiB pages). Validate enforces it.
+// MaxPages is the largest device the model addresses, in pages: a flash
+// page's tagged key (key<<1 | trans) must fit 32 bits, and the FTLs keep one
+// 32-bit entry per LPN, so page numbers, LPNs and TPNs must all fit 31 bits
+// (8 TiB of 4 KiB pages). Validate enforces it.
 const MaxPages = math.MaxInt32
 
 // Validate reports whether the geometry is usable: every field positive and

@@ -18,7 +18,7 @@ const Never = nand.Time(math.MaxInt64)
 
 // entry is one entrant of the tournament: an index and its time. The time
 // is kept as an unsigned key — the sign bit flipped, so unsigned order is
-// time order — which lets (key, src) be compared as one 128-bit number.
+// time order, negative times and Never included.
 type entry struct {
 	key uint64
 	src uint32
@@ -101,17 +101,20 @@ func (s *Tree) Min() (entrant int, at nand.Time) {
 // Advance moves the winner to time t.
 //
 // Which way each match goes is close to a coin toss, so the replay is
-// written without a branch on it: the 128-bit subtraction (loser − climber)
-// borrows exactly when the stored loser comes before the climber, and the
-// borrow, spread to a mask, swaps the two or leaves them.
+// written without a branch on it. The loser stored at a node on the
+// climber's path came from the other subtree, so the index tie-break is the
+// side the climber came from: the stored loser wins a tie exactly when the
+// climber comes up from a right child c (c odd: the higher indices), and
+// the subtraction loser − climber − (c&1) borrows exactly when the stored
+// loser comes first. The borrow, spread to a mask, swaps the two or leaves
+// them.
 func (s *Tree) Advance(t nand.Time) {
 	node := s.node
 	wk, ws := timeKey(t), uint64(node[0].src)
-	for i := (len(node) + int(ws)) >> 1; i >= 1; i >>= 1 {
-		n := &node[i]
+	for c := len(node) + int(ws); c > 1; c >>= 1 {
+		n := &node[c>>1]
 		lk, ls := n.key, uint64(n.src)
-		_, borrow := bits.Sub64(ls, ws, 0)
-		_, borrow = bits.Sub64(lk, wk, borrow)
+		_, borrow := bits.Sub64(lk, wk, uint64(c&1))
 		swap := -borrow
 		dk, ds := (lk^wk)&swap, (ls^ws)&swap
 		n.key, n.src = lk^dk, uint32(ls^ds)
