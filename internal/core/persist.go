@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"learnedftl/internal/learned"
@@ -15,24 +17,27 @@ import (
 // crash-recovery path that, after the shared mount scan, re-derives the
 // allocation state from the flash array alone.
 
+// pieceLayout is a model piece's record in a snapshot: its offset, slope and
+// intercept.
+const pieceLayout persist.Layout = "vff"
+
 // SaveState implements ftl.FTL.
 func (f *LearnedFTL) SaveState(e *persist.Encoder) {
 	f.SaveMapState(e)
 	f.Save(e)
 	e.U64(uint64(len(f.models)))
+	var cells []int64
 	for i := range f.models {
 		st := f.models[i].ExportState()
 		e.I64(st.Base)
 		e.U64(uint64(len(st.Pieces)))
+		cells = cells[:0]
 		for _, p := range st.Pieces {
-			e.I64(p.Off)
-			e.F64(p.K)
-			e.F64(p.B)
+			cells = append(cells, p.Off, int64(math.Float64bits(p.K)), int64(math.Float64bits(p.B)))
 		}
+		persist.PutRun(e, pieceLayout, cells)
 		e.U64(uint64(len(st.Bits)))
-		for _, w := range st.Bits {
-			e.U64(w)
-		}
+		persist.PutRun(e, "u", st.Bits)
 	}
 	e.U64(uint64(len(f.groups)))
 	for i := range f.groups {
@@ -60,23 +65,25 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	if err := f.LoadMapState(d); err != nil {
 		return err
 	}
-	if err := f.Load(d, f.L2P.Len()); err != nil {
+	if err := f.Load(d, f.L2P.Len(), int64(f.Cfg.Geometry.TotalPages())); err != nil {
 		return err
 	}
 	if n := d.U64(); d.Err() == nil && n != uint64(len(f.models)) {
 		return fmt.Errorf("core: snapshot of %d models, want %d", n, len(f.models))
 	}
+	var cells []int64
 	for i := range f.models {
 		var st learned.ModelState
 		st.Base = d.I64()
 		st.Pieces = make([]learned.Piece, d.Count())
+		cells = slices.Grow(cells[:0], len(pieceLayout)*len(st.Pieces))[:len(pieceLayout)*len(st.Pieces)]
+		persist.GetRun(d, pieceLayout, cells, math.MinInt64, math.MaxInt64)
 		for pi := range st.Pieces {
-			st.Pieces[pi] = learned.Piece{Off: d.I64(), K: d.F64(), B: d.F64()}
+			c := cells[len(pieceLayout)*pi:]
+			st.Pieces[pi] = learned.Piece{Off: c[0], K: math.Float64frombits(uint64(c[1])), B: math.Float64frombits(uint64(c[2]))}
 		}
 		st.Bits = make([]uint64, d.Count())
-		for wi := range st.Bits {
-			st.Bits[wi] = d.U64()
-		}
+		persist.GetRun(d, "u", st.Bits, 0, 0)
 		if err := d.Err(); err != nil {
 			return err
 		}

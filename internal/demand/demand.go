@@ -130,7 +130,7 @@ func (d *FTL) LoadState(dec *persist.Decoder) error {
 	if err := d.LoadBaseState(dec); err != nil {
 		return err
 	}
-	if err := d.Load(dec, d.L2P.Len()); err != nil {
+	if err := d.Load(dec, d.L2P.Len(), int64(d.Cfg.Geometry.TotalPages())); err != nil {
 		return err
 	}
 	d.LoadEMA(dec)

@@ -118,10 +118,10 @@ func (d *Demand) Reset() {
 func (d *Demand) Save(e *persist.Encoder) { persist.SaveCMT(e, d.CMT) }
 
 // Load restores a Save section into a fresh CMT, rejecting a cached LPN
-// outside [0, logicalPages).
-func (d *Demand) Load(dec *persist.Decoder, logicalPages int64) error {
+// outside [0, logicalPages) or PPN outside [0, totalPages).
+func (d *Demand) Load(dec *persist.Decoder, logicalPages, totalPages int64) error {
 	d.Reset()
-	return persist.LoadCMT(dec, d.CMT, logicalPages)
+	return persist.LoadCMT(dec, d.CMT, logicalPages, totalPages)
 }
 
 // SaveEMA appends the request-length EMA that steers the loading policy (its

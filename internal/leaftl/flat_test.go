@@ -272,7 +272,7 @@ func TestLookupMatchesTopDownScan(t *testing.T) {
 				continue
 			}
 			tables++
-			segs := lt.Export()
+			segs := lt.Export(nil)
 			lo, hi := l.Cfg.TPRange(tpn)
 			for lpn := lo - 1; lpn <= hi; lpn++ {
 				gs, gok := lt.Lookup(lpn)

@@ -11,6 +11,8 @@ package leaftl
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"learnedftl/internal/ftl"
 	"learnedftl/internal/learned"
@@ -265,15 +267,21 @@ func (l *LeaFTL) lookup(lt *learned.LSMT, lpn int64) nand.PPN {
 	return l.Codec.ToPhysical(nand.VPPN(v))
 }
 
+// segLayout is a learned segment's record in a snapshot: its start, span,
+// slope, intercept and error bound.
+const segLayout persist.Layout = "vvffv"
+
 // SaveState implements ftl.FTL: the shared base state, the data buffer in
 // ascending LPN order, every translation page's learned segments (ascending
 // page number), oldest first, and the model cache in exact recency order.
 func (l *LeaFTL) SaveState(e *persist.Encoder) {
 	l.SaveBaseState(e)
-	e.U64(uint64(l.buffer.len()))
+	lpns := make([]int64, 0, l.buffer.len())
 	for lpn := l.buffer.next(0); lpn >= 0; lpn = l.buffer.next(lpn + 1) {
-		e.I64(lpn)
+		lpns = append(lpns, lpn)
 	}
+	e.U64(uint64(len(lpns)))
+	persist.PutRun(e, persist.Varints, lpns)
 	trained := 0
 	for _, lt := range l.models {
 		if lt != nil {
@@ -281,27 +289,28 @@ func (l *LeaFTL) SaveState(e *persist.Encoder) {
 		}
 	}
 	e.U64(uint64(trained))
+	var segs []learned.Segment
+	var cells []int64
 	for tpn, lt := range l.models {
 		if lt == nil {
 			continue
 		}
 		e.Int(tpn)
-		segs := lt.Export()
+		segs = lt.Export(segs[:0])
 		e.U64(uint64(len(segs)))
+		cells = cells[:0]
 		for _, s := range segs {
-			e.I64(s.S)
-			e.I64(int64(s.L))
-			e.F64(s.K)
-			e.F64(s.I)
-			e.I64(int64(s.Err))
+			cells = append(cells, s.S, int64(s.L), int64(math.Float64bits(s.K)), int64(math.Float64bits(s.I)), int64(s.Err))
 		}
+		persist.PutRun(e, segLayout, cells)
 	}
 	ents := l.cache.exportLRU()
 	e.U64(uint64(len(ents)))
+	cells = cells[:0]
 	for _, en := range ents {
-		e.Int(en.tpn)
-		e.Int(en.size)
+		cells = append(cells, int64(en.tpn), int64(en.size))
 	}
+	persist.PutRun(e, persist.Varints, cells)
 }
 
 // LoadState restores a snapshot into a freshly constructed LeaFTL of the
@@ -311,29 +320,35 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 		return err
 	}
 	l.buffer = newLPNSet(l.Cfg.LogicalPages())
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		lpn := d.I64()
-		if lpn < 0 || lpn >= l.Cfg.LogicalPages() {
-			return fmt.Errorf("leaftl: snapshot buffers LPN %d of %d", lpn, l.Cfg.LogicalPages())
-		}
+	lpns := make([]int64, d.Count())
+	if i, lpn := persist.GetRun(d, persist.Varints, lpns, 0, l.Cfg.LogicalPages()-1); i >= 0 {
+		return fmt.Errorf("leaftl: snapshot buffers LPN %d of %d", lpn, l.Cfg.LogicalPages())
+	}
+	for _, lpn := range lpns {
 		l.buffer.add(lpn)
 	}
 	l.models = make([]*learned.LSMT, l.Cfg.NumTPNs())
+	var segs []learned.Segment
+	var cells []int64
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		tpn := d.Int()
 		if tpn < 0 || tpn >= len(l.models) {
 			return fmt.Errorf("leaftl: snapshot trains translation page %d of %d", tpn, len(l.models))
 		}
-		segs := make([]learned.Segment, d.Count())
-		for si := range segs {
-			start, span, slope, icpt, bound := d.I64(), d.I64(), d.F64(), d.F64(), d.I64()
+		ns := d.Count()
+		cells = slices.Grow(cells[:0], len(segLayout)*ns)[:len(segLayout)*ns]
+		persist.GetRun(d, segLayout, cells, math.MinInt64, math.MaxInt64)
+		if err := d.Err(); err != nil {
+			return err
+		}
+		segs = segs[:0]
+		for si := 0; si < ns; si++ {
+			c := cells[len(segLayout)*si:]
+			start, span, slope, icpt, bound := c[0], c[1], math.Float64frombits(uint64(c[2])), math.Float64frombits(uint64(c[3])), c[4]
 			if span != int64(int32(span)) || bound != int64(int32(bound)) {
 				return fmt.Errorf("leaftl: snapshot translation page %d: segment %d spans %d LPNs with error %d", tpn, si, span, bound)
 			}
-			segs[si] = learned.Segment{S: start, L: int32(span), K: slope, I: icpt, Err: int32(bound)}
-		}
-		if err := d.Err(); err != nil {
-			return err
+			segs = append(segs, learned.Segment{S: start, L: int32(span), K: slope, I: icpt, Err: int32(bound)})
 		}
 		lt := l.lsmtScratch.NewLSMT(l.Cfg.TPRange(tpn))
 		if err := lt.Import(segs); err != nil {
@@ -342,15 +357,19 @@ func (l *LeaFTL) LoadState(d *persist.Decoder) error {
 		l.models[tpn] = lt
 	}
 	l.cache = newModelCache(l.Cfg.CMTEntries()*8, l.Cfg.NumTPNs())
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		tpn := d.Int()
-		size := d.Int()
-		if tpn < 0 || tpn >= len(l.models) {
+	cells = make([]int64, 2*d.Count())
+	persist.GetRun(d, persist.Varints, cells, math.MinInt64, math.MaxInt64)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	for i := 0; i < len(cells); i += 2 {
+		tpn, size := cells[i], cells[i+1]
+		if tpn < 0 || tpn >= int64(len(l.models)) {
 			return fmt.Errorf("leaftl: snapshot caches translation page %d of %d", tpn, len(l.models))
 		}
-		l.cache.Insert(tpn, size)
+		l.cache.Insert(int(tpn), int(size))
 	}
-	return d.Err()
+	return nil
 }
 
 // RecoverFromCrash implements ftl.FTL: the base OOB scan rebuilds L2P +

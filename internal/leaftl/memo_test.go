@@ -17,7 +17,7 @@ func freshPrediction(l *LeaFTL, lpn int64) nand.PPN {
 	if lt == nil {
 		return 0
 	}
-	seg, ok := topDownLookup(lt.Export(), lpn)
+	seg, ok := topDownLookup(lt.Export(nil), lpn)
 	if !ok {
 		return 0
 	}

@@ -183,14 +183,13 @@ func (t *LSMT) Lookup(lpn int64) (Segment, bool) {
 	return Segment{}, false
 }
 
-// Export returns a copy of the table's live segments, oldest first (device
-// snapshots).
-func (t *LSMT) Export() []Segment {
-	out := make([]Segment, len(t.order))
-	for i, h := range t.order {
-		out[i] = t.slab[h-1].segment()
+// Export appends a copy of the table's live segments, oldest first, to dst
+// (device snapshots, which reuse one slice across tables).
+func (t *LSMT) Export(dst []Segment) []Segment {
+	for _, h := range t.order {
+		dst = append(dst, t.slab[h-1].segment())
 	}
-	return out
+	return dst
 }
 
 // Import replaces the table's contents with segs, oldest first, as if they

@@ -32,7 +32,7 @@ func FuzzLSMT(f *testing.F) {
 				}
 			case 1:
 				fresh := NewLSMT()
-				if err := fresh.Import(lt.Export()); err != nil {
+				if err := fresh.Import(lt.Export(nil)); err != nil {
 					t.Fatalf("step %d: the table's own segments do not import: %v", step, err)
 				}
 				lt = fresh

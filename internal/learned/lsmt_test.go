@@ -264,7 +264,7 @@ func diverges(lt *LSMT, ref *refLSMT) string {
 	if lt.NumSegments() != len(want) {
 		return fmt.Sprintf("%d segments, the reference %d", lt.NumSegments(), len(want))
 	}
-	if got := lt.Export(); !slices.Equal(got, want) {
+	if got := lt.Export(nil); !slices.Equal(got, want) {
 		return fmt.Sprintf("exports %+v, the reference holds %+v", got, want)
 	}
 	for lpn := int64(-1); lpn <= lsmtKeys; lpn++ {

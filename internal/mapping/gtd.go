@@ -33,5 +33,9 @@ func (g *GTD) Lookup(tpn int) nand.PPN { return g.loc[tpn] }
 // Update records that translation page tpn now lives at ppn.
 func (g *GTD) Update(tpn int, ppn nand.PPN) { g.loc[tpn] = ppn }
 
+// Locations returns every translation page's location in TPN order: a view
+// for bulk codecs, which store only InvalidPPN or pages of the device.
+func (g *GTD) Locations() []nand.PPN { return g.loc }
+
 // Written reports whether tpn has ever been written to flash.
 func (g *GTD) Written(tpn int) bool { return g.loc[tpn] != nand.InvalidPPN }

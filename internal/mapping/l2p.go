@@ -40,6 +40,10 @@ func (m L2P) Reset() {
 	}
 }
 
+// Entries returns the map's entries in LPN order, InvalidPPN as -1: a view
+// for bulk codecs, which store only InvalidPPN or pages of the device.
+func (m L2P) Entries() []int32 { return m.ppn }
+
 // PPNs returns the map widened to a fresh []nand.PPN.
 func (m L2P) PPNs() []nand.PPN {
 	out := make([]nand.PPN, len(m.ppn))

@@ -687,15 +687,14 @@ func footprint(g Geometry, keyLen int64) Footprint {
 // its geometry, unless a key past the device's page count widened the keys.
 func (f *Flash) Footprint() Footprint { return footprint(f.geo, int64(len(f.keys.b))) }
 
-// FlashState is the portable snapshot of a flash array's mutable state: the
-// array's own bitmaps, and one 32-bit tagged key (packOOB) per page, which
-// the array packs at its own width. Per-block valid counts and write
+// FlashState is the portable snapshot of a flash array's mutable state
+// apart from the OOB keys, which move through ExportKeys and ImportKeys
+// without leaving their packed array. Per-block valid counts and write
 // pointers are not carried: NAND's in-order programming makes a block's
 // programmed pages a prefix, so both derive from the bitmaps.
 type FlashState struct {
 	Programmed []uint64
 	Valid      []uint64
-	Keys       []uint32
 	Erases     []int64
 	LastMod    []Time
 	ChipBusy   []Time
@@ -714,12 +713,12 @@ type FlashState struct {
 	Scrub []int
 }
 
-// ExportState copies the array's mutable state into a FlashState.
+// ExportState copies the array's mutable state, but for the OOB keys, into
+// a FlashState.
 func (f *Flash) ExportState() FlashState {
 	s := FlashState{
 		Programmed: append([]uint64(nil), f.programmed...),
 		Valid:      append([]uint64(nil), f.valid...),
-		Keys:       make([]uint32, f.keys.n),
 		Erases:     make([]int64, len(f.blocks)),
 		LastMod:    make([]Time, len(f.blocks)),
 		ChipBusy:   append([]Time(nil), f.chipBusy...),
@@ -729,7 +728,6 @@ func (f *Flash) ExportState() FlashState {
 		Bad:        make([]bool, len(f.blocks)),
 		Rel:        f.rel,
 	}
-	f.keys.unpack(s.Keys)
 	for i := range f.blocks {
 		s.Erases[i] = f.blocks[i].erases
 		s.LastMod[i] = f.blocks[i].lastMod
@@ -748,16 +746,33 @@ func (f *Flash) ExportState() FlashState {
 	return s
 }
 
-// ImportState replaces the array's mutable state with a previously exported
-// snapshot of the same geometry, recomputing per-block valid counts and
-// write pointers and validating the in-order-programming prefix invariant
-// (and that no page is valid without being programmed). Every block is
-// reported dirty to the observer.
+// ExportKeys copies the packed OOB keys (packOOB) of pages [p, p+len(dst))
+// into dst. A snapshot walks the array in runs through it, and a restore
+// stores the runs back with ImportKeys.
+func (f *Flash) ExportKeys(p int, dst []uint32) { f.keys.unpack(p, dst) }
+
+// ImportKeys stores src as the packed OOB keys of pages [p, p+len(src)). p
+// must be a multiple of 64, and so must len(src) unless the run ends the
+// array. A key wider than the array widens it once, every key kept.
+func (f *Flash) ImportKeys(p int, src []uint32) {
+	if p%64 != 0 || len(src)%64 != 0 && p+len(src) != f.keys.n {
+		panic(fmt.Sprintf("nand: key run [%d, +%d) not word-aligned", p, len(src)))
+	}
+	if all := f.keys.pack(p, src); uint64(all) > f.keys.mask {
+		f.keys.widen(uint64(all))
+		f.keys.pack(p, src)
+	}
+}
+
+// ImportState replaces the array's mutable state, but for the OOB keys,
+// with a previously exported snapshot of the same geometry, recomputing
+// per-block valid counts and write pointers and validating the
+// in-order-programming prefix invariant (and that no page is valid without
+// being programmed). Every block is reported dirty to the observer.
 func (f *Flash) ImportState(s FlashState) error {
 	switch {
-	case len(s.Programmed) != len(f.programmed), len(s.Valid) != len(f.valid),
-		len(s.Keys) != f.keys.n:
-		return fmt.Errorf("nand: import of %d-page state into %d-page device", len(s.Keys), f.keys.n)
+	case len(s.Programmed) != len(f.programmed), len(s.Valid) != len(f.valid):
+		return fmt.Errorf("nand: import of %d- and %d-word page bitmaps into %d-page device", len(s.Programmed), len(s.Valid), f.keys.n)
 	case len(s.Erases) != len(f.blocks), len(s.LastMod) != len(f.blocks):
 		return fmt.Errorf("nand: import of %d blocks into %d-block device", len(s.Erases), len(f.blocks))
 	case len(s.ChipBusy) != len(f.chipBusy):
@@ -776,23 +791,9 @@ func (f *Flash) ImportState(s FlashState) error {
 	}
 	ppb := f.geo.PagesPerBlock
 	for b := range f.blocks {
-		wp, valid := 0, 0
-		for i := 0; i < ppb; i++ {
-			p := int64(b)*int64(ppb) + int64(i)
-			w, m := p>>6, uint64(1)<<(uint64(p)&63)
-			if s.Programmed[w]&m == 0 {
-				if s.Valid[w]&m != 0 {
-					return fmt.Errorf("nand: import of block %d has valid bit on unprogrammed page %d", b, i)
-				}
-				continue
-			}
-			if i != wp {
-				return fmt.Errorf("nand: import of block %d violates in-order programming (page %d programmed above free page %d)", b, i, wp)
-			}
-			wp++
-			if s.Valid[w]&m != 0 {
-				valid++
-			}
+		wp, valid, err := importBlock(s.Programmed, s.Valid, b*ppb, ppb)
+		if err != nil {
+			return fmt.Errorf("nand: import of block %d %w", b, err)
 		}
 		f.blocks[b] = blockMeta{
 			valid:    valid,
@@ -811,11 +812,6 @@ func (f *Flash) ImportState(s FlashState) error {
 	}
 	copy(f.programmed, s.Programmed)
 	copy(f.valid, s.Valid)
-	if all := f.keys.pack(s.Keys); uint64(all) > f.keys.mask {
-		// A key wider than the array: pack again into one wide enough.
-		f.keys = newKeyArray(f.keys.n, uint(bits.Len32(all)))
-		f.keys.pack(s.Keys)
-	}
 	copy(f.chipBusy, s.ChipBusy)
 	f.maxBusy = max(0, slices.Max(f.chipBusy))
 	f.clockEpoch++
@@ -841,6 +837,43 @@ func (f *Flash) ImportState(s FlashState) error {
 		f.notifyBlock(b)
 	}
 	return nil
+}
+
+// importBlock returns the write pointer and valid count of the ppb-page
+// block starting at page lo of the programmed and valid bitmaps. It walks
+// the block a word at a time, from any bit offset, and fails at the lowest
+// page a per-page walk would: a programmed page above a free one (NAND
+// programs a block in order, so its programmed pages are a prefix) or a
+// valid page that is not programmed.
+func importBlock(programmed, valid []uint64, lo, ppb int) (wp, nvalid int, err error) {
+	wp = -1 // the first free page, once seen
+	for pos, end := lo, lo+ppb; pos < end; {
+		sh := uint(pos) & 63
+		nb := min(64-int(sh), end-pos) // pages of the block in this word
+		m := ^uint64(0) >> (64 - uint(nb))
+		pr := programmed[pos>>6] >> sh & m
+		va := valid[pos>>6] >> sh & m
+		i := pos - lo      // page index of bit 0
+		above := uint64(0) // programmed pages above the first free one
+		if wp >= 0 {
+			above = pr
+		} else if free := ^pr & m; free != 0 {
+			z := bits.TrailingZeros64(free)
+			wp = i + z
+			above = pr >> z << z
+		}
+		if s, a := bits.TrailingZeros64(va&^pr), bits.TrailingZeros64(above); s < a {
+			return 0, 0, fmt.Errorf("has valid bit on unprogrammed page %d", i+s)
+		} else if a < 64 {
+			return 0, 0, fmt.Errorf("violates in-order programming (page %d programmed above free page %d)", i+a, wp)
+		}
+		nvalid += bits.OnesCount64(va)
+		pos += nb
+	}
+	if wp < 0 {
+		wp = ppb
+	}
+	return wp, nvalid, nil
 }
 
 // MaxChipBusy returns the latest busy-until across all chips; useful as a

@@ -1,6 +1,8 @@
 package nand
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -464,8 +466,8 @@ func TestFootprintPackedVsStructLayout(t *testing.T) {
 	}
 }
 
-// TestFlashExportImportRoundTrip: ImportState must reproduce an exported
-// array exactly — page states, OOB, write pointers, valid counts, erase
+// TestFlashExportImportRoundTrip: ImportState and ImportKeys must
+// reproduce an exported array exactly — page states, OOB, write pointers, valid counts, erase
 // counts, recency, chip schedules and both counter sets.
 func TestFlashExportImportRoundTrip(t *testing.T) {
 	g := Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}
@@ -493,6 +495,9 @@ func TestFlashExportImportRoundTrip(t *testing.T) {
 	if err := g2.ImportState(f.ExportState()); err != nil {
 		t.Fatal(err)
 	}
+	keys := make([]uint32, g.TotalPages())
+	f.ExportKeys(0, keys)
+	g2.ImportKeys(0, keys)
 	for p := PPN(0); p < PPN(g.TotalPages()); p++ {
 		if g2.State(p) != f.State(p) || g2.PageOOB(p) != f.PageOOB(p) {
 			t.Fatalf("page %d diverged after import", p)
@@ -527,6 +532,108 @@ func TestFlashExportImportRoundTrip(t *testing.T) {
 	bad2.Valid[lastPage>>6] |= 1 << (uint(lastPage) & 63)
 	if err := mustFlash(g).ImportState(bad2); err == nil {
 		t.Fatal("import accepted a valid bit without a programmed bit")
+	}
+}
+
+// importReference is ImportState's block walk one page at a time: each
+// block's write pointer and valid count, or the error for the lowest page
+// that breaks in-order programming or is valid without being programmed.
+func importReference(programmed, valid []uint64, blocks, ppb int) (wps, valids []int, err error) {
+	for b := 0; b < blocks; b++ {
+		wp, nvalid := 0, 0
+		for i := 0; i < ppb; i++ {
+			p := int64(b)*int64(ppb) + int64(i)
+			w, m := p>>6, uint64(1)<<(uint64(p)&63)
+			if programmed[w]&m == 0 {
+				if valid[w]&m != 0 {
+					return nil, nil, fmt.Errorf("nand: import of block %d has valid bit on unprogrammed page %d", b, i)
+				}
+				continue
+			}
+			if i != wp {
+				return nil, nil, fmt.Errorf("nand: import of block %d violates in-order programming (page %d programmed above free page %d)", b, i, wp)
+			}
+			wp++
+			if valid[w]&m != 0 {
+				nvalid++
+			}
+		}
+		wps, valids = append(wps, wp), append(valids, nvalid)
+	}
+	return wps, valids, nil
+}
+
+// TestImportStateMatchesPerPageReference: the word-at-a-time block walk
+// accepts and rejects what the per-page reference does, with the same
+// error, and derives the same write pointer and valid count for every
+// block — at block sizes that start blocks inside a word (8, 24, 100), on
+// word boundaries (64) and across several words (512), over legal bitmaps,
+// bitmaps with one or more corruptions and bitmaps of random bits.
+func TestImportStateMatchesPerPageReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, ppb := range []int{8, 24, 64, 100, 512} {
+		g := Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 3, PagesPerBlock: ppb, PageSize: 4096}
+		pages, blocks := g.TotalPages(), g.TotalBlocks()
+		bit := func(words []uint64, p int, on bool) {
+			if on {
+				words[p>>6] |= 1 << (p & 63)
+			} else {
+				words[p>>6] &^= 1 << (p & 63)
+			}
+		}
+		accepted, rejected := 0, 0
+		for trial := 0; trial < 400; trial++ {
+			st := mustFlash(g).ExportState()
+			prog, valid := st.Programmed, st.Valid
+			if trial%8 == 7 { // random bits, padding included
+				for i := range prog {
+					prog[i], valid[i] = rng.Uint64(), rng.Uint64()&rng.Uint64()
+				}
+			} else {
+				for b := 0; b < blocks; b++ {
+					wp := rng.Intn(ppb + 1)
+					if rng.Intn(3) == 0 {
+						wp = []int{0, ppb}[rng.Intn(2)]
+					}
+					for i := 0; i < wp; i++ {
+						bit(prog, b*ppb+i, true)
+						bit(valid, b*ppb+i, rng.Intn(3) > 0)
+					}
+				}
+				for c := rng.Intn(4) - 1; c > 0; c-- { // 0–2 corruptions on half the trials
+					p := rng.Intn(pages)
+					switch rng.Intn(3) {
+					case 0: // a hole in, or a page past, the programmed prefix
+						bit(prog, p, prog[p>>6]&(1<<(p&63)) == 0)
+					case 1: // valid without programmed
+						bit(prog, p, false)
+						bit(valid, p, true)
+					default: // a programmed page high in its block
+						bit(prog, p-p%ppb+ppb-1, true)
+					}
+				}
+			}
+			wps, valids, want := importReference(prog, valid, blocks, ppb)
+			f := mustFlash(g)
+			got := f.ImportState(st)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("ppb %d trial %d: ImportState = %v, reference %v", ppb, trial, got, want)
+			}
+			if want != nil {
+				rejected++
+				continue
+			}
+			accepted++
+			for b := 0; b < blocks; b++ {
+				if f.BlockWritePtr(b) != wps[b] || f.BlockValid(b) != valids[b] {
+					t.Fatalf("ppb %d trial %d block %d: write pointer %d, %d valid; reference %d, %d",
+						ppb, trial, b, f.BlockWritePtr(b), f.BlockValid(b), wps[b], valids[b])
+				}
+			}
+		}
+		if accepted < 100 || rejected < 100 {
+			t.Fatalf("ppb %d: %d bitmaps accepted, %d rejected; want both cases covered", ppb, accepted, rejected)
+		}
 	}
 }
 

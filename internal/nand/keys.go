@@ -79,24 +79,26 @@ func (a *keyArray) clear(lo, hi int) {
 	a.b[last] &^= hiMask
 }
 
-// unpack fills dst (len(dst) == a.n) with every field in order, in one
-// sequential pass.
-func (a *keyArray) unpack(dst []uint32) {
+// unpack fills dst with fields [p, p+len(dst)), in one sequential pass.
+func (a *keyArray) unpack(p int, dst []uint32) {
 	for i := range dst {
-		dst[i] = uint32(a.get(i))
+		dst[i] = uint32(a.get(p + i))
 	}
 }
 
-// pack overwrites every field with src (len(src) == a.n) in one sequential
-// pass and returns the OR of src: when that is wider than the array, the
-// fields overlap and the caller re-packs src into a wider array. The fields
+// pack overwrites fields [p, p+len(src)) with src in one sequential pass and
+// returns the OR of src. p must be a multiple of 64, and so must len(src)
+// unless the run ends the array: the run then starts and ends on a word
+// boundary at any width, so its whole-word stores touch no field outside
+// it. When the OR is wider than the array, the run's own fields overlap,
+// and the caller widens the array and packs the run again. The fields
 // accumulate in a 64-bit word that is stored whole when full, so no byte is
 // read back; the bits of a field that overflow the stored word start the
-// next one.
-func (a *keyArray) pack(src []uint32) (all uint32) {
+// next one. A run that ends the array zeroes the tail padding.
+func (a *keyArray) pack(p int, src []uint32) (all uint32) {
 	var acc uint64
 	var nacc uint
-	o := 0
+	o := p * int(a.w) / 8
 	for _, v := range src {
 		all |= v
 		acc |= uint64(v) << nacc
@@ -106,6 +108,9 @@ func (a *keyArray) pack(src []uint32) (all uint32) {
 			nacc -= 64
 			acc = uint64(v) >> (a.w - nacc) // 0 when v ended the word
 		}
+	}
+	if p+len(src) < a.n {
+		return all
 	}
 	for ; nacc > 0; nacc -= min(nacc, 8) {
 		a.b[o] = byte(acc)

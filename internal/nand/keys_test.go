@@ -61,12 +61,17 @@ func TestKeyArrayMatchesReference(t *testing.T) {
 }
 
 // TestKeyArrayPackUnpackRoundTrip: the sequential passes that snapshot and
-// restore use equal per-field gets and sets, tail padding included.
+// restore use equal per-field gets and sets, tail padding included, whether
+// the array moves in one run or in word-aligned runs of 64·k fields.
 func TestKeyArrayPackUnpackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 100; trial++ {
 		w := uint(1 + rng.Intn(32))
 		n := rng.Intn(300)
+		run := n
+		if trial%2 == 1 {
+			run = 64 * (1 + rng.Intn(3))
+		}
 		src := make([]uint32, n)
 		for i := range src {
 			src[i] = uint32(rng.Uint64() & (1<<w - 1))
@@ -75,53 +80,62 @@ func TestKeyArrayPackUnpackRoundTrip(t *testing.T) {
 		for i := range a.b {
 			a.b[i] = 0xff // pack must overwrite every byte, padding too
 		}
-		a.pack(src)
+		for p := 0; p < n || p == 0; p += max(run, 1) {
+			a.pack(p, src[p:min(n, p+run)])
+		}
 		b := newKeyArray(n, w)
 		for i, v := range src {
 			b.set(i, uint64(v))
 		}
 		if string(a.b) != string(b.b) {
-			t.Fatalf("w=%d n=%d: pack differs from per-field sets", w, n)
+			t.Fatalf("w=%d n=%d run=%d: pack differs from per-field sets", w, n, run)
 		}
 		got := make([]uint32, n)
-		a.unpack(got)
+		for p := 0; p < n; p += run {
+			a.unpack(p, got[p:min(n, p+run)])
+		}
 		for i := range src {
 			if got[i] != src[i] {
-				t.Fatalf("w=%d n=%d: unpack field %d = %d, want %d", w, n, i, got[i], src[i])
+				t.Fatalf("w=%d n=%d run=%d: unpack field %d = %d, want %d", w, n, run, i, got[i], src[i])
 			}
 		}
 	}
 }
 
-// TestImportWidensKeys: a snapshot whose keys are wider than the importing
-// array's (a device that was programmed with a key past its page count)
-// widens it, every key kept, and a narrow snapshot imports into a widened
+// TestImportWidensKeys: keys wider than the importing array's (those of a
+// device that was programmed with a key past its page count) widen it, every
+// key kept, when they arrive in the word-aligned runs a restore moves them
+// in — a wide key in a later run too — and narrow keys import into a widened
 // array unchanged.
 func TestImportWidensKeys(t *testing.T) {
 	wide, narrow := newTestFlash(t), newTestFlash(t)
-	oobs := []OOB{{Key: 3}, {Key: MaxPages, Trans: true}, {Key: 1 << 20}, {Key: 9, Trans: true}}
-	for i, oob := range oobs {
-		if _, err := wide.Program(PPN(i), oob, 0, OpHostData); err != nil {
+	oobs := map[PPN]OOB{0: {Key: 3}, 1: {Key: 1 << 12, Trans: true}, 2: {Key: 9, Trans: true},
+		64: {Key: MaxPages, Trans: true}, 65: {Key: 1 << 20}, 1008: {Key: 5}}
+	for _, p := range []PPN{0, 1, 2, 64, 65, 1008} { // in order within each block
+		if _, err := wide.Program(p, oobs[p], 0, OpHostData); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := narrow.ImportState(wide.ExportState()); err != nil {
-		t.Fatal(err)
+	moveKeys := func(dst, src *Flash) {
+		run := make([]uint32, 64)
+		for p := 0; p < src.keys.n; p += len(run) {
+			src.ExportKeys(p, run)
+			dst.ImportKeys(p, run)
+		}
 	}
+	moveKeys(narrow, wide)
 	if narrow.keys.w != 32 {
 		t.Fatalf("import of 32-bit keys left width %d", narrow.keys.w)
 	}
-	for i, oob := range oobs {
-		if got := narrow.PageOOB(PPN(i)); got != oob {
-			t.Fatalf("page %d OOB %+v after import, want %+v", i, got, oob)
+	for p := PPN(0); p < PPN(narrow.keys.n); p++ {
+		if got := narrow.PageOOB(p); got != oobs[p] {
+			t.Fatalf("page %d OOB %+v after import, want %+v", p, got, oobs[p])
 		}
 	}
-	if err := wide.ImportState(newTestFlash(t).ExportState()); err != nil {
-		t.Fatal(err)
-	}
-	for i := range oobs {
-		if got := wide.PageOOB(PPN(i)); got != (OOB{}) {
-			t.Fatalf("page %d OOB %+v after import of an erased array", i, got)
+	moveKeys(wide, newTestFlash(t))
+	for p := range oobs {
+		if got := wide.PageOOB(p); got != (OOB{}) {
+			t.Fatalf("page %d OOB %+v after import of an erased array", p, got)
 		}
 	}
 }

@@ -53,9 +53,7 @@ func (e *Encoder) Str(s string) {
 // Ints appends a length-prefixed signed-varint slice.
 func (e *Encoder) Ints(v []int) {
 	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.Int(x)
-	}
+	PutRun(e, Varints, v)
 }
 
 // Words appends a length-prefixed []uint64 as fixed 8-byte little-endian
@@ -63,9 +61,77 @@ func (e *Encoder) Ints(v []int) {
 // varints in both size and speed.
 func (e *Encoder) Words(w []uint64) {
 	e.U64(uint64(len(w)))
-	for _, x := range w {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, x)
+	PutRun(e, "f", w)
+}
+
+// Integer is the cell type of a bulk run.
+type Integer interface {
+	~int | ~int32 | ~int64 | ~uint32 | ~uint64
+}
+
+// Layout is the shape of one record of a bulk run, one letter per field:
+// 'v' is a zig-zag varint (what I64 writes), 'u' an unsigned varint (what
+// U64 writes) and 'f' a fixed 8-byte little-endian word (what F64 writes;
+// the cell holds the float's bit pattern). A run's cells are its records'
+// fields back to back, so a run of n records has n·len(layout) cells.
+type Layout string
+
+// Varints is the layout of a plain run of signed integers.
+const Varints Layout = "v"
+
+// PutRun appends cells, a run of records laid out as l, as the bytes the
+// per-field Encoder calls would write. It grows the buffer at most once: by
+// room for the run with every field a 32-bit value (a wider one grows it as
+// append does), and to at least twice its length, so that a snapshot's
+// buffer is reallocated a logarithmic number of times.
+func PutRun[T Integer](e *Encoder, l Layout, cells []T) {
+	per := 0
+	for _, k := range []byte(l) {
+		per += 5
+		if k == 'f' {
+			per += 3
+		}
 	}
+	buf := e.buf
+	if need := (len(cells) + len(l) - 1) / len(l) * per; cap(buf)-len(buf) < need {
+		buf = grow(buf, max(need, len(buf)))
+	}
+	if l == Varints { // the large sections: the L2P, the GTD and the OOB
+		for _, c := range cells {
+			buf = binary.AppendUvarint(buf, zigzag(int64(c)))
+		}
+		e.buf = buf
+		return
+	}
+	j := 0
+	for _, c := range cells {
+		switch l[j] {
+		case 'v':
+			buf = binary.AppendUvarint(buf, zigzag(int64(c)))
+		case 'u':
+			buf = binary.AppendUvarint(buf, uint64(c))
+		default:
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(c))
+		}
+		if j++; j == len(l) {
+			j = 0
+		}
+	}
+	e.buf = buf
+}
+
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// grow returns buf with room for n more bytes, in one allocation when it
+// has to move. (slices.Grow's append of a fresh slice allocates that slice
+// too when the compiler does not fold it, as under -race.)
+func grow(buf []byte, n int) []byte {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	moved := make([]byte, len(buf), len(buf)+n)
+	copy(moved, buf)
+	return moved
 }
 
 // Decoder reads back an Encoder's stream with a sticky error: after the
@@ -167,16 +233,12 @@ func (d *Decoder) F64() float64 {
 // Blob reads a length-prefixed byte slice (a view into the decoder's
 // buffer; copy before retaining).
 func (d *Decoder) Blob() []byte {
-	n := d.U64()
+	n := d.Count()
 	if d.err != nil {
 		return nil
 	}
-	if uint64(d.Remaining()) < n {
-		d.err1("blob")
-		return nil
-	}
-	p := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
+	p := d.buf[d.off : d.off+n]
+	d.off += n
 	return p
 }
 
@@ -185,18 +247,15 @@ func (d *Decoder) Str() string { return string(d.Blob()) }
 
 // Words reads a length-prefixed fixed-width []uint64.
 func (d *Decoder) Words() []uint64 {
-	n := d.U64()
-	if d.err != nil || n > uint64(d.Remaining())/8 {
-		if d.err == nil {
-			d.err1("words")
-		}
+	n := d.Count()
+	if d.err == nil && n > d.Remaining()/8 {
+		d.err1("words")
+	}
+	if d.err != nil {
 		return nil
 	}
 	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(d.buf[d.off:])
-		d.off += 8
-	}
+	GetRun(d, "f", out, 0, 0)
 	return out
 }
 
@@ -207,8 +266,101 @@ func (d *Decoder) Ints() []int {
 		return nil
 	}
 	out := make([]int, n)
-	for i := range out {
-		out[i] = d.Int()
-	}
+	GetRun(d, Varints, out, math.MinInt64, math.MaxInt64)
 	return out
+}
+
+// GetRun fills cells with a run of records laid out as l, in one pass. Each
+// 'v' field must lie in [lo, hi], which must lie within T: GetRun stops at
+// the first that does not and returns its index in cells and its value, for
+// the caller's error; otherwise it returns -1. A truncated or malformed
+// field latches the decoder's error as the per-field read would, and GetRun
+// returns -1.
+func GetRun[T Integer](d *Decoder, l Layout, cells []T, lo, hi int64) (bad int, v int64) {
+	if d.err != nil {
+		return -1, 0
+	}
+	buf, o := d.buf, d.off
+	if l == Varints { // the large sections: the L2P, the GTD and the OOB
+		for i := range cells {
+			x, next := uvarint(buf, o)
+			if next < 0 {
+				d.off = o
+				d.err1("varint")
+				return -1, 0
+			}
+			o = next
+			v := unzigzag(x)
+			if v < lo || v > hi {
+				d.off = o
+				return i, v
+			}
+			cells[i] = T(v)
+		}
+		d.off = o
+		return -1, 0
+	}
+	j := 0
+	for i := range cells {
+		k := l[j]
+		if j++; j == len(l) {
+			j = 0
+		}
+		var x uint64
+		if k == 'f' {
+			if len(buf)-o < 8 {
+				d.off = o
+				d.err1("float64")
+				return -1, 0
+			}
+			x = binary.LittleEndian.Uint64(buf[o:])
+			o += 8
+		} else {
+			next := 0
+			if x, next = uvarint(buf, o); next < 0 {
+				d.off = o
+				if k == 'v' {
+					d.err1("varint")
+				} else {
+					d.err1("uvarint")
+				}
+				return -1, 0
+			}
+			o = next
+			if k == 'v' {
+				v := unzigzag(x)
+				if v < lo || v > hi {
+					d.off = o
+					return i, v
+				}
+				x = uint64(v)
+			}
+		}
+		cells[i] = T(x)
+	}
+	d.off = o
+	return -1, 0
+}
+
+func unzigzag(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
+
+// uvarint decodes the unsigned varint at buf[o:] and returns it with the
+// offset past it, or next = -1 where binary.Uvarint fails: the varint is
+// truncated or overflows 64 bits.
+func uvarint(buf []byte, o int) (x uint64, next int) {
+	for s := uint(0); s < 63; s += 7 {
+		if o >= len(buf) {
+			return 0, -1
+		}
+		c := buf[o]
+		o++
+		if c < 0x80 {
+			return x | uint64(c)<<s, o
+		}
+		x |= uint64(c&0x7f) << s
+	}
+	if o >= len(buf) || buf[o] > 1 {
+		return 0, -1
+	}
+	return x | uint64(buf[o])<<63, o + 1
 }

@@ -113,33 +113,42 @@ func Restore(dev Device, fingerprint string, data []byte) error {
 	return nil
 }
 
+// keyRun is the number of OOB keys SaveFlash and LoadFlash move through
+// the flash array at a time: a multiple of 64, as ImportKeys requires.
+const keyRun = 1024
+
 // SaveFlash appends the flash array's exported state in its packed form:
 // programmed/valid bitmaps as fixed-width words and the OOB as one tagged
-// varint key per page.
+// varint key per page, read straight from the packed keys a run at a time.
 func SaveFlash(e *Encoder, fl *nand.Flash) {
 	s := fl.ExportState()
+	pages := fl.Geometry().TotalPages()
+	// One reservation holds the section: the bitmaps, 5 bytes per key (any
+	// 32-bit key) and 64 per block and per chip (each of their fields at its
+	// widest); the lengths and counters fit in the last 512.
+	e.buf = grow(e.buf, 16*len(s.Programmed)+5*pages+64*(len(s.Erases)+len(s.ChipBusy))+512)
 	e.Words(s.Programmed)
 	e.Words(s.Valid)
-	e.U64(uint64(len(s.Keys)))
-	for _, k := range s.Keys {
-		e.I64(int64(k))
+	e.U64(uint64(pages))
+	var run [keyRun]uint32
+	for p := 0; p < pages; p += keyRun {
+		keys := run[:min(keyRun, pages-p)]
+		fl.ExportKeys(p, keys)
+		PutRun(e, Varints, keys)
 	}
 	e.U64(uint64(len(s.Erases)))
+	blocks := make([]int64, 0, 2*len(s.Erases))
 	for i := range s.Erases {
-		e.I64(s.Erases[i])
-		e.I64(int64(s.LastMod[i]))
+		blocks = append(blocks, s.Erases[i], int64(s.LastMod[i]))
 	}
+	PutRun(e, Varints, blocks)
 	e.U64(uint64(len(s.ChipBusy)))
-	for _, t := range s.ChipBusy {
-		e.I64(int64(t))
-	}
+	PutRun(e, Varints, s.ChipBusy)
 	saveCounters(e, s.Counters)
 	saveCounters(e, s.Lifetime)
 	// Reliability state. Reads and Bad share one length (both per-block).
 	e.U64(uint64(len(s.Reads)))
-	for _, r := range s.Reads {
-		e.I64(r)
-	}
+	PutRun(e, Varints, s.Reads)
 	for _, bad := range s.Bad {
 		e.Bool(bad)
 	}
@@ -171,36 +180,38 @@ func loadRelCounters(d *Decoder) nand.RelCounters {
 	}
 }
 
-// LoadFlash restores a SaveFlash section into fl (same geometry).
+// LoadFlash restores a SaveFlash section into fl (same geometry), decoding
+// the OOB keys straight into its packed array a run at a time.
 func LoadFlash(d *Decoder, fl *nand.Flash) error {
 	var s nand.FlashState
 	s.Programmed = d.Words()
 	s.Valid = d.Words()
-	s.Keys = make([]uint32, d.Count())
-	for i := range s.Keys {
-		k := d.I64()
-		if k < 0 || k > math.MaxUint32 {
-			return fmt.Errorf("persist: packed OOB key %d of page %d does not fit 32 bits", k, i)
+	pages := fl.Geometry().TotalPages()
+	if n := d.Count(); d.Err() == nil && n != pages {
+		return fmt.Errorf("persist: OOB keys of %d pages into a %d-page device", n, pages)
+	}
+	var run [keyRun]uint32
+	for p := 0; p < pages && d.Err() == nil; p += keyRun {
+		keys := run[:min(keyRun, pages-p)]
+		if bad, k := GetRun(d, Varints, keys, 0, math.MaxUint32); bad >= 0 {
+			return fmt.Errorf("persist: packed OOB key %d of page %d does not fit 32 bits", k, p+bad)
 		}
-		s.Keys[i] = uint32(k)
+		fl.ImportKeys(p, keys)
 	}
 	nb := d.Count()
+	blocks := make([]int64, 2*nb)
+	GetRun(d, Varints, blocks, math.MinInt64, math.MaxInt64)
 	s.Erases = make([]int64, nb)
 	s.LastMod = make([]nand.Time, nb)
 	for i := range s.Erases {
-		s.Erases[i] = d.I64()
-		s.LastMod[i] = nand.Time(d.I64())
+		s.Erases[i], s.LastMod[i] = blocks[2*i], nand.Time(blocks[2*i+1])
 	}
 	s.ChipBusy = make([]nand.Time, d.Count())
-	for i := range s.ChipBusy {
-		s.ChipBusy[i] = nand.Time(d.I64())
-	}
+	GetRun(d, Varints, s.ChipBusy, math.MinInt64, math.MaxInt64)
 	s.Counters = loadCounters(d)
 	s.Lifetime = loadCounters(d)
 	s.Reads = make([]int64, d.Count())
-	for i := range s.Reads {
-		s.Reads[i] = d.I64()
-	}
+	GetRun(d, Varints, s.Reads, math.MinInt64, math.MaxInt64)
 	s.Bad = make([]bool, len(s.Reads))
 	for i := range s.Bad {
 		s.Bad[i] = d.Bool()
@@ -239,34 +250,23 @@ func loadCounters(d *Decoder) nand.OpCounters {
 	return c
 }
 
-// onDevice reports whether a decoded map entry is InvalidPPN or a page of a
-// totalPages-page device. Anything else, once restored, would index the
-// flash array out of range on the first read.
-func onDevice(p, totalPages int64) bool {
-	return p >= int64(nand.InvalidPPN) && p < totalPages
-}
-
 // SaveL2P appends the logical-to-physical map, one signed varint per LPN.
 func SaveL2P(e *Encoder, m mapping.L2P) {
 	e.U64(uint64(m.Len()))
-	for lpn := int64(0); lpn < m.Len(); lpn++ {
-		e.I64(int64(m.Get(lpn)))
-	}
+	PutRun(e, Varints, m.Entries())
 }
 
 // LoadL2P restores a SaveL2P section into m, whose length must match the
-// saved one, rejecting an entry that is not onDevice.
+// saved one, rejecting an entry that is neither InvalidPPN nor a page of a
+// totalPages-page device: restored, it would index the flash array out of
+// range on the first read.
 func LoadL2P(d *Decoder, m mapping.L2P, totalPages int64) error {
 	n := d.U64()
 	if d.Err() == nil && n != uint64(m.Len()) {
 		return fmt.Errorf("persist: L2P length %d, want %d", n, m.Len())
 	}
-	for lpn := int64(0); lpn < m.Len(); lpn++ {
-		p := d.I64()
-		if !onDevice(p, totalPages) {
-			return fmt.Errorf("persist: L2P maps LPN %d to page %d of %d", lpn, p, totalPages)
-		}
-		m.Set(lpn, nand.PPN(p))
+	if lpn, p := GetRun(d, Varints, m.Entries(), int64(nand.InvalidPPN), totalPages-1); lpn >= 0 {
+		return fmt.Errorf("persist: L2P maps LPN %d to page %d of %d", lpn, p, totalPages)
 	}
 	return d.Err()
 }
@@ -274,57 +274,64 @@ func LoadL2P(d *Decoder, m mapping.L2P, totalPages int64) error {
 // SaveGTD appends the global translation directory.
 func SaveGTD(e *Encoder, g *mapping.GTD) {
 	e.U64(uint64(g.NumTPNs()))
-	for t := 0; t < g.NumTPNs(); t++ {
-		e.I64(int64(g.Lookup(t)))
-	}
+	PutRun(e, Varints, g.Locations())
 }
 
 // LoadGTD restores a SaveGTD section into g (same TPN count), rejecting a
-// location that is not onDevice.
+// location that is neither InvalidPPN nor a page of the device.
 func LoadGTD(d *Decoder, g *mapping.GTD, totalPages int64) error {
 	n := d.U64()
 	if d.Err() == nil && n != uint64(g.NumTPNs()) {
 		return fmt.Errorf("persist: GTD of %d TPNs, want %d", n, g.NumTPNs())
 	}
-	for t := 0; t < g.NumTPNs(); t++ {
-		p := d.I64()
-		if !onDevice(p, totalPages) {
-			return fmt.Errorf("persist: GTD places TPN %d at page %d of %d", t, p, totalPages)
-		}
-		g.Update(t, nand.PPN(p))
+	if t, p := GetRun(d, Varints, g.Locations(), int64(nand.InvalidPPN), totalPages-1); t >= 0 {
+		return fmt.Errorf("persist: GTD places TPN %d at page %d of %d", t, p, totalPages)
 	}
 	return d.Err()
 }
 
-// SaveCMT appends the cached mapping table in LRU→MRU order.
+// SaveCMT appends the cached mapping table in LRU→MRU order: an LPN, a PPN
+// and a dirty byte per entry (the byte is the varint of 0 or −1).
 func SaveCMT(e *Encoder, c *mapping.CMT) {
 	ents := c.Export()
 	e.U64(uint64(len(ents)))
+	cells := make([]int64, 0, 3*len(ents))
 	for _, en := range ents {
-		e.I64(en.LPN)
-		e.I64(int64(en.PPN))
-		e.Bool(en.Dirty)
+		dirty := int64(0)
+		if en.Dirty {
+			dirty = -1
+		}
+		cells = append(cells, en.LPN, int64(en.PPN), dirty)
 	}
+	PutRun(e, Varints, cells)
 }
 
 // LoadCMT restores a SaveCMT section into a freshly constructed CMT of the
 // capacity the snapshot was taken under: inserting the saved entries in
 // LRU→MRU order reproduces contents, dirty flags and recency exactly. A
 // cached LPN outside [0, logicalPages) is rejected — it would index the GTD
-// out of range on its eviction.
-func LoadCMT(d *Decoder, c *mapping.CMT, logicalPages int64) error {
+// out of range on its eviction — and so is a cached PPN outside
+// [0, totalPages), which the first read of its LPN would index the flash
+// array with.
+func LoadCMT(d *Decoder, c *mapping.CMT, logicalPages, totalPages int64) error {
 	n := d.Count()
 	if d.Err() == nil && n > c.Cap() {
 		return fmt.Errorf("persist: CMT of %d entries into capacity %d", n, c.Cap())
 	}
-	for i := 0; i < n; i++ {
-		lpn := d.I64()
-		ppn := nand.PPN(d.I64())
-		dirty := d.Bool()
-		if d.Err() == nil && (lpn < 0 || lpn >= logicalPages) {
+	cells := make([]int64, 3*n)
+	GetRun(d, Varints, cells, math.MinInt64, math.MaxInt64)
+	if err := d.Err(); err != nil {
+		return err
+	}
+	for i := 0; i < len(cells); i += 3 {
+		lpn, ppn := cells[i], cells[i+1]
+		if lpn < 0 || lpn >= logicalPages {
 			return fmt.Errorf("persist: CMT caches LPN %d of %d", lpn, logicalPages)
 		}
-		c.Insert(lpn, ppn, dirty)
+		if ppn < 0 || ppn >= totalPages {
+			return fmt.Errorf("persist: CMT maps LPN %d to page %d of %d", lpn, ppn, totalPages)
+		}
+		c.Insert(lpn, nand.PPN(ppn), cells[i+2] != 0)
 	}
-	return d.Err()
+	return nil
 }

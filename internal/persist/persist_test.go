@@ -2,9 +2,13 @@ package persist
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"learnedftl/internal/mapping"
@@ -64,6 +68,106 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if d.Err() != nil || d.Remaining() != 0 {
 		t.Fatalf("err=%v remaining=%d", d.Err(), d.Remaining())
+	}
+}
+
+// perFieldPut and perFieldGet are the bulk runs' reference: the per-field
+// Encoder calls PutRun replaces, and the per-field reads, with the range
+// check after each 'v' field, that GetRun replaces.
+func perFieldPut(e *Encoder, l Layout, cells []int64) {
+	for i, c := range cells {
+		switch l[i%len(l)] {
+		case 'v':
+			e.I64(c)
+		case 'u':
+			e.U64(uint64(c))
+		default:
+			e.F64(math.Float64frombits(uint64(c)))
+		}
+	}
+}
+
+func perFieldGet(d *Decoder, l Layout, cells []int64, lo, hi int64) (bad int, v int64) {
+	for i := range cells {
+		switch l[i%len(l)] {
+		case 'v':
+			cells[i] = d.I64()
+			if d.Err() == nil && (cells[i] < lo || cells[i] > hi) {
+				return i, cells[i]
+			}
+		case 'u':
+			cells[i] = int64(d.U64())
+		default:
+			cells[i] = int64(math.Float64bits(d.F64()))
+		}
+	}
+	return -1, 0
+}
+
+// TestRunsMatchPerFieldCodec: PutRun writes the bytes of the per-field
+// calls, and GetRun reads any stream — well-formed, truncated, with bytes
+// flipped, or with a ten-byte varint that overflows 64 bits — as the
+// per-field reads do: the same cells, the same first out-of-range field,
+// the same latched error and the same offset after it.
+func TestRunsMatchPerFieldCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	value := func() int64 {
+		switch rng.Intn(5) {
+		case 0:
+			return rng.Int63n(128) - 64
+		case 1:
+			return int64(rng.Uint64())
+		case 2:
+			return []int64{math.MinInt64, math.MaxInt64, -1, 0, 1 << 32}[rng.Intn(5)]
+		default:
+			return rng.Int63n(1 << 21)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		l := []Layout{Varints, "u", "f", "vvffv", "vff", "vu"}[rng.Intn(6)]
+		cells := make([]int64, len(l)*rng.Intn(40))
+		for i := range cells {
+			cells[i] = value()
+		}
+		want, got := NewEncoder(), NewEncoder()
+		perFieldPut(want, l, cells)
+		PutRun(got, l, cells)
+		if !bytes.Equal(got.Data(), want.Data()) {
+			t.Fatalf("trial %d layout %q: PutRun wrote %x, the per-field calls %x", trial, l, got.Data(), want.Data())
+		}
+		stream := append([]byte(nil), want.Data()...)
+		switch rng.Intn(4) {
+		case 0:
+			stream = stream[:rng.Intn(len(stream)+1)]
+		case 1:
+			if len(stream) > 0 {
+				stream[rng.Intn(len(stream))] ^= byte(1 + rng.Intn(255))
+			}
+		case 2: // a varint whose tenth byte overflows 64 bits
+			at := rng.Intn(len(stream) + 1)
+			bad := append(bytes.Repeat([]byte{0xff}, 9), byte(2+rng.Intn(126)))
+			stream = append(stream[:at:at], append(bad, stream[at:]...)...)
+		}
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if rng.Intn(2) == 0 {
+			lo, hi = -rng.Int63n(1<<20), rng.Int63n(1<<22)
+		}
+		wd, gd := NewDecoder(stream), NewDecoder(stream)
+		wc, gc := make([]int64, len(cells)), make([]int64, len(cells))
+		wbad, wv := perFieldGet(wd, l, wc, lo, hi)
+		gbad, gv := GetRun(gd, l, gc, lo, hi)
+		if gbad != wbad || gv != wv || fmt.Sprint(gd.Err()) != fmt.Sprint(wd.Err()) || gd.Remaining() != wd.Remaining() {
+			t.Fatalf("trial %d layout %q: GetRun = (%d, %d), err %v, %d left; per-field reads (%d, %d), err %v, %d left",
+				trial, l, gbad, gv, gd.Err(), gd.Remaining(), wbad, wv, wd.Err(), wd.Remaining())
+		}
+		if n := wbad; wd.Err() == nil {
+			if n < 0 {
+				n = len(cells)
+			}
+			if !slices.Equal(gc[:n], wc[:n]) {
+				t.Fatalf("trial %d layout %q: GetRun cells %v, per-field reads %v", trial, l, gc[:n], wc[:n])
+			}
+		}
 	}
 }
 
@@ -129,7 +233,7 @@ func TestCMTSectionPreservesRecencyAndDirty(t *testing.T) {
 	e := NewEncoder()
 	SaveCMT(e, src)
 	dst := mapping.NewCMT(4)
-	if err := LoadCMT(NewDecoder(e.Data()), dst, 100); err != nil {
+	if err := LoadCMT(NewDecoder(e.Data()), dst, 100, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != 3 || dst.DirtyLen() != 1 {
@@ -143,7 +247,7 @@ func TestCMTSectionPreservesRecencyAndDirty(t *testing.T) {
 		}
 	}
 	// Capacity mismatch is rejected.
-	if err := LoadCMT(NewDecoder(e.Data()), mapping.NewCMT(2), 100); err == nil {
+	if err := LoadCMT(NewDecoder(e.Data()), mapping.NewCMT(2), 100, 1000); err == nil {
 		t.Fatal("over-capacity CMT section accepted")
 	}
 }
@@ -282,10 +386,10 @@ func TestDecodersRejectOversizedCounts(t *testing.T) {
 		{"flash blocks", func() error { return LoadFlash(NewDecoder(flashUpTo("blocks")), mustFlash(g)) }},
 		{"flash chips", func() error { return LoadFlash(NewDecoder(flashUpTo("chips")), mustFlash(g)) }},
 		{"flash reads", func() error { return LoadFlash(NewDecoder(flashUpTo("reads")), mustFlash(g)) }},
-		{"cmt count", func() error { return LoadCMT(NewDecoder(cmt(hugeCount)), mapping.NewCMT(4), 100) }},
-		{"cmt count, capacity 0", func() error { return LoadCMT(NewDecoder(cmt(hugeCount)), mapping.NewCMT(0), 100) }},
-		{"cmt lpn past the logical space", func() error { return LoadCMT(NewDecoder(cmt(1, 100)), mapping.NewCMT(4), 100) }},
-		{"cmt negative lpn", func() error { return LoadCMT(NewDecoder(cmt(1, -1)), mapping.NewCMT(4), 100) }},
+		{"cmt count", func() error { return LoadCMT(NewDecoder(cmt(hugeCount)), mapping.NewCMT(4), 100, 100) }},
+		{"cmt count, capacity 0", func() error { return LoadCMT(NewDecoder(cmt(hugeCount)), mapping.NewCMT(0), 100, 100) }},
+		{"cmt lpn past the logical space", func() error { return LoadCMT(NewDecoder(cmt(1, 100)), mapping.NewCMT(4), 100, 100) }},
+		{"cmt negative lpn", func() error { return LoadCMT(NewDecoder(cmt(1, -1)), mapping.NewCMT(4), 100, 100) }},
 	} {
 		if err := tc.load(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
@@ -293,14 +397,14 @@ func TestDecodersRejectOversizedCounts(t *testing.T) {
 	}
 	// The same builder with a sane tail decodes: the cases above fail on the
 	// count, not on the prefix.
-	if err := LoadCMT(NewDecoder(cmt(1, 99)), mapping.NewCMT(4), 100); err != nil {
+	if err := LoadCMT(NewDecoder(cmt(1, 99)), mapping.NewCMT(4), 100, 100); err != nil {
 		t.Fatalf("well-formed CMT section rejected: %v", err)
 	}
 }
 
 // TestLoadersRejectOutOfDeviceMappings: the L2P and GTD loaders accept
-// exactly [InvalidPPN, totalPages) and LoadFlash exactly the packed keys that
-// fit 32 bits. Anything else is an error at load, not an index out of range on
+// exactly [InvalidPPN, totalPages), the CMT loader cached pages in
+// [0, totalPages) and LoadFlash exactly the packed keys that fit 32 bits. Anything else is an error at load, not an index out of range on
 // the first read or a silent truncation into the narrow tables.
 func TestLoadersRejectOutOfDeviceMappings(t *testing.T) {
 	const totalPages = 16
@@ -323,6 +427,14 @@ func TestLoadersRejectOutOfDeviceMappings(t *testing.T) {
 		e.U64(1)
 		e.I64(v)
 		return LoadGTD(NewDecoder(e.Data()), mapping.NewGTD(1), totalPages)
+	}
+	cmt := func(v int64) error {
+		e := NewEncoder()
+		e.U64(1)
+		e.I64(3)
+		e.I64(v)
+		e.Bool(true)
+		return LoadCMT(NewDecoder(e.Data()), mapping.NewCMT(4), 8, totalPages)
 	}
 	g := nand.Geometry{Channels: 2, Ways: 1, Planes: 1, BlocksPerUnit: 2, PagesPerBlock: 4, PageSize: 4096}
 	key := func(v int64) error {
@@ -351,6 +463,9 @@ func TestLoadersRejectOutOfDeviceMappings(t *testing.T) {
 		{"GTD last page", gtd(totalPages - 1), true},
 		{"GTD = 1<<40", gtd(1 << 40), false},
 		{"GTD below InvalidPPN", gtd(-2), false},
+		{"CMT last page", cmt(totalPages - 1), true},
+		{"CMT = totalPages", cmt(totalPages), false},
+		{"CMT InvalidPPN", cmt(-1), false},
 		{"OOB key 0", key(0), true},
 		{"OOB key 2^32-1", key(math.MaxUint32), true},
 		{"OOB key 1<<33", key(1 << 33), false},
@@ -358,6 +473,44 @@ func TestLoadersRejectOutOfDeviceMappings(t *testing.T) {
 	} {
 		if (tc.err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, tc.err, tc.ok)
+		}
+	}
+}
+
+// TestFlashSectionKeepsKeysPacked: the OOB keys move between the packed
+// array and the stream without a slice of them on either side. On the
+// benchmark's 262 144-page device, SaveFlash and LoadFlash together
+// allocate less than 1 MiB beyond the stream they write and read; a
+// []uint32 of the keys is 1 MiB on each side.
+func TestFlashSectionKeepsKeysPacked(t *testing.T) {
+	g := nand.Geometry{Channels: 4, Ways: 4, Planes: 1, BlocksPerUnit: 32, PagesPerBlock: 512, PageSize: 4096}
+	src, dst := mustFlash(g), mustFlash(g)
+	var now nand.Time
+	for p := 0; p < g.TotalPages(); p++ {
+		done, err := src.Program(nand.PPN(p), nand.OOB{Key: int64(p) * 7919 % int64(g.TotalPages()), Trans: p%97 == 0}, now, nand.OpHostData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	e := NewEncoder()
+	SaveFlash(e, src)
+	if err := LoadFlash(NewDecoder(e.Data()), dst); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	stream := len(e.Data())
+	extra := int64(m1.TotalAlloc-m0.TotalAlloc) - int64(stream)
+	t.Logf("%d bytes allocated beyond the %d-byte stream", extra, stream)
+	if extra >= 1<<20 {
+		t.Fatalf("SaveFlash + LoadFlash allocate %d bytes beyond the %d-byte stream, want < 1 MiB", extra, stream)
+	}
+	for _, p := range []nand.PPN{0, 1, 4095, nand.PPN(g.TotalPages() - 1)} {
+		if dst.PageOOB(p) != src.PageOOB(p) {
+			t.Fatalf("page %d OOB %+v after load, want %+v", p, dst.PageOOB(p), src.PageOOB(p))
 		}
 	}
 }
