@@ -50,13 +50,8 @@ func GCPolicies() []GCPolicy { return gc.Kinds() }
 // name was recognized ("" parses as greedy, the default).
 func ParseGCPolicy(s string) (GCPolicy, bool) { return gc.ParseKind(s) }
 
-// ArrivalUnbounded is the arrival process that paces a stream by device
-// back-pressure only; it schedules identically to a closed-loop thread.
-const ArrivalUnbounded = sim.ArrivalUnbounded
-
-// ParseArrival maps "poisson", "fixed" or "unbounded" to an ArrivalKind,
-// reporting whether the name was recognized ("" parses as Poisson, the
-// open-loop default).
+// ParseArrival maps "poisson" or "fixed" ("" parses as Poisson, the default)
+// to an ArrivalKind, reporting whether the name was recognized.
 func ParseArrival(s string) (ArrivalKind, bool) { return sim.ParseArrival(s) }
 
 // Scheme identifies one of the reproduced FTL designs.
@@ -147,7 +142,7 @@ func NewCheckpointCache(dir string) (*CheckpointCache, error) {
 // is bit-for-bit equivalent to never having snapshotted. The metrics
 // collector is not captured; RestoreDevice returns a device with a fresh
 // one, matching what every experiment's measurement reset produces. Every
-// scheme can be snapshotted: the error is always nil.
+// scheme can be snapshotted: the error is always nil, kept for bench/run.go.
 func SnapshotDevice(f FTL) ([]byte, error) {
 	return persist.Snapshot(f, persistKey(f.Name(), f.Config())), nil
 }
@@ -173,7 +168,7 @@ func RestoreDevice(s Scheme, cfg Config, data []byte) (FTL, error) {
 // the recovery path the paper's OOB reverse mappings exist for. The
 // returned result's Makespan is the mount latency; the device is fully
 // operational afterwards. See the mountlat experiment. Every scheme
-// recovers: the error is always nil.
+// recovers: the error is always nil, kept for bench/run.go.
 func RecoverFromCrash(f FTL) (RunResult, error) {
 	start := f.Flash().MaxChipBusy()
 	return RunResult{Start: start, End: f.RecoverFromCrash(start)}, nil

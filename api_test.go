@@ -14,12 +14,6 @@ import (
 	"learnedftl/internal/workload"
 )
 
-// tinyBudget keeps integration tests fast while still exercising warm-up,
-// GC and every read path.
-func tinyBudget() Budget {
-	return Budget{Requests: 3000, WarmExtra: 1, TraceScale: 0.002, Threads: 16}
-}
-
 func TestSchemesConstruct(t *testing.T) {
 	cfg := TinyConfig()
 	for _, s := range Schemes() {
@@ -86,7 +80,7 @@ func TestFig14Shape(t *testing.T) {
 	// The headline result: LearnedFTL's random-read throughput beats the
 	// demand-based baselines and approaches the ideal FTL.
 	cfg := TinyConfig()
-	b := tinyBudget()
+	b := TinyBudget()
 	tp, err := newWarmed(SchemeTPFTL, cfg, b)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +111,7 @@ func TestFig6Shape(t *testing.T) {
 	// LeaFTL must exhibit double+triple reads under random reads after
 	// 4KB random aging; TPFTL must not exhibit triples.
 	cfg := TinyConfig()
-	b := tinyBudget()
+	b := TinyBudget()
 	le, err := newWarmed(SchemeLeaFTL, cfg, b)
 	if err != nil {
 		t.Fatal(err)
@@ -241,11 +235,11 @@ func TestParseScheme(t *testing.T) {
 }
 
 func TestFig15AndTable2Run(t *testing.T) {
-	tab := runTable(t, "fig15", TinyConfig(), tinyBudget())
+	tab := runTable(t, "fig15", TinyConfig(), TinyBudget())
 	if len(tab.Rows) != 3 || !strings.Contains(tab.String(), "prediction") {
 		t.Fatalf("Fig15 table wrong: %v", tab)
 	}
-	t2 := runTable(t, "table2", TinyConfig(), tinyBudget())
+	t2 := runTable(t, "table2", TinyConfig(), TinyBudget())
 	if len(t2.Rows) != 4 {
 		t.Fatalf("Table2 rows = %d", len(t2.Rows))
 	}
@@ -283,7 +277,7 @@ func TestQuickExperimentsSmoke(t *testing.T) {
 		t.Skip("experiment smoke skipped in -short mode")
 	}
 	cfg := TinyConfig()
-	b := tinyBudget()
+	b := TinyBudget()
 	for _, id := range []string{"fig2", "fig6", "fig17", "fig18"} {
 		if tab := runTable(t, id, cfg, b); len(tab.Rows) == 0 {
 			t.Fatalf("%s: empty table", id)

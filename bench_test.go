@@ -13,11 +13,15 @@ import (
 	"learnedftl/internal/workload"
 )
 
-// benchBudget sizes the per-figure macro benchmarks so the full -bench=.
-// sweep finishes in a couple of minutes. Use cmd/ftlbench -scale quick (or
-// paper) for the numbers recorded in EXPERIMENTS.md.
+// benchBudget is TinyBudget at 6 000 requests over 32 threads and 0.4 % of
+// each trace: the per-figure macro benchmarks time a run long enough to
+// dwarf its set-up, and the full -bench=. sweep still finishes in a couple
+// of minutes. Use cmd/ftlbench -scale quick (or paper) for the numbers
+// recorded in EXPERIMENTS.md.
 func benchBudget() Budget {
-	return Budget{Requests: 6000, WarmExtra: 1, TraceScale: 0.004, Threads: 32}
+	b := TinyBudget()
+	b.Requests, b.TraceScale, b.Threads = 6000, 0.004, 32
+	return b
 }
 
 // benchExperiment reruns one paper experiment per iteration and logs its

@@ -13,7 +13,7 @@ import (
 func TestZeroThreadsIsAnError(t *testing.T) {
 	cfg := TinyConfig()
 	for _, threads := range []int{0, -1} {
-		b := sweepTestBudget(2)
+		b := TinyBudget()
 		b.Threads = threads
 		for _, id := range ExperimentIDs() {
 			if _, err := RunExperiments([]string{id}, cfg, b); err == nil {
@@ -45,7 +45,7 @@ func TestAbsurdKnobIsAnError(t *testing.T) {
 		{"fig6", "WarmExtra -3", func(b *Budget) { b.WarmExtra = -3 }},
 		{"fig2", "Requests -1", func(b *Budget) { b.Requests = -1 }},
 	} {
-		b := goldenBudget(c.id, TinyConfig(), 2)
+		b := TinyBudget()
 		c.set(&b)
 		if _, err := RunExperiments([]string{c.id}, TinyConfig(), b); err == nil {
 			t.Errorf("%s accepted %s", c.id, c.knob)

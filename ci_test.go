@@ -125,7 +125,7 @@ func TestDocsNameDeclaredFlags(t *testing.T) {
 			sel, _ := call.Fun.(*ast.SelectorExpr)
 			lit, _ := call.Args[0].(*ast.BasicLit)
 			if sel != nil && lit != nil && lit.Kind == token.STRING {
-				if pkg, _ := sel.X.(*ast.Ident); pkg != nil && pkg.Name == "flag" {
+				if set, _ := sel.X.(*ast.Ident); set != nil && set.Name == "fs" { // ftlbench's flag set
 					name, _ := strconv.Unquote(lit.Value)
 					declared[name] = true
 				}

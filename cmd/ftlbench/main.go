@@ -56,6 +56,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -81,47 +82,46 @@ type benchFile struct {
 	Results   []learnedftl.BenchResult   `json:"results"`
 }
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:])) }
 
 // run is main's body with a proper exit code, so the pprof defers flush
 // even on failed runs.
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("ftlbench", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment id (figN, table2, or 'all')")
-		scale    = flag.String("scale", "quick", "quick | paper | tiny")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		parallel = flag.Bool("parallel", false, "fan experiment cells across GOMAXPROCS workers (same tables, less wall-clock)")
-		jsonOut  = flag.Bool("json", false, "write results to BENCH_<timestamp>.json")
+		exp      = fs.String("exp", "all", "experiment id (figN, table2, or 'all')")
+		scale    = fs.String("scale", "quick", "quick | paper | tiny")
+		list     = fs.Bool("list", false, "list experiment ids and exit")
+		parallel = fs.Bool("parallel", false, "fan experiment cells across GOMAXPROCS workers (same tables, less wall-clock)")
+		jsonOut  = fs.Bool("json", false, "write results to BENCH_<timestamp>.json")
 
-		rate    = flag.Float64("rate", 0, "open-loop offered IOPS (0 = derive ladder/operating point from the device)")
-		arrival = flag.String("arrival", "poisson", "open-loop arrival process: poisson | fixed")
+		rate    = fs.Float64("rate", 0, "open-loop offered IOPS (0 = derive ladder/operating point from the device)")
+		arrival = fs.String("arrival", "poisson", "open-loop arrival process: poisson | fixed")
 
-		gcPolicy  = flag.String("gc-policy", "", "GC victim-selection policy of the device every experiment but gcsweep runs on: greedy | costbenefit | costage (\"\" = the config's)")
-		crashFuzz = flag.Int("crash-fuzz", 0, "crashsweep: seeded random crash points per scheme on top of the enumeration (0 = 40)")
+		gcPolicy  = fs.String("gc-policy", "", "GC victim-selection policy of the device every experiment but gcsweep runs on: greedy | costbenefit | costage (\"\" = the config's)")
+		crashFuzz = fs.Int("crash-fuzz", 0, "crashsweep: seeded random crash points per scheme on top of the enumeration (unset = the scale's budget, 40)")
 
-		checkpointDir = flag.String("checkpoint-dir", "", "directory of warm-device checkpoints: cells restore a cached warmed device instead of re-simulating warm-up (tables stay byte-identical); cold cells populate it")
+		checkpointDir = fs.String("checkpoint-dir", "", "directory of warm-device checkpoints: cells restore a cached warmed device instead of re-simulating warm-up (tables stay byte-identical); cold cells populate it")
 
-		scaleMinGiB = flag.Float64("scale-min-gib", 0, "scale experiment: smallest geometry rung to run, in GiB (0 = from the tiny device)")
-		scaleMaxGiB = flag.Float64("scale-max-gib", 0, "scale experiment: largest geometry rung to run, in GiB (0 = 2 GiB default; paper scale raises it to 32)")
+		scaleMinGiB = fs.Float64("scale-min-gib", 0, "scale experiment: smallest geometry rung to run, in GiB (0 = from the tiny device)")
+		scaleMaxGiB = fs.Float64("scale-max-gib", 0, "scale experiment: largest geometry rung to run, in GiB (unset = the scale's budget: the tiny rung, 2 or 32)")
 
-		traceOut    = flag.String("trace", "", "capture a virtual-time trace of one device to this file (Chrome trace-event JSON, Perfetto-viewable) instead of running experiments")
-		traceScheme = flag.String("trace-scheme", "learnedftl", "-trace: which scheme to capture (dftl | tpftl | leaftl | learnedftl | ideal)")
-		progress    = flag.Bool("progress", false, "live per-cell sweep progress on stderr (stdout tables and BENCH JSON unchanged)")
+		traceOut    = fs.String("trace", "", "capture a virtual-time trace of one device to this file (Chrome trace-event JSON, Perfetto-viewable) instead of running experiments")
+		traceScheme = fs.String("trace-scheme", "learnedftl", "-trace: which scheme to capture (dftl | tpftl | leaftl | learnedftl | ideal)")
+		progress    = fs.Bool("progress", false, "live per-cell sweep progress on stderr (stdout tables and BENCH JSON unchanged)")
 
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprofile = fs.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 here, -h 0
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+			return fail(2, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+			return fail(2, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -140,19 +140,14 @@ func run() int {
 		}()
 	}
 
-	// "unbounded" exists as an engine ArrivalKind but makes the open-loop
-	// experiments' offered-IOPS axis meaningless, so the CLI only accepts
-	// the rate-controlled processes.
-	if k, ok := learnedftl.ParseArrival(*arrival); !ok || k == learnedftl.ArrivalUnbounded {
-		fmt.Fprintf(os.Stderr, "unknown arrival process %q (want poisson or fixed)\n", *arrival)
-		return 2
+	if _, ok := learnedftl.ParseArrival(*arrival); !ok {
+		return fail(2, fmt.Errorf("unknown arrival process %q (want poisson or fixed)", *arrival))
 	}
 
 	// A typo must fail loudly before any multi-hour run starts.
 	policy, err := parseGCPolicy(*gcPolicy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return fail(2, err)
 	}
 
 	if *list {
@@ -170,36 +165,33 @@ func run() int {
 	case "paper":
 		cfg, budget = learnedftl.PaperConfig(), learnedftl.PaperBudget()
 	case "tiny":
-		cfg = learnedftl.TinyConfig()
-		budget = learnedftl.Budget{Requests: 4000, WarmExtra: 1, TraceScale: 0.003, Threads: 16}
+		cfg, budget = learnedftl.TinyConfig(), learnedftl.TinyBudget()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scale)
-		return 2
+		return fail(2, fmt.Errorf("unknown scale %q", *scale))
 	}
 	if *parallel {
 		budget.Workers = learnedftl.AutoWorkers()
 	}
-	budget.OfferedIOPS = *rate
-	budget.Arrival = *arrival
-	budget.CrashFuzz = *crashFuzz
-	// Only explicit flags override the scale ladder window: the unset 0
-	// must not clobber PaperBudget's 32 GiB cap, and a negative or NaN
-	// value reaches the budget check instead of the default ladder.
-	if *scaleMinGiB != 0 {
-		budget.ScaleMinGiB = *scaleMinGiB
-	}
-	if *scaleMaxGiB != 0 {
-		budget.ScaleMaxGiB = *scaleMaxGiB
-	}
-	var checkpoints *learnedftl.CheckpointCache
-	if *checkpointDir != "" {
-		var err error
-		checkpoints, err = learnedftl.NewCheckpointCache(*checkpointDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+	// A flag overrides its budget field only when the command line sets
+	// it: an unset flag keeps the scale's value, and an explicit 0 means 0.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "rate":
+			budget.OfferedIOPS = *rate
+		case "arrival":
+			budget.Arrival = *arrival
+		case "crash-fuzz":
+			budget.CrashFuzz = *crashFuzz
+		case "scale-min-gib":
+			budget.ScaleMinGiB = *scaleMinGiB
+		case "scale-max-gib":
+			budget.ScaleMaxGiB = *scaleMaxGiB
 		}
-		budget.Checkpoints = checkpoints
+	})
+	if *checkpointDir != "" {
+		if budget.Checkpoints, err = learnedftl.NewCheckpointCache(*checkpointDir); err != nil {
+			return fail(2, err)
+		}
 	}
 	// gcsweep still sweeps every policy: it sets each cell's own.
 	if policy != "" {
@@ -211,27 +203,18 @@ func run() int {
 	if *traceOut != "" {
 		scheme, ok := learnedftl.ParseScheme(*traceScheme)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown scheme %q (want one of %v)\n",
-				*traceScheme, learnedftl.Schemes())
-			return 2
+			return fail(2, fmt.Errorf("unknown scheme %q (want one of %v)", *traceScheme, learnedftl.Schemes()))
 		}
 		trace, tab, err := learnedftl.TraceCapture(scheme, cfg, budget)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return fail(1, err)
 		}
 		out, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return fail(1, err)
 		}
-		werr := trace.WriteJSON(out)
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
-			return 1
+		if err := errors.Join(trace.WriteJSON(out), out.Close()); err != nil {
+			return fail(1, err)
 		}
 		fmt.Println(tab)
 		fmt.Printf("wrote %s (%d events; open at ui.perfetto.dev)\n", *traceOut, trace.Len())
@@ -241,8 +224,7 @@ func run() int {
 	ids := learnedftl.ExperimentIDs()
 	if *exp != "all" {
 		if !slices.Contains(ids, *exp) {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *exp)
-			return 2
+			return fail(2, fmt.Errorf("unknown experiment %q; try -list", *exp))
 		}
 		ids = []string{*exp}
 	}
@@ -267,8 +249,7 @@ func run() int {
 		}
 		res, err := learnedftl.RunExperiments([]string{id}, cfg, budget)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return fail(1, err)
 		}
 		r := res[0]
 		fmt.Println(r.Table)
@@ -280,8 +261,8 @@ func run() int {
 		results = append(results, r)
 	}
 
-	if checkpoints != nil {
-		st := checkpoints.Stats()
+	if budget.Checkpoints != nil {
+		st := budget.Checkpoints.Stats()
 		fmt.Printf("warm checkpoints: %d hits, %d misses, %d stored, ~%d flash programs not re-simulated\n",
 			st.Hits, st.Misses, st.Stores, st.ProgramsSaved)
 	}
@@ -300,16 +281,20 @@ func run() int {
 		name := fmt.Sprintf("BENCH_%s.json", now.Format("20060102T150405"))
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return fail(1, err)
 		}
 		if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return fail(1, err)
 		}
 		fmt.Printf("wrote %s\n", name)
 	}
 	return 0
+}
+
+// fail reports err on stderr and returns the exit code.
+func fail(code int, err error) int {
+	fmt.Fprintln(os.Stderr, err)
+	return code
 }
 
 // parseGCPolicy resolves -gc-policy: "" keeps the device config's policy

@@ -20,8 +20,11 @@ func TestCrashCampaignAllSchemes(t *testing.T) {
 		t.Skip("200-crash campaign skipped in -short mode")
 	}
 	cfg := TinyConfig()
-	b := Budget{Requests: 16000, WarmExtra: 1, Threads: 8,
-		CrashFuzz: 40, Workers: AutoWorkers()}
+	// TinyBudget at 16 000 requests over 8 threads: the campaign window is
+	// a quarter of the requests, long enough that every scheme collects
+	// inside it.
+	b := TinyBudget()
+	b.Requests, b.Threads, b.Workers = 16000, 8, AutoWorkers()
 	tab := runTable(t, "crashsweep", cfg, b)
 	if len(tab.Rows) != len(Schemes()) {
 		t.Fatalf("crashsweep rows = %d, want %d", len(tab.Rows), len(Schemes()))

@@ -16,7 +16,7 @@ import (
 // hit ratio. README's Quickstart is this function's body.
 func Example() {
 	cfg := learnedftl.TinyConfig()
-	budget := learnedftl.Budget{Requests: 4000, WarmExtra: 1, Threads: 16}
+	budget := learnedftl.TinyBudget()
 	results, err := learnedftl.RunExperiments([]string{"fig14"}, cfg, budget)
 	if err != nil {
 		log.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -52,14 +53,14 @@ type Budget struct {
 	Arrival string `json:"arrival,omitempty"`
 
 	// CrashFuzz is crashsweep's number of seeded random crash points
-	// injected per scheme on top of the enumeration (0 = 40; the root
-	// acceptance test raises the total past 200 across the five schemes).
+	// injected per scheme on top of the enumeration (the named budgets
+	// inject 40; 0 runs the enumeration alone).
 	CrashFuzz int `json:"crash_fuzz,omitempty"`
 
 	// Scale-experiment knobs. The scale experiment climbs a geometry
 	// ladder from the tiny device up to the paper's 32 GiB one;
-	// ScaleMaxGiB caps the ladder (0 = a 2 GiB default that keeps quick
-	// runs quick; PaperBudget raises it to the full 32) and ScaleMinGiB
+	// ScaleMaxGiB caps the ladder (TinyBudget at the tiny rung,
+	// QuickBudget at 2 GiB, PaperBudget at the full 32) and ScaleMinGiB
 	// cuts the lower rungs off, so one mid-size rung can be profiled alone
 	// with min == max.
 	ScaleMinGiB float64 `json:"scale_min_gib,omitempty"`
@@ -89,17 +90,11 @@ type WarmStats struct {
 	Seconds  float64   // host wall clock
 }
 
-// openLoopKind resolves and validates the budget's arrival process for the
-// open-loop experiments, which need a rate-controlled process: a typo'd
-// Arrival string must error, not silently fall back to Poisson, and
-// "unbounded" would make the offered-IOPS axis meaningless.
-func (b Budget) openLoopKind() (sim.ArrivalKind, error) {
-	k, ok := sim.ParseArrival(b.Arrival)
-	if !ok || k == sim.ArrivalUnbounded {
-		return 0, fmt.Errorf("learnedftl: open-loop experiments need arrival %q or %q, got %q",
-			sim.ArrivalPoisson, sim.ArrivalFixed, b.Arrival)
-	}
-	return k, nil
+// arrival is the open-loop experiments' arrival process. runCells rejects
+// an Arrival that names none: a typo errors, not falls back to Poisson.
+func (b Budget) arrival() sim.ArrivalKind {
+	k, _ := sim.ParseArrival(b.Arrival)
+	return k
 }
 
 // runCells executes n independent experiment cells under the budget's
@@ -109,8 +104,8 @@ func (b Budget) openLoopKind() (sim.ArrivalKind, error) {
 // (done, total). Every experiment and TraceCapture runs through here, so
 // this is where a budget no cell can run under is rejected: every
 // closed-loop measurement divides its requests across b.Threads, and an
-// offered rate no arrival process can pace is an error, not a garbage
-// table.
+// offered rate no arrival process can pace, or an arrival process that
+// names none, is an error, not a garbage table.
 func runCells(b Budget, n int, cell func(i int) error) error {
 	if b.Threads < 1 {
 		return fmt.Errorf("learnedftl: budget threads %d < 1", b.Threads)
@@ -132,6 +127,9 @@ func runCells(b Budget, n int, cell func(i int) error) error {
 		return fmt.Errorf("learnedftl: budget requests %d, warm extra %d and crash fuzz %d must be >= 0",
 			b.Requests, b.WarmExtra, b.CrashFuzz)
 	}
+	if _, ok := sim.ParseArrival(b.Arrival); !ok {
+		return fmt.Errorf("learnedftl: budget arrival %q is neither %q nor %q", b.Arrival, sim.ArrivalPoisson, sim.ArrivalFixed)
+	}
 	var done atomic.Int64
 	return sweep.Run(b.Workers, sweep.Tasks(n, func(i int) error {
 		err := cell(i)
@@ -142,14 +140,21 @@ func runCells(b Budget, n int, cell func(i int) error) error {
 	}))
 }
 
+// TinyBudget finishes the whole suite in seconds on TinyConfig; its tables
+// are testdata/experiments.golden. The scale ladder stops at the tiny rung.
+func TinyBudget() Budget {
+	return Budget{Requests: 4000, WarmExtra: 1, TraceScale: 0.003, Threads: 16, CrashFuzz: 40,
+		ScaleMaxGiB: float64(TinyConfig().Geometry.TotalBytes()) / (1 << 30)}
+}
+
 // QuickBudget finishes the whole suite in minutes on a laptop.
 func QuickBudget() Budget {
-	return Budget{Requests: 24000, WarmExtra: 1, TraceScale: 0.03, Threads: 64}
+	return Budget{Requests: 24000, WarmExtra: 1, TraceScale: 0.03, Threads: 64, CrashFuzz: 40, ScaleMaxGiB: 2}
 }
 
 // PaperBudget approximates the paper's run sizes (hours of CPU).
 func PaperBudget() Budget {
-	return Budget{Requests: 500000, WarmExtra: 5, TraceScale: 1.0, Threads: 64, ScaleMaxGiB: 32}
+	return Budget{Requests: 500000, WarmExtra: 5, TraceScale: 1.0, Threads: 64, CrashFuzz: 40, ScaleMaxGiB: 32}
 }
 
 // Table is a printable experiment result.
@@ -370,9 +375,9 @@ func idealRandReadIOPS(cfg Config, streams int) float64 {
 // prints. The runner (run) supplies the rest — the cell grid, the worker
 // pool, row and payload slots, warm-up accounting and Table assembly.
 type experiment struct {
-	id, desc string
-	title    string
-	header   []string
+	// A "{threads}" in title prints the run's Budget.Threads.
+	id, desc, title string
+	header          []string
 	// grid validates the budget and derives the swept axes from the config
 	// and budget: one size per axis, cells numbered row-major (last axis
 	// fastest), and the function that measures one cell.
@@ -405,7 +410,7 @@ func (e experiment) run(cfg Config, b Budget) (BenchResult, error) {
 		return BenchResult{}, err
 	}
 	r := BenchResult{Experiment: e.id}
-	t := Table{Title: e.title, Header: slices.Clone(e.header)}
+	t := Table{Title: strings.ReplaceAll(e.title, "{threads}", strconv.Itoa(b.Threads)), Header: slices.Clone(e.header)}
 	var warm WarmStats
 	for _, c := range cells {
 		t.Rows = append(t.Rows, c.rows...)
@@ -486,7 +491,7 @@ var experiments = []experiment{
 	// improves even with a CMT holding 50% of all mappings.
 	{
 		id: "fig3", desc: "TPFTL CMT hit ratio vs CMT size (0.1%-50%)",
-		title:  "Fig 3: TPFTL CMT hit ratio vs CMT space (randread, 64 threads)",
+		title:  "Fig 3: TPFTL CMT hit ratio vs CMT space (randread, {threads} threads)",
 		header: []string{"CMT space", "hit ratio"},
 		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
 			ratios := []float64{0.001, 0.03, 0.10, 0.30, 0.50}
@@ -565,7 +570,7 @@ var experiments = []experiment{
 	// five FTLs.
 	{
 		id: "fig14", desc: "headline FIO comparison: all five FTLs x four patterns",
-		title: "Fig 14: FIO at 64 threads (throughput MB/s; CMT+model hit; WA)",
+		title: "Fig 14: FIO at {threads} threads (throughput MB/s; CMT+model hit; WA)",
 		header: []string{"FTL", "randread", "seqread", "randwrite", "seqwrite",
 			"rr CMT", "rr model", "sr CMT", "sr model", "WA rand", "WA seq"},
 		grid: perScheme(func(c *cell, s Scheme, cfg Config, b Budget) error {
@@ -836,10 +841,7 @@ var experiments = []experiment{
 		title:  "Load sweep: open-loop randread latency vs offered IOPS (wait = share of latency spent queued)",
 		header: []string{"FTL", "offered IOPS", "achieved IOPS", "mean", "p99", "p99.9", "wait"},
 		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
-			kind, err := b.openLoopKind()
-			if err != nil {
-				return nil, nil, err
-			}
+			kind := b.arrival()
 			rates := []float64{b.OfferedIOPS}
 			if b.OfferedIOPS <= 0 {
 				base := idealRandReadIOPS(cfg, b.Threads)
@@ -874,10 +876,7 @@ var experiments = []experiment{
 		title:  "Tenant mix: WebSearch reads + Systor writes sharing one device (per-tenant open-loop latency)",
 		header: []string{"FTL", "tenant", "offered IOPS", "requests", "mean", "p99", "p99.9", "wait"},
 		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
-			kind, err := b.openLoopKind()
-			if err != nil {
-				return nil, nil, err
-			}
+			kind := b.arrival()
 			const share = 0.7
 			total := b.OfferedIOPS
 			if total <= 0 {
@@ -940,10 +939,7 @@ var experiments = []experiment{
 		title:  "GC latency: open-loop randwrite tails, foreground vs background collection",
 		header: []string{"FTL", "gc mode", "offered IOPS", "achieved IOPS", "mean", "p99", "p99.9", "wait", "GCs", "bg GCs"},
 		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
-			kind, err := b.openLoopKind()
-			if err != nil {
-				return nil, nil, err
-			}
+			kind := b.arrival()
 			modes := []string{"foreground", "background"}
 			schemes := Schemes()
 			return []int{len(schemes), len(modes)}, func(c *cell) error {
@@ -1044,20 +1040,13 @@ var experiments = []experiment{
 		title:  "Crash sweep: deterministic power-loss injection through a write+GC window (lost acked must be 0; torn drop = half-programmed pages discarded at mount)",
 		header: []string{"FTL", "window ops", "GCs", "points", "fired", "torn cuts", "lost acked", "torn drop", "lost maps", "mount mean", "mount max", "verdict"},
 		grid: perScheme(func(c *cell, s Scheme, cfg Config, b Budget) error {
-			fuzz := b.CrashFuzz
-			if fuzz <= 0 {
-				fuzz = 40
-			}
 			window := max(64, b.Requests/4)
 			i := int64(c.at[0])
 			f, err := c.warmed(s, cfg)
 			if err != nil {
 				return err
 			}
-			snap, err := SnapshotDevice(f)
-			if err != nil {
-				return err
-			}
+			snap := persist.Snapshot(f, persistKey(f.Name(), f.Config()))
 			lp := f.Config().LogicalPages()
 			newRun := func() (crash.Device, []sim.Generator, error) {
 				g, err := RestoreDevice(s, cfg, snap)
@@ -1066,7 +1055,7 @@ var experiments = []experiment{
 				}
 				return g, crashWindow(lp, window, 3301+i), nil
 			}
-			res, err := crash.RunCampaign(newRun, crash.CampaignConfig{Fuzz: fuzz, Seed: 9001 + i})
+			res, err := crash.RunCampaign(newRun, crash.CampaignConfig{Fuzz: b.CrashFuzz, Seed: 9001 + i})
 			if err != nil {
 				return err
 			}
@@ -1113,10 +1102,7 @@ var experiments = []experiment{
 		title:  "Scrub latency: hot-set reads of retention-aged blocks, background scrub off vs on (uncorr = host-visible data loss)",
 		header: []string{"FTL", "scrub", "offered IOPS", "IOPS", "p99", "p99.9", "uncorr", "UBER", "scrubs", "refresh pg"},
 		grid: func(cfg Config, b Budget) ([]int, cellFunc, error) {
-			kind, err := b.openLoopKind()
-			if err != nil {
-				return nil, nil, err
-			}
+			kind := b.arrival()
 			schemes, modes := Schemes(), []string{"off", "on"}
 			return []int{len(schemes), len(modes)}, func(c *cell) error {
 				s := schemes[c.at[0]]
@@ -1263,10 +1249,7 @@ func gcSweepGrid(pols []GCPolicy) func(Config, Budget) ([]int, cellFunc, error) 
 // the ladder's shape runs two.
 func faultSweepGrid(schemes []Scheme) func(Config, Budget) ([]int, cellFunc, error) {
 	return func(cfg Config, b Budget) ([]int, cellFunc, error) {
-		kind, err := b.openLoopKind()
-		if err != nil {
-			return nil, nil, err
-		}
+		kind := b.arrival()
 		bers := faultBERLadder
 		threads := max(2, b.Threads)
 		return []int{len(schemes), len(bers)}, func(c *cell) error {
@@ -1440,13 +1423,9 @@ func scaledPaperConfig(scale int) (Config, error) {
 // budget's [ScaleMinGiB, ScaleMaxGiB]. Rungs outside the window are
 // filtered on geometry alone, before any feasibility probing.
 func scaleLadder(b Budget) ([]Config, error) {
-	lo, hi := b.ScaleMinGiB, b.ScaleMaxGiB
-	if hi <= 0 {
-		hi = 2
-	}
 	inWindow := func(g nand.Geometry) bool {
 		gib := float64(g.TotalBytes()) / (1 << 30)
-		return gib >= lo-1e-9 && gib <= hi+1e-9
+		return gib >= b.ScaleMinGiB-1e-9 && gib <= b.ScaleMaxGiB+1e-9
 	}
 	var out []Config
 	for _, cfg := range []Config{TinyConfig(), QuickConfig()} {
@@ -1465,7 +1444,7 @@ func scaleLadder(b Budget) ([]Config, error) {
 		out = append(out, cfg)
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("learnedftl: scale ladder window [%v, %v] GiB matches no rung", lo, hi)
+		return nil, fmt.Errorf("learnedftl: scale ladder window [%v, %v] GiB matches no rung", b.ScaleMinGiB, b.ScaleMaxGiB)
 	}
 	return out, nil
 }

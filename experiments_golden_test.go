@@ -26,22 +26,6 @@ const experimentsGoldenPath = "testdata/experiments.golden"
 // vary run to run, so they are blanked before comparison.
 var goldenMasked = map[string]string{"fig15": "cost/entry", "scale": "warm"}
 
-// goldenBudget is the budget experiment id runs under in the golden:
-// sweepTestBudget(workers), with the scale ladder held to its tiny rung, and
-// crashsweep at 4000 requests — its window is a quarter of the budget, and
-// at 2000 requests LeaFTL's write buffer absorbs all 500 window writes, so
-// the campaign has no flash operation to cut and errors.
-func goldenBudget(id string, cfg Config, workers int) Budget {
-	b := sweepTestBudget(workers)
-	switch id {
-	case "scale":
-		b.ScaleMaxGiB = float64(cfg.Geometry.TotalBytes()) / (1 << 30)
-	case "crashsweep":
-		b.Requests = 4000
-	}
-	return b
-}
-
 // goldenSection renders one experiment's result for the golden file: its
 // table with the wall-clock column masked, plus the SHA-256 of the JSON the
 // BENCH file carries for latbreak's phase breakdowns and fleet's array
@@ -111,7 +95,8 @@ func parseGolden(data string) map[string]string {
 var goldenWorkers = []int{1, 4}
 
 // TestEveryExperimentMatchesGolden pins every registered experiment on
-// TinyConfig to testdata/experiments.golden at every goldenWorkers count:
+// TinyConfig under TinyBudget — what `ftlbench -scale tiny` runs — to
+// testdata/experiments.golden at every goldenWorkers count:
 // each table byte for byte (wall-clock columns masked, every row as wide
 // as the header), and latbreak's and fleet's BENCH JSON payloads by
 // digest. Experiments are parallel subtests; each is hermetic, so the
@@ -149,8 +134,8 @@ func TestEveryExperimentMatchesGolden(t *testing.T) {
 				for pass, workers := range goldenWorkers {
 					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 						before := cache.Stats()
-						b := goldenBudget(id, cfg, workers)
-						b.Checkpoints = cache
+						b := TinyBudget()
+						b.Workers, b.Checkpoints = workers, cache
 						res, err := RunExperiments([]string{id}, cfg, b)
 						if err != nil {
 							t.Fatal(err)
@@ -196,6 +181,42 @@ func TestEveryExperimentMatchesGolden(t *testing.T) {
 	}
 	if err := os.WriteFile(experimentsGoldenPath, []byte(doc.String()), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBenchFileMatchesGolden: the BENCH file of an `ftlbench -exp all
+// -scale tiny -json` run holds every experiment's golden section, masked as
+// TestEveryExperimentMatchesGolden masks, so the binary users run prints
+// the pinned tables. It reads the file LEARNEDFTL_BENCH_FILE names and is
+// skipped without one; CI's bench-artifact job names its sweep's file.
+func TestBenchFileMatchesGolden(t *testing.T) {
+	path := os.Getenv("LEARNEDFTL_BENCH_FILE")
+	if path == "" {
+		t.Skip("LEARNEDFTL_BENCH_FILE names no ftlbench -json file")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Scale   string        `json:"scale"`
+		Results []BenchResult `json:"results"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(experimentsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := parseGolden(string(golden))
+	if doc.Scale != "tiny" || len(doc.Results) != len(want) {
+		t.Fatalf("%s: %d experiments at scale %q, want the golden's %d at tiny", path, len(doc.Results), doc.Scale, len(want))
+	}
+	for _, r := range doc.Results {
+		if got := goldenSection(t, r); got != want[r.Experiment] {
+			t.Errorf("%s diverged from the golden:\ngot:\n%s\nwant:\n%s", r.Experiment, got, want[r.Experiment])
+		}
 	}
 }
 

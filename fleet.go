@@ -11,6 +11,7 @@ import (
 
 	"learnedftl/internal/fleet"
 	"learnedftl/internal/nand"
+	"learnedftl/internal/persist"
 	"learnedftl/internal/sim"
 	"learnedftl/internal/stats"
 	"learnedftl/internal/workload"
@@ -25,10 +26,7 @@ func (c *cell) warmedFleet(s Scheme, cfg Config, n int) ([]FTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap, err := SnapshotDevice(f0)
-	if err != nil {
-		return nil, err
-	}
+	snap := persist.Snapshot(f0, persistKey(f0.Name(), f0.Config()))
 	devs := []FTL{f0}
 	for len(devs) < n {
 		f, err := RestoreDevice(s, cfg, snap)
@@ -82,10 +80,7 @@ const (
 func fleetGrid(cfg Config, b Budget) ([]int, cellFunc, error) {
 	const n = fleetDevices
 	policies := fleet.Policies()
-	kind, err := b.openLoopKind()
-	if err != nil {
-		return nil, nil, err
-	}
+	kind := b.arrival()
 	threads := max(2, b.Threads)
 	return []int{len(policies), len(fleetScenarios)}, func(c *cell) error {
 		pol, scenario := policies[c.at[0]], fleetScenarios[c.at[1]]

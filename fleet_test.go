@@ -13,10 +13,13 @@ import (
 	"learnedftl/internal/workload"
 )
 
-// fleetTestBudget keeps the fleet tests fast while still exercising GC and
-// the failure path.
+// fleetTestBudget is TinyBudget cut to 1 200 requests over 8 threads: the
+// fleet experiment drives eight devices per policy, and this size keeps the
+// fleet tests fast while still exercising GC and the failure path.
 func fleetTestBudget(workers int) Budget {
-	return Budget{Requests: 1200, WarmExtra: 1, TraceScale: 0.002, Threads: 8, Workers: workers}
+	b := TinyBudget()
+	b.Requests, b.Threads, b.Workers = 1200, 8, workers
+	return b
 }
 
 // fleetTestStreams is a small deterministic two-tenant mix over lp pages.

@@ -18,7 +18,9 @@ import (
 // collections and the WA estimate is burst noise rather than a trend.
 func TestGCSweepWAMonotonicInOP(t *testing.T) {
 	cfg := TinyConfig()
-	tab := runNarrowed(t, "gcsweep", gcSweepGrid([]GCPolicy{gc.Greedy}), cfg, sweepTestBudget(2))
+	b := TinyBudget()
+	b.Workers = 2
+	tab := runNarrowed(t, "gcsweep", gcSweepGrid([]GCPolicy{gc.Greedy}), cfg, b)
 	ratios := len(opLadder(cfg))
 	if ratios < 3 {
 		t.Fatalf("ladder too short (%d) to test monotonicity", ratios)
@@ -55,7 +57,7 @@ func TestGCSweepWAMonotonicInOP(t *testing.T) {
 // (the ones whose foreground GC lands on the write path's critical path).
 func TestBackgroundGCCutsWriteTail(t *testing.T) {
 	cfg := TinyConfig()
-	b := sweepTestBudget(1)
+	b := TinyBudget()
 	for _, s := range []Scheme{SchemeDFTL, SchemeTPFTL} {
 		runMode := func(bg bool) (p999 int64, bgGCs int64) {
 			f, err := newWarmed(s, cfg, b)
@@ -91,7 +93,7 @@ func TestBackgroundGCCutsWriteTail(t *testing.T) {
 func TestTrimReducesWriteAmplification(t *testing.T) {
 	cfg := TinyConfig()
 	run := func(trimEvery int) (wa float64, trims int64) {
-		f, err := newWarmed(SchemeDFTL, cfg, Budget{WarmExtra: 1})
+		f, err := newWarmed(SchemeDFTL, cfg, TinyBudget())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -94,25 +94,23 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	if n := d.U64(); d.Err() == nil && n != uint64(len(f.groups)) {
 		return fmt.Errorf("core: snapshot of %d groups, want %d", n, len(f.groups))
 	}
+	// Every id the tables below hold indexes the configuration's rows,
+	// groups or blocks, so it is range-checked as it is decoded.
+	g := f.Fl.Geometry()
 	for i := range f.groups {
 		f.groups[i] = group{
-			rows:      append(f.groups[i].rows[:0], d.Ints()...),
+			rows:      append(f.groups[i].rows[:0], d.IntsIn(f.transRows, g.BlocksPerUnit-1)...),
 			wp:        d.Int(),
 			encroach:  d.Int(),
 			pendingGC: d.Bool(),
 		}
-		for _, r := range f.groups[i].rows {
-			if r < 0 || r >= len(f.rowOwner) {
-				return fmt.Errorf("core: snapshot gives group %d row %d of %d", i, r, len(f.rowOwner))
-			}
-		}
 	}
-	rowOwner := d.Ints()
-	rowInvalid := d.Ints()
-	f.freeRows = d.Ints()
-	f.pending = d.Ints()
+	rowOwner := d.IntsIn(-2, len(f.groups)-1)
+	rowInvalid := d.IntsIn(0, f.sbPages)
+	f.freeRows = d.IntsIn(f.transRows, g.BlocksPerUnit-1)
+	f.pending = d.IntsIn(0, len(f.groups)-1)
 	f.LoadEMA(d)
-	active := d.Ints()
+	active := d.IntsIn(-1, g.TotalBlocks()-1)
 	nf := d.U64()
 	if d.Err() == nil &&
 		(len(rowOwner) != len(f.rowOwner) || len(rowInvalid) != len(f.rowInvalid) ||
@@ -122,11 +120,32 @@ func (f *LearnedFTL) LoadState(d *persist.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
+	// The allocators program a free data row or pool block next, so each is
+	// listed once, unowned and empty. A unit's pool is its first transRows
+	// blocks.
+	freeRow := make([]bool, g.BlocksPerUnit)
+	for _, r := range f.freeRows {
+		if freeRow[r] || rowOwner[r] != -1 || f.rowProgrammed(r) != 0 {
+			return fmt.Errorf("core: snapshot frees row %d twice, owned or programmed", r)
+		}
+		freeRow[r] = true
+	}
 	copy(f.rowOwner, rowOwner)
 	copy(f.rowInvalid, rowInvalid)
 	copy(f.tp.active, active)
+	freeBlk := make([]bool, g.TotalBlocks())
 	for u := range f.tp.free {
-		f.tp.free[u] = d.Ints()
+		lo := u * g.BlocksPerUnit
+		f.tp.free[u] = d.IntsIn(lo, lo+f.transRows-1)
+		if a := active[u]; a != -1 && (a < lo || a >= lo+f.transRows) {
+			return fmt.Errorf("core: snapshot opens translation-pool block %d off unit %d's pool", a, u)
+		}
+		for _, blk := range f.tp.free[u] {
+			if freeBlk[blk] || blk == active[u] || f.Fl.BlockWritePtr(blk) != 0 {
+				return fmt.Errorf("core: snapshot frees translation-pool block %d twice, active or programmed", blk)
+			}
+			freeBlk[blk] = true
+		}
 	}
 	f.inGC = false
 	f.rebuildViews()

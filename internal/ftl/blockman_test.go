@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"learnedftl/internal/nand"
+	"learnedftl/internal/persist"
 )
 
 func TestAllocPageOnChipPrefersChip(t *testing.T) {
@@ -301,5 +302,50 @@ func BenchmarkOverwriteByChips(b *testing.B) {
 				b.Fatalf("failed %v (%s) after %d collections: the window must collect and never fail", f.Col.DeviceFailed, f.Col.FailReason, f.Col.GCCount)
 			}
 		})
+	}
+}
+
+// TestLoadRejectsBlocksOffTheirChip: the allocator indexes per-chip state by
+// the blocks a snapshot files in its free stacks and active slots, and
+// programs a free block next, so a block off the device, on another chip
+// than the one it is filed under, listed twice, or free but programmed is an
+// error from the load, not a panic on the next write. An untouched snapshot
+// still loads.
+func TestLoadRejectsBlocksOffTheirChip(t *testing.T) {
+	cfg := testConfig()
+	blocksPerChip := cfg.Geometry.Planes * cfg.Geometry.BlocksPerUnit
+	for name, c := range map[string]struct {
+		edit func(b *BlockMan)
+		ok   bool
+	}{
+		"untouched":                 {func(*BlockMan) {}, true},
+		"free block off the device": {func(b *BlockMan) { b.free[0] = append(b.free[0], 1<<20) }, false},
+		"free block negative":       {func(b *BlockMan) { b.free[0] = append(b.free[0], -1) }, false},
+		"free block of chip 1":      {func(b *BlockMan) { b.free[0] = append(b.free[0], blocksPerChip) }, false},
+		"data block of chip 0":      {func(b *BlockMan) { b.activeData[1] = 0 }, false},
+		"trans block off device":    {func(b *BlockMan) { b.activeTrans[2] = 1 << 20 }, false},
+		"trans block below -1":      {func(b *BlockMan) { b.activeTrans[2] = -2 }, false},
+		"free block twice":          {func(b *BlockMan) { b.free[0] = append(b.free[0], b.free[0][0]) }, false},
+		"active block also free":    {func(b *BlockMan) { b.activeData[0] = b.free[0][0] }, false},
+		"programmed block free": {func(b *BlockMan) {
+			b.free[b.activeData[0]/blocksPerChip] = append(b.free[b.activeData[0]/blocksPerChip], b.activeData[0])
+			b.activeData[0] = -1
+		}, false},
+	} {
+		src, err := NewIdeal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.WritePages(0, 64, 0)
+		c.edit(src.BM)
+		e := persist.NewEncoder()
+		src.SaveState(e)
+		dst, err := NewIdeal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.LoadState(persist.NewDecoder(e.Data())); (err == nil) != c.ok {
+			t.Errorf("%s: LoadState returned %v", name, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"learnedftl/internal/nand"
+	"learnedftl/internal/persist"
 )
 
 // testConfig returns a tiny device: 8 chips × 8 blocks × 16 pages.
@@ -281,6 +282,39 @@ func TestGCRelocatesTranslationPages(t *testing.T) {
 		oob := b.Fl.PageOOB(p)
 		if !oob.Trans || oob.Key != int64(tpn) {
 			t.Fatalf("tpn %d OOB mismatch: %+v", tpn, oob)
+		}
+	}
+}
+
+// TestLoadMapStateRejectsMapsOffTheirPages: a mapped LPN's next write
+// invalidates the page the L2P names, and a translation-page rewrite the
+// page the GTD names, which panics unless that page is valid and holds the
+// key, so a snapshot mapping a key to any other page is an error from the
+// load. An untouched snapshot still loads.
+func TestLoadMapStateRejectsMapsOffTheirPages(t *testing.T) {
+	for name, c := range map[string]struct {
+		edit func(f *Ideal)
+		ok   bool
+	}{
+		"untouched":                 {func(*Ideal) {}, true},
+		"LPN on an invalid page":    {func(f *Ideal) { f.L2P.Set(0, f.L2P.Get(2)); f.WritePages(2, 1, 0) }, false},
+		"LPN on another LPN's page": {func(f *Ideal) { f.L2P.Set(0, f.L2P.Get(1)) }, false},
+		"TPN on a data page":        {func(f *Ideal) { f.GTD.Update(0, f.L2P.Get(1)) }, false},
+	} {
+		src, err := NewIdeal(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		src.WritePages(0, 64, 0)
+		c.edit(src)
+		e := persist.NewEncoder()
+		src.SaveState(e)
+		dst, err := NewIdeal(testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.LoadState(persist.NewDecoder(e.Data())); (err == nil) != c.ok {
+			t.Errorf("%s: LoadState returned %v", name, err)
 		}
 	}
 }

@@ -148,18 +148,40 @@ func (b *BlockMan) load(d *persist.Decoder) error {
 	if d.Err() == nil && chips != len(b.free) {
 		return fmt.Errorf("ftl: allocator snapshot of %d chips, want %d", chips, len(b.free))
 	}
+	// Every block the snapshot lists sits on the chip it is filed under,
+	// once, and a free one is erased: the allocator programs it next.
+	g := b.f.Geometry()
+	perChip := g.Planes * g.BlocksPerUnit
+	listed := make([]bool, g.TotalBlocks())
 	b.freeCount = 0
 	for chip := 0; chip < len(b.free); chip++ {
-		b.free[chip] = d.Ints()
+		b.free[chip] = d.IntsIn(chip*perChip, (chip+1)*perChip-1)
 		b.freeCount += len(b.free[chip])
+		for _, blk := range b.free[chip] {
+			if listed[blk] || b.f.BlockWritePtr(blk) != 0 {
+				return fmt.Errorf("ftl: allocator snapshot frees block %d twice or programmed", blk)
+			}
+			listed[blk] = true
+		}
 	}
-	ad := d.Ints()
-	at := d.Ints()
+	ad := d.IntsIn(-1, g.TotalBlocks()-1)
+	at := d.IntsIn(-1, g.TotalBlocks()-1)
 	if d.Err() == nil && (len(ad) != len(b.activeData) || len(at) != len(b.activeTrans)) {
 		return fmt.Errorf("ftl: allocator active-block snapshot length mismatch")
 	}
 	if d.Err() != nil {
 		return d.Err()
+	}
+	for chip := range ad {
+		for _, blk := range []int{ad[chip], at[chip]} {
+			if blk == -1 {
+				continue // no open block
+			}
+			if blk/perChip != chip || listed[blk] {
+				return fmt.Errorf("ftl: allocator snapshot opens block %d on chip %d: off the chip, or listed twice", blk, chip)
+			}
+			listed[blk] = true
+		}
 	}
 	copy(b.activeData, ad)
 	copy(b.activeTrans, at)

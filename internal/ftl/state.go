@@ -160,5 +160,23 @@ func (s *State) LoadMapState(d *persist.Decoder) error {
 	if err := persist.LoadL2P(d, s.L2P, totalPages); err != nil {
 		return err
 	}
-	return persist.LoadGTD(d, s.GTD, totalPages)
+	if err := persist.LoadGTD(d, s.GTD, totalPages); err != nil {
+		return err
+	}
+	// A mapped LPN or TPN names the valid page whose OOB holds it: its next
+	// write invalidates that page, which panics on any other page state.
+	holds := func(p nand.PPN, oob nand.OOB) bool {
+		return p == nand.InvalidPPN || s.Fl.State(p) == nand.PageValid && s.Fl.PageOOB(p) == oob
+	}
+	for lpn, p := range s.L2P.Entries() {
+		if !holds(nand.PPN(p), nand.OOB{Key: int64(lpn)}) {
+			return fmt.Errorf("ftl: snapshot maps LPN %d to page %d, which does not hold it", lpn, p)
+		}
+	}
+	for tpn, p := range s.GTD.Locations() {
+		if !holds(p, nand.OOB{Key: int64(tpn), Trans: true}) {
+			return fmt.Errorf("ftl: snapshot places TPN %d at page %d, which does not hold it", tpn, p)
+		}
+	}
+	return nil
 }

@@ -260,13 +260,20 @@ func (d *Decoder) Words() []uint64 {
 }
 
 // Ints reads a length-prefixed signed-varint slice.
-func (d *Decoder) Ints() []int {
+func (d *Decoder) Ints() []int { return d.IntsIn(math.MinInt, math.MaxInt) }
+
+// IntsIn reads a length-prefixed signed-varint slice of ids in [lo, hi]:
+// an id outside latches the decoder's error, checked in the decoding pass.
+func (d *Decoder) IntsIn(lo, hi int) []int {
 	n := d.Count()
 	if d.err != nil {
 		return nil
 	}
 	out := make([]int, n)
-	GetRun(d, Varints, out, math.MinInt64, math.MaxInt64)
+	if bad, v := GetRun(d, Varints, out, int64(lo), int64(hi)); bad >= 0 {
+		d.err = fmt.Errorf("persist: snapshot id %d at offset %d outside [%d, %d]", v, d.off, lo, hi)
+		return nil
+	}
 	return out
 }
 

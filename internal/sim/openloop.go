@@ -41,11 +41,10 @@ func (k ArrivalKind) String() string {
 	}
 }
 
-// ParseArrival maps a flag value to an ArrivalKind.
+// ParseArrival maps a flag value to a rate-controlled ArrivalKind; "unbounded",
+// the kind a Stream without a positive Rate degrades to, does not parse.
 func ParseArrival(s string) (ArrivalKind, bool) {
 	switch s {
-	case "unbounded":
-		return ArrivalUnbounded, true
 	case "fixed":
 		return ArrivalFixed, true
 	case "poisson", "":

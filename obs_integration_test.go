@@ -15,11 +15,6 @@ import (
 	"learnedftl/internal/workload"
 )
 
-// obsBudget is the tiny budget the observability tests run under.
-func obsBudget() Budget {
-	return Budget{Requests: 2000, WarmExtra: 1, Threads: 16}
-}
-
 // obsGens builds the measured-phase workload of the observability tests: a
 // read-heavy random mix (1 write in 4) that exercises CMT hits and misses,
 // model predictions, translation write-backs and GC.
@@ -191,7 +186,7 @@ func BenchmarkTraceOn(b *testing.B) {
 // tiny device and asserts the export is valid Chrome trace-event JSON with
 // chip tracks and a GC track.
 func TestTraceCaptureJSONValid(t *testing.T) {
-	trace, tab, err := TraceCapture(SchemeLearnedFTL, TinyConfig(), obsBudget())
+	trace, tab, err := TraceCapture(SchemeLearnedFTL, TinyConfig(), TinyBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +233,7 @@ func TestTraceCaptureJSONValid(t *testing.T) {
 // on a device warmed as the experiment warms it, and its breakdown must
 // equal the experiment's.
 func TestLatBreakP999IsTheCollectors(t *testing.T) {
-	b := sweepTestBudget(1)
+	b := TinyBudget()
 	res, err := RunExperiments([]string{"latbreak"}, TinyConfig(), b)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +262,7 @@ func TestLatBreakP999IsTheCollectors(t *testing.T) {
 // total latency sum (the breakdown explains 100% of measured time), and
 // the cells ride along in the BenchResult for the BENCH JSON.
 func TestLatBreakPhaseSums(t *testing.T) {
-	res, err := RunExperiments([]string{"latbreak"}, TinyConfig(), obsBudget())
+	res, err := RunExperiments([]string{"latbreak"}, TinyConfig(), TinyBudget())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func TestSnapshotStreamMatchesWideTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warmDevice(f, Budget{WarmExtra: 1})
+		warmDevice(f, TinyBudget())
 		runMixed(f, 2000, 17)
 		if f.Collector().GCCount == 0 {
 			t.Fatalf("%v: the pinned device never collected garbage", s)
@@ -372,7 +372,8 @@ func TestOOBRecoveryRebuildsL2P(t *testing.T) {
 // re-simulating at least the warm-up's worth of flash programs.
 func TestWarmCheckpointReuse(t *testing.T) {
 	cfg := persistTestConfig()
-	b := sweepTestBudget(2)
+	b := TinyBudget()
+	b.Workers = 2
 
 	cold := runTable(t, "fig6", cfg, b)
 
@@ -423,7 +424,9 @@ func TestWarmCheckpointReuse(t *testing.T) {
 // TestMountLatExperiment: the mountlat table must cover every scheme × one
 // of four fill rungs.
 func TestMountLatExperiment(t *testing.T) {
-	tab := runTable(t, "mountlat", persistTestConfig(), sweepTestBudget(4))
+	b := TinyBudget()
+	b.Workers = 4
+	tab := runTable(t, "mountlat", persistTestConfig(), b)
 	if len(tab.Rows) != len(Schemes())*4 {
 		t.Fatalf("mountlat rows = %d, want %d", len(tab.Rows), len(Schemes())*4)
 	}

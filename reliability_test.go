@@ -8,12 +8,6 @@ import (
 	"learnedftl/internal/workload"
 )
 
-// tinyFaultBudget is the tiny-scale budget the reliability experiment
-// assertions run under.
-func tinyFaultBudget() Budget {
-	return Budget{Requests: 4000, WarmExtra: 1, TraceScale: 0.003, Threads: 16}
-}
-
 // tableCol returns the index of a named column in a table header.
 func tableCol(t *testing.T, tb Table, name string) int {
 	t.Helper()
@@ -40,7 +34,7 @@ func cellFloat(t *testing.T, row []string, col int) float64 {
 // uncorrectable count, and the top rung must be strictly worse than the
 // bottom one (the ladder spans the ECC threshold by construction).
 func TestFaultSweepUBERMonotone(t *testing.T) {
-	tb := runNarrowed(t, "faultsweep", faultSweepGrid([]Scheme{SchemeDFTL, SchemeIdeal}), TinyConfig(), tinyFaultBudget())
+	tb := runNarrowed(t, "faultsweep", faultSweepGrid([]Scheme{SchemeDFTL, SchemeIdeal}), TinyConfig(), TinyBudget())
 	ftlCol := tableCol(t, tb, "FTL")
 	uberCol := tableCol(t, tb, "UBER")
 	uncorrCol := tableCol(t, tb, "uncorr")
@@ -83,7 +77,7 @@ func TestFaultSweepUBERMonotone(t *testing.T) {
 // host-visible uncorrectable count for every scheme with a scrub path, and
 // the on cell must actually have scrubbed (nonzero refreshes).
 func TestScrubReducesHostDataLoss(t *testing.T) {
-	tb := runTable(t, "scrublat", TinyConfig(), tinyFaultBudget())
+	tb := runTable(t, "scrublat", TinyConfig(), TinyBudget())
 	ftlCol := tableCol(t, tb, "FTL")
 	modeCol := tableCol(t, tb, "scrub")
 	offeredCol := tableCol(t, tb, "offered IOPS")

@@ -17,8 +17,8 @@ import (
 // smallest rung: one row per scheme, with the footprint column reporting
 // the packed layout's bytes per page.
 func TestScaleExperimentTinyRung(t *testing.T) {
-	b := sweepTestBudget(2)
-	b.ScaleMaxGiB = 0.5 // tiny rung only
+	b := TinyBudget() // tiny rung only
+	b.Workers = 2
 	tab := runTable(t, "scale", TinyConfig(), b)
 	if len(tab.Rows) != len(Schemes()) {
 		t.Fatalf("scale rows = %d, want %d (one rung x schemes)", len(tab.Rows), len(Schemes()))
@@ -41,7 +41,7 @@ func TestScaleExperimentTinyRung(t *testing.T) {
 // produce an empty table, and every scaled-paper rung must leave the group
 // allocator spare rows (the thrash guard).
 func TestScaleLadderWindow(t *testing.T) {
-	b := sweepTestBudget(1)
+	b := TinyBudget()
 	b.ScaleMinGiB, b.ScaleMaxGiB = 3, 3.5 // between rungs
 	if _, err := RunExperiments([]string{"scale"}, TinyConfig(), b); err == nil {
 		t.Fatal("empty ladder window accepted")

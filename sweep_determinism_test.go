@@ -5,12 +5,6 @@ import (
 	"testing"
 )
 
-// sweepTestBudget is small enough that the determinism comparison runs in a
-// few seconds even on one core.
-func sweepTestBudget(workers int) Budget {
-	return Budget{Requests: 2000, WarmExtra: 1, TraceScale: 0.002, Threads: 16, Workers: workers}
-}
-
 // TestLoadSweepRepeatable: the open-loop ladder covers every scheme at
 // each of its eight offered rates. (That it repeats byte for byte at any
 // worker count is TestEveryExperimentMatchesGolden's to check.)
@@ -18,7 +12,9 @@ func TestLoadSweepRepeatable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load ladder skipped in -short mode")
 	}
-	tab := runTable(t, "loadsweep", TinyConfig(), sweepTestBudget(2))
+	b := TinyBudget()
+	b.Workers = 2
+	tab := runTable(t, "loadsweep", TinyConfig(), b)
 	if len(tab.Rows) != len(Schemes())*8 {
 		t.Fatalf("loadsweep rows = %d, want %d", len(tab.Rows), len(Schemes())*8)
 	}
@@ -26,10 +22,10 @@ func TestLoadSweepRepeatable(t *testing.T) {
 
 // TestOpenLoopBudgetValidation: a typo'd arrival process or an absurd
 // offered rate must error rather than silently running with defaults, and
-// "unbounded" — valid for the engine — is rejected by the
-// experiments because it voids the offered-IOPS axis.
+// "unbounded" does not parse: it is the engine's kind for a stream no rate
+// paces, and would void the offered-IOPS axis.
 func TestOpenLoopBudgetValidation(t *testing.T) {
-	b := sweepTestBudget(1)
+	b := TinyBudget()
 	b.Arrival = "possion"
 	if _, err := RunExperiments([]string{"loadsweep"}, TinyConfig(), b); err == nil {
 		t.Fatal("typo'd arrival accepted")
@@ -52,7 +48,7 @@ func TestOpenLoopBudgetValidation(t *testing.T) {
 // TestRunExperimentsOrderAndErrors covers the api.go sweep entry point.
 func TestRunExperimentsOrderAndErrors(t *testing.T) {
 	cfg := TinyConfig()
-	res, err := RunExperiments([]string{"table2", "fig15"}, cfg, sweepTestBudget(2))
+	res, err := RunExperiments([]string{"table2", "fig15"}, cfg, TinyBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +60,7 @@ func TestRunExperimentsOrderAndErrors(t *testing.T) {
 			t.Fatalf("degenerate result: %+v", r)
 		}
 	}
-	if _, err := RunExperiments([]string{"nope"}, cfg, sweepTestBudget(1)); err == nil {
+	if _, err := RunExperiments([]string{"nope"}, cfg, TinyBudget()); err == nil {
 		t.Fatal("unknown id did not error")
 	}
 }
