@@ -87,8 +87,9 @@ func (f *Flash) cutNow(t OpType, p PPN, torn bool, at Time) PowerCut {
 func (f *Flash) markTorn(p PPN) { f.torn = append(f.torn, p) }
 
 // IsTorn reports whether page p was left half-programmed by a power cut.
-// Torn pages are programmed but never valid; their OOB reads uncorrectable
-// regardless of the fault model (ReadChecked).
+// Torn pages are programmed but never valid. Every read of one, through
+// Read or ReadChecked alike, reads uncorrectable whether or not a fault
+// model is attached, after walking an attached model's whole retry ladder.
 func (f *Flash) IsTorn(p PPN) bool {
 	for _, t := range f.torn {
 		if t == p {
@@ -119,54 +120,4 @@ func (f *Flash) clearTornBlock(blockID int) {
 func (f *Flash) PowerCycle(t Time) {
 	f.setClocks(t)
 	f.cut = nil
-}
-
-// ReadChecked is Read returning the fault model's verdict alongside the
-// completion time. The mount scan uses it: an OOB read that exhausts the
-// ECC retry ladder must surface as uncorrectable instead of silently
-// yielding its mapping. A torn page — a program in flight when power died —
-// reads uncorrectable regardless of the model: its cells hold a partial
-// program no reference-voltage shift recovers. Without a fault model, clean
-// pages read clean (ideal NAND) and only torn pages fail.
-func (f *Flash) ReadChecked(p PPN, after Time, kind OpKind) (Time, ReadOutcome) {
-	if f.cut != nil && f.cut.due(after) {
-		panic(f.cutNow(OpRead, p, false, after))
-	}
-	if len(f.torn) > 0 && f.IsTorn(p) {
-		return f.tornRead(p, after, kind)
-	}
-	if f.fm != nil {
-		return f.faultReadOut(p, after, kind)
-	}
-	return f.plainRead(p, after, kind), ReadOutcome{}
-}
-
-// tornRead reads a torn page: ECC walks the attached model's full retry
-// ladder and never converges, so the latency charge includes every step.
-func (f *Flash) tornRead(p PPN, after Time, kind OpKind) (Time, ReadOutcome) {
-	out := ReadOutcome{Uncorrectable: true}
-	d := f.timing.ReadLatency
-	var retry Time
-	if f.fm != nil {
-		if n := f.fm.RetrySteps(); n > 0 {
-			out.Retries = n
-			retry = Time(out.Retries) * f.timing.RetryLatency
-			d += retry
-			f.rel.Retries += int64(out.Retries)
-			f.rel.RetryTime += retry
-		}
-		f.blocks[f.codec.BlockID(p)].reads++
-		f.rel.Uncorrectable++
-		if kind == OpHostData {
-			f.rel.HostUncorrectable++
-		}
-	}
-	f.counters.Reads[kind]++
-	chip := f.codec.Chip(p)
-	done := f.schedule(chip, after, d)
-	if f.opObs != nil {
-		f.opObs.ObserveOp(FlashOp{Op: OpRead, Kind: kind, PPN: p, Chip: int32(chip),
-			After: after, Start: done - d, Done: done, Retry: retry})
-	}
-	return done, out
 }

@@ -107,6 +107,34 @@ func TestCutTornProgram(t *testing.T) {
 	if !out.Uncorrectable {
 		t.Fatal("torn page read corrected")
 	}
+	// Read is ReadChecked without the verdict: a torn page costs both the
+	// same, and with a model attached both walk its whole retry ladder and
+	// count one uncorrectable read.
+	tm := f.Timing()
+	for _, steps := range []int{0, 4} {
+		if steps > 0 {
+			f.SetFaultModel(ladderStub{steps: steps})
+		}
+		want := cut.Time + tm.ReadLatency + Time(steps)*tm.RetryLatency
+		for name, read := range map[string]func() Time{
+			"Read": func() Time { return f.Read(p, cut.Time, OpHostData) },
+			"ReadChecked": func() Time {
+				done, _ := f.ReadChecked(p, cut.Time, OpHostData)
+				return done
+			},
+		} {
+			f.PowerCycle(cut.Time)
+			before := f.RelCounters()
+			if done := read(); done != want {
+				t.Fatalf("%s of the torn page with a %d-step ladder done at %d, want %d", name, steps, done, want)
+			}
+			rel := f.RelCounters()
+			if steps > 0 && (rel.Retries-before.Retries != int64(steps) || rel.Uncorrectable-before.Uncorrectable != 1) {
+				t.Fatalf("%s of the torn page with a %d-step ladder tallied %+v, from %+v", name, steps, rel, before)
+			}
+		}
+	}
+	f.SetFaultModel(nil)
 	// The next in-order program lands above the torn page.
 	if _, err := f.Program(PPN(1), OOB{Key: 10}, cut.Time, OpHostData); err != nil {
 		t.Fatal(err)

@@ -112,8 +112,8 @@ type Flash struct {
 	blocks     []blockMeta
 
 	chipBusy []Time // per parallel unit, next idle time
-	// maxBusy is the running maximum of chipBusy: schedule only moves a
-	// clock forward, so it only raises it; the writers that set clocks
+	// maxBusy is the running maximum of chipBusy: op only moves a clock
+	// forward, so it only raises it; the writers that set clocks
 	// wholesale (ImportState, AdvanceIdle, PowerCycle) set it with them.
 	maxBusy Time
 
@@ -218,7 +218,7 @@ func (f *Flash) Counters() OpCounters { return f.counters }
 // against the same window's read count — but the per-block read-disturb
 // counters and bad-block list persist: they are device state, not metrics.
 func (f *Flash) ResetCounters() {
-	f.lifetime.accumulate(f.counters)
+	f.lifetime.Add(f.counters)
 	f.counters = OpCounters{}
 	f.rel = RelCounters{}
 }
@@ -229,90 +229,99 @@ func (f *Flash) ResetCounters() {
 // checkpoint saves.
 func (f *Flash) LifetimeCounters() OpCounters {
 	t := f.lifetime
-	t.accumulate(f.counters)
+	t.Add(f.counters)
 	return t
 }
 
-// schedule serializes an operation of duration d on chip, not starting
-// before `after`, and returns its completion time.
-func (f *Flash) schedule(chip int, after Time, d Time) Time {
-	start := after
-	if f.chipBusy[chip] > start {
-		start = f.chipBusy[chip]
+// op is the tail every flash operation ends in, the one place that counts
+// it, clocks it and reports it: it tallies the operation in the counters,
+// serializes it on p's chip, not starting before after, for the type's
+// latency plus retry, and hands it to the op observer. It returns the
+// completion time.
+func (f *Flash) op(t OpType, kind OpKind, p PPN, after, retry Time) Time {
+	d := retry
+	switch t {
+	case OpRead:
+		f.counters.Reads[kind]++
+		d += f.timing.ReadLatency
+	case OpProgram:
+		f.counters.Programs[kind]++
+		d += f.timing.ProgramLatency
+	default:
+		f.counters.Erases++
+		d += f.timing.EraseLatency
 	}
+	chip := f.codec.Chip(p)
+	start := max(after, f.chipBusy[chip])
 	done := start + d
 	f.chipBusy[chip] = done
 	f.maxBusy = max(f.maxBusy, done)
+	if f.opObs != nil {
+		f.opObs.ObserveOp(FlashOp{Op: t, Kind: kind, PPN: p, Chip: int32(chip),
+			After: after, Start: start, Done: done, Retry: retry})
+	}
 	return done
 }
 
 // Read performs a page read. `after` is the earliest time the operation may
 // start (its dependency); the return value is its completion time. Reads of
 // free or invalid pages are permitted — mispredicted learned-index reads do
-// exactly that.
+// exactly that. Read is ReadChecked without the verdict: it charges the
+// same retries, tallies and latency, a torn page's full retry ladder too.
 func (f *Flash) Read(p PPN, after Time, kind OpKind) Time {
+	done, _ := f.ReadChecked(p, after, kind)
+	return done
+}
+
+// ReadChecked is the one read path: Read is it without the verdict. It
+// returns the fault model's verdict alongside the completion time, which
+// the mount scan consults: an OOB read that exhausts the ECC retry ladder
+// must surface as uncorrectable instead of silently yielding its mapping.
+// With a model attached it keeps the block's read-disturb count, charges
+// retry steps as extra chip occupancy, tallies retries and uncorrectable
+// reads and flags at-risk blocks for scrub. A torn page — a program in
+// flight when power died — reads uncorrectable regardless of the model: its
+// cells hold a partial program no reference-voltage shift recovers, so ECC
+// walks the model's whole retry ladder and never converges. Without a fault
+// model, clean pages read clean (ideal NAND) and only torn pages fail.
+func (f *Flash) ReadChecked(p PPN, after Time, kind OpKind) (Time, ReadOutcome) {
 	if f.cut != nil && f.cut.due(after) {
 		// Power died before the command reached the die: no state change,
 		// no accounting — the operation never happened.
 		panic(f.cutNow(OpRead, p, false, after))
 	}
-	if f.fm != nil {
-		done, _ := f.faultReadOut(p, after, kind)
-		return done
-	}
-	return f.plainRead(p, after, kind)
-}
-
-// plainRead is the ideal-NAND read path shared by Read and ReadChecked.
-func (f *Flash) plainRead(p PPN, after Time, kind OpKind) Time {
-	f.counters.Reads[kind]++
-	chip := f.codec.Chip(p)
-	done := f.schedule(chip, after, f.timing.ReadLatency)
-	if f.opObs != nil {
-		f.opObs.ObserveOp(FlashOp{Op: OpRead, Kind: kind, PPN: p, Chip: int32(chip),
-			After: after, Start: done - f.timing.ReadLatency, Done: done})
-	}
-	return done
-}
-
-// faultReadOut is the fault-model read path: it maintains the block's
-// read-disturb counter, charges retry steps as extra chip occupancy, tallies
-// uncorrectable events and flags at-risk blocks for scrub. It returns the
-// model's verdict so ReadChecked can expose it to the mount scan.
-func (f *Flash) faultReadOut(p PPN, after Time, kind OpKind) (Time, ReadOutcome) {
-	f.counters.Reads[kind]++
-	bid := f.codec.BlockID(p)
-	b := &f.blocks[bid]
-	b.reads++
-	age := Time(0)
-	if b.lastMod > 0 && after > b.lastMod {
-		age = after - b.lastMod
-	}
-	out := f.fm.ReadFault(p, b.reads, b.erases, age)
-	d := f.timing.ReadLatency
+	torn := len(f.torn) > 0 && f.IsTorn(p)
+	out := ReadOutcome{Uncorrectable: torn}
 	var retry Time
-	if out.Retries > 0 {
+	if f.fm != nil {
+		bid := f.codec.BlockID(p)
+		b := &f.blocks[bid]
+		b.reads++
+		if torn {
+			// The tear is no charge decay a scrub could rescue: the block
+			// is not flagged.
+			out.Retries = f.fm.RetrySteps()
+		} else {
+			age := Time(0)
+			if b.lastMod > 0 && after > b.lastMod {
+				age = after - b.lastMod
+			}
+			out = f.fm.ReadFault(p, b.reads, b.erases, age)
+			if (out.Scrub || out.Uncorrectable) && !b.bad {
+				f.QueueScrub(bid)
+			}
+		}
 		retry = Time(out.Retries) * f.timing.RetryLatency
-		d += retry
 		f.rel.Retries += int64(out.Retries)
 		f.rel.RetryTime += retry
-	}
-	if out.Uncorrectable {
-		f.rel.Uncorrectable++
-		if kind == OpHostData {
-			f.rel.HostUncorrectable++
+		if out.Uncorrectable {
+			f.rel.Uncorrectable++
+			if kind == OpHostData {
+				f.rel.HostUncorrectable++
+			}
 		}
 	}
-	if (out.Scrub || out.Uncorrectable) && !b.bad {
-		f.QueueScrub(bid)
-	}
-	chip := f.codec.Chip(p)
-	done := f.schedule(chip, after, d)
-	if f.opObs != nil {
-		f.opObs.ObserveOp(FlashOp{Op: OpRead, Kind: kind, PPN: p, Chip: int32(chip),
-			After: after, Start: done - d, Done: done, Retry: retry})
-	}
-	return done, out
+	return f.op(OpRead, kind, p, after, retry), out
 }
 
 // Program writes a page, setting it valid and recording its OOB. NAND
@@ -339,67 +348,49 @@ func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
 	if key > f.keys.mask {
 		f.keys.widen(key) // a key past the device's page count
 	}
-	cutAfter := false
-	if f.cut != nil && f.cut.due(after) {
-		if f.cut.torn {
-			// Power died mid-program: the page is consumed by the in-order
-			// write pointer but its cells hold a half-finished program — it
-			// is never valid and its OOB reads uncorrectable. The intended
-			// key is recorded for the simulator's omniscient loss reporting;
-			// the recovery scan must never consume it (IsTorn guards).
-			f.programmed[w] |= m
-			f.keys.set(int(p), key)
-			b.writePtr++
-			f.markTorn(p)
-			f.notifyBlock(bid)
-			panic(f.cutNow(OpProgram, p, true, after))
-		}
-		// Non-torn cut: the program completes on the die, then power dies
-		// before the FTL resumes — the caller's invalidate of the old copy
-		// and its map update never run, so both copies stay visible to the
-		// mount scan. The panic is deferred to after the normal body.
-		cutAfter = true
+	cutAfter := f.cut != nil && f.cut.due(after)
+	// Whatever happens next, the page is consumed by the in-order write
+	// pointer.
+	f.programmed[w] |= m
+	b.writePtr++
+	if cutAfter && f.cut.torn {
+		// Power died mid-program: the cells hold a half-finished program —
+		// the page is never valid and its OOB reads uncorrectable. The
+		// intended key is recorded for the simulator's omniscient loss
+		// reporting; the recovery scan must never consume it (IsTorn
+		// guards). The operation never completed, so it is not charged.
+		f.keys.set(int(p), key)
+		f.markTorn(p)
+		f.notifyBlock(bid)
+		panic(f.cutNow(OpProgram, p, true, after))
 	}
+	// A non-torn cut lets the program complete on the die, then power dies
+	// before the FTL resumes — the caller's invalidate of the old copy and
+	// its map update never run, so both copies stay visible to the mount
+	// scan. The panic is deferred to after the operation.
+	var err error
 	if f.fm != nil && f.fm.ProgramFault(p, b.erases) {
 		// Grown defect: the program op ran and failed verification. The
-		// page is burned — consumed by the write pointer but holding
-		// nothing — and the block joins the bad-block list. The op still
-		// occupies the chip for a full program latency.
-		f.programmed[w] |= m
-		b.writePtr++
-		f.counters.Programs[kind]++
+		// page is burned — holding nothing — and the block joins the
+		// bad-block list. The op still occupies the chip for a full program
+		// latency.
 		f.rel.ProgramFails++
 		f.markBad(bid)
-		f.notifyBlock(bid)
-		chip := f.codec.Chip(p)
-		done := f.schedule(chip, after, f.timing.ProgramLatency)
-		if f.opObs != nil {
-			f.opObs.ObserveOp(FlashOp{Op: OpProgram, Kind: kind, PPN: p, Chip: int32(chip),
-				After: after, Start: done - f.timing.ProgramLatency, Done: done})
-		}
-		if cutAfter {
-			panic(f.cutNow(OpProgram, p, false, done))
-		}
-		return done, ErrProgramFailed
+		err = ErrProgramFailed
+	} else {
+		f.valid[w] |= m
+		f.keys.set(int(p), key)
+		b.valid++
 	}
-	f.programmed[w] |= m
-	f.valid[w] |= m
-	f.keys.set(int(p), key)
-	b.valid++
-	b.writePtr++
-	f.counters.Programs[kind]++
-	chip := f.codec.Chip(p)
-	done := f.schedule(chip, after, f.timing.ProgramLatency)
-	b.lastMod = done
+	done := f.op(OpProgram, kind, p, after, 0)
+	if err == nil {
+		b.lastMod = done
+	}
 	f.notifyBlock(bid)
-	if f.opObs != nil {
-		f.opObs.ObserveOp(FlashOp{Op: OpProgram, Kind: kind, PPN: p, Chip: int32(chip),
-			After: after, Start: done - f.timing.ProgramLatency, Done: done})
-	}
 	if cutAfter {
 		panic(f.cutNow(OpProgram, p, false, done))
 	}
-	return done, nil
+	return done, err
 }
 
 // Invalidate marks a valid page stale. Invalidating a non-valid page is a
@@ -452,15 +443,8 @@ func (f *Flash) Erase(blockID int, after Time) (Time, error) {
 		f.rel.EraseFails++
 		f.markBad(blockID)
 	}
-	f.counters.Erases++
-	chip := f.codec.Chip(base)
 	f.notifyBlock(blockID)
-	done := f.schedule(chip, after, f.timing.EraseLatency)
-	if f.opObs != nil {
-		f.opObs.ObserveOp(FlashOp{Op: OpErase, Kind: OpGC, PPN: base, Chip: int32(chip),
-			After: after, Start: done - f.timing.EraseLatency, Done: done})
-	}
-	return done, nil
+	return f.op(OpErase, OpGC, base, after, 0), nil
 }
 
 // markBad retires a block into the grown bad-block list and voids any

@@ -36,7 +36,11 @@ type OpObserver interface {
 	ObserveOp(FlashOp)
 }
 
-// SetOpObserver registers the operation observer (nil to detach). With no
-// observer attached the read/program/erase paths are exactly the
-// unobserved paths: one nil check each.
+// SetOpObserver registers the operation observer (nil to detach). Every
+// read, program and erase reaches it once, from the one tail that also
+// counts and clocks the operation, so the stream it sees is exactly what
+// Counters tallies and the chip clocks hold. An operation a power cut
+// kills before it completes (a read, an erase, a torn program) is neither
+// counted nor observed. With no observer attached that tail pays one nil
+// check.
 func (f *Flash) SetOpObserver(o OpObserver) { f.opObs = o }

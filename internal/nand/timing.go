@@ -102,10 +102,7 @@ type OpCounters struct {
 // Add adds o's counts into c. Fleet aggregation sums per-device counters
 // with it; the sum is order-independent, so aggregated reports are
 // identical for any device-iteration order.
-func (c *OpCounters) Add(o OpCounters) { c.accumulate(o) }
-
-// accumulate adds o's counts into c.
-func (c *OpCounters) accumulate(o OpCounters) {
+func (c *OpCounters) Add(o OpCounters) {
 	for k := range c.Reads {
 		c.Reads[k] += o.Reads[k]
 		c.Programs[k] += o.Programs[k]
