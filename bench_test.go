@@ -3,7 +3,6 @@ package learnedftl
 import (
 	"math/bits"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"learnedftl/internal/learned"
@@ -12,59 +11,6 @@ import (
 	"learnedftl/internal/sim"
 	"learnedftl/internal/workload"
 )
-
-// benchBudget is TinyBudget at 6 000 requests over 32 threads and 0.4 % of
-// each trace: the per-figure macro benchmarks time a run long enough to
-// dwarf its set-up, and the full -bench=. sweep still finishes in a couple
-// of minutes. Use cmd/ftlbench -scale quick (or paper) for the numbers
-// recorded in EXPERIMENTS.md.
-func benchBudget() Budget {
-	b := TinyBudget()
-	b.Requests, b.TraceScale, b.Threads = 6000, 0.004, 32
-	return b
-}
-
-// benchExperiment reruns one paper experiment per iteration and logs its
-// table (visible with -v), so every figure and table of the evaluation
-// section is regenerable straight from `go test -bench`.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	cfg := TinyConfig()
-	bud := benchBudget()
-	for i := 0; i < b.N; i++ {
-		res, err := RunExperiments([]string{id}, cfg, bud)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + res[0].Table.String())
-		}
-	}
-}
-
-// Motivation figures.
-
-func BenchmarkFig2(b *testing.B) { benchExperiment(b, "fig2") }
-func BenchmarkFig3(b *testing.B) { benchExperiment(b, "fig3") }
-func BenchmarkFig6(b *testing.B) { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B) { benchExperiment(b, "fig7") }
-
-// Evaluation figures.
-
-func BenchmarkFig14Throughput(b *testing.B)  { benchExperiment(b, "fig14") }
-func BenchmarkFig16GCFreq(b *testing.B)      { benchExperiment(b, "fig16") }
-func BenchmarkFig17GCOverhead(b *testing.B)  { benchExperiment(b, "fig17") }
-func BenchmarkFig18Ablations(b *testing.B)   { benchExperiment(b, "fig18") }
-func BenchmarkFig19RocksDB(b *testing.B)     { benchExperiment(b, "fig19") }
-func BenchmarkFig20Filebench(b *testing.B)   { benchExperiment(b, "fig20") }
-func BenchmarkFig21TailLatency(b *testing.B) { benchExperiment(b, "fig21") }
-func BenchmarkFig22Energy(b *testing.B)      { benchExperiment(b, "fig22") }
-func BenchmarkTable2Traces(b *testing.B)     { benchExperiment(b, "table2") }
-
-// GC subsystem experiments.
-
-func BenchmarkGCSweepExp(b *testing.B) { benchExperiment(b, "gcsweep") }
-func BenchmarkGCLatExp(b *testing.B)   { benchExperiment(b, "gclat") }
 
 // BenchmarkGC guards the relocation hot path of the pluggable collector:
 // sustained random single-page overwrites on a warmed device, where the
@@ -95,56 +41,6 @@ func BenchmarkGC(b *testing.B) {
 	b.ReportMetric(float64(col.GCPagesMoved)/float64(b.N), "moved/op")
 }
 
-// BenchmarkFig15Ops regenerates Fig. 15 directly: the host-CPU cost of the
-// three operations LearnedFTL adds (sorting a GTD entry's LPNs, training its
-// model, one prediction).
-
-func BenchmarkFig15Sorting(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	lpns := make([]int64, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		for j := range lpns {
-			lpns[j] = rng.Int63n(1 << 20)
-		}
-		b.StartTimer()
-		sort.Slice(lpns, func(x, y int) bool { return lpns[x] < lpns[y] })
-	}
-}
-
-func fig15TrainingData() []int64 {
-	rng := rand.New(rand.NewSource(2))
-	vppns := make([]int64, 512)
-	for i := range vppns {
-		if rng.Intn(4) == 0 {
-			vppns[i] = -1
-			continue
-		}
-		vppns[i] = int64(1<<20) + int64(i) + int64(rng.Intn(3))
-	}
-	return vppns
-}
-
-func BenchmarkFig15Training(b *testing.B) {
-	vppns := fig15TrainingData()
-	m := learned.NewInPlaceModel(512, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TrainFull(1<<20, vppns)
-	}
-}
-
-func BenchmarkFig15Prediction(b *testing.B) {
-	vppns := fig15TrainingData()
-	m := learned.NewInPlaceModel(512, 8)
-	m.TrainFull(1<<20, vppns)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(i & 511)
-	}
-}
-
 // Micro-benchmarks of the substrate primitives.
 
 func BenchmarkVPPNTranslate(b *testing.B) {
@@ -173,97 +69,10 @@ func BenchmarkPLRFitExact(b *testing.B) {
 	}
 }
 
-func BenchmarkSegmentsFit(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	pts := make([]learned.Point, 512)
-	x, y := int64(0), int64(0)
-	for i := range pts {
-		x += 1 + int64(rng.Intn(2))
-		y += int64(rng.Intn(3))
-		pts[i] = learned.Point{X: x, Y: y}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		learned.FitSegments(pts, 4, 256)
-	}
-}
-
-// Ablation benches for the design choices DESIGN.md calls out.
-
-func benchLearnedRandRead(b *testing.B, cfg Config) {
-	bud := benchBudget()
-	for i := 0; i < b.N; i++ {
-		f, err := New(SchemeLearnedFTL, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		warmDevice(f, bud)
-		r := measureFIO(f, workload.RandRead, bud.Threads, 1, bud.Requests)
-		if i == 0 {
-			b.ReportMetric(r.ReadMBps, "MB/s")
-			b.ReportMetric(r.ModelHitRatio*100, "model-hit-%")
-		}
-	}
-}
-
-func BenchmarkAblationBaseline(b *testing.B) {
-	benchLearnedRandRead(b, TinyConfig())
-}
-
-func BenchmarkAblationNoVPPN(b *testing.B) {
-	cfg := TinyConfig()
-	cfg.Learned.DisableVPPN = true
-	benchLearnedRandRead(b, cfg)
-}
-
-func BenchmarkAblationNoSeqInit(b *testing.B) {
-	cfg := TinyConfig()
-	cfg.Learned.DisableSeqInit = true
-	benchLearnedRandRead(b, cfg)
-}
-
-func BenchmarkAblationNoCrossGroup(b *testing.B) {
-	cfg := TinyConfig()
-	cfg.Learned.DisableCrossGroup = true
-	benchLearnedRandRead(b, cfg)
-}
-
-// Micro-benchmarks of the translation hot paths. The cache-hit paths must
-// stay at 0 allocs/op — run with -benchmem or rely on ReportAllocs to keep
-// the allocation trajectory visible.
-
-func BenchmarkCMTHit(b *testing.B) {
-	c := mapping.NewCMT(1024)
-	for i := int64(0); i < 1024; i++ {
-		c.Insert(i, nand.PPN(i), false)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := c.Lookup(int64(i) & 1023); !ok {
-			b.Fatal("unexpected miss")
-		}
-	}
-}
-
-func BenchmarkCMTMissEvictInsert(b *testing.B) {
-	const capn = 1024
-	c := mapping.NewCMT(capn)
-	for i := int64(0); i < capn; i++ {
-		c.Insert(i, nand.PPN(i), false)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lpn := int64(capn + i)
-		c.Insert(lpn, nand.PPN(lpn), i%2 == 0)
-		for c.NeedsEviction() {
-			if _, ok := c.EvictLRU(); !ok {
-				b.Fatal("eviction failed")
-			}
-		}
-	}
-}
+// Micro-benchmarks of the translation hot paths, each at 0 allocs/op
+// (TestCMTWritebackZeroAlloc pins the CMT's lookup, insert, eviction and
+// write-back; bench/ times its hit and its miss-insert-evict cycle as
+// mapping.cmt_hit_ns and mapping.cmt_miss_evict_ns).
 
 // BenchmarkCMTLookupMissEvict is the demand-paging read miss as the schemes
 // run it, over a full cache and uniformly random LPNs 33 times its size (the
@@ -454,48 +263,6 @@ func BenchmarkSimRunSchedule(b *testing.B) {
 		b.StartTimer()
 		if res := sim.Run(f, gens, 0); res.Requests != threads*64 {
 			b.Fatalf("issued %d", res.Requests)
-		}
-	}
-}
-
-// BenchmarkSnapshot guards the snapshot serialization hot path: one full
-// device snapshot (flash states, OOB, L2P, GTD, caches, allocator) of a
-// warmed tiny device per iteration, with bytes/op reported so encoding
-// regressions in either speed or size are visible.
-func BenchmarkSnapshot(b *testing.B) {
-	f, err := newWarmed(SchemeDFTL, TinyConfig(), benchBudget())
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap, err := SnapshotDevice(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(snap)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SnapshotDevice(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRestore is BenchmarkSnapshot's read side: decode + rebuild of
-// the same warmed device.
-func BenchmarkRestore(b *testing.B) {
-	f, err := newWarmed(SchemeDFTL, TinyConfig(), benchBudget())
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap, err := SnapshotDevice(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(snap)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RestoreDevice(SchemeDFTL, TinyConfig(), snap); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

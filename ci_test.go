@@ -5,10 +5,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,7 +22,11 @@ import (
 // tests. `go test -run X` passes without a word when X matches nothing, so a
 // renamed or deleted test would otherwise turn its guard step into a no-op.
 // `-run xxx` and `-run '^$'`, the idioms for running no tests beside a
-// benchmark or fuzz target, are the exceptions.
+// benchmark or fuzz target, are the exceptions. The other way round, every
+// Benchmark function of the module is matched by the -bench pattern of a
+// line that names its package directory (`./...` holds no test files, so a
+// line must list the directories): `go test ./...` compiles a benchmark but
+// never runs it.
 func TestCIPatternsNameDeclaredTests(t *testing.T) {
 	yml, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
@@ -51,6 +57,7 @@ func TestCIPatternsNameDeclaredTests(t *testing.T) {
 		return names
 	}
 	prefixes := map[string]string{"-run": "Test|Example|Fuzz", "-bench": "Benchmark", "-fuzz": "Fuzz"}
+	benched := map[string][]*regexp.Regexp{} // package directory -> the -bench patterns run on it
 	lines := 0
 	for _, line := range strings.Split(string(yml), "\n") {
 		_, cmd, ok := strings.Cut(line, "go test ")
@@ -79,6 +86,16 @@ func TestCIPatternsNameDeclaredTests(t *testing.T) {
 		if len(dirs) == 0 {
 			dirs = []string{"."}
 		}
+		if pattern, ok := patterns["-bench"]; ok {
+			top, _, _ := strings.Cut(pattern, "/")
+			re, err := regexp.Compile(top)
+			if err != nil {
+				t.Fatalf("ci.yml: -bench %q: %v", pattern, err)
+			}
+			for _, dir := range dirs {
+				benched[filepath.Clean(dir)] = append(benched[filepath.Clean(dir)], re)
+			}
+		}
 		for flag, pattern := range patterns {
 			if flag == "-run" && (pattern == "xxx" || pattern == "^$") {
 				continue
@@ -104,6 +121,34 @@ func TestCIPatternsNameDeclaredTests(t *testing.T) {
 	}
 	if lines == 0 {
 		t.Fatal("ci.yml has no go test line")
+	}
+	benchmarks := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if files, _ := filepath.Glob(filepath.Join(path, "*_test.go")); len(files) == 0 {
+			return nil
+		}
+		for _, name := range testFuncs(path) {
+			if !strings.HasPrefix(name, "Benchmark") {
+				continue
+			}
+			benchmarks++
+			if !slices.ContainsFunc(benched[path], func(re *regexp.Regexp) bool { return re.MatchString(name) }) {
+				t.Errorf("%s (in %s) is matched by no ci.yml -bench line that lists its directory", name, path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if benchmarks == 0 {
+		t.Fatal("found no Benchmark function in the module")
 	}
 }
 

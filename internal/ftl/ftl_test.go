@@ -221,6 +221,18 @@ func TestIdealGCReclaimsSpace(t *testing.T) {
 	if c.Programs[nand.OpGC] == 0 {
 		t.Fatal("GC moved no pages")
 	}
+	// The sustained overwrites, victim selection, relocation and erase
+	// included, allocate nothing.
+	gcs := f.Col.GCCount
+	allocs := testing.AllocsPerRun(2000, func() {
+		now = f.WritePages(rng.Int63n(lp), 1, now)
+	})
+	if f.Col.GCCount == gcs {
+		t.Fatal("no GC in the allocation window")
+	}
+	if allocs != 0 {
+		t.Fatalf("overwrites with GC allocate %.2f times per write", allocs)
+	}
 }
 
 func TestUpdateTransRMW(t *testing.T) {

@@ -252,16 +252,25 @@ func TestCMTDirtyChainsMatchNaive(t *testing.T) {
 	}
 }
 
-// TestCMTWritebackZeroAlloc pins the write-back path at zero allocations: a
-// dirty insert, the eviction it forces, and the CleanRange of the victim's
-// translation page.
+// TestCMTWritebackZeroAlloc pins the CMT's per-request paths at zero
+// allocations: a dirty insert, a lookup hit that moves an entry to the
+// front, a lookup miss, the eviction the insert forces, and the CleanRange
+// of the victim's translation page.
 func TestCMTWritebackZeroAlloc(t *testing.T) {
 	const capn, tp = 64, 16
 	c := NewCMTFor(capn, tp)
 	space := int64(8 * capn)
 	next := int64(0)
+	c.Insert(space-5, nand.PPN(space-5), false) // the first step's lookup hit
 	step := func() {
 		c.Insert(next, nand.PPN(next), true)
+		prev := (next + space - 5) % space // inserted one step back, now second
+		if ppn, ok := c.Lookup(prev); !ok || ppn != nand.PPN(prev) {
+			t.Fatalf("Lookup(%d) = %d, %v; want a hit", prev, ppn, ok)
+		}
+		if _, ok := c.Lookup(space + next); ok {
+			t.Fatalf("Lookup(%d) hit an LPN never inserted", space+next)
+		}
 		next = (next + 5) % space
 		for c.NeedsEviction() {
 			if e, _ := c.EvictLRU(); e.Dirty {
@@ -274,7 +283,7 @@ func TestCMTWritebackZeroAlloc(t *testing.T) {
 		step()
 	}
 	if n := testing.AllocsPerRun(1000, step); n != 0 {
-		t.Fatalf("dirty evict + CleanRange allocates %.0f times per run", n)
+		t.Fatalf("insert + lookups + dirty evict + CleanRange allocate %.0f times per run", n)
 	}
 }
 
