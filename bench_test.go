@@ -148,10 +148,51 @@ func BenchmarkCMTCleanRange(b *testing.B) {
 	}
 }
 
-// The address codec on a geometry with no power-of-two field, so nothing
-// about the speed rests on shifts: a full Decode, the single-field Chip the
-// flash array asks for on every operation, and the VPPN→PPN conversion of
-// LearnedFTL's write path.
+// BenchmarkCMTGroupFixup is the cache fix-up after a LearnedFTL group
+// collection moved every LPN of one group, on the benchmark device (a
+// 2 488-entry cache, groups of 6 144 LPNs) and on the paper's 32 GiB device
+// (231 014 entries, groups of 32 768): one pass over the cache's pool
+// (scan, what relocateGroup runs) against one index probe per moved LPN
+// (probe). The pass reads the pool in order and the probes land at random,
+// so the scan wins on both devices although it visits up to seven times
+// as many entries.
+func BenchmarkCMTGroupFixup(b *testing.B) {
+	for _, d := range []struct {
+		name              string
+		lpns, cache, span int64
+	}{
+		{"bench", 165888, 2488, 6144},
+		{"paper", 7700480, 231014, 32768},
+	} {
+		c := mapping.NewCMT(int(d.cache))
+		l2p := mapping.NewL2P(d.lpns)
+		rng := rand.New(rand.NewSource(1))
+		for c.Len() < int(d.cache) {
+			c.Insert(rng.Int63n(d.lpns), 0, rng.Intn(2) == 0)
+		}
+		groups := d.lpns / d.span
+		b.Run(d.name+"/scan", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lo := int64(i) % groups * d.span
+				c.RefreshRange(lo, lo+d.span, l2p)
+			}
+		})
+		b.Run(d.name+"/probe", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lo := int64(i) % groups * d.span
+				for l := lo; l < lo+d.span; l++ {
+					c.UpdatePPN(l, nand.PPN(l))
+				}
+			}
+		})
+	}
+}
+
+// The address codec on a geometry whose fields but its plane count are not
+// powers of two, so these time the multiply-high path that the shipped
+// geometries, all powers of two, take a shift for: a full Decode, the
+// single-field Chip the flash array asks for on every operation, and the
+// VPPN→PPN conversion of LearnedFTL's write path.
 
 func benchCodec() (nand.AddrCodec, int64) {
 	g := nand.Geometry{Channels: 3, Ways: 5, Planes: 2, BlocksPerUnit: 7, PagesPerBlock: 11, PageSize: 4096}

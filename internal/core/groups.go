@@ -481,8 +481,10 @@ func (f *LearnedFTL) relocateGroup(id, newRow int, t nand.Time, moved *int, oldR
 		}
 		f.invalidateData(old)
 		f.L2P.Set(lpn, np)
-		f.CMT.UpdatePPN(lpn, np)
 	}
+	// Most moved LPNs are not cached: one pass over the cache fixes up the
+	// ones that are.
+	f.CMT.RefreshRange(loLPN, hiLPN, f.L2P)
 	g.wp = len(lpns)
 	f.setFree(id, int32(f.sbPages-g.wp))
 	*moved += len(lpns)

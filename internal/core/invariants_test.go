@@ -145,3 +145,41 @@ func TestInvariantsAfterHeavyAging(t *testing.T) {
 	}
 	checkInvariants(t, f)
 }
+
+// TestGroupGCRefreshesCachedEnds collects a group whose first and last LPNs
+// are cached. Both pages move, and the cache must follow them: the fix-up
+// pass after relocation covers the group's whole LPN range, both ends
+// included.
+func TestGroupGCRefreshesCachedEnds(t *testing.T) {
+	f := newFTL(t)
+	lp := f.Cfg.LogicalPages()
+	now := nand.Time(0)
+	for lpn := int64(0); lpn < lp; lpn++ {
+		now = f.WritePages(lpn, 1, now)
+	}
+	gid := 1
+	lo := int64(gid) * int64(f.span)
+	ends := []int64{lo, lo + int64(f.span) - 1}
+	before := map[int64]nand.PPN{}
+	for _, lpn := range ends {
+		now = f.WritePages(lpn, 1, now) // an overwrite leaves the entry cached
+		e, ok := f.CMT.Peek(lpn)
+		if !ok {
+			t.Fatalf("lpn %d not cached after its write", lpn)
+		}
+		before[lpn] = e.PPN
+	}
+	collectGroup(f, gid, now)
+	for _, lpn := range ends {
+		e, ok := f.CMT.Peek(lpn)
+		switch {
+		case !ok:
+			t.Fatalf("lpn %d left the cache in the collection", lpn)
+		case f.L2P.Get(lpn) == before[lpn]:
+			t.Fatalf("lpn %d did not move in the collection of its group", lpn)
+		case e.PPN != f.L2P.Get(lpn):
+			t.Fatalf("lpn %d: CMT %d vs L2P %d after the collection", lpn, e.PPN, f.L2P.Get(lpn))
+		}
+	}
+	checkInvariants(t, f)
+}

@@ -359,6 +359,26 @@ func (c *CMT) Export() []Entry {
 	return out
 }
 
+// RefreshRange rewrites the PPN of every cached entry with LPN in [lo, hi)
+// from l2p, without recency or dirty changes: the fix-up after a collection
+// moved much of that range. It is one pass over the pool in order, where
+// an UpdatePPN per moved LPN probes the index at random, mostly to miss:
+// the pass is the cheaper one also on the paper's 32 GiB device, whose
+// cache holds seven times as many entries as a group has LPNs
+// (BenchmarkCMTGroupFixup). The pass may rewrite a free node too, which no
+// one reads: alloc overwrites a node whole.
+func (c *CMT) RefreshRange(lo, hi int64, l2p L2P) {
+	span := uint64(hi - lo)
+	for i := range c.nodes {
+		// One unsigned compare, which almost no entry passes, so the
+		// branch predicts; lpn >= lo first would branch at random and
+		// cost the pass twice its time.
+		if nd := &c.nodes[i]; uint64(nd.lpn-lo) < span {
+			nd.ppn = l2p.Get(nd.lpn)
+		}
+	}
+}
+
 // UpdatePPN rewrites the PPN of a cached entry without recency or dirty
 // changes (GC relocation fix-up). Returns false if lpn is not cached.
 func (c *CMT) UpdatePPN(lpn int64, ppn nand.PPN) bool {

@@ -3,6 +3,7 @@ package mapping
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -299,6 +300,26 @@ func TestCMTUpdatePPN(t *testing.T) {
 	}
 	if c.UpdatePPN(42, 1) {
 		t.Fatal("UpdatePPN of absent lpn succeeded")
+	}
+}
+
+// TestCMTRefreshRange: the pass rewrites exactly the cached entries in
+// [lo, hi) from the L2P, keeps every entry's recency and dirty flag, and
+// brings back no removed entry.
+func TestCMTRefreshRange(t *testing.T) {
+	c := NewCMT(8)
+	l2p := NewL2P(16)
+	for lpn := int64(0); lpn < 8; lpn++ {
+		c.Insert(lpn, nand.PPN(lpn), lpn%2 == 0)
+		l2p.Set(lpn, nand.PPN(100+lpn))
+	}
+	c.Remove(5)
+	c.Lookup(2) // recency differs from insertion order
+	c.RefreshRange(3, 7, l2p)
+	want := []Entry{{0, 0, true}, {1, 1, false}, {3, 103, false}, {4, 104, true},
+		{6, 106, true}, {7, 7, false}, {2, 2, true}}
+	if got := c.Export(); !slices.Equal(got, want) {
+		t.Fatalf("after RefreshRange(3, 7): %+v, want %+v", got, want)
 	}
 }
 

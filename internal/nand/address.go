@@ -42,17 +42,22 @@ type Addr struct {
 }
 
 // divisor divides by one fixed positive integer without a divide
-// instruction: a multiply-high and two shifts (Granlund & Montgomery,
-// "Division by Invariant Integers using Multiplication", PLDI'94, Fig. 4.1
-// at N = 64). Exact for every uint64 dividend and every d ≥ 1, powers of two
-// and 1 included, so no geometry needs a path of its own.
+// instruction. A power of two is a plain shift; any other d takes a
+// multiply-high and two shifts (Granlund & Montgomery, "Division by
+// Invariant Integers using Multiplication", PLDI'94, Fig. 4.1 at N = 64),
+// exact for every uint64 dividend. Every shipped geometry has only
+// power-of-two fields, so the simulator's codec runs on shifts; the
+// multiply-high serves the others.
 type divisor struct {
-	d, m     uint64
+	d, m     uint64 // m == 0: d is a power of two, 1 << sh2
 	sh1, sh2 uint8
 }
 
 func newDivisor(d int) divisor {
 	l := bits.Len64(uint64(d) - 1) // ⌈log2 d⌉
+	if d&(d-1) == 0 {
+		return divisor{d: uint64(d), sh2: uint8(l)}
+	}
 	// m = ⌊2^64·(2^l − d)/d⌋ + 1; 2^l < 2d keeps the quotient in 64 bits.
 	m, _ := bits.Div64(uint64(1)<<l-uint64(d), 0, uint64(d))
 	return divisor{d: uint64(d), m: m + 1, sh1: uint8(min(l, 1)), sh2: uint8(max(l-1, 0))}
@@ -60,8 +65,11 @@ func newDivisor(d int) divisor {
 
 // div returns n / d.
 func (v divisor) div(n uint64) uint64 {
-	t, _ := bits.Mul64(v.m, n)
-	return (t + (n-t)>>(v.sh1&63)) >> (v.sh2 & 63)
+	if v.m != 0 {
+		t, _ := bits.Mul64(v.m, n)
+		n = t + (n-t)>>(v.sh1&63)
+	}
+	return n >> (v.sh2 & 63)
 }
 
 // divmod returns n / d and n % d.
@@ -90,11 +98,11 @@ type codecConsts struct {
 }
 
 // AddrCodec converts between Addr, PPN and VPPN for a fixed geometry. Every
-// division is by a geometry constant, so NewAddrCodec precomputes each
-// divisor's reciprocal once and the conversions run on multiplies and
-// shifts; Chip, BlockID, Block and BlockPage extract a single field in one
-// step. The codec is one pointer to those shared read-only constants: a
-// value type, copy freely.
+// division is by a geometry constant, so NewAddrCodec works out each
+// divisor once — a shift for a power of two, a reciprocal otherwise — and
+// the conversions run on shifts, or multiplies and shifts; Chip, BlockID,
+// Block and BlockPage extract a single field in one step. The codec is one
+// pointer to those shared read-only constants: a value type, copy freely.
 type AddrCodec struct {
 	k *codecConsts
 }

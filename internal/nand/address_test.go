@@ -284,7 +284,8 @@ func refDecodeVirtual(g Geometry, v VPPN) Addr {
 }
 
 // TestCodecMatchesDivisionFormulas checks every page of several geometries —
-// none of the first's fields a power of two, some of the others' fields 1 —
+// only the first's plane count a power of two, some of the others' fields 1,
+// the last's all powers of two —
 // against the division formulas: the full decodes, both conversions and each
 // single-field accessor.
 func TestCodecMatchesDivisionFormulas(t *testing.T) {
@@ -336,9 +337,10 @@ func TestCodecMatchesDivisionFormulas(t *testing.T) {
 	}
 }
 
-// TestDivisorExact checks the reciprocal division against the hardware's on
-// divisors around every power of two and dividends around every multiple
-// boundary, up to the full 64-bit range.
+// TestDivisorExact checks the division against the hardware's on divisors
+// around every power of two and dividends around every multiple boundary,
+// up to the full 64-bit range, and that exactly the powers of two take the
+// shift.
 func TestDivisorExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var ds []int
@@ -354,6 +356,9 @@ func TestDivisorExact(t *testing.T) {
 	}
 	for _, d := range ds {
 		v := newDivisor(d)
+		if pow2 := d&(d-1) == 0; pow2 != (v.m == 0) {
+			t.Fatalf("divisor %d: power of two %v, shift path %v", d, pow2, v.m == 0)
+		}
 		ns := []uint64{0, 1, uint64(d) - 1, uint64(d), uint64(d) + 1, 1<<63 - 1, 1 << 63, ^uint64(0)}
 		for i := 0; i < 50; i++ {
 			k := rng.Uint64()

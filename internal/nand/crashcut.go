@@ -64,14 +64,19 @@ func (c *cutPlan) due(after Time) bool {
 // torn set, is left half-programmed: the page is consumed by the write
 // pointer but never valid, and its OOB reads uncorrectable (a torn page).
 //
-// Arming costs one small allocation; the disarmed hot paths pay only a
-// nil-check.
+// Arming costs one small allocation and hooks the array (see Flash.hooked):
+// while armed, every operation takes the hooked path that counts toward the
+// cut.
 func (f *Flash) ArmCut(atOp int64, atTime Time, torn bool) {
 	f.cut = &cutPlan{atOp: atOp, atTime: atTime, torn: torn}
+	f.rehook()
 }
 
 // DisarmCut removes an armed cut without firing it.
-func (f *Flash) DisarmCut() { f.cut = nil }
+func (f *Flash) DisarmCut() {
+	f.cut = nil
+	f.rehook()
+}
 
 // CutArmed reports whether a power cut is armed.
 func (f *Flash) CutArmed() bool { return f.cut != nil }
@@ -81,10 +86,13 @@ func (f *Flash) cutNow(t OpType, p PPN, torn bool, at Time) PowerCut {
 	return PowerCut{Op: f.cut.seen, Type: t, PPN: p, Torn: torn, Time: at}
 }
 
-// markTorn records p as torn. The roster is tiny (at most one page per
-// injected crash), so membership tests are linear scans guarded by a length
-// check.
-func (f *Flash) markTorn(p PPN) { f.torn = append(f.torn, p) }
+// markTorn records p as torn, which hooks the array: a read of p must take
+// the path that checks the roster. The roster is tiny (at most one page per
+// injected crash), so membership tests are linear scans.
+func (f *Flash) markTorn(p PPN) {
+	f.torn = append(f.torn, p)
+	f.rehook()
+}
 
 // IsTorn reports whether page p was left half-programmed by a power cut.
 // Torn pages are programmed but never valid. Every read of one, through
@@ -109,6 +117,7 @@ func (f *Flash) clearTornBlock(blockID int) {
 		}
 	}
 	f.torn = keep
+	f.rehook()
 }
 
 // PowerCycle models the power interruption and restart after a cut fired:
@@ -120,4 +129,5 @@ func (f *Flash) clearTornBlock(blockID int) {
 func (f *Flash) PowerCycle(t Time) {
 	f.setClocks(t)
 	f.cut = nil
+	f.rehook()
 }

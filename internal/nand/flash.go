@@ -125,6 +125,10 @@ type Flash struct {
 
 	obs   BlockObserver
 	opObs OpObserver
+	// hooked is set exactly when an op observer, a fault model, an armed
+	// cut or a torn page is present (rehook). While it is clear, a read or
+	// a program is its bookkeeping and op, nothing else.
+	hooked bool
 
 	// fm, when non-nil, injects reliability outcomes into the read,
 	// program and erase paths. rel tallies its events; badCount tracks the
@@ -142,7 +146,7 @@ type Flash struct {
 
 	// cut, when non-nil, is an armed power-loss trigger (see ArmCut); torn
 	// is the roster of pages left half-programmed by fired cuts. Both are
-	// nil/empty in normal operation, so the hot paths pay one nil-check.
+	// nil/empty in normal operation, and either sets hooked.
 	cut  *cutPlan
 	torn []PPN
 
@@ -182,6 +186,12 @@ func (f *Flash) SetFaultModel(m FaultModel) {
 		f.scrubQueued = make([]bool, f.geo.TotalBlocks())
 		f.scrubQueue = make([]int, 0, f.geo.TotalBlocks())
 	}
+	f.rehook()
+}
+
+// rehook recomputes hooked. Every writer of opObs, fm, cut or torn calls it.
+func (f *Flash) rehook() {
+	f.hooked = f.opObs != nil || f.fm != nil || f.cut != nil || len(f.torn) > 0
 }
 
 // FaultModel returns the attached reliability model, nil when none is.
@@ -233,32 +243,38 @@ func (f *Flash) LifetimeCounters() OpCounters {
 	return t
 }
 
-// op is the tail every flash operation ends in, the one place that counts
-// it, clocks it and reports it: it tallies the operation in the counters,
-// serializes it on p's chip, not starting before after, for the type's
-// latency plus retry, and hands it to the op observer. It returns the
-// completion time.
-func (f *Flash) op(t OpType, kind OpKind, p PPN, after, retry Time) Time {
-	d := retry
+// op is the core every flash operation ends in, the one place that counts
+// it and clocks it: it adds one to the counter n and serializes the
+// operation on p's chip, not starting before after, for d — the type's
+// latency plus any retry. It returns the completion time. op inlines into
+// its callers (CI pins that on go1.24); an array with hooks reaches it
+// through opSlow, which reports what it did.
+func (f *Flash) op(n *int64, d Time, p PPN, after Time) (done Time) {
+	*n++
+	c := &f.chipBusy[f.codec.Chip(p)]
+	done = max(after, *c) + d
+	*c = done
+	f.maxBusy = max(f.maxBusy, done)
+	return
+}
+
+// opSlow is op for a hooked array: the paths that handle cuts, torn pages
+// and faults end here instead. It picks the operation's counter and
+// latency, runs op, and hands the operation to the op observer. A hook that
+// must see every operation attaches here, so a bare array pays it nothing.
+func (f *Flash) opSlow(t OpType, kind OpKind, p PPN, after, retry Time) Time {
+	n, d := &f.counters.Erases, f.timing.EraseLatency
 	switch t {
 	case OpRead:
-		f.counters.Reads[kind]++
-		d += f.timing.ReadLatency
+		n, d = &f.counters.Reads[kind], f.timing.ReadLatency
 	case OpProgram:
-		f.counters.Programs[kind]++
-		d += f.timing.ProgramLatency
-	default:
-		f.counters.Erases++
-		d += f.timing.EraseLatency
+		n, d = &f.counters.Programs[kind], f.timing.ProgramLatency
 	}
-	chip := f.codec.Chip(p)
-	start := max(after, f.chipBusy[chip])
-	done := start + d
-	f.chipBusy[chip] = done
-	f.maxBusy = max(f.maxBusy, done)
+	d += retry
+	done := f.op(n, d, p, after)
 	if f.opObs != nil {
-		f.opObs.ObserveOp(FlashOp{Op: t, Kind: kind, PPN: p, Chip: int32(chip),
-			After: after, Start: start, Done: done, Retry: retry})
+		f.opObs.ObserveOp(FlashOp{Op: t, Kind: kind, PPN: p, Chip: int32(f.codec.Chip(p)),
+			After: after, Start: done - d, Done: done, Retry: retry})
 	}
 	return done
 }
@@ -283,8 +299,12 @@ func (f *Flash) Read(p PPN, after Time, kind OpKind) Time {
 // flight when power died — reads uncorrectable regardless of the model: its
 // cells hold a partial program no reference-voltage shift recovers, so ECC
 // walks the model's whole retry ladder and never converges. Without a fault
-// model, clean pages read clean (ideal NAND) and only torn pages fail.
+// model, clean pages read clean (ideal NAND) and only torn pages fail. An
+// array without hooks reads as ideal NAND does, through op alone.
 func (f *Flash) ReadChecked(p PPN, after Time, kind OpKind) (Time, ReadOutcome) {
+	if !f.hooked {
+		return f.op(&f.counters.Reads[kind], f.timing.ReadLatency, p, after), ReadOutcome{}
+	}
 	if f.cut != nil && f.cut.due(after) {
 		// Power died before the command reached the die: no state change,
 		// no accounting — the operation never happened.
@@ -321,7 +341,7 @@ func (f *Flash) ReadChecked(p PPN, after Time, kind OpKind) (Time, ReadOutcome) 
 			}
 		}
 	}
-	return f.op(OpRead, kind, p, after, retry), out
+	return f.opSlow(OpRead, kind, p, after, retry), out
 }
 
 // Program writes a page, setting it valid and recording its OOB. NAND
@@ -382,7 +402,12 @@ func (f *Flash) Program(p PPN, oob OOB, after Time, kind OpKind) (Time, error) {
 		f.keys.set(int(p), key)
 		b.valid++
 	}
-	done := f.op(OpProgram, kind, p, after, 0)
+	var done Time
+	if f.hooked {
+		done = f.opSlow(OpProgram, kind, p, after, 0)
+	} else {
+		done = f.op(&f.counters.Programs[kind], f.timing.ProgramLatency, p, after)
+	}
 	if err == nil {
 		b.lastMod = done
 	}
@@ -444,7 +469,10 @@ func (f *Flash) Erase(blockID int, after Time) (Time, error) {
 		f.markBad(blockID)
 	}
 	f.notifyBlock(blockID)
-	return f.op(OpErase, OpGC, base, after, 0), nil
+	if f.hooked {
+		return f.opSlow(OpErase, OpGC, base, after, 0), nil
+	}
+	return f.op(&f.counters.Erases, f.timing.EraseLatency, base, after), nil
 }
 
 // markBad retires a block into the grown bad-block list and voids any
@@ -807,6 +835,7 @@ func (f *Flash) ImportState(s FlashState) error {
 	// armed cut and the torn roster reset.
 	f.cut = nil
 	f.torn = f.torn[:0]
+	f.rehook()
 	f.scrubQueue = f.scrubQueue[:0]
 	f.scrubHead = 0
 	for i := range f.scrubQueued {

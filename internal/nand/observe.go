@@ -41,6 +41,10 @@ type OpObserver interface {
 // counts and clocks the operation, so the stream it sees is exactly what
 // Counters tallies and the chip clocks hold. An operation a power cut
 // kills before it completes (a read, an erase, a torn program) is neither
-// counted nor observed. With no observer attached that tail pays one nil
-// check.
-func (f *Flash) SetOpObserver(o OpObserver) { f.opObs = o }
+// counted nor observed. An observer hooks the array (see Flash.hooked), so
+// every operation takes the outlined tail that reports it; with nothing
+// attached, an operation pays one test of that flag and no call.
+func (f *Flash) SetOpObserver(o OpObserver) {
+	f.opObs = o
+	f.rehook()
+}

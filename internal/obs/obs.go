@@ -4,8 +4,8 @@
 //
 // The layer follows the internal/fault precedent: everything is opt-in via
 // an attached *Tracer, and with no tracer attached every hook in the
-// engines, the FTLs and the flash array is a nil check — golden tables stay
-// byte-identical and the hot paths allocation-free. Memory is O(1) in run
+// engines and the FTLs is a nil check, and the flash array's one flag test
+// — golden tables stay byte-identical and the hot paths allocation-free. Memory is O(1) in run
 // length: per-phase sums, a bounded top-K tail set, which also gives the
 // exact P99.9, and a ring buffer for trace events. Latency percentiles of
 // the whole population are internal/stats's; the tail set stays here
